@@ -136,25 +136,13 @@ fn bench_topology(c: &mut Criterion) {
 }
 
 /// One broker failure in an `n_hosts`-host federation plus a CAROL policy
-/// ready to repair it. `batch_eval` selects the batched surrogate engine
-/// or the pre-batching one-candidate-at-a-time reference path — the
-/// serial-vs-batched median ratio is the headline number CI archives as
-/// `REPAIR_PR.json`.
+/// ready to repair it. `eval_threads` pins the evaluation worker count —
+/// the same knob the `CAROL_THREADS` env var resolves to, fixed per bench
+/// row so one process can sweep 1/2/4 workers without racing on the
+/// environment (`None` defers to the env var).
 fn repair_fixture(
     n_hosts: usize,
     n_brokers: usize,
-    batch_eval: bool,
-) -> (Simulator, SystemState, Carol) {
-    repair_fixture_threads(n_hosts, n_brokers, batch_eval, None)
-}
-
-/// [`repair_fixture`] with the evaluation worker count pinned — the same
-/// knob the `CAROL_THREADS` env var resolves to, fixed per bench row so
-/// one process can sweep 1/2/4 workers without racing on the environment.
-fn repair_fixture_threads(
-    n_hosts: usize,
-    n_brokers: usize,
-    batch_eval: bool,
     eval_threads: Option<usize>,
 ) -> (Simulator, SystemState, Carol) {
     let mut sim = Simulator::new(SimConfig::federation(n_hosts, n_brokers, 3));
@@ -193,7 +181,6 @@ fn repair_fixture_threads(
             max_iters: 1,
             ..Default::default()
         },
-        batch_eval,
         eval_threads,
         ..CarolConfig::fast_test()
     };
@@ -203,31 +190,27 @@ fn repair_fixture_threads(
 
 fn bench_repair(c: &mut Criterion) {
     // The full repair path — random node-shift, tabu over the node-shift
-    // move set, GON generation per candidate — at the two federation
-    // sizes the determinism suite gates. `_serial` is the pre-batching
-    // baseline; `_batched` is the production engine (stacked forwards,
-    // `par` fan-out).
+    // move set, batched GON generation per candidate chunk (stacked
+    // forwards, `par` fan-out) — at the two federation sizes the
+    // determinism suite gates.
     for (n_hosts, n_brokers) in [(64usize, 8usize), (128, 16)] {
-        for (engine, batch_eval) in [("serial", false), ("batched", true)] {
-            let (sim, snapshot, mut policy) = repair_fixture(n_hosts, n_brokers, batch_eval);
-            c.bench_function(&format!("repair_{n_hosts}_{engine}"), |b| {
-                b.iter(|| {
-                    let repaired = policy
-                        .repair(black_box(&sim), black_box(&snapshot))
-                        .expect("failure must produce a repair");
-                    black_box(repaired)
-                })
-            });
-        }
+        let (sim, snapshot, mut policy) = repair_fixture(n_hosts, n_brokers, None);
+        c.bench_function(&format!("repair_{n_hosts}_batched"), |b| {
+            b.iter(|| {
+                let repaired = policy
+                    .repair(black_box(&sim), black_box(&snapshot))
+                    .expect("failure must produce a repair");
+                black_box(repaired)
+            })
+        });
     }
 
-    // The CAROL_THREADS sweep at 64 hosts: the batched engine with the
-    // worker count pinned to 1/2/4 through the same `EngineConfig` path
-    // the env var resolves, one row per count so a single run prices the
-    // fan-out. The serial-vs-batched crossover these rows map lives in
-    // README "Kernels".
+    // The CAROL_THREADS sweep at 64 hosts: the worker count pinned to
+    // 1/2/4 through the same `EngineConfig` path the env var resolves,
+    // one row per count so a single run prices the fan-out (README
+    // "Kernels" records the crossover).
     for threads in [1usize, 2, 4] {
-        let (sim, snapshot, mut policy) = repair_fixture_threads(64, 8, true, Some(threads));
+        let (sim, snapshot, mut policy) = repair_fixture(64, 8, Some(threads));
         c.bench_function(&format!("repair_64_batched_t{threads}"), |b| {
             b.iter(|| {
                 let repaired = policy
@@ -288,12 +271,8 @@ fn bench_gon_batch(c: &mut Criterion) {
 }
 
 fn bench_train(c: &mut Criterion) {
-    // One offline-training epoch, serial vs batched engine, at the two
-    // shapes CI tracks: the paper's 16-host testbed ("tiny") and a
-    // 64-host federation. The serial/batched median ratio is the
-    // headline number CI archives as `TRAIN_PR.json`; the determinism
-    // suite guarantees the two engines produce bit-identical models, so
-    // the ratio prices pure engine overhead.
+    // One offline-training epoch on one worker, at two shapes: the
+    // paper's 16-host testbed ("tiny") and a 64-host federation.
     use gon::{train_offline, TrainConfig};
     use workloads::trace::{generate_trace, TraceConfig};
 
@@ -321,27 +300,24 @@ fn bench_train(c: &mut Criterion) {
         seed,
     };
     for (label, trace) in [fixture("tiny", 16, 4), fixture("64", 64, 8)] {
-        for (engine, batch_train) in [("serial", false), ("batched", true)] {
-            let model = GonModel::new(gon_config(9));
-            let config = TrainConfig {
-                epochs: 1,
-                minibatch: 8,
-                patience: 2,
-                lr: 1e-3,
-                batch_train,
-                train_threads: Some(1), // price the engine, not the thread pool
-                ..Default::default()
-            };
-            c.bench_function(&format!("train_offline_{label}_{engine}"), |b| {
-                b.iter(|| {
-                    let mut m = model.clone();
-                    black_box(train_offline(&mut m, black_box(&trace), &config))
-                })
-            });
-        }
+        let model = GonModel::new(gon_config(9));
+        let config = TrainConfig {
+            epochs: 1,
+            minibatch: 8,
+            patience: 2,
+            lr: 1e-3,
+            train_threads: Some(1), // price the engine, not the thread pool
+            ..Default::default()
+        };
+        c.bench_function(&format!("train_offline_{label}_batched"), |b| {
+            b.iter(|| {
+                let mut m = model.clone();
+                black_box(train_offline(&mut m, black_box(&trace), &config))
+            })
+        });
     }
 
-    // The CAROL_THREADS sweep for the batched trainer at 64 hosts:
+    // The CAROL_THREADS sweep for the trainer at 64 hosts:
     // `train_threads` pinned to 1/2/4 — the per-row analogue of the env
     // override, so one run maps where thread fan-out pays for itself
     // (README "Kernels" records the crossover).
@@ -353,7 +329,6 @@ fn bench_train(c: &mut Criterion) {
             minibatch: 8,
             patience: 2,
             lr: 1e-3,
-            batch_train: true,
             train_threads: Some(threads),
             ..Default::default()
         };

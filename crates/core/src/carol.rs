@@ -62,11 +62,6 @@ pub struct CarolConfig {
     pub pretrain_intervals: usize,
     /// Simulator configuration used to generate the pre-training trace.
     pub pretrain_sim: SimConfig,
-    /// Score repair candidates through the batched surrogate engine
-    /// (stacked network forwards, fanned out on [`par`]). `false` keeps
-    /// the pre-batching one-candidate-at-a-time reference path; both are
-    /// bit-identical (gated by `tests/determinism.rs`).
-    pub batch_eval: bool,
     /// Worker threads for batched candidate evaluation. `None` uses
     /// [`par::thread_count`] (the `CAROL_THREADS` override); tests pin
     /// explicit counts here instead of mutating the environment.
@@ -85,7 +80,6 @@ impl Default for CarolConfig {
             offline: TrainConfig::default(),
             pretrain_intervals: 120,
             pretrain_sim: SimConfig::testbed(0),
-            batch_eval: true,
             eval_threads: None,
         }
     }
@@ -123,21 +117,8 @@ impl CarolConfig {
         }
     }
 
-    /// The candidate-evaluation engine this config selects. The legacy
-    /// `batch_eval` / `eval_threads` fields are thin views of a
-    /// [`par::EngineConfig`]; all thread resolution goes through
-    /// [`par::EngineConfig::worker_count`].
-    pub fn engine(&self) -> EngineConfig {
-        EngineConfig {
-            batched: self.batch_eval,
-            threads: self.eval_threads,
-        }
-    }
-
-    /// Replaces the evaluation-engine selection with `engine`,
-    /// overwriting the `batch_eval` / `eval_threads` field pair.
+    /// Replaces the candidate-evaluation worker count with `engine`'s.
     pub fn with_engine(mut self, engine: EngineConfig) -> Self {
-        self.batch_eval = engine.batched;
         self.eval_threads = engine.threads;
         self
     }
@@ -320,55 +301,13 @@ impl Carol {
         cost
     }
 
-    /// Surrogate objective Ω(G) for a candidate topology (lower = better).
-    fn objective(&mut self, base: &SystemState, candidate: &Topology) -> f64 {
-        self.surrogate_queries += 1;
-        // Testbed-equivalent cost per surrogate query (DESIGN.md): the
-        // GON pays per generation iteration below (γ and model depth
-        // control how many/much — the Fig. 6a/6b scheduling-time effects);
-        // the one-shot GAN and the feed-forward surrogate pay a flat
-        // inference cost.
-        self.modeled_decision_s += match self.config.variant {
-            CarolVariant::Gon => 0.0,
-            CarolVariant::Gan => 0.00045,
-            CarolVariant::TraditionalSurrogate => 0.0002,
-        };
-        let probe = base.with_topology(candidate);
-        let transition = Self::transition_cost(&base.topology, candidate);
-        transition
-            + match self.config.variant {
-                CarolVariant::Gon => {
-                    let generated = self.gon.generate(&probe);
-                    // 0.08 ms per ascent iteration at the reference depth of
-                    // 3 layers; deeper models pay proportionally more per
-                    // pass (the Fig. 6b scheduling-time growth).
-                    let depth_factor = self.config.gon.head_layers.max(1) as f64 / 3.0;
-                    self.modeled_decision_s += 8.0e-5 * depth_factor * generated.iterations as f64;
-                    let mut refined = probe.clone();
-                    refined.set_metrics_flat(&generated.metrics_flat);
-                    let (qe, qs) = refined.qos_components();
-                    self.config.alpha * qe + self.config.beta * qs
-                }
-                CarolVariant::Gan => self
-                    .gan
-                    .as_mut()
-                    .expect("GAN variant carries a GAN")
-                    .predict_qos(&probe, self.config.alpha, self.config.beta, 17),
-                CarolVariant::TraditionalSurrogate => self
-                    .ff
-                    .as_mut()
-                    .expect("FF variant carries a regressor")
-                    .predict_qos(&probe),
-            }
-    }
-
-    /// Public wrapper around the surrogate objective, for extensions that
-    /// score candidates outside the failure path (e.g.
+    /// Surrogate objective Ω(G) of one candidate topology (lower =
+    /// better): [`Carol::objective_batch`] over a batch of one, for
+    /// extensions that score candidates outside the failure path (e.g.
     /// [`crate::proactive::ProactiveCarol`]). Charges the same modeled
-    /// decision costs as the internal path.
+    /// decision costs as the repair path.
     pub fn objective_public(&mut self, base: &SystemState, candidate: &Topology) -> f64 {
-        self.install_pending_tune();
-        self.objective(base, candidate)
+        self.objective_batch(base, std::slice::from_ref(candidate))[0]
     }
 
     /// Candidates per stacked network forward. Small enough that chunks
@@ -387,26 +326,29 @@ impl Carol {
     /// boundaries are a pure function of the candidate list, results are
     /// written to input-index slots, and the modeled decision-time costs
     /// are charged in candidate order afterwards — so the returned scores
-    /// *and* every accumulator on `self` are bit-identical to calling the
-    /// serial [`Carol::objective_public`] per candidate, at any thread
-    /// count. With `batch_eval` off this simply runs the serial reference
-    /// path.
+    /// *and* every accumulator on `self` are bit-identical to calling
+    /// [`Carol::objective_public`] once per candidate, at any thread
+    /// count.
     pub fn objective_batch(&mut self, base: &SystemState, candidates: &[Topology]) -> Vec<f64> {
         self.install_pending_tune();
-        let engine = self.config.engine();
-        if !engine.batched {
-            return candidates.iter().map(|t| self.objective(base, t)).collect();
-        }
         if candidates.is_empty() {
             return Vec::new();
         }
-        let threads = engine.worker_count();
+        let threads = EngineConfig {
+            threads: self.config.eval_threads,
+        }
+        .worker_count();
         let chunks: Vec<&[Topology]> = candidates.chunks(Self::SCORE_BATCH).collect();
         let (alpha, beta) = (self.config.alpha, self.config.beta);
 
         // Per-candidate (objective-without-transition, modeled decision
-        // cost), computed in parallel; bookkeeping is replayed serially
-        // below so the f64 accumulation order matches the serial path.
+        // cost), computed in parallel; bookkeeping is replayed in
+        // candidate order below, so the f64 accumulation order does not
+        // depend on the worker count. Testbed-equivalent cost per query
+        // (DESIGN.md): the GON pays per ascent iteration (γ and model
+        // depth control how many/much — the Fig. 6a/6b scheduling-time
+        // effects); the one-shot GAN and the feed-forward surrogate pay a
+        // flat inference cost.
         let scored: Vec<Vec<(f64, f64)>> = match self.config.variant {
             CarolVariant::Gon => {
                 let gon = &self.gon;
@@ -424,7 +366,9 @@ impl Carol {
                             refined.set_metrics_flat(&gen.metrics_flat);
                             let (qe, qs) = refined.qos_components();
                             // 0.08 ms per ascent iteration at the
-                            // reference depth, as in the serial path.
+                            // reference depth of 3 layers; deeper models
+                            // pay proportionally more per pass (the
+                            // Fig. 6b scheduling-time growth).
                             let cost = 8.0e-5 * depth_factor * gen.iterations as f64;
                             (alpha * qe + beta * qs, cost)
                         })
@@ -896,11 +840,12 @@ mod tests {
         assert_eq!(conf.threshold_history.len(), intervals);
     }
 
-    /// The batched objective — at any thread count — must agree with the
-    /// serial reference path bit-for-bit, on scores *and* on the policy's
-    /// bookkeeping accumulators, for every surrogate variant.
+    /// The batched objective — at any thread count — must agree
+    /// bit-for-bit with scoring one candidate per call, on scores *and*
+    /// on the policy's bookkeeping accumulators, for every surrogate
+    /// variant. A batch of N must not leak anything across candidates.
     #[test]
-    fn objective_batch_is_bit_identical_to_serial_for_every_variant() {
+    fn objective_batch_matches_one_call_per_candidate_for_every_variant() {
         for variant in [
             CarolVariant::Gon,
             CarolVariant::Gan,
@@ -916,7 +861,7 @@ mod tests {
                     9,
                 )
             };
-            let mut serial = mk(1);
+            let mut one_by_one = mk(1);
             let mut batched_1 = mk(1);
             let mut batched_4 = mk(4);
 
@@ -929,7 +874,7 @@ mod tests {
 
             let want: Vec<f64> = candidates
                 .iter()
-                .map(|t| serial.objective_public(&base, t))
+                .map(|t| one_by_one.objective_public(&base, t))
                 .collect();
             for (label, policy) in [("1 thread", &mut batched_1), ("4 threads", &mut batched_4)] {
                 let got = policy.objective_batch(&base, &candidates);
@@ -940,25 +885,23 @@ mod tests {
                         "{variant:?}/{label}: candidate {i} diverged ({a} vs {b})"
                     );
                 }
-                assert_eq!(policy.surrogate_queries, serial.surrogate_queries);
+                assert_eq!(policy.surrogate_queries, one_by_one.surrogate_queries);
                 assert_eq!(
                     policy.modeled_decision_s.to_bits(),
-                    serial.modeled_decision_s.to_bits(),
+                    one_by_one.modeled_decision_s.to_bits(),
                     "{variant:?}/{label}: modeled decision time diverged"
                 );
             }
         }
     }
 
-    /// The training-engine switch mirrors `batch_eval`: a policy whose
-    /// GON was pretrained (and is fine-tuned) through the batched
-    /// adversarial engine behaves bit-identically to one trained through
-    /// the serial reference engine, at any worker count.
+    /// A policy whose GON was pretrained (and is fine-tuned) on four
+    /// training workers behaves bit-identically to one trained on a
+    /// single worker.
     #[test]
-    fn batched_training_engine_builds_bit_identical_policies() {
-        let mk = |batch_train: bool, threads: usize| {
+    fn training_worker_count_builds_bit_identical_policies() {
+        let mk = |threads: usize| {
             let mut config = CarolConfig::fast_test();
-            config.offline.batch_train = batch_train;
             config.offline.train_threads = Some(threads);
             Carol::pretrained(config, 8)
         };
@@ -972,25 +915,23 @@ mod tests {
             }
             policy
         };
-        let serial = run(mk(false, 1));
-        for threads in [1, 4] {
-            let batched = run(mk(true, threads));
+        let one = run(mk(1));
+        let four = run(mk(4));
+        assert_eq!(
+            four.fine_tune_intervals, one.fine_tune_intervals,
+            "fine-tune triggers diverged"
+        );
+        for (i, (a, b)) in one
+            .confidence_history
+            .iter()
+            .zip(&four.confidence_history)
+            .enumerate()
+        {
             assert_eq!(
-                batched.fine_tune_intervals, serial.fine_tune_intervals,
-                "{threads} workers: fine-tune triggers diverged"
+                a.to_bits(),
+                b.to_bits(),
+                "confidence at interval {i} diverged"
             );
-            for (i, (a, b)) in serial
-                .confidence_history
-                .iter()
-                .zip(&batched.confidence_history)
-                .enumerate()
-            {
-                assert_eq!(
-                    a.to_bits(),
-                    b.to_bits(),
-                    "{threads} workers: confidence at interval {i} diverged"
-                );
-            }
         }
     }
 

@@ -91,11 +91,11 @@ pub struct CheckpointSpec {
 pub struct ExperimentSpec {
     /// Experiment shape: workload × federation × faults × scheduler.
     pub scenario: ScenarioSpec,
-    /// Candidate-evaluation engine (`CarolConfig::{batch_eval,
-    /// eval_threads}` view).
+    /// Candidate-evaluation worker count, copied into
+    /// `CarolConfig::eval_threads` by [`ExperimentSpec::carol_config`].
     pub engine: EngineConfig,
     /// Offline-training / fine-tuning configuration, including the
-    /// training engine (`TrainConfig::{batch_train, train_threads}`).
+    /// training worker count (`TrainConfig::train_threads`).
     pub train: TrainConfig,
     /// Checkpoint cadence and destination.
     pub checkpoint: CheckpointSpec,
@@ -120,7 +120,7 @@ impl ExperimentSpec {
         ScenarioSpec::named(name, seed).map(Self::new)
     }
 
-    /// Replaces the candidate-evaluation engine.
+    /// Replaces the candidate-evaluation worker count.
     pub fn with_engine(mut self, engine: EngineConfig) -> Self {
         self.engine = engine;
         self
@@ -150,7 +150,7 @@ impl ExperimentSpec {
 
     /// The full CAROL configuration this spec induces: the service-tier
     /// GON (the `scale` sweep's proven-fast shape) with this spec's
-    /// trainer and evaluation engine plugged in.
+    /// trainer and evaluation worker count plugged in.
     pub fn carol_config(&self) -> CarolConfig {
         CarolConfig {
             gon: GonConfig {

@@ -29,13 +29,11 @@
 
 #![warn(missing_docs)]
 
-pub mod batch;
 pub mod checkpoint;
 pub mod model;
 pub mod surrogates;
 pub mod training;
 
-pub use batch::SurrogateBatch;
 pub use checkpoint::{CheckpointError, GonCheckpoint};
 pub use model::{Generated, GonConfig, GonModel};
 pub use training::{train_offline, EpochStats, TrainConfig};

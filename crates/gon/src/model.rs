@@ -244,19 +244,6 @@ impl GonModel {
         d_metrics
     }
 
-    /// Like [`GonModel::backward`], but leaves parameter gradients exactly
-    /// as they were: only the input-metric gradient is returned. Used when
-    /// a generation pass must run *inside* a training step without
-    /// polluting the accumulated parameter gradients (Algorithm 1 line 4).
-    pub fn backward_discard(&mut self, n_hosts: usize, grad_score: f64) -> Matrix {
-        let snapshot: Vec<Matrix> = self.params_mut().iter().map(|p| p.grad.clone()).collect();
-        let d_metrics = self.backward(n_hosts, grad_score);
-        for (p, saved) in self.params_mut().into_iter().zip(snapshot) {
-            p.grad = saved;
-        }
-        d_metrics
-    }
-
     /// Runs the generation loop of eq. 1: starting from the metrics in
     /// `state` (the paper warm-starts from `M_{t-1}`, §III-B), ascends
     /// `log D` over `M` with step size γ until convergence. Returns the
@@ -288,18 +275,6 @@ impl GonModel {
         self.generate_batch_impl(std::slice::from_ref(state), preserve_grads)
             .pop()
             .expect("one candidate in, one result out")
-    }
-
-    /// Predicts the QoS objective `O(M*) = α·q_energy + β·q_slo` (eq. 6–7)
-    /// for a *candidate topology*, by generating `M*` under that topology
-    /// and summing its energy and SLO columns. Returns
-    /// `(objective, confidence)`; lower objective is better.
-    pub fn predict_qos(&mut self, state: &SystemState, alpha: f64, beta: f64) -> (f64, f64) {
-        let generated = self.generate(state);
-        let mut probe = state.clone();
-        probe.set_metrics_flat(&generated.metrics_flat);
-        let (q_energy, q_slo) = probe.qos_components();
-        (alpha * q_energy + beta * q_slo, generated.confidence)
     }
 
     // --- Batched evaluation -------------------------------------------
@@ -549,47 +524,6 @@ impl GonModel {
         outs
     }
 
-    /// Batched [`GonModel::backward`] after a batched forward: given one
-    /// `dL/dD` per stacked segment, accumulates parameter gradients **per
-    /// segment, in segment order** (via [`nn::Layer::backward_batch`] and
-    /// the GAT's block-diagonal sibling) and returns the stacked
-    /// `Σn × METRIC_DIM` input-metric gradient. Bit-identical — losses,
-    /// parameter gradients and input gradients — to running `score` +
-    /// `backward` once per segment in order: a single stacked `Xᵀ·dY`
-    /// would chain the f64 reductions across segment boundaries, so the
-    /// parameter accumulation deliberately stays per-segment while every
-    /// row-independent product (forwards, `dY·Wᵀ`) runs stacked.
-    pub fn backward_batch(&mut self, segments: &[(usize, usize)], grad_scores: &[f64]) -> Matrix {
-        debug_assert_eq!(segments.len(), grad_scores.len());
-        let b = segments.len();
-        let g = Matrix::from_vec(b, 1, grad_scores.to_vec());
-        // The head sees one pooled row per segment.
-        let head_segments: Vec<(usize, usize)> = (0..b).map(|i| (i, 1)).collect();
-        let g_head = self.head.backward_batch(&g, &head_segments);
-        let (g_ms_pooled, g_g_pooled) = g_head.hsplit(self.config.hidden);
-
-        // Mean-pool backward: each host row of segment b gets grad / n.
-        let total: usize = segments.iter().map(|&(_, n)| n).sum();
-        let mut g_ms = Matrix::zeros(total, self.config.hidden);
-        let mut g_g = Matrix::zeros(total, self.config.gat_dim);
-        for (b, &(offset, n)) in segments.iter().enumerate() {
-            let nf = n as f64;
-            for h in 0..n {
-                for c in 0..self.config.hidden {
-                    g_ms[(offset + h, c)] = g_ms_pooled[(b, c)] / nf;
-                }
-                for c in 0..self.config.gat_dim {
-                    g_g[(offset + h, c)] = g_g_pooled[(b, c)] / nf;
-                }
-            }
-        }
-
-        let dx = self.ms_encoder.backward_batch(&g_ms, segments);
-        let _dgraph = self.gat.backward_batch(&g_g, segments); // graph features are inputs too
-        let (d_metrics, _d_sched) = dx.hsplit(METRIC_DIM);
-        d_metrics
-    }
-
     /// Fake-ascent chunk size for [`GonModel::adversarial_step_batch`]:
     /// matches the repair engine's 16-candidate batches — small enough
     /// that chunks outnumber workers, large enough that the blocked
@@ -710,8 +644,9 @@ impl GonModel {
             losses.push(loss_real + loss_fake);
         }
 
-        // Mirror `backward_batch`, except the GAT half backpropagates
-        // both grad halves against its single shared (real-only) cache.
+        // Backpropagate the head and `[M | S]` encoder per segment, in
+        // segment order; the GAT half backpropagates both grad halves
+        // against its single shared (real-only) cache.
         let g = Matrix::from_vec(combined.len(), 1, grads);
         let head_segments: Vec<(usize, usize)> = (0..combined.len()).map(|i| (i, 1)).collect();
         let g_head = self.head.backward_batch(&g, &head_segments);
@@ -738,28 +673,6 @@ impl GonModel {
         self.ms_encoder.backward_batch(&g_ms, &segments);
         self.gat.backward_interleaved(&g_g, &real_segments);
         losses
-    }
-
-    /// Batched [`GonModel::predict_qos`] over candidate states: generates
-    /// `M*` for the whole batch, substitutes it per candidate, and reads
-    /// the objective columns. Bit-identical to mapping `predict_qos`.
-    pub fn predict_qos_batch(
-        &mut self,
-        states: &[SystemState],
-        alpha: f64,
-        beta: f64,
-    ) -> Vec<(f64, f64)> {
-        let generated = self.generate_batch(states);
-        states
-            .iter()
-            .zip(generated)
-            .map(|(state, gen)| {
-                let mut probe = state.clone();
-                probe.set_metrics_flat(&gen.metrics_flat);
-                let (q_energy, q_slo) = probe.qos_components();
-                (alpha * q_energy + beta * q_slo, gen.confidence)
-            })
-            .collect()
     }
 }
 
@@ -871,17 +784,6 @@ mod tests {
         assert_eq!(generated.metrics_flat.len(), 8 * METRIC_DIM);
     }
 
-    #[test]
-    fn predict_qos_blends_energy_and_slo() {
-        let mut model = GonModel::new(small_config());
-        let state = test_state(6, 2, 0.5);
-        let (q_energy_only, _) = model.predict_qos(&state, 1.0, 0.0);
-        let (q_slo_only, _) = model.predict_qos(&state, 0.0, 1.0);
-        let (q_mix, conf) = model.predict_qos(&state, 0.5, 0.5);
-        assert!((q_mix - 0.5 * (q_energy_only + q_slo_only)).abs() < 1e-6);
-        assert!((0.0..=1.0).contains(&conf));
-    }
-
     fn mixed_batch() -> Vec<SystemState> {
         vec![
             test_state(8, 2, 0.1),
@@ -950,21 +852,6 @@ mod tests {
         for (a, b) in serial.iter().zip(&batched) {
             assert_eq!(a.confidence.to_bits(), b.confidence.to_bits());
             assert_eq!(a.metrics_flat, b.metrics_flat);
-        }
-    }
-
-    #[test]
-    fn predict_qos_batch_matches_mapped_predict_qos() {
-        let mut model = GonModel::new(small_config());
-        let states = mixed_batch();
-        let serial: Vec<(f64, f64)> = states
-            .iter()
-            .map(|s| model.predict_qos(s, 0.5, 0.5))
-            .collect();
-        let batched = model.predict_qos_batch(&states, 0.5, 0.5);
-        for ((aq, ac), (bq, bc)) in serial.iter().zip(&batched) {
-            assert_eq!(aq.to_bits(), bq.to_bits(), "objective diverged");
-            assert_eq!(ac.to_bits(), bc.to_bits(), "confidence diverged");
         }
     }
 

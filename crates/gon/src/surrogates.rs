@@ -229,8 +229,9 @@ impl GanSurrogate {
     }
 
     /// Predicted QoS for a candidate state: generate `M*`, substitute it,
-    /// and read the objective columns — the same contract as
-    /// [`crate::GonModel::predict_qos`] so CAROL can swap surrogates.
+    /// and read the objective columns `α·q_energy + β·q_slo` — the same
+    /// objective CAROL reads off the GON's generated `M*`, so the
+    /// surrogates are swappable.
     pub fn predict_qos(&mut self, state: &SystemState, alpha: f64, beta: f64, seed: u64) -> f64 {
         let m = self.generate(state, seed);
         let mut probe = state.clone();
@@ -295,60 +296,6 @@ impl GanSurrogate {
             .collect()
     }
 
-    /// Batched [`GanSurrogate::score`]: the candidate graphs run through
-    /// the GAT as one disjoint union (block-diagonal adjacency), pooled
-    /// per candidate with the serial accumulation chain, and the
-    /// discriminator scores all rows in one forward. Bit-identical to
-    /// mapping `score`.
-    pub fn score_batch(&mut self, states: &[SystemState]) -> Vec<f64> {
-        if states.is_empty() {
-            return Vec::new();
-        }
-        let total: usize = states.iter().map(|s| s.n_hosts()).sum();
-        let mut gfeat = Matrix::zeros(total, GRAPH_DIM);
-        let mut neighbors = Vec::with_capacity(total);
-        let mut offset = 0;
-        for state in states {
-            for h in 0..state.n_hosts() {
-                gfeat
-                    .row_mut(offset + h)
-                    .copy_from_slice(&state.graph_features[h]);
-                neighbors.push(state.neighbors[h].iter().map(|&j| j + offset).collect());
-            }
-            offset += state.n_hosts();
-        }
-        let emb = self.gat.forward(&gfeat, &neighbors);
-
-        let mut x = Matrix::zeros(states.len(), METRIC_DIM + SCHED_DIM + self.gat_dim);
-        let mut offset = 0;
-        for (r, state) in states.iter().enumerate() {
-            let n = state.n_hosts().max(1) as f64;
-            let row = x.row_mut(r);
-            for h in 0..state.n_hosts() {
-                for (i, v) in state.metrics[h].iter().enumerate() {
-                    row[i] += v / n;
-                }
-                for (i, v) in state.schedule[h].iter().enumerate() {
-                    row[METRIC_DIM + i] += v / n;
-                }
-            }
-            // Mirror `emb.sum_rows().scale(1.0 / n)` over this segment.
-            let pooled = &mut row[METRIC_DIM + SCHED_DIM..];
-            for h in 0..state.n_hosts() {
-                for (c, p) in pooled.iter_mut().enumerate() {
-                    *p += emb[(offset + h, c)];
-                }
-            }
-            let inv = 1.0 / n;
-            for p in pooled.iter_mut() {
-                *p *= inv;
-            }
-            offset += state.n_hosts();
-        }
-        let z = self.discriminator.forward(&x);
-        (0..states.len()).map(|r| z[(r, 0)]).collect()
-    }
-
     /// One adversarial training round on a real state. The generator
     /// learns to fool the discriminator on per-host rows; the
     /// discriminator learns real-vs-fake. Returns `(d_loss, g_loss)`.
@@ -408,9 +355,13 @@ mod tests {
     use edgesim::{HostSpec, HostState, Topology};
 
     fn test_state(load: f64) -> SystemState {
-        let topo = Topology::balanced(6, 2).unwrap();
-        let specs: Vec<HostSpec> = (0..6).map(HostSpec::rpi4gb).collect();
-        let mut states = vec![HostState::default(); 6];
+        sized_state(6, 2, load)
+    }
+
+    fn sized_state(n_hosts: usize, n_brokers: usize, load: f64) -> SystemState {
+        let topo = Topology::balanced(n_hosts, n_brokers).unwrap();
+        let specs: Vec<HostSpec> = (0..n_hosts).map(HostSpec::rpi4gb).collect();
+        let mut states = vec![HostState::default(); n_hosts];
         for st in &mut states {
             st.cpu = load;
             st.ram = load * 0.7;
@@ -483,6 +434,38 @@ mod tests {
         let mut gan = GanSurrogate::new(16, 6, 4);
         let z = gan.score(&test_state(0.3));
         assert!((0.0..=1.0).contains(&z));
+    }
+
+    fn batch() -> Vec<SystemState> {
+        vec![test_state(0.2), test_state(0.7), sized_state(9, 3, 0.5)]
+    }
+
+    /// The batched QoS predictors are bit-identical to mapping the
+    /// one-state calls over the batch, and empty in means empty out.
+    #[test]
+    fn predict_qos_batch_matches_mapped_predict_qos() {
+        let states = batch();
+
+        let mut gan = GanSurrogate::new(12, 6, 9);
+        let mapped: Vec<f64> = states
+            .iter()
+            .map(|s| gan.predict_qos(s, 0.5, 0.5, 17))
+            .collect();
+        let batched = gan.predict_qos_batch(&states, 0.5, 0.5, 17);
+        assert_eq!(mapped.len(), batched.len());
+        for (a, b) in mapped.iter().zip(&batched) {
+            assert_eq!(a.to_bits(), b.to_bits(), "GAN predictor diverged");
+        }
+        assert!(gan.predict_qos_batch(&[], 0.5, 0.5, 17).is_empty());
+
+        let mut ff = FeedForwardSurrogate::new(12, 9);
+        let mapped: Vec<f64> = states.iter().map(|s| ff.predict_qos(s)).collect();
+        let batched = ff.predict_qos_batch(&states);
+        assert_eq!(mapped.len(), batched.len());
+        for (a, b) in mapped.iter().zip(&batched) {
+            assert_eq!(a.to_bits(), b.to_bits(), "FF predictor diverged");
+        }
+        assert!(ff.predict_qos_batch(&[]).is_empty());
     }
 
     #[test]

@@ -7,25 +7,22 @@
 //! an 80/20 train/test split, and early stopping on the held-out metric —
 //! convergence lands around 30 epochs (Fig. 4).
 //!
-//! Two engines produce **bit-identical** results (gradients, parameters,
-//! [`EpochStats`]) at any worker count:
+//! Every minibatch runs through one engine,
+//! [`GonModel::adversarial_step_batch`]: it converges every fake sample
+//! through the masked batched eq.-1 ascent (chunks fanned out over
+//! [`par`] worker threads holding model clones), then runs **one** stacked
+//! discriminator forward and **one** in-order per-segment gradient
+//! reduction for the whole minibatch. Because each fake is its real twin
+//! with only the metrics replaced, the stacked pass computes the
+//! step-invariant GAT embedding once per component and shares it across
+//! the real/fake halves — half the GAT cost of every training step,
+//! bit-neutral by construction.
 //!
-//! * the serial reference — [`adversarial_step`] mapped over each
-//!   minibatch, one state at a time;
-//! * the batched engine — [`GonModel::adversarial_step_batch`], which
-//!   converges every fake sample through the masked batched eq.-1 ascent
-//!   (chunks fanned out over [`par`] worker threads holding model
-//!   clones), then runs **one** stacked discriminator forward and **one**
-//!   in-order per-segment gradient reduction for the whole minibatch.
-//!   Because each fake is its real twin with only the metrics replaced,
-//!   the stacked pass computes the step-invariant GAT embedding once per
-//!   component and shares it across the real/fake halves — half the GAT
-//!   cost of every training step, bit-neutral by construction.
-//!
-//! [`TrainConfig::batch_train`] / [`TrainConfig::train_threads`] select
-//! the engine, mirroring the repair path's `CarolConfig::{batch_eval,
-//! eval_threads}`; `tests/determinism.rs` gates the equivalence at
-//! 64-host federations.
+//! [`adversarial_step`] is the one-state-at-a-time reference the engine
+//! is bit-identical to (losses, gradients, RNG consumption), and results
+//! ([`EpochStats`], parameters) do not depend on
+//! [`TrainConfig::train_threads`]. `tests/determinism.rs` and
+//! `tests/properties.rs` gate both, the former at 64-host federations.
 
 use crate::model::GonModel;
 use edgesim::state::SystemState;
@@ -57,12 +54,6 @@ pub struct TrainConfig {
     pub weight_decay: f64,
     /// Shuffling / noise seed.
     pub seed: u64,
-    /// Run each minibatch through the batched adversarial engine
-    /// ([`GonModel::adversarial_step_batch`]: stacked forwards, batched
-    /// fake ascent, in-order gradient reduction). `false` keeps the
-    /// one-state-at-a-time reference path; both are bit-identical
-    /// (gated by `tests/determinism.rs`).
-    pub batch_train: bool,
     /// Worker threads for the batched fake-sample ascent. `None` uses
     /// [`par::thread_count`] (the `CAROL_THREADS` override); tests pin
     /// explicit counts here instead of mutating the environment.
@@ -79,30 +70,8 @@ impl Default for TrainConfig {
             lr: 1e-4,
             weight_decay: 1e-5,
             seed: 11,
-            batch_train: true,
             train_threads: None,
         }
-    }
-}
-
-impl TrainConfig {
-    /// The execution engine this config selects. The legacy
-    /// `batch_train` / `train_threads` fields are thin views of a
-    /// [`par::EngineConfig`]; all thread resolution goes through
-    /// [`par::EngineConfig::worker_count`].
-    pub fn engine(&self) -> EngineConfig {
-        EngineConfig {
-            batched: self.batch_train,
-            threads: self.train_threads,
-        }
-    }
-
-    /// Replaces the engine selection with `engine`, overwriting the
-    /// `batch_train` / `train_threads` field pair.
-    pub fn with_engine(mut self, engine: EngineConfig) -> Self {
-        self.batch_train = engine.batched;
-        self.train_threads = engine.threads;
-        self
     }
 }
 
@@ -157,25 +126,19 @@ pub fn adversarial_step(model: &mut GonModel, state: &SystemState, rng: &mut Std
     loss_real + loss_fake
 }
 
-/// Runs one minibatch through the configured engine, returning per-sample
-/// losses. Both arms are bit-identical (same losses, same accumulated
-/// gradients, same RNG stream) — the batched arm is simply one stacked
-/// pass instead of `states.len()` serial ones.
+/// Runs one minibatch through the batched adversarial engine on
+/// `config.train_threads` workers, returning per-sample losses.
 fn minibatch_losses(
     model: &mut GonModel,
     states: &[&SystemState],
     rng: &mut StdRng,
     config: &TrainConfig,
 ) -> Vec<f64> {
-    let engine = config.engine();
-    if engine.batched {
-        model.adversarial_step_batch(states, rng, engine.worker_count())
-    } else {
-        states
-            .iter()
-            .map(|state| adversarial_step(model, state, rng))
-            .collect()
+    let threads = EngineConfig {
+        threads: config.train_threads,
     }
+    .worker_count();
+    model.adversarial_step_batch(states, rng, threads)
 }
 
 /// Evaluates MSE (generated vs. true metrics, warm-started from the true
@@ -307,9 +270,8 @@ pub fn train_offline(
 }
 
 /// Online fine-tuning on the running dataset Γ (Algorithm 2 line 15):
-/// a handful of adversarial minibatch steps over the freshest data,
-/// through the engine `config.batch_train` selects. Returns the mean loss
-/// across the pass.
+/// a handful of adversarial minibatch steps over the freshest data.
+/// Returns the mean loss across the pass.
 pub fn fine_tune(
     model: &mut GonModel,
     running: &[SystemState],
@@ -600,14 +562,14 @@ mod tests {
         assert_eq!(before, after, "evaluate disturbed accumulated gradients");
     }
 
-    /// The two training engines are bit-identical end to end: same
-    /// per-epoch stats, same final parameters, at 1 and 4 workers. The
-    /// minibatch (24 train states) exceeds the 16-sample fake-ascent
-    /// chunk, so multi-chunk fan-out and reassembly are exercised.
+    /// Training is bit-identical end to end at 1 and 4 workers: same
+    /// per-epoch stats, same final parameters. The minibatch (24 train
+    /// states) exceeds the 16-sample fake-ascent chunk, so multi-chunk
+    /// fan-out and reassembly are exercised.
     #[test]
-    fn batched_train_offline_matches_serial_bitwise() {
+    fn train_offline_is_bit_identical_across_workers() {
         let trace = tiny_trace(30);
-        let run = |batch_train: bool, threads: usize| {
+        let run = |threads: usize| {
             let mut model = tiny_model();
             let stats = train_offline(
                 &mut model,
@@ -617,7 +579,6 @@ mod tests {
                     minibatch: 32,
                     patience: 3,
                     lr: 3e-3,
-                    batch_train,
                     train_threads: Some(threads),
                     ..Default::default()
                 },
@@ -629,22 +590,20 @@ mod tests {
                 .collect();
             (stats, params)
         };
-        let (serial_stats, serial_params) = run(false, 1);
-        for (label, threads) in [("1 worker", 1), ("4 workers", 4)] {
-            let (stats, params) = run(true, threads);
-            assert_eq!(stats.len(), serial_stats.len(), "{label}: epoch counts");
-            for (a, b) in serial_stats.iter().zip(&stats) {
-                assert_eq!(a.epoch, b.epoch);
-                assert_eq!(a.loss.to_bits(), b.loss.to_bits(), "{label}: loss diverged");
-                assert_eq!(a.mse.to_bits(), b.mse.to_bits(), "{label}: mse diverged");
-                assert_eq!(
-                    a.confidence.to_bits(),
-                    b.confidence.to_bits(),
-                    "{label}: confidence diverged"
-                );
-            }
-            assert_eq!(params, serial_params, "{label}: final parameters diverged");
+        let (one_stats, one_params) = run(1);
+        let (stats, params) = run(4);
+        assert_eq!(stats.len(), one_stats.len(), "epoch counts");
+        for (a, b) in one_stats.iter().zip(&stats) {
+            assert_eq!(a.epoch, b.epoch);
+            assert_eq!(a.loss.to_bits(), b.loss.to_bits(), "loss diverged");
+            assert_eq!(a.mse.to_bits(), b.mse.to_bits(), "mse diverged");
+            assert_eq!(
+                a.confidence.to_bits(),
+                b.confidence.to_bits(),
+                "confidence diverged"
+            );
         }
+        assert_eq!(params, one_params, "final parameters diverged");
     }
 
     #[test]
@@ -659,16 +618,15 @@ mod tests {
         assert_ne!(before, after, "fine-tune must update parameters");
     }
 
-    /// `fine_tune` through the batched engine matches the serial engine
-    /// bit-for-bit — loss and resulting parameters — at 1 and 4 workers.
+    /// `fine_tune` is bit-identical — loss and resulting parameters — at
+    /// 1 and 4 workers.
     #[test]
-    fn batched_fine_tune_matches_serial_bitwise() {
+    fn fine_tune_is_bit_identical_across_workers() {
         let trace = tiny_trace(12);
-        let run = |batch_train: bool, threads: usize| {
+        let run = |threads: usize| {
             let mut model = tiny_model();
             let mut adam = Adam::new(1e-3, 0.0);
             let config = TrainConfig {
-                batch_train,
                 train_threads: Some(threads),
                 ..Default::default()
             };
@@ -680,12 +638,10 @@ mod tests {
                 .collect();
             (loss, params)
         };
-        let (serial_loss, serial_params) = run(false, 1);
-        for threads in [1, 4] {
-            let (loss, params) = run(true, threads);
-            assert_eq!(loss.to_bits(), serial_loss.to_bits());
-            assert_eq!(params, serial_params);
-        }
+        let (one_loss, one_params) = run(1);
+        let (loss, params) = run(4);
+        assert_eq!(loss.to_bits(), one_loss.to_bits());
+        assert_eq!(params, one_params);
     }
 
     #[test]

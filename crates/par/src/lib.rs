@@ -27,8 +27,8 @@
 //!
 //! This crate uses only scoped threads from `std` (borrowed inputs and
 //! closures need no `'static` bound) and depends only on the vendored
-//! serde stub, which [`EngineConfig`] — the engine-selection type every
-//! batched subsystem shares — derives its wire format from.
+//! serde stub, which [`EngineConfig`] — the worker count every batched
+//! subsystem shares — derives its wire format from.
 
 #![warn(missing_docs)]
 
@@ -58,38 +58,25 @@ pub fn thread_count() -> usize {
     })
 }
 
-/// Shared execution-engine selection for every batched subsystem.
+/// Worker count of the batched engines: CAROL's surrogate evaluation
+/// (`CarolConfig`) and GON training (`TrainConfig`).
 ///
-/// CAROL's surrogate evaluation (`CarolConfig`) and GON training
-/// (`TrainConfig`) each grew a `batched` flag and an optional thread
-/// override; this type unifies them so one value describes *how* work
-/// runs, and [`EngineConfig::worker_count`] is the **only** place the
+/// One value describes how many workers a batched engine fans out over,
+/// and [`EngineConfig::worker_count`] is the **only** place the
 /// `CAROL_THREADS` environment override is resolved.
 ///
 /// # Examples
 ///
 /// ```
 /// let engine = par::EngineConfig::default();
-/// assert!(engine.batched);
 /// assert!(engine.worker_count() >= 1);
-/// assert_eq!(par::EngineConfig::serial().worker_count(), 1);
+/// assert_eq!(par::EngineConfig::batched(1).worker_count(), 1);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct EngineConfig {
-    /// Use the batched evaluation/training path (parallel inner loop).
-    pub batched: bool,
     /// Worker-thread override; `None` defers to `CAROL_THREADS` /
     /// available parallelism via [`thread_count`].
     pub threads: Option<usize>,
-}
-
-impl Default for EngineConfig {
-    fn default() -> Self {
-        Self {
-            batched: true,
-            threads: None,
-        }
-    }
 }
 
 impl EngineConfig {
@@ -98,16 +85,7 @@ impl EngineConfig {
     /// environment).
     pub fn batched(threads: usize) -> Self {
         Self {
-            batched: true,
             threads: Some(threads.max(1)),
-        }
-    }
-
-    /// Fully serial engine: unbatched inner loops, one worker.
-    pub fn serial() -> Self {
-        Self {
-            batched: false,
-            threads: Some(1),
         }
     }
 
@@ -257,28 +235,15 @@ mod tests {
 
     #[test]
     fn engine_config_defaults_and_helpers() {
-        let def = EngineConfig::default();
-        assert!(def.batched);
-        assert_eq!(def.threads, None);
-
-        let serial = EngineConfig::serial();
-        assert!(!serial.batched);
-        assert_eq!(serial.worker_count(), 1);
-
-        let pinned = EngineConfig::batched(4);
-        assert!(pinned.batched);
-        assert_eq!(pinned.worker_count(), 4);
+        assert_eq!(EngineConfig::default().threads, None);
+        assert_eq!(EngineConfig::batched(4).worker_count(), 4);
         assert_eq!(
             EngineConfig::batched(0).worker_count(),
             1,
             "0 clamps to 1 worker"
         );
         assert_eq!(
-            EngineConfig {
-                batched: true,
-                threads: Some(0),
-            }
-            .worker_count(),
+            EngineConfig { threads: Some(0) }.worker_count(),
             1,
             "explicit Some(0) clamps too"
         );

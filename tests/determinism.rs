@@ -167,26 +167,18 @@ fn trace_replay_is_bit_identical_across_runs() {
     assert_identical(&first.result, &second.result);
 }
 
-/// The batched repair engine's contract: tabu repair through the batched,
-/// parallel surrogate engine is bit-identical to the pre-batching
-/// one-candidate-at-a-time path — same repaired topology, same surrogate
-/// query count, same modeled decision time — at 64 and 128 hosts, on one
-/// worker and on four. Fixed candidate order and index-slotted batch
-/// results are what make this hold; this test is the tripwire.
-#[test]
-fn batched_tabu_repair_is_bit_identical_to_serial() {
-    use carol::carol::CarolVariant;
-    use carol::ResiliencePolicy;
-    use edgesim::scheduler::LeastLoadScheduler;
-    use edgesim::state::{Normalizer, SystemState};
-    use edgesim::{FaultLoad, SimConfig, Simulator};
-    use gon::GonConfig;
-
-    // Two ascent steps at 64 hosts (exercises the per-candidate
-    // convergence masks); one at 128 (the neighbourhood is ~4× larger —
-    // this keeps the debug-mode test budget sane).
-    let policy_config = |batch_eval: bool, threads: usize, gen_steps: usize| CarolConfig {
-        gon: GonConfig {
+/// Small GON controller for the repair gates: `gen_steps` ascent steps,
+/// `max_iters` tabu iterations over `neighborhood`, `threads` evaluation
+/// workers. The weights and RNG streams depend only on the seeds, so two
+/// policies built from it differ in nothing but their worker count.
+fn repair_policy(
+    gen_steps: usize,
+    max_iters: usize,
+    neighborhood: carol::tabu::Neighborhood,
+    threads: usize,
+) -> Carol {
+    let config = CarolConfig {
+        gon: gon::GonConfig {
             hidden: 12,
             head_layers: 2,
             gat_dim: 6,
@@ -198,127 +190,25 @@ fn batched_tabu_repair_is_bit_identical_to_serial() {
         },
         tabu: carol::tabu::TabuConfig {
             list_size: 20,
-            max_iters: 1,
-            ..Default::default()
+            max_iters,
+            neighborhood,
         },
-        variant: CarolVariant::Gon,
-        batch_eval,
+        variant: carol::carol::CarolVariant::Gon,
         eval_threads: Some(threads),
         ..CarolConfig::fast_test()
     };
-
-    for (n_hosts, n_brokers, gen_steps) in [(64usize, 8usize, 2usize), (128, 16, 1)] {
-        // One broker failure in an n-host federation; the repair scores
-        // the full node-shift neighbourhood (thousands of candidates at
-        // 128 hosts).
-        let mut sim = Simulator::new(SimConfig::federation(n_hosts, n_brokers, 5));
-        let mut sched = LeastLoadScheduler::new();
-        let broker = sim.topology().brokers()[0];
-        sim.inject_fault(
-            broker,
-            FaultLoad {
-                cpu: 1.0,
-                ..Default::default()
-            },
-        );
-        let report = sim.step(Vec::new(), &mut sched);
-        assert!(
-            report.failed_brokers.contains(&broker),
-            "{n_hosts} hosts: fault injection must fail broker {broker}"
-        );
-        let snapshot = SystemState::capture(
-            sim.topology(),
-            sim.specs(),
-            sim.host_states(),
-            sim.tasks(),
-            &report.decision,
-            &Normalizer::for_federation(n_hosts, n_brokers),
-        );
-
-        // Same seed ⇒ identical weights and RNG streams in all three
-        // policies; only the evaluation engine differs.
-        let mk = |batch_eval: bool, threads: usize| {
-            let config = policy_config(batch_eval, threads, gen_steps);
-            Carol::from_model(gon::GonModel::new(config.gon.clone()), config, 11)
-        };
-        let mut serial = mk(false, 1);
-        let mut batched_1 = mk(true, 1);
-        let mut batched_4 = mk(true, 4);
-
-        let reference = serial
-            .repair(&sim, &snapshot)
-            .expect("failure must produce a repair");
-        reference.validate().unwrap();
-        assert!(
-            serial.surrogate_queries > n_hosts,
-            "repair must batch-score"
-        );
-
-        for (label, policy) in [("1 thread", &mut batched_1), ("4 threads", &mut batched_4)] {
-            let repaired = policy
-                .repair(&sim, &snapshot)
-                .expect("failure must produce a repair");
-            assert_eq!(
-                repaired, reference,
-                "{n_hosts} hosts / {label}: batched repair chose a different topology"
-            );
-            assert_eq!(
-                policy.surrogate_queries, serial.surrogate_queries,
-                "{n_hosts} hosts / {label}: query counts diverged"
-            );
-            assert_eq!(
-                policy.modeled_decision_s().to_bits(),
-                serial.modeled_decision_s().to_bits(),
-                "{n_hosts} hosts / {label}: modeled decision time diverged"
-            );
-        }
-    }
+    Carol::from_model(gon::GonModel::new(config.gon.clone()), config, 11)
 }
 
-/// The sampled-neighbourhood repair path's own determinism gate. Sampling
-/// **knowingly changes search results** versus the full neighbourhood, so
-/// it cannot ride on the full-path pins — but it must still be a pure
-/// function of the config seed: the same `Sampled { max_moves, seed }`
-/// repair must pick the same topology and issue the same query count
-/// whether candidates are scored one-at-a-time, batched on one worker, or
-/// batched on four. The sampling RNG draws before scoring begins, which
-/// is what makes this hold; this test is the tripwire.
-#[test]
-fn sampled_tabu_repair_is_bit_identical_across_engines_and_workers() {
-    use carol::carol::CarolVariant;
-    use carol::tabu::Neighborhood;
-    use carol::ResiliencePolicy;
+/// An `n_hosts`-host federation one interval after its first broker was
+/// felled, and the snapshot a repair scores candidates against.
+fn failed_broker_federation(
+    n_hosts: usize,
+    n_brokers: usize,
+) -> (edgesim::Simulator, edgesim::state::SystemState) {
     use edgesim::scheduler::LeastLoadScheduler;
     use edgesim::state::{Normalizer, SystemState};
     use edgesim::{FaultLoad, SimConfig, Simulator};
-    use gon::GonConfig;
-
-    let n_hosts = 128usize;
-    let n_brokers = 16usize;
-    let policy_config = |batch_eval: bool, threads: usize| CarolConfig {
-        gon: GonConfig {
-            hidden: 12,
-            head_layers: 2,
-            gat_dim: 6,
-            gat_att: 4,
-            gen_lr: 5e-3,
-            gen_steps: 1,
-            gen_tol: 1e-7,
-            seed: 1,
-        },
-        tabu: carol::tabu::TabuConfig {
-            list_size: 20,
-            max_iters: 2,
-            neighborhood: Neighborhood::Sampled {
-                max_moves: 48,
-                seed: 23,
-            },
-        },
-        variant: CarolVariant::Gon,
-        batch_eval,
-        eval_threads: Some(threads),
-        ..CarolConfig::fast_test()
-    };
 
     let mut sim = Simulator::new(SimConfig::federation(n_hosts, n_brokers, 5));
     let mut sched = LeastLoadScheduler::new();
@@ -331,6 +221,10 @@ fn sampled_tabu_repair_is_bit_identical_across_engines_and_workers() {
         },
     );
     let report = sim.step(Vec::new(), &mut sched);
+    assert!(
+        report.failed_brokers.contains(&broker),
+        "{n_hosts} hosts: fault injection must fail broker {broker}"
+    );
     let snapshot = SystemState::capture_refs(
         sim.topology(),
         sim.specs(),
@@ -339,147 +233,296 @@ fn sampled_tabu_repair_is_bit_identical_across_engines_and_workers() {
         &report.decision,
         &Normalizer::for_federation(n_hosts, n_brokers),
     );
+    (sim, snapshot)
+}
 
-    let mk = |batch_eval: bool, threads: usize| {
-        let config = policy_config(batch_eval, threads);
-        Carol::from_model(gon::GonModel::new(config.gon.clone()), config, 11)
-    };
-    let mut serial = mk(false, 1);
-    let reference = serial
-        .repair(&sim, &snapshot)
-        .expect("failure must produce a repair");
-    reference.validate().unwrap();
-    let reference_score = serial.last_repair_score.expect("score recorded");
-    // Two iterations × ≤48 sampled moves (+1 start): far below the full
-    // neighbourhood — the cap must actually bind at 128 hosts.
-    assert!(
-        serial.surrogate_queries <= 2 * 48 + 1,
-        "sampling cap did not bind: {} queries",
-        serial.surrogate_queries
-    );
+/// The batched repair engine's contract, at 64 and 128 hosts:
+///
+/// * scoring the full node-shift neighbourhood in one `objective_batch`
+///   call — on one worker and on four — is bit-identical to scoring the
+///   same candidates one `objective_public` call at a time: same scores,
+///   same surrogate query count, same modeled decision time;
+/// * a whole tabu repair on one worker picks the same topology, with the
+///   same query count and decision time, as on four.
+///
+/// Fixed candidate order, fixed chunk boundaries and index-slotted batch
+/// results are what make this hold; this test is the tripwire.
+#[test]
+fn batched_tabu_repair_is_bit_identical_to_serial() {
+    use carol::tabu::Neighborhood;
+    use carol::ResiliencePolicy;
 
-    for (label, batch_eval, threads) in [
-        ("batched/1 worker", true, 1),
-        ("batched/4 workers", true, 4),
-    ] {
-        let mut policy = mk(batch_eval, threads);
-        let repaired = policy
+    // Two ascent steps at 64 hosts (exercises the per-candidate
+    // convergence masks); one at 128 (the neighbourhood is ~4× larger —
+    // this keeps the debug-mode test budget sane).
+    for (n_hosts, n_brokers, gen_steps) in [(64usize, 8usize, 2usize), (128, 16, 1)] {
+        let (sim, snapshot) = failed_broker_federation(n_hosts, n_brokers);
+        let policy = |threads| repair_policy(gen_steps, 1, Neighborhood::Full, threads);
+
+        // Candidate scoring: one batch vs one call per candidate.
+        let candidates = carol::nodeshift::mutations(sim.topology(), &[]);
+        assert!(
+            candidates.len() > n_hosts,
+            "{n_hosts} hosts: need a real neighbourhood"
+        );
+        let mut one_by_one = policy(1);
+        let want: Vec<f64> = candidates
+            .iter()
+            .map(|t| one_by_one.objective_public(&snapshot, t))
+            .collect();
+        for threads in [1, 4] {
+            let mut batched = policy(threads);
+            let got = batched.objective_batch(&snapshot, &candidates);
+            assert_eq!(got.len(), want.len());
+            for (i, (a, b)) in want.iter().zip(&got).enumerate() {
+                assert_eq!(
+                    a.to_bits(),
+                    b.to_bits(),
+                    "{n_hosts} hosts / {threads} workers: candidate {i} diverged ({a} vs {b})"
+                );
+            }
+            assert_eq!(
+                batched.surrogate_queries, one_by_one.surrogate_queries,
+                "{n_hosts} hosts / {threads} workers: query counts diverged"
+            );
+            assert_eq!(
+                batched.modeled_decision_s().to_bits(),
+                one_by_one.modeled_decision_s().to_bits(),
+                "{n_hosts} hosts / {threads} workers: modeled decision time diverged"
+            );
+        }
+
+        // Whole repair: one worker vs four.
+        let mut one = policy(1);
+        let reference = one
+            .repair(&sim, &snapshot)
+            .expect("failure must produce a repair");
+        reference.validate().unwrap();
+        assert!(one.surrogate_queries > n_hosts, "repair must batch-score");
+        let mut four = policy(4);
+        let repaired = four
             .repair(&sim, &snapshot)
             .expect("failure must produce a repair");
         assert_eq!(
             repaired, reference,
-            "{label}: sampled repair chose a different topology"
+            "{n_hosts} hosts: 4-worker repair chose a different topology"
         );
         assert_eq!(
-            policy.surrogate_queries, serial.surrogate_queries,
-            "{label}: query counts diverged"
+            four.surrogate_queries, one.surrogate_queries,
+            "{n_hosts} hosts: query counts diverged"
         );
         assert_eq!(
-            policy.last_repair_score.expect("score recorded").to_bits(),
-            reference_score.to_bits(),
-            "{label}: winning objective diverged"
+            four.modeled_decision_s().to_bits(),
+            one.modeled_decision_s().to_bits(),
+            "{n_hosts} hosts: modeled decision time diverged"
         );
     }
 }
 
-/// The batched trainer's contract: `train_offline` through the batched
-/// adversarial engine — stacked discriminator passes, `par`-fanned fake
-/// ascent, in-order per-segment gradient reduction — is bit-identical to
-/// the serial one-state-at-a-time reference on 64-host federation states:
-/// same per-epoch `EpochStats`, same final parameters, on one worker and
-/// on four. Interleaved real/fake gradient segments and fixed fake-ascent
-/// chunk boundaries are what make this hold; this test is the tripwire.
+/// The sampled-neighbourhood repair path's own determinism gate. Sampling
+/// **knowingly changes search results** versus the full neighbourhood, so
+/// it cannot ride on the full-path pins — but it must still be a pure
+/// function of the config seed: the same `Sampled { max_moves, seed }`
+/// repair must pick the same topology, issue the same query count and
+/// reach the same winning objective on one worker and on four. The
+/// sampling RNG draws before scoring begins, which is what makes this
+/// hold; this test is the tripwire.
 #[test]
-fn batched_training_is_bit_identical_to_serial() {
-    use gon::{train_offline, GonConfig, GonModel, TrainConfig};
-    use workloads::trace::{generate_trace, TraceConfig};
-    use workloads::BenchmarkSuite;
+fn sampled_tabu_repair_is_bit_identical_across_engines_and_workers() {
+    use carol::tabu::Neighborhood;
+    use carol::ResiliencePolicy;
 
-    let trace = generate_trace(
+    let (sim, snapshot) = failed_broker_federation(128, 16);
+    let sampled = Neighborhood::Sampled {
+        max_moves: 48,
+        seed: 23,
+    };
+    let mut one = repair_policy(1, 2, sampled, 1);
+    let reference = one
+        .repair(&sim, &snapshot)
+        .expect("failure must produce a repair");
+    reference.validate().unwrap();
+    let reference_score = one.last_repair_score.expect("score recorded");
+    // Two iterations × ≤48 sampled moves (+1 start): far below the full
+    // neighbourhood — the cap must actually bind at 128 hosts.
+    assert!(
+        one.surrogate_queries <= 2 * 48 + 1,
+        "sampling cap did not bind: {} queries",
+        one.surrogate_queries
+    );
+
+    let mut four = repair_policy(1, 2, sampled, 4);
+    let repaired = four
+        .repair(&sim, &snapshot)
+        .expect("failure must produce a repair");
+    assert_eq!(
+        repaired, reference,
+        "4 workers: sampled repair chose a different topology"
+    );
+    assert_eq!(
+        four.surrogate_queries, one.surrogate_queries,
+        "4 workers: query counts diverged"
+    );
+    assert_eq!(
+        four.last_repair_score.expect("score recorded").to_bits(),
+        reference_score.to_bits(),
+        "4 workers: winning objective diverged"
+    );
+}
+
+/// A 64-host DeFog trace of `intervals` captured states.
+fn federation_64_trace(intervals: usize) -> Vec<edgesim::state::SystemState> {
+    use workloads::trace::{generate_trace, TraceConfig};
+
+    generate_trace(
         &TraceConfig {
-            intervals: 24,
+            intervals,
             topology_period: 5,
             arrival_rate: 0.45 * 64.0,
-            suite: BenchmarkSuite::DeFog,
+            suite: workloads::BenchmarkSuite::DeFog,
             seed: 3,
         },
         edgesim::SimConfig::federation(64, 8, 3),
-    );
-    assert!(trace.iter().all(|s| s.n_hosts() == 64));
+    )
+}
 
-    let run = |batch_train: bool, threads: usize| {
-        let mut model = GonModel::new(GonConfig {
-            hidden: 12,
-            head_layers: 2,
-            gat_dim: 6,
-            gat_att: 4,
-            gen_lr: 5e-3,
-            gen_steps: 3,
-            gen_tol: 1e-7,
-            seed: 1,
-        });
-        // Minibatch 32 over a 19-state train split: one minibatch spans
-        // two 16-sample fake-ascent chunks, so the multi-chunk `par`
-        // fan-out and in-order reassembly are what this test prices.
-        let stats = train_offline(
-            &mut model,
-            &trace,
-            &TrainConfig {
-                epochs: 2,
-                minibatch: 32,
-                patience: 2,
-                lr: 1e-3,
-                batch_train,
-                train_threads: Some(threads),
-                ..Default::default()
-            },
-        );
-        let params: Vec<u64> = model
-            .params_mut()
+/// The small GON the training gates train.
+fn training_gon() -> gon::GonModel {
+    gon::GonModel::new(gon::GonConfig {
+        hidden: 12,
+        head_layers: 2,
+        gat_dim: 6,
+        gat_att: 4,
+        gen_lr: 5e-3,
+        gen_steps: 3,
+        gen_tol: 1e-7,
+        seed: 1,
+    })
+}
+
+/// `train_offline` of [`training_gon`] on `threads` workers: the trained
+/// model and its per-epoch `[epoch, loss, mse, confidence]` as bits.
+fn train(
+    trace: &[edgesim::state::SystemState],
+    epochs: usize,
+    threads: usize,
+) -> (gon::GonModel, Vec<[u64; 4]>) {
+    let mut model = training_gon();
+    let stats = gon::train_offline(
+        &mut model,
+        trace,
+        &gon::TrainConfig {
+            epochs,
+            minibatch: 32,
+            patience: 2,
+            lr: 1e-3,
+            train_threads: Some(threads),
+            ..Default::default()
+        },
+    );
+    let stats = stats
+        .iter()
+        .map(|s| {
+            [
+                s.epoch as u64,
+                s.loss.to_bits(),
+                s.mse.to_bits(),
+                s.confidence.to_bits(),
+            ]
+        })
+        .collect();
+    (model, stats)
+}
+
+/// Every parameter value of `model`, as bits.
+fn param_bits(model: &mut gon::GonModel) -> Vec<u64> {
+    model
+        .params_mut()
+        .iter()
+        .flat_map(|p| p.value.data().iter().map(|v| v.to_bits()))
+        .collect()
+}
+
+/// The batched trainer's contract, on 64-host federation states:
+///
+/// * one `adversarial_step_batch` over a 17-state minibatch — spanning
+///   two 16-sample fake-ascent chunks — on one worker and on four equals
+///   `adversarial_step` mapped over the same states: same per-sample
+///   losses, same accumulated gradients, same next RNG draw;
+/// * `train_offline` on one worker and on four produces the same
+///   per-epoch `EpochStats` and the same final parameters.
+///
+/// Interleaved real/fake gradient segments and fixed fake-ascent chunk
+/// boundaries are what make this hold; this test is the tripwire.
+#[test]
+fn batched_training_is_bit_identical_to_serial() {
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    let trace = federation_64_trace(24);
+    assert!(trace.iter().all(|s| s.n_hosts() == 64));
+    let grad_bits = |m: &mut gon::GonModel| -> Vec<Vec<u64>> {
+        m.params_mut()
             .iter()
-            .flat_map(|p| p.value.data().iter().map(|v| v.to_bits()))
-            .collect();
-        (stats, params)
+            .map(|p| p.grad.data().iter().map(|g| g.to_bits()).collect())
+            .collect()
     };
 
-    let (serial_stats, serial_params) = run(false, 1);
-    assert_eq!(serial_stats.len(), 2, "both epochs must run");
-    for (label, threads) in [("1 worker", 1), ("4 workers", 4)] {
-        let (stats, params) = run(true, threads);
-        assert_eq!(stats.len(), serial_stats.len(), "{label}: epoch counts");
-        for (a, b) in serial_stats.iter().zip(&stats) {
-            assert_eq!(a.epoch, b.epoch, "{label}: epoch index");
+    // One minibatch: the batched step vs the mapped one-state step.
+    let minibatch = &trace[..17];
+    let mut mapped_model = training_gon();
+    let mut mapped_rng = StdRng::seed_from_u64(21);
+    let mapped_losses: Vec<f64> = minibatch
+        .iter()
+        .map(|s| gon::training::adversarial_step(&mut mapped_model, s, &mut mapped_rng))
+        .collect();
+    let mapped_grads = grad_bits(&mut mapped_model);
+    let mapped_next: u64 = mapped_rng.gen();
+    let refs: Vec<&edgesim::state::SystemState> = minibatch.iter().collect();
+    for threads in [1, 4] {
+        let mut batched_model = training_gon();
+        let mut batched_rng = StdRng::seed_from_u64(21);
+        let losses = batched_model.adversarial_step_batch(&refs, &mut batched_rng, threads);
+        assert_eq!(losses.len(), mapped_losses.len());
+        for (i, (a, b)) in mapped_losses.iter().zip(&losses).enumerate() {
             assert_eq!(
-                a.loss.to_bits(),
-                b.loss.to_bits(),
-                "{label}: epoch {} loss diverged ({} vs {})",
-                a.epoch,
-                a.loss,
-                b.loss
-            );
-            assert_eq!(
-                a.mse.to_bits(),
-                b.mse.to_bits(),
-                "{label}: epoch {} mse diverged",
-                a.epoch
-            );
-            assert_eq!(
-                a.confidence.to_bits(),
-                b.confidence.to_bits(),
-                "{label}: epoch {} confidence diverged",
-                a.epoch
+                a.to_bits(),
+                b.to_bits(),
+                "{threads} workers: sample {i} loss diverged ({a} vs {b})"
             );
         }
-        assert_eq!(params, serial_params, "{label}: final parameters diverged");
+        assert_eq!(
+            grad_bits(&mut batched_model),
+            mapped_grads,
+            "{threads} workers: accumulated gradients diverged"
+        );
+        assert_eq!(
+            batched_rng.gen::<u64>(),
+            mapped_next,
+            "{threads} workers: RNG stream consumption diverged"
+        );
     }
+
+    // Whole offline training: one worker vs four. Minibatch 32 over a
+    // 19-state train split spans two 16-sample fake-ascent chunks, so
+    // the multi-chunk `par` fan-out and in-order reassembly are priced.
+    let (mut one, one_stats) = train(&trace, 2, 1);
+    assert_eq!(one_stats.len(), 2, "both epochs must run");
+    let (mut four, stats) = train(&trace, 2, 4);
+    assert_eq!(
+        stats, one_stats,
+        "per-epoch [epoch, loss, mse, confidence] diverged"
+    );
+    assert_eq!(
+        param_bits(&mut four),
+        param_bits(&mut one),
+        "final parameters diverged"
+    );
 }
 
 #[test]
 fn simd_and_scalar_kernels_are_bit_identical_end_to_end() {
-    use gon::{train_offline, GonConfig, GonModel, TrainConfig};
     use nn::kernel::{self, Backend};
-    use workloads::trace::{generate_trace, TraceConfig};
-    use workloads::BenchmarkSuite;
 
     // One leg per kernel backend: the auto-resolved one (AVX2/NEON where
     // the host supports it, honouring CAROL_SIMD) and the pinned scalar
@@ -491,49 +534,14 @@ fn simd_and_scalar_kernels_are_bit_identical_end_to_end() {
     // unless some kernel is *not* bit-identical. On hosts where auto
     // resolves to scalar the comparison is trivially scalar-vs-scalar;
     // the AVX2 CI leg is where it bites.
-    let trace = generate_trace(
-        &TraceConfig {
-            intervals: 12,
-            topology_period: 5,
-            arrival_rate: 0.45 * 64.0,
-            suite: BenchmarkSuite::DeFog,
-            seed: 3,
-        },
-        edgesim::SimConfig::federation(64, 8, 3),
-    );
+    let trace = federation_64_trace(12);
 
     let leg = |backend: Backend| {
         let prev = kernel::set_backend(backend);
         let experiment = run_carol(11);
-        let mut model = GonModel::new(GonConfig {
-            hidden: 12,
-            head_layers: 2,
-            gat_dim: 6,
-            gat_att: 4,
-            gen_lr: 5e-3,
-            gen_steps: 3,
-            gen_tol: 1e-7,
-            seed: 1,
-        });
-        let stats = train_offline(
-            &mut model,
-            &trace,
-            &TrainConfig {
-                epochs: 1,
-                minibatch: 32,
-                patience: 2,
-                lr: 1e-3,
-                batch_train: true,
-                train_threads: Some(2),
-                ..Default::default()
-            },
-        );
+        let (mut model, stats) = train(&trace, 1, 2);
         let generated = model.generate(&trace[0]);
-        let params: Vec<u64> = model
-            .params_mut()
-            .iter()
-            .flat_map(|p| p.value.data().iter().map(|v| v.to_bits()))
-            .collect();
+        let params = param_bits(&mut model);
         kernel::set_backend(prev);
         (experiment, stats, generated, params)
     };
@@ -543,21 +551,12 @@ fn simd_and_scalar_kernels_are_bit_identical_end_to_end() {
     let (exp_scalar, stats_scalar, gen_scalar, params_scalar) = leg(Backend::Scalar);
 
     assert_identical(&exp_simd, &exp_scalar);
-    assert_eq!(stats_simd.len(), stats_scalar.len());
-    for (a, b) in stats_simd.iter().zip(&stats_scalar) {
-        assert_eq!(
-            a.loss.to_bits(),
-            b.loss.to_bits(),
-            "training loss diverged between {} and scalar backends",
-            auto.name()
-        );
-        assert_eq!(a.mse.to_bits(), b.mse.to_bits(), "held-out mse diverged");
-        assert_eq!(
-            a.confidence.to_bits(),
-            b.confidence.to_bits(),
-            "confidence diverged"
-        );
-    }
+    assert_eq!(
+        stats_simd,
+        stats_scalar,
+        "training [epoch, loss, mse, confidence] diverged between {} and scalar backends",
+        auto.name()
+    );
     assert_eq!(
         gen_simd.confidence.to_bits(),
         gen_scalar.confidence.to_bits(),
@@ -828,7 +827,6 @@ fn checkpoint_restore_mid_stream_is_bit_identical_to_continuous() {
     let make = |threads: usize| {
         Carol::pretrained(
             CarolConfig {
-                batch_eval: true,
                 eval_threads: Some(threads),
                 ..CarolConfig::fast_test()
             },

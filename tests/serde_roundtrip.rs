@@ -180,7 +180,91 @@ fn experiment_spec_json_reconstructs_scenario_engine_and_trainer() {
 
     // The induced controller config reflects the spec's engine + trainer.
     let cc = back.carol_config();
-    assert!(cc.batch_eval);
+    assert_eq!(cc.offline.minibatch, 16);
     assert_eq!(cc.eval_threads, Some(3));
     assert_eq!(cc.offline.epochs, 2);
+}
+
+/// `#[serde(default)]` fields take `Default::default()` when their key
+/// is missing; a missing field without the attribute is still an error.
+#[test]
+fn serde_default_fills_only_the_fields_that_declare_it() {
+    use carol::tabu::{Neighborhood, TabuConfig};
+    use edgesim::scheduler::LeastLoadScheduler;
+    use edgesim::{IntervalReport, Simulator};
+
+    let tabu: TabuConfig =
+        serde_json::from_str(r#"{"list_size":100,"max_iters":10}"#).expect("defaulted field");
+    assert_eq!(tabu.neighborhood, Neighborhood::Full);
+    assert_eq!((tabu.list_size, tabu.max_iters), (100, 10));
+
+    let mut sim = Simulator::new(SimConfig::small(6, 2, 1));
+    let report = sim.step(Vec::new(), &mut LeastLoadScheduler::new());
+    let serde::Value::Map(mut entries) =
+        serde_json::parse_value(&serde_json::to_string(&report).unwrap()).unwrap()
+    else {
+        panic!("an IntervalReport serialises to a JSON object");
+    };
+    let before = entries.len();
+    entries.retain(|(key, _)| key != "phases");
+    assert_eq!(entries.len(), before - 1, "the report carries `phases`");
+    let json = serde_json::to_string(&serde::Value::Map(entries)).unwrap();
+    let back: IntervalReport = serde_json::from_str(&json).expect("`phases` is defaulted");
+    assert_eq!(back.phases, Default::default());
+    assert_eq!(back.failed_brokers, report.failed_brokers);
+
+    let err = serde_json::from_str::<TabuConfig>(r#"{"list_size":100}"#)
+        .expect_err("`max_iters` has no default");
+    assert!(
+        err.to_string().contains("missing field `max_iters`"),
+        "unexpected error: {err}"
+    );
+}
+
+/// Spec and controller JSON written before the serial engine was removed
+/// still parses: its boolean engine switches are ignored as unknown keys
+/// and the worker counts survive.
+#[test]
+fn legacy_engine_switch_json_still_parses() {
+    use carol::carol::CarolConfig;
+    use carol::service::ExperimentSpec;
+
+    let spec = ExperimentSpec::from_json(
+        r#"{"scenario":{"name":"paper-16","workload":{"Suite":{"suite":"AIoTBench","rate":7.2}},
+        "shape":"Stationary","n_hosts":16,"n_brokers":4,"fleet":"Pi","intervals":100,
+        "fault_rate":0.5,"fault_target":"BrokersOnly","fault_model":"Iid","scheduler":"LeastLoad",
+        "seed":7},"engine":{"batched":false,"threads":1},"train":{"epochs":2,"minibatch":16,
+        "patience":5,"train_fraction":0.8,"lr":0.0001,"weight_decay":0.00001,"seed":11,
+        "batch_train":false,"train_threads":2},"checkpoint":{"every":null,"path":null}}"#,
+    )
+    .expect("legacy spec JSON parses");
+    assert_eq!(spec.scenario.name, "paper-16");
+    assert_eq!(spec.engine, par::EngineConfig::batched(1));
+    assert_eq!(spec.train.train_threads, Some(2));
+    assert_eq!(spec.train.epochs, 2);
+    assert_eq!(spec.carol_config().eval_threads, Some(1));
+
+    let cc: CarolConfig = serde_json::from_str(
+        r#"{"gon":{"hidden":12,"head_layers":2,"gat_dim":6,"gat_att":4,"gen_lr":0.005,
+        "gen_steps":5,"gen_tol":0.0000001,"seed":1},"alpha":0.5,"beta":0.5,
+        "tabu":{"list_size":20,"max_iters":2,"neighborhood":"Full"},"fine_tune":"Confidence",
+        "variant":"Gon","offline":{"epochs":3,"minibatch":8,"patience":3,"train_fraction":0.8,
+        "lr":0.001,"weight_decay":0.00001,"seed":11,"batch_train":false,"train_threads":5},
+        "pretrain_intervals":24,"pretrain_sim":{"specs":[
+        {"name":"rpi8gb-00","cpu_capacity":4000,"ram_mb":8192,"disk_bw":40,"net_bw":125,"power_idle_w":2.8,"power_peak_w":7},
+        {"name":"rpi4gb-01","cpu_capacity":4000,"ram_mb":4096,"disk_bw":40,"net_bw":125,"power_idle_w":2.7,"power_peak_w":6.4},
+        {"name":"rpi8gb-02","cpu_capacity":4000,"ram_mb":8192,"disk_bw":40,"net_bw":125,"power_idle_w":2.8,"power_peak_w":7},
+        {"name":"rpi4gb-03","cpu_capacity":4000,"ram_mb":4096,"disk_bw":40,"net_bw":125,"power_idle_w":2.7,"power_peak_w":6.4},
+        {"name":"rpi8gb-04","cpu_capacity":4000,"ram_mb":8192,"disk_bw":40,"net_bw":125,"power_idle_w":2.8,"power_peak_w":7},
+        {"name":"rpi4gb-05","cpu_capacity":4000,"ram_mb":4096,"disk_bw":40,"net_bw":125,"power_idle_w":2.7,"power_peak_w":6.4},
+        {"name":"rpi8gb-06","cpu_capacity":4000,"ram_mb":8192,"disk_bw":40,"net_bw":125,"power_idle_w":2.8,"power_peak_w":7},
+        {"name":"rpi4gb-07","cpu_capacity":4000,"ram_mb":4096,"disk_bw":40,"net_bw":125,"power_idle_w":2.7,"power_peak_w":6.4}],
+        "n_brokers":2,"seed":0,"broker_base_overhead":0.08,"broker_per_worker_overhead":0.015,
+        "node_shift_cost_s":20,"broker_mgmt_ram_mb":512,"broker_span":5},
+        "batch_eval":false,"eval_threads":3}"#,
+    )
+    .expect("legacy controller JSON parses");
+    assert_eq!(cc.eval_threads, Some(3));
+    assert_eq!(cc.offline.train_threads, Some(5));
+    assert_eq!(cc.pretrain_sim.specs.len(), 8);
 }
