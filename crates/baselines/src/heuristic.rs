@@ -227,7 +227,7 @@ impl ResiliencePolicy for Eclb {
             if let (Some(hot), Some(cold)) = (hot, cold) {
                 if hot != cold && load_of(hot) - load_of(cold) > 0.2 {
                     let mut t = base.clone();
-                    if let Some(w) = least_cpu(&t.workers_of(hot), states) {
+                    if let Some(w) = least_cpu(t.workers_of(hot), states) {
                         if t.reassign(w, cold).is_ok() {
                             repaired = Some(t);
                         }

@@ -74,15 +74,12 @@ pub(crate) fn promote_orphan_repair(
         if !matches!(topo.role(b), NodeRole::Broker) {
             continue;
         }
-        let orphans: Vec<HostId> = topo
-            .workers_of(b)
-            .into_iter()
-            .filter(|w| !banned.contains(w))
-            .collect();
+        let mut orphans = topo.workers_of(b).to_vec();
+        orphans.retain(|w| !banned.contains(w));
         if let Some(leader) = pick(&orphans, states) {
             // Type-3 node-shift: the chosen orphan replaces the broker.
             topo.promote(leader).expect("orphan promotion is valid");
-            for w in topo.workers_of(b) {
+            for w in topo.workers_of(b).to_vec() {
                 topo.reassign(w, leader).expect("sibling reassignment");
             }
             let _ = topo.demote(b, leader);
@@ -91,7 +88,8 @@ pub(crate) fn promote_orphan_repair(
             // surviving broker (type-2).
             let target = topo
                 .brokers()
-                .into_iter()
+                .iter()
+                .copied()
                 .filter(|&x| x != b && !banned.contains(&x))
                 .min_by(|&a, &c| {
                     states[a]
@@ -100,7 +98,7 @@ pub(crate) fn promote_orphan_repair(
                         .expect("load scores are finite")
                 });
             if let Some(target) = target {
-                for w in topo.workers_of(b) {
+                for w in topo.workers_of(b).to_vec() {
                     topo.reassign(w, target).expect("orphan reassignment");
                 }
                 let _ = topo.demote(b, target);
@@ -161,14 +159,14 @@ mod tests {
         let topo = Topology::balanced(8, 2).unwrap();
         let mut states = states_with_cpu(&[0.2; 8]);
         // Everything in broker 0's LEI failed except the broker's peers.
-        for w in topo.workers_of(0) {
+        for &w in topo.workers_of(0) {
             states[w].failed = true;
         }
         states[0].failed = true;
         let repaired = promote_orphan_repair(&topo, &[0], &states, least_cpu).unwrap();
         repaired.validate().unwrap();
         assert!(matches!(repaired.role(0), NodeRole::Worker { .. }));
-        assert_eq!(repaired.brokers(), vec![1]);
+        assert_eq!(repaired.brokers(), [1]);
     }
 
     #[test]

@@ -145,7 +145,7 @@ fn repair_fixture(
     n_brokers: usize,
     eval_threads: Option<usize>,
 ) -> (Simulator, SystemState, Carol) {
-    let mut sim = Simulator::new(SimConfig::federation(n_hosts, n_brokers, 3));
+    let mut sim = Simulator::new(SimConfig::small(n_hosts, n_brokers, 3));
     let mut sched = LeastLoadScheduler::new();
     let broker = sim.topology().brokers()[0];
     sim.inject_fault(
@@ -225,7 +225,7 @@ fn bench_repair(c: &mut Criterion) {
 fn bench_gon_batch(c: &mut Criterion) {
     // The surrogate engine's inner loop in isolation: scoring one
     // 16-candidate batch at 64 hosts, batched vs mapped-serial.
-    let sim = Simulator::new(SimConfig::federation(64, 8, 5));
+    let sim = Simulator::new(SimConfig::small(64, 8, 5));
     let snapshot = SystemState::capture(
         sim.topology(),
         sim.specs(),
@@ -285,7 +285,7 @@ fn bench_train(c: &mut Criterion) {
                 suite: workloads::BenchmarkSuite::DeFog,
                 seed: 7,
             },
-            SimConfig::federation(n_hosts, n_brokers, 7),
+            SimConfig::small(n_hosts, n_brokers, 7),
         );
         (label.to_string(), trace)
     };

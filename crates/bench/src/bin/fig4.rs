@@ -37,7 +37,7 @@ fn main() {
             "[fig4] generating a training trace under scenario '{}' ({} hosts, {intervals} intervals)…",
             spec.name, spec.n_hosts
         );
-        let sim = SimConfig::federation(spec.n_hosts, spec.n_brokers, seed);
+        let sim = SimConfig::small(spec.n_hosts, spec.n_brokers, seed);
         let config = |suite, rate| TraceConfig {
             intervals,
             topology_period: 10,

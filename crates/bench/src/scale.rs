@@ -275,7 +275,7 @@ pub fn measure_repair_with(
     use edgesim::state::{Normalizer, SystemState};
     use edgesim::FaultLoad;
 
-    let mut sim = edgesim::Simulator::new(SimConfig::federation(n_hosts, n_brokers, seed));
+    let mut sim = edgesim::Simulator::new(SimConfig::small(n_hosts, n_brokers, seed));
     let mut sched = LeastLoadScheduler::new();
     let broker = sim.topology().brokers()[0];
     sim.inject_fault(

@@ -48,16 +48,10 @@ pub fn neighborhood(topo: &Topology, b: HostId, banned: &[HostId]) -> Vec<Topolo
         return out;
     }
     let is_banned = |h: HostId| h == b || banned.contains(&h);
-    let orphans: Vec<HostId> = topo
-        .workers_of(b)
-        .into_iter()
-        .filter(|&w| !is_banned(w))
-        .collect();
-    let other_brokers: Vec<HostId> = topo
-        .brokers()
-        .into_iter()
-        .filter(|&x| !is_banned(x))
-        .collect();
+    let mut orphans = topo.workers_of(b).to_vec();
+    orphans.retain(|&w| !is_banned(w));
+    let mut other_brokers = topo.brokers().to_vec();
+    other_brokers.retain(|&x| !is_banned(x));
 
     // --- Type 2: merge the LEI into each surviving broker.
     for &target in &other_brokers {
@@ -66,7 +60,7 @@ pub fn neighborhood(topo: &Topology, b: HostId, banned: &[HostId]) -> Vec<Topolo
             t.reassign(w, target).expect("orphan reassignment is valid");
         }
         // Any workers of b that were banned still need a broker.
-        for w in t.workers_of(b) {
+        for w in t.workers_of(b).to_vec() {
             t.reassign(w, target).expect("banned-worker reassignment");
         }
         if t.demote(b, target).is_ok() {
@@ -83,7 +77,7 @@ pub fn neighborhood(topo: &Topology, b: HostId, banned: &[HostId]) -> Vec<Topolo
                 t.reassign(w, leader).expect("sibling reassignment");
             }
         }
-        for w in t.workers_of(b) {
+        for w in t.workers_of(b).to_vec() {
             t.reassign(w, leader).expect("leftover reassignment");
         }
         if t.demote(b, leader).is_ok() {
@@ -107,7 +101,7 @@ pub fn neighborhood(topo: &Topology, b: HostId, banned: &[HostId]) -> Vec<Topolo
                 let target = if k % 2 == 0 { a } else { c };
                 t.reassign(w, target).expect("even split reassignment");
             }
-            for w in t.workers_of(b) {
+            for w in t.workers_of(b).to_vec() {
                 t.reassign(w, a).expect("leftover to first new broker");
             }
             if t.demote(b, a).is_ok() {
@@ -196,8 +190,8 @@ pub fn enumerate_moves(topo: &Topology, banned: &[HostId]) -> Vec<Move> {
     // Demotions (each surviving peer as the receiving broker; bounded
     // below: never collapse the federation to a single point of failure).
     if brokers.len() > lo {
-        for &bkr in &brokers {
-            for &target in &brokers {
+        for &bkr in brokers {
+            for &target in brokers {
                 if bkr != target && !is_banned(target) {
                     out.push(Move::Demote { bkr, target });
                 }
@@ -207,7 +201,7 @@ pub fn enumerate_moves(topo: &Topology, banned: &[HostId]) -> Vec<Move> {
 
     // Cross-LEI reassignments.
     for &w in &workers {
-        for &bkr in &brokers {
+        for &bkr in brokers {
             if topo.broker_of(w) != bkr && !is_banned(bkr) {
                 out.push(Move::Reassign { w, bkr });
             }
@@ -225,7 +219,7 @@ pub fn apply_move(topo: &Topology, mv: Move) -> Option<Topology> {
     let ok = match mv {
         Move::Promote { w } => t.promote(w).is_ok(),
         Move::Demote { bkr, target } => {
-            for w in t.workers_of(bkr) {
+            for w in t.workers_of(bkr).to_vec() {
                 // Failed reassignments are ignored, exactly like the
                 // original loop; the demotion below then decides.
                 let _ = t.reassign(w, target);

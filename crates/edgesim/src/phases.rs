@@ -267,6 +267,26 @@ struct FailureScanCtx<'a> {
     fault_loads: &'a [FaultLoad],
 }
 
+/// Management `(cpu, ram)` utilisation of host `h`: zero for a worker; a
+/// broker pays a base CPU share, a share per managed worker, and a share
+/// that grows with the backlog of `queued` pending tasks parked at it —
+/// deep queues are the "processing bottleneck" of §I that makes loaded
+/// brokers fragile — plus the management stack's RAM.
+fn broker_management(
+    config: &SimConfig,
+    topology: &Topology,
+    queued: usize,
+    h: HostId,
+) -> (f64, f64) {
+    if !matches!(topology.role(h), NodeRole::Broker) {
+        return (0.0, 0.0);
+    }
+    let cpu = config.broker_base_overhead
+        + config.broker_per_worker_overhead * topology.workers_of(h).len() as f64
+        + (0.012 * queued as f64).min(0.25);
+    (cpu, config.broker_mgmt_ram_mb / config.specs[h].ram_mb)
+}
+
 /// Organic (task + management) utilisation of `h` before fault load, as
 /// `(cpu, ram, disk, net)`. `running_by_host[h]` comes from
 /// `Simulator::live_placement`, whose ascending-index bucket order is the
@@ -274,20 +294,8 @@ struct FailureScanCtx<'a> {
 /// chains are bit-identical.
 fn organic_utilisation(ctx: &FailureScanCtx<'_>, h: HostId) -> (f64, f64, f64, f64) {
     let spec = &ctx.config.specs[h];
-    let is_broker = matches!(ctx.topology.role(h), NodeRole::Broker);
-    let mgmt_cpu = if is_broker {
-        let queued = ctx.queued_pending[h] as f64;
-        ctx.config.broker_base_overhead
-            + ctx.config.broker_per_worker_overhead * ctx.topology.workers_of(h).len() as f64
-            + (0.012 * queued).min(0.25)
-    } else {
-        0.0
-    };
-    let mgmt_ram = if is_broker {
-        ctx.config.broker_mgmt_ram_mb / spec.ram_mb
-    } else {
-        0.0
-    };
+    let (mgmt_cpu, mgmt_ram) =
+        broker_management(ctx.config, ctx.topology, ctx.queued_pending[h], h);
     let mut cpu = mgmt_cpu;
     let mut ram = mgmt_ram;
     let mut disk = 0.0;
@@ -482,22 +490,7 @@ fn step_host(ctx: &HostStepCtx<'_>, h: usize) -> HostStepOutcome {
     let fl = ctx.fault_loads[h];
     let failed = ctx.failed_now[h];
     let is_broker = matches!(ctx.topology.role(h), NodeRole::Broker);
-    let mgmt_cpu = if is_broker {
-        // Admission/queue management grows with the backlog parked at
-        // this broker — deep queues are the "processing bottleneck" of
-        // §I that makes loaded brokers fragile.
-        let queued = ctx.queued_now[h] as f64;
-        ctx.config.broker_base_overhead
-            + ctx.config.broker_per_worker_overhead * ctx.topology.workers_of(h).len() as f64
-            + (0.012 * queued).min(0.25)
-    } else {
-        0.0
-    };
-    let mgmt_ram = if is_broker {
-        ctx.config.broker_mgmt_ram_mb / spec_h.ram_mb
-    } else {
-        0.0
-    };
+    let (mgmt_cpu, mgmt_ram) = broker_management(ctx.config, ctx.topology, ctx.queued_now[h], h);
 
     let task_idxs = &ctx.per_host_tasks[h];
 
@@ -683,7 +676,7 @@ pub fn execute(sim: &mut Simulator, failures: &FailureSet) -> ExecutionOutcome {
     // Broker-failure stalls.
     let mut stalled_host = vec![false; n];
     let mut broker_stall_s = 0.0;
-    for b in sim.topology.brokers() {
+    for &b in sim.topology.brokers() {
         if failures.failed_now[b] {
             for member in sim.topology.lei(b) {
                 stalled_host[member] = true;
@@ -776,12 +769,8 @@ pub fn report(
     }
     sim.states = exec.new_states;
     let failed_hosts: Vec<HostId> = (0..n).filter(|&h| failures.failed_now[h]).collect();
-    let failed_brokers: Vec<HostId> = sim
-        .topology
-        .brokers()
-        .into_iter()
-        .filter(|&b| failures.failed_now[b])
-        .collect();
+    let mut failed_brokers = sim.topology.brokers().to_vec();
+    failed_brokers.retain(|&b| failures.failed_now[b]);
     sim.last_failed_brokers = failed_brokers.clone();
     sim.interval += 1;
 

@@ -119,18 +119,15 @@ fn admission_point(task: &Task, topology: &Topology, states: &[HostState]) -> Op
     {
         return Some(task.admitted_by);
     }
-    topology.brokers().into_iter().find(|&b| live(b))
+    topology.brokers().iter().copied().find(|&b| live(b))
 }
 
 /// Shared candidate set: the live workers of the admitting LEI — LEIs
 /// are silos (§III-A) — with the broker itself standing in for an empty
 /// LEI ("act as a worker", §I).
 fn lei_candidates(admit: HostId, topology: &Topology, states: &[HostState]) -> Vec<HostId> {
-    let mut candidates: Vec<HostId> = topology
-        .workers_of(admit)
-        .into_iter()
-        .filter(|&w| !states[w].failed)
-        .collect();
+    let mut candidates = topology.workers_of(admit).to_vec();
+    candidates.retain(|&w| !states[w].failed);
     if candidates.is_empty() {
         candidates.push(admit);
     }
@@ -335,7 +332,7 @@ mod tests {
     #[test]
     fn avoids_failed_workers() {
         let (topo, specs, mut states) = setup();
-        for w in topo.workers_of(0) {
+        for &w in topo.workers_of(0) {
             states[w].failed = true;
         }
         let mut sched = LeastLoadScheduler::new();
@@ -407,7 +404,7 @@ mod tests {
     #[test]
     fn round_robin_skips_failed_workers_and_falls_back_to_broker() {
         let (topo, specs, mut states) = setup();
-        for w in topo.workers_of(0) {
+        for &w in topo.workers_of(0) {
             states[w].failed = true;
         }
         let mut sched = RoundRobinScheduler::new();

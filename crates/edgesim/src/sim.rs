@@ -135,19 +135,24 @@ impl SimConfig {
         }
     }
 
-    /// A smaller federation, handy for fast tests.
+    /// A federation of arbitrary size with the testbed's hardware mix
+    /// ([`FleetMix::Pi`]: alternating 8 GB / 4 GB Pi boards) and overhead
+    /// constants — `small(16, 4, s)` is hardware-equivalent to
+    /// [`SimConfig::testbed`] up to host ordering. Every component
+    /// downstream (topology, GON encoders, normalizer) is
+    /// host-count-agnostic, so this serves fast tests and the 32 → 4096-host
+    /// scenario sweeps alike.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `0 < n_brokers ≤ n_hosts`.
     pub fn small(n_hosts: usize, n_brokers: usize, seed: u64) -> Self {
-        let specs = (0..n_hosts)
-            .map(|i| {
-                if i % 2 == 0 {
-                    HostSpec::rpi8gb(i)
-                } else {
-                    HostSpec::rpi4gb(i)
-                }
-            })
-            .collect();
+        assert!(
+            n_brokers > 0 && n_brokers <= n_hosts,
+            "need 0 < n_brokers ({n_brokers}) ≤ n_hosts ({n_hosts})"
+        );
         Self {
-            specs,
+            specs: FleetMix::Pi.specs(n_hosts),
             n_brokers,
             seed,
             broker_base_overhead: 0.08,
@@ -158,26 +163,8 @@ impl SimConfig {
         }
     }
 
-    /// A federation of arbitrary size with the testbed's hardware mix
-    /// (alternating 8 GB / 4 GB Pi boards) and overhead constants —
-    /// `federation(16, 4, s)` is hardware-equivalent to [`SimConfig::testbed`]
-    /// up to host ordering. This is the constructor the >16-host scenario
-    /// sweeps (32/64/128 hosts) build on; every component downstream
-    /// (topology, GON encoders, normalizer) is host-count-agnostic.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `0 < n_brokers ≤ n_hosts`.
-    pub fn federation(n_hosts: usize, n_brokers: usize, seed: u64) -> Self {
-        assert!(
-            n_brokers > 0 && n_brokers <= n_hosts,
-            "need 0 < n_brokers ({n_brokers}) ≤ n_hosts ({n_hosts})"
-        );
-        Self::small(n_hosts, n_brokers, seed)
-    }
-
     /// A federation with an explicit hardware [`FleetMix`].
-    /// `fleet(n, b, FleetMix::Pi, s)` equals `federation(n, b, s)` exactly
+    /// `fleet(n, b, FleetMix::Pi, s)` equals `small(n, b, s)` exactly
     /// (same specs, same overhead constants), so Pi scenarios keep their
     /// historical bit-identical results.
     ///
@@ -185,10 +172,6 @@ impl SimConfig {
     ///
     /// Panics unless `0 < n_brokers ≤ n_hosts`.
     pub fn fleet(n_hosts: usize, n_brokers: usize, mix: FleetMix, seed: u64) -> Self {
-        assert!(
-            n_brokers > 0 && n_brokers <= n_hosts,
-            "need 0 < n_brokers ({n_brokers}) ≤ n_hosts ({n_hosts})"
-        );
         Self {
             specs: mix.specs(n_hosts),
             ..Self::small(n_hosts, n_brokers, seed)
@@ -517,13 +500,12 @@ impl Simulator {
         (running_by_host, queued_pending)
     }
 
-    /// LEI index of `host` for the network-latency model: position of its
+    /// LEI index of `host` for the network-latency model: rank of its
     /// broker in the sorted broker list, folded into the modelled LEI count.
     pub(crate) fn lei_index_of(&self, host: HostId) -> usize {
         let broker = self.topology.broker_of(host);
-        let brokers = self.topology.brokers();
-        let pos = brokers.iter().position(|&b| b == broker).unwrap_or(0);
-        pos % self.network.n_leis()
+        let rank = self.topology.brokers().binary_search(&broker).unwrap_or(0);
+        rank % self.network.n_leis()
     }
 }
 
@@ -549,9 +531,9 @@ mod tests {
     }
 
     #[test]
-    fn federation_config_scales_to_128_hosts() {
+    fn small_config_scales_to_128_hosts() {
         for (n_hosts, n_brokers) in [(32, 8), (64, 8), (128, 16)] {
-            let mut s = Simulator::new(SimConfig::federation(n_hosts, n_brokers, 7));
+            let mut s = Simulator::new(SimConfig::small(n_hosts, n_brokers, 7));
             assert_eq!(s.specs().len(), n_hosts);
             assert_eq!(s.topology().brokers().len(), n_brokers);
             s.topology().validate().unwrap();
@@ -567,8 +549,8 @@ mod tests {
     }
 
     #[test]
-    fn federation_16_4_matches_testbed_hardware_envelope() {
-        let fed = SimConfig::federation(16, 4, 0);
+    fn small_16_4_matches_testbed_hardware_envelope() {
+        let fed = SimConfig::small(16, 4, 0);
         let testbed = SimConfig::testbed(0);
         assert_eq!(fed.specs.len(), testbed.specs.len());
         assert_eq!(fed.n_brokers, testbed.n_brokers);
@@ -578,14 +560,14 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "n_brokers")]
-    fn federation_rejects_zero_brokers() {
-        SimConfig::federation(32, 0, 0);
+    fn small_rejects_zero_brokers() {
+        SimConfig::small(32, 0, 0);
     }
 
     #[test]
-    fn pi_fleet_equals_federation_exactly() {
+    fn pi_fleet_equals_small_exactly() {
         let fleet = SimConfig::fleet(32, 8, FleetMix::Pi, 5);
-        let fed = SimConfig::federation(32, 8, 5);
+        let fed = SimConfig::small(32, 8, 5);
         assert_eq!(fleet.specs, fed.specs);
         assert_eq!(fleet.n_brokers, fed.n_brokers);
         assert_eq!(fleet.broker_span, fed.broker_span);

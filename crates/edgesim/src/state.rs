@@ -136,44 +136,18 @@ impl Normalizer {
     }
 }
 
-/// Per-broker aggregates of one topology, computed in a single pass so
-/// [`SystemState::with_topology`] stays O(n) per candidate instead of
-/// re-scanning all hosts from every per-host cost closure.
-struct BrokerView {
-    /// Workers managed by each host (0 for workers).
-    worker_count: Vec<usize>,
-    /// Σ task-pressure (metric column 7) over each broker's LEI, summed in
-    /// `lei()` order — broker first, then workers ascending — so the f64
-    /// chain matches the `lei().iter().sum()` it replaces bit-for-bit.
-    lei_pressure: Vec<f64>,
-    /// Broker count.
-    n_brokers: usize,
-}
-
-impl BrokerView {
-    fn build(topo: &Topology, metrics: &[[f64; METRIC_DIM]]) -> Self {
-        let n = topo.len();
-        let mut worker_count = vec![0usize; n];
-        let mut lei_pressure = vec![0.0f64; n];
-        let mut n_brokers = 0usize;
-        for (h, m) in metrics.iter().enumerate() {
-            if matches!(topo.role(h), NodeRole::Broker) {
-                n_brokers += 1;
-                lei_pressure[h] += m[7];
-            }
-        }
-        for (h, m) in metrics.iter().enumerate() {
-            if let NodeRole::Worker { broker } = topo.role(h) {
-                worker_count[broker] += 1;
-                lei_pressure[broker] += m[7];
-            }
-        }
-        Self {
-            worker_count,
-            lei_pressure,
-            n_brokers,
+/// Σ task-pressure (metric column 7) over each broker's LEI, indexed by
+/// broker host (0 for workers). Summed broker first, then workers
+/// ascending — the `lei()` order — so the f64 chain is fixed.
+fn lei_pressure(topo: &Topology, metrics: &[[f64; METRIC_DIM]]) -> Vec<f64> {
+    let mut pressure = vec![0.0f64; topo.len()];
+    for &b in topo.brokers() {
+        pressure[b] += metrics[b][7];
+        for &w in topo.workers_of(b) {
+            pressure[b] += metrics[w][7];
         }
     }
+    pressure
 }
 
 impl SystemState {
@@ -364,28 +338,20 @@ impl SystemState {
         assert_eq!(topology.len(), self.n_hosts(), "host count mismatch");
         let mut out = self.clone();
         let c = self.costs;
-        // Tabu search calls this once per candidate over neighbourhoods
-        // that grow with n², so the per-broker aggregates (worker pools,
-        // LEI task pressure) are computed in one pass per topology instead
-        // of re-scanning all hosts from inside every per-host closure.
-        // `BrokerView` preserves the original f64 accumulation order
-        // (LEI pressure sums broker-first, then workers ascending — the
-        // `lei()` iteration order), so every projected metric is
-        // bit-identical to the per-host scan it replaces.
-        let cand_view = BrokerView::build(topology, &self.metrics);
-        let base_view = BrokerView::build(&self.topology, &self.metrics);
-        let mgmt_cpu = |view: &BrokerView, topo: &Topology, h: usize| -> f64 {
+        let cand_pressure = lei_pressure(topology, &self.metrics);
+        let base_pressure = lei_pressure(&self.topology, &self.metrics);
+        let mgmt_cpu = |topo: &Topology, h: usize| -> f64 {
             if matches!(topo.role(h), NodeRole::Broker) {
-                c.base_cpu + c.per_worker_cpu * view.worker_count[h] as f64
+                c.base_cpu + c.per_worker_cpu * topo.workers_of(h).len() as f64
             } else {
                 0.0
             }
         };
-        let contention = |view: &BrokerView, topo: &Topology, h: usize| -> f64 {
+        let contention = |topo: &Topology, h: usize| -> f64 {
             if matches!(topo.role(h), NodeRole::Broker) {
                 0.0
             } else {
-                let siblings = view.worker_count[topo.broker_of(h)].max(1);
+                let siblings = topo.workers_of(topo.broker_of(h)).len().max(1);
                 0.25 * (siblings as f64 / c.span as f64 - 1.0).max(0.0)
             }
         };
@@ -394,34 +360,32 @@ impl SystemState {
         // total divided by the pool size. Moving workers toward hot LEIs
         // lowers the per-worker share there — the rebalancing signal tabu
         // search optimises over.
-        let queue_share = |view: &BrokerView, topo: &Topology, h: usize| -> f64 {
+        let queue_share = |pressure: &[f64], topo: &Topology, h: usize| -> f64 {
             if matches!(topo.role(h), NodeRole::Broker) {
                 return 0.0;
             }
             let broker = topo.broker_of(h);
-            let pressure = view.lei_pressure[broker];
-            let pool = view.worker_count[broker].max(1);
-            pressure / pool as f64
+            let pool = topo.workers_of(broker).len().max(1);
+            pressure[broker] / pool as f64
         };
+        let blast = |topo: &Topology| c.stall_risk / topo.brokers().len().max(1) as f64;
         for h in 0..self.n_hosts() {
             let is_broker = matches!(topology.role(h), NodeRole::Broker);
             out.graph_features[h][4] = if is_broker { 1.0 } else { 0.0 };
             out.graph_features[h][5] =
-                (cand_view.worker_count[h] as f64 / self.n_hosts() as f64).clamp(0.0, 1.0);
+                (topology.workers_of(h).len() as f64 / self.n_hosts() as f64).clamp(0.0, 1.0);
 
-            let d_cpu = mgmt_cpu(&cand_view, topology, h) - mgmt_cpu(&base_view, &self.topology, h);
+            let d_cpu = mgmt_cpu(topology, h) - mgmt_cpu(&self.topology, h);
             let d_ram = (matches!(topology.role(h), NodeRole::Broker) as u8 as f64
                 - matches!(self.topology.role(h), NodeRole::Broker) as u8 as f64)
                 * c.mgmt_ram_mb
                 / self.ram_mb.get(h).copied().unwrap_or(8192.0);
-            let blast = |view: &BrokerView| c.stall_risk / view.n_brokers.max(1) as f64;
-            let d_slo = contention(&cand_view, topology, h)
-                - contention(&base_view, &self.topology, h)
+            let d_slo = contention(topology, h) - contention(&self.topology, h)
                 + 0.45
-                    * (queue_share(&cand_view, topology, h)
-                        - queue_share(&base_view, &self.topology, h))
-                + blast(&cand_view)
-                - blast(&base_view);
+                    * (queue_share(&cand_pressure, topology, h)
+                        - queue_share(&base_pressure, &self.topology, h))
+                + blast(topology)
+                - blast(&self.topology);
             out.metrics[h][0] = (out.metrics[h][0] + d_cpu).clamp(0.0, 1.0);
             out.metrics[h][1] = (out.metrics[h][1] + d_ram).clamp(0.0, 1.0);
             // Energy tracks CPU roughly linearly on constant-frequency
@@ -580,7 +544,7 @@ mod tests {
         );
         let mut merged = topo.clone();
         for b in [1usize, 2, 3] {
-            for w in merged.workers_of(b) {
+            for w in merged.workers_of(b).to_vec() {
                 merged.reassign(w, 0).unwrap();
             }
             merged.demote(b, 0).unwrap();

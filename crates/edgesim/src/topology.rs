@@ -66,6 +66,13 @@ impl std::error::Error for TopologyError {}
 /// mutating method): at least one broker exists, and every worker points at
 /// a host whose role is `Broker`.
 ///
+/// Next to `roles` the topology keeps a membership index — the broker
+/// list and each broker's workers, both ascending — that every mutating
+/// method updates in place. The index is a pure function of `roles`, so
+/// it is skipped on the wire (the JSON is `{"roles":[...]}`) and rebuilt
+/// by [`Topology::new`] on deserialisation; the derived `Eq`/`Hash` stay
+/// consistent with comparing `roles` alone.
+///
 /// # Examples
 ///
 /// ```
@@ -76,16 +83,44 @@ impl std::error::Error for TopologyError {}
 /// assert_eq!(topo.workers_of(topo.brokers()[0]).len(), 3);
 /// topo.validate().unwrap();
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize)]
 pub struct Topology {
     roles: Vec<NodeRole>,
+    /// Broker hosts, ascending.
+    #[serde(skip)]
+    brokers: Vec<HostId>,
+    /// Workers of each host, ascending (empty for workers).
+    #[serde(skip)]
+    members: Vec<Vec<HostId>>,
+}
+
+/// Goes through [`Topology::new`], so checkpoints rebuild the membership
+/// index and invalid role vectors are rejected.
+impl Deserialize for Topology {
+    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
+        let roles = v
+            .get("roles")
+            .ok_or_else(|| serde::Error("missing field `roles` in Topology".into()))?;
+        Topology::new(Vec::from_value(roles)?).map_err(|e| serde::Error(e.to_string()))
+    }
 }
 
 impl Topology {
     /// Builds a topology from explicit roles, validating invariants.
     pub fn new(roles: Vec<NodeRole>) -> Result<Self, TopologyError> {
-        let t = Self { roles };
+        let n = roles.len();
+        let mut t = Self {
+            roles,
+            brokers: Vec::new(),
+            members: vec![Vec::new(); n],
+        };
         t.validate()?;
+        for (h, role) in t.roles.iter().enumerate() {
+            match *role {
+                NodeRole::Broker => t.brokers.push(h),
+                NodeRole::Worker { broker } => t.members[broker].push(h),
+            }
+        }
         Ok(t)
     }
 
@@ -104,7 +139,7 @@ impl Topology {
                 broker: w % n_brokers,
             };
         }
-        Ok(Self { roles })
+        Self::new(roles)
     }
 
     /// Number of hosts (brokers + workers).
@@ -131,13 +166,11 @@ impl Topology {
         &self.roles
     }
 
-    /// Hosts currently acting as brokers, ascending.
-    pub fn brokers(&self) -> Vec<HostId> {
-        self.roles
-            .iter()
-            .enumerate()
-            .filter_map(|(i, r)| matches!(r, NodeRole::Broker).then_some(i))
-            .collect()
+    /// Hosts currently acting as brokers, ascending. Read from the
+    /// membership index, so O(1); `brokers().binary_search(&b)` is the
+    /// rank of broker `b`.
+    pub fn brokers(&self) -> &[HostId] {
+        &self.brokers
     }
 
     /// Hosts currently acting as workers, ascending.
@@ -149,22 +182,20 @@ impl Topology {
             .collect()
     }
 
-    /// Workers managed by `broker` (empty if `broker` is not a broker).
-    pub fn workers_of(&self, broker: HostId) -> Vec<HostId> {
-        self.roles
-            .iter()
-            .enumerate()
-            .filter_map(|(i, r)| match r {
-                NodeRole::Worker { broker: b } if *b == broker => Some(i),
-                _ => None,
-            })
-            .collect()
+    /// Workers managed by `broker`, ascending (empty if `broker` is not a
+    /// broker). Read from the membership index, so O(1).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `broker` is out of range.
+    pub fn workers_of(&self, broker: HostId) -> &[HostId] {
+        &self.members[broker]
     }
 
     /// The LEI of `broker`: the broker itself plus its workers.
     pub fn lei(&self, broker: HostId) -> Vec<HostId> {
         let mut nodes = vec![broker];
-        nodes.extend(self.workers_of(broker));
+        nodes.extend_from_slice(self.workers_of(broker));
         nodes
     }
 
@@ -221,8 +252,10 @@ impl Topology {
             return Err(TopologyError::UnknownHost(w));
         }
         match self.roles[w] {
-            NodeRole::Worker { .. } => {
+            NodeRole::Worker { broker } => {
                 self.roles[w] = NodeRole::Broker;
+                remove_sorted(&mut self.members[broker], w);
+                insert_sorted(&mut self.brokers, w);
                 Ok(())
             }
             NodeRole::Broker => Err(TopologyError::WrongRole(w)),
@@ -245,13 +278,15 @@ impl Topology {
         if b == new_broker || !matches!(self.roles[new_broker], NodeRole::Broker) {
             return Err(TopologyError::WrongRole(new_broker));
         }
-        if !self.workers_of(b).is_empty() {
+        if !self.members[b].is_empty() {
             return Err(TopologyError::WouldOrphanWorkers(b));
         }
-        if self.brokers().len() == 1 {
+        if self.brokers.len() == 1 {
             return Err(TopologyError::NoBrokers);
         }
         self.roles[b] = NodeRole::Worker { broker: new_broker };
+        remove_sorted(&mut self.brokers, b);
+        insert_sorted(&mut self.members[new_broker], b);
         Ok(())
     }
 
@@ -263,13 +298,15 @@ impl Topology {
         if new_broker >= self.roles.len() {
             return Err(TopologyError::UnknownHost(new_broker));
         }
-        if !matches!(self.roles[w], NodeRole::Worker { .. }) {
+        let NodeRole::Worker { broker: old } = self.roles[w] else {
             return Err(TopologyError::WrongRole(w));
-        }
+        };
         if !matches!(self.roles[new_broker], NodeRole::Broker) {
             return Err(TopologyError::WrongRole(new_broker));
         }
         self.roles[w] = NodeRole::Worker { broker: new_broker };
+        remove_sorted(&mut self.members[old], w);
+        insert_sorted(&mut self.members[new_broker], w);
         Ok(())
     }
 
@@ -277,24 +314,15 @@ impl Topology {
     /// encoder: every worker links to its broker; brokers form a full
     /// mesh; each node carries a self-loop (§IV-A).
     pub fn gat_neighbors(&self) -> Vec<Vec<usize>> {
-        let brokers = self.brokers();
-        let mut adj: Vec<Vec<usize>> = (0..self.roles.len()).map(|i| vec![i]).collect();
-        for (i, role) in self.roles.iter().enumerate() {
-            match role {
-                NodeRole::Broker => {
-                    for &b in &brokers {
-                        if b != i {
-                            adj[i].push(b);
-                        }
-                    }
-                    for w in self.workers_of(i) {
-                        adj[i].push(w);
-                    }
-                }
-                NodeRole::Worker { broker } => adj[i].push(*broker),
-            }
-        }
-        adj
+        (0..self.roles.len())
+            .map(|i| match self.roles[i] {
+                NodeRole::Broker => std::iter::once(i)
+                    .chain(self.brokers.iter().copied().filter(|&b| b != i))
+                    .chain(self.members[i].iter().copied())
+                    .collect(),
+                NodeRole::Worker { broker } => vec![i, broker],
+            })
+            .collect()
     }
 
     /// Canonical signature for tabu-list membership and hashing: worker
@@ -310,6 +338,20 @@ impl Topology {
     }
 }
 
+/// Inserts `h` into the ascending list `v` (no-op if present).
+fn insert_sorted(v: &mut Vec<HostId>, h: HostId) {
+    if let Err(pos) = v.binary_search(&h) {
+        v.insert(pos, h);
+    }
+}
+
+/// Removes `h` from the ascending list `v` (no-op if absent).
+fn remove_sorted(v: &mut Vec<HostId>, h: HostId) {
+    if let Ok(pos) = v.binary_search(&h) {
+        v.remove(pos);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -317,9 +359,9 @@ mod tests {
     #[test]
     fn balanced_topology_matches_testbed() {
         let t = Topology::balanced(16, 4).unwrap();
-        assert_eq!(t.brokers(), vec![0, 1, 2, 3]);
+        assert_eq!(t.brokers(), [0, 1, 2, 3]);
         assert_eq!(t.workers().len(), 12);
-        for b in t.brokers() {
+        for &b in t.brokers() {
             assert_eq!(t.workers_of(b).len(), 3);
             assert_eq!(t.lei(b).len(), 4);
         }
@@ -376,16 +418,13 @@ mod tests {
             TopologyError::WouldOrphanWorkers(0)
         );
         // Move 0's workers to 1, then demote works.
-        for w in t.workers_of(0) {
+        for w in t.workers_of(0).to_vec() {
             t.reassign(w, 1).unwrap();
         }
         t.demote(0, 1).unwrap();
         t.validate().unwrap();
-        assert_eq!(t.brokers(), vec![1]);
+        assert_eq!(t.brokers(), [1]);
         // Demoting the last broker must fail.
-        for w in t.workers_of(1) {
-            let _ = w; // broker 1 has workers; also single-broker guard fires first
-        }
         assert!(t.demote(1, 1).is_err());
     }
 
@@ -448,5 +487,6 @@ mod tests {
         let json = serde_json::to_string(&t).unwrap();
         let back: Topology = serde_json::from_str(&json).unwrap();
         assert_eq!(t, back);
+        assert_eq!(back.workers_of(0), t.workers_of(0));
     }
 }

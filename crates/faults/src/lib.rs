@@ -317,7 +317,7 @@ impl FaultInjector {
         let mut events = Vec::with_capacity(n_faults);
         for _ in 0..n_faults {
             let candidates: Vec<HostId> = match self.target {
-                TargetPolicy::BrokersOnly => sim.topology().brokers(),
+                TargetPolicy::BrokersOnly => sim.topology().brokers().to_vec(),
                 TargetPolicy::AnyHost => (0..sim.specs().len()).collect(),
             };
             if candidates.is_empty() {

@@ -77,9 +77,8 @@ pub fn random_topology_mutation(topo: &mut Topology, rng: &mut StdRng) {
                     let target = brokers[rng.gen_range(0..brokers.len())];
                     if b != target {
                         // Move b's workers to target first.
-                        let workers = topo.workers_of(b);
-                        for w in &workers {
-                            let _ = topo.reassign(*w, target);
+                        for w in topo.workers_of(b).to_vec() {
+                            let _ = topo.reassign(w, target);
                         }
                         if topo.demote(b, target).is_ok() {
                             return;

@@ -210,7 +210,7 @@ fn failed_broker_federation(
     use edgesim::state::{Normalizer, SystemState};
     use edgesim::{FaultLoad, SimConfig, Simulator};
 
-    let mut sim = Simulator::new(SimConfig::federation(n_hosts, n_brokers, 5));
+    let mut sim = Simulator::new(SimConfig::small(n_hosts, n_brokers, 5));
     let mut sched = LeastLoadScheduler::new();
     let broker = sim.topology().brokers()[0];
     sim.inject_fault(
@@ -371,7 +371,7 @@ fn sampled_tabu_repair_is_bit_identical_across_engines_and_workers() {
 }
 
 /// A 64-host DeFog trace of `intervals` captured states.
-fn federation_64_trace(intervals: usize) -> Vec<edgesim::state::SystemState> {
+fn defog_64_trace(intervals: usize) -> Vec<edgesim::state::SystemState> {
     use workloads::trace::{generate_trace, TraceConfig};
 
     generate_trace(
@@ -382,7 +382,7 @@ fn federation_64_trace(intervals: usize) -> Vec<edgesim::state::SystemState> {
             suite: workloads::BenchmarkSuite::DeFog,
             seed: 3,
         },
-        edgesim::SimConfig::federation(64, 8, 3),
+        edgesim::SimConfig::small(64, 8, 3),
     )
 }
 
@@ -459,7 +459,7 @@ fn batched_training_is_bit_identical_to_serial() {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
-    let trace = federation_64_trace(24);
+    let trace = defog_64_trace(24);
     assert!(trace.iter().all(|s| s.n_hosts() == 64));
     let grad_bits = |m: &mut gon::GonModel| -> Vec<Vec<u64>> {
         m.params_mut()
@@ -534,7 +534,7 @@ fn simd_and_scalar_kernels_are_bit_identical_end_to_end() {
     // unless some kernel is *not* bit-identical. On hosts where auto
     // resolves to scalar the comparison is trivially scalar-vs-scalar;
     // the AVX2 CI leg is where it bites.
-    let trace = federation_64_trace(12);
+    let trace = defog_64_trace(12);
 
     let leg = |backend: Backend| {
         let prev = kernel::set_backend(backend);

@@ -48,8 +48,8 @@ fn simultaneous_loss_of_all_brokers_is_survivable() {
     repaired.validate().unwrap();
     let live_brokers: Vec<_> = repaired
         .brokers()
-        .into_iter()
-        .filter(|&b| !sim.host_states()[b].failed)
+        .iter()
+        .filter(|&&b| !sim.host_states()[b].failed)
         .collect();
     assert!(
         !live_brokers.is_empty(),

@@ -31,6 +31,8 @@ proptest! {
             }
             topo = options[pick % options.len()].clone();
             topo.validate().unwrap();
+            // `Eq` compares the membership index, so this catches drift.
+            prop_assert_eq!(&topo, &Topology::new(topo.roles().to_vec()).unwrap());
             let (lo, hi) = broker_bounds(&topo);
             let b = topo.brokers().len();
             prop_assert!(b >= lo.min(b) && b <= hi.max(b));
@@ -58,6 +60,7 @@ proptest! {
             .collect();
         for cand in neighborhood(&topo, failed, &banned) {
             cand.validate().unwrap();
+            prop_assert_eq!(&cand, &Topology::new(cand.roles().to_vec()).unwrap());
             let demoted = matches!(cand.role(failed), NodeRole::Worker { .. });
             prop_assert!(demoted, "failed broker must be demoted");
             for &b in &banned {

@@ -32,6 +32,20 @@ fn topology_and_config_round_trip() {
     let back: Topology = serde_json::from_str(&json).unwrap();
     assert_eq!(topo, back);
 
+    // The membership index stays off the wire: checkpoint bytes are the
+    // role vector alone.
+    assert_eq!(
+        serde_json::to_string(&Topology::balanced(4, 2).unwrap()).unwrap(),
+        r#"{"roles":["Broker","Broker",{"Worker":{"broker":0}},{"Worker":{"broker":1}}]}"#
+    );
+    // Deserialisation validates: no brokers, or a worker under a worker.
+    for bad in [
+        r#"{"roles":[{"Worker":{"broker":1}},{"Worker":{"broker":0}}]}"#,
+        r#"{"roles":["Broker",{"Worker":{"broker":2}},{"Worker":{"broker":0}}]}"#,
+    ] {
+        assert!(serde_json::from_str::<Topology>(bad).is_err(), "{bad}");
+    }
+
     let cfg = SimConfig::testbed(9);
     let json = serde_json::to_string(&cfg).unwrap();
     let back: SimConfig = serde_json::from_str(&json).unwrap();

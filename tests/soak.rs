@@ -165,7 +165,7 @@ fn fingerprint(sim: &Simulator) -> (usize, u64, u64, Vec<u64>, Vec<u64>) {
 }
 
 fn run_fingerprint(workers: Option<usize>) -> (usize, u64, u64, Vec<u64>, Vec<u64>) {
-    let mut sim = Simulator::new(SimConfig::federation(64, 8, 11));
+    let mut sim = Simulator::new(SimConfig::small(64, 8, 11));
     sim.set_step_workers(workers);
     drive(&mut sim, 40, 0.45 * 64.0, 17);
     fingerprint(&sim)
@@ -203,7 +203,7 @@ fn sharded_host_stepping_is_bit_identical_across_worker_counts() {
 #[test]
 fn sharded_phases_are_bit_identical_at_256_hosts() {
     let run = |workers: Option<usize>| {
-        let mut sim = Simulator::new(SimConfig::federation(256, 16, 23));
+        let mut sim = Simulator::new(SimConfig::small(256, 16, 23));
         sim.set_step_workers(workers);
         drive_fault_heavy(&mut sim, 24, 0.45 * 256.0, 31);
         fingerprint(&sim)
