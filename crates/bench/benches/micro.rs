@@ -145,6 +145,34 @@ fn repair_fixture(
     n_brokers: usize,
     eval_threads: Option<usize>,
 ) -> (Simulator, SystemState, Carol) {
+    let config = CarolConfig {
+        gon: GonConfig {
+            hidden: 16,
+            head_layers: 2,
+            gat_dim: 8,
+            gat_att: 4,
+            gen_lr: 5e-3,
+            gen_steps: 2,
+            gen_tol: 1e-7,
+            seed: 3,
+        },
+        tabu: TabuConfig {
+            list_size: 20,
+            max_iters: 1,
+            ..Default::default()
+        },
+        eval_threads,
+        ..CarolConfig::fast_test()
+    };
+    repair_fixture_with(n_hosts, n_brokers, config)
+}
+
+/// [`repair_fixture`] under an arbitrary controller configuration.
+fn repair_fixture_with(
+    n_hosts: usize,
+    n_brokers: usize,
+    config: CarolConfig,
+) -> (Simulator, SystemState, Carol) {
     let mut sim = Simulator::new(SimConfig::small(n_hosts, n_brokers, 3));
     let mut sched = LeastLoadScheduler::new();
     let broker = sim.topology().brokers()[0];
@@ -165,25 +193,6 @@ fn repair_fixture(
         &report.decision,
         &Normalizer::for_federation(n_hosts, n_brokers),
     );
-    let config = CarolConfig {
-        gon: GonConfig {
-            hidden: 16,
-            head_layers: 2,
-            gat_dim: 8,
-            gat_att: 4,
-            gen_lr: 5e-3,
-            gen_steps: 2,
-            gen_tol: 1e-7,
-            seed: 3,
-        },
-        tabu: TabuConfig {
-            list_size: 20,
-            max_iters: 1,
-            ..Default::default()
-        },
-        eval_threads,
-        ..CarolConfig::fast_test()
-    };
     let policy = Carol::from_model(GonModel::new(config.gon.clone()), config, 3);
     (sim, snapshot, policy)
 }
@@ -204,6 +213,22 @@ fn bench_repair(c: &mut Criterion) {
             })
         });
     }
+
+    // The storm's repair shape: 1024 hosts in 171 LEIs, the sweep
+    // controller over the sampled neighbourhood — where `gon::batch_len`
+    // shrinks the scoring chunk to 2 candidates (2,048 stacked rows).
+    // Archived in BENCH_PR.json, not gated.
+    let mut storm = bench::scale::sweep_carol_config(3);
+    storm.tabu.neighborhood = bench::scale::sampled_neighborhood(3, 1024);
+    let (sim, snapshot, mut policy) = repair_fixture_with(1024, 171, storm);
+    c.bench_function("repair_1024_sampled", |b| {
+        b.iter(|| {
+            let repaired = policy
+                .repair(black_box(&sim), black_box(&snapshot))
+                .expect("failure must produce a repair");
+            black_box(repaired)
+        })
+    });
 
     // The CAROL_THREADS sweep at 64 hosts: the worker count pinned to
     // 1/2/4 through the same `EngineConfig` path the env var resolves,

@@ -127,6 +127,13 @@ pub struct ScalePoint {
     /// Surrogate queries behind `sampled_repair_wall_s`.
     #[serde(default)]
     pub sampled_repair_queries: usize,
+    /// Minor page faults the process took during the sampled repair
+    /// episode (`minflt` of `/proc/self/stat`; 0 where `/proc` is
+    /// absent) — the allocator-churn signal: a repair that hands its
+    /// working set back to the kernel after every scoring chunk faults it
+    /// back in on the next.
+    #[serde(default)]
+    pub sampled_repair_minor_faults: u64,
     /// Tabu objective (lower is better) of the full-neighbourhood repair's
     /// winner. `0.0` at sizes where the full path is not priced.
     #[serde(default)]
@@ -260,16 +267,34 @@ fn size_scenarios(config: &ScaleConfig, n_hosts: usize, n_brokers: usize) -> Vec
     specs
 }
 
+/// Minor page faults this process has taken so far: field 10 (`minflt`)
+/// of `/proc/self/stat`, or 0 where `/proc` is absent.
+fn minor_faults() -> u64 {
+    std::fs::read_to_string("/proc/self/stat")
+        .ok()
+        .and_then(|stat| parse_minflt(&stat))
+        .unwrap_or(0)
+}
+
+/// `minflt` of one `/proc/<pid>/stat` line. Field 2 (the command name)
+/// is parenthesised and may hold spaces or ')', so fields 3 onward are
+/// read after the *last* ')': `minflt` is the 8th of them.
+fn parse_minflt(stat: &str) -> Option<u64> {
+    let (_, rest) = stat.rsplit_once(')')?;
+    rest.split_whitespace().nth(7)?.parse().ok()
+}
+
 /// Times one isolated repair episode — a single broker failure resolved
 /// through the batched tabu/surrogate path — at the given federation
 /// size under the given controller configuration. Returns `(wall_s,
-/// surrogate_queries, best_score)`.
+/// surrogate_queries, best_score, minor_faults)`, the last being the
+/// process's minor page faults across the repair.
 pub fn measure_repair_with(
     n_hosts: usize,
     n_brokers: usize,
     seed: u64,
     config: CarolConfig,
-) -> (f64, usize, f64) {
+) -> (f64, usize, f64, u64) {
     use carol::ResiliencePolicy;
     use edgesim::scheduler::LeastLoadScheduler;
     use edgesim::state::{Normalizer, SystemState};
@@ -295,18 +320,20 @@ pub fn measure_repair_with(
         &Normalizer::for_federation(n_hosts, n_brokers),
     );
     let mut policy = Carol::from_model(gon::GonModel::new(config.gon.clone()), config, seed);
+    let faults_before = minor_faults();
     let start = Instant::now();
     let repaired = policy.repair(&sim, &snapshot);
     let wall_s = start.elapsed().as_secs_f64();
+    let faults = minor_faults().saturating_sub(faults_before);
     assert!(repaired.is_some(), "broker failure must produce a repair");
     let score = policy.last_repair_score.expect("repair records its score");
-    (wall_s, policy.surrogate_queries, score)
+    (wall_s, policy.surrogate_queries, score, faults)
 }
 
 /// [`measure_repair_with`] under the sweep's full-neighbourhood
 /// controller. Returns `(wall_s, surrogate_queries)`.
 pub fn measure_repair(n_hosts: usize, n_brokers: usize, seed: u64) -> (f64, usize) {
-    let (wall_s, queries, _) =
+    let (wall_s, queries, _, _) =
         measure_repair_with(n_hosts, n_brokers, seed, sweep_carol_config(seed));
     (wall_s, queries)
 }
@@ -327,12 +354,16 @@ pub fn run_cell(spec: &ScenarioSpec, seed: u64) -> ScalePoint {
 
     let mut sampled_cfg = sweep_carol_config(seed);
     sampled_cfg.tabu.neighborhood = sampled_neighborhood(seed, spec.n_hosts);
-    let (sampled_repair_wall_s, sampled_repair_queries, repair_score_sampled) =
-        measure_repair_with(spec.n_hosts, spec.n_brokers, seed, sampled_cfg);
+    let (
+        sampled_repair_wall_s,
+        sampled_repair_queries,
+        repair_score_sampled,
+        sampled_repair_minor_faults,
+    ) = measure_repair_with(spec.n_hosts, spec.n_brokers, seed, sampled_cfg);
 
     let full_priced = spec.n_hosts <= FULL_NEIGHBORHOOD_MAX_HOSTS;
     let (repair_wall_s, repair_queries, repair_score_full, repair_mode) = if full_priced {
-        let (w, q, score) =
+        let (w, q, score, _) =
             measure_repair_with(spec.n_hosts, spec.n_brokers, seed, sweep_carol_config(seed));
         (w, q, score, "full")
     } else {
@@ -361,6 +392,7 @@ pub fn run_cell(spec: &ScenarioSpec, seed: u64) -> ScalePoint {
         repair_mode: repair_mode.into(),
         sampled_repair_wall_s,
         sampled_repair_queries,
+        sampled_repair_minor_faults,
         repair_score_full,
         repair_score_sampled,
         phase_timings: out.result.phase_timings,
@@ -396,7 +428,7 @@ pub fn to_json(points: &[ScalePoint]) -> String {
 pub fn render_table(points: &[ScalePoint]) -> String {
     let mut out = String::new();
     out.push_str(&format!(
-        "{:<14}{:>8}{:>10}{:>12}{:>12}{:>10}{:>10}{:>10}{:>12}{:>9}{:>13}\n",
+        "{:<14}{:>8}{:>10}{:>12}{:>12}{:>10}{:>10}{:>10}{:>12}{:>9}{:>13}{:>13}\n",
         "scenario",
         "hosts",
         "done",
@@ -407,13 +439,14 @@ pub fn render_table(points: &[ScalePoint]) -> String {
         "wall_s",
         "repair_ms",
         "mode",
-        "sampled_ms"
+        "sampled_ms",
+        "sampled_flt"
     ));
-    out.push_str(&"-".repeat(120));
+    out.push_str(&"-".repeat(133));
     out.push('\n');
     for p in points {
         out.push_str(&format!(
-            "{:<14}{:>8}{:>10}{:>12.1}{:>12.1}{:>10.3}{:>10}{:>10.2}{:>12.1}{:>9}{:>13.1}\n",
+            "{:<14}{:>8}{:>10}{:>12.1}{:>12.1}{:>10.3}{:>10}{:>10.2}{:>12.1}{:>9}{:>13.1}{:>13}\n",
             p.scenario,
             p.n_hosts,
             p.completed,
@@ -424,7 +457,8 @@ pub fn render_table(points: &[ScalePoint]) -> String {
             p.wall_s,
             p.repair_wall_s * 1e3,
             p.repair_mode,
-            p.sampled_repair_wall_s * 1e3
+            p.sampled_repair_wall_s * 1e3,
+            p.sampled_repair_minor_faults
         ));
     }
     out
@@ -501,5 +535,16 @@ mod tests {
         assert_eq!(back[0].energy_wh.to_bits(), points[0].energy_wh.to_bits());
         let table = render_table(&points);
         assert!(table.contains("aiot-16"));
+        assert!(table.contains("sampled_flt"));
+    }
+
+    #[test]
+    fn minflt_is_field_ten_of_proc_stat() {
+        let line = "4242 (odd) name) S 1 4242 4242 0 -1 4194560 31337 0 12 0 5 3";
+        assert_eq!(parse_minflt(line), Some(31337));
+        assert_eq!(parse_minflt("garbage"), None);
+        if std::path::Path::new("/proc/self/stat").exists() {
+            assert!(minor_faults() > 0, "a running process has faulted pages in");
+        }
     }
 }

@@ -4,7 +4,7 @@ use crate::nodeshift::random_shift;
 use crate::policy::{ObserveOutcome, ResiliencePolicy};
 use crate::pot::PotDetector;
 use crate::tabu::{self, TabuConfig};
-use edgesim::state::SystemState;
+use edgesim::state::{qos_components, SystemState};
 use edgesim::{HostId, IntervalReport, NodeRole, SimConfig, Simulator, Topology};
 use gon::surrogates::{FeedForwardSurrogate, GanSurrogate};
 use gon::{train_offline, GonCheckpoint, GonConfig, GonModel, TrainConfig};
@@ -310,23 +310,21 @@ impl Carol {
         self.objective_batch(base, std::slice::from_ref(candidate))[0]
     }
 
-    /// Candidates per stacked network forward. Small enough that chunks
-    /// outnumber workers for parallel balance, large enough that the
-    /// blocked matmul kernel amortises (16 candidates × 128 hosts = a
-    /// 2048-row activation block per layer).
-    const SCORE_BATCH: usize = 16;
-
     /// Batched surrogate objective Ω(G) over a candidate neighbourhood —
     /// the engine behind every tabu iteration.
     ///
-    /// Candidates are chunked into fixed-size batches, each batch runs as
-    /// one stacked network forward (and, for the GON, one batched eq.-1
-    /// ascent), and the chunks fan out over [`par::par_map_threads`]
-    /// worker threads that each score on their own model replica. Chunk
-    /// boundaries are a pure function of the candidate list, results are
-    /// written to input-index slots, and the modeled decision-time costs
-    /// are charged in candidate order afterwards — so the returned scores
-    /// *and* every accumulator on `self` are bit-identical to calling
+    /// Candidates are chunked by [`gon::batch_len`] — about 2,048 stacked
+    /// host rows per chunk, 16 candidates up to 128 hosts, 2 at 1,024 —
+    /// so a chunk's activations stay a small working set the allocator
+    /// reuses instead of returning to the kernel and faulting back in.
+    /// Each chunk runs as one stacked network forward (and, for the GON,
+    /// one batched eq.-1 ascent), and the chunks fan out over
+    /// [`par::par_map_init`] workers that each clone the model once and
+    /// score all their chunks on that replica. Chunk boundaries are a
+    /// pure function of the candidate list, results are written to
+    /// input-index slots, and the modeled decision-time costs are charged
+    /// in candidate order afterwards — so the returned scores *and* every
+    /// accumulator on `self` are bit-identical to calling
     /// [`Carol::objective_public`] once per candidate, at any thread
     /// count.
     pub fn objective_batch(&mut self, base: &SystemState, candidates: &[Topology]) -> Vec<f64> {
@@ -338,8 +336,11 @@ impl Carol {
             threads: self.config.eval_threads,
         }
         .worker_count();
-        let chunks: Vec<&[Topology]> = candidates.chunks(Self::SCORE_BATCH).collect();
+        let chunks: Vec<&[Topology]> = candidates.chunks(gon::batch_len(base.n_hosts())).collect();
         let (alpha, beta) = (self.config.alpha, self.config.beta);
+        let probes = |chunk: &[Topology]| -> Vec<SystemState> {
+            chunk.iter().map(|t| base.with_topology(t)).collect()
+        };
 
         // Per-candidate (objective-without-transition, modeled decision
         // cost), computed in parallel; bookkeeping is replayed in
@@ -353,53 +354,56 @@ impl Carol {
             CarolVariant::Gon => {
                 let gon = &self.gon;
                 let depth_factor = self.config.gon.head_layers.max(1) as f64 / 3.0;
-                par::par_map_threads(threads, &chunks, |chunk| {
-                    let mut model = gon.clone();
-                    let probes: Vec<SystemState> =
-                        chunk.iter().map(|t| base.with_topology(t)).collect();
-                    let generated = model.generate_batch(&probes);
-                    probes
-                        .iter()
-                        .zip(generated)
-                        .map(|(probe, gen)| {
-                            let mut refined = probe.clone();
-                            refined.set_metrics_flat(&gen.metrics_flat);
-                            let (qe, qs) = refined.qos_components();
-                            // 0.08 ms per ascent iteration at the
-                            // reference depth of 3 layers; deeper models
-                            // pay proportionally more per pass (the
-                            // Fig. 6b scheduling-time growth).
-                            let cost = 8.0e-5 * depth_factor * gen.iterations as f64;
-                            (alpha * qe + beta * qs, cost)
-                        })
-                        .collect()
-                })
+                par::par_map_init(
+                    threads,
+                    &chunks,
+                    || gon.clone(),
+                    |model, chunk| {
+                        model
+                            .generate_batch(&probes(chunk))
+                            .iter()
+                            .map(|gen| {
+                                let (qe, qs) = qos_components(&gen.metrics_flat);
+                                // 0.08 ms per ascent iteration at the
+                                // reference depth of 3 layers; deeper
+                                // models pay proportionally more per pass
+                                // (the Fig. 6b scheduling-time growth).
+                                let cost = 8.0e-5 * depth_factor * gen.iterations as f64;
+                                (alpha * qe + beta * qs, cost)
+                            })
+                            .collect()
+                    },
+                )
             }
             CarolVariant::Gan => {
                 let gan = self.gan.as_ref().expect("GAN variant carries a GAN");
-                par::par_map_threads(threads, &chunks, |chunk| {
-                    let mut model = gan.clone();
-                    let probes: Vec<SystemState> =
-                        chunk.iter().map(|t| base.with_topology(t)).collect();
-                    model
-                        .predict_qos_batch(&probes, alpha, beta, 17)
-                        .into_iter()
-                        .map(|q| (q, 0.00045))
-                        .collect()
-                })
+                par::par_map_init(
+                    threads,
+                    &chunks,
+                    || gan.clone(),
+                    |model, chunk| {
+                        model
+                            .predict_qos_batch(&probes(chunk), alpha, beta, 17)
+                            .into_iter()
+                            .map(|q| (q, 0.00045))
+                            .collect()
+                    },
+                )
             }
             CarolVariant::TraditionalSurrogate => {
                 let ff = self.ff.as_ref().expect("FF variant carries a regressor");
-                par::par_map_threads(threads, &chunks, |chunk| {
-                    let mut model = ff.clone();
-                    let probes: Vec<SystemState> =
-                        chunk.iter().map(|t| base.with_topology(t)).collect();
-                    model
-                        .predict_qos_batch(&probes)
-                        .into_iter()
-                        .map(|q| (q, 0.0002))
-                        .collect()
-                })
+                par::par_map_init(
+                    threads,
+                    &chunks,
+                    || ff.clone(),
+                    |model, chunk| {
+                        model
+                            .predict_qos_batch(&probes(chunk))
+                            .into_iter()
+                            .map(|q| (q, 0.0002))
+                            .collect()
+                    },
+                )
             }
         };
 
@@ -621,9 +625,8 @@ impl ResiliencePolicy for Carol {
             // … line 8: tabu search over Ω(G; D, S, O), each iteration
             // scoring the whole neighbourhood through the batched
             // surrogate engine.
-            let base = snapshot.clone();
             let tabu_cfg = self.config.tabu.clone();
-            let result = tabu::search(topo, &banned, &tabu_cfg, self.batch_objective(&base));
+            let result = tabu::search(topo, &banned, &tabu_cfg, self.batch_objective(snapshot));
             self.last_repair_score = Some(result.best_score);
             topo = result.best;
         }

@@ -80,14 +80,13 @@ impl ProactiveCarol {
             max_iters: 2,
             ..self.inner.config().tabu.clone()
         };
-        let base = snapshot.clone();
         let inner = &mut self.inner;
-        let current_score = inner.objective_public(&base, &current);
+        let current_score = inner.objective_public(snapshot, &current);
         let result = tabu::search(
             current.clone(),
             &banned,
             &tabu_cfg,
-            inner.batch_objective(&base),
+            inner.batch_objective(snapshot),
         );
         if result.best != current && result.best_score < current_score - self.min_gain {
             self.preventive_changes += 1;

@@ -336,7 +336,8 @@ impl SystemState {
     /// "we initialize M as M_{t-1} and then converge").
     pub fn with_topology(&self, topology: &Topology) -> Self {
         assert_eq!(topology.len(), self.n_hosts(), "host count mismatch");
-        let mut out = self.clone();
+        let mut metrics = self.metrics.clone();
+        let mut graph_features = self.graph_features.clone();
         let c = self.costs;
         let cand_pressure = lei_pressure(topology, &self.metrics);
         let base_pressure = lei_pressure(&self.topology, &self.metrics);
@@ -371,8 +372,8 @@ impl SystemState {
         let blast = |topo: &Topology| c.stall_risk / topo.brokers().len().max(1) as f64;
         for h in 0..self.n_hosts() {
             let is_broker = matches!(topology.role(h), NodeRole::Broker);
-            out.graph_features[h][4] = if is_broker { 1.0 } else { 0.0 };
-            out.graph_features[h][5] =
+            graph_features[h][4] = if is_broker { 1.0 } else { 0.0 };
+            graph_features[h][5] =
                 (topology.workers_of(h).len() as f64 / self.n_hosts() as f64).clamp(0.0, 1.0);
 
             let d_cpu = mgmt_cpu(topology, h) - mgmt_cpu(&self.topology, h);
@@ -386,8 +387,8 @@ impl SystemState {
                         - queue_share(&base_pressure, &self.topology, h))
                 + blast(topology)
                 - blast(&self.topology);
-            out.metrics[h][0] = (out.metrics[h][0] + d_cpu).clamp(0.0, 1.0);
-            out.metrics[h][1] = (out.metrics[h][1] + d_ram).clamp(0.0, 1.0);
+            metrics[h][0] = (metrics[h][0] + d_cpu).clamp(0.0, 1.0);
+            metrics[h][1] = (metrics[h][1] + d_ram).clamp(0.0, 1.0);
             // Energy tracks CPU roughly linearly on constant-frequency
             // SBCs — plus the standby premium: brokers can never drop into
             // standby, so promoting a (likely idle) worker costs the
@@ -402,22 +403,43 @@ impl SystemState {
             } else {
                 0.0
             };
-            out.metrics[h][6] = (out.metrics[h][6] + 0.6 * d_cpu + d_standby).clamp(0.0, 1.0);
-            out.metrics[h][8] = (out.metrics[h][8] + d_slo).clamp(0.0, 1.0);
+            metrics[h][6] = (metrics[h][6] + 0.6 * d_cpu + d_standby).clamp(0.0, 1.0);
+            metrics[h][8] = (metrics[h][8] + d_slo).clamp(0.0, 1.0);
         }
-        out.neighbors = topology.gat_neighbors();
-        out.topology = topology.clone();
-        out
+        Self {
+            metrics,
+            schedule: self.schedule.clone(),
+            graph_features,
+            neighbors: topology.gat_neighbors(),
+            topology: topology.clone(),
+            ram_mb: self.ram_mb.clone(),
+            costs: self.costs,
+        }
     }
 
     /// The per-host mean energy (normalised) and SLO-pressure columns of
     /// `M`, summed over hosts — the ingredients of the objective function
-    /// `O(M) = α·q_energy + β·q_slo` (eq. 6–7).
+    /// `O(M) = α·q_energy + β·q_slo` (eq. 6–7). See [`qos_components`].
     pub fn qos_components(&self) -> (f64, f64) {
-        let energy: f64 = self.metrics.iter().map(|m| m[6]).sum();
-        let slo: f64 = self.metrics.iter().map(|m| m[8]).sum();
-        (energy, slo)
+        qos_components(self.metrics.as_flattened())
     }
+}
+
+/// [`SystemState::qos_components`] of a flat `M` (the
+/// [`SystemState::metrics_flat`] layout, e.g. a generated `M*`): the
+/// energy and SLO-pressure columns summed over hosts in host order.
+/// Scoring a generated candidate reads its objective straight off the
+/// flat vector, without building a state to hold it.
+///
+/// # Panics
+///
+/// Panics if `flat.len()` is not a multiple of [`METRIC_DIM`].
+pub fn qos_components(flat: &[f64]) -> (f64, f64) {
+    assert_eq!(flat.len() % METRIC_DIM, 0, "flat metric length mismatch");
+    let rows = || flat.chunks_exact(METRIC_DIM);
+    let energy: f64 = rows().map(|m| m[6]).sum();
+    let slo: f64 = rows().map(|m| m[8]).sum();
+    (energy, slo)
 }
 
 #[cfg(test)]

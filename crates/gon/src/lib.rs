@@ -35,5 +35,5 @@ pub mod surrogates;
 pub mod training;
 
 pub use checkpoint::{CheckpointError, GonCheckpoint};
-pub use model::{Generated, GonConfig, GonModel};
+pub use model::{batch_len, Generated, GonConfig, GonModel};
 pub use training::{train_offline, EpochStats, TrainConfig};

@@ -81,6 +81,36 @@ impl GonConfig {
     }
 }
 
+/// Stacked host rows one batched forward aims for: enough rows for the
+/// blocked matmul to amortise, few enough that a chunk's activations stay
+/// a small working set the allocator reuses instead of returning it to
+/// the kernel between chunks (16 candidates × 128 hosts fills it).
+const BATCH_ROWS: usize = 2048;
+
+/// Most candidates one batched forward stacks, however small the
+/// federation: chunks must still outnumber workers for parallel balance.
+const MAX_BATCH: usize = 16;
+
+/// Candidates (or training samples) per stacked forward at `n_hosts`
+/// hosts — the one chunk-size policy of every batched engine: about
+/// 2,048 stacked rows per chunk, between 1 and 16 candidates. Up to 128
+/// hosts a chunk holds 16 candidates; at 1024 it holds 2, and from 2048
+/// on it holds 1. Results never depend on it — every batched path is
+/// bit-identical to its per-candidate sibling — only the working set
+/// does.
+///
+/// # Examples
+///
+/// ```
+/// assert_eq!(gon::batch_len(16), 16);
+/// assert_eq!(gon::batch_len(128), 16);
+/// assert_eq!(gon::batch_len(1024), 2);
+/// assert_eq!(gon::batch_len(4096), 1);
+/// ```
+pub fn batch_len(n_hosts: usize) -> usize {
+    (BATCH_ROWS / n_hosts.max(1)).clamp(1, MAX_BATCH)
+}
+
 /// Result of one generation query (eq. 1 run to convergence).
 #[derive(Debug, Clone)]
 pub struct Generated {
@@ -524,12 +554,6 @@ impl GonModel {
         outs
     }
 
-    /// Fake-ascent chunk size for [`GonModel::adversarial_step_batch`]:
-    /// matches the repair engine's 16-candidate batches — small enough
-    /// that chunks outnumber workers, large enough that the blocked
-    /// matmul amortises.
-    const TRAIN_GEN_CHUNK: usize = 16;
-
     /// One batched adversarial update (Algorithm 1 lines 3–6) over a
     /// whole minibatch: returns the per-sample BCE losses
     /// (`−log D(real) − log(1 − D(fake))`) and accumulates the summed
@@ -539,9 +563,9 @@ impl GonModel {
     ///
     /// 1. **Fake convergence** — every sample's noise-initialised metrics
     ///    run the configured eq.-1 ascent via the masked batched engine
-    ///    ([`GonModel::generate_batch`]), chunked
-    ///    (fixed 16-sample chunks) and fanned out over
-    ///    [`par::par_map_threads`] worker threads holding model clones.
+    ///    ([`GonModel::generate_batch`]), chunked by [`batch_len`] of
+    ///    the largest state and fanned out over [`par::par_map_init`]
+    ///    workers that each hold one model replica for all their chunks.
     ///    The ascent is parameter-gradient-free, chunk boundaries are a
     ///    pure function of the minibatch, and results land in input-index
     ///    slots — so the fakes are bit-identical at any worker count.
@@ -581,7 +605,7 @@ impl GonModel {
 
         // Stage 1: noise-initialise every fake in minibatch order (the
         // serial step's RNG stream), then converge them all through the
-        // batched eq.-1 ascent on per-worker model clones.
+        // batched eq.-1 ascent on one model replica per worker.
         let mut fakes: Vec<SystemState> = states
             .iter()
             .map(|s| {
@@ -593,12 +617,15 @@ impl GonModel {
                 fake
             })
             .collect();
-        let chunks: Vec<&[SystemState]> = fakes.chunks(Self::TRAIN_GEN_CHUNK).collect();
+        let chunk_len = batch_len(states.iter().map(|s| s.n_hosts()).max().unwrap_or(1));
+        let chunks: Vec<&[SystemState]> = fakes.chunks(chunk_len).collect();
         let this: &Self = self;
-        let generated: Vec<Generated> = par::par_map_threads(threads, &chunks, |chunk| {
-            let mut model = this.clone();
-            model.generate_batch(chunk)
-        })
+        let generated: Vec<Generated> = par::par_map_init(
+            threads,
+            &chunks,
+            || this.clone(),
+            |model, chunk| model.generate_batch(chunk),
+        )
         .into_iter()
         .flatten()
         .collect();

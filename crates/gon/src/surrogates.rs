@@ -12,7 +12,7 @@
 //!   interval — which is exactly the overhead pathology the ablation
 //!   demonstrates.
 
-use edgesim::state::{SystemState, GRAPH_DIM, METRIC_DIM, SCHED_DIM};
+use edgesim::state::{qos_components, SystemState, GRAPH_DIM, METRIC_DIM, SCHED_DIM};
 use nn::init::Initializer;
 use nn::layer::{Activation, Dense, Layer, Sequential};
 use nn::{Adam, GraphAttention, Matrix};
@@ -233,10 +233,7 @@ impl GanSurrogate {
     /// objective CAROL reads off the GON's generated `M*`, so the
     /// surrogates are swappable.
     pub fn predict_qos(&mut self, state: &SystemState, alpha: f64, beta: f64, seed: u64) -> f64 {
-        let m = self.generate(state, seed);
-        let mut probe = state.clone();
-        probe.set_metrics_flat(&m);
-        let (qe, qs) = probe.qos_components();
+        let (qe, qs) = qos_components(&self.generate(state, seed));
         alpha * qe + beta * qs
     }
 
@@ -283,14 +280,10 @@ impl GanSurrogate {
         beta: f64,
         seed: u64,
     ) -> Vec<f64> {
-        let generated = self.generate_batch(states, seed);
-        states
+        self.generate_batch(states, seed)
             .iter()
-            .zip(generated)
-            .map(|(state, m)| {
-                let mut probe = state.clone();
-                probe.set_metrics_flat(&m);
-                let (qe, qs) = probe.qos_components();
+            .map(|m| {
+                let (qe, qs) = qos_components(m);
                 alpha * qe + beta * qs
             })
             .collect()

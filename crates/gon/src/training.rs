@@ -9,10 +9,10 @@
 //!
 //! Every minibatch runs through one engine,
 //! [`GonModel::adversarial_step_batch`]: it converges every fake sample
-//! through the masked batched eq.-1 ascent (chunks fanned out over
-//! [`par`] worker threads holding model clones), then runs **one** stacked
-//! discriminator forward and **one** in-order per-segment gradient
-//! reduction for the whole minibatch. Because each fake is its real twin
+//! through the masked batched eq.-1 ascent (row-budget chunks fanned out
+//! over [`par`] workers that each hold one model replica), then runs
+//! **one** stacked discriminator forward and **one** in-order
+//! per-segment gradient reduction for the whole minibatch. Because each fake is its real twin
 //! with only the metrics replaced, the stacked pass computes the
 //! step-invariant GAT embedding once per component and shares it across
 //! the real/fake halves — half the GAT cost of every training step,

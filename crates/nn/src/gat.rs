@@ -117,6 +117,10 @@ impl GraphAttention {
         let d_out = self.out_dim();
         let mut output = Matrix::zeros(n, d_out);
         let mut attention = Vec::with_capacity(n);
+        // One node's logits, exponentiated in place: a buffer reused
+        // across nodes (every slot is written before it is read); only
+        // the normalised `alpha` is kept, for backward.
+        let mut scratch: Vec<f64> = Vec::new();
         for (i, nbrs) in neighbors.iter().enumerate() {
             for &j in nbrs {
                 assert!(j < n, "neighbour index {j} out of range for {n} nodes");
@@ -130,7 +134,8 @@ impl GraphAttention {
             // ascending-c chain, so four neighbours' logits run as
             // parallel SIMD lanes; the exp stays scalar (libm).
             let qi = q.row(i);
-            let mut logits = vec![0.0f64; nbrs.len()];
+            scratch.resize(nbrs.len(), 0.0);
+            let logits = &mut scratch[..];
             let mut idx = 0;
             while idx + 4 <= nbrs.len() {
                 let dots = kernel::dot4_rows(
@@ -150,9 +155,11 @@ impl GraphAttention {
                 idx += 1;
             }
             let max = logits.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-            let exps: Vec<f64> = logits.iter().map(|l| (l - max).exp()).collect();
-            let denom: f64 = exps.iter().sum();
-            let alpha: Vec<f64> = exps.iter().map(|e| e / denom).collect();
+            for l in logits.iter_mut() {
+                *l = (*l - max).exp();
+            }
+            let denom: f64 = logits.iter().sum();
+            let alpha: Vec<f64> = logits.iter().map(|e| e / denom).collect();
 
             for (idx, &j) in nbrs.iter().enumerate() {
                 kernel::axpy(output.row_mut(i), alpha[idx], h.row(j));

@@ -11,7 +11,9 @@
 //! atomic queue (single-queue work stealing) but every result is written
 //! back to the slot of its *input index*, so the output order — and, for
 //! pure per-item functions, every output bit — is independent of thread
-//! count and OS scheduling.
+//! count and OS scheduling. [`par_map_init`] is the same engine with
+//! per-worker state — the batched surrogate engines use it to keep one
+//! model replica per worker rather than cloning one per chunk.
 //!
 //! The worker count defaults to [`std::thread::available_parallelism`] and
 //! can be pinned with the `CAROL_THREADS` environment variable (`1`
@@ -131,9 +133,47 @@ where
     R: Send,
     F: Fn(&T) -> R + Sync,
 {
+    par_map_init(threads, items, || (), |_, item| f(item))
+}
+
+/// [`par_map_threads`] with per-worker state: `init` builds one `S` per
+/// worker (lazily, when that worker claims its first item) and `f`
+/// receives it mutably alongside every item the worker claims. This is
+/// how the batched engines keep **one model replica per worker** instead
+/// of cloning a model per chunk.
+///
+/// `init` runs at most `min(threads, items.len())` times: once on the
+/// serial path, never for empty input. Output order is input order. For
+/// the parallel result to be bit-identical to the serial one, `f`'s
+/// output must not depend on what earlier items left in the state (a
+/// model's forward caches are overwritten, never read, by the next
+/// forward — that is the contract the engines rely on).
+///
+/// # Examples
+///
+/// ```
+/// // A scratch buffer per worker, reused across that worker's items.
+/// let lens = par::par_map_init(2, &["ab", "cde"], Vec::new, |buf: &mut Vec<u8>, s| {
+///     buf.clear();
+///     buf.extend_from_slice(s.as_bytes());
+///     buf.len()
+/// });
+/// assert_eq!(lens, vec![2, 3]);
+/// ```
+pub fn par_map_init<T, S, R, I, F>(threads: usize, items: &[T], init: I, f: F) -> Vec<R>
+where
+    T: Sync,
+    R: Send,
+    I: Fn() -> S + Sync,
+    F: Fn(&mut S, &T) -> R + Sync,
+{
     let workers = threads.max(1).min(items.len());
     if workers <= 1 {
-        return items.iter().map(f).collect();
+        if items.is_empty() {
+            return Vec::new();
+        }
+        let mut state = init();
+        return items.iter().map(|item| f(&mut state, item)).collect();
     }
 
     // Single shared queue: workers race on `next` and claim whole items.
@@ -146,11 +186,14 @@ where
 
     std::thread::scope(|scope| {
         for _ in 0..workers {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some(item) = items.get(i) else { break };
-                let result = f(item);
-                *slots[i].lock().expect("result slot poisoned") = Some(result);
+            scope.spawn(|| {
+                let mut state = None;
+                loop {
+                    let i = next.fetch_add(1, Ordering::Relaxed);
+                    let Some(item) = items.get(i) else { break };
+                    let result = f(state.get_or_insert_with(&init), item);
+                    *slots[i].lock().expect("result slot poisoned") = Some(result);
+                }
             });
         }
     });
@@ -247,6 +290,54 @@ mod tests {
             1,
             "explicit Some(0) clamps too"
         );
+    }
+
+    #[test]
+    fn init_runs_at_most_once_per_worker() {
+        let calls = AtomicUsize::new(0);
+        let init = || {
+            calls.fetch_add(1, Ordering::Relaxed);
+        };
+        let input: Vec<u32> = (0..40).collect();
+        // (1, all 40): the serial path inits exactly once.
+        for (threads, items) in [(4usize, &input[..]), (8, &input[..3]), (1, &input[..])] {
+            calls.store(0, Ordering::Relaxed);
+            let out = par_map_init(threads, items, init, |_, &x| x + 1);
+            assert_eq!(out, items.iter().map(|&x| x + 1).collect::<Vec<_>>());
+            let n = calls.load(Ordering::Relaxed);
+            assert!(
+                (1..=threads.min(items.len())).contains(&n),
+                "{threads} threads over {} items: {n} init calls",
+                items.len()
+            );
+        }
+
+        calls.store(0, Ordering::Relaxed);
+        let empty: Vec<u32> = Vec::new();
+        assert!(par_map_init(4, &empty, init, |_, &x| x).is_empty());
+        assert!(par_map_init(1, &empty, init, |_, &x| x).is_empty());
+        assert_eq!(calls.load(Ordering::Relaxed), 0, "empty input never inits");
+    }
+
+    #[test]
+    fn init_state_parallel_matches_serial_with_uneven_work() {
+        let input: Vec<u64> = (0..64).collect();
+        // Per-worker scratch reused across items; uneven cost makes late
+        // items finish first, so an order bug would permute the output.
+        let work = |scratch: &mut Vec<u64>, &x: &u64| -> u64 {
+            let spins = if x % 7 == 0 { 20_000 } else { 10 };
+            scratch.clear();
+            let mut acc = x;
+            for _ in 0..spins {
+                acc = acc.wrapping_mul(6364136223846793005).wrapping_add(1);
+                scratch.push(acc);
+            }
+            scratch.iter().fold(0u64, |a, &v| a ^ v)
+        };
+        let serial = par_map_init(1, &input, Vec::new, work);
+        for threads in [2, 4] {
+            assert_eq!(par_map_init(threads, &input, Vec::new, work), serial);
+        }
     }
 
     #[test]

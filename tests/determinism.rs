@@ -319,6 +319,53 @@ fn batched_tabu_repair_is_bit_identical_to_serial() {
     }
 }
 
+/// The row-budget chunk boundary of the repair engine: at 512 hosts
+/// `gon::batch_len` packs 4 candidates per stacked forward, so 9 sampled
+/// candidates score as chunks of 4 + 4 + 1 — a short tail chunk, and
+/// more chunks than workers at 3 workers, each worker reusing one model
+/// replica across its chunks. One `objective_batch` call must equal one
+/// `objective_public` call per candidate: same scores, same surrogate
+/// query count, same modeled decision time.
+#[test]
+fn row_budget_chunks_score_bit_identically_at_512_hosts() {
+    use carol::tabu::Neighborhood;
+    use carol::ResiliencePolicy;
+    use rand::SeedableRng;
+
+    let (sim, snapshot) = failed_broker_federation(512, 64);
+    assert_eq!(gon::batch_len(512), 4, "512 hosts must chunk by 4");
+    let mut rng = rand::rngs::StdRng::seed_from_u64(29);
+    let mut candidates = carol::nodeshift::mutations_sampled(sim.topology(), &[], 12, &mut rng);
+    candidates.truncate(9);
+    assert_eq!(candidates.len(), 9, "need 9 candidates for 4 + 4 + 1");
+
+    let policy = |threads| repair_policy(2, 1, Neighborhood::Full, threads);
+    let mut one_by_one = policy(1);
+    let want: Vec<f64> = candidates
+        .iter()
+        .map(|t| one_by_one.objective_public(&snapshot, t))
+        .collect();
+    for threads in [1, 3] {
+        let mut batched = policy(threads);
+        let got = batched.objective_batch(&snapshot, &candidates);
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(
+            bits(&got),
+            bits(&want),
+            "{threads} workers: scores diverged"
+        );
+        assert_eq!(
+            batched.surrogate_queries, one_by_one.surrogate_queries,
+            "{threads} workers: query counts diverged"
+        );
+        assert_eq!(
+            batched.modeled_decision_s().to_bits(),
+            one_by_one.modeled_decision_s().to_bits(),
+            "{threads} workers: modeled decision time diverged"
+        );
+    }
+}
+
 /// The sampled-neighbourhood repair path's own determinism gate. Sampling
 /// **knowingly changes search results** versus the full neighbourhood, so
 /// it cannot ride on the full-path pins — but it must still be a pure
@@ -372,17 +419,26 @@ fn sampled_tabu_repair_is_bit_identical_across_engines_and_workers() {
 
 /// A 64-host DeFog trace of `intervals` captured states.
 fn defog_64_trace(intervals: usize) -> Vec<edgesim::state::SystemState> {
+    defog_trace(64, 8, intervals)
+}
+
+/// An `n_hosts`-host DeFog trace of `intervals` captured states.
+fn defog_trace(
+    n_hosts: usize,
+    n_brokers: usize,
+    intervals: usize,
+) -> Vec<edgesim::state::SystemState> {
     use workloads::trace::{generate_trace, TraceConfig};
 
     generate_trace(
         &TraceConfig {
             intervals,
             topology_period: 5,
-            arrival_rate: 0.45 * 64.0,
+            arrival_rate: 0.45 * n_hosts as f64,
             suite: workloads::BenchmarkSuite::DeFog,
             seed: 3,
         },
-        edgesim::SimConfig::small(64, 8, 3),
+        edgesim::SimConfig::small(n_hosts, n_brokers, 3),
     )
 }
 
@@ -518,6 +574,59 @@ fn batched_training_is_bit_identical_to_serial() {
         param_bits(&mut one),
         "final parameters diverged"
     );
+}
+
+/// The trainer's row-budget chunk boundary: at 256 hosts
+/// `gon::batch_len` packs 8 fakes per ascent chunk, so a 9-state
+/// minibatch converges as chunks of 8 + 1. One `adversarial_step_batch`
+/// on one worker and on two must equal `adversarial_step` mapped over the
+/// same states: same per-sample losses, same accumulated gradients, same
+/// next RNG draw.
+#[test]
+fn row_budget_training_chunks_are_bit_identical_at_256_hosts() {
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    let trace = defog_trace(256, 32, 9);
+    assert_eq!(trace.len(), 9);
+    assert!(trace.iter().all(|s| s.n_hosts() == 256));
+    assert_eq!(gon::batch_len(256), 8, "256 hosts must chunk by 8");
+    let grad_bits = |m: &mut gon::GonModel| -> Vec<Vec<u64>> {
+        m.params_mut()
+            .iter()
+            .map(|p| p.grad.data().iter().map(|g| g.to_bits()).collect())
+            .collect()
+    };
+
+    let mut mapped_model = training_gon();
+    let mut mapped_rng = StdRng::seed_from_u64(31);
+    let mapped_losses: Vec<u64> = trace
+        .iter()
+        .map(|s| gon::training::adversarial_step(&mut mapped_model, s, &mut mapped_rng).to_bits())
+        .collect();
+    let mapped_grads = grad_bits(&mut mapped_model);
+    let mapped_next: u64 = mapped_rng.gen();
+    let refs: Vec<&edgesim::state::SystemState> = trace.iter().collect();
+    for threads in [1, 2] {
+        let mut batched_model = training_gon();
+        let mut batched_rng = StdRng::seed_from_u64(31);
+        let losses: Vec<u64> = batched_model
+            .adversarial_step_batch(&refs, &mut batched_rng, threads)
+            .iter()
+            .map(|l| l.to_bits())
+            .collect();
+        assert_eq!(losses, mapped_losses, "{threads} workers: losses diverged");
+        assert_eq!(
+            grad_bits(&mut batched_model),
+            mapped_grads,
+            "{threads} workers: accumulated gradients diverged"
+        );
+        assert_eq!(
+            batched_rng.gen::<u64>(),
+            mapped_next,
+            "{threads} workers: RNG stream consumption diverged"
+        );
+    }
 }
 
 #[test]
