@@ -102,11 +102,12 @@ fn bench_kernels(c: &mut Criterion) {
     let mut init = nn::init::Initializer::new(17);
     let mut gat = nn::GraphAttention::new(6, 32, 16, &mut init);
     let feats = Matrix::lcg(64, 6, 18);
-    let neighbors: Vec<Vec<usize>> = (0..64)
-        .map(|i| vec![(i + 63) % 64, i, (i + 1) % 64])
-        .collect();
+    let mut ring = nn::Adjacency::default();
+    for i in 0..64 {
+        ring.push_row(0, [(i + 63) % 64, i, (i + 1) % 64]);
+    }
     c.bench_function("gat_attention_64_ring", |b| {
-        b.iter(|| black_box(gat.forward(black_box(&feats), black_box(&neighbors))))
+        b.iter(|| black_box(gat.forward(black_box(&feats), black_box(&ring))))
     });
 }
 

@@ -67,9 +67,8 @@ pub struct SystemState {
     pub schedule: Vec<[f64; SCHED_DIM]>,
     /// Per-node GAT feature rows, `n_hosts × GRAPH_DIM`.
     pub graph_features: Vec<[f64; GRAPH_DIM]>,
-    /// GAT adjacency (with self-loops) of the topology.
-    pub neighbors: Vec<Vec<usize>>,
-    /// The topology this snapshot was taken under.
+    /// The topology this snapshot was taken under; its
+    /// [`Topology::gat_row`]s are the GAT adjacency.
     pub topology: Topology,
     /// Per-host RAM capacities (MB), for role-change cost projection.
     pub ram_mb: Vec<f64>,
@@ -288,7 +287,6 @@ impl SystemState {
             metrics,
             schedule,
             graph_features,
-            neighbors: topology.gat_neighbors(),
             topology: topology.clone(),
             ram_mb: specs.iter().map(|s| s.ram_mb).collect(),
             costs: CostModel::default(),
@@ -327,7 +325,7 @@ impl SystemState {
     /// search and the baseline surrogates to score repair candidates
     /// without executing them).
     ///
-    /// Graph features and adjacency are rebuilt, and the metric rows get
+    /// Graph features are rebuilt, and the metric rows get
     /// the *deterministic* role-change costs applied: a newly promoted
     /// broker gains management CPU/RAM, a demoted one sheds it, and
     /// workers in LEIs beyond the management span pick up SLO pressure
@@ -410,7 +408,6 @@ impl SystemState {
             metrics,
             schedule: self.schedule.clone(),
             graph_features,
-            neighbors: topology.gat_neighbors(),
             topology: topology.clone(),
             ram_mb: self.ram_mb.clone(),
             costs: self.costs,
@@ -487,7 +484,7 @@ mod tests {
         assert_eq!(s.metrics.len(), 4);
         assert_eq!(s.schedule.len(), 4);
         assert_eq!(s.graph_features.len(), 4);
-        assert_eq!(s.neighbors.len(), 4);
+        assert_eq!(s.topology.len(), 4);
     }
 
     #[test]
@@ -540,7 +537,7 @@ mod tests {
         topo.promote(w).unwrap();
         let s2 = s.with_topology(&topo);
         assert_eq!(s2.graph_features[w][4], 1.0);
-        assert_ne!(s.neighbors, s2.neighbors);
+        assert_eq!(s2.topology, topo);
         // The promoted host gains management CPU and RAM.
         assert!(s2.metrics[w][0] > s.metrics[w][0], "mgmt CPU must appear");
         assert!(s2.metrics[w][1] > s.metrics[w][1], "mgmt RAM must appear");
@@ -643,7 +640,7 @@ mod tests {
             &Normalizer::for_federation(n, 16),
         );
         assert_eq!(s.n_hosts(), n);
-        assert_eq!(s.neighbors.len(), n);
+        assert_eq!(s.topology.len(), n);
         let (qe, qs) = s.qos_components();
         assert!(qe.is_finite() && qs.is_finite());
         // Projection onto a mutated topology must also scale.

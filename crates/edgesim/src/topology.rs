@@ -310,19 +310,26 @@ impl Topology {
         Ok(())
     }
 
-    /// Undirected adjacency lists of the federation graph used by the GAT
-    /// encoder: every worker links to its broker; brokers form a full
-    /// mesh; each node carries a self-loop (§IV-A).
-    pub fn gat_neighbors(&self) -> Vec<Vec<usize>> {
-        (0..self.roles.len())
-            .map(|i| match self.roles[i] {
-                NodeRole::Broker => std::iter::once(i)
-                    .chain(self.brokers.iter().copied().filter(|&b| b != i))
-                    .chain(self.members[i].iter().copied())
-                    .collect(),
-                NodeRole::Worker { broker } => vec![i, broker],
-            })
-            .collect()
+    /// Neighbour row of `host` in the federation graph the GAT encoder
+    /// attends over (§IV-A): every worker links to its broker, brokers
+    /// form a full mesh, and each node carries a self-loop. The order is
+    /// fixed, because the attention softmax sums in it: a broker yields
+    /// itself, the other brokers ascending, then its own workers
+    /// ascending; a worker yields itself, then its broker.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `host` is out of range.
+    pub fn gat_row(&self, host: HostId) -> impl Iterator<Item = HostId> + '_ {
+        let (before, after): (&[HostId], &[HostId]) = match &self.roles[host] {
+            NodeRole::Broker => {
+                let rank = self.brokers.partition_point(|&b| b < host);
+                (&self.brokers[..rank], &self.brokers[rank + 1..])
+            }
+            NodeRole::Worker { broker } => (std::slice::from_ref(broker), &[]),
+        };
+        let rest = before.iter().chain(after).chain(&self.members[host]);
+        std::iter::once(host).chain(rest.copied())
     }
 
     /// Canonical signature for tabu-list membership and hashing: worker
@@ -440,33 +447,52 @@ mod tests {
         assert_eq!(t.broker_of(w), b);
     }
 
+    fn gat_row(t: &Topology, host: HostId) -> Vec<HostId> {
+        t.gat_row(host).collect()
+    }
+
     #[test]
     fn gat_neighbors_structure() {
-        let t = Topology::balanced(6, 2).unwrap();
-        let adj = t.gat_neighbors();
-        assert_eq!(adj.len(), 6);
-        // Self-loop everywhere.
-        for (i, nbrs) in adj.iter().enumerate() {
-            assert!(nbrs.contains(&i));
+        // Exact rows: the attention softmax sums in this order, so a
+        // reordered row would silently change every score.
+        let mut t = Topology::balanced(16, 4).unwrap();
+        assert_eq!(gat_row(&t, 0), [0, 1, 2, 3, 4, 8, 12]);
+        assert_eq!(gat_row(&t, 1), [1, 0, 2, 3, 5, 9, 13]);
+        assert_eq!(gat_row(&t, 2), [2, 0, 1, 3, 6, 10, 14]);
+        assert_eq!(gat_row(&t, 3), [3, 0, 1, 2, 7, 11, 15]);
+        for w in 4..16 {
+            assert_eq!(gat_row(&t, w), [w, w % 4]);
         }
-        // Brokers see each other.
-        assert!(adj[0].contains(&1));
-        assert!(adj[1].contains(&0));
-        // A worker sees exactly its broker plus itself.
-        let w = t.workers()[0];
-        assert_eq!(adj[w].len(), 2);
-        assert!(adj[w].contains(&t.broker_of(w)));
+
+        // A promoted worker joins the mesh in rank order, with no workers.
+        t.promote(5).unwrap();
+        assert_eq!(gat_row(&t, 5), [5, 0, 1, 2, 3]);
+        assert_eq!(gat_row(&t, 0), [0, 1, 2, 3, 5, 4, 8, 12]);
+        assert_eq!(gat_row(&t, 1), [1, 0, 2, 3, 5, 9, 13]);
+        assert_eq!(gat_row(&t, 3), [3, 0, 1, 2, 5, 7, 11, 15]);
+
+        // A reassigned worker moves from its old broker's row to the new.
+        t.reassign(9, 5).unwrap();
+        assert_eq!(gat_row(&t, 9), [9, 5]);
+        assert_eq!(gat_row(&t, 1), [1, 0, 2, 3, 5, 13]);
+        assert_eq!(gat_row(&t, 5), [5, 0, 1, 2, 3, 9]);
+
+        // A demoted broker leaves the mesh and lands in ascending order
+        // among its new broker's workers.
+        t.reassign(9, 2).unwrap();
+        t.demote(5, 2).unwrap();
+        assert_eq!(gat_row(&t, 5), [5, 2]);
+        assert_eq!(gat_row(&t, 0), [0, 1, 2, 3, 4, 8, 12]);
+        assert_eq!(gat_row(&t, 2), [2, 0, 1, 3, 5, 6, 9, 10, 14]);
+        assert_eq!(gat_row(&t, 9), [9, 2]);
     }
 
     #[test]
     fn gat_neighbors_symmetric() {
         let t = Topology::balanced(16, 4).unwrap();
-        let adj = t.gat_neighbors();
-        for (i, nbrs) in adj.iter().enumerate() {
-            for &j in nbrs {
-                if j != i {
-                    assert!(adj[j].contains(&i), "edge {i}->{j} not symmetric");
-                }
+        for i in 0..t.len() {
+            for j in t.gat_row(i).filter(|&j| j != i) {
+                assert!(t.gat_row(j).any(|k| k == i), "edge {i}->{j} not symmetric");
             }
         }
     }

@@ -4,7 +4,7 @@ use edgesim::state::{SystemState, GRAPH_DIM, METRIC_DIM, SCHED_DIM};
 use nn::init::Initializer;
 use nn::kernel;
 use nn::layer::{Activation, Dense, Layer, Param, Sequential};
-use nn::{GraphAttention, Matrix};
+use nn::{Adjacency, GraphAttention, Matrix};
 use rand::rngs::StdRng;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -123,10 +123,24 @@ pub struct Generated {
     pub iterations: usize,
 }
 
-/// A candidate batch stacked for the network: `[M | S]` rows, graph rows,
-/// offset adjacency (the disjoint union of the candidate graphs), and the
-/// `(row offset, host count)` segment of each candidate.
-type StackedBatch = (Matrix, Matrix, Vec<Vec<usize>>, Vec<(usize, usize)>);
+/// The GAT inputs of a batch: every state's graph-feature rows stacked,
+/// and its [`edgesim::Topology::gat_row`]s pushed straight into one
+/// [`Adjacency`] at the state's row offset — the disjoint union of the
+/// state graphs, built in one pass.
+pub(crate) fn stacked_graph(states: &[&SystemState]) -> (Matrix, Adjacency) {
+    let total: usize = states.iter().map(|s| s.n_hosts()).sum();
+    let mut g = Matrix::zeros(total, GRAPH_DIM);
+    let mut adjacency = Adjacency::default();
+    let mut offset = 0;
+    for s in states {
+        for h in 0..s.n_hosts() {
+            g.row_mut(offset + h).copy_from_slice(&s.graph_features[h]);
+            adjacency.push_row(offset, s.topology.gat_row(h));
+        }
+        offset += s.n_hosts();
+    }
+    (g, adjacency)
+}
 
 /// The composite discriminator of Fig. 3.
 ///
@@ -206,39 +220,15 @@ impl GonModel {
         }
     }
 
-    /// Assembles the `[M | S]` per-host input matrix from a state.
-    fn ms_input(state: &SystemState) -> Matrix {
-        let n = state.n_hosts();
-        let mut x = Matrix::zeros(n, METRIC_DIM + SCHED_DIM);
-        for h in 0..n {
-            x.row_mut(h)[..METRIC_DIM].copy_from_slice(&state.metrics[h]);
-            x.row_mut(h)[METRIC_DIM..].copy_from_slice(&state.schedule[h]);
-        }
-        x
-    }
-
-    fn graph_input(state: &SystemState) -> Matrix {
-        let n = state.n_hosts();
-        let mut g = Matrix::zeros(n, GRAPH_DIM);
-        for h in 0..n {
-            g.row_mut(h).copy_from_slice(&state.graph_features[h]);
-        }
-        g
-    }
-
     /// Forward pass: `D(M, S, G; θ) ∈ [0, 1]`.
     pub fn score(&mut self, state: &SystemState) -> f64 {
-        self.forward_internal(state)
-    }
-
-    fn forward_internal(&mut self, state: &SystemState) -> f64 {
         let n = state.n_hosts() as f64;
-        let x = Self::ms_input(state);
+        let (x, _) = Self::stacked_ms(&[state]);
+        let (gfeat, adjacency) = stacked_graph(&[state]);
         let e = self.ms_encoder.forward(&x); // [n × hidden]
         let e_ms = e.sum_rows().scale(1.0 / n); // mean-pool → [1 × hidden]
 
-        let gfeat = Self::graph_input(state);
-        let eg = self.gat.forward(&gfeat, &state.neighbors); // [n × gat_dim]
+        let eg = self.gat.forward(&gfeat, &adjacency); // [n × gat_dim]
         let e_g = eg.sum_rows().scale(1.0 / n);
 
         let z = self.head.forward(&e_ms.hcat(&e_g));
@@ -250,23 +240,14 @@ impl GonModel {
     /// respect to the *metric entries* of the input (`n_hosts ×
     /// METRIC_DIM`) — the tensor eq. 1 ascends.
     pub fn backward(&mut self, n_hosts: usize, grad_score: f64) -> Matrix {
-        let n = n_hosts as f64;
         let g_head = self
             .head
             .backward(&Matrix::from_vec(1, 1, vec![grad_score]));
         let (g_ms_pooled, g_g_pooled) = g_head.hsplit(self.config.hidden);
 
-        // Mean-pool backward: each host row receives grad / n.
-        let mut g_ms = Matrix::zeros(n_hosts, self.config.hidden);
-        let mut g_g = Matrix::zeros(n_hosts, self.config.gat_dim);
-        for h in 0..n_hosts {
-            for c in 0..self.config.hidden {
-                g_ms[(h, c)] = g_ms_pooled[(0, c)] / n;
-            }
-            for c in 0..self.config.gat_dim {
-                g_g[(h, c)] = g_g_pooled[(0, c)] / n;
-            }
-        }
+        let segments = [(0, n_hosts)];
+        let g_ms = Self::unpool_segments(&g_ms_pooled, &segments);
+        let g_g = Self::unpool_segments(&g_g_pooled, &segments);
 
         let dx = self.ms_encoder.backward(&g_ms);
         let _dgraph = self.gat.backward(&g_g); // graph features are inputs too
@@ -319,13 +300,12 @@ impl GonModel {
     // serial sibling over the batch — `tests/properties.rs` and the
     // determinism suite gate that contract.
 
-    /// Stacks per-host rows of all states into `(ms_input, graph_input,
-    /// offset neighbour lists, (offset, n_hosts) per state)`.
-    fn stacked_inputs(states: &[&SystemState]) -> StackedBatch {
+    /// Stacks the `[M | S]` per-host rows of all states; returns them with
+    /// the `(row offset, n_hosts)` segment of each state. The graph half
+    /// is [`stacked_graph`].
+    fn stacked_ms(states: &[&SystemState]) -> (Matrix, Vec<(usize, usize)>) {
         let total: usize = states.iter().map(|s| s.n_hosts()).sum();
         let mut x = Matrix::zeros(total, METRIC_DIM + SCHED_DIM);
-        let mut g = Matrix::zeros(total, GRAPH_DIM);
-        let mut neighbors = Vec::with_capacity(total);
         let mut segments = Vec::with_capacity(states.len());
         let mut offset = 0;
         for s in states {
@@ -333,13 +313,11 @@ impl GonModel {
             for h in 0..n {
                 x.row_mut(offset + h)[..METRIC_DIM].copy_from_slice(&s.metrics[h]);
                 x.row_mut(offset + h)[METRIC_DIM..].copy_from_slice(&s.schedule[h]);
-                g.row_mut(offset + h).copy_from_slice(&s.graph_features[h]);
-                neighbors.push(s.neighbors[h].iter().map(|&j| j + offset).collect());
             }
             segments.push((offset, n));
             offset += n;
         }
-        (x, g, neighbors, segments)
+        (x, segments)
     }
 
     /// Per-segment mean-pool, mirroring the serial
@@ -358,13 +336,31 @@ impl GonModel {
         out
     }
 
+    /// Mean-pool backward, the adjoint of [`GonModel::pool_segments`]:
+    /// every row of segment `b` receives `pooled` row `b` divided by the
+    /// segment's row count.
+    fn unpool_segments(pooled: &Matrix, segments: &[(usize, usize)]) -> Matrix {
+        let total: usize = segments.iter().map(|&(_, n)| n).sum();
+        let mut out = Matrix::zeros(total, pooled.cols());
+        for (b, &(offset, n)) in segments.iter().enumerate() {
+            let nf = n as f64;
+            for h in offset..offset + n {
+                for (o, &p) in out.row_mut(h).iter_mut().zip(pooled.row(b)) {
+                    *o = p / nf;
+                }
+            }
+        }
+        out
+    }
+
     /// Batched forward over state refs; returns the `B × 1` score column
     /// and the row segments (needed by the batched backward).
     fn forward_batch_internal(&mut self, states: &[&SystemState]) -> (Matrix, Vec<(usize, usize)>) {
-        let (x, gfeat, neighbors, segments) = Self::stacked_inputs(states);
+        let (x, segments) = Self::stacked_ms(states);
+        let (gfeat, adjacency) = stacked_graph(states);
         let e = self.ms_encoder.forward(&x); // [Σn × hidden]
         let e_ms = Self::pool_segments(&e, &segments); // [B × hidden]
-        let eg = self.gat.forward(&gfeat, &neighbors); // [Σn × gat_dim]
+        let eg = self.gat.forward(&gfeat, &adjacency); // [Σn × gat_dim]
         let e_g = Self::pool_segments(&eg, &segments);
         let z = self.head.forward(&e_ms.hcat(&e_g)); // [B × 1]
         (z, segments)
@@ -396,17 +392,7 @@ impl GonModel {
         let g_head = self.head.backward_input(&g); // [B × hidden + gat_dim]
         let (g_ms_pooled, _g_g_pooled) = g_head.hsplit(self.config.hidden);
 
-        // Mean-pool backward: each host row of candidate b gets grad / n.
-        let total: usize = segments.iter().map(|&(_, n)| n).sum();
-        let mut g_ms = Matrix::zeros(total, self.config.hidden);
-        for (b, &(offset, n)) in segments.iter().enumerate() {
-            let nf = n as f64;
-            for h in 0..n {
-                for c in 0..self.config.hidden {
-                    g_ms[(offset + h, c)] = g_ms_pooled[(b, c)] / nf;
-                }
-            }
-        }
+        let g_ms = Self::unpool_segments(&g_ms_pooled, segments);
         // The GAT branch is skipped entirely: its backward contributes
         // nothing to the metric gradient (graph features are a separate
         // input), matching the serial path where its output is discarded.
@@ -452,15 +438,23 @@ impl GonModel {
             return Vec::new();
         }
         let refs: Vec<&SystemState> = states.iter().collect();
-        let (mut x, gfeat, neighbors, segments) = Self::stacked_inputs(&refs);
-        let eg = self.gat.forward(&gfeat, &neighbors);
+        let (mut x, segments) = Self::stacked_ms(&refs);
+        let (gfeat, adjacency) = stacked_graph(&refs);
+        let eg = self.gat.forward(&gfeat, &adjacency);
         let e_g = Self::pool_segments(&eg, &segments); // constant across steps
 
-        let mut flats: Vec<Vec<f64>> = states.iter().map(|s| s.metrics_flat()).collect();
-        let mut outs: Vec<Generated> = flats
+        // Every candidate's M, stacked in the `d_metrics` layout: candidate
+        // i owns `METRIC_DIM`-wide rows `segments[i]`.
+        let mut metrics: Vec<f64> = states
             .iter()
-            .map(|f| Generated {
-                metrics_flat: f.clone(),
+            .flat_map(|s| s.metrics.as_flattened())
+            .copied()
+            .collect();
+        let block = |(offset, n): (usize, usize)| offset * METRIC_DIM..(offset + n) * METRIC_DIM;
+        let mut outs: Vec<Generated> = segments
+            .iter()
+            .map(|&seg| Generated {
+                metrics_flat: metrics[block(seg)].to_vec(),
                 confidence: f64::NEG_INFINITY,
                 iterations: 0,
             })
@@ -490,7 +484,9 @@ impl GonModel {
                 let score = scores[(i, 0)];
                 if score > outs[i].confidence {
                     outs[i].confidence = score;
-                    outs[i].metrics_flat = flats[i].clone();
+                    outs[i]
+                        .metrics_flat
+                        .copy_from_slice(&metrics[block(segments[i])]);
                 }
                 outs[i].iterations = it + 1;
                 // Same stop conditions as the serial loop: overshoot
@@ -516,19 +512,19 @@ impl GonModel {
                     continue;
                 }
                 let (offset, n) = segments[i];
-                let flat = &mut flats[i];
+                let rows = block(segments[i]);
                 // The candidate's d_metrics rows are contiguous (METRIC_DIM
                 // columns), so the whole eq.-1 step + clamp is one
                 // elementwise kernel call.
                 kernel::ascent_update(
-                    flat,
-                    &d_metrics.data()[offset * METRIC_DIM..(offset + n) * METRIC_DIM],
+                    &mut metrics[rows.clone()],
+                    &d_metrics.data()[rows],
                     self.config.gen_lr,
                 );
-                for h in 0..n {
+                for h in offset..offset + n {
                     // Refresh the metric columns of the stacked input.
-                    x.row_mut(offset + h)[..METRIC_DIM]
-                        .copy_from_slice(&flat[h * METRIC_DIM..(h + 1) * METRIC_DIM]);
+                    x.row_mut(h)[..METRIC_DIM]
+                        .copy_from_slice(&metrics[h * METRIC_DIM..(h + 1) * METRIC_DIM]);
                 }
             }
         }
@@ -638,8 +634,21 @@ impl GonModel {
         // with only the metrics replaced, so the GAT — a pure function of
         // graph features and adjacency — runs over the B real components
         // once; its pooled rows are bitwise equal to the fake segments'.
-        let (_, gfeat, gat_neighbors, real_segments) = Self::stacked_inputs(states);
-        let eg = self.gat.forward(&gfeat, &gat_neighbors);
+        // The interleaving puts real_b's rows at twice its row offset
+        // among the reals alone, which is what the GAT's cache holds.
+        let mut combined: Vec<&SystemState> = Vec::with_capacity(2 * states.len());
+        for (real, fake) in states.iter().zip(&fakes) {
+            combined.push(real);
+            combined.push(fake);
+        }
+        let (x, segments) = Self::stacked_ms(&combined);
+        let real_segments: Vec<(usize, usize)> = segments
+            .iter()
+            .step_by(2)
+            .map(|&(offset, n)| (offset / 2, n))
+            .collect();
+        let (gfeat, adjacency) = stacked_graph(states);
+        let eg = self.gat.forward(&gfeat, &adjacency);
         let e_g_real = Self::pool_segments(&eg, &real_segments); // [B × gat_dim]
         let mut e_g = Matrix::zeros(2 * states.len(), self.config.gat_dim);
         for i in 0..states.len() {
@@ -647,12 +656,6 @@ impl GonModel {
             e_g.row_mut(2 * i + 1).copy_from_slice(e_g_real.row(i));
         }
 
-        let mut combined: Vec<&SystemState> = Vec::with_capacity(2 * states.len());
-        for (real, fake) in states.iter().zip(&fakes) {
-            combined.push(real);
-            combined.push(fake);
-        }
-        let (x, _, _, segments) = Self::stacked_inputs(&combined);
         let e = self.ms_encoder.forward(&x); // [Σ2n × hidden]
         let e_ms = Self::pool_segments(&e, &segments); // [2B × hidden]
         let scores = self.head.forward(&e_ms.hcat(&e_g)); // [2B × 1]
@@ -683,20 +686,8 @@ impl GonModel {
         // stacking interleaves per component, real_b's rows start at
         // twice its cache offset — exactly the [real₀, fake₀, …] grad
         // layout `backward_interleaved` expects.
-        let total: usize = segments.iter().map(|&(_, n)| n).sum();
-        let mut g_ms = Matrix::zeros(total, self.config.hidden);
-        let mut g_g = Matrix::zeros(total, self.config.gat_dim);
-        for (b, &(offset, n)) in segments.iter().enumerate() {
-            let nf = n as f64;
-            for h in 0..n {
-                for c in 0..self.config.hidden {
-                    g_ms[(offset + h, c)] = g_ms_pooled[(b, c)] / nf;
-                }
-                for c in 0..self.config.gat_dim {
-                    g_g[(offset + h, c)] = g_g_pooled[(b, c)] / nf;
-                }
-            }
-        }
+        let g_ms = Self::unpool_segments(&g_ms_pooled, &segments);
+        let g_g = Self::unpool_segments(&g_g_pooled, &segments);
         self.ms_encoder.backward_batch(&g_ms, &segments);
         self.gat.backward_interleaved(&g_g, &real_segments);
         losses

@@ -12,6 +12,7 @@
 //!   interval — which is exactly the overhead pathology the ablation
 //!   demonstrates.
 
+use crate::model::stacked_graph;
 use edgesim::state::{qos_components, SystemState, GRAPH_DIM, METRIC_DIM, SCHED_DIM};
 use nn::init::Initializer;
 use nn::layer::{Activation, Dense, Layer, Sequential};
@@ -216,11 +217,8 @@ impl GanSurrogate {
                 feat[METRIC_DIM + i] += v / n;
             }
         }
-        let mut gfeat = Matrix::zeros(state.n_hosts(), GRAPH_DIM);
-        for h in 0..state.n_hosts() {
-            gfeat.row_mut(h).copy_from_slice(&state.graph_features[h]);
-        }
-        let emb = self.gat.forward(&gfeat, &state.neighbors);
+        let (gfeat, adjacency) = stacked_graph(&[state]);
+        let emb = self.gat.forward(&gfeat, &adjacency);
         let pooled = emb.sum_rows().scale(1.0 / n);
         debug_assert_eq!(pooled.cols(), self.gat_dim);
         let mut row = feat;
@@ -237,11 +235,19 @@ impl GanSurrogate {
         alpha * qe + beta * qs
     }
 
-    /// Batched [`GanSurrogate::generate`]: one generator forward over the
-    /// stacked per-host rows of every candidate. Each candidate draws its
-    /// noise from a fresh `Initializer::new(seed)` exactly as the serial
-    /// call does, so the output is bit-identical to mapping `generate`.
-    pub fn generate_batch(&mut self, states: &[SystemState], seed: u64) -> Vec<Vec<f64>> {
+    /// Batched [`GanSurrogate::predict_qos`]: one generator forward over
+    /// the stacked per-host rows of every candidate, each candidate's
+    /// objective read off its block of the output. Each candidate draws
+    /// its noise from a fresh `Initializer::new(seed)` exactly as the
+    /// serial call does, so the result is bit-identical to mapping
+    /// `predict_qos` over the candidates.
+    pub fn predict_qos_batch(
+        &mut self,
+        states: &[SystemState],
+        alpha: f64,
+        beta: f64,
+        seed: u64,
+    ) -> Vec<f64> {
         if states.is_empty() {
             return Vec::new();
         }
@@ -261,29 +267,14 @@ impl GanSurrogate {
             offset += state.n_hosts();
         }
         let y = self.generator.forward(&x); // [Σn × METRIC_DIM]
-        let mut out = Vec::with_capacity(states.len());
         let mut offset = 0;
-        for state in states {
-            let n = state.n_hosts();
-            out.push(y.data()[offset * METRIC_DIM..(offset + n) * METRIC_DIM].to_vec());
-            offset += n;
-        }
-        out
-    }
-
-    /// Batched [`GanSurrogate::predict_qos`] — bit-identical to mapping
-    /// the serial call over the candidates.
-    pub fn predict_qos_batch(
-        &mut self,
-        states: &[SystemState],
-        alpha: f64,
-        beta: f64,
-        seed: u64,
-    ) -> Vec<f64> {
-        self.generate_batch(states, seed)
+        states
             .iter()
-            .map(|m| {
-                let (qe, qs) = qos_components(m);
+            .map(|state| {
+                let n = state.n_hosts();
+                let (qe, qs) =
+                    qos_components(&y.data()[offset * METRIC_DIM..(offset + n) * METRIC_DIM]);
+                offset += n;
                 alpha * qe + beta * qs
             })
             .collect()

@@ -14,13 +14,78 @@
 //!
 //! The layer is variadic in the node count: the same parameters serve any
 //! topology, which is what lets CAROL evaluate candidate graphs of
-//! different shapes during tabu search.
+//! different shapes during tabu search. The graph is an [`Adjacency`]:
+//! every node's neighbour row in one flat CSR array, built row by row.
 
 use crate::init::Initializer;
 use crate::kernel;
 use crate::layer::Param;
 use crate::matrix::Matrix;
 use serde::{Deserialize, Serialize};
+use std::ops::Range;
+
+/// Neighbour rows of a graph in compressed sparse row form: row `i` is
+/// `targets[offsets[i]..offsets[i + 1]]`.
+///
+/// Rows are appended with [`Adjacency::push_row`], whose `offset` shifts
+/// every index of the row. Pushing several graphs with each one's first
+/// row index as its offset builds their *disjoint union* — the stacked
+/// layout the batched scorers feed [`GraphAttention::forward`].
+///
+/// # Examples
+///
+/// ```
+/// use nn::gat::Adjacency;
+/// // Two 2-node graphs, each node linked to itself and the other node.
+/// let mut adj = Adjacency::default();
+/// for offset in [0, 2] {
+///     adj.push_row(offset, [0, 1]);
+///     adj.push_row(offset, [1, 0]);
+/// }
+/// assert_eq!(adj.rows(), 4);
+/// assert_eq!(adj.row(3), [3, 2]);
+/// ```
+#[derive(Debug, Clone)]
+pub struct Adjacency {
+    offsets: Vec<usize>,
+    targets: Vec<usize>,
+}
+
+impl Default for Adjacency {
+    fn default() -> Self {
+        Self {
+            offsets: vec![0],
+            targets: Vec::new(),
+        }
+    }
+}
+
+impl Adjacency {
+    /// Appends one row: the neighbours `row`, each shifted by `offset`.
+    pub fn push_row(&mut self, offset: usize, row: impl IntoIterator<Item = usize>) {
+        self.targets.extend(row.into_iter().map(|j| j + offset));
+        self.offsets.push(self.targets.len());
+    }
+
+    /// Number of rows (nodes).
+    pub fn rows(&self) -> usize {
+        self.offsets.len() - 1
+    }
+
+    /// Neighbours of node `i`, in push order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i >= self.rows()`.
+    pub fn row(&self, i: usize) -> &[usize] {
+        &self.targets[self.span(i)]
+    }
+
+    /// Where row `i` lives in `targets` (and in every edge-aligned array).
+    fn span(&self, i: usize) -> Range<usize> {
+        self.offsets[i]..self.offsets[i + 1]
+    }
+}
 
 /// Graph attention layer with dot-product self-attention.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -39,8 +104,9 @@ struct Cache {
     h: Matrix,
     q: Matrix,
     k: Matrix,
-    attention: Vec<Vec<f64>>,
-    neighbors: Vec<Vec<usize>>,
+    /// Softmax weights, one per edge, aligned with `adjacency.targets`.
+    attention: Vec<f64>,
+    adjacency: Adjacency,
     output: Matrix,
 }
 
@@ -84,27 +150,31 @@ impl GraphAttention {
         }
     }
 
-    /// Forward pass over a graph with `features` (`n × in_dim`) and
-    /// per-node neighbour lists. Include `i` in `neighbors[i]` to get
+    /// Forward pass over a graph with `features` (`n × in_dim`) and one
+    /// [`Adjacency`] row per node. Include `i` in row `i` to get
     /// self-loops (CAROL does).
     ///
-    /// Nodes with empty neighbour lists produce zero embeddings.
+    /// Nodes with empty rows produce zero embeddings.
     ///
     /// Because attention only ever mixes a node with its listed
     /// neighbours, a *disjoint union* of graphs (feature rows stacked,
-    /// neighbour indices offset per graph) evaluates every component
-    /// bit-identically to separate forwards — the contract the batched
-    /// candidate scorer (`gon`'s `score_batch`) is built on, and what
-    /// turns B candidate topologies into one blocked matmul per layer.
+    /// each graph's rows pushed with its first row index as the offset)
+    /// evaluates every component bit-identically to separate forwards —
+    /// the contract the batched candidate scorer (`gon`'s `score_batch`)
+    /// is built on, and what turns B candidate topologies into one blocked
+    /// matmul per layer.
     ///
     /// # Panics
     ///
-    /// Panics if `neighbors.len() != features.rows()`, if
+    /// Panics if `adjacency.rows() != features.rows()`, if
     /// `features.cols() != in_dim`, or if a neighbour index is out of range.
-    pub fn forward(&mut self, features: &Matrix, neighbors: &[Vec<usize>]) -> Matrix {
+    pub fn forward(&mut self, features: &Matrix, adjacency: &Adjacency) -> Matrix {
         let n = features.rows();
-        assert_eq!(neighbors.len(), n, "one neighbour list per node required");
+        assert_eq!(adjacency.rows(), n, "one neighbour list per node required");
         assert_eq!(features.cols(), self.in_dim(), "feature width mismatch");
+        if let Some(j) = adjacency.targets.iter().find(|&&j| j >= n) {
+            panic!("neighbour index {j} out of range for {n} nodes");
+        }
 
         let h_pre = features
             .matmul(&self.w.value)
@@ -116,17 +186,12 @@ impl GraphAttention {
 
         let d_out = self.out_dim();
         let mut output = Matrix::zeros(n, d_out);
-        let mut attention = Vec::with_capacity(n);
-        // One node's logits, exponentiated in place: a buffer reused
-        // across nodes (every slot is written before it is read); only
-        // the normalised `alpha` is kept, for backward.
-        let mut scratch: Vec<f64> = Vec::new();
-        for (i, nbrs) in neighbors.iter().enumerate() {
-            for &j in nbrs {
-                assert!(j < n, "neighbour index {j} out of range for {n} nodes");
-            }
+        // Each row's logits are written into its edge slots, exponentiated
+        // and normalised in place: the slots end up holding `alpha`.
+        let mut attention = vec![0.0; adjacency.targets.len()];
+        for i in 0..n {
+            let nbrs = adjacency.row(i);
             if nbrs.is_empty() {
-                attention.push(Vec::new());
                 continue;
             }
             // Dot-product attention logits, softmax-normalised with the
@@ -134,8 +199,7 @@ impl GraphAttention {
             // ascending-c chain, so four neighbours' logits run as
             // parallel SIMD lanes; the exp stays scalar (libm).
             let qi = q.row(i);
-            scratch.resize(nbrs.len(), 0.0);
-            let logits = &mut scratch[..];
+            let alpha = &mut attention[adjacency.span(i)];
             let mut idx = 0;
             while idx + 4 <= nbrs.len() {
                 let dots = kernel::dot4_rows(
@@ -146,25 +210,26 @@ impl GraphAttention {
                     k.row(nbrs[idx + 3]),
                 );
                 for (t, &d) in dots.iter().enumerate() {
-                    logits[idx + t] = d * scale;
+                    alpha[idx + t] = d * scale;
                 }
                 idx += 4;
             }
             while idx < nbrs.len() {
-                logits[idx] = kernel::dot(qi, k.row(nbrs[idx])) * scale;
+                alpha[idx] = kernel::dot(qi, k.row(nbrs[idx])) * scale;
                 idx += 1;
             }
-            let max = logits.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-            for l in logits.iter_mut() {
+            let max = alpha.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+            for l in alpha.iter_mut() {
                 *l = (*l - max).exp();
             }
-            let denom: f64 = logits.iter().sum();
-            let alpha: Vec<f64> = logits.iter().map(|e| e / denom).collect();
-
-            for (idx, &j) in nbrs.iter().enumerate() {
-                kernel::axpy(output.row_mut(i), alpha[idx], h.row(j));
+            let denom: f64 = alpha.iter().sum();
+            for a in alpha.iter_mut() {
+                *a /= denom;
             }
-            attention.push(alpha);
+
+            for (&a, &j) in alpha.iter().zip(nbrs) {
+                kernel::axpy(output.row_mut(i), a, h.row(j));
+            }
         }
         let output = output.map(f64::tanh);
 
@@ -174,7 +239,7 @@ impl GraphAttention {
             q,
             k,
             attention,
-            neighbors: neighbors.to_vec(),
+            adjacency: adjacency.clone(),
             output: output.clone(),
         });
         output
@@ -187,91 +252,35 @@ impl GraphAttention {
     ///
     /// Panics if called before [`GraphAttention::forward`].
     pub fn backward(&mut self, grad_output: &Matrix) -> Matrix {
-        let n = self
-            .cache
-            .as_ref()
-            .expect("GraphAttention::backward called before forward")
-            .features
-            .rows();
+        let n = self.cached_rows();
         self.backward_batch(grad_output, &[(0, n)])
     }
 
     /// Batched [`GraphAttention::backward`] over the disjoint union of
-    /// per-sample graphs (the stacked, offset-adjacency layout
-    /// [`GraphAttention::forward`] documents): accumulates parameter
-    /// gradients **per `(row offset, node count)` segment, in segment
-    /// order**, bit-identical to running `forward` + `backward` once per
-    /// component graph. Attention never crosses segment boundaries, so the
-    /// per-node gradient flows are already block-diagonal; only the four
-    /// parameter-gradient reductions (`W`, `b`, `W_q`, `W_k`) need the
-    /// segment structure to keep the f64 accumulation chains per-sample.
+    /// per-sample graphs (the stacked layout [`GraphAttention::forward`]
+    /// documents): accumulates parameter gradients **per `(row offset,
+    /// node count)` segment, in segment order**, bit-identical to running
+    /// `forward` + `backward` once per component graph. Attention never
+    /// crosses segment boundaries, so the per-node gradient flows are
+    /// already block-diagonal; only the four parameter-gradient
+    /// reductions (`W`, `b`, `W_q`, `W_k`) need the segment structure to
+    /// keep the f64 accumulation chains per-sample.
     ///
     /// # Panics
     ///
-    /// Panics if called before [`GraphAttention::forward`].
+    /// Panics if called before [`GraphAttention::forward`], if the
+    /// segments don't tile the cached rows, or if `grad_output` doesn't
+    /// hold one row per cached row.
     pub fn backward_batch(&mut self, grad_output: &Matrix, segments: &[(usize, usize)]) -> Matrix {
-        let cache = self
-            .cache
-            .as_ref()
-            .expect("GraphAttention::backward called before forward");
-        let n = cache.features.rows();
-        debug_assert_eq!(
-            segments.iter().map(|&(_, k)| k).sum::<usize>(),
-            n,
-            "segments must tile the stacked node rows"
-        );
-        let d_out = self.out_dim();
-        let d_att = self.wq.value.cols();
-        let scale = 1.0 / (d_att as f64).sqrt();
+        let n = self.tiled_rows(segments);
         assert_eq!(
             grad_output.shape(),
-            (n, d_out),
+            (n, self.out_dim()),
             "grad_output shape mismatch"
         );
-
-        // Through the output tanh.
-        let mut d_agg = grad_output.clone();
-        for i in 0..d_agg.len() {
-            let y = cache.output.data()[i];
-            d_agg.data_mut()[i] *= 1.0 - y * y;
-        }
-
-        let mut d_h = Matrix::zeros(n, d_out);
-        let mut d_q = Matrix::zeros(n, d_att);
-        let mut d_k = Matrix::zeros(n, d_att);
-
-        attention_backward_rows(cache, scale, &d_agg, &mut d_h, &mut d_q, &mut d_k, 0, n, 0);
-
-        // Through Q = H·Wq and K = H·Wk, one sample segment at a time so
-        // each `Hᵀ·dQ` reduction chain matches the serial per-sample
-        // backward. The dX = dY·Wᵀ products use the fused transposed-B
-        // kernel: W is already laid out as the transpose of what the dot
-        // products need.
-        for &(offset, k) in segments {
-            let hseg = cache.h.row_block(offset, k).transpose();
-            self.wq
-                .grad
-                .add_in_place(&hseg.matmul(&d_q.row_block(offset, k)));
-            self.wk
-                .grad
-                .add_in_place(&hseg.matmul(&d_k.row_block(offset, k)));
-        }
-        d_h.add_in_place(&d_q.matmul_transpose_b(&self.wq.value));
-        d_h.add_in_place(&d_k.matmul_transpose_b(&self.wk.value));
-
-        // Through H = tanh(U·W + b).
-        let mut d_hpre = d_h;
-        for i in 0..d_hpre.len() {
-            let y = cache.h.data()[i];
-            d_hpre.data_mut()[i] *= 1.0 - y * y;
-        }
-        for &(offset, k) in segments {
-            let useg = cache.features.row_block(offset, k);
-            let gseg = d_hpre.row_block(offset, k);
-            self.w.grad.add_in_place(&useg.transpose().matmul(&gseg));
-            self.b.grad.add_in_place(&gseg.sum_rows());
-        }
-        d_hpre.matmul_transpose_b(&self.w.value)
+        let grad_segments: Vec<_> = segments.iter().map(|&(o, k)| (o, k, o)).collect();
+        self.backward_segments(grad_output, &grad_segments)
+            .matmul_transpose_b(&self.w.value)
     }
 
     /// Backward over **interleaved real/fake gradient pairs sharing one
@@ -301,45 +310,77 @@ impl GraphAttention {
     /// segments don't tile the cached rows, or if `grad_output` doesn't
     /// hold exactly two rows per cached row.
     pub fn backward_interleaved(&mut self, grad_output: &Matrix, segments: &[(usize, usize)]) {
-        let cache = self
-            .cache
+        let n = self.tiled_rows(segments);
+        assert_eq!(
+            grad_output.shape(),
+            (2 * n, self.out_dim()),
+            "grad_output must hold interleaved real/fake rows"
+        );
+        let grad_segments: Vec<_> = segments
+            .iter()
+            .flat_map(|&(o, k)| [(o, k, 2 * o), (o, k, 2 * o + k)])
+            .collect();
+        self.backward_segments(grad_output, &grad_segments);
+    }
+
+    fn cached_rows(&self) -> usize {
+        self.cache
             .as_ref()
-            .expect("GraphAttention::backward called before forward");
-        let n = cache.features.rows();
+            .expect("GraphAttention::backward called before forward")
+            .features
+            .rows()
+    }
+
+    /// The cached row count, checked to equal the segments' total.
+    fn tiled_rows(&self, segments: &[(usize, usize)]) -> usize {
+        let n = self.cached_rows();
         assert_eq!(
             segments.iter().map(|&(_, k)| k).sum::<usize>(),
             n,
             "segments must tile the cached node rows"
         );
+        n
+    }
+
+    /// The backward both public forms share. Each `(cache row, node
+    /// count, grad row)` segment backpropagates grad rows `[grad row,
+    /// grad row + count)` through cached component `[cache row, cache row
+    /// + count)`; parameter gradients accumulate per segment, in segment
+    /// order. Returns `dL/dH_pre`, laid out like `grad_output`.
+    fn backward_segments(
+        &mut self,
+        grad_output: &Matrix,
+        segments: &[(usize, usize, usize)],
+    ) -> Matrix {
+        let cache = self
+            .cache
+            .as_ref()
+            .expect("GraphAttention::backward called before forward");
+        let rows = grad_output.rows();
         let d_out = self.out_dim();
         let d_att = self.wq.value.cols();
         let scale = 1.0 / (d_att as f64).sqrt();
-        assert_eq!(
-            grad_output.shape(),
-            (2 * n, d_out),
-            "grad_output must hold interleaved real/fake rows"
-        );
 
-        // Through the output tanh; grad row r backs onto cache row
-        // map(r) within its component.
-        let mut d_agg = grad_output.clone();
-        for &(co, nb) in segments {
-            for half in 0..2 {
-                let gro = 2 * co + half * nb;
+        // Through a tanh whose outputs are the cached `y`: each grad row
+        // scales by `1 − y²` of the cache row it backs onto.
+        let through_tanh = |d: &mut Matrix, y: &Matrix| {
+            for &(co, nb, go) in segments {
                 for r in 0..nb {
                     for c in 0..d_out {
-                        let y = cache.output[(co + r, c)];
-                        d_agg[(gro + r, c)] *= 1.0 - y * y;
+                        let y = y[(co + r, c)];
+                        d[(go + r, c)] *= 1.0 - y * y;
                     }
                 }
             }
-        }
+        };
 
-        let mut d_h = Matrix::zeros(2 * n, d_out);
-        let mut d_q = Matrix::zeros(2 * n, d_att);
-        let mut d_k = Matrix::zeros(2 * n, d_att);
-        for &(co, nb) in segments {
-            // delta maps a cache row to its grad row: real then fake.
+        // Through the output tanh, then the attention rows.
+        let mut d_agg = grad_output.clone();
+        through_tanh(&mut d_agg, &cache.output);
+        let mut d_h = Matrix::zeros(rows, d_out);
+        let mut d_q = Matrix::zeros(rows, d_att);
+        let mut d_k = Matrix::zeros(rows, d_att);
+        for &(co, nb, go) in segments {
             attention_backward_rows(
                 cache,
                 scale,
@@ -349,70 +390,42 @@ impl GraphAttention {
                 &mut d_k,
                 co,
                 co + nb,
-                co,
-            );
-            attention_backward_rows(
-                cache,
-                scale,
-                &d_agg,
-                &mut d_h,
-                &mut d_q,
-                &mut d_k,
-                co,
-                co + nb,
-                co + nb,
+                go - co,
             );
         }
 
-        // Parameter reductions in grad-segment order, each against the
-        // single cached component both halves share.
-        for &(co, nb) in segments {
+        // Through Q = H·Wq and K = H·Wk, one segment at a time so each
+        // `Hᵀ·dQ` reduction chain matches the serial per-sample backward.
+        // The dX = dY·Wᵀ products use the fused transposed-B kernel: W is
+        // already laid out as the transpose of what the dot products need.
+        for &(co, nb, go) in segments {
             let hseg = cache.h.row_block(co, nb).transpose();
-            for half in 0..2 {
-                let gro = 2 * co + half * nb;
-                self.wq
-                    .grad
-                    .add_in_place(&hseg.matmul(&d_q.row_block(gro, nb)));
-                self.wk
-                    .grad
-                    .add_in_place(&hseg.matmul(&d_k.row_block(gro, nb)));
-            }
+            self.wq
+                .grad
+                .add_in_place(&hseg.matmul(&d_q.row_block(go, nb)));
+            self.wk
+                .grad
+                .add_in_place(&hseg.matmul(&d_k.row_block(go, nb)));
         }
         d_h.add_in_place(&d_q.matmul_transpose_b(&self.wq.value));
         d_h.add_in_place(&d_k.matmul_transpose_b(&self.wk.value));
 
-        // Through H = tanh(U·W + b), again mapping grad rows onto the
-        // shared cache rows.
+        // Through H = tanh(U·W + b).
         let mut d_hpre = d_h;
-        for &(co, nb) in segments {
-            for half in 0..2 {
-                let gro = 2 * co + half * nb;
-                for r in 0..nb {
-                    for c in 0..d_out {
-                        let y = cache.h[(co + r, c)];
-                        d_hpre[(gro + r, c)] *= 1.0 - y * y;
-                    }
-                }
-            }
-        }
-        for &(co, nb) in segments {
+        through_tanh(&mut d_hpre, &cache.h);
+        for &(co, nb, go) in segments {
             let useg = cache.features.row_block(co, nb);
-            let ut = useg.transpose();
-            for half in 0..2 {
-                let gro = 2 * co + half * nb;
-                let gseg = d_hpre.row_block(gro, nb);
-                self.w.grad.add_in_place(&ut.matmul(&gseg));
-                self.b.grad.add_in_place(&gseg.sum_rows());
-            }
+            let gseg = d_hpre.row_block(go, nb);
+            self.w.grad.add_in_place(&useg.transpose().matmul(&gseg));
+            self.b.grad.add_in_place(&gseg.sum_rows());
         }
+        d_hpre
     }
 }
 
 /// The attention/softmax backward for cache nodes `[cache_lo, cache_hi)`
-/// whose gradient rows live at `cache row + delta` — shared by
-/// [`GraphAttention::backward_batch`] (`delta = 0`) and
-/// [`GraphAttention::backward_interleaved`] (one pass per real/fake
-/// half). Per neighbour: `dα = dAgg_i·h_j` (four chains as SIMD lanes),
+/// whose gradient rows live at `cache row + delta` — one call per
+/// segment of `GraphAttention::backward_segments`. Per neighbour: `dα = dAgg_i·h_j` (four chains as SIMD lanes),
 /// the aggregation path `d_h[j] += α·dAgg_i`, then the softmax backward
 /// `ds = α(dα − Σ α dα)` feeding `d_q`/`d_k` — every f64 chain in the
 /// same order as the original fused loop.
@@ -428,15 +441,18 @@ fn attention_backward_rows(
     cache_hi: usize,
     delta: usize,
 ) {
+    // dα of one row, reused across rows (every slot is written before
+    // it is read).
+    let mut d_alpha: Vec<f64> = Vec::new();
     for i in cache_lo..cache_hi {
-        let nbrs = &cache.neighbors[i];
+        let nbrs = cache.adjacency.row(i);
         if nbrs.is_empty() {
             continue;
         }
-        let alpha = &cache.attention[i];
+        let alpha = &cache.attention[cache.adjacency.span(i)];
         let ig = i + delta;
         // dα_ij = dAgg_i · h_j ; and aggregation path into h_j.
-        let mut d_alpha = vec![0.0; nbrs.len()];
+        d_alpha.resize(nbrs.len(), 0.0);
         let mut idx = 0;
         while idx + 4 <= nbrs.len() {
             let dots = kernel::dot4_rows(
@@ -476,10 +492,42 @@ mod tests {
     use super::*;
     use crate::gradcheck::{max_abs_diff, numerical_grad};
 
-    fn ring_neighbors(n: usize) -> Vec<Vec<usize>> {
-        (0..n)
-            .map(|i| vec![i, (i + 1) % n, (i + n - 1) % n])
-            .collect()
+    /// Pushes an `n`-node ring (self, next, previous) whose first row is
+    /// `offset`.
+    fn push_ring(adj: &mut Adjacency, offset: usize, n: usize) {
+        for i in 0..n {
+            adj.push_row(offset, [i, (i + 1) % n, (i + n - 1) % n]);
+        }
+    }
+
+    fn ring(n: usize) -> Adjacency {
+        let mut adj = Adjacency::default();
+        push_ring(&mut adj, 0, n);
+        adj
+    }
+
+    /// The disjoint union of one ring per matrix: rows stacked, each ring
+    /// pushed at its component's row offset, plus the `(offset, n)`
+    /// segments.
+    fn stack_rings<'a>(
+        parts: impl IntoIterator<Item = &'a Matrix>,
+    ) -> (Matrix, Adjacency, Vec<(usize, usize)>) {
+        let parts: Vec<&Matrix> = parts.into_iter().collect();
+        let total: usize = parts.iter().map(|m| m.rows()).sum();
+        let mut stacked = Matrix::zeros(total, parts[0].cols());
+        let mut adj = Adjacency::default();
+        let mut segments = Vec::new();
+        let mut offset = 0;
+        for part in parts {
+            let n = part.rows();
+            for r in 0..n {
+                stacked.row_mut(offset + r).copy_from_slice(part.row(r));
+            }
+            push_ring(&mut adj, offset, n);
+            segments.push((offset, n));
+            offset += n;
+        }
+        (stacked, adj, segments)
     }
 
     #[test]
@@ -488,7 +536,7 @@ mod tests {
         let mut gat = GraphAttention::new(4, 6, 3, &mut init);
         for n in [2usize, 5, 9] {
             let feats = Initializer::new(n as u64).normal(n, 4, 1.0);
-            let out = gat.forward(&feats, &ring_neighbors(n));
+            let out = gat.forward(&feats, &ring(n));
             assert_eq!(out.shape(), (n, 6));
         }
     }
@@ -498,9 +546,11 @@ mod tests {
         let mut init = Initializer::new(2);
         let mut gat = GraphAttention::new(3, 4, 4, &mut init);
         let feats = Initializer::new(3).normal(5, 3, 1.0);
-        gat.forward(&feats, &ring_neighbors(5));
+        gat.forward(&feats, &ring(5));
         let cache = gat.cache.as_ref().unwrap();
-        for alpha in &cache.attention {
+        assert_eq!(cache.attention.len(), 15);
+        for i in 0..5 {
+            let alpha = &cache.attention[cache.adjacency.span(i)];
             let sum: f64 = alpha.iter().sum();
             assert!((sum - 1.0).abs() < 1e-12);
             assert!(alpha.iter().all(|&a| a >= 0.0));
@@ -512,8 +562,11 @@ mod tests {
         let mut init = Initializer::new(4);
         let mut gat = GraphAttention::new(3, 4, 2, &mut init);
         let feats = Initializer::new(9).normal(3, 3, 1.0);
-        let neighbors = vec![vec![0, 1], vec![1, 0], vec![]];
-        let out = gat.forward(&feats, &neighbors);
+        let mut adj = Adjacency::default();
+        adj.push_row(0, [0, 1]);
+        adj.push_row(0, [1, 0]);
+        adj.push_row(0, []);
+        let out = gat.forward(&feats, &adj);
         // tanh(0) = 0 for the isolated node's row.
         assert!(out.row(2).iter().all(|&v| v == 0.0));
     }
@@ -523,14 +576,14 @@ mod tests {
         let mut init = Initializer::new(7);
         let mut gat = GraphAttention::new(3, 4, 3, &mut init);
         let feats = Initializer::new(13).normal(4, 3, 0.8);
-        let neighbors = ring_neighbors(4);
+        let adj = ring(4);
 
         let loss = |g: &mut GraphAttention, x: &Matrix| -> f64 {
-            let y = g.forward(x, &neighbors);
+            let y = g.forward(x, &adj);
             0.5 * y.data().iter().map(|v| v * v).sum::<f64>()
         };
 
-        let y = gat.forward(&feats, &neighbors);
+        let y = gat.forward(&feats, &adj);
         let analytic = gat.backward(&y);
         let numeric = numerical_grad(&feats, 1e-6, |probe| loss(&mut gat, probe));
         assert!(
@@ -544,9 +597,9 @@ mod tests {
         let mut init = Initializer::new(21);
         let mut gat = GraphAttention::new(2, 3, 2, &mut init);
         let feats = Initializer::new(5).normal(3, 2, 0.7);
-        let neighbors = ring_neighbors(3);
+        let adj = ring(3);
 
-        let y = gat.forward(&feats, &neighbors);
+        let y = gat.forward(&feats, &adj);
         gat.backward(&y);
         let analytic: Vec<Matrix> = gat.params_mut().iter().map(|p| p.grad.clone()).collect();
 
@@ -561,7 +614,7 @@ mod tests {
                     let mut params = gat.params_mut();
                     params[which].value = probe.clone();
                 }
-                let y = gat.forward(&feats, &neighbors);
+                let y = gat.forward(&feats, &adj);
                 {
                     let mut params = gat.params_mut();
                     params[which].value = base.clone();
@@ -582,34 +635,16 @@ mod tests {
         // per-graph forward bit-for-bit (the batched-candidate contract).
         let mut init = Initializer::new(31);
         let mut gat = GraphAttention::new(3, 5, 4, &mut init);
-        let sizes = [3usize, 4, 6];
-        let feats: Vec<Matrix> = sizes
+        let feats: Vec<Matrix> = [3usize, 4, 6]
             .iter()
             .enumerate()
             .map(|(i, &n)| Initializer::new(40 + i as u64).normal(n, 3, 0.9))
             .collect();
+        let (stacked, adj, segments) = stack_rings(&feats);
 
-        let total: usize = sizes.iter().sum();
-        let mut stacked = Matrix::zeros(total, 3);
-        let mut neighbors = Vec::with_capacity(total);
-        let mut offset = 0;
-        for (f, &n) in feats.iter().zip(&sizes) {
-            for r in 0..n {
-                stacked.row_mut(offset + r).copy_from_slice(f.row(r));
-            }
-            for mut nbrs in ring_neighbors(n) {
-                for j in &mut nbrs {
-                    *j += offset;
-                }
-                neighbors.push(nbrs);
-            }
-            offset += n;
-        }
-
-        let batched = gat.forward(&stacked, &neighbors);
-        let mut offset = 0;
-        for (f, &n) in feats.iter().zip(&sizes) {
-            let single = gat.forward(f, &ring_neighbors(n));
+        let batched = gat.forward(&stacked, &adj);
+        for (f, &(offset, n)) in feats.iter().zip(&segments) {
+            let single = gat.forward(f, &ring(n));
             for r in 0..n {
                 for (a, b) in batched.row(offset + r).iter().zip(single.row(r)) {
                     assert_eq!(
@@ -619,7 +654,6 @@ mod tests {
                     );
                 }
             }
-            offset += n;
         }
     }
 
@@ -646,36 +680,18 @@ mod tests {
         // Serial reference, grads accumulating across graphs in order.
         let mut serial = gat.clone();
         let mut serial_dx = Vec::new();
-        for ((f, g), &n) in feats.iter().zip(&grads_out).zip(&sizes) {
-            serial.forward(f, &ring_neighbors(n));
+        for (f, g) in feats.iter().zip(&grads_out) {
+            serial.forward(f, &ring(f.rows()));
             serial_dx.push(serial.backward(g));
         }
         let serial_grads: Vec<Matrix> =
             serial.params_mut().iter().map(|p| p.grad.clone()).collect();
 
         // Stacked disjoint union.
-        let total: usize = sizes.iter().sum();
-        let mut stacked = Matrix::zeros(total, 3);
-        let mut stacked_g = Matrix::zeros(total, 5);
-        let mut neighbors = Vec::with_capacity(total);
-        let mut segments = Vec::new();
-        let mut offset = 0;
-        for ((f, g), &n) in feats.iter().zip(&grads_out).zip(&sizes) {
-            for r in 0..n {
-                stacked.row_mut(offset + r).copy_from_slice(f.row(r));
-                stacked_g.row_mut(offset + r).copy_from_slice(g.row(r));
-            }
-            for mut nbrs in ring_neighbors(n) {
-                for j in &mut nbrs {
-                    *j += offset;
-                }
-                neighbors.push(nbrs);
-            }
-            segments.push((offset, n));
-            offset += n;
-        }
+        let (stacked, adj, segments) = stack_rings(&feats);
+        let (stacked_g, _, _) = stack_rings(&grads_out);
 
-        gat.forward(&stacked, &neighbors);
+        gat.forward(&stacked, &adj);
         let dx = gat.backward_batch(&stacked_g, &segments);
         for (&(offset, n), want) in segments.iter().zip(&serial_dx) {
             let got = dx.row_block(offset, n);
@@ -705,56 +721,22 @@ mod tests {
             .map(|(i, &n)| Initializer::new(70 + i as u64).normal(n, 3, 0.8))
             .collect();
         // Distinct real/fake gradients per component.
-        let grads: Vec<(Matrix, Matrix)> = sizes
+        let grads: Vec<Matrix> = sizes
             .iter()
             .enumerate()
-            .map(|(i, &n)| {
-                (
+            .flat_map(|(i, &n)| {
+                [
                     Initializer::new(80 + i as u64).normal(n, 5, 0.5),
                     Initializer::new(90 + i as u64).normal(n, 5, 0.5),
-                )
+                ]
             })
             .collect();
-
-        let stack = |reps: usize| {
-            let total: usize = sizes.iter().map(|&n| n * reps).sum();
-            let mut stacked = Matrix::zeros(total, 3);
-            let mut neighbors = Vec::with_capacity(total);
-            let mut segments = Vec::new();
-            let mut offset = 0;
-            for (f, &n) in feats.iter().zip(&sizes) {
-                for _ in 0..reps {
-                    for r in 0..n {
-                        stacked.row_mut(offset + r).copy_from_slice(f.row(r));
-                    }
-                    for mut nbrs in ring_neighbors(n) {
-                        for j in &mut nbrs {
-                            *j += offset;
-                        }
-                        neighbors.push(nbrs);
-                    }
-                    segments.push((offset, n));
-                    offset += n;
-                }
-            }
-            (stacked, neighbors, segments)
-        };
+        let (grad_rows, _, _) = stack_rings(&grads);
 
         // Reference: every component physically duplicated.
-        let (dup_feats, dup_nbrs, dup_segs) = stack(2);
-        let mut grad_rows = Matrix::zeros(dup_feats.rows(), 5);
-        let mut offset = 0;
-        for ((real, fake), &n) in grads.iter().zip(&sizes) {
-            for r in 0..n {
-                grad_rows.row_mut(offset + r).copy_from_slice(real.row(r));
-                grad_rows
-                    .row_mut(offset + n + r)
-                    .copy_from_slice(fake.row(r));
-            }
-            offset += 2 * n;
-        }
+        let (dup_feats, dup_adj, dup_segs) = stack_rings(feats.iter().flat_map(|f| [f, f]));
         let mut reference = gat.clone();
-        reference.forward(&dup_feats, &dup_nbrs);
+        reference.forward(&dup_feats, &dup_adj);
         reference.backward_batch(&grad_rows, &dup_segs);
         let want: Vec<Matrix> = reference
             .params_mut()
@@ -763,9 +745,9 @@ mod tests {
             .collect();
 
         // Lever: forward each component once, backprop both halves.
-        let (feats1, nbrs1, segs1) = stack(1);
+        let (feats1, adj1, segs1) = stack_rings(&feats);
         let mut lever = gat.clone();
-        lever.forward(&feats1, &nbrs1);
+        lever.forward(&feats1, &adj1);
         lever.backward_interleaved(&grad_rows, &segs1);
         for (p, want) in lever.params_mut().iter().zip(&want) {
             for (a, b) in p.grad.data().iter().zip(want.data()) {
@@ -783,7 +765,9 @@ mod tests {
     fn neighbor_list_length_checked() {
         let mut init = Initializer::new(0);
         let mut gat = GraphAttention::new(2, 2, 2, &mut init);
-        gat.forward(&Matrix::zeros(3, 2), &[vec![0]]);
+        let mut adj = Adjacency::default();
+        adj.push_row(0, [0]);
+        gat.forward(&Matrix::zeros(3, 2), &adj);
     }
 
     #[test]
@@ -791,6 +775,9 @@ mod tests {
     fn neighbor_bounds_checked() {
         let mut init = Initializer::new(0);
         let mut gat = GraphAttention::new(2, 2, 2, &mut init);
-        gat.forward(&Matrix::zeros(2, 2), &[vec![5], vec![0]]);
+        let mut adj = Adjacency::default();
+        adj.push_row(0, [5]);
+        adj.push_row(0, [0]);
+        gat.forward(&Matrix::zeros(2, 2), &adj);
     }
 }

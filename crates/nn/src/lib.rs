@@ -34,7 +34,7 @@ pub mod loss;
 pub mod matrix;
 
 pub use adam::Adam;
-pub use gat::GraphAttention;
+pub use gat::{Adjacency, GraphAttention};
 pub use layer::{Activation, Dense, Layer, Param, Sequential};
 pub use matrix::Matrix;
 

@@ -1,8 +1,9 @@
 //! Serialization round-trips: traces, snapshots and experiment results
 //! must survive JSON round-trips so runs can be archived and replotted.
 
+use edgesim::scheduler::SchedulingDecision;
 use edgesim::state::{Normalizer, SystemState};
-use edgesim::{SimConfig, Topology};
+use edgesim::{HostSpec, HostState, SimConfig, Topology};
 use workloads::trace::{generate_trace, TraceConfig};
 use workloads::BenchmarkSuite;
 
@@ -20,9 +21,28 @@ fn system_state_round_trips() {
     );
     for state in &trace {
         let json = serde_json::to_string(state).expect("serialise");
+        // The GAT adjacency is read off the topology, not stored.
+        assert!(!json.contains("\"neighbors\""), "{json}");
         let back: SystemState = serde_json::from_str(&json).expect("deserialise");
         assert_eq!(state, &back);
     }
+
+    // A snapshot in the older format, which still carried the adjacency
+    // as `"neighbors"`, loads and equals the same state captured today.
+    let legacy = r#"{"metrics":[[0,0,0,0,0,0,0,0,0,0],[0,0,0,0,0,0,0,0,0,0],[0,0,0,0,0,0,0,0,0,0],[0.5,0,0,0,0,0,0,0,0,0]],"schedule":[[0,0,0],[0,0,0],[0,0,0],[0,0,0]],"graph_features":[[0,0,0.5,0.5,1,0.25],[0,0,0.5,0.5,1,0.25],[0,0,0.5,0.5,0,0],[0.5,0,0.5,0.5,0,0]],"neighbors":[[0,1,2],[1,0,3],[2,0],[3,1]],"topology":{"roles":["Broker","Broker",{"Worker":{"broker":0}},{"Worker":{"broker":1}}]},"ram_mb":[4096,4096,4096,4096],"costs":{"base_cpu":0.08,"per_worker_cpu":0.015,"mgmt_ram_mb":512,"span":5,"stall_risk":0.08}}"#;
+    let loaded: SystemState = serde_json::from_str(legacy).expect("legacy snapshot");
+    let specs: Vec<HostSpec> = (0..4).map(HostSpec::rpi4gb).collect();
+    let mut host_states = vec![HostState::default(); 4];
+    host_states[3].cpu = 0.5;
+    let recaptured = SystemState::capture(
+        &Topology::balanced(4, 2).unwrap(),
+        &specs,
+        &host_states,
+        &[],
+        &SchedulingDecision::new(),
+        &Normalizer::default(),
+    );
+    assert_eq!(loaded, recaptured);
 }
 
 #[test]
