@@ -15,7 +15,7 @@
 //! can be probed at the scales and workloads the scenario engine covers.
 
 use carol::scenario::WorkloadSource;
-use edgesim::SimConfig;
+use edgesim::{SimConfig, Topology};
 use gon::{train_offline, GonConfig, GonModel, TrainConfig};
 use workloads::replay::ReplayWorkload;
 use workloads::trace::{generate_trace, generate_trace_from, TraceConfig};
@@ -68,8 +68,8 @@ fn main() {
         ("paper shape".to_string(), trace)
     };
 
-    let distinct: std::collections::BTreeSet<Vec<usize>> =
-        trace.iter().map(|s| s.topology.signature()).collect();
+    let distinct: std::collections::HashSet<&Topology> =
+        trace.iter().map(|s| &s.topology).collect();
     eprintln!(
         "[fig4] trace ready: {} states, {} distinct topologies",
         trace.len(),

@@ -15,9 +15,9 @@
 
 use carol::carol::{Carol, CarolConfig};
 use carol::scenario::{run_scenario, ScenarioSpec, SchedulerKind, WorkloadSource};
+use carol::service::ExperimentSpec;
 use edgesim::{FleetMix, PhaseTimings, SimConfig};
 use faults::{FaultModel, TargetPolicy};
-use gon::{GonConfig, TrainConfig};
 use serde::{Deserialize, Serialize};
 use std::time::Instant;
 use workloads::replay::record_suite;
@@ -182,37 +182,13 @@ pub fn sweep_carol_config_sized(seed: u64, n_hosts: usize) -> CarolConfig {
     config
 }
 
-/// A CAROL configuration sized for sweep throughput: the GON stays at
+/// A CAROL configuration sized for sweep throughput: the service-tier
+/// small controller of [`ExperimentSpec::carol_config`]. Its GON stays at
 /// test-scale (it is host-count-agnostic, so one small network serves
-/// every federation size) and pre-trains on an 8-host DeFog trace.
+/// every federation size) and pre-trains on an 8-host DeFog trace; the
+/// spec contributes only `seed`.
 pub fn sweep_carol_config(seed: u64) -> CarolConfig {
-    CarolConfig {
-        gon: GonConfig {
-            hidden: 16,
-            head_layers: 2,
-            gat_dim: 8,
-            gat_att: 4,
-            gen_lr: 5e-3,
-            gen_steps: 5,
-            gen_tol: 1e-7,
-            seed,
-        },
-        tabu: carol::tabu::TabuConfig {
-            list_size: 20,
-            max_iters: 2,
-            ..Default::default()
-        },
-        offline: TrainConfig {
-            epochs: 3,
-            minibatch: 8,
-            patience: 3,
-            lr: 1e-3,
-            ..Default::default()
-        },
-        pretrain_intervals: 24,
-        pretrain_sim: SimConfig::small(8, 2, seed),
-        ..Default::default()
-    }
+    ExperimentSpec::new(ScenarioSpec::paper(seed)).carol_config()
 }
 
 /// Fault intensity of the sweep. Higher than the paper's λ_f = 0.5:
@@ -311,11 +287,11 @@ pub fn measure_repair_with(
         },
     );
     let report = sim.step(Vec::new(), &mut sched);
-    let snapshot = SystemState::capture_refs(
+    let snapshot = SystemState::capture(
         sim.topology(),
         sim.specs(),
         sim.host_states(),
-        &sim.live_tasks(),
+        sim.tasks(),
         &report.decision,
         &Normalizer::for_federation(n_hosts, n_brokers),
     );
@@ -467,6 +443,18 @@ pub fn render_table(points: &[ScalePoint]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn sweep_controller_is_the_service_controller() {
+        for seed in [0, 1, 3, 7, 41, 0xC0FF_EE00] {
+            let sweep = serde_json::to_string(&sweep_carol_config(seed)).unwrap();
+            for &name in ScenarioSpec::registry_names() {
+                let spec = ExperimentSpec::named(name, seed).unwrap();
+                let service = serde_json::to_string(&spec.carol_config()).unwrap();
+                assert_eq!(service, sweep, "{name} at seed {seed}");
+            }
+        }
+    }
 
     #[test]
     fn fast_sweep_produces_one_point_per_cell() {

@@ -473,10 +473,10 @@ mod tests {
     }
 
     #[test]
-    fn mutations_change_the_signature() {
+    fn mutations_change_the_roles() {
         let topo = Topology::balanced(8, 2).unwrap();
         for t in mutations(&topo, &[]) {
-            assert_ne!(t.signature(), topo.signature());
+            assert_ne!(t.roles(), topo.roles());
         }
     }
 }

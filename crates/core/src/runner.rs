@@ -183,7 +183,6 @@ pub struct ExperimentEngine {
     broker_failures: usize,
     measured_decision_wall_s: f64,
     measured_overhead_wall_s: f64,
-    decision_latencies_s: Vec<f64>,
     phase_timings: PhaseTimings,
 }
 
@@ -201,11 +200,11 @@ impl ExperimentEngine {
             config.seed ^ 0x4654,
         );
         let norm = Normalizer::for_fleet(&config.sim.specs, config.sim.n_brokers);
-        let snapshot = SystemState::capture_refs(
+        let snapshot = SystemState::capture(
             sim.topology(),
             sim.specs(),
             sim.host_states(),
-            &sim.live_tasks(),
+            sim.tasks(),
             &edgesim::SchedulingDecision::new(),
             &norm,
         );
@@ -223,7 +222,6 @@ impl ExperimentEngine {
             broker_failures: 0,
             measured_decision_wall_s: 0.0,
             measured_overhead_wall_s: 0.0,
-            decision_latencies_s: Vec::new(),
             phase_timings: PhaseTimings::default(),
         }
     }
@@ -241,12 +239,6 @@ impl ExperimentEngine {
     /// Fine-tune events observed so far.
     pub fn fine_tune_events(&self) -> usize {
         self.fine_tune_events
-    }
-
-    /// Measured wall-clock latency of each `policy.repair` call, in step
-    /// order — the sample set behind the service daemon's p50/p99.
-    pub fn decision_latencies_s(&self) -> &[f64] {
-        &self.decision_latencies_s
     }
 
     /// Cumulative wall-clock per simulator pipeline stage across every
@@ -273,12 +265,10 @@ impl ExperimentEngine {
         let modeled_before = policy.modeled_decision_s();
         let start = Instant::now();
         let repaired = policy.repair(&self.sim, &self.snapshot);
-        let elapsed = start.elapsed().as_secs_f64();
-        self.measured_decision_wall_s += elapsed;
+        self.measured_decision_wall_s += start.elapsed().as_secs_f64();
         if had_failure {
             self.decision_time_s += INFRA_REPAIR_S + policy.modeled_decision_s() - modeled_before;
             self.decision_events += 1;
-            self.decision_latencies_s.push(elapsed);
         }
         if let Some(topo) = repaired {
             self.sim.set_topology(topo);
@@ -290,15 +280,11 @@ impl ExperimentEngine {
         self.broker_failures += report.failed_brokers.len();
         self.phase_timings.accumulate(&report.phases);
 
-        // Live view: completed tasks contribute nothing to any snapshot
-        // column (and this interval's completions are still live — the
-        // simulator defers their retirement one step), so this is
-        // bit-identical to capturing the full ledger at O(live) cost.
-        self.snapshot = SystemState::capture_refs(
+        self.snapshot = SystemState::capture(
             self.sim.topology(),
             self.sim.specs(),
             self.sim.host_states(),
-            &self.sim.live_tasks(),
+            self.sim.tasks(),
             &report.decision,
             &self.norm,
         );

@@ -3,8 +3,9 @@
 //! The paper selects tabu search "due to its deterministic nature and
 //! empirically faster convergence" \[49\]. The search walks the generic
 //! node-shift move set ([`crate::nodeshift::mutations`]), always moving to
-//! the best non-tabu neighbour, while a FIFO tabu list of topology
-//! signatures (size `L = 100` in the paper, Fig. 6c) prevents cycling.
+//! the best non-tabu neighbour, while a FIFO tabu list of visited
+//! topologies' role vectors (size `L = 100` in the paper, Fig. 6c)
+//! prevents cycling.
 //!
 //! The search is **batch-first**: each iteration enumerates the whole
 //! neighbourhood up front and hands it to a [`BatchObjective`] in one
@@ -17,7 +18,7 @@
 //! yields bit-identical results to the serial path.
 
 use crate::nodeshift::{mutations, mutations_sampled};
-use edgesim::{HostId, Topology};
+use edgesim::{HostId, NodeRole, Topology};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::VecDeque;
@@ -142,8 +143,8 @@ pub fn search(
     let mut best_score = start_scores[0];
     let mut current = start;
 
-    let mut tabu: VecDeque<Vec<usize>> = VecDeque::with_capacity(config.list_size + 1);
-    tabu.push_back(current.signature());
+    let mut tabu: VecDeque<Vec<NodeRole>> = VecDeque::with_capacity(config.list_size + 1);
+    tabu.push_back(current.roles().to_vec());
 
     // Sampling RNG lives outside the loop: one seed, one draw sequence,
     // independent of how (or on how many threads) candidates are scored.
@@ -174,7 +175,7 @@ pub fn search(
         for (i, (cand, &s)) in neighbors.iter().zip(&scores).enumerate() {
             // Aspiration criterion: a tabu move is allowed if it beats the
             // global best.
-            if tabu.contains(&cand.signature()) && s >= best_score {
+            if tabu.iter().any(|roles| roles == cand.roles()) && s >= best_score {
                 continue;
             }
             match chosen {
@@ -189,7 +190,7 @@ pub fn search(
         if tabu.len() >= config.list_size {
             tabu.pop_front();
         }
-        tabu.push_back(current.signature());
+        tabu.push_back(current.roles().to_vec());
         if next_score < best_score {
             best = current.clone();
             best_score = next_score;
@@ -444,10 +445,9 @@ mod tests {
         // 8 hosts / 2 brokers: iteration 1 promotes a worker (3 brokers),
         // iteration 2 can demote it straight back — the tabu revisit.
         let start = Topology::balanced(8, 2).unwrap();
-        let start_sig = start.signature();
+        let start_roles = start.roles().to_vec();
         // The neighbour the first iteration will pick (score 5.0).
-        let step_one = mutations(&start, &[])[0].clone();
-        let step_one_sig = step_one.signature();
+        let step_one_roles = mutations(&start, &[])[0].roles().to_vec();
         let config = TabuConfig {
             list_size: 50,
             max_iters: 2,
@@ -456,20 +456,19 @@ mod tests {
 
         let run = |revisit_score: f64| {
             let mut seen_start = false;
-            let (start_sig, step_one_sig) = (start_sig.clone(), step_one_sig.clone());
+            let (start_roles, step_one_roles) = (start_roles.clone(), step_one_roles.clone());
             search(
                 start.clone(),
                 &[],
                 &config,
                 from_fn(move |t: &Topology| {
-                    let sig = t.signature();
-                    if sig == start_sig {
+                    if t.roles() == start_roles {
                         if seen_start {
                             return revisit_score; // the tabu revisit
                         }
                         seen_start = true;
                         10.0 // the start's own score; global best = 5.0 after iter 1
-                    } else if sig == step_one_sig {
+                    } else if t.roles() == step_one_roles {
                         5.0
                     } else {
                         8.0
@@ -481,8 +480,8 @@ mod tests {
         // Revisit scores 1.0 < global best 5.0: aspiration admits it.
         let aspiring = run(1.0);
         assert_eq!(
-            aspiring.best.signature(),
-            start_sig,
+            aspiring.best.roles(),
+            start_roles,
             "a tabu move beating the global best must be accepted"
         );
         assert_eq!(aspiring.best_score, 1.0);
@@ -491,8 +490,8 @@ mod tests {
         // but not better than the global best — it must stay blocked.
         let blocked = run(6.0);
         assert_ne!(
-            blocked.best.signature(),
-            start_sig,
+            blocked.best.roles(),
+            start_roles,
             "a tabu move not beating the global best must stay tabu"
         );
         assert_eq!(blocked.best_score, 5.0);

@@ -3,7 +3,7 @@
 //! [`Simulator::step`] is a facade over seven stages, run in this fixed
 //! order every interval (Algorithm 2's per-interval cycle):
 //!
-//! 1. [`retire`] — drop last interval's completions from the live index;
+//! 1. [`retire`] — drop last interval's completions from the task store;
 //!    recovering hosts come back.
 //! 2. [`admit`] — gateway mobility + task admission.
 //! 3. [`determine_failures`] — per-host utilisation + saturation scan.
@@ -159,16 +159,16 @@ fn contiguous_segments(n: usize, workers: usize) -> Vec<std::ops::Range<usize>> 
     (0..n).step_by(seg).map(|s| s..(s + seg).min(n)).collect()
 }
 
-/// Stage 1: retire last interval's completions from the live index and
+/// Stage 1: retire last interval's completions from the task store and
 /// let hosts recovering from last interval's failure come back.
 ///
 /// Retirement is deferred by one interval so that interval-end observers
-/// (e.g. `SystemState::capture` over the live view) still see tasks that
-/// completed within the interval just simulated.
+/// (e.g. `SystemState::capture` over [`Simulator::tasks`]) still see
+/// tasks that completed within the interval just simulated. The
+/// order-preserving `retain` keeps the store in ascending-id order, so
+/// every later per-task walk visits tasks in the same relative order.
 pub fn retire(sim: &mut Simulator) {
-    let tasks = &sim.tasks;
-    sim.live
-        .retain(|&i| tasks[i].status != TaskStatus::Completed);
+    sim.tasks.retain(|t| t.status != TaskStatus::Completed);
     for r in &mut sim.recovering {
         if *r > 0 {
             *r -= 1;
@@ -184,7 +184,7 @@ pub fn retire(sim: &mut Simulator) {
 /// sharded pass maps each LEI to its entry broker and gateway-hop latency
 /// (a pure function of the drawn LEI — the broker liveness table cannot
 /// change mid-phase); (3) a serial in-order reduction assigns dense task
-/// ids and pushes tasks into the ledger in arrival order. Bit-identical
+/// ids and pushes tasks onto the store in arrival order. Bit-identical
 /// to the historical single loop at any worker count.
 pub fn admit(sim: &mut Simulator, arrivals: Vec<TaskSpec>) -> usize {
     let t = sim.interval;
@@ -238,7 +238,7 @@ pub fn admit(sim: &mut Simulator, arrivals: Vec<TaskSpec>) -> usize {
         .collect()
     };
 
-    // Pass 3 (serial, arrival order): dense id assignment + ledger push.
+    // Pass 3 (serial, arrival order): dense id assignment + store push.
     for (spec, placement) in arrivals.into_iter().zip(placements) {
         let Some((broker, hop_s)) = placement else {
             continue;
@@ -247,9 +247,6 @@ pub fn admit(sim: &mut Simulator, arrivals: Vec<TaskSpec>) -> usize {
         sim.next_task_id += 1;
         let mut task = Task::new(id, spec, t, broker);
         task.elapsed_s += hop_s;
-        debug_assert_eq!(id, sim.id_index.len(), "task ids are dense");
-        sim.id_index.push(sim.tasks.len());
-        sim.live.push(sim.tasks.len());
         sim.tasks.push(task);
     }
     n_arrivals
@@ -336,10 +333,10 @@ fn saturated(ctx: &FailureScanCtx<'_>, h: usize) -> bool {
 /// Stage 3: failure determination for this interval.
 ///
 /// Computes provisional utilisation from current placement + queued
-/// fault loads; saturated hosts are unresponsive this interval. One
-/// O(live) pass groups running tasks by host and counts each broker's
-/// pending backlog, then the per-host verdicts — pure functions of that
-/// snapshot — shard over contiguous host segments; a serial in-order
+/// fault loads; saturated hosts are unresponsive this interval. One pass
+/// over the task store groups running tasks by host and counts each
+/// broker's pending backlog, then the per-host verdicts — pure functions
+/// of that snapshot — shard over contiguous host segments; a serial in-order
 /// reduction latches the 1–5-minute recovery window (§IV-I) for hosts
 /// that failed fresh. Bit-identical at any worker count.
 pub fn determine_failures(sim: &mut Simulator) -> FailureSet {
@@ -388,8 +385,7 @@ pub fn determine_failures(sim: &mut Simulator) -> FailureSet {
 /// scheduler in [`schedule_dispatch`]). Returns the restart count.
 pub fn restart_stranded(sim: &mut Simulator, failures: &FailureSet) -> usize {
     let mut restarted = 0usize;
-    for &idx in &sim.live {
-        let task = &mut sim.tasks[idx];
+    for task in &mut sim.tasks {
         if task.status == TaskStatus::Running {
             if let Some(h) = task.host {
                 if failures.failed_now[h] {
@@ -411,6 +407,9 @@ pub fn restart_stranded(sim: &mut Simulator, failures: &FailureSet) -> usize {
 /// The scheduler sees a failure-aware view of host state; decisions
 /// against dying hosts are skipped, and every accepted placement is
 /// charged its dispatch transfer latency from the admitting broker's LEI.
+/// A decision naming a task id not in the store (retired, or never
+/// admitted) is skipped, as is one naming a task that is no longer
+/// Pending.
 pub fn schedule_dispatch(
     sim: &mut Simulator,
     scheduler: &mut dyn Scheduler,
@@ -420,14 +419,13 @@ pub fn schedule_dispatch(
     for (view, &fell) in fail_view.iter_mut().zip(&failures.failed_now) {
         view.failed = fell;
     }
-    let live_view: Vec<&Task> = sim.live.iter().map(|&i| &sim.tasks[i]).collect();
-    let decision = scheduler.schedule(&live_view, &sim.topology, &sim.config.specs, &fail_view);
-    drop(live_view);
+    let tasks: Vec<&Task> = sim.tasks.iter().collect();
+    let decision = scheduler.schedule(&tasks, &sim.topology, &sim.config.specs, &fail_view);
     for (task_id, host) in decision.iter() {
         if failures.failed_now[host] {
             continue; // stale decision against a dying host: skip
         }
-        let Some(&idx) = sim.id_index.get(task_id) else {
+        let Ok(idx) = sim.tasks.binary_search_by_key(&task_id, |t| t.id) else {
             continue;
         };
         if sim.tasks[idx].status != TaskStatus::Pending {
@@ -660,12 +658,12 @@ fn step_host(ctx: &HostStepCtx<'_>, h: usize) -> HostStepOutcome {
 
 /// Stage 6: execution with processor sharing per host.
 ///
-/// Scheduling just moved tasks Pending→Running, so the live set is
+/// Scheduling just moved tasks Pending→Running, so the task store is
 /// regrouped (the pending backlog per broker changed too); members of a
 /// failed broker's LEI are stalled first ("all active tasks within the
 /// LEI and all incoming tasks ... are impacted", §I). Each host's
-/// execution window is a pure function of the pre-stage ledger plus this
-/// interval's per-host inputs (a task is resident on exactly one host),
+/// execution window is a pure function of the pre-stage task store plus
+/// this interval's per-host inputs (a task is resident on exactly one host),
 /// so hosts shard across `par` workers in contiguous segments. All
 /// mutations are staged into per-host outcomes and applied serially in
 /// ascending host order, reproducing the serial loop's f64 accumulation
@@ -729,8 +727,7 @@ pub fn execute(sim: &mut Simulator, failures: &FailureSet) -> ExecutionOutcome {
     }
 
     // Pending tasks (unplaced, e.g. dead broker or outage) also wait.
-    for &idx in &sim.live {
-        let task = &mut sim.tasks[idx];
+    for task in &mut sim.tasks {
         if task.status == TaskStatus::Pending {
             task.elapsed_s += INTERVAL_SECONDS;
         }
@@ -857,6 +854,47 @@ mod tests {
         retire(&mut sim);
         assert_eq!(sim.live_task_count(), 0);
         assert_eq!(sim.recovering[3], 0);
+    }
+
+    /// Places whatever task ids it was built with, ignoring its view.
+    struct Scripted(Vec<(TaskId, HostId)>);
+
+    impl Scheduler for Scripted {
+        fn schedule(
+            &mut self,
+            _tasks: &[&Task],
+            _topology: &Topology,
+            _specs: &[crate::HostSpec],
+            _states: &[HostState],
+        ) -> SchedulingDecision {
+            let mut decision = SchedulingDecision::new();
+            for &(id, host) in &self.0 {
+                decision.assign(id, host);
+            }
+            decision
+        }
+    }
+
+    #[test]
+    fn schedule_dispatch_skips_ids_missing_from_the_store() {
+        let mut sim = Simulator::new(SimConfig::small(8, 2, 7));
+        let mut sched = LeastLoadScheduler::new();
+        let done = sim.step(vec![quick_spec(4000.0)], &mut sched);
+        assert_eq!(done.completed.len(), 1, "task 0 completes in one interval");
+        retire(&mut sim);
+        admit(&mut sim, vec![quick_spec(4000.0)]);
+        let failures = determine_failures(&mut sim);
+        restart_stranded(&mut sim, &failures);
+        let before = sim.tasks.clone();
+        assert_eq!(before.len(), 1);
+        assert_eq!(before[0].id, 1, "task 0 retired, task 1 pending");
+
+        let host = sim.topology.workers()[0];
+        let (retired, never_admitted) = (0, 7);
+        let mut scripted = Scripted(vec![(retired, host), (never_admitted, host)]);
+        let decision = schedule_dispatch(&mut sim, &mut scripted, &failures);
+        assert_eq!(decision.len(), 2, "the decision itself is reported as made");
+        assert_eq!(sim.tasks, before, "misses must leave the store unchanged");
     }
 
     #[test]

@@ -76,9 +76,9 @@ pub trait Scheduler {
     /// placement; implementations should only place `Pending` tasks on
     /// non-failed hosts.
     ///
-    /// `tasks` is a *view* — the simulator passes only its live tasks
-    /// (pending + running), not the full completed-task archive, so one
-    /// scheduling round costs O(live), independent of the run horizon.
+    /// `tasks` is a view of the simulator's task store — its unretired
+    /// tasks only — so one scheduling round costs O(live), independent of
+    /// the run horizon.
     fn schedule(
         &mut self,
         tasks: &[&Task],

@@ -213,20 +213,15 @@ pub struct Simulator {
     pub(crate) config: SimConfig,
     pub(crate) topology: Topology,
     pub(crate) states: Vec<HostState>,
+    /// The task store: every unretired task — each Pending/Running task
+    /// plus last interval's completions (retirement is deferred one step
+    /// so interval-end snapshots still see them) — in ascending-id order.
+    /// Retired tasks live on only in the cumulative accounting below.
     pub(crate) tasks: Vec<Task>,
     pub(crate) network: NetworkModel,
     pub(crate) rng: StdRng,
     pub(crate) interval: usize,
     pub(crate) next_task_id: TaskId,
-    /// Indices (ascending) of tasks not yet retired to the archive: every
-    /// Pending/Running task, plus last interval's completions (retirement
-    /// is deferred one step so interval-end snapshots still see them).
-    /// All per-interval work walks this list, never the full ledger.
-    pub(crate) live: Vec<usize>,
-    /// Task id → index into `tasks`, filled at admission. Ids are dense
-    /// and sequential, so this doubles as the O(1) replacement for the
-    /// old per-decision `position()` scan.
-    pub(crate) id_index: Vec<usize>,
     /// Worker-count override for sharded host stepping (see
     /// [`Simulator::set_step_workers`]).
     pub(crate) step_workers: Option<usize>,
@@ -274,8 +269,6 @@ impl Simulator {
             rng,
             interval: 0,
             next_task_id: 0,
-            live: Vec::new(),
-            id_index: Vec::new(),
             step_workers: None,
             pending_faults: vec![FaultLoad::default(); n],
             recovering: vec![0; n],
@@ -319,23 +312,18 @@ impl Simulator {
         &self.config
     }
 
-    /// All tasks ever admitted (completed ones keep their final state).
+    /// The unretired tasks in ascending-id order: every Pending/Running
+    /// task plus the completions of the last finished interval (retired
+    /// at the start of the next step). Its length tracks the load, not the
+    /// horizon; totals over retired tasks come from the cumulative
+    /// counters ([`Simulator::completed_count`] and friends).
     pub fn tasks(&self) -> &[Task] {
         &self.tasks
     }
 
-    /// The live view of the ledger: every Pending/Running task plus the
-    /// completions of the last finished interval (retired at the start of
-    /// the next step). Interval-rate consumers — snapshots, policies —
-    /// should read this instead of [`Simulator::tasks`] so their cost
-    /// stays O(live) rather than O(horizon).
-    pub fn live_tasks(&self) -> Vec<&Task> {
-        self.live.iter().map(|&i| &self.tasks[i]).collect()
-    }
-
-    /// Number of tasks in the live view.
+    /// Number of unretired tasks (`tasks().len()`).
     pub fn live_task_count(&self) -> usize {
-        self.live.len()
+        self.tasks.len()
     }
 
     /// Overrides how many workers shard the parallel pipeline stages
@@ -479,14 +467,13 @@ impl Simulator {
         report
     }
 
-    /// One O(live) pass over the ledger: running-task indices grouped per
-    /// host (ascending index order, matching the historical full-ledger
-    /// scan) plus the pending backlog count per admitting broker.
+    /// One pass over the task store: running-task indices grouped per host
+    /// (ascending id order, matching the historical full-ledger scan) plus
+    /// the pending backlog count per admitting broker.
     pub(crate) fn live_placement(&self, n: usize) -> (Vec<Vec<usize>>, Vec<usize>) {
         let mut running_by_host: Vec<Vec<usize>> = vec![Vec::new(); n];
         let mut queued_pending = vec![0usize; n];
-        for &idx in &self.live {
-            let task = &self.tasks[idx];
+        for (idx, task) in self.tasks.iter().enumerate() {
             match task.status {
                 TaskStatus::Running => {
                     if let Some(h) = task.host {
@@ -790,6 +777,7 @@ mod tests {
         let mut s = sim();
         let mut sched = LeastLoadScheduler::new();
         let mut admitted = 0;
+        let mut last_completed = 0;
         for i in 0..20 {
             let arrivals: Vec<TaskSpec> = (0..(i % 3)).map(|_| quick_spec(500_000.0)).collect();
             admitted += arrivals.len();
@@ -802,15 +790,14 @@ mod tests {
                     },
                 );
             }
-            s.step(arrivals, &mut sched);
+            last_completed = s.step(arrivals, &mut sched).completed.len();
         }
-        assert_eq!(s.tasks().len(), admitted);
-        let done = s
+        let (done, unfinished): (Vec<&Task>, Vec<&Task>) = s
             .tasks()
             .iter()
-            .filter(|t| t.status == TaskStatus::Completed)
-            .count();
-        assert_eq!(done, s.completed_count());
+            .partition(|t| t.status == TaskStatus::Completed);
+        assert_eq!(admitted, s.completed_count() + unfinished.len());
+        assert_eq!(done.len(), last_completed);
     }
 
     #[test]

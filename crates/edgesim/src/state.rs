@@ -150,32 +150,15 @@ fn lei_pressure(topo: &Topology, metrics: &[[f64; METRIC_DIM]]) -> Vec<f64> {
 }
 
 impl SystemState {
-    /// Builds the snapshot from simulator components.
-    ///
-    /// Convenience wrapper over [`SystemState::capture_refs`] for callers
-    /// holding a plain task slice. Interval-rate callers should prefer
-    /// `capture_refs(.., &sim.live_tasks(), ..)` — completed tasks
-    /// contribute nothing to any snapshot column, so the live view is
-    /// bit-identical and keeps the capture cost O(live), not O(horizon).
+    /// Builds the snapshot from simulator components. Interval-rate
+    /// callers pass [`crate::Simulator::tasks`], the unretired tasks:
+    /// completed ones contribute nothing to any snapshot column, so the
+    /// capture costs O(live), not O(horizon).
     pub fn capture(
         topology: &Topology,
         specs: &[HostSpec],
         states: &[HostState],
         tasks: &[Task],
-        decision: &SchedulingDecision,
-        norm: &Normalizer,
-    ) -> Self {
-        let refs: Vec<&Task> = tasks.iter().collect();
-        Self::capture_refs(topology, specs, states, &refs, decision, norm)
-    }
-
-    /// Builds the snapshot from a task *view* (`&[&Task]`), e.g. the
-    /// simulator's live ledger.
-    pub fn capture_refs(
-        topology: &Topology,
-        specs: &[HostSpec],
-        states: &[HostState],
-        tasks: &[&Task],
         decision: &SchedulingDecision,
         norm: &Normalizer,
     ) -> Self {
@@ -197,7 +180,7 @@ impl SystemState {
             // wins, like the linear scan this replaces) instead of an
             // O(tasks) search per placed task.
             let mut by_id: BTreeMap<TaskId, &Task> = BTreeMap::new();
-            for &task in tasks {
+            for task in tasks {
                 by_id.entry(task.id).or_insert(task);
             }
             for (task_id, host) in decision.iter() {
@@ -218,7 +201,7 @@ impl SystemState {
         let mut resident_behind = vec![0.0f64; n];
         let mut resident_count = vec![0.0f64; n];
         let mut pressure_count = vec![0.0f64; n];
-        for &task in tasks {
+        for task in tasks {
             match task.status {
                 TaskStatus::Running => {
                     if let Some(h) = task.host {

@@ -331,18 +331,6 @@ impl Topology {
         let rest = before.iter().chain(after).chain(&self.members[host]);
         std::iter::once(host).chain(rest.copied())
     }
-
-    /// Canonical signature for tabu-list membership and hashing: worker
-    /// entries store their broker, broker entries store `usize::MAX`.
-    pub fn signature(&self) -> Vec<usize> {
-        self.roles
-            .iter()
-            .map(|r| match r {
-                NodeRole::Broker => usize::MAX,
-                NodeRole::Worker { broker } => *broker,
-            })
-            .collect()
-    }
 }
 
 /// Inserts `h` into the ascending list `v` (no-op if present).
@@ -498,13 +486,13 @@ mod tests {
     }
 
     #[test]
-    fn signature_distinguishes_topologies() {
+    fn roles_distinguish_topologies() {
         let a = Topology::balanced(6, 2).unwrap();
         let mut b = a.clone();
         let w = b.workers()[0];
         b.promote(w).unwrap();
-        assert_ne!(a.signature(), b.signature());
-        assert_eq!(a.signature(), a.clone().signature());
+        assert_ne!(a.roles(), b.roles());
+        assert_eq!(a.roles(), a.clone().roles());
     }
 
     #[test]

@@ -152,11 +152,11 @@ pub fn generate_trace_from(
         }
         let arrivals = workload.sample_interval(t);
         let report = sim.step(arrivals, &mut scheduler);
-        states.push(SystemState::capture_refs(
+        states.push(SystemState::capture(
             sim.topology(),
             sim.specs(),
             sim.host_states(),
-            &sim.live_tasks(),
+            sim.tasks(),
             &report.decision,
             &norm,
         ));
@@ -192,8 +192,8 @@ mod tests {
     #[test]
     fn trace_visits_multiple_topologies() {
         let trace = small_trace(60, 2);
-        let distinct: std::collections::BTreeSet<Vec<usize>> =
-            trace.iter().map(|s| s.topology.signature()).collect();
+        let distinct: std::collections::HashSet<&Topology> =
+            trace.iter().map(|s| &s.topology).collect();
         assert!(
             distinct.len() > 3,
             "only {} topologies seen",
@@ -232,11 +232,11 @@ mod tests {
         let mut topo = Topology::balanced(128, 16).unwrap();
         let mut changed = 0usize;
         for i in 0..10_000 {
-            let before = topo.signature();
+            let before = topo.roles().to_vec();
             random_topology_mutation(&mut topo, &mut rng);
             topo.validate()
                 .unwrap_or_else(|e| panic!("mutation {i} broke the topology: {e}"));
-            if topo.signature() != before {
+            if topo.roles() != before {
                 changed += 1;
             }
         }

@@ -38,6 +38,10 @@ fn main() {
     let mut sim = Simulator::with_topology(config, topology, network);
     let mut scheduler = LeastLoadScheduler::new();
     let mut workload = BagOfTasks::new(BenchmarkSuite::AIoTBench, 4.0, 3);
+    // Per-application admissions (violations), keyed by app name. Task
+    // ids are dense in arrival order, so `apps[id]` names task `id`'s app.
+    let mut apps: Vec<String> = Vec::new();
+    let mut by_app: std::collections::BTreeMap<String, (usize, usize)> = Default::default();
 
     println!("interval  arrivals  done  violations  energy(Wh)  failed");
     for t in 0..12 {
@@ -50,7 +54,16 @@ fn main() {
             );
         }
         let arrivals = workload.sample_interval(t);
+        for spec in &arrivals {
+            by_app.entry(spec.app.clone()).or_default().0 += 1;
+            apps.push(spec.app.clone());
+        }
         let report = sim.step(arrivals, &mut scheduler);
+        for &(id, _, violated) in &report.completed {
+            if violated {
+                by_app.get_mut(&apps[id]).expect("admitted app").1 += 1;
+            }
+        }
         println!(
             "{:>8}  {:>8}  {:>4}  {:>10}  {:>10.2}  {:?}",
             t,
@@ -73,15 +86,6 @@ fn main() {
     println!("  SLO violations : {:.1} %", 100.0 * sim.violation_rate());
     println!("  task restarts  : {}", sim.total_restarts());
 
-    // Per-application breakdown.
-    let mut by_app: std::collections::BTreeMap<&str, (usize, usize)> = Default::default();
-    for task in sim.tasks() {
-        let entry = by_app.entry(task.spec.app.as_str()).or_default();
-        entry.0 += 1;
-        if task.violated_slo() {
-            entry.1 += 1;
-        }
-    }
     println!("\nper-application admissions (violations):");
     for (app, (count, violations)) in by_app {
         println!("  {app:<14} {count:>3} ({violations})");

@@ -225,11 +225,11 @@ fn failed_broker_federation(
         report.failed_brokers.contains(&broker),
         "{n_hosts} hosts: fault injection must fail broker {broker}"
     );
-    let snapshot = SystemState::capture_refs(
+    let snapshot = SystemState::capture(
         sim.topology(),
         sim.specs(),
         sim.host_states(),
-        &sim.live_tasks(),
+        sim.tasks(),
         &report.decision,
         &Normalizer::for_federation(n_hosts, n_brokers),
     );

@@ -1,13 +1,14 @@
-//! Bit-exactness pins for the live-task-ledger refactor.
+//! Bit-exactness pins for the simulator's task store.
 //!
 //! The simulator used to rescan its entire append-only task ledger every
 //! interval (restart scan, per-host grouping, broker queue counts) and to
-//! resolve each scheduling decision with an O(n) `position()` lookup.
-//! Replacing those with a live-task index and an id→index map must not
-//! change a single bit of any trajectory: these fingerprints were
-//! harvested from the pre-fix code and pin placement order, completion
-//! accounting, energy, SLO accounting and forced-restart counts on
-//! paper-16, storm-64 and a long fault-heavy storm trace.
+//! resolve each scheduling decision with an O(n) `position()` lookup. It
+//! now keeps only unretired tasks, in ascending-id order, and resolves a
+//! decision by binary search over them. Neither step may change a single
+//! bit of any trajectory: these fingerprints were harvested from the
+//! full-ledger code and pin placement order, completion accounting,
+//! energy, SLO accounting and forced-restart counts on paper-16, storm-64
+//! and a long fault-heavy storm trace.
 
 use carol::policy::{ObserveOutcome, ResiliencePolicy};
 use carol::scenario::{run_scenario, ScenarioSpec};

@@ -247,10 +247,14 @@ proptest! {
         prop_assume!(n_brokers <= n_hosts / 2);
         let start = Topology::balanced(n_hosts, n_brokers).unwrap();
         let objective = |t: &Topology| -> f64 {
-            t.signature()
+            t.roles()
                 .iter()
                 .enumerate()
-                .map(|(i, &s)| {
+                .map(|(i, role)| {
+                    let s = match *role {
+                        NodeRole::Broker => usize::MAX,
+                        NodeRole::Worker { broker } => broker,
+                    };
                     let w = weights[i % weights.len()];
                     w * ((s % 97) as f64)
                 })
@@ -281,26 +285,29 @@ proptest! {
         let mut sched = LeastLoadScheduler::new();
         let mut workload = BagOfTasks::new(BenchmarkSuite::AIoTBench, rate, seed);
         let mut admitted = 0usize;
+        let mut last_completed = 0usize;
         for t in 0..12 {
             if t == fault_interval {
                 sim.inject_fault(fault_host, FaultLoad { ram: 1.1, ..Default::default() });
             }
-            let arrivals = workload.sample_interval(t);
-            admitted += arrivals.len();
-            let report = sim.step(arrivals, &mut sched);
+            let report = sim.step(workload.sample_interval(t), &mut sched);
+            admitted += report.arrivals;
+            last_completed = report.completed.len();
             prop_assert!(report.energy_wh.is_finite() && report.energy_wh > 0.0);
         }
-        prop_assert_eq!(sim.tasks().len(), admitted);
+        // Every admitted task is either counted complete or still stored;
+        // the store's completed tasks are exactly last interval's.
         let done = sim
             .tasks()
             .iter()
             .filter(|t| t.status == TaskStatus::Completed)
             .count();
-        prop_assert_eq!(done, sim.completed_count());
+        prop_assert_eq!(admitted, sim.completed_count() + sim.tasks().len() - done);
+        prop_assert_eq!(done, last_completed);
         prop_assert!(sim.violation_count() <= sim.completed_count());
         prop_assert!(sim.total_energy_wh().is_finite());
         // Response times are positive and recorded once per completion.
-        prop_assert_eq!(sim.response_times().len(), done);
+        prop_assert_eq!(sim.response_times().len(), sim.completed_count());
         prop_assert!(sim.response_times().iter().all(|&r| r > 0.0));
     }
 
@@ -628,8 +635,15 @@ proptest! {
             injector.inject(interval, &mut sim);
             let report = sim.step(bag.sample_interval(interval), &mut sched);
             arrived += report.arrivals;
-            // Conservation: every arrival stays tracked.
-            prop_assert_eq!(sim.tasks().len(), arrived);
+            // Conservation: every arrival is counted complete or stored,
+            // and the store's completed tasks are exactly this interval's.
+            let done = sim
+                .tasks()
+                .iter()
+                .filter(|t| t.status == TaskStatus::Completed)
+                .count();
+            prop_assert_eq!(arrived, sim.completed_count() + sim.tasks().len() - done);
+            prop_assert_eq!(done, report.completed.len());
             for task in sim.tasks() {
                 if task.status == TaskStatus::Running {
                     let h = task.host.expect("running tasks are placed");

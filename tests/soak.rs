@@ -1,12 +1,12 @@
 //! Long-horizon soak and sharded-stepping gates.
 //!
-//! The simulator's ledger is append-only: `tasks()` grows without bound
-//! over a long run. Before the live-task ledger, every interval rescanned
-//! the whole archive, so per-interval cost grew linearly with the horizon
-//! — a 5000-interval run spent most of its time iterating completed
-//! tasks. These tests pin the fix (per-interval cost stays flat, the live
-//! set stays bounded) and gate the sharded stepping paths — host
-//! execution at 64 hosts, the full phase pipeline (admit /
+//! The simulator once kept every task it ever admitted and rescanned that
+//! archive every interval, so per-interval cost grew linearly with the
+//! horizon — a 5000-interval run spent most of its time iterating
+//! completed tasks. It now stores only unretired tasks. These tests pin
+//! the fix (per-interval cost stays flat, the task store stays bounded
+//! while arrivals grow with the horizon) and gate the sharded stepping
+//! paths — host execution at 64 hosts, the full phase pipeline (admit /
 //! determine_failures / execute) at `SHARD_MIN_HOSTS` — plus the
 //! multi-stream `FederationSet` daemon: any worker count must reproduce
 //! the serial trajectory bit-for-bit, and serving two federations from
@@ -48,8 +48,8 @@ fn median(mut v: Vec<u64>) -> u64 {
     v[v.len() / 2]
 }
 
-/// 5000 intervals on a small federation: the archive grows into the
-/// thousands while the live set stays bounded, and the median per-interval
+/// 5000 intervals on a small federation: arrivals grow into the
+/// thousands while the task store stays bounded, and the median per-interval
 /// step cost of the last decile stays within a small factor of the first
 /// decile's. Pre-ledger, the last decile was an order of magnitude slower
 /// — the whole-archive rescans priced the horizon, not the load.
@@ -58,9 +58,10 @@ fn five_thousand_interval_soak_keeps_step_cost_flat() {
     let intervals = 5000;
     let mut sim = Simulator::new(SimConfig::small(8, 2, 5));
     let mut max_live = 0usize;
+    let mut arrived = 0usize;
 
-    // Interleave the drive with live-set sampling: reuse `drive`'s shape
-    // but sample `live_task_count` as the horizon grows.
+    // Interleave the drive with store sampling: reuse `drive`'s shape but
+    // sample the task store's length as the horizon grows.
     let n = sim.host_states().len();
     let mut sched = LeastLoadScheduler::new();
     let mut workload = BagOfTasks::new(BenchmarkSuite::AIoTBench, 2.0, 99);
@@ -77,15 +78,15 @@ fn five_thousand_interval_soak_keeps_step_cost_flat() {
         }
         let arrivals = workload.sample_interval(t);
         let start = Instant::now();
-        sim.step(arrivals, &mut sched);
+        let report = sim.step(arrivals, &mut sched);
         step_ns.push(start.elapsed().as_nanos() as u64);
-        max_live = max_live.max(sim.live_task_count());
+        arrived += report.arrivals;
+        max_live = max_live.max(sim.tasks().len());
     }
 
     assert!(
-        sim.tasks().len() > 5_000,
-        "the archive must grow with the horizon (got {})",
-        sim.tasks().len()
+        arrived > 5_000,
+        "arrivals must grow with the horizon (got {arrived})"
     );
     assert!(
         sim.completed_count() > 4_000,
@@ -93,9 +94,8 @@ fn five_thousand_interval_soak_keeps_step_cost_flat() {
         sim.completed_count()
     );
     assert!(
-        max_live < sim.tasks().len() / 4,
-        "live set ({max_live}) must stay far below the archive ({})",
-        sim.tasks().len()
+        max_live < arrived / 4,
+        "task store ({max_live}) must stay far below the arrivals ({arrived})"
     );
 
     let decile = intervals / 10;
