@@ -10,16 +10,17 @@
 //! dispatched (pin it with `CAROL_SIMD=scalar|avx2|neon`).
 
 use carol::carol::{Carol, CarolConfig};
-use carol::nodeshift::{mutations, neighborhood};
+use carol::nodeshift::{apply_move, enumerate_moves, mutations, neighborhood, Move};
 use carol::pot::PotDetector;
 use carol::tabu::{self, TabuConfig};
 use carol::ResiliencePolicy;
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use edgesim::scheduler::LeastLoadScheduler;
-use edgesim::state::{Normalizer, SystemState};
+use edgesim::state::{Normalizer, SystemState, GRAPH_DIM};
 use edgesim::{FaultLoad, SchedulingDecision, SimConfig, Simulator, Topology};
 use gon::{GonConfig, GonModel};
-use nn::Matrix;
+use nn::init::Initializer;
+use nn::{Adjacency, GraphAttention, Matrix};
 
 fn testbed_state() -> SystemState {
     let mut sim = Simulator::new(SimConfig::testbed(7));
@@ -168,6 +169,18 @@ fn repair_fixture(
     repair_fixture_with(n_hosts, n_brokers, config)
 }
 
+/// The GAT inputs of one state: its graph-feature rows and its
+/// topology's neighbour rows.
+fn gat_inputs(state: &SystemState) -> (Matrix, Adjacency) {
+    let mut features = Matrix::zeros(state.n_hosts(), GRAPH_DIM);
+    let mut adjacency = Adjacency::default();
+    for (h, row) in state.graph_features.iter().enumerate() {
+        features.row_mut(h).copy_from_slice(row);
+        adjacency.push_row(0, state.topology.gat_row(h));
+    }
+    (features, adjacency)
+}
+
 /// [`repair_fixture`] under an arbitrary controller configuration.
 fn repair_fixture_with(
     n_hosts: usize,
@@ -221,6 +234,12 @@ fn bench_repair(c: &mut Criterion) {
     // Archived in BENCH_PR.json, not gated.
     let mut storm = bench::scale::sweep_carol_config(3);
     storm.tabu.neighborhood = bench::scale::sampled_neighborhood(3, 1024);
+    let gat = GraphAttention::new(
+        GRAPH_DIM,
+        storm.gon.gat_dim,
+        storm.gon.gat_att,
+        &mut Initializer::new(3),
+    );
     let (sim, snapshot, mut policy) = repair_fixture_with(1024, 171, storm);
     c.bench_function("repair_1024_sampled", |b| {
         b.iter(|| {
@@ -228,6 +247,37 @@ fn bench_repair(c: &mut Criterion) {
                 .repair(black_box(&sim), black_box(&snapshot))
                 .expect("failure must produce a repair");
             black_box(repaired)
+        })
+    });
+
+    // The graph branch of one storm candidate — the failed broker's
+    // repair shift, then a worker reassignment, as tabu's second
+    // iteration scores — through the full GAT forward and through the
+    // patched forward against the snapshot's reference, which is what
+    // the repair runs.
+    let failed = sim.failed_brokers().to_vec();
+    let shifted = neighborhood(sim.topology(), failed[0], &failed)
+        .pop()
+        .expect("a failed broker has repairs");
+    let reassign = enumerate_moves(&shifted, &failed)
+        .into_iter()
+        .rfind(|m| matches!(m, Move::Reassign { .. }))
+        .expect("a reassignment exists");
+    let candidate = apply_move(&shifted, reassign).expect("the move applies");
+    let (features, adjacency) = gat_inputs(&snapshot.with_topology(&candidate));
+    let (base_features, base_adjacency) = gat_inputs(&snapshot);
+    let reference = gat.reference(&base_features, &base_adjacency);
+    let mut full = gat.clone();
+    c.bench_function("gat_forward_1024", |b| {
+        b.iter(|| black_box(full.forward(black_box(&features), black_box(&adjacency))))
+    });
+    c.bench_function("gat_patched_1024", |b| {
+        b.iter(|| {
+            black_box(gat.forward_patched(
+                black_box(&reference),
+                black_box(&features),
+                black_box(&adjacency),
+            ))
         })
     });
 

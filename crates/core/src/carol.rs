@@ -3,11 +3,12 @@
 use crate::nodeshift::random_shift;
 use crate::policy::{ObserveOutcome, ResiliencePolicy};
 use crate::pot::PotDetector;
-use crate::tabu::{self, TabuConfig};
-use edgesim::state::{qos_components, SystemState};
+use crate::tabu::{self, BatchObjective, TabuConfig};
+use edgesim::state::{qos_components, Projection, SystemState};
 use edgesim::{HostId, IntervalReport, NodeRole, SimConfig, Simulator, Topology};
 use gon::surrogates::{FeedForwardSurrogate, GanSurrogate};
 use gon::{train_offline, GonCheckpoint, GonConfig, GonModel, TrainConfig};
+use nn::gat::Reference;
 use nn::Adam;
 use par::EngineConfig;
 use rand::rngs::StdRng;
@@ -310,25 +311,58 @@ impl Carol {
         self.objective_batch(base, std::slice::from_ref(candidate))[0]
     }
 
-    /// Batched surrogate objective Ω(G) over a candidate neighbourhood —
+    /// Batched surrogate objective Ω(G) over a candidate neighbourhood:
+    /// one [`Carol::batch_objective`] scoring call. A search scores many
+    /// neighbourhoods against one snapshot through one `batch_objective`,
+    /// which prepares the snapshot once.
+    pub fn objective_batch(&mut self, base: &SystemState, candidates: &[Topology]) -> Vec<f64> {
+        self.batch_objective(base).score_batch(candidates)
+    }
+
+    /// A [`tabu::BatchObjective`] view of this policy's surrogate, scoring
+    /// candidates against `base`. This is what the repair path hands to
+    /// [`tabu::search`]; extensions like
+    /// [`crate::proactive::ProactiveCarol`] use it the same way.
+    ///
+    /// Building the view prepares `base` once for every candidate it
+    /// will score: its [`SystemState::projection`] and, for the GON
+    /// variant, its graph branch ([`GonModel::graph_reference`]), which
+    /// each candidate's GAT forward patches instead of recomputing.
+    pub fn batch_objective<'a>(&'a mut self, base: &'a SystemState) -> CarolObjective<'a> {
+        self.install_pending_tune();
+        let graph = matches!(self.config.variant, CarolVariant::Gon)
+            .then(|| self.gon.graph_reference(base));
+        CarolObjective {
+            carol: self,
+            base: base.projection(),
+            graph,
+        }
+    }
+
+    /// Ω(G) of every candidate against the prepared snapshot `base` —
     /// the engine behind every tabu iteration.
     ///
     /// Candidates are chunked by [`gon::batch_len`] — about 2,048 stacked
     /// host rows per chunk, 16 candidates up to 128 hosts, 2 at 1,024 —
     /// so a chunk's activations stay a small working set the allocator
     /// reuses instead of returning to the kernel and faulting back in.
-    /// Each chunk runs as one stacked network forward (and, for the GON,
-    /// one batched eq.-1 ascent), and the chunks fan out over
-    /// [`par::par_map_init`] workers that each clone the model once and
-    /// score all their chunks on that replica. Chunk boundaries are a
-    /// pure function of the candidate list, results are written to
-    /// input-index slots, and the modeled decision-time costs are charged
-    /// in candidate order afterwards — so the returned scores *and* every
-    /// accumulator on `self` are bit-identical to calling
+    /// Each chunk runs as one stacked network forward (for the GON, one
+    /// patched graph branch against `graph` and one batched eq.-1
+    /// ascent), and the chunks fan out over [`par::par_map_init`] workers
+    /// that each clone the model once and score all their chunks on that
+    /// replica; every worker reads the one `graph` reference. Chunk
+    /// boundaries are a pure function of the candidate list, results are
+    /// written to input-index slots, and the modeled decision-time costs
+    /// are charged in candidate order afterwards — so the returned scores
+    /// *and* every accumulator on `self` are bit-identical to calling
     /// [`Carol::objective_public`] once per candidate, at any thread
     /// count.
-    pub fn objective_batch(&mut self, base: &SystemState, candidates: &[Topology]) -> Vec<f64> {
-        self.install_pending_tune();
+    fn score_candidates(
+        &mut self,
+        base: &Projection<'_>,
+        graph: Option<&Reference>,
+        candidates: &[Topology],
+    ) -> Vec<f64> {
         if candidates.is_empty() {
             return Vec::new();
         }
@@ -336,7 +370,9 @@ impl Carol {
             threads: self.config.eval_threads,
         }
         .worker_count();
-        let chunks: Vec<&[Topology]> = candidates.chunks(gon::batch_len(base.n_hosts())).collect();
+        let chunks: Vec<&[Topology]> = candidates
+            .chunks(gon::batch_len(base.base().n_hosts()))
+            .collect();
         let (alpha, beta) = (self.config.alpha, self.config.beta);
         let probes = |chunk: &[Topology]| -> Vec<SystemState> {
             chunk.iter().map(|t| base.with_topology(t)).collect()
@@ -353,6 +389,7 @@ impl Carol {
         let scored: Vec<Vec<(f64, f64)>> = match self.config.variant {
             CarolVariant::Gon => {
                 let gon = &self.gon;
+                let graph = graph.expect("GON objectives carry the snapshot's graph reference");
                 let depth_factor = self.config.gon.head_layers.max(1) as f64 / 3.0;
                 par::par_map_init(
                     threads,
@@ -360,7 +397,7 @@ impl Carol {
                     || gon.clone(),
                     |model, chunk| {
                         model
-                            .generate_batch(&probes(chunk))
+                            .generate_candidates(graph, &probes(chunk))
                             .iter()
                             .map(|gen| {
                                 let (qe, qs) = qos_components(&gen.metrics_flat);
@@ -411,17 +448,9 @@ impl Carol {
         for ((objective, cost), candidate) in scored.into_iter().flatten().zip(candidates) {
             self.surrogate_queries += 1;
             self.modeled_decision_s += cost;
-            out.push(Self::transition_cost(&base.topology, candidate) + objective);
+            out.push(Self::transition_cost(&base.base().topology, candidate) + objective);
         }
         out
-    }
-
-    /// A [`tabu::BatchObjective`] view of this policy's surrogate, scoring
-    /// candidates against `base`. This is what the repair path hands to
-    /// [`tabu::search`]; extensions like
-    /// [`crate::proactive::ProactiveCarol`] use it the same way.
-    pub fn batch_objective<'a>(&'a mut self, base: &'a SystemState) -> CarolObjective<'a> {
-        CarolObjective { carol: self, base }
     }
 
     /// Freezes the full controller state — config, GON weights (via
@@ -577,16 +606,19 @@ impl std::fmt::Display for CarolCheckpointError {
 impl std::error::Error for CarolCheckpointError {}
 
 /// Borrowed view of a [`Carol`] as a batched tabu objective: candidates
-/// are scored against a fixed `base` snapshot through
-/// [`Carol::objective_batch`].
+/// are scored against one snapshot, prepared once by
+/// [`Carol::batch_objective`].
 pub struct CarolObjective<'a> {
     carol: &'a mut Carol,
-    base: &'a SystemState,
+    base: Projection<'a>,
+    /// The snapshot's GAT forward (GON variant only).
+    graph: Option<Reference>,
 }
 
 impl tabu::BatchObjective for CarolObjective<'_> {
     fn score_batch(&mut self, candidates: &[Topology]) -> Vec<f64> {
-        self.carol.objective_batch(self.base, candidates)
+        self.carol
+            .score_candidates(&self.base, self.graph.as_ref(), candidates)
     }
 }
 

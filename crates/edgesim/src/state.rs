@@ -315,13 +315,56 @@ impl SystemState {
     /// from dispatch contention. This is the warm-start estimate of `M_t`
     /// under the candidate — eq. 1's ascent then refines it (§III-B:
     /// "we initialize M as M_{t-1} and then converge").
+    ///
+    /// Projecting many candidates from one snapshot? Build its
+    /// [`SystemState::projection`] once instead.
     pub fn with_topology(&self, topology: &Topology) -> Self {
-        assert_eq!(topology.len(), self.n_hosts(), "host count mismatch");
-        let mut metrics = self.metrics.clone();
-        let mut graph_features = self.graph_features.clone();
-        let c = self.costs;
-        let cand_pressure = lei_pressure(topology, &self.metrics);
-        let base_pressure = lei_pressure(&self.topology, &self.metrics);
+        self.projection().with_topology(topology)
+    }
+
+    /// The snapshot ready to be projected onto many candidate topologies:
+    /// the terms of [`SystemState::with_topology`] that depend on the
+    /// snapshot alone are computed here, once.
+    pub fn projection(&self) -> Projection<'_> {
+        Projection {
+            base: self,
+            base_pressure: lei_pressure(&self.topology, &self.metrics),
+        }
+    }
+
+    /// The per-host mean energy (normalised) and SLO-pressure columns of
+    /// `M`, summed over hosts — the ingredients of the objective function
+    /// `O(M) = α·q_energy + β·q_slo` (eq. 6–7). See [`qos_components`].
+    pub fn qos_components(&self) -> (f64, f64) {
+        qos_components(self.metrics.as_flattened())
+    }
+}
+
+/// A snapshot prepared for projection onto candidate topologies (see
+/// [`SystemState::projection`]); [`Projection::with_topology`] is
+/// [`SystemState::with_topology`] without recomputing the snapshot's
+/// own per-LEI task pressure.
+#[derive(Debug, Clone)]
+pub struct Projection<'a> {
+    base: &'a SystemState,
+    /// Per-LEI task pressure of the snapshot's own topology.
+    base_pressure: Vec<f64>,
+}
+
+impl<'a> Projection<'a> {
+    /// The snapshot being projected.
+    pub fn base(&self) -> &'a SystemState {
+        self.base
+    }
+
+    /// [`SystemState::with_topology`] of the prepared snapshot.
+    pub fn with_topology(&self, topology: &Topology) -> SystemState {
+        let base = self.base;
+        assert_eq!(topology.len(), base.n_hosts(), "host count mismatch");
+        let mut metrics = base.metrics.clone();
+        let mut graph_features = base.graph_features.clone();
+        let c = base.costs;
+        let cand_pressure = lei_pressure(topology, &base.metrics);
         let mgmt_cpu = |topo: &Topology, h: usize| -> f64 {
             if matches!(topo.role(h), NodeRole::Broker) {
                 c.base_cpu + c.per_worker_cpu * topo.workers_of(h).len() as f64
@@ -351,23 +394,23 @@ impl SystemState {
             pressure[broker] / pool as f64
         };
         let blast = |topo: &Topology| c.stall_risk / topo.brokers().len().max(1) as f64;
-        for h in 0..self.n_hosts() {
+        for h in 0..base.n_hosts() {
             let is_broker = matches!(topology.role(h), NodeRole::Broker);
             graph_features[h][4] = if is_broker { 1.0 } else { 0.0 };
             graph_features[h][5] =
-                (topology.workers_of(h).len() as f64 / self.n_hosts() as f64).clamp(0.0, 1.0);
+                (topology.workers_of(h).len() as f64 / base.n_hosts() as f64).clamp(0.0, 1.0);
 
-            let d_cpu = mgmt_cpu(topology, h) - mgmt_cpu(&self.topology, h);
+            let d_cpu = mgmt_cpu(topology, h) - mgmt_cpu(&base.topology, h);
             let d_ram = (matches!(topology.role(h), NodeRole::Broker) as u8 as f64
-                - matches!(self.topology.role(h), NodeRole::Broker) as u8 as f64)
+                - matches!(base.topology.role(h), NodeRole::Broker) as u8 as f64)
                 * c.mgmt_ram_mb
-                / self.ram_mb.get(h).copied().unwrap_or(8192.0);
-            let d_slo = contention(topology, h) - contention(&self.topology, h)
+                / base.ram_mb.get(h).copied().unwrap_or(8192.0);
+            let d_slo = contention(topology, h) - contention(&base.topology, h)
                 + 0.45
                     * (queue_share(&cand_pressure, topology, h)
-                        - queue_share(&base_pressure, &self.topology, h))
+                        - queue_share(&self.base_pressure, &base.topology, h))
                 + blast(topology)
-                - blast(&self.topology);
+                - blast(&base.topology);
             metrics[h][0] = (metrics[h][0] + d_cpu).clamp(0.0, 1.0);
             metrics[h][1] = (metrics[h][1] + d_ram).clamp(0.0, 1.0);
             // Energy tracks CPU roughly linearly on constant-frequency
@@ -375,33 +418,26 @@ impl SystemState {
             // standby, so promoting a (likely idle) worker costs the
             // idle-vs-standby power gap and demoting one recovers it in
             // proportion to how idle the host is.
-            let was_broker = matches!(self.topology.role(h), NodeRole::Broker);
+            let was_broker = matches!(base.topology.role(h), NodeRole::Broker);
             let standby_premium = 0.18;
             let d_standby = if !was_broker && is_broker {
-                standby_premium * (1.0 - self.metrics[h][7].min(1.0))
+                standby_premium * (1.0 - base.metrics[h][7].min(1.0))
             } else if was_broker && !is_broker {
-                -standby_premium * (1.0 - self.metrics[h][7].min(1.0))
+                -standby_premium * (1.0 - base.metrics[h][7].min(1.0))
             } else {
                 0.0
             };
             metrics[h][6] = (metrics[h][6] + 0.6 * d_cpu + d_standby).clamp(0.0, 1.0);
             metrics[h][8] = (metrics[h][8] + d_slo).clamp(0.0, 1.0);
         }
-        Self {
+        SystemState {
             metrics,
-            schedule: self.schedule.clone(),
+            schedule: base.schedule.clone(),
             graph_features,
             topology: topology.clone(),
-            ram_mb: self.ram_mb.clone(),
-            costs: self.costs,
+            ram_mb: base.ram_mb.clone(),
+            costs: base.costs,
         }
-    }
-
-    /// The per-host mean energy (normalised) and SLO-pressure columns of
-    /// `M`, summed over hosts — the ingredients of the objective function
-    /// `O(M) = α·q_energy + β·q_slo` (eq. 6–7). See [`qos_components`].
-    pub fn qos_components(&self) -> (f64, f64) {
-        qos_components(self.metrics.as_flattened())
     }
 }
 

@@ -1,6 +1,7 @@
 //! The GON discriminator network and input-space generation loop.
 
 use edgesim::state::{SystemState, GRAPH_DIM, METRIC_DIM, SCHED_DIM};
+use nn::gat::Reference;
 use nn::init::Initializer;
 use nn::kernel;
 use nn::layer::{Activation, Dense, Layer, Param, Sequential};
@@ -283,7 +284,7 @@ impl GonModel {
         // branch runs once per query instead of once per ascent step, and
         // the input-only backward skips the parameter-gradient work the
         // old per-step `zero_grad` + full backward paid.
-        self.generate_batch_impl(std::slice::from_ref(state), preserve_grads)
+        self.generate_stacked(std::slice::from_ref(state), None, preserve_grads)
             .pop()
             .expect("one candidate in, one result out")
     }
@@ -415,7 +416,7 @@ impl GonModel {
     /// candidate; and the stacked `[M | S]` input is built once, with
     /// only the metric columns rewritten between steps.
     pub fn generate_batch(&mut self, states: &[SystemState]) -> Vec<Generated> {
-        self.generate_batch_impl(states, false)
+        self.generate_stacked(states, None, false)
     }
 
     /// [`GonModel::generate_batch`] with **no parameter-gradient side
@@ -425,12 +426,44 @@ impl GonModel {
     /// bit-for-bit. Side-effect-free evaluation during training runs on
     /// this.
     pub fn generate_batch_nograd(&mut self, states: &[SystemState]) -> Vec<Generated> {
-        self.generate_batch_impl(states, true)
+        self.generate_stacked(states, None, true)
     }
 
-    fn generate_batch_impl(
+    /// The graph branch of `state` — its GAT forward — recorded as the
+    /// reference [`GonModel::generate_candidates`] patches. Valid for
+    /// this model's weights (and any clone's) until they next change.
+    pub fn graph_reference(&self, state: &SystemState) -> Reference {
+        let (gfeat, adjacency) = stacked_graph(&[state]);
+        self.gat.reference(&gfeat, &adjacency)
+    }
+
+    /// [`GonModel::generate_batch`] of candidates that differ from one
+    /// snapshot in a few hosts, with the snapshot's
+    /// [`GonModel::graph_reference`] as `reference`: the graph branch is
+    /// [`GraphAttention::forward_patched`], which recomputes only the
+    /// rows a candidate's changes touch; the pool and the masked ascent
+    /// are unchanged. Bit-identical to `generate_batch`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a state's host count differs from the reference's.
+    pub fn generate_candidates(
+        &mut self,
+        reference: &Reference,
+        states: &[SystemState],
+    ) -> Vec<Generated> {
+        for s in states {
+            assert_eq!(s.n_hosts(), reference.rows(), "host count mismatch");
+        }
+        self.generate_stacked(states, Some(reference), false)
+    }
+
+    /// The masked batched ascent of [`GonModel::generate_batch`]; the
+    /// graph branch is patched against `reference` when one is given.
+    fn generate_stacked(
         &mut self,
         states: &[SystemState],
+        reference: Option<&Reference>,
         preserve_grads: bool,
     ) -> Vec<Generated> {
         let b = states.len();
@@ -440,7 +473,10 @@ impl GonModel {
         let refs: Vec<&SystemState> = states.iter().collect();
         let (mut x, segments) = Self::stacked_ms(&refs);
         let (gfeat, adjacency) = stacked_graph(&refs);
-        let eg = self.gat.forward(&gfeat, &adjacency);
+        let eg = match reference {
+            Some(reference) => self.gat.forward_patched(reference, &gfeat, &adjacency),
+            None => self.gat.forward(&gfeat, &adjacency),
+        };
         let e_g = Self::pool_segments(&eg, &segments); // constant across steps
 
         // Every candidate's M, stacked in the `d_metrics` layout: candidate

@@ -98,16 +98,189 @@ pub struct GraphAttention {
     cache: Option<Cache>,
 }
 
+/// One graph's forward pass, recorded so that
+/// [`GraphAttention::forward_patched`] can evaluate graphs that differ
+/// from it in a few nodes by recomputing only what those nodes touch.
+/// Built by [`GraphAttention::reference`]; only valid with the weights
+/// that built it.
 #[derive(Debug, Clone)]
-struct Cache {
+pub struct Reference {
     features: Matrix,
+    adjacency: Adjacency,
     h: Matrix,
     q: Matrix,
     k: Matrix,
-    /// Softmax weights, one per edge, aligned with `adjacency.targets`.
-    attention: Vec<f64>,
-    adjacency: Adjacency,
+    /// Attention logits, one per edge, aligned with `adjacency.targets`.
+    logits: Vec<f64>,
+    /// `exp(logit − row max)`, one per edge.
+    exps: Vec<f64>,
+    /// Each row's largest logit (−∞ for an empty row).
+    max: Vec<f64>,
     output: Matrix,
+}
+
+impl Reference {
+    /// Number of nodes in the recorded graph.
+    pub fn rows(&self) -> usize {
+        self.features.rows()
+    }
+}
+
+/// What `backward` needs: the forward's record plus its softmax weights.
+#[derive(Debug, Clone)]
+struct Cache {
+    graph: Reference,
+    /// Softmax weights, one per edge, aligned with `graph.adjacency`.
+    attention: Vec<f64>,
+}
+
+/// Marks "no row" in the index arrays of a patched forward.
+const NONE: usize = usize::MAX;
+
+/// Where the h/q/k rows of a graph's nodes live: node `g` reads row
+/// `src[g]` of the `base` matrices when that is below their row count,
+/// and row `src[g] − base rows` of the `fresh` ones otherwise.
+struct Nodes<'a> {
+    base: [&'a Matrix; 3],
+    fresh: [&'a Matrix; 3],
+    src: &'a [usize],
+}
+
+impl<'a> Nodes<'a> {
+    #[inline]
+    fn row(&self, which: usize, g: usize) -> &'a [f64] {
+        let s = self.src[g];
+        let base = self.base[which];
+        if s < base.rows() {
+            base.row(s)
+        } else {
+            self.fresh[which].row(s - base.rows())
+        }
+    }
+
+    #[inline]
+    fn h(&self, g: usize) -> &'a [f64] {
+        self.row(0, g)
+    }
+
+    #[inline]
+    fn q(&self, g: usize) -> &'a [f64] {
+        self.row(1, g)
+    }
+
+    #[inline]
+    fn k(&self, g: usize) -> &'a [f64] {
+        self.row(2, g)
+    }
+}
+
+/// The reference values one attention row may reuse: `slots[t]` is the
+/// reference edge holding row edge `t`'s logit (same query node, same
+/// key node, both unchanged), or [`NONE`].
+#[derive(Clone, Copy)]
+struct Reuse<'a> {
+    slots: &'a [usize],
+    logits: &'a [f64],
+    exps: &'a [f64],
+    max: f64,
+}
+
+impl Reuse<'_> {
+    #[inline]
+    fn logit(&self, t: usize) -> Option<f64> {
+        let p = self.slots[t];
+        (p != NONE).then(|| self.logits[p])
+    }
+
+    #[inline]
+    fn exp(&self, t: usize) -> Option<f64> {
+        let p = self.slots[t];
+        (p != NONE).then(|| self.exps[p])
+    }
+}
+
+/// The per-edge outputs of one attention row, and room for its
+/// neighbours' `h` rows.
+struct EdgeRow<'a, 'n> {
+    logits: &'a mut [f64],
+    exps: &'a mut [f64],
+    alpha: &'a mut [f64],
+    h_rows: &'a mut Vec<&'n [f64]>,
+}
+
+/// One node's attention, the one chain every forward form runs: logits
+/// `q_i·k_j / √d` (each its own ascending chain, four fresh ones per SIMD
+/// call; the exp stays scalar libm), the row max, `exp(logit − max)`, the
+/// ordered sum, the divide, the ordered `Σ α_j h_j` into the zeroed `out`
+/// and its tanh. With `reuse`, a logit is copied from the reference
+/// edge that holds it, and so is its exp when the row max is bitwise the
+/// reference max — the same bits this chain would compute. Returns the
+/// row max.
+fn attend_row<'n>(
+    qi: &[f64],
+    nbrs: &[usize],
+    nodes: &Nodes<'n>,
+    scale: f64,
+    reuse: Option<Reuse<'_>>,
+    edges: EdgeRow<'_, 'n>,
+    out: &mut [f64],
+) -> f64 {
+    let EdgeRow {
+        logits,
+        exps,
+        alpha,
+        h_rows,
+    } = edges;
+    let mut fresh = [0usize; 4];
+    let mut pending = 0;
+    for t in 0..nbrs.len() {
+        if let Some(l) = reuse.and_then(|r| r.logit(t)) {
+            logits[t] = l;
+            continue;
+        }
+        fresh[pending] = t;
+        pending += 1;
+        if pending == 4 {
+            let dots = kernel::dot4_rows(
+                qi,
+                nodes.k(nbrs[fresh[0]]),
+                nodes.k(nbrs[fresh[1]]),
+                nodes.k(nbrs[fresh[2]]),
+                nodes.k(nbrs[fresh[3]]),
+            );
+            for (&t, &d) in fresh.iter().zip(&dots) {
+                logits[t] = d * scale;
+            }
+            pending = 0;
+        }
+    }
+    for &t in &fresh[..pending] {
+        logits[t] = kernel::dot(qi, nodes.k(nbrs[t])) * scale;
+    }
+
+    let max = logits.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+    let same_max = reuse.filter(|r| r.max.to_bits() == max.to_bits());
+    for (t, (e, &l)) in exps.iter_mut().zip(logits.iter()).enumerate() {
+        *e = same_max
+            .and_then(|r| r.exp(t))
+            .unwrap_or_else(|| (l - max).exp());
+    }
+    let denom: f64 = exps.iter().sum();
+    for (a, &e) in alpha.iter_mut().zip(exps.iter()) {
+        *a = e / denom;
+    }
+    h_rows.clear();
+    h_rows.extend(nbrs.iter().map(|&j| nodes.h(j)));
+    kernel::axpy_rows(out, alpha, h_rows);
+    for v in out.iter_mut() {
+        *v = v.tanh();
+    }
+    max
+}
+
+/// Whether two rows hold the same bits.
+fn same_bits(a: &[f64], b: &[f64]) -> bool {
+    a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
 }
 
 impl GraphAttention {
@@ -169,80 +342,213 @@ impl GraphAttention {
     /// Panics if `adjacency.rows() != features.rows()`, if
     /// `features.cols() != in_dim`, or if a neighbour index is out of range.
     pub fn forward(&mut self, features: &Matrix, adjacency: &Adjacency) -> Matrix {
+        let (graph, attention) = self.attend(features, adjacency);
+        let output = graph.output.clone();
+        self.cache = Some(Cache { graph, attention });
+        output
+    }
+
+    /// [`GraphAttention::forward`] without the backward cache, recorded
+    /// as a [`Reference`] for [`GraphAttention::forward_patched`].
+    ///
+    /// # Panics
+    ///
+    /// As [`GraphAttention::forward`].
+    pub fn reference(&self, features: &Matrix, adjacency: &Adjacency) -> Reference {
+        self.attend(features, adjacency).0
+    }
+
+    /// Inference-only [`GraphAttention::forward`] of a graph that differs
+    /// from `reference` in a few nodes: returns exactly what `forward`
+    /// would, bit for bit, but computes only what the differences touch.
+    ///
+    /// `features` may stack several graphs over the reference's node set
+    /// (the disjoint-union layout `forward` documents): node `g` stands
+    /// over reference node `g % reference.rows()`, and a node is
+    /// *changed* when its feature row differs bitwise from that node's.
+    /// Only changed nodes get new `h`, `q`, `k` — one gathered matmul per
+    /// weight for the whole stack. An unchanged node whose neighbours
+    /// stand, unchanged and in order, over its reference node's neighbour
+    /// row copies the reference output row. Every other row runs the full
+    /// attention chain, reusing the reference logit of each edge between
+    /// unchanged nodes that the reference row also holds, and that edge's
+    /// exp too when the row's max is bitwise the reference max.
+    ///
+    /// # Panics
+    ///
+    /// As [`GraphAttention::forward`], and if `features.rows()` is not a
+    /// multiple of `reference.rows()` or the reference is empty.
+    pub fn forward_patched(
+        &self,
+        reference: &Reference,
+        features: &Matrix,
+        adjacency: &Adjacency,
+    ) -> Matrix {
+        self.check_graph(features, adjacency);
+        let n = features.rows();
+        let base_n = reference.rows();
+        assert!(
+            base_n > 0 && n.is_multiple_of(base_n),
+            "{n} nodes do not stack over a {base_n}-node reference"
+        );
+
+        // Changed nodes get fresh h/q/k rows from one gathered matmul per
+        // weight; every other node reads its reference node's rows.
+        let mut src: Vec<usize> = (0..n / base_n).flat_map(|_| 0..base_n).collect();
+        let mut changed = Vec::new();
+        for (g, s) in src.iter_mut().enumerate() {
+            if !same_bits(features.row(g), reference.features.row(*s)) {
+                *s = base_n + changed.len();
+                changed.push(g);
+            }
+        }
+        let mut gathered = Matrix::zeros(changed.len(), self.in_dim());
+        for (r, &g) in changed.iter().enumerate() {
+            gathered.row_mut(r).copy_from_slice(features.row(g));
+        }
+        let [fresh_h, fresh_q, fresh_k] = self.project(&gathered);
+        let nodes = Nodes {
+            base: [&reference.h, &reference.q, &reference.k],
+            fresh: [&fresh_h, &fresh_q, &fresh_k],
+            src: &src,
+        };
+
+        let scale = self.scale();
+        let mut output = Matrix::zeros(n, self.out_dim());
+        // `position[x]`: the reference edge from the row being patched to
+        // reference node `x`, or NONE; reset after every row.
+        let mut position = vec![NONE; base_n];
+        let widest = (0..n).map(|i| adjacency.span(i).len()).max().unwrap_or(0);
+        let mut slots = vec![NONE; widest];
+        let (mut logits, mut exps, mut alpha) =
+            (vec![0.0; widest], vec![0.0; widest], vec![0.0; widest]);
+        let mut h_rows = Vec::with_capacity(widest);
+        for i in 0..n {
+            let nbrs = adjacency.row(i);
+            let len = nbrs.len();
+            let r = src[i];
+            let reuse = if r < base_n {
+                let span = reference.adjacency.span(r);
+                let ref_row = &reference.adjacency.targets[span.clone()];
+                // The reference row's neighbours, unchanged and in its
+                // order: the reference row's output.
+                if len == ref_row.len() && nbrs.iter().zip(ref_row).all(|(&j, &x)| src[j] == x) {
+                    output.row_mut(i).copy_from_slice(reference.output.row(r));
+                    continue;
+                }
+                for (p, &x) in span.zip(ref_row) {
+                    position[x] = p;
+                }
+                let slots = &mut slots[..len];
+                for (slot, &j) in slots.iter_mut().zip(nbrs) {
+                    *slot = position.get(src[j]).copied().unwrap_or(NONE);
+                }
+                for &x in ref_row {
+                    position[x] = NONE;
+                }
+                Some(Reuse {
+                    slots,
+                    logits: &reference.logits,
+                    exps: &reference.exps,
+                    max: reference.max[r],
+                })
+            } else {
+                None
+            };
+            attend_row(
+                nodes.q(i),
+                nbrs,
+                &nodes,
+                scale,
+                reuse,
+                EdgeRow {
+                    logits: &mut logits[..len],
+                    exps: &mut exps[..len],
+                    alpha: &mut alpha[..len],
+                    h_rows: &mut h_rows,
+                },
+                output.row_mut(i),
+            );
+        }
+        output
+    }
+
+    /// The shape and index checks every forward form makes.
+    fn check_graph(&self, features: &Matrix, adjacency: &Adjacency) {
         let n = features.rows();
         assert_eq!(adjacency.rows(), n, "one neighbour list per node required");
         assert_eq!(features.cols(), self.in_dim(), "feature width mismatch");
         if let Some(j) = adjacency.targets.iter().find(|&&j| j >= n) {
             panic!("neighbour index {j} out of range for {n} nodes");
         }
+    }
 
-        let h_pre = features
+    /// `h = tanh(U·W + b)`, `q = h·W_q` and `k = h·W_k` of `features`'
+    /// rows: one matmul per weight, each row independent of the others.
+    fn project(&self, features: &Matrix) -> [Matrix; 3] {
+        let h = features
             .matmul(&self.w.value)
-            .add_row_broadcast(&self.b.value);
-        let h = h_pre.map(f64::tanh);
+            .add_row_broadcast(&self.b.value)
+            .map(f64::tanh);
         let q = h.matmul(&self.wq.value);
         let k = h.matmul(&self.wk.value);
-        let scale = 1.0 / (self.wq.value.cols() as f64).sqrt();
+        [h, q, k]
+    }
 
-        let d_out = self.out_dim();
-        let mut output = Matrix::zeros(n, d_out);
-        // Each row's logits are written into its edge slots, exponentiated
-        // and normalised in place: the slots end up holding `alpha`.
-        let mut attention = vec![0.0; adjacency.targets.len()];
-        for i in 0..n {
-            let nbrs = adjacency.row(i);
-            if nbrs.is_empty() {
-                continue;
-            }
-            // Dot-product attention logits, softmax-normalised with the
-            // usual max-subtraction for stability. Each logit is its own
-            // ascending-c chain, so four neighbours' logits run as
-            // parallel SIMD lanes; the exp stays scalar (libm).
-            let qi = q.row(i);
-            let alpha = &mut attention[adjacency.span(i)];
-            let mut idx = 0;
-            while idx + 4 <= nbrs.len() {
-                let dots = kernel::dot4_rows(
-                    qi,
-                    k.row(nbrs[idx]),
-                    k.row(nbrs[idx + 1]),
-                    k.row(nbrs[idx + 2]),
-                    k.row(nbrs[idx + 3]),
-                );
-                for (t, &d) in dots.iter().enumerate() {
-                    alpha[idx + t] = d * scale;
-                }
-                idx += 4;
-            }
-            while idx < nbrs.len() {
-                alpha[idx] = kernel::dot(qi, k.row(nbrs[idx])) * scale;
-                idx += 1;
-            }
-            let max = alpha.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-            for l in alpha.iter_mut() {
-                *l = (*l - max).exp();
-            }
-            let denom: f64 = alpha.iter().sum();
-            for a in alpha.iter_mut() {
-                *a /= denom;
-            }
+    /// The logit scale `1/√d` of the attention width.
+    fn scale(&self) -> f64 {
+        1.0 / (self.wq.value.cols() as f64).sqrt()
+    }
 
-            for (&a, &j) in alpha.iter().zip(nbrs) {
-                kernel::axpy(output.row_mut(i), a, h.row(j));
-            }
+    /// The full forward: every row through [`attend_row`]. Returns the
+    /// record and the softmax weights.
+    fn attend(&self, features: &Matrix, adjacency: &Adjacency) -> (Reference, Vec<f64>) {
+        self.check_graph(features, adjacency);
+        let n = features.rows();
+        let [h, q, k] = self.project(features);
+        let src: Vec<usize> = (0..n).collect();
+        let empty = Matrix::zeros(0, 0);
+        let nodes = Nodes {
+            base: [&h, &q, &k],
+            fresh: [&empty, &empty, &empty],
+            src: &src,
+        };
+        let scale = self.scale();
+        let edges = adjacency.targets.len();
+        let (mut logits, mut exps, mut alpha) =
+            (vec![0.0; edges], vec![0.0; edges], vec![0.0; edges]);
+        let mut max = vec![f64::NEG_INFINITY; n];
+        let mut output = Matrix::zeros(n, self.out_dim());
+        let mut h_rows = Vec::new();
+        for (i, m) in max.iter_mut().enumerate() {
+            let span = adjacency.span(i);
+            *m = attend_row(
+                q.row(i),
+                adjacency.row(i),
+                &nodes,
+                scale,
+                None,
+                EdgeRow {
+                    logits: &mut logits[span.clone()],
+                    exps: &mut exps[span.clone()],
+                    alpha: &mut alpha[span],
+                    h_rows: &mut h_rows,
+                },
+                output.row_mut(i),
+            );
         }
-        let output = output.map(f64::tanh);
-
-        self.cache = Some(Cache {
+        let graph = Reference {
             features: features.clone(),
+            adjacency: adjacency.clone(),
             h,
             q,
             k,
-            attention,
-            adjacency: adjacency.clone(),
-            output: output.clone(),
-        });
-        output
+            logits,
+            exps,
+            max,
+            output,
+        };
+        (graph, alpha)
     }
 
     /// Backward pass: accumulates parameter gradients and returns the
@@ -327,6 +633,7 @@ impl GraphAttention {
         self.cache
             .as_ref()
             .expect("GraphAttention::backward called before forward")
+            .graph
             .features
             .rows()
     }
@@ -376,7 +683,7 @@ impl GraphAttention {
 
         // Through the output tanh, then the attention rows.
         let mut d_agg = grad_output.clone();
-        through_tanh(&mut d_agg, &cache.output);
+        through_tanh(&mut d_agg, &cache.graph.output);
         let mut d_h = Matrix::zeros(rows, d_out);
         let mut d_q = Matrix::zeros(rows, d_att);
         let mut d_k = Matrix::zeros(rows, d_att);
@@ -399,7 +706,7 @@ impl GraphAttention {
         // The dX = dY·Wᵀ products use the fused transposed-B kernel: W is
         // already laid out as the transpose of what the dot products need.
         for &(co, nb, go) in segments {
-            let hseg = cache.h.row_block(co, nb).transpose();
+            let hseg = cache.graph.h.row_block(co, nb).transpose();
             self.wq
                 .grad
                 .add_in_place(&hseg.matmul(&d_q.row_block(go, nb)));
@@ -412,9 +719,9 @@ impl GraphAttention {
 
         // Through H = tanh(U·W + b).
         let mut d_hpre = d_h;
-        through_tanh(&mut d_hpre, &cache.h);
+        through_tanh(&mut d_hpre, &cache.graph.h);
         for &(co, nb, go) in segments {
-            let useg = cache.features.row_block(co, nb);
+            let useg = cache.graph.features.row_block(co, nb);
             let gseg = d_hpre.row_block(go, nb);
             self.w.grad.add_in_place(&useg.transpose().matmul(&gseg));
             self.b.grad.add_in_place(&gseg.sum_rows());
@@ -445,11 +752,11 @@ fn attention_backward_rows(
     // it is read).
     let mut d_alpha: Vec<f64> = Vec::new();
     for i in cache_lo..cache_hi {
-        let nbrs = cache.adjacency.row(i);
+        let nbrs = cache.graph.adjacency.row(i);
         if nbrs.is_empty() {
             continue;
         }
-        let alpha = &cache.attention[cache.adjacency.span(i)];
+        let alpha = &cache.attention[cache.graph.adjacency.span(i)];
         let ig = i + delta;
         // dα_ij = dAgg_i · h_j ; and aggregation path into h_j.
         d_alpha.resize(nbrs.len(), 0.0);
@@ -457,10 +764,10 @@ fn attention_backward_rows(
         while idx + 4 <= nbrs.len() {
             let dots = kernel::dot4_rows(
                 d_agg.row(ig),
-                cache.h.row(nbrs[idx]),
-                cache.h.row(nbrs[idx + 1]),
-                cache.h.row(nbrs[idx + 2]),
-                cache.h.row(nbrs[idx + 3]),
+                cache.graph.h.row(nbrs[idx]),
+                cache.graph.h.row(nbrs[idx + 1]),
+                cache.graph.h.row(nbrs[idx + 2]),
+                cache.graph.h.row(nbrs[idx + 3]),
             );
             d_alpha[idx..idx + 4].copy_from_slice(&dots);
             for t in 0..4 {
@@ -473,7 +780,7 @@ fn attention_backward_rows(
             idx += 4;
         }
         while idx < nbrs.len() {
-            d_alpha[idx] = kernel::dot(d_agg.row(ig), cache.h.row(nbrs[idx]));
+            d_alpha[idx] = kernel::dot(d_agg.row(ig), cache.graph.h.row(nbrs[idx]));
             kernel::axpy(d_h.row_mut(nbrs[idx] + delta), alpha[idx], d_agg.row(ig));
             idx += 1;
         }
@@ -481,8 +788,8 @@ fn attention_backward_rows(
         let weighted: f64 = alpha.iter().zip(&d_alpha).map(|(a, d)| a * d).sum();
         for (idx, &j) in nbrs.iter().enumerate() {
             let ds = alpha[idx] * (d_alpha[idx] - weighted);
-            kernel::axpy_scaled(d_q.row_mut(ig), ds, cache.k.row(j), scale);
-            kernel::axpy_scaled(d_k.row_mut(j + delta), ds, cache.q.row(i), scale);
+            kernel::axpy_scaled(d_q.row_mut(ig), ds, cache.graph.k.row(j), scale);
+            kernel::axpy_scaled(d_k.row_mut(j + delta), ds, cache.graph.q.row(i), scale);
         }
     }
 }
@@ -550,7 +857,7 @@ mod tests {
         let cache = gat.cache.as_ref().unwrap();
         assert_eq!(cache.attention.len(), 15);
         for i in 0..5 {
-            let alpha = &cache.attention[cache.adjacency.span(i)];
+            let alpha = &cache.attention[cache.graph.adjacency.span(i)];
             let sum: f64 = alpha.iter().sum();
             assert!((sum - 1.0).abs() < 1e-12);
             assert!(alpha.iter().all(|&a| a >= 0.0));
@@ -758,6 +1065,158 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// A random graph: `n` feature rows and, per node, a random
+    /// neighbour row (self first, then up to five others in random order;
+    /// every fourth row empty).
+    fn random_graph(n: usize, seed: u64) -> (Matrix, Vec<Vec<usize>>) {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let feats = Initializer::new(seed).normal(n, 3, 1.0);
+        let rows = (0..n)
+            .map(|i| {
+                if i % 4 == 3 {
+                    return Vec::new();
+                }
+                let mut row = vec![i];
+                for _ in 0..rng.gen_range(1..6) {
+                    let j = rng.gen_range(0..n);
+                    if !row.contains(&j) {
+                        row.push(j);
+                    }
+                }
+                row
+            })
+            .collect();
+        (feats, rows)
+    }
+
+    fn to_adjacency(rows: &[Vec<usize>]) -> Adjacency {
+        let mut adj = Adjacency::default();
+        for row in rows {
+            adj.push_row(0, row.iter().copied());
+        }
+        adj
+    }
+
+    /// The reference's logit for edge `i → j`, recomputed from its rows.
+    fn logit(reference: &Reference, scale: f64, i: usize, j: usize) -> f64 {
+        kernel::dot(reference.q.row(i), reference.k.row(j)) * scale
+    }
+
+    /// `forward_patched` against `reference` must equal `forward` on the
+    /// same graph, bit for bit.
+    fn assert_patched_is_forward(
+        gat: &GraphAttention,
+        reference: &Reference,
+        feats: &Matrix,
+        adj: &Adjacency,
+        case: &str,
+    ) {
+        let want = gat.clone().forward(feats, adj);
+        let got = gat.forward_patched(reference, feats, adj);
+        assert_eq!(got.shape(), want.shape(), "{case}: shape");
+        for (t, (a, b)) in got.data().iter().zip(want.data()).enumerate() {
+            assert_eq!(
+                a.to_bits(),
+                b.to_bits(),
+                "{case}: element {t} diverged ({a} vs {b})"
+            );
+        }
+    }
+
+    #[test]
+    fn patched_forward_is_bit_identical_to_forward() {
+        let gat = GraphAttention::new(3, 5, 4, &mut Initializer::new(101));
+        let scale = gat.scale();
+        for seed in 0..6u64 {
+            let n = 16;
+            let (feats, rows) = random_graph(n, 200 + seed);
+            let reference = gat.reference(&feats, &to_adjacency(&rows));
+            let check = |f: &Matrix, r: &[Vec<usize>], case: &str| {
+                let case = format!("seed {seed}: {case}");
+                assert_patched_is_forward(&gat, &reference, f, &to_adjacency(r), &case);
+            };
+
+            check(&feats, &rows, "unchanged graph");
+
+            let mut edited = feats.clone();
+            let noise = Initializer::new(300 + seed).normal(3, 3, 1.0);
+            for (r, node) in [1usize, 6, 9].into_iter().enumerate() {
+                edited.row_mut(node).copy_from_slice(noise.row(r));
+            }
+            check(&edited, &rows, "edited feature rows");
+
+            let mut grown = rows.clone();
+            grown[0].extend([5, 11, 14]);
+            grown[2].truncate(1);
+            check(&feats, &grown, "a row gains targets, a row loses them");
+
+            let mut emptied = rows.clone();
+            emptied[4].clear();
+            emptied[3] = vec![3, 7];
+            check(&feats, &emptied, "a row empties, an empty row fills");
+
+            // A new neighbour whose logit tops the row: reused exps would
+            // be stale, so every exp of the row must be recomputed.
+            let (i, j) = (0..n)
+                .filter(|&i| !rows[i].is_empty())
+                .find_map(|i| {
+                    (0..n)
+                        .filter(|j| !rows[i].contains(j))
+                        .find(|&j| logit(&reference, scale, i, j) > reference.max[i])
+                        .map(|j| (i, j))
+                })
+                .expect("some node must out-score a row's max");
+            let mut topped = rows.clone();
+            topped[i].push(j);
+            check(&feats, &topped, "a new neighbour holds the max");
+
+            // Drop each row's max holder in turn.
+            let mut beheaded = rows.clone();
+            for (i, row) in beheaded.iter_mut().enumerate() {
+                if let Some(t) = row.iter().position(|&j| {
+                    logit(&reference, scale, i, j).to_bits() == reference.max[i].to_bits()
+                }) {
+                    row.remove(t);
+                }
+            }
+            check(&feats, &beheaded, "the max holders removed");
+
+            check(&edited, &topped, "edits and a new max together");
+        }
+    }
+
+    #[test]
+    fn patched_forward_of_a_stack_matches_forward() {
+        // Three patches of one reference stacked as a disjoint union; the
+        // middle block also links one node into the first block.
+        let gat = GraphAttention::new(3, 5, 4, &mut Initializer::new(103));
+        let n = 12;
+        let (feats, rows) = random_graph(n, 77);
+        let reference = gat.reference(&feats, &to_adjacency(&rows));
+        let mut stacked = Matrix::zeros(3 * n, 3);
+        let mut adj = Adjacency::default();
+        for b in 0..3 {
+            let mut targets: Vec<Vec<usize>> = rows
+                .iter()
+                .map(|row| row.iter().map(|&j| j + b * n).collect())
+                .collect();
+            let mut block_feats = feats.clone();
+            if b == 1 {
+                targets[5].push(n + 8);
+                targets[n - 1].push(0);
+                block_feats.row_mut(2)[0] += 0.5;
+            }
+            for (r, row) in targets.into_iter().enumerate() {
+                stacked
+                    .row_mut(b * n + r)
+                    .copy_from_slice(block_feats.row(r));
+                adj.push_row(0, row);
+            }
+        }
+        assert_patched_is_forward(&gat, &reference, &stacked, &adj, "stack of three");
     }
 
     #[test]

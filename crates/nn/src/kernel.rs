@@ -869,6 +869,88 @@ unsafe fn axpy_neon(acc: &mut [f64], s: f64, x: &[f64]) {
     }
 }
 
+/// `acc += Σ_t w[t]·rows[t]`: exactly `for t { axpy(acc, w[t], rows[t]) }`,
+/// bit for bit — each element one ordered chain of mul-then-add steps.
+/// The AVX2 path keeps each block of 16 columns in registers across all
+/// the rows instead of loading and storing it once per row; the other
+/// backends run one [`axpy`] per row. The GAT attention aggregation
+/// `Σ_j α_ij h_j`.
+///
+/// # Panics
+///
+/// Panics if `w` and `rows` differ in length or a row's length differs
+/// from `acc`'s.
+pub fn axpy_rows(acc: &mut [f64], w: &[f64], rows: &[&[f64]]) {
+    axpy_rows_on(active(), acc, w, rows)
+}
+
+/// [`axpy_rows`] pinned to an explicit backend.
+#[doc(hidden)]
+pub fn axpy_rows_on(backend: Backend, acc: &mut [f64], w: &[f64], rows: &[&[f64]]) {
+    assert_eq!(w.len(), rows.len(), "axpy_rows weight count");
+    assert!(
+        rows.iter().all(|x| x.len() == acc.len()),
+        "axpy_rows operand lengths"
+    );
+    match backend {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: dispatch only yields Avx2 after is_x86_feature_detected;
+        // every row was checked to be as long as `acc`.
+        Backend::Avx2 => unsafe { axpy_rows_avx2(acc, w, rows) },
+        _ => {
+            for (&s, x) in w.iter().zip(rows) {
+                axpy_on(backend, acc, s, x);
+            }
+        }
+    }
+}
+
+/// # Safety
+///
+/// The CPU must support AVX2, and every row must be as long as `acc`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn axpy_rows_avx2(acc: &mut [f64], w: &[f64], rows: &[&[f64]]) {
+    use std::arch::x86_64::*;
+    let n = acc.len();
+    let ap = acc.as_mut_ptr();
+    let mut c = 0usize;
+    while c + 16 <= n {
+        let mut s = [
+            _mm256_loadu_pd(ap.add(c)),
+            _mm256_loadu_pd(ap.add(c + 4)),
+            _mm256_loadu_pd(ap.add(c + 8)),
+            _mm256_loadu_pd(ap.add(c + 12)),
+        ];
+        for (&wt, x) in w.iter().zip(rows) {
+            let xp = x.as_ptr().add(c);
+            let vw = _mm256_set1_pd(wt);
+            for (k, sk) in s.iter_mut().enumerate() {
+                *sk = _mm256_add_pd(*sk, _mm256_mul_pd(vw, _mm256_loadu_pd(xp.add(4 * k))));
+            }
+        }
+        for (k, sk) in s.iter().enumerate() {
+            _mm256_storeu_pd(ap.add(c + 4 * k), *sk);
+        }
+        c += 16;
+    }
+    while c + 4 <= n {
+        let mut s = _mm256_loadu_pd(ap.add(c));
+        for (&wt, x) in w.iter().zip(rows) {
+            let x = _mm256_loadu_pd(x.as_ptr().add(c));
+            s = _mm256_add_pd(s, _mm256_mul_pd(_mm256_set1_pd(wt), x));
+        }
+        _mm256_storeu_pd(ap.add(c), s);
+        c += 4;
+    }
+    while c < n {
+        for (&wt, x) in w.iter().zip(rows) {
+            *ap.add(c) += wt * *x.as_ptr().add(c);
+        }
+        c += 1;
+    }
+}
+
 /// `acc[t] += (s·x[t])·post` — the attention Q/K gradient update, where
 /// `post` is the 1/√d logit scale applied **after** the product exactly
 /// as the scalar expression `ds * k[t] * scale` associates.
@@ -1418,6 +1500,45 @@ mod tests {
                 let mut got = base.clone();
                 scale_assign_on(backend, &mut got, -2.5);
                 assert_bits_eq(&got, &want, &format!("scale_assign len={len} on {name}"));
+            }
+        }
+    }
+
+    #[test]
+    fn axpy_rows_matches_one_axpy_per_row() {
+        // Widths straddle the 16-column register blocks and the 4- and
+        // 2-lane remainders; the rows carry NaN, ±Inf, ±0.0 and
+        // subnormals.
+        for len in [0usize, 1, 2, 3, 4, 5, 15, 16, 17, 21, 32, 35] {
+            for count in [0usize, 1, 3, 6] {
+                let rows: Vec<Vec<f64>> = (0..count)
+                    .map(|r| {
+                        let mut x = lcg_vec(len, 700 + 13 * r as u64 + len as u64);
+                        if len >= 4 && r == 1 {
+                            x[0] = f64::NAN;
+                            x[1] = f64::INFINITY;
+                            x[2] = -0.0;
+                            x[3] = f64::MIN_POSITIVE / 2.0;
+                        }
+                        x
+                    })
+                    .collect();
+                let w = lcg_vec(count, 900 + count as u64);
+                let base = lcg_vec(len, 800 + len as u64);
+                let mut want = base.clone();
+                for (x, &s) in rows.iter().zip(&w) {
+                    axpy_on(Backend::Scalar, &mut want, s, x);
+                }
+                for backend in backends() {
+                    let mut got = base.clone();
+                    let rows: Vec<&[f64]> = rows.iter().map(Vec::as_slice).collect();
+                    axpy_rows_on(backend, &mut got, &w, &rows);
+                    assert_bits_eq(
+                        &got,
+                        &want,
+                        &format!("axpy_rows len={len} rows={count} on {}", backend.name()),
+                    );
+                }
             }
         }
     }

@@ -366,6 +366,89 @@ fn row_budget_chunks_score_bit_identically_at_512_hosts() {
     }
 }
 
+/// The patched graph branch of the repair engine. `Carol` scores GON
+/// candidates with `GonModel::generate_candidates`, which patches the
+/// snapshot's GAT forward (`GonModel::graph_reference`) instead of
+/// recomputing it per candidate. On the same `snapshot.with_topology(c)`
+/// probes it must equal the full `generate_batch` — same generated
+/// metrics, confidence and iteration count, bit for bit — for promote,
+/// demote and reassign candidates, for candidates two moves from the
+/// snapshot (the failed broker's repair shift, then a move, as tabu's
+/// second iteration scores), at 64, 512 and 1,024 hosts (one 171-broker
+/// clique at 1,024), on 1 and 3 workers reading one reference.
+#[test]
+fn patched_graph_branch_generates_bit_identically_to_full_batches() {
+    use carol::nodeshift::{apply_move, enumerate_moves, neighborhood, Move};
+    use edgesim::state::SystemState;
+
+    let kinds: [fn(&Move) -> bool; 3] = [
+        |m| matches!(m, Move::Promote { .. }),
+        |m| matches!(m, Move::Demote { .. }),
+        |m| matches!(m, Move::Reassign { .. }),
+    ];
+    for (n_hosts, n_brokers) in [(64usize, 8usize), (512, 64), (1024, 171)] {
+        let (sim, snapshot) = failed_broker_federation(n_hosts, n_brokers);
+        let failed = sim.failed_brokers().to_vec();
+        let shifted = neighborhood(sim.topology(), failed[0], &failed)
+            .pop()
+            .expect("a failed broker has repairs");
+
+        // The first and last move of each kind, from the snapshot's
+        // topology and from the shifted one; plus the shift itself.
+        let mut candidates = vec![shifted.clone()];
+        for start in [sim.topology(), &shifted] {
+            let moves = enumerate_moves(start, &failed);
+            for kind in kinds {
+                let first = moves.iter().find(|m| kind(m)).copied();
+                let last = moves.iter().rfind(|m| kind(m)).copied();
+                let picked = [first, last].into_iter().flatten();
+                let applied: Vec<_> = picked.filter_map(|m| apply_move(start, m)).collect();
+                assert!(
+                    !applied.is_empty(),
+                    "{n_hosts} hosts: a move kind is missing"
+                );
+                candidates.extend(applied);
+            }
+        }
+        let probes: Vec<SystemState> = candidates
+            .iter()
+            .map(|c| snapshot.with_topology(c))
+            .collect();
+
+        let model = training_gon();
+        let want = model.clone().generate_batch(&probes);
+        let reference = model.graph_reference(&snapshot);
+        let chunks: Vec<&[SystemState]> = probes.chunks(gon::batch_len(n_hosts)).collect();
+        for threads in [1, 3] {
+            let got: Vec<gon::Generated> = par::par_map_init(
+                threads,
+                &chunks,
+                || model.clone(),
+                |m, chunk| m.generate_candidates(&reference, chunk),
+            )
+            .into_iter()
+            .flatten()
+            .collect();
+            assert_eq!(got.len(), want.len());
+            for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+                let case = format!("{n_hosts} hosts / {threads} workers / candidate {i}");
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(
+                    bits(&g.metrics_flat),
+                    bits(&w.metrics_flat),
+                    "{case}: metrics"
+                );
+                assert_eq!(
+                    g.confidence.to_bits(),
+                    w.confidence.to_bits(),
+                    "{case}: confidence"
+                );
+                assert_eq!(g.iterations, w.iterations, "{case}: iterations");
+            }
+        }
+    }
+}
+
 /// The sampled-neighbourhood repair path's own determinism gate. Sampling
 /// **knowingly changes search results** versus the full neighbourhood, so
 /// it cannot ride on the full-path pins — but it must still be a pure
