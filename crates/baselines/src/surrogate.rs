@@ -10,27 +10,21 @@ use carol::nodeshift::neighborhood;
 use carol::policy::{ObserveOutcome, ResiliencePolicy};
 use edgesim::state::{SystemState, GRAPH_DIM, METRIC_DIM, SCHED_DIM};
 use edgesim::{HostId, IntervalReport, NodeRole, Simulator, Topology};
+use gon::surrogates::pooled_input;
 use nn::init::Initializer;
 use nn::layer::{Activation, Dense, Layer, Sequential};
 use nn::{Adam, Matrix};
 
 const POOLED_DIM: usize = METRIC_DIM + SCHED_DIM + GRAPH_DIM;
 
-fn pooled(state: &SystemState) -> Vec<f64> {
-    let n = state.n_hosts().max(1) as f64;
-    let mut row = vec![0.0; POOLED_DIM];
-    for h in 0..state.n_hosts() {
-        for (i, v) in state.metrics[h].iter().enumerate() {
-            row[i] += v / n;
-        }
-        for (i, v) in state.schedule[h].iter().enumerate() {
-            row[METRIC_DIM + i] += v / n;
-        }
-        for (i, v) in state.graph_features[h].iter().enumerate() {
-            row[METRIC_DIM + SCHED_DIM + i] += v / n;
-        }
+/// Fuzzified pooled-mean input row shared by both surrogates: 3
+/// memberships per pooled dimension.
+fn fuzzy_input(state: &SystemState) -> Matrix {
+    let mut row = Vec::with_capacity(POOLED_DIM * 3);
+    for &v in pooled_input(state).data() {
+        row.extend_from_slice(&fuzzify(v));
     }
-    row
+    Matrix::row_vector(&row)
 }
 
 /// Triangular membership degrees (low / medium / high) of a value in
@@ -128,16 +122,6 @@ impl Elbs {
         }
     }
 
-    /// Fuzzified input row for the surrogate.
-    fn fuzzy_input(state: &SystemState) -> Matrix {
-        let p = pooled(state);
-        let mut row = Vec::with_capacity(POOLED_DIM * 3);
-        for v in p {
-            row.extend_from_slice(&fuzzify(v));
-        }
-        Matrix::row_vector(&row)
-    }
-
     /// Surrogate QoS score (lower = better) with the match-making pass:
     /// the fuzzy priority of every metric row is matched against every
     /// host's headroom, which is the O(p·|H|) loop the paper blames for
@@ -147,7 +131,7 @@ impl Elbs {
     }
 
     fn score_with(surrogate: &mut Sequential, state: &SystemState) -> f64 {
-        let neural = surrogate.forward(&Self::fuzzy_input(state))[(0, 0)];
+        let neural = surrogate.forward(&fuzzy_input(state))[(0, 0)];
         let mut matchmaking = 0.0;
         for h in 0..state.n_hosts() {
             let headroom = 1.0 - state.metrics[h][0];
@@ -192,7 +176,7 @@ impl ResiliencePolicy for Elbs {
         // Supervised pull toward the observed objective, every interval.
         let (qe, qs) = snapshot.qos_components();
         let target = 0.5 * qe + 0.5 * qs;
-        let x = Self::fuzzy_input(snapshot);
+        let x = fuzzy_input(snapshot);
         let y = self.surrogate.forward(&x);
         let err = y[(0, 0)] - target;
         self.surrogate.zero_grad();
@@ -259,19 +243,10 @@ impl Fras {
         }
     }
 
-    fn fuzzy_input(state: &SystemState) -> Matrix {
-        let p = pooled(state);
-        let mut row = Vec::with_capacity(POOLED_DIM * 3);
-        for v in p {
-            row.extend_from_slice(&fuzzify(v));
-        }
-        Matrix::row_vector(&row)
-    }
-
     /// One recurrent step *without* committing the hidden state — used
     /// when scoring hypothetical repair candidates.
     fn peek(&mut self, state: &SystemState) -> f64 {
-        let x = Self::fuzzy_input(state);
+        let x = fuzzy_input(state);
         let zx = self.wx.forward(&x);
         let zh = self.wh.forward(&self.hidden.clone());
         let h = (&zx + &zh).map(f64::tanh);
@@ -281,7 +256,7 @@ impl Fras {
     /// Recurrent step that *does* advance the hidden state (end of each
     /// real interval).
     fn advance(&mut self, state: &SystemState) -> f64 {
-        let x = Self::fuzzy_input(state);
+        let x = fuzzy_input(state);
         let zx = self.wx.forward(&x);
         let zh = self.wh.forward(&self.hidden.clone());
         self.hidden = (&zx + &zh).map(f64::tanh);

@@ -11,8 +11,10 @@
 //! CI consumes two columns: `determine_failures_s` at `aiot-1024` is
 //! gated against `ci/phase_baseline.json` (>20% regression fails), and
 //! `determine_failures_frac` at `aiot-4096` documents that failure
-//! determination no longer dominates the interval (the pre-sharding
-//! engine spent the majority of large-federation steps there).
+//! determination no longer dominates the interval (the engine before the
+//! phase pipeline spent the majority of large-federation steps there).
+//! Every stage runs serially, so the rows do not depend on
+//! `CAROL_THREADS`.
 
 use carol::scenario::ScenarioSpec;
 use edgesim::{PhaseTimings, Simulator};
@@ -72,7 +74,7 @@ pub struct PhasePoint {
     /// Mean simulator-step wall-clock per interval, seconds.
     pub per_interval_s: f64,
     /// Share of step wall-clock spent determining failures — the
-    /// column the sharded scan is meant to keep small.
+    /// column the failure scan is meant to keep small.
     pub determine_failures_frac: f64,
 }
 

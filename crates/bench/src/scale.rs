@@ -147,7 +147,7 @@ pub struct ScalePoint {
     #[serde(default)]
     pub phase_timings: PhaseTimings,
     /// Share of simulator-step wall-clock spent determining failures —
-    /// the scale row proving the sharded scan no longer dominates.
+    /// the scale row proving the failure scan no longer dominates.
     #[serde(default)]
     pub determine_failures_frac: f64,
 }

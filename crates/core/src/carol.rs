@@ -217,8 +217,12 @@ impl Carol {
             },
             config.pretrain_sim.clone(),
         );
+        // The GAN and feed-forward ablations never read the GON, so only
+        // the GON variant pays for its offline training.
         let mut gon = GonModel::new(config.gon.clone());
-        train_offline(&mut gon, &trace, &config.offline);
+        if matches!(config.variant, CarolVariant::Gon) {
+            train_offline(&mut gon, &trace, &config.offline);
+        }
         let mut policy = Self::from_model(gon, config, seed);
         // Train the ablation surrogates on the same trace.
         if let Some(gan) = policy.gan.as_mut() {

@@ -38,7 +38,7 @@ pub mod topology;
 
 pub use host::{HostId, HostSpec, HostState};
 pub use network::{NetworkModel, GATEWAY_BROKER_HOP_S};
-pub use phases::{PhaseTimings, SHARD_MIN_HOSTS};
+pub use phases::PhaseTimings;
 pub use scheduler::{Scheduler, SchedulingDecision};
 pub use sim::{FaultLoad, FleetMix, IntervalReport, SimConfig, Simulator};
 pub use state::SystemState;

@@ -13,15 +13,10 @@
 //! 6. [`execute`] — processor-shared execution per host.
 //! 7. [`report`] — cumulative accounting + the [`IntervalReport`].
 //!
-//! Three of the stages shard across `crates/par` workers —
-//! [`determine_failures`], the per-arrival bookkeeping inside [`admit`],
-//! and the per-host windows inside [`execute`] — all with the same
-//! contract: the parallel work is a **pure function** of the pre-stage
-//! state, computed over contiguous index segments and applied by a serial
-//! in-order reduction, so every f64 accumulation chain replays in exactly
-//! the serial order and results are **bit-identical at any worker
-//! count**. Sharding auto-enables at [`SHARD_MIN_HOSTS`] hosts and can be
-//! pinned with [`Simulator::set_step_workers`].
+//! Every stage runs serially on the calling thread, visiting tasks in
+//! store order and hosts in ascending index order, so each f64
+//! accumulation chain has exactly one order and a seeded run replays
+//! bit-for-bit.
 //!
 //! The stage functions are public so they can be tested (and timed)
 //! individually, but they are building blocks, not an API: calling them
@@ -37,10 +32,6 @@ use crate::task::{Task, TaskId, TaskSpec, TaskStatus};
 use crate::topology::{NodeRole, Topology};
 use crate::INTERVAL_SECONDS;
 use serde::{Deserialize, Serialize};
-
-/// Below this federation size the sharded phases default to serial:
-/// spawning workers costs more than the per-interval work saves.
-pub const SHARD_MIN_HOSTS: usize = 256;
 
 /// Wall-clock seconds spent in each stage of one [`Simulator::step`].
 ///
@@ -127,36 +118,16 @@ pub struct FailureSet {
     pub failed_now: Vec<bool>,
 }
 
-/// Output of [`execute`]: staged results the [`report`] stage folds into
+/// Output of [`execute`]: the results the [`report`] stage folds into
 /// the simulator's cumulative accounting.
 pub struct ExecutionOutcome {
     /// `(id, response_s, violated)` per completion, in ascending host
-    /// order then processor-sharing completion order (the serial order).
+    /// order then processor-sharing completion order.
     pub completed: Vec<(TaskId, f64, bool)>,
     /// Next interval-end host states, ascending host order.
     pub new_states: Vec<HostState>,
     /// Seconds of stall inflicted on LEI members by broker failures.
     pub broker_stall_s: f64,
-}
-
-/// Effective worker count for the sharded stages: the
-/// [`Simulator::set_step_workers`] override if present, else
-/// [`par::thread_count`] at or above [`SHARD_MIN_HOSTS`] hosts, else
-/// serial.
-pub(crate) fn resolve_workers(sim: &Simulator, n_hosts: usize) -> usize {
-    match sim.step_workers {
-        Some(k) => k.max(1),
-        None if n_hosts >= SHARD_MIN_HOSTS => par::thread_count(),
-        None => 1,
-    }
-}
-
-/// Splits `0..n` into `workers` contiguous ranges. Contiguity is what
-/// keeps the in-order reductions cheap: concatenating the per-segment
-/// outputs reproduces index order exactly.
-fn contiguous_segments(n: usize, workers: usize) -> Vec<std::ops::Range<usize>> {
-    let seg = n.div_ceil(workers.max(1)).max(1);
-    (0..n).step_by(seg).map(|s| s..(s + seg).min(n)).collect()
 }
 
 /// Stage 1: retire last interval's completions from the task store and
@@ -178,27 +149,13 @@ pub fn retire(sim: &mut Simulator) {
 
 /// Stage 2: gateway mobility + task admission. Returns the arrival count.
 ///
-/// Runs in three passes so the per-arrival bookkeeping can shard without
-/// touching the RNG stream: (1) a serial pass draws each arrival's entry
-/// LEI — the phase's only RNG consumer, replayed in arrival order; (2) a
-/// sharded pass maps each LEI to its entry broker and gateway-hop latency
-/// (a pure function of the drawn LEI — the broker liveness table cannot
-/// change mid-phase); (3) a serial in-order reduction assigns dense task
-/// ids and pushes tasks onto the store in arrival order. Bit-identical
-/// to the historical single loop at any worker count.
+/// One pass in arrival order: draw the arrival's entry LEI (the phase's
+/// only RNG consumer), map it to a live entry broker, charge the
+/// gateway→broker hop and push the task with the next dense id.
 pub fn admit(sim: &mut Simulator, arrivals: Vec<TaskSpec>) -> usize {
     let t = sim.interval;
     sim.network.step_mobility(t);
     let n_arrivals = arrivals.len();
-    if n_arrivals == 0 {
-        return 0;
-    }
-
-    // Pass 1 (serial): gateway entry draws, in arrival order.
-    let entry_leis: Vec<usize> = arrivals
-        .iter()
-        .map(|_| sim.network.sample_entry_lei(&mut sim.rng))
-        .collect();
 
     // Entry-broker table for this interval: brokers still recovering do
     // not accept traffic; with every broker down, arrivals fall back to
@@ -210,50 +167,29 @@ pub fn admit(sim: &mut Simulator, arrivals: Vec<TaskSpec>) -> usize {
         .filter(|&b| sim.recovering[b] == 0)
         .collect();
     let fallback = brokers.first().copied();
-    let network = &sim.network;
-    let place = |lei: usize| -> Option<(HostId, f64)> {
+
+    for spec in arrivals {
+        let lei = sim.network.sample_entry_lei(&mut sim.rng);
         let broker = if live_brokers.is_empty() {
             fallback
         } else {
             Some(live_brokers[lei % live_brokers.len()])
-        }?;
-        // Gateway→broker hop latency charged immediately.
-        Some((broker, network.latency_s(lei, lei) + GATEWAY_BROKER_HOP_S))
-    };
-
-    // Pass 2 (sharded): per-arrival placement over contiguous segments.
-    let workers = resolve_workers(sim, sim.config.specs.len());
-    let placements: Vec<Option<(HostId, f64)>> = if workers <= 1 {
-        entry_leis.iter().map(|&lei| place(lei)).collect()
-    } else {
-        let segments = contiguous_segments(n_arrivals, workers);
-        par::par_map_threads(workers, &segments, |range| {
-            entry_leis[range.clone()]
-                .iter()
-                .map(|&lei| place(lei))
-                .collect::<Vec<_>>()
-        })
-        .into_iter()
-        .flatten()
-        .collect()
-    };
-
-    // Pass 3 (serial, arrival order): dense id assignment + store push.
-    for (spec, placement) in arrivals.into_iter().zip(placements) {
-        let Some((broker, hop_s)) = placement else {
+        };
+        let Some(broker) = broker else {
             continue;
         };
         let id = sim.next_task_id;
         sim.next_task_id += 1;
         let mut task = Task::new(id, spec, t, broker);
-        task.elapsed_s += hop_s;
+        // Gateway→broker hop latency charged immediately.
+        task.elapsed_s += sim.network.latency_s(lei, lei) + GATEWAY_BROKER_HOP_S;
         sim.tasks.push(task);
     }
     n_arrivals
 }
 
 /// Read-only inputs of the per-host saturation check: each host's verdict
-/// is a pure function of these, so hosts shard across workers.
+/// is a pure function of these.
 struct FailureScanCtx<'a> {
     config: &'a SimConfig,
     topology: &'a Topology,
@@ -335,15 +271,13 @@ fn saturated(ctx: &FailureScanCtx<'_>, h: usize) -> bool {
 /// Computes provisional utilisation from current placement + queued
 /// fault loads; saturated hosts are unresponsive this interval. One pass
 /// over the task store groups running tasks by host and counts each
-/// broker's pending backlog, then the per-host verdicts — pure functions
-/// of that snapshot — shard over contiguous host segments; a serial in-order
-/// reduction latches the 1–5-minute recovery window (§IV-I) for hosts
-/// that failed fresh. Bit-identical at any worker count.
+/// broker's pending backlog, then each host's verdict is read off that
+/// snapshot, and the 1–5-minute recovery window (§IV-I) is latched for
+/// hosts that failed fresh.
 pub fn determine_failures(sim: &mut Simulator) -> FailureSet {
     let n = sim.config.specs.len();
     let (running_by_host, queued_pending) = sim.live_placement(n);
     let fault_loads = std::mem::replace(&mut sim.pending_faults, vec![FaultLoad::default(); n]);
-    let workers = resolve_workers(sim, n);
     let ctx = FailureScanCtx {
         config: &sim.config,
         topology: &sim.topology,
@@ -353,22 +287,9 @@ pub fn determine_failures(sim: &mut Simulator) -> FailureSet {
         queued_pending: &queued_pending,
         fault_loads: &fault_loads,
     };
-    let failed_now: Vec<bool> = if workers <= 1 {
-        (0..n).map(|h| saturated(&ctx, h)).collect()
-    } else {
-        let segments = contiguous_segments(n, workers);
-        par::par_map_threads(workers, &segments, |range| {
-            range
-                .clone()
-                .map(|h| saturated(&ctx, h))
-                .collect::<Vec<_>>()
-        })
-        .into_iter()
-        .flatten()
-        .collect()
-    };
-    // In-order reduction: recovery takes 1–5 minutes — down for the rest
-    // of this interval, live again next interval.
+    let failed_now: Vec<bool> = (0..n).map(|h| saturated(&ctx, h)).collect();
+    // Recovery takes 1–5 minutes — down for the rest of this interval,
+    // live again next interval.
     for (h, &fell) in failed_now.iter().enumerate() {
         if fell && sim.recovering[h] == 0 {
             sim.recovering[h] = 1;
@@ -450,10 +371,8 @@ pub fn schedule_dispatch(
 }
 
 /// Read-only inputs shared by every host's execution window in one
-/// interval. Each host's window is a pure function of these, so hosts can
-/// be stepped on any worker.
+/// interval.
 struct HostStepCtx<'a> {
-    tasks: &'a [Task],
     topology: &'a Topology,
     config: &'a SimConfig,
     per_host_tasks: &'a [Vec<usize>],
@@ -464,26 +383,16 @@ struct HostStepCtx<'a> {
     shift_penalty_s: &'a [f64],
 }
 
-/// One host's staged execution-window results: everything the serial
-/// loop would have mutated in place, applied in ascending host order by
-/// the reduction so accumulation order matches the serial reference.
-struct HostStepOutcome {
-    state: HostState,
-    /// `(task index, remaining_work, elapsed_s, completed)` for every
-    /// resident task.
-    task_updates: Vec<(usize, f64, f64, bool)>,
-    /// `(id, response_s, violated)` in processor-sharing completion order.
-    completed: Vec<(TaskId, f64, bool)>,
-    /// Host was stalled by a broker failure without failing itself —
-    /// contributes one interval of broker stall to the report.
-    stalled_not_failed: bool,
-}
-
-/// One host's execution window: identical arithmetic, in identical
-/// order, to the old serial loop body — task state is shadowed in local
-/// vectors parallel to the sorted active list instead of mutated through
-/// `&mut self`, which is what makes the function pure and shardable.
-fn step_host(ctx: &HostStepCtx<'_>, h: usize) -> HostStepOutcome {
+/// One host's execution window: advances the host's resident tasks in
+/// place, appends `(id, response_s, violated)` for each completion in
+/// processor-sharing completion order, and returns the host's
+/// interval-end state.
+fn step_host(
+    ctx: &HostStepCtx<'_>,
+    tasks: &mut [Task],
+    h: usize,
+    completed: &mut Vec<(TaskId, f64, bool)>,
+) -> HostState {
     let spec_h = &ctx.config.specs[h];
     let fl = ctx.fault_loads[h];
     let failed = ctx.failed_now[h];
@@ -493,11 +402,8 @@ fn step_host(ctx: &HostStepCtx<'_>, h: usize) -> HostStepOutcome {
     let task_idxs = &ctx.per_host_tasks[h];
 
     // RAM pressure from resident tasks.
-    let resident_ram: f64 = task_idxs
-        .iter()
-        .map(|&i| ctx.tasks[i].spec.ram_mb)
-        .sum::<f64>()
-        / spec_h.ram_mb;
+    let resident_ram: f64 =
+        task_idxs.iter().map(|&i| tasks[i].spec.ram_mb).sum::<f64>() / spec_h.ram_mb;
     let ram_util = resident_ram + mgmt_ram + fl.ram;
     let ram = ram_util.min(1.0);
     let swap = (ram_util - 1.0).clamp(0.0, 1.0);
@@ -505,13 +411,10 @@ fn step_host(ctx: &HostStepCtx<'_>, h: usize) -> HostStepOutcome {
     // Disk / network pressure.
     let disk_demand: f64 = task_idxs
         .iter()
-        .map(|&i| ctx.tasks[i].spec.disk_mb)
+        .map(|&i| tasks[i].spec.disk_mb)
         .sum::<f64>()
         / (spec_h.disk_bw * INTERVAL_SECONDS);
-    let net_demand: f64 = task_idxs
-        .iter()
-        .map(|&i| ctx.tasks[i].spec.net_mb)
-        .sum::<f64>()
+    let net_demand: f64 = task_idxs.iter().map(|&i| tasks[i].spec.net_mb).sum::<f64>()
         / (spec_h.net_bw * INTERVAL_SECONDS);
     let disk = (disk_demand + fl.disk).min(1.0);
     let net = (net_demand + fl.net).min(1.0);
@@ -525,7 +428,6 @@ fn step_host(ctx: &HostStepCtx<'_>, h: usize) -> HostStepOutcome {
     }
     usable_s = usable_s.max(0.0);
     let stall_s = INTERVAL_SECONDS - usable_s;
-    let stalled_not_failed = ctx.stalled_host[h] && !failed;
 
     // Thrashing: swap pressure halves effective capacity (§I:
     // storage-mapped virtual memory over congested backhaul).
@@ -548,67 +450,54 @@ fn step_host(ctx: &HostStepCtx<'_>, h: usize) -> HostStepOutcome {
 
     // Exact processor sharing within the usable window: with k active
     // tasks each runs at capacity/k; process completions in order of
-    // remaining work. Work/elapsed live in shadow vectors parallel to
-    // `active`.
+    // remaining work.
     let mut active: Vec<usize> = task_idxs.clone();
     active.sort_by(|&a, &b| {
-        ctx.tasks[a]
+        tasks[a]
             .remaining_work
-            .partial_cmp(&ctx.tasks[b].remaining_work)
+            .partial_cmp(&tasks[b].remaining_work)
             .expect("work values are finite")
     });
-    let mut rem: Vec<f64> = active
-        .iter()
-        .map(|&j| ctx.tasks[j].remaining_work)
-        .collect();
-    let mut elapsed: Vec<f64> = active.iter().map(|&j| ctx.tasks[j].elapsed_s).collect();
-    let mut done = vec![false; active.len()];
-    let mut completed = Vec::new();
     let mut time_left = usable_s;
-    let mut work_done_total = 0.0;
     let mut i = 0;
     while i < active.len() && time_left > 0.0 && capacity_per_s > 0.0 {
         let k = (active.len() - i) as f64;
         let rate = capacity_per_s / k;
-        let t_finish = rem[i] / rate;
+        let t_finish = tasks[active[i]].remaining_work / rate;
         if t_finish <= time_left {
             // Head task completes inside the window.
             let elapsed_until_done = usable_s - time_left + t_finish;
-            for r in &mut rem[i..] {
-                *r -= rate * t_finish;
-                work_done_total += rate * t_finish;
+            for &j in &active[i..] {
+                tasks[j].remaining_work -= rate * t_finish;
             }
-            rem[i] = 0.0;
-            done[i] = true;
-            elapsed[i] += stall_s + elapsed_until_done;
-            let task = &ctx.tasks[active[i]];
-            let violated = elapsed[i] > task.spec.deadline_s;
-            completed.push((task.id, elapsed[i], violated));
+            let task = &mut tasks[active[i]];
+            task.remaining_work = 0.0;
+            task.status = TaskStatus::Completed;
+            task.elapsed_s += stall_s + elapsed_until_done;
+            completed.push((
+                task.id,
+                task.elapsed_s,
+                task.elapsed_s > task.spec.deadline_s,
+            ));
             time_left -= t_finish;
             i += 1;
         } else {
-            for r in &mut rem[i..] {
-                *r -= rate * time_left;
-                work_done_total += rate * time_left;
+            for &j in &active[i..] {
+                tasks[j].remaining_work -= rate * time_left;
             }
             time_left = 0.0;
         }
     }
-    let time_left_after = time_left;
-    // Survivors carry the whole interval in elapsed time. (Everything in
-    // `active` was Running, so the serial loop's status guard always
-    // held here.)
-    for e in &mut elapsed[i..] {
-        *e += INTERVAL_SECONDS;
+    // Survivors carry the whole interval in elapsed time.
+    for &j in &active[i..] {
+        tasks[j].elapsed_s += INTERVAL_SECONDS;
     }
 
     // CPU utilisation: busy-time accounting. While any task is resident
     // the cores spin at their allocated fraction whether the cycles are
     // productive or lost to thrashing / broker-span contention —
     // inefficient topologies therefore *burn energy*, not just time.
-    // `work_done_total` is kept for diagnostics.
-    let busy_s = usable_s - time_left_after;
-    let _ = work_done_total;
+    let busy_s = usable_s - time_left;
     let work_util = if INTERVAL_SECONDS > 0.0 {
         (busy_s / INTERVAL_SECONDS) * cap_frac
     } else {
@@ -632,27 +521,16 @@ fn step_host(ctx: &HostStepCtx<'_>, h: usize) -> HostStepOutcome {
     };
     let energy_wh = power_w * INTERVAL_SECONDS / 3600.0;
 
-    let task_updates = active
-        .iter()
-        .enumerate()
-        .map(|(pos, &j)| (j, rem[pos], elapsed[pos], done[pos]))
-        .collect();
-
-    HostStepOutcome {
-        state: HostState {
-            cpu,
-            ram,
-            disk,
-            net,
-            swap,
-            io_wait,
-            energy_wh,
-            active_tasks: task_idxs.len(),
-            failed,
-        },
-        task_updates,
-        completed,
-        stalled_not_failed,
+    HostState {
+        cpu,
+        ram,
+        disk,
+        net,
+        swap,
+        io_wait,
+        energy_wh,
+        active_tasks: task_idxs.len(),
+        failed,
     }
 }
 
@@ -661,19 +539,14 @@ fn step_host(ctx: &HostStepCtx<'_>, h: usize) -> HostStepOutcome {
 /// Scheduling just moved tasks Pending→Running, so the task store is
 /// regrouped (the pending backlog per broker changed too); members of a
 /// failed broker's LEI are stalled first ("all active tasks within the
-/// LEI and all incoming tasks ... are impacted", §I). Each host's
-/// execution window is a pure function of the pre-stage task store plus
-/// this interval's per-host inputs (a task is resident on exactly one host),
-/// so hosts shard across `par` workers in contiguous segments. All
-/// mutations are staged into per-host outcomes and applied serially in
-/// ascending host order, reproducing the serial loop's f64 accumulation
-/// chains exactly — bit-identical at any worker count.
+/// LEI and all incoming tasks ... are impacted", §I). Hosts then step in
+/// ascending index order, each advancing only its own resident tasks (a
+/// task is resident on exactly one host).
 pub fn execute(sim: &mut Simulator, failures: &FailureSet) -> ExecutionOutcome {
     let n = sim.config.specs.len();
 
     // Broker-failure stalls.
     let mut stalled_host = vec![false; n];
-    let mut broker_stall_s = 0.0;
     for &b in sim.topology.brokers() {
         if failures.failed_now[b] {
             for member in sim.topology.lei(b) {
@@ -684,9 +557,7 @@ pub fn execute(sim: &mut Simulator, failures: &FailureSet) -> ExecutionOutcome {
 
     let (per_host_tasks, queued_now) = sim.live_placement(n);
     let shift_pen_all = std::mem::replace(&mut sim.shift_penalty_s, vec![0.0; n]);
-    let workers = resolve_workers(sim, n);
     let ctx = HostStepCtx {
-        tasks: &sim.tasks,
         topology: &sim.topology,
         config: &sim.config,
         per_host_tasks: &per_host_tasks,
@@ -696,34 +567,16 @@ pub fn execute(sim: &mut Simulator, failures: &FailureSet) -> ExecutionOutcome {
         stalled_host: &stalled_host,
         shift_penalty_s: &shift_pen_all,
     };
-    let segments = contiguous_segments(n, workers);
-    let outcomes: Vec<HostStepOutcome> = par::par_map_threads(workers, &segments, |range| {
-        range
-            .clone()
-            .map(|h| step_host(&ctx, h))
-            .collect::<Vec<_>>()
-    })
-    .into_iter()
-    .flatten()
-    .collect();
-
-    // In-order reduction: ascending host order, like the serial loop.
     let mut completed: Vec<(TaskId, f64, bool)> = Vec::new();
     let mut new_states = Vec::with_capacity(n);
-    for outcome in outcomes {
-        if outcome.stalled_not_failed {
+    let mut broker_stall_s = 0.0;
+    for (h, (&stalled, &failed)) in stalled_host.iter().zip(&failures.failed_now).enumerate() {
+        // A host stalled by a broker failure without failing itself
+        // contributes one interval of broker stall.
+        if stalled && !failed {
             broker_stall_s += INTERVAL_SECONDS;
         }
-        for (idx, rem, elapsed, done) in outcome.task_updates {
-            let task = &mut sim.tasks[idx];
-            task.remaining_work = rem;
-            task.elapsed_s = elapsed;
-            if done {
-                task.status = TaskStatus::Completed;
-            }
-        }
-        completed.extend(outcome.completed);
-        new_states.push(outcome.state);
+        new_states.push(step_host(&ctx, &mut sim.tasks, h, &mut completed));
     }
 
     // Pending tasks (unplaced, e.g. dead broker or outage) also wait.
@@ -914,49 +767,28 @@ mod tests {
     }
 
     #[test]
-    fn admit_is_bit_identical_across_worker_counts() {
-        let runs: Vec<Vec<u64>> = [Some(1), Some(3), Some(4)]
-            .into_iter()
-            .map(|workers| {
-                let mut sim = Simulator::new(SimConfig::small(8, 2, 99));
-                sim.set_step_workers(workers);
-                let arrivals: Vec<TaskSpec> =
-                    (0..37).map(|i| quick_spec(1000.0 + i as f64)).collect();
-                admit(&mut sim, arrivals);
-                sim.tasks.iter().map(|t| t.elapsed_s.to_bits()).collect()
-            })
-            .collect();
-        assert_eq!(runs[0], runs[1]);
-        assert_eq!(runs[0], runs[2]);
-    }
-
-    #[test]
-    fn determine_failures_is_bit_identical_across_worker_counts() {
-        let run = |workers: Option<usize>| -> (Vec<bool>, Vec<usize>) {
-            let mut sim = Simulator::new(SimConfig::small(16, 4, 11));
-            let mut sched = LeastLoadScheduler::new();
-            // Build up organic load first so the scan sums real chains.
-            for _ in 0..3 {
-                let arrivals: Vec<TaskSpec> = (0..6).map(|_| quick_spec(800_000.0)).collect();
-                sim.step(arrivals, &mut sched);
-            }
-            sim.set_step_workers(workers);
-            sim.inject_fault(
-                2,
-                FaultLoad {
-                    ram: 1.0,
-                    ..Default::default()
-                },
-            );
-            retire(&mut sim);
-            admit(&mut sim, Vec::new());
-            let failures = determine_failures(&mut sim);
-            (failures.failed_now, sim.recovering.clone())
-        };
-        let serial = run(Some(1));
-        assert_eq!(serial, run(Some(3)));
-        assert_eq!(serial, run(Some(4)));
-        assert!(serial.0[2], "RAM-saturated host must fail");
+    fn determine_failures_latches_saturated_hosts() {
+        let mut sim = Simulator::new(SimConfig::small(16, 4, 11));
+        let mut sched = LeastLoadScheduler::new();
+        // Build up organic load first so the scan sums real chains.
+        for _ in 0..3 {
+            let arrivals: Vec<TaskSpec> = (0..6).map(|_| quick_spec(800_000.0)).collect();
+            sim.step(arrivals, &mut sched);
+        }
+        sim.inject_fault(
+            2,
+            FaultLoad {
+                ram: 1.0,
+                ..Default::default()
+            },
+        );
+        retire(&mut sim);
+        admit(&mut sim, Vec::new());
+        let failures = determine_failures(&mut sim);
+        assert!(failures.failed_now[2], "RAM-saturated host must fail");
+        for (h, &fell) in failures.failed_now.iter().enumerate() {
+            assert_eq!(sim.recovering[h] > 0, fell, "host {h}: recovery latch");
+        }
     }
 
     #[test]

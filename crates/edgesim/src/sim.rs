@@ -222,9 +222,6 @@ pub struct Simulator {
     pub(crate) rng: StdRng,
     pub(crate) interval: usize,
     pub(crate) next_task_id: TaskId,
-    /// Worker-count override for sharded host stepping (see
-    /// [`Simulator::set_step_workers`]).
-    pub(crate) step_workers: Option<usize>,
     pub(crate) pending_faults: Vec<FaultLoad>,
     /// Hosts down for the current interval (failure latched last interval).
     pub(crate) recovering: Vec<usize>,
@@ -269,7 +266,6 @@ impl Simulator {
             rng,
             interval: 0,
             next_task_id: 0,
-            step_workers: None,
             pending_faults: vec![FaultLoad::default(); n],
             recovering: vec![0; n],
             shift_penalty_s: vec![0.0; n],
@@ -324,24 +320,6 @@ impl Simulator {
     /// Number of unretired tasks (`tasks().len()`).
     pub fn live_task_count(&self) -> usize {
         self.tasks.len()
-    }
-
-    /// Overrides how many workers shard the parallel pipeline stages
-    /// ([`crate::phases::determine_failures`], the per-arrival bookkeeping
-    /// in [`crate::phases::admit`], and the per-host windows in
-    /// [`crate::phases::execute`]).
-    ///
-    /// `None` (the default) auto-selects: serial below
-    /// [`crate::phases::SHARD_MIN_HOSTS`] (= 256) hosts,
-    /// `par::thread_count()` workers at or above that — the same
-    /// auto-enable point the README's "Scaling" section documents.
-    /// Results are bit-identical at every worker count — each sharded
-    /// stage computes pure per-item outcomes over contiguous segments and
-    /// applies them in a serial in-order reduction, reproducing the
-    /// serial accumulation chains exactly — so this knob only trades
-    /// wall-clock.
-    pub fn set_step_workers(&mut self, workers: Option<usize>) {
-        self.step_workers = workers;
     }
 
     /// Brokers that failed during the last completed interval — the input
@@ -433,8 +411,8 @@ impl Simulator {
     /// Composes the stages of [`crate::phases`] in their fixed order
     /// (retire → admit → determine_failures → restart → schedule_dispatch
     /// → execute → report), timing each stage into
-    /// [`IntervalReport::phases`]. See the `phases` module docs for what
-    /// each stage does and which ones shard across workers.
+    /// [`IntervalReport::phases`]. Every stage runs serially on the
+    /// calling thread; see the `phases` module docs for what each does.
     pub fn step(
         &mut self,
         arrivals: Vec<TaskSpec>,

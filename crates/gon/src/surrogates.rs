@@ -19,8 +19,9 @@ use nn::layer::{Activation, Dense, Layer, Sequential};
 use nn::{Adam, GraphAttention, Matrix};
 
 /// Pools per-host rows into fixed-size statistics (mean over hosts) so the
-/// surrogates stay host-count agnostic like the GON.
-fn pooled_input(state: &SystemState) -> Matrix {
+/// surrogates stay host-count agnostic like the GON: one row of metric,
+/// schedule and graph-feature means, in that order.
+pub fn pooled_input(state: &SystemState) -> Matrix {
     let n = state.n_hosts().max(1) as f64;
     let mut row = vec![0.0; METRIC_DIM + SCHED_DIM + GRAPH_DIM];
     for h in 0..state.n_hosts() {

@@ -1,17 +1,16 @@
-//! Long-horizon soak and sharded-stepping gates.
+//! Long-horizon soak and trajectory-pin gates.
 //!
 //! The simulator once kept every task it ever admitted and rescanned that
 //! archive every interval, so per-interval cost grew linearly with the
 //! horizon — a 5000-interval run spent most of its time iterating
 //! completed tasks. It now stores only unretired tasks. These tests pin
 //! the fix (per-interval cost stays flat, the task store stays bounded
-//! while arrivals grow with the horizon) and gate the sharded stepping
-//! paths — host execution at 64 hosts, the full phase pipeline (admit /
-//! determine_failures / execute) at `SHARD_MIN_HOSTS` — plus the
-//! multi-stream `FederationSet` daemon: any worker count must reproduce
-//! the serial trajectory bit-for-bit, and serving two federations from
-//! one process must stay flat-cost with per-federation checkpoints that
-//! restore.
+//! while arrivals grow with the horizon); pin the bit-exact trajectories
+//! of 64-, 256- and 1,024-host runs of the full phase pipeline, harvested
+//! from the sharded engine the serial step replaced (it had been shown
+//! equal to serial at every worker count); and gate the multi-stream
+//! `FederationSet` daemon: serving two federations from one process must
+//! stay flat-cost with per-federation checkpoints that restore.
 
 use edgesim::scheduler::LeastLoadScheduler;
 use edgesim::{FaultLoad, SimConfig, Simulator};
@@ -136,92 +135,104 @@ fn drive_fault_heavy(sim: &mut Simulator, intervals: usize, arrival_rate: f64, w
 }
 
 /// Full-accounting fingerprint of a finished run, bit-exact.
-fn fingerprint(sim: &Simulator) -> (usize, u64, u64, Vec<u64>, Vec<u64>) {
-    let response_bits: Vec<u64> = sim.response_times().iter().map(|t| t.to_bits()).collect();
-    let state_bits: Vec<u64> = sim
-        .host_states()
-        .iter()
-        .flat_map(|s| {
-            [
-                s.cpu.to_bits(),
-                s.ram.to_bits(),
-                s.disk.to_bits(),
-                s.net.to_bits(),
-                s.swap.to_bits(),
-                s.io_wait.to_bits(),
-                s.energy_wh.to_bits(),
-                s.active_tasks as u64,
-                u64::from(s.failed),
-            ]
-        })
-        .collect();
-    (
-        sim.completed_count(),
-        sim.total_energy_wh().to_bits(),
-        sim.violation_rate().to_bits(),
-        response_bits,
-        state_bits,
-    )
+#[derive(Debug, PartialEq, Eq)]
+struct Fingerprint {
+    completed: usize,
+    energy_bits: u64,
+    violation_rate_bits: u64,
+    /// FNV-1a over the bit patterns of every per-task response time, in
+    /// completion order.
+    response_hash: u64,
+    /// FNV-1a over every final host state field (utilisations, energy,
+    /// active-task count, failed flag), in host order.
+    state_hash: u64,
 }
 
-fn run_fingerprint(workers: Option<usize>) -> (usize, u64, u64, Vec<u64>, Vec<u64>) {
+fn fnv1a(values: impl Iterator<Item = u64>) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for v in values {
+        for byte in v.to_le_bytes() {
+            h ^= u64::from(byte);
+            h = h.wrapping_mul(0x1000_0000_01b3);
+        }
+    }
+    h
+}
+
+fn fingerprint(sim: &Simulator) -> Fingerprint {
+    let state_bits = sim.host_states().iter().flat_map(|s| {
+        [
+            s.cpu.to_bits(),
+            s.ram.to_bits(),
+            s.disk.to_bits(),
+            s.net.to_bits(),
+            s.swap.to_bits(),
+            s.io_wait.to_bits(),
+            s.energy_wh.to_bits(),
+            s.active_tasks as u64,
+            u64::from(s.failed),
+        ]
+    });
+    Fingerprint {
+        completed: sim.completed_count(),
+        energy_bits: sim.total_energy_wh().to_bits(),
+        violation_rate_bits: sim.violation_rate().to_bits(),
+        response_hash: fnv1a(sim.response_times().iter().map(|t| t.to_bits())),
+        state_hash: fnv1a(state_bits),
+    }
+}
+
+/// 64 hosts under the rotating single-host fault: completions, energy,
+/// SLO accounting, response-time stream and final per-host states.
+#[test]
+fn host_stepping_trajectory_is_pinned_at_64_hosts() {
     let mut sim = Simulator::new(SimConfig::small(64, 8, 11));
-    sim.set_step_workers(workers);
     drive(&mut sim, 40, 0.45 * 64.0, 17);
-    fingerprint(&sim)
+    assert_eq!(
+        fingerprint(&sim),
+        Fingerprint {
+            completed: 1116,
+            energy_bits: 0x4083_50ac_78ae_a7f5,
+            violation_rate_bits: 0x3fdb_a43e_64ee_90fa,
+            response_hash: 0x4457_7da5_cf16_755a,
+            state_hash: 0x76be_6c01_0f9e_18fc,
+        }
+    );
 }
 
-/// The sharded host-stepping gate: one worker, four workers and the
-/// auto-select default must produce bit-identical trajectories on a
-/// 64-host fault-heavy run — completions, energy, SLO accounting,
-/// response-time stream and final per-host states.
+/// 256 hosts with three saturated hosts every other interval, so failure
+/// determination, restarts and broker stalls have real work every step.
 #[test]
-fn sharded_host_stepping_is_bit_identical_across_worker_counts() {
-    let serial = run_fingerprint(Some(1));
-    assert!(serial.0 > 100, "run must complete tasks (got {})", serial.0);
-    assert!(
-        !serial.3.is_empty(),
-        "run must record response times to gate on"
+fn fault_heavy_trajectory_is_pinned_at_256_hosts() {
+    let mut sim = Simulator::new(SimConfig::small(256, 16, 23));
+    drive_fault_heavy(&mut sim, 24, 0.45 * 256.0, 31);
+    assert_eq!(
+        fingerprint(&sim),
+        Fingerprint {
+            completed: 2588,
+            energy_bits: 0x409e_b4c9_d45a_34ae,
+            violation_rate_bits: 0x3fee_f2f1_5c31_1039,
+            response_hash: 0x3ddb_a9a4_7fbf_1752,
+            state_hash: 0x4adb_dd5a_d44c_4ba4,
+        }
     );
-    for (label, workers) in [
-        ("4 workers", Some(4)),
-        ("3 workers", Some(3)),
-        ("auto", None),
-    ] {
-        let other = run_fingerprint(workers);
-        assert_eq!(serial, other, "{label}: trajectory diverged from serial");
-    }
 }
 
-/// The sharded phase-pipeline gate: 256 hosts is exactly
-/// `SHARD_MIN_HOSTS`, so the auto-select path genuinely shards the
-/// `admit`, `determine_failures` and `execute` phases — and a
-/// fault-heavy drive (three saturated hosts every other interval) keeps
-/// failure determination, restarts and repair bookkeeping busy. One
-/// worker, three, four and auto must all reproduce the same trajectory
-/// bit-for-bit.
+/// The fault-heavy drive at 1,024 hosts.
 #[test]
-fn sharded_phases_are_bit_identical_at_256_hosts() {
-    let run = |workers: Option<usize>| {
-        let mut sim = Simulator::new(SimConfig::small(256, 16, 23));
-        sim.set_step_workers(workers);
-        drive_fault_heavy(&mut sim, 24, 0.45 * 256.0, 31);
-        fingerprint(&sim)
-    };
-    let serial = run(Some(1));
-    assert!(serial.0 > 400, "run must complete tasks (got {})", serial.0);
-    assert!(
-        !serial.3.is_empty(),
-        "run must record response times to gate on"
+fn fault_heavy_trajectory_is_pinned_at_1024_hosts() {
+    let mut sim = Simulator::new(SimConfig::small(1024, 64, 5));
+    drive_fault_heavy(&mut sim, 12, 0.45 * 1024.0, 9);
+    assert_eq!(
+        fingerprint(&sim),
+        Fingerprint {
+            completed: 5206,
+            energy_bits: 0x40af_4cf3_e6c3_4f45,
+            violation_rate_bits: 0x3fee_a43d_c338_8cd6,
+            response_hash: 0x63a6_4813_7bae_0f3a,
+            state_hash: 0xdf61_0f1e_4291_4184,
+        }
     );
-    for (label, workers) in [
-        ("4 workers", Some(4)),
-        ("3 workers", Some(3)),
-        ("auto", None),
-    ] {
-        let other = run(workers);
-        assert_eq!(serial, other, "{label}: trajectory diverged from serial");
-    }
 }
 
 /// Multi-stream soak for the `FederationSet` daemon: two federations,
