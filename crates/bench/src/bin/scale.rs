@@ -1,10 +1,10 @@
-//! Host-count scaling sweep binary: CAROL over 16 → 128-host federations
+//! Host-count scaling sweep binary: CAROL over 16 → 4096-host federations
 //! on synthetic and replayed workloads, with per-size QoS, wall-clock and
 //! an isolated repair-path timing per size.
 //!
 //! ```text
-//! cargo run --release -p bench --bin scale            # full sweep (→ 128 hosts)
-//! cargo run --release -p bench --bin scale -- --fast  # CI sweep (→ 64 hosts)
+//! cargo run --release -p bench --bin scale            # full sweep (→ 4096 hosts)
+//! cargo run --release -p bench --bin scale -- --fast  # CI sweep (→ 256 hosts)
 //! cargo run --release -p bench --bin scale -- --out scale.json
 //! cargo run --release -p bench --bin scale -- --scenario storm-64
 //! SCALE_JSON=scale.json cargo run --release -p bench --bin scale

@@ -67,8 +67,13 @@ impl CommonArgs {
     /// the binary's env var (`SCALE_JSON`, `FUZZ_JSON`, `SERVE_JSON`, …)
     /// when the flag is absent. Empty env values count as unset.
     pub fn out_path(&self, env_var: &str) -> Option<String> {
+        self.out_path_or(std::env::var(env_var).ok())
+    }
+
+    /// [`CommonArgs::out_path`] with the env var's value passed in.
+    fn out_path_or(&self, env_value: Option<String>) -> Option<String> {
         self.flag_value("--out")
-            .or_else(|| std::env::var(env_var).ok().filter(|p| !p.is_empty()))
+            .or_else(|| env_value.filter(|p| !p.is_empty()))
     }
 }
 
@@ -154,13 +159,20 @@ mod tests {
 
     #[test]
     fn out_path_falls_back_to_env() {
+        // Through the env value, not `setenv`: mutating the environment
+        // while other test threads read it is undefined behaviour on glibc.
         let a = CommonArgs::from_vec(args(&["--fast"]));
         assert_eq!(a.out_path("BENCH_TEST_UNSET_ENV"), None);
-        std::env::set_var("BENCH_TEST_FALLBACK_ENV", "from-env.json");
+        assert_eq!(a.out_path_or(None), None);
         assert_eq!(
-            a.out_path("BENCH_TEST_FALLBACK_ENV").as_deref(),
+            a.out_path_or(Some("from-env.json".into())).as_deref(),
             Some("from-env.json")
         );
-        std::env::remove_var("BENCH_TEST_FALLBACK_ENV");
+        assert_eq!(a.out_path_or(Some(String::new())), None, "empty = unset");
+        let flagged = CommonArgs::from_vec(args(&["--out", "x.json"]));
+        assert_eq!(
+            flagged.out_path_or(Some("from-env.json".into())).as_deref(),
+            Some("x.json")
+        );
     }
 }

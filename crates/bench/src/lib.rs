@@ -9,7 +9,7 @@
 //! | `fig4` | Fig. 4 — GON training curves (loss, MSE, confidence) |
 //! | `fig5` | Fig. 5(a–f) — CAROL vs 7 baselines + 4 ablations on all six metrics |
 //! | `fig6` | Fig. 6(a–c) — sensitivity to learning rate, model memory, tabu list |
-//! | `scale` | Beyond the paper: host-count scaling sweep (16 → 128 hosts, synthetic + replayed traces) |
+//! | `scale` | Beyond the paper: host-count scaling sweep (16 → 4096 hosts, synthetic + replayed traces) |
 //! | `fuzz` | Beyond the paper: scenario fuzzer — QoS-cliff search over the scenario axes with shrinking |
 //! | `serve` | Beyond the paper: streaming service daemon — carol-trace replay through the federation controller, decisions/sec + p50/p99 |
 //!

@@ -1,5 +1,5 @@
 //! Host-count scaling sweep: the same CAROL policy over growing
-//! federations (16 → 128 hosts), reporting per-size QoS and wall-clock.
+//! federations (16 → 4096 hosts), reporting per-size QoS and wall-clock.
 //!
 //! The paper never leaves its 16-host testbed; this sweep is the
 //! scenario engine's scale axis made measurable. Each size runs one

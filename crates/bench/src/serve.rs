@@ -2,7 +2,7 @@
 //! federation-controller daemon ([`carol::service`]) and prices the
 //! service loop — decisions per second, p50/p99 decision latency — into
 //! `SERVE_PR.json`, the service-mode companion of the BENCH/SCALE/
-//! REPAIR/TRAIN/FUZZ artifacts.
+//! FUZZ/PHASES artifacts.
 //!
 //! Two tiers:
 //!

@@ -259,32 +259,20 @@ impl GonModel {
     /// Runs the generation loop of eq. 1: starting from the metrics in
     /// `state` (the paper warm-starts from `M_{t-1}`, §III-B), ascends
     /// `log D` over `M` with step size γ until convergence. Returns the
-    /// converged metrics and confidence. Parameter gradients end zeroed.
+    /// converged metrics and confidence.
+    ///
+    /// Parameter gradients are untouched: the ascent takes the
+    /// input-gradient-only backward, so gradients accumulated before the
+    /// call survive it bit-for-bit. This is what lets adversarial training
+    /// converge fake samples *inside* a minibatch without disturbing the
+    /// real-sample gradients already accumulated (Algorithm 1 lines 3–4).
     pub fn generate(&mut self, state: &SystemState) -> Generated {
-        self.generate_impl(state, false)
-    }
-
-    /// [`GonModel::generate`] with **no parameter-gradient side effects**:
-    /// the ascent takes the input-gradient-only backward and never calls
-    /// `zero_grad`, so gradients accumulated before the call survive it
-    /// bit-for-bit. Outputs are bit-identical to `generate` (the
-    /// input-only backward is bit-identical by [`nn::Layer`] contract).
-    /// This is what adversarial training uses to converge fake samples
-    /// *inside* a minibatch without disturbing the real-sample gradients
-    /// already accumulated (Algorithm 1 lines 3–4), and what
-    /// side-effect-free evaluation is built on.
-    pub fn generate_nograd(&mut self, state: &SystemState) -> Generated {
-        self.generate_impl(state, true)
-    }
-
-    fn generate_impl(&mut self, state: &SystemState, preserve_grads: bool) -> Generated {
         // One-candidate batch. Bit-identical by the `generate_batch`
         // contract (gated in this file's tests and the determinism suite)
         // and inherits its structural savings: the step-invariant graph
         // branch runs once per query instead of once per ascent step, and
-        // the input-only backward skips the parameter-gradient work the
-        // old per-step `zero_grad` + full backward paid.
-        self.generate_stacked(std::slice::from_ref(state), None, preserve_grads)
+        // the input-only backward skips the parameter-gradient work.
+        self.generate_stacked(std::slice::from_ref(state), None)
             .pop()
             .expect("one candidate in, one result out")
     }
@@ -414,19 +402,11 @@ impl GonModel {
     /// adjacency — constant across eq.-1 steps — so its pooled embedding
     /// is computed **once per batch** instead of once per step per
     /// candidate; and the stacked `[M | S]` input is built once, with
-    /// only the metric columns rewritten between steps.
+    /// only the metric columns rewritten between steps. Like `generate`,
+    /// it leaves parameter gradients untouched; side-effect-free
+    /// evaluation during training runs on this.
     pub fn generate_batch(&mut self, states: &[SystemState]) -> Vec<Generated> {
-        self.generate_stacked(states, None, false)
-    }
-
-    /// [`GonModel::generate_batch`] with **no parameter-gradient side
-    /// effects**: identical outputs (the batched ascent already takes the
-    /// input-gradient-only backward), but the final `zero_grad` is
-    /// skipped, so gradients accumulated before the call survive it
-    /// bit-for-bit. Side-effect-free evaluation during training runs on
-    /// this.
-    pub fn generate_batch_nograd(&mut self, states: &[SystemState]) -> Vec<Generated> {
-        self.generate_stacked(states, None, true)
+        self.generate_stacked(states, None)
     }
 
     /// The graph branch of `state` — its GAT forward — recorded as the
@@ -455,7 +435,7 @@ impl GonModel {
         for s in states {
             assert_eq!(s.n_hosts(), reference.rows(), "host count mismatch");
         }
-        self.generate_stacked(states, Some(reference), false)
+        self.generate_stacked(states, Some(reference))
     }
 
     /// The masked batched ascent of [`GonModel::generate_batch`]; the
@@ -464,7 +444,6 @@ impl GonModel {
         &mut self,
         states: &[SystemState],
         reference: Option<&Reference>,
-        preserve_grads: bool,
     ) -> Vec<Generated> {
         let b = states.len();
         if b == 0 {
@@ -576,12 +555,6 @@ impl GonModel {
                     out.confidence = scores[(i, 0)];
                 }
             }
-        }
-        // Leave the model in the same visible state as `generate`:
-        // parameter gradients zeroed (unless the caller asked for the
-        // grad-preserving variant).
-        if !preserve_grads {
-            self.zero_grad();
         }
         outs
     }
@@ -887,7 +860,7 @@ mod tests {
                 assert_eq!(x.to_bits(), y.to_bits(), "candidate {i}: metrics diverged");
             }
         }
-        // Parameter gradients end zeroed, as after serial `generate`.
+        // Parameter gradients are untouched: still zero from construction.
         for p in model.params_mut() {
             assert!(p.grad.data().iter().all(|&g| g == 0.0));
         }

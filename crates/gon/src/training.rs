@@ -93,11 +93,11 @@ pub struct EpochStats {
 /// contribution and accumulates gradients into the model.
 ///
 /// The fake sample converges first, through the **configured** eq.-1
-/// ascent ([`GonModel::generate_nograd`]): the same `gen_steps`,
-/// `gen_lr` and γ-scaled `gen_tol` stopping rule `generate` applies at
-/// inference time, with no hard-coded iteration count or `gen_lr` floor.
-/// The no-grad ascent leaves previously accumulated parameter gradients
-/// untouched, which is what lets this step be mapped over a minibatch.
+/// ascent ([`GonModel::generate`]): the same `gen_steps`, `gen_lr` and
+/// γ-scaled `gen_tol` stopping rule applied at inference time, with no
+/// hard-coded iteration count or `gen_lr` floor. The ascent leaves
+/// previously accumulated parameter gradients untouched, which is what
+/// lets this step be mapped over a minibatch.
 pub fn adversarial_step(model: &mut GonModel, state: &SystemState, rng: &mut StdRng) -> f64 {
     let n = state.n_hosts();
     const EPS: f64 = 1e-9;
@@ -110,7 +110,7 @@ pub fn adversarial_step(model: &mut GonModel, state: &SystemState, rng: &mut Std
         .map(|_| rng.gen_range(0.0..1.0))
         .collect();
     fake.set_metrics_flat(&noise);
-    let generated = model.generate_nograd(&fake);
+    let generated = model.generate(&fake);
     fake.set_metrics_flat(&generated.metrics_flat);
 
     // Real sample: ascend log D(M,S,G) ⇒ descend −log D.
@@ -145,10 +145,10 @@ fn minibatch_losses(
 /// metrics of the *previous* test state, as §III-B prescribes) and mean
 /// confidence over a slice of states.
 ///
-/// Evaluation is **side-effect-free on optimizer state**: generation runs
-/// the no-grad batched ascent ([`GonModel::generate_batch_nograd`]) and
-/// scoring is forward-only, so parameter gradients accumulated before the
-/// call survive it bit-for-bit.
+/// Evaluation is **side-effect-free on optimizer state**: the batched
+/// ascent ([`GonModel::generate_batch`]) leaves parameter gradients
+/// untouched and scoring is forward-only, so gradients accumulated before
+/// the call survive it bit-for-bit.
 pub fn evaluate(model: &mut GonModel, states: &[SystemState]) -> (f64, f64) {
     let (mse, confidence, _windows) = evaluate_detailed(model, states);
     (mse, confidence)
@@ -176,7 +176,7 @@ fn evaluate_detailed(model: &mut GonModel, states: &[SystemState]) -> (f64, f64,
         probes.push(probe);
         truths.push(cur.metrics_flat());
     }
-    let generated = model.generate_batch_nograd(&probes);
+    let generated = model.generate_batch(&probes);
     let mut mse_total = 0.0;
     for (gen, truth) in generated.iter().zip(&truths) {
         let mse: f64 = gen

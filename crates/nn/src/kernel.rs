@@ -1,31 +1,43 @@
-//! Runtime-dispatched SIMD kernels for the f64 hot loops.
+//! The f64 hot loops: runtime-dispatched SIMD reductions plus plain
+//! elementwise loops.
 //!
 //! Every surrogate query bottoms out in a handful of dense f64 kernels:
 //! the blocked matmul, the transposed-B dot products of the backward
-//! passes and the GAT attention logits, and the elementwise updates of
-//! the eq.-1 generative ascent. This module gives each of them a scalar
-//! reference implementation plus `std::arch` AVX2 (x86-64) and NEON
-//! (aarch64) paths, selected **once** at startup — mirroring how
-//! `CAROL_THREADS` resolves through `par::EngineConfig` — via the
-//! [`SIMD_ENV`] (`CAROL_SIMD=auto|scalar|avx2|neon`) override so CI can
-//! pin either path.
+//! passes and the GAT attention logits, the attention aggregation, and
+//! the elementwise updates of the eq.-1 generative ascent.
+//!
+//! The reductions — [`matmul_into`], [`dot4_rows`], [`dot_cols_skip_zero`]
+//! and [`axpy_rows`] — each have a scalar reference implementation plus
+//! `std::arch` AVX2 (x86-64) and NEON (aarch64) paths, selected **once**
+//! at startup — mirroring how `CAROL_THREADS` resolves through
+//! `par::EngineConfig` — via the [`SIMD_ENV`]
+//! (`CAROL_SIMD=auto|scalar|avx2|neon`) override so CI can pin either
+//! path.
+//!
+//! The elementwise kernels — [`axpy`], [`axpy_scaled`], [`add_assign`],
+//! [`scale_assign`] and [`ascent_update`] — are one plain loop each, with
+//! no dispatch: every output element is its own one- or two-operation
+//! chain, so the compiler's vectorisation for the target's baseline SIMD
+//! (SSE2 on x86-64, NEON on aarch64) gives the same bits as the scalar
+//! expression, and the loops inline into their callers.
 //!
 //! # Bit-identity by construction
 //!
 //! The house determinism contract (see `Matrix::matmul`) fixes the f64
 //! accumulation chain **per output element** — ascending-`k`, one
 //! accumulator, zero operands of the left matrix skipped — but says
-//! nothing about the order *across* output elements. The SIMD paths
-//! exploit exactly that freedom: each vector lane carries one complete
-//! per-element chain (4 independent chains per AVX2 register, 2 per NEON
-//! register), every multiply and add is a separate correctly-rounded
-//! instruction (**never** an FMA, which rounds once where scalar code
-//! rounds twice), and the zero-skip test happens on the same broadcast
-//! scalar the reference path tests. The result is bitwise-identical to
-//! the scalar kernel for every input, including NaN, ±Inf and signed
-//! zeros — gated by the bit-oracle tests below, the kernel proptests in
-//! `tests/properties.rs`, and the full-trajectory SIMD ≡ scalar gate in
-//! `tests/determinism.rs`.
+//! nothing about the order *across* output elements. The SIMD reduction
+//! paths exploit exactly that freedom: each vector lane carries one
+//! complete per-element chain (4 independent chains per AVX2 register, 2
+//! per NEON register), every multiply and add is a separate
+//! correctly-rounded instruction (**never** an FMA, which rounds once
+//! where scalar code rounds twice), and the zero-skip test happens on the
+//! same broadcast scalar the reference path tests. The result is
+//! bitwise-identical to the scalar kernel for every input, including NaN,
+//! ±Inf and signed zeros — gated by the bit-oracle tests below (which
+//! also pin each elementwise kernel to its per-element expression), the
+//! kernel proptests in `tests/properties.rs`, and the full-trajectory
+//! SIMD ≡ scalar gate in `tests/determinism.rs`.
 //!
 //! Transcendentals (`tanh`, `exp` in the attention softmax, `sigmoid`)
 //! deliberately stay scalar: libm calls cannot be vectorized
@@ -796,76 +808,20 @@ unsafe fn dot2_ptrs_neon<const SKIP: bool>(a: &[f64], b: [*const f64; 2]) -> [f6
 }
 
 // ---------------------------------------------------------------------------
-// Elementwise kernels (independent one-element chains — trivially lanes)
+// Elementwise kernels: plain loops, no dispatch (see the module doc)
 // ---------------------------------------------------------------------------
 
 /// `acc[t] += s·x[t]` — the GAT attention aggregation / softmax-backward
-/// row update. Each element is an independent mul-then-add pair, so
-/// lanes are bit-identical by construction.
+/// row update.
+///
+/// # Panics
+///
+/// Panics if `acc` and `x` differ in length.
+#[inline]
 pub fn axpy(acc: &mut [f64], s: f64, x: &[f64]) {
-    axpy_on(active(), acc, s, x)
-}
-
-/// [`axpy`] pinned to an explicit backend.
-#[doc(hidden)]
-pub fn axpy_on(backend: Backend, acc: &mut [f64], s: f64, x: &[f64]) {
     assert_eq!(acc.len(), x.len(), "axpy operand lengths");
-    match backend {
-        Backend::Scalar => {
-            for (a, &v) in acc.iter_mut().zip(x) {
-                *a += s * v;
-            }
-        }
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: dispatch only yields Avx2 after is_x86_feature_detected.
-        Backend::Avx2 => unsafe { axpy_avx2(acc, s, x) },
-        #[cfg(target_arch = "aarch64")]
-        // SAFETY: dispatch only yields Neon after is_aarch64_feature_detected.
-        Backend::Neon => unsafe { axpy_neon(acc, s, x) },
-        other => unsupported(other),
-    }
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn axpy_avx2(acc: &mut [f64], s: f64, x: &[f64]) {
-    use std::arch::x86_64::*;
-    let n = acc.len();
-    let ap = acc.as_mut_ptr();
-    let xp = x.as_ptr();
-    let vs = _mm256_set1_pd(s);
-    let mut t = 0usize;
-    while t + 4 <= n {
-        let sum = _mm256_add_pd(
-            _mm256_loadu_pd(ap.add(t)),
-            _mm256_mul_pd(vs, _mm256_loadu_pd(xp.add(t))),
-        );
-        _mm256_storeu_pd(ap.add(t), sum);
-        t += 4;
-    }
-    while t < n {
-        *ap.add(t) += s * *xp.add(t);
-        t += 1;
-    }
-}
-
-#[cfg(target_arch = "aarch64")]
-#[target_feature(enable = "neon")]
-unsafe fn axpy_neon(acc: &mut [f64], s: f64, x: &[f64]) {
-    use std::arch::aarch64::*;
-    let n = acc.len();
-    let ap = acc.as_mut_ptr();
-    let xp = x.as_ptr();
-    let vs = vdupq_n_f64(s);
-    let mut t = 0usize;
-    while t + 2 <= n {
-        let sum = vaddq_f64(vld1q_f64(ap.add(t)), vmulq_f64(vs, vld1q_f64(xp.add(t))));
-        vst1q_f64(ap.add(t), sum);
-        t += 2;
-    }
-    while t < n {
-        *ap.add(t) += s * *xp.add(t);
-        t += 1;
+    for (a, &v) in acc.iter_mut().zip(x) {
+        *a += s * v;
     }
 }
 
@@ -899,7 +855,7 @@ pub fn axpy_rows_on(backend: Backend, acc: &mut [f64], w: &[f64], rows: &[&[f64]
         Backend::Avx2 => unsafe { axpy_rows_avx2(acc, w, rows) },
         _ => {
             for (&s, x) in w.iter().zip(rows) {
-                axpy_on(backend, acc, s, x);
+                axpy(acc, s, x);
             }
         }
     }
@@ -954,285 +910,51 @@ unsafe fn axpy_rows_avx2(acc: &mut [f64], w: &[f64], rows: &[&[f64]]) {
 /// `acc[t] += (s·x[t])·post` — the attention Q/K gradient update, where
 /// `post` is the 1/√d logit scale applied **after** the product exactly
 /// as the scalar expression `ds * k[t] * scale` associates.
+///
+/// # Panics
+///
+/// Panics if `acc` and `x` differ in length.
+#[inline]
 pub fn axpy_scaled(acc: &mut [f64], s: f64, x: &[f64], post: f64) {
-    axpy_scaled_on(active(), acc, s, x, post)
-}
-
-/// [`axpy_scaled`] pinned to an explicit backend.
-#[doc(hidden)]
-pub fn axpy_scaled_on(backend: Backend, acc: &mut [f64], s: f64, x: &[f64], post: f64) {
     assert_eq!(acc.len(), x.len(), "axpy_scaled operand lengths");
-    match backend {
-        Backend::Scalar => {
-            for (a, &v) in acc.iter_mut().zip(x) {
-                *a += s * v * post;
-            }
-        }
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: dispatch only yields Avx2 after is_x86_feature_detected.
-        Backend::Avx2 => unsafe { axpy_scaled_avx2(acc, s, x, post) },
-        #[cfg(target_arch = "aarch64")]
-        // SAFETY: dispatch only yields Neon after is_aarch64_feature_detected.
-        Backend::Neon => unsafe { axpy_scaled_neon(acc, s, x, post) },
-        other => unsupported(other),
-    }
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn axpy_scaled_avx2(acc: &mut [f64], s: f64, x: &[f64], post: f64) {
-    use std::arch::x86_64::*;
-    let n = acc.len();
-    let ap = acc.as_mut_ptr();
-    let xp = x.as_ptr();
-    let vs = _mm256_set1_pd(s);
-    let vp = _mm256_set1_pd(post);
-    let mut t = 0usize;
-    while t + 4 <= n {
-        // (s·x)·post, left-associated like the scalar `s * x * post`.
-        let prod = _mm256_mul_pd(_mm256_mul_pd(vs, _mm256_loadu_pd(xp.add(t))), vp);
-        _mm256_storeu_pd(ap.add(t), _mm256_add_pd(_mm256_loadu_pd(ap.add(t)), prod));
-        t += 4;
-    }
-    while t < n {
-        *ap.add(t) += s * *xp.add(t) * post;
-        t += 1;
-    }
-}
-
-#[cfg(target_arch = "aarch64")]
-#[target_feature(enable = "neon")]
-unsafe fn axpy_scaled_neon(acc: &mut [f64], s: f64, x: &[f64], post: f64) {
-    use std::arch::aarch64::*;
-    let n = acc.len();
-    let ap = acc.as_mut_ptr();
-    let xp = x.as_ptr();
-    let vs = vdupq_n_f64(s);
-    let vp = vdupq_n_f64(post);
-    let mut t = 0usize;
-    while t + 2 <= n {
-        let prod = vmulq_f64(vmulq_f64(vs, vld1q_f64(xp.add(t))), vp);
-        vst1q_f64(ap.add(t), vaddq_f64(vld1q_f64(ap.add(t)), prod));
-        t += 2;
-    }
-    while t < n {
-        *ap.add(t) += s * *xp.add(t) * post;
-        t += 1;
+    for (a, &v) in acc.iter_mut().zip(x) {
+        *a += s * v * post;
     }
 }
 
 /// `acc[t] += x[t]` — gradient accumulation / segment pooling.
+///
+/// # Panics
+///
+/// Panics if `acc` and `x` differ in length.
+#[inline]
 pub fn add_assign(acc: &mut [f64], x: &[f64]) {
-    add_assign_on(active(), acc, x)
-}
-
-/// [`add_assign`] pinned to an explicit backend.
-#[doc(hidden)]
-pub fn add_assign_on(backend: Backend, acc: &mut [f64], x: &[f64]) {
     assert_eq!(acc.len(), x.len(), "add_assign operand lengths");
-    match backend {
-        Backend::Scalar => {
-            for (a, &v) in acc.iter_mut().zip(x) {
-                *a += v;
-            }
-        }
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: dispatch only yields Avx2 after is_x86_feature_detected.
-        Backend::Avx2 => unsafe { add_assign_avx2(acc, x) },
-        #[cfg(target_arch = "aarch64")]
-        // SAFETY: dispatch only yields Neon after is_aarch64_feature_detected.
-        Backend::Neon => unsafe { add_assign_neon(acc, x) },
-        other => unsupported(other),
-    }
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn add_assign_avx2(acc: &mut [f64], x: &[f64]) {
-    use std::arch::x86_64::*;
-    let n = acc.len();
-    let ap = acc.as_mut_ptr();
-    let xp = x.as_ptr();
-    let mut t = 0usize;
-    while t + 4 <= n {
-        let sum = _mm256_add_pd(_mm256_loadu_pd(ap.add(t)), _mm256_loadu_pd(xp.add(t)));
-        _mm256_storeu_pd(ap.add(t), sum);
-        t += 4;
-    }
-    while t < n {
-        *ap.add(t) += *xp.add(t);
-        t += 1;
-    }
-}
-
-#[cfg(target_arch = "aarch64")]
-#[target_feature(enable = "neon")]
-unsafe fn add_assign_neon(acc: &mut [f64], x: &[f64]) {
-    use std::arch::aarch64::*;
-    let n = acc.len();
-    let ap = acc.as_mut_ptr();
-    let xp = x.as_ptr();
-    let mut t = 0usize;
-    while t + 2 <= n {
-        vst1q_f64(
-            ap.add(t),
-            vaddq_f64(vld1q_f64(ap.add(t)), vld1q_f64(xp.add(t))),
-        );
-        t += 2;
-    }
-    while t < n {
-        *ap.add(t) += *xp.add(t);
-        t += 1;
+    for (a, &v) in acc.iter_mut().zip(x) {
+        *a += v;
     }
 }
 
 /// `x[t] *= s` — the mean-pooling 1/len and gradient-averaging scales.
+#[inline]
 pub fn scale_assign(x: &mut [f64], s: f64) {
-    scale_assign_on(active(), x, s)
-}
-
-/// [`scale_assign`] pinned to an explicit backend.
-#[doc(hidden)]
-pub fn scale_assign_on(backend: Backend, x: &mut [f64], s: f64) {
-    match backend {
-        Backend::Scalar => {
-            for v in x.iter_mut() {
-                *v *= s;
-            }
-        }
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: dispatch only yields Avx2 after is_x86_feature_detected.
-        Backend::Avx2 => unsafe { scale_assign_avx2(x, s) },
-        #[cfg(target_arch = "aarch64")]
-        // SAFETY: dispatch only yields Neon after is_aarch64_feature_detected.
-        Backend::Neon => unsafe { scale_assign_neon(x, s) },
-        other => unsupported(other),
+    for v in x.iter_mut() {
+        *v *= s;
     }
 }
 
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn scale_assign_avx2(x: &mut [f64], s: f64) {
-    use std::arch::x86_64::*;
-    let n = x.len();
-    let xp = x.as_mut_ptr();
-    let vs = _mm256_set1_pd(s);
-    let mut t = 0usize;
-    while t + 4 <= n {
-        _mm256_storeu_pd(xp.add(t), _mm256_mul_pd(_mm256_loadu_pd(xp.add(t)), vs));
-        t += 4;
-    }
-    while t < n {
-        *xp.add(t) *= s;
-        t += 1;
-    }
-}
-
-#[cfg(target_arch = "aarch64")]
-#[target_feature(enable = "neon")]
-unsafe fn scale_assign_neon(x: &mut [f64], s: f64) {
-    use std::arch::aarch64::*;
-    let n = x.len();
-    let xp = x.as_mut_ptr();
-    let vs = vdupq_n_f64(s);
-    let mut t = 0usize;
-    while t + 2 <= n {
-        vst1q_f64(xp.add(t), vmulq_f64(vld1q_f64(xp.add(t)), vs));
-        t += 2;
-    }
-    while t < n {
-        *xp.add(t) *= s;
-        t += 1;
-    }
-}
-
-/// The eq.-1 ascent update: `v[t] = (v[t] + d[t]·lr).clamp(0.0, 1.0)`.
-/// The SIMD clamps are built from ordered-quiet compares + blends rather
-/// than `min`/`max` instructions, which would replace NaN with a bound
-/// where `f64::clamp` propagates it (and the compare keeps `-0.0`
-/// un-clamped, again matching `clamp`).
+/// The eq.-1 ascent update: `v[t] = (v[t] + d[t]·lr).clamp(0.0, 1.0)`,
+/// with `f64::clamp`'s semantics: NaN passes through and `-0.0` stays
+/// `-0.0`.
+///
+/// # Panics
+///
+/// Panics if `v` and `d` differ in length.
+#[inline]
 pub fn ascent_update(v: &mut [f64], d: &[f64], lr: f64) {
-    ascent_update_on(active(), v, d, lr)
-}
-
-/// [`ascent_update`] pinned to an explicit backend.
-#[doc(hidden)]
-pub fn ascent_update_on(backend: Backend, v: &mut [f64], d: &[f64], lr: f64) {
     assert_eq!(v.len(), d.len(), "ascent_update operand lengths");
-    match backend {
-        Backend::Scalar => {
-            for (val, &dv) in v.iter_mut().zip(d) {
-                let step = dv * lr;
-                *val = (*val + step).clamp(0.0, 1.0);
-            }
-        }
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: dispatch only yields Avx2 after is_x86_feature_detected.
-        Backend::Avx2 => unsafe { ascent_update_avx2(v, d, lr) },
-        #[cfg(target_arch = "aarch64")]
-        // SAFETY: dispatch only yields Neon after is_aarch64_feature_detected.
-        Backend::Neon => unsafe { ascent_update_neon(v, d, lr) },
-        other => unsupported(other),
-    }
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn ascent_update_avx2(v: &mut [f64], d: &[f64], lr: f64) {
-    use std::arch::x86_64::*;
-    let n = v.len();
-    let vp = v.as_mut_ptr();
-    let dp = d.as_ptr();
-    let vlr = _mm256_set1_pd(lr);
-    let zero = _mm256_setzero_pd();
-    let one = _mm256_set1_pd(1.0);
-    let mut t = 0usize;
-    while t + 4 <= n {
-        let step = _mm256_mul_pd(_mm256_loadu_pd(dp.add(t)), vlr);
-        let mut x = _mm256_add_pd(_mm256_loadu_pd(vp.add(t)), step);
-        // clamp(0,1) with f64::clamp's NaN/-0.0 semantics: ordered-quiet
-        // compares are false for NaN, so NaN lanes keep their value.
-        let lt = _mm256_cmp_pd::<_CMP_LT_OQ>(x, zero);
-        x = _mm256_blendv_pd(x, zero, lt);
-        let gt = _mm256_cmp_pd::<_CMP_GT_OQ>(x, one);
-        x = _mm256_blendv_pd(x, one, gt);
-        _mm256_storeu_pd(vp.add(t), x);
-        t += 4;
-    }
-    while t < n {
-        let step = *dp.add(t) * lr;
-        *vp.add(t) = (*vp.add(t) + step).clamp(0.0, 1.0);
-        t += 1;
-    }
-}
-
-#[cfg(target_arch = "aarch64")]
-#[target_feature(enable = "neon")]
-unsafe fn ascent_update_neon(v: &mut [f64], d: &[f64], lr: f64) {
-    use std::arch::aarch64::*;
-    let n = v.len();
-    let vp = v.as_mut_ptr();
-    let dp = d.as_ptr();
-    let vlr = vdupq_n_f64(lr);
-    let zero = vdupq_n_f64(0.0);
-    let one = vdupq_n_f64(1.0);
-    let mut t = 0usize;
-    while t + 2 <= n {
-        let step = vmulq_f64(vld1q_f64(dp.add(t)), vlr);
-        let mut x = vaddq_f64(vld1q_f64(vp.add(t)), step);
-        // vclt/vcgt are false for NaN, so NaN lanes keep their value —
-        // matching f64::clamp (vmin/vmax would not).
-        let lt = vcltq_f64(x, zero);
-        x = vbslq_f64(lt, zero, x);
-        let gt = vcgtq_f64(x, one);
-        x = vbslq_f64(gt, one, x);
-        vst1q_f64(vp.add(t), x);
-        t += 2;
-    }
-    while t < n {
-        let step = *dp.add(t) * lr;
-        *vp.add(t) = (*vp.add(t) + step).clamp(0.0, 1.0);
-        t += 1;
+    for (val, &dv) in v.iter_mut().zip(d) {
+        *val = (*val + dv * lr).clamp(0.0, 1.0);
     }
 }
 
@@ -1460,11 +1182,14 @@ mod tests {
         }
     }
 
+    /// Each elementwise kernel equals its per-element expression, bit
+    /// for bit, whatever width the compiler vectorised it to.
     #[test]
     fn elementwise_kernels_bit_identical_across_lengths_and_specials() {
-        // Lengths straddle the 4-lane AVX2 and 2-lane NEON widths; the
-        // payload carries NaN, ±Inf, ±0.0 and subnormals.
-        for len in [0usize, 1, 2, 3, 4, 5, 7, 8, 13] {
+        // Lengths 0–13 straddle every 2- and 4-lane width and 33 passes
+        // an 8- or 16-element unroll; the payload carries NaN, ±Inf, ±0.0
+        // and subnormals.
+        for len in (0usize..=13).chain([33]) {
             let mut x = lcg_vec(len, 400 + len as u64);
             let mut base = lcg_vec(len, 500 + len as u64);
             if len >= 4 {
@@ -1474,33 +1199,29 @@ mod tests {
                 x[3] = f64::MIN_POSITIVE / 2.0;
                 base[1] = f64::NEG_INFINITY;
             }
-            for backend in backends() {
-                let name = backend.name();
+            let expect = |f: &dyn Fn(f64, f64) -> f64| -> Vec<f64> {
+                base.iter().zip(&x).map(|(&a, &v)| f(a, v)).collect()
+            };
 
-                let mut want = base.clone();
-                axpy_on(Backend::Scalar, &mut want, 1.7, &x);
-                let mut got = base.clone();
-                axpy_on(backend, &mut got, 1.7, &x);
-                assert_bits_eq(&got, &want, &format!("axpy len={len} on {name}"));
+            let mut got = base.clone();
+            axpy(&mut got, 1.7, &x);
+            let want = expect(&|a, v| a + 1.7 * v);
+            assert_bits_eq(&got, &want, &format!("axpy len={len}"));
 
-                let mut want = base.clone();
-                axpy_scaled_on(Backend::Scalar, &mut want, -0.3, &x, 0.25);
-                let mut got = base.clone();
-                axpy_scaled_on(backend, &mut got, -0.3, &x, 0.25);
-                assert_bits_eq(&got, &want, &format!("axpy_scaled len={len} on {name}"));
+            let mut got = base.clone();
+            axpy_scaled(&mut got, -0.3, &x, 0.25);
+            let want = expect(&|a, v| a + -0.3 * v * 0.25);
+            assert_bits_eq(&got, &want, &format!("axpy_scaled len={len}"));
 
-                let mut want = base.clone();
-                add_assign_on(Backend::Scalar, &mut want, &x);
-                let mut got = base.clone();
-                add_assign_on(backend, &mut got, &x);
-                assert_bits_eq(&got, &want, &format!("add_assign len={len} on {name}"));
+            let mut got = base.clone();
+            add_assign(&mut got, &x);
+            let want = expect(&|a, v| a + v);
+            assert_bits_eq(&got, &want, &format!("add_assign len={len}"));
 
-                let mut want = base.clone();
-                scale_assign_on(Backend::Scalar, &mut want, -2.5);
-                let mut got = base.clone();
-                scale_assign_on(backend, &mut got, -2.5);
-                assert_bits_eq(&got, &want, &format!("scale_assign len={len} on {name}"));
-            }
+            let mut got = x.clone();
+            scale_assign(&mut got, -2.5);
+            let want = expect(&|_, v| v * -2.5);
+            assert_bits_eq(&got, &want, &format!("scale_assign len={len}"));
         }
     }
 
@@ -1527,7 +1248,7 @@ mod tests {
                 let base = lcg_vec(len, 800 + len as u64);
                 let mut want = base.clone();
                 for (x, &s) in rows.iter().zip(&w) {
-                    axpy_on(Backend::Scalar, &mut want, s, x);
+                    axpy(&mut want, s, x);
                 }
                 for backend in backends() {
                     let mut got = base.clone();
@@ -1554,15 +1275,16 @@ mod tests {
         let v0 = [0.5, 0.0, 1.0, -0.0, 0.2, 0.9, f64::NAN, 0.3];
         let d = [-100.0, -1.0, 1.0, -0.0, f64::NAN, f64::INFINITY, 0.1, 50.0];
         let lr = 0.01;
-        let mut want = v0;
-        ascent_update_on(Backend::Scalar, &mut want, &d, lr);
-        assert!(want[4].is_nan() && want[6].is_nan(), "NaN must survive");
-        assert_eq!(want[3].to_bits(), (-0.0f64).to_bits(), "-0.0 must survive");
-        for backend in backends() {
-            let mut got = v0;
-            ascent_update_on(backend, &mut got, &d, lr);
-            assert_bits_eq(&got, &want, &format!("ascent_update on {}", backend.name()));
-        }
+        let mut got = v0;
+        ascent_update(&mut got, &d, lr);
+        assert!(got[4].is_nan() && got[6].is_nan(), "NaN must survive");
+        assert_eq!(got[3].to_bits(), (-0.0f64).to_bits(), "-0.0 must survive");
+        let want: Vec<f64> = v0
+            .iter()
+            .zip(&d)
+            .map(|(&v, &dv)| (v + dv * lr).clamp(0.0, 1.0))
+            .collect();
+        assert_bits_eq(&got, &want, "ascent_update");
     }
 
     #[test]

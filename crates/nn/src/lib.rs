@@ -16,9 +16,10 @@
 //! * binary-cross-entropy losses used by the adversarial GON training
 //!   (Algorithm 1).
 //!
-//! The f64 hot loops dispatch through [`kernel`] — runtime-detected
-//! AVX2/NEON paths with a scalar oracle, bit-identical by construction
-//! and pinnable via `CAROL_SIMD` (see [`kernel::SIMD_ENV`]).
+//! The f64 hot loops live in [`kernel`]: the reductions dispatch to
+//! runtime-detected AVX2/NEON paths with a scalar oracle, bit-identical
+//! by construction and pinnable via `CAROL_SIMD` (see
+//! [`kernel::SIMD_ENV`]); the elementwise kernels are plain loops.
 //!
 //! Everything is deterministic given a seed and carries numerical
 //! gradient-check tests.
