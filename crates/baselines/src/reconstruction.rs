@@ -86,15 +86,6 @@ impl TopoMad {
             modeled_overhead_s: 0.0,
         }
     }
-
-    /// Reconstruction error of the current state (the anomaly score).
-    pub fn reconstruction_error(&mut self, state: &SystemState) -> f64 {
-        let x = metric_row(state);
-        let ctx = self.ctx_map.forward(&self.context.clone()).map(f64::tanh);
-        let z = self.encoder.forward(&x.hcat(&ctx));
-        let xhat = self.decoder.forward(&z);
-        nn::loss::mse(&xhat, &x)
-    }
 }
 
 impl ResiliencePolicy for TopoMad {

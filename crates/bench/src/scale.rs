@@ -306,14 +306,6 @@ pub fn measure_repair_with(
     (wall_s, policy.surrogate_queries, score, faults)
 }
 
-/// [`measure_repair_with`] under the sweep's full-neighbourhood
-/// controller. Returns `(wall_s, surrogate_queries)`.
-pub fn measure_repair(n_hosts: usize, n_brokers: usize, seed: u64) -> (f64, usize) {
-    let (wall_s, queries, _, _) =
-        measure_repair_with(n_hosts, n_brokers, seed, sweep_carol_config(seed));
-    (wall_s, queries)
-}
-
 /// Runs one scenario cell — pretrain, run, and the isolated repair
 /// measurements — into a [`ScalePoint`].
 ///

@@ -281,11 +281,6 @@ impl Carol {
         }
     }
 
-    /// True while a background fine-tune job is still in flight.
-    pub fn tune_in_flight(&self) -> bool {
-        self.pending_tune.is_some()
-    }
-
     /// Transition cost of installing `candidate` over the current
     /// topology (§III-B: "the overhead corresponding to the node-shift
     /// operations … initialization of the broker management systems and
@@ -304,15 +299,6 @@ impl Carol {
             }
         }
         cost
-    }
-
-    /// Surrogate objective Ω(G) of one candidate topology (lower =
-    /// better): [`Carol::objective_batch`] over a batch of one, for
-    /// extensions that score candidates outside the failure path (e.g.
-    /// [`crate::proactive::ProactiveCarol`]). Charges the same modeled
-    /// decision costs as the repair path.
-    pub fn objective_public(&mut self, base: &SystemState, candidate: &Topology) -> f64 {
-        self.objective_batch(base, std::slice::from_ref(candidate))[0]
     }
 
     /// Batched surrogate objective Ω(G) over a candidate neighbourhood:
@@ -358,9 +344,11 @@ impl Carol {
     /// boundaries are a pure function of the candidate list, results are
     /// written to input-index slots, and the modeled decision-time costs
     /// are charged in candidate order afterwards — so the returned scores
-    /// *and* every accumulator on `self` are bit-identical to calling
-    /// [`Carol::objective_public`] once per candidate, at any thread
-    /// count.
+    /// *and* every accumulator on `self` are bit-identical to scoring one
+    /// candidate at a time through the full-forward
+    /// [`GonModel::generate`], at any thread count. The differential
+    /// oracle in `tests/objective_oracle.rs` checks exactly that against
+    /// a plain per-candidate reference.
     fn score_candidates(
         &mut self,
         base: &Projection<'_>,
@@ -913,7 +901,7 @@ mod tests {
 
             let want: Vec<f64> = candidates
                 .iter()
-                .map(|t| one_by_one.objective_public(&base, t))
+                .map(|t| one_by_one.objective_batch(&base, std::slice::from_ref(t))[0])
                 .collect();
             for (label, policy) in [("1 thread", &mut batched_1), ("4 threads", &mut batched_4)] {
                 let got = policy.objective_batch(&base, &candidates);

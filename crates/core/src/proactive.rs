@@ -81,7 +81,7 @@ impl ProactiveCarol {
             ..self.inner.config().tabu.clone()
         };
         let inner = &mut self.inner;
-        let current_score = inner.objective_public(snapshot, &current);
+        let current_score = inner.objective_batch(snapshot, std::slice::from_ref(&current))[0];
         let result = tabu::search(
             current.clone(),
             &banned,

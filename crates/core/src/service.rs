@@ -31,7 +31,9 @@
 //!   to inline tuning.
 //! * **Checkpointing** — every `checkpoint.every` intervals the full
 //!   controller state freezes to a [`CarolCheckpoint`](crate::CarolCheckpoint); restore resumes
-//!   the stream as if never interrupted.
+//!   the stream as if never interrupted. A checkpoint file is written to
+//!   `<path>.tmp`, synced and renamed over `<path>`, so a crash mid-write
+//!   leaves the previous checkpoint whole.
 //! * **Metrics endpoint** — an optional TCP listener answers every
 //!   connection with a plain-text health block (decisions served,
 //!   repairs triggered, p50/p99 decision latency, last checkpoint age).
@@ -65,8 +67,8 @@ pub struct CheckpointSpec {
     /// Checkpoint every N completed intervals (`None` = never; values
     /// below 1 are clamped to 1).
     pub every: Option<usize>,
-    /// File the latest checkpoint JSON is written to (`None` keeps the
-    /// checkpoint in memory only).
+    /// File the latest checkpoint JSON is written to, atomically through
+    /// `<path>.tmp` (`None` keeps the checkpoint in memory only).
     pub path: Option<String>,
 }
 
@@ -681,8 +683,8 @@ impl FedState {
             if (t + 1).is_multiple_of(every) {
                 let ckpt = self.policy.checkpoint()?;
                 if let Some(path) = &self.spec.checkpoint.path {
-                    std::fs::write(path, ckpt.to_json())
-                        .map_err(|e| ServiceError::Io(e.to_string()))?;
+                    write_atomically(path, &ckpt.to_json())
+                        .map_err(|e| ServiceError::Io(format!("checkpoint {path}: {e}")))?;
                 }
                 self.checkpoints += 1;
                 self.last_checkpoint_interval = Some(t + 1);
@@ -762,6 +764,20 @@ fn fetch_metrics(addr: std::net::SocketAddr) -> Option<String> {
     let mut text = String::new();
     conn.read_to_string(&mut text).ok()?;
     Some(text)
+}
+
+/// Writes `contents` to `path` atomically: into `<path>.tmp`, synced to
+/// disk, then renamed over `path`, and the rename synced through the
+/// parent directory. A crash mid-write leaves the previous file whole.
+fn write_atomically(path: &str, contents: &str) -> std::io::Result<()> {
+    let tmp = format!("{path}.tmp");
+    let mut file = std::fs::File::create(&tmp)?;
+    file.write_all(contents.as_bytes())?;
+    file.sync_all()?;
+    std::fs::rename(&tmp, path)?;
+    let dir = std::path::Path::new(path).parent();
+    let dir = dir.filter(|d| !d.as_os_str().is_empty());
+    std::fs::File::open(dir.unwrap_or(std::path::Path::new(".")))?.sync_all()
 }
 
 #[cfg(test)]
@@ -1002,6 +1018,43 @@ mod tests {
         let ckpt = CarolCheckpoint::from_json(&json).unwrap();
         let restored = Carol::restore(&ckpt).unwrap();
         assert_eq!(restored.interval(), 6);
+    }
+
+    #[test]
+    fn checkpoint_writes_replace_the_file_atomically() {
+        let path = std::env::temp_dir().join(format!(
+            "carol-service-ckpt-{}-{}.json",
+            std::process::id(),
+            line!()
+        ));
+        let tmp = format!("{}.tmp", path.display());
+        let (mut spec, trace) = small_spec(13);
+        spec.checkpoint = CheckpointSpec {
+            every: Some(2),
+            path: Some(path.to_string_lossy().into_owned()),
+        };
+        let serve = || {
+            serve_trace(
+                &spec,
+                Cursor::new(trace.clone().into_bytes()),
+                &ServeOptions::default(),
+            )
+        };
+
+        // A normal run leaves the checkpoint and no temporary file.
+        serve().unwrap();
+        let good = std::fs::read(&path).unwrap();
+        assert!(!std::path::Path::new(&tmp).exists(), "stray {tmp}");
+
+        // A write that cannot complete fails the run and keeps the last
+        // good checkpoint byte for byte.
+        std::fs::create_dir(&tmp).unwrap();
+        let err = serve().unwrap_err();
+        let after = std::fs::read(&path).unwrap();
+        std::fs::remove_dir(&tmp).ok();
+        std::fs::remove_file(&path).ok();
+        assert!(matches!(err, ServiceError::Io(_)), "got {err:?}");
+        assert!(after == good, "the last good checkpoint was overwritten");
     }
 
     #[test]

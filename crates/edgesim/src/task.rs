@@ -86,11 +86,6 @@ impl Task {
         }
     }
 
-    /// Response time so far (final once [`TaskStatus::Completed`]).
-    pub fn response_time_s(&self) -> f64 {
-        self.elapsed_s
-    }
-
     /// True when the task finished after its deadline.
     pub fn violated_slo(&self) -> bool {
         self.status == TaskStatus::Completed && self.elapsed_s > self.spec.deadline_s

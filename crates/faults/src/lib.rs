@@ -205,17 +205,6 @@ impl FaultModel {
         }
     }
 
-    /// Rack index of `host` under this model's grouping (rack 0 for
-    /// [`FaultModel::Iid`], which has no groups).
-    pub fn rack_of(&self, host: HostId) -> usize {
-        match self {
-            FaultModel::Iid => 0,
-            FaultModel::Cascade { rack_size, .. } | FaultModel::Partition { rack_size, .. } => {
-                host / rack_size
-            }
-        }
-    }
-
     fn validate(&self) {
         match *self {
             FaultModel::Iid => {}

@@ -268,7 +268,7 @@ impl GonModel {
     /// real-sample gradients already accumulated (Algorithm 1 lines 3–4).
     pub fn generate(&mut self, state: &SystemState) -> Generated {
         // One-candidate batch. Bit-identical by the `generate_batch`
-        // contract (gated in this file's tests and the determinism suite)
+        // contract (gated in this file's tests and `tests/properties.rs`)
         // and inherits its structural savings: the step-invariant graph
         // branch runs once per query instead of once per ascent step, and
         // the input-only backward skips the parameter-gradient work.
@@ -286,8 +286,8 @@ impl GonModel {
     // union of the candidate graphs (neighbour indices offset per
     // candidate), which it evaluates block-by-block bit-identically to
     // separate forwards. Everything here is bit-identical to mapping the
-    // serial sibling over the batch — `tests/properties.rs` and the
-    // determinism suite gate that contract.
+    // serial sibling over the batch — `tests/properties.rs` and
+    // `tests/objective_oracle.rs` gate that contract.
 
     /// Stacks the `[M | S]` per-host rows of all states; returns them with
     /// the `(row offset, n_hosts)` segment of each state. The graph half

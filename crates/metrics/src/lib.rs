@@ -2,8 +2,8 @@
 //! reproduction suite.
 //!
 //! The paper reports means over five seeded runs, percentile-based SLO
-//! deadlines (90th percentile response time of the reference method),
-//! prediction MSE and F1 scores. This crate provides those primitives with
+//! deadlines (90th percentile response time of the reference method) and
+//! prediction MSE. This crate provides those primitives with
 //! deterministic, allocation-light implementations so every other crate can
 //! agree on their semantics.
 
@@ -100,28 +100,6 @@ pub fn mse(predicted: &[f64], actual: &[f64]) -> f64 {
         / predicted.len() as f64
 }
 
-/// Mean absolute error between two equal-length series.
-///
-/// # Panics
-///
-/// Panics if the slices have different lengths.
-pub fn mae(predicted: &[f64], actual: &[f64]) -> f64 {
-    assert_eq!(
-        predicted.len(),
-        actual.len(),
-        "mae requires equal-length series"
-    );
-    if predicted.is_empty() {
-        return 0.0;
-    }
-    predicted
-        .iter()
-        .zip(actual)
-        .map(|(p, a)| (p - a).abs())
-        .sum::<f64>()
-        / predicted.len() as f64
-}
-
 /// Latency distribution summary over a sample set — the p50/p99 block
 /// the service daemon reports per decision and the `serve` bench writes
 /// into `SERVE_PR.json`.
@@ -155,89 +133,6 @@ impl LatencySummary {
             p99: quantile(samples, 0.99)?,
             max: quantile(samples, 1.0)?,
         })
-    }
-}
-
-/// Binary-classification counts used to derive precision/recall/F1 for the
-/// fault-detection comparisons in §V-B of the paper.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Confusion {
-    /// Faults flagged and truly present.
-    pub true_positives: usize,
-    /// Faults flagged but absent.
-    pub false_positives: usize,
-    /// Intervals correctly left unflagged.
-    pub true_negatives: usize,
-    /// Faults missed.
-    pub false_negatives: usize,
-}
-
-impl Confusion {
-    /// Records one (predicted, actual) observation.
-    pub fn record(&mut self, predicted: bool, actual: bool) {
-        match (predicted, actual) {
-            (true, true) => self.true_positives += 1,
-            (true, false) => self.false_positives += 1,
-            (false, false) => self.true_negatives += 1,
-            (false, true) => self.false_negatives += 1,
-        }
-    }
-
-    /// Precision = TP / (TP + FP); `0.0` when nothing was flagged.
-    pub fn precision(&self) -> f64 {
-        let denom = self.true_positives + self.false_positives;
-        if denom == 0 {
-            0.0
-        } else {
-            self.true_positives as f64 / denom as f64
-        }
-    }
-
-    /// Recall = TP / (TP + FN); `0.0` when nothing was present.
-    pub fn recall(&self) -> f64 {
-        let denom = self.true_positives + self.false_negatives;
-        if denom == 0 {
-            0.0
-        } else {
-            self.true_positives as f64 / denom as f64
-        }
-    }
-
-    /// Harmonic mean of precision and recall; `0.0` when both are zero.
-    pub fn f1(&self) -> f64 {
-        let p = self.precision();
-        let r = self.recall();
-        if p + r == 0.0 {
-            0.0
-        } else {
-            2.0 * p * r / (p + r)
-        }
-    }
-
-    /// Total number of recorded observations.
-    pub fn total(&self) -> usize {
-        self.true_positives + self.false_positives + self.true_negatives + self.false_negatives
-    }
-}
-
-/// Relative change of `ours` with respect to `baseline`, as a signed
-/// fraction (negative means `ours` is lower). Used for the "reduces X by N%"
-/// statements in the paper.
-///
-/// ```
-/// // CAROL reduces energy by 16% compared to StepGAN:
-/// let delta = metrics::relative_change(84.0, 100.0);
-/// assert!((delta + 0.16).abs() < 1e-12);
-/// ```
-pub fn relative_change(ours: f64, baseline: f64) -> f64 {
-    if baseline == 0.0 {
-        if ours == 0.0 {
-            0.0
-        } else {
-            f64::INFINITY * ours.signum()
-        }
-    } else {
-        (ours - baseline) / baseline
     }
 }
 
@@ -290,9 +185,8 @@ mod tests {
     }
 
     #[test]
-    fn mse_and_mae() {
+    fn mse_of_empty_series_is_zero() {
         assert_eq!(mse(&[], &[]), 0.0);
-        assert_eq!(mae(&[1.0, 5.0], &[2.0, 3.0]), 1.5);
     }
 
     #[test]
@@ -309,35 +203,5 @@ mod tests {
         assert!(s.p50 <= s.p99 && s.p99 <= s.max);
         assert_eq!(s.max, 100.0);
         assert_eq!(LatencySummary::from_samples(&[]), None);
-    }
-
-    #[test]
-    fn confusion_metrics() {
-        let mut c = Confusion::default();
-        for _ in 0..8 {
-            c.record(true, true);
-        }
-        c.record(true, false);
-        c.record(false, true);
-        assert!((c.precision() - 8.0 / 9.0).abs() < 1e-12);
-        assert!((c.recall() - 8.0 / 9.0).abs() < 1e-12);
-        assert!((c.f1() - 8.0 / 9.0).abs() < 1e-12);
-        assert_eq!(c.total(), 10);
-    }
-
-    #[test]
-    fn confusion_degenerate_cases() {
-        let c = Confusion::default();
-        assert_eq!(c.precision(), 0.0);
-        assert_eq!(c.recall(), 0.0);
-        assert_eq!(c.f1(), 0.0);
-    }
-
-    #[test]
-    fn relative_change_signs() {
-        assert!(relative_change(80.0, 100.0) < 0.0);
-        assert!(relative_change(120.0, 100.0) > 0.0);
-        assert_eq!(relative_change(0.0, 0.0), 0.0);
-        assert!(relative_change(1.0, 0.0).is_infinite());
     }
 }

@@ -13,8 +13,8 @@
 //!   with dot-product self-attention over each node's neighbourhood),
 //! * the [`Adam`] optimizer with decoupled weight decay (lr 1e-4, decay
 //!   1e-5 in the paper's §IV-E),
-//! * binary-cross-entropy losses used by the adversarial GON training
-//!   (Algorithm 1).
+//! * the mean-squared-error loss of the reconstruction and regression
+//!   surrogates.
 //!
 //! The f64 hot loops live in [`kernel`]: the reductions dispatch to
 //! runtime-detected AVX2/NEON paths with a scalar oracle, bit-identical

@@ -1,69 +1,7 @@
-//! Loss functions for the adversarial GON training (eq. 2 of the paper).
+//! Mean-squared-error loss for the reconstruction and regression
+//! surrogates (TopoMAD, the GAN and feed-forward ablations).
 
 use crate::matrix::Matrix;
-
-/// Clamp bound keeping `ln` finite in the BCE losses.
-const EPS: f64 = 1e-9;
-
-/// Binary cross-entropy between sigmoid scores `y` and targets `t`
-/// (mean over all elements).
-///
-/// # Panics
-///
-/// Panics on shape mismatch.
-///
-/// ```
-/// use nn::Matrix;
-/// let y = Matrix::row_vector(&[0.9, 0.1]);
-/// let t = Matrix::row_vector(&[1.0, 0.0]);
-/// assert!(nn::loss::bce(&y, &t) < 0.2);
-/// ```
-pub fn bce(y: &Matrix, t: &Matrix) -> f64 {
-    assert_eq!(y.shape(), t.shape(), "bce shape mismatch");
-    assert!(!y.is_empty(), "bce of empty matrices");
-    let mut total = 0.0;
-    for (yi, ti) in y.data().iter().zip(t.data()) {
-        let yc = yi.clamp(EPS, 1.0 - EPS);
-        total += -(ti * yc.ln() + (1.0 - ti) * (1.0 - yc).ln());
-    }
-    total / y.len() as f64
-}
-
-/// Gradient of [`bce`] with respect to `y`.
-pub fn bce_grad(y: &Matrix, t: &Matrix) -> Matrix {
-    assert_eq!(y.shape(), t.shape(), "bce_grad shape mismatch");
-    let n = y.len() as f64;
-    let mut g = Matrix::zeros(y.rows(), y.cols());
-    for i in 0..y.len() {
-        let yc = y.data()[i].clamp(EPS, 1.0 - EPS);
-        let ti = t.data()[i];
-        g.data_mut()[i] = (-(ti / yc) + (1.0 - ti) / (1.0 - yc)) / n;
-    }
-    g
-}
-
-/// The GON adversarial loss of eq. 2:
-/// `L = log D(real) + log(1 − D(fake))`, averaged over the minibatch.
-/// Training *ascends* this, so callers negate it to use gradient descent.
-pub fn gon_adversarial(d_real: &Matrix, d_fake: &Matrix) -> f64 {
-    assert!(
-        !d_real.is_empty() && !d_fake.is_empty(),
-        "empty score batch"
-    );
-    let real: f64 = d_real
-        .data()
-        .iter()
-        .map(|v| v.clamp(EPS, 1.0 - EPS).ln())
-        .sum::<f64>()
-        / d_real.len() as f64;
-    let fake: f64 = d_fake
-        .data()
-        .iter()
-        .map(|v| (1.0 - v.clamp(EPS, 1.0 - EPS)).ln())
-        .sum::<f64>()
-        / d_fake.len() as f64;
-    real + fake
-}
 
 /// Mean-squared-error loss between predictions and targets.
 ///
@@ -100,42 +38,11 @@ mod tests {
     use crate::gradcheck::{max_abs_diff, numerical_grad};
 
     #[test]
-    fn bce_perfect_predictions_near_zero() {
-        let y = Matrix::row_vector(&[1.0 - 1e-9, 1e-9]);
-        let t = Matrix::row_vector(&[1.0, 0.0]);
-        assert!(bce(&y, &t) < 1e-6);
-    }
-
-    #[test]
-    fn bce_wrong_predictions_large() {
-        let y = Matrix::row_vector(&[0.01]);
-        let t = Matrix::row_vector(&[1.0]);
-        assert!(bce(&y, &t) > 4.0);
-    }
-
-    #[test]
-    fn bce_grad_matches_numerical() {
-        let y = Matrix::row_vector(&[0.3, 0.7, 0.5]);
-        let t = Matrix::row_vector(&[1.0, 0.0, 1.0]);
-        let analytic = bce_grad(&y, &t);
-        let numeric = numerical_grad(&y, 1e-7, |p| bce(p, &t));
-        assert!(max_abs_diff(&analytic, &numeric) < 1e-5);
-    }
-
-    #[test]
     fn mse_grad_matches_numerical() {
         let y = Matrix::row_vector(&[0.3, -0.7, 2.5]);
         let t = Matrix::row_vector(&[1.0, 0.0, 1.0]);
         let analytic = mse_grad(&y, &t);
         let numeric = numerical_grad(&y, 1e-6, |p| mse(p, &t));
         assert!(max_abs_diff(&analytic, &numeric) < 1e-6);
-    }
-
-    #[test]
-    fn adversarial_loss_maximised_by_perfect_discrimination() {
-        let good = gon_adversarial(&Matrix::row_vector(&[0.99]), &Matrix::row_vector(&[0.01]));
-        let bad = gon_adversarial(&Matrix::row_vector(&[0.5]), &Matrix::row_vector(&[0.5]));
-        assert!(good > bad);
-        assert!(good < 0.0); // log-likelihoods are negative
     }
 }

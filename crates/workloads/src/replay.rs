@@ -320,11 +320,6 @@ impl<R: BufRead> StreamingTrace<R> {
             done: false,
         })
     }
-
-    /// 1-based number of lines consumed so far (header included).
-    pub fn lines_read(&self) -> usize {
-        self.line
-    }
 }
 
 /// `read_line` with the error wrapped as a [`TraceError::Io`] carrying
@@ -502,21 +497,6 @@ pub fn record_suite(
     intervals: usize,
 ) -> Vec<TraceEvent> {
     let mut bag = crate::BagOfTasks::new(suite, rate, seed);
-    record_workload(&mut bag, intervals)
-}
-
-/// Records a **shaped** bag-of-tasks run (diurnal cycle, flash crowd,
-/// ramp — see [`crate::ArrivalShape`]) as `carol-trace` v1 events, so
-/// non-stationary scenarios can be exported, inspected and replayed with
-/// the same tooling as stationary ones.
-pub fn record_shaped_suite(
-    suite: crate::BenchmarkSuite,
-    rate: f64,
-    shape: crate::ArrivalShape,
-    seed: u64,
-    intervals: usize,
-) -> Vec<TraceEvent> {
-    let mut bag = crate::BagOfTasks::with_shape(suite, rate, shape, seed);
     record_workload(&mut bag, intervals)
 }
 

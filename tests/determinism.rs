@@ -2,10 +2,14 @@
 //! injection, simulation, GON training and topology repair — must be a
 //! pure function of the experiment seed.
 //!
-//! Future PRs parallelise and shard the hot paths; these tests are the
-//! tripwire that those changes preserve replayability. Comparisons are
-//! bit-exact (`==` on `f64`), not approximate: any reordering of
-//! floating-point accumulation or RNG draws fails loudly.
+//! These tests pin replayability end to end: seed fan-out, scenario
+//! fan-out, the batched trainer, the SIMD backends, the service daemon
+//! and checkpoint/restore, each on one worker and on several.
+//! Comparisons are bit-exact (`==` on `f64`), not approximate: any
+//! reordering of floating-point accumulation or RNG draws fails loudly.
+//! The repair objective's engine (chunked, fanned-out, patched scoring
+//! and the tabu repair) is checked against a plain per-candidate
+//! reference in `tests/objective_oracle.rs`.
 
 use baselines::Lbos;
 use carol::carol::{Carol, CarolConfig};
@@ -167,376 +171,27 @@ fn trace_replay_is_bit_identical_across_runs() {
     assert_identical(&first.result, &second.result);
 }
 
-/// Small GON controller for the repair gates: `gen_steps` ascent steps,
-/// `max_iters` tabu iterations over `neighborhood`, `threads` evaluation
-/// workers. The weights and RNG streams depend only on the seeds, so two
-/// policies built from it differ in nothing but their worker count.
-fn repair_policy(
-    gen_steps: usize,
-    max_iters: usize,
-    neighborhood: carol::tabu::Neighborhood,
-    threads: usize,
-) -> Carol {
-    let config = CarolConfig {
-        gon: gon::GonConfig {
-            hidden: 12,
-            head_layers: 2,
-            gat_dim: 6,
-            gat_att: 4,
-            gen_lr: 5e-3,
-            gen_steps,
-            gen_tol: 1e-7,
-            seed: 1,
-        },
-        tabu: carol::tabu::TabuConfig {
-            list_size: 20,
-            max_iters,
-            neighborhood,
-        },
-        variant: carol::carol::CarolVariant::Gon,
-        eval_threads: Some(threads),
-        ..CarolConfig::fast_test()
-    };
-    Carol::from_model(gon::GonModel::new(config.gon.clone()), config, 11)
-}
-
-/// An `n_hosts`-host federation one interval after its first broker was
-/// felled, and the snapshot a repair scores candidates against.
-fn failed_broker_federation(
-    n_hosts: usize,
-    n_brokers: usize,
-) -> (edgesim::Simulator, edgesim::state::SystemState) {
-    use edgesim::scheduler::LeastLoadScheduler;
-    use edgesim::state::{Normalizer, SystemState};
-    use edgesim::{FaultLoad, SimConfig, Simulator};
-
-    let mut sim = Simulator::new(SimConfig::small(n_hosts, n_brokers, 5));
-    let mut sched = LeastLoadScheduler::new();
-    let broker = sim.topology().brokers()[0];
-    sim.inject_fault(
-        broker,
-        FaultLoad {
-            cpu: 1.0,
-            ..Default::default()
-        },
-    );
-    let report = sim.step(Vec::new(), &mut sched);
-    assert!(
-        report.failed_brokers.contains(&broker),
-        "{n_hosts} hosts: fault injection must fail broker {broker}"
-    );
-    let snapshot = SystemState::capture(
-        sim.topology(),
-        sim.specs(),
-        sim.host_states(),
-        sim.tasks(),
-        &report.decision,
-        &Normalizer::for_federation(n_hosts, n_brokers),
-    );
-    (sim, snapshot)
-}
-
-/// The batched repair engine's contract, at 64 and 128 hosts:
-///
-/// * scoring the full node-shift neighbourhood in one `objective_batch`
-///   call — on one worker and on four — is bit-identical to scoring the
-///   same candidates one `objective_public` call at a time: same scores,
-///   same surrogate query count, same modeled decision time;
-/// * a whole tabu repair on one worker picks the same topology, with the
-///   same query count and decision time, as on four.
-///
-/// Fixed candidate order, fixed chunk boundaries and index-slotted batch
-/// results are what make this hold; this test is the tripwire.
-#[test]
-fn batched_tabu_repair_is_bit_identical_to_serial() {
-    use carol::tabu::Neighborhood;
-    use carol::ResiliencePolicy;
-
-    // Two ascent steps at 64 hosts (exercises the per-candidate
-    // convergence masks); one at 128 (the neighbourhood is ~4× larger —
-    // this keeps the debug-mode test budget sane).
-    for (n_hosts, n_brokers, gen_steps) in [(64usize, 8usize, 2usize), (128, 16, 1)] {
-        let (sim, snapshot) = failed_broker_federation(n_hosts, n_brokers);
-        let policy = |threads| repair_policy(gen_steps, 1, Neighborhood::Full, threads);
-
-        // Candidate scoring: one batch vs one call per candidate.
-        let candidates = carol::nodeshift::mutations(sim.topology(), &[]);
-        assert!(
-            candidates.len() > n_hosts,
-            "{n_hosts} hosts: need a real neighbourhood"
-        );
-        let mut one_by_one = policy(1);
-        let want: Vec<f64> = candidates
-            .iter()
-            .map(|t| one_by_one.objective_public(&snapshot, t))
-            .collect();
-        for threads in [1, 4] {
-            let mut batched = policy(threads);
-            let got = batched.objective_batch(&snapshot, &candidates);
-            assert_eq!(got.len(), want.len());
-            for (i, (a, b)) in want.iter().zip(&got).enumerate() {
-                assert_eq!(
-                    a.to_bits(),
-                    b.to_bits(),
-                    "{n_hosts} hosts / {threads} workers: candidate {i} diverged ({a} vs {b})"
-                );
-            }
-            assert_eq!(
-                batched.surrogate_queries, one_by_one.surrogate_queries,
-                "{n_hosts} hosts / {threads} workers: query counts diverged"
-            );
-            assert_eq!(
-                batched.modeled_decision_s().to_bits(),
-                one_by_one.modeled_decision_s().to_bits(),
-                "{n_hosts} hosts / {threads} workers: modeled decision time diverged"
-            );
-        }
-
-        // Whole repair: one worker vs four.
-        let mut one = policy(1);
-        let reference = one
-            .repair(&sim, &snapshot)
-            .expect("failure must produce a repair");
-        reference.validate().unwrap();
-        assert!(one.surrogate_queries > n_hosts, "repair must batch-score");
-        let mut four = policy(4);
-        let repaired = four
-            .repair(&sim, &snapshot)
-            .expect("failure must produce a repair");
-        assert_eq!(
-            repaired, reference,
-            "{n_hosts} hosts: 4-worker repair chose a different topology"
-        );
-        assert_eq!(
-            four.surrogate_queries, one.surrogate_queries,
-            "{n_hosts} hosts: query counts diverged"
-        );
-        assert_eq!(
-            four.modeled_decision_s().to_bits(),
-            one.modeled_decision_s().to_bits(),
-            "{n_hosts} hosts: modeled decision time diverged"
-        );
-    }
-}
-
-/// The row-budget chunk boundary of the repair engine: at 512 hosts
-/// `gon::batch_len` packs 4 candidates per stacked forward, so 9 sampled
-/// candidates score as chunks of 4 + 4 + 1 — a short tail chunk, and
-/// more chunks than workers at 3 workers, each worker reusing one model
-/// replica across its chunks. One `objective_batch` call must equal one
-/// `objective_public` call per candidate: same scores, same surrogate
-/// query count, same modeled decision time.
-#[test]
-fn row_budget_chunks_score_bit_identically_at_512_hosts() {
-    use carol::tabu::Neighborhood;
-    use carol::ResiliencePolicy;
-    use rand::SeedableRng;
-
-    let (sim, snapshot) = failed_broker_federation(512, 64);
-    assert_eq!(gon::batch_len(512), 4, "512 hosts must chunk by 4");
-    let mut rng = rand::rngs::StdRng::seed_from_u64(29);
-    let mut candidates = carol::nodeshift::mutations_sampled(sim.topology(), &[], 12, &mut rng);
-    candidates.truncate(9);
-    assert_eq!(candidates.len(), 9, "need 9 candidates for 4 + 4 + 1");
-
-    let policy = |threads| repair_policy(2, 1, Neighborhood::Full, threads);
-    let mut one_by_one = policy(1);
-    let want: Vec<f64> = candidates
-        .iter()
-        .map(|t| one_by_one.objective_public(&snapshot, t))
-        .collect();
-    for threads in [1, 3] {
-        let mut batched = policy(threads);
-        let got = batched.objective_batch(&snapshot, &candidates);
-        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        assert_eq!(
-            bits(&got),
-            bits(&want),
-            "{threads} workers: scores diverged"
-        );
-        assert_eq!(
-            batched.surrogate_queries, one_by_one.surrogate_queries,
-            "{threads} workers: query counts diverged"
-        );
-        assert_eq!(
-            batched.modeled_decision_s().to_bits(),
-            one_by_one.modeled_decision_s().to_bits(),
-            "{threads} workers: modeled decision time diverged"
-        );
-    }
-}
-
-/// The patched graph branch of the repair engine. `Carol` scores GON
-/// candidates with `GonModel::generate_candidates`, which patches the
-/// snapshot's GAT forward (`GonModel::graph_reference`) instead of
-/// recomputing it per candidate. On the same `snapshot.with_topology(c)`
-/// probes it must equal the full `generate_batch` — same generated
-/// metrics, confidence and iteration count, bit for bit — for promote,
-/// demote and reassign candidates, for candidates two moves from the
-/// snapshot (the failed broker's repair shift, then a move, as tabu's
-/// second iteration scores), at 64, 512 and 1,024 hosts (one 171-broker
-/// clique at 1,024), on 1 and 3 workers reading one reference.
-#[test]
-fn patched_graph_branch_generates_bit_identically_to_full_batches() {
-    use carol::nodeshift::{apply_move, enumerate_moves, neighborhood, Move};
-    use edgesim::state::SystemState;
-
-    let kinds: [fn(&Move) -> bool; 3] = [
-        |m| matches!(m, Move::Promote { .. }),
-        |m| matches!(m, Move::Demote { .. }),
-        |m| matches!(m, Move::Reassign { .. }),
-    ];
-    for (n_hosts, n_brokers) in [(64usize, 8usize), (512, 64), (1024, 171)] {
-        let (sim, snapshot) = failed_broker_federation(n_hosts, n_brokers);
-        let failed = sim.failed_brokers().to_vec();
-        let shifted = neighborhood(sim.topology(), failed[0], &failed)
-            .pop()
-            .expect("a failed broker has repairs");
-
-        // The first and last move of each kind, from the snapshot's
-        // topology and from the shifted one; plus the shift itself.
-        let mut candidates = vec![shifted.clone()];
-        for start in [sim.topology(), &shifted] {
-            let moves = enumerate_moves(start, &failed);
-            for kind in kinds {
-                let first = moves.iter().find(|m| kind(m)).copied();
-                let last = moves.iter().rfind(|m| kind(m)).copied();
-                let picked = [first, last].into_iter().flatten();
-                let applied: Vec<_> = picked.filter_map(|m| apply_move(start, m)).collect();
-                assert!(
-                    !applied.is_empty(),
-                    "{n_hosts} hosts: a move kind is missing"
-                );
-                candidates.extend(applied);
-            }
-        }
-        let probes: Vec<SystemState> = candidates
-            .iter()
-            .map(|c| snapshot.with_topology(c))
-            .collect();
-
-        let model = training_gon();
-        let want = model.clone().generate_batch(&probes);
-        let reference = model.graph_reference(&snapshot);
-        let chunks: Vec<&[SystemState]> = probes.chunks(gon::batch_len(n_hosts)).collect();
-        for threads in [1, 3] {
-            let got: Vec<gon::Generated> = par::par_map_init(
-                threads,
-                &chunks,
-                || model.clone(),
-                |m, chunk| m.generate_candidates(&reference, chunk),
-            )
-            .into_iter()
-            .flatten()
-            .collect();
-            assert_eq!(got.len(), want.len());
-            for (i, (g, w)) in got.iter().zip(&want).enumerate() {
-                let case = format!("{n_hosts} hosts / {threads} workers / candidate {i}");
-                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-                assert_eq!(
-                    bits(&g.metrics_flat),
-                    bits(&w.metrics_flat),
-                    "{case}: metrics"
-                );
-                assert_eq!(
-                    g.confidence.to_bits(),
-                    w.confidence.to_bits(),
-                    "{case}: confidence"
-                );
-                assert_eq!(g.iterations, w.iterations, "{case}: iterations");
-            }
-        }
-    }
-}
-
-/// The sampled-neighbourhood repair path's own determinism gate. Sampling
-/// **knowingly changes search results** versus the full neighbourhood, so
-/// it cannot ride on the full-path pins — but it must still be a pure
-/// function of the config seed: the same `Sampled { max_moves, seed }`
-/// repair must pick the same topology, issue the same query count and
-/// reach the same winning objective on one worker and on four. The
-/// sampling RNG draws before scoring begins, which is what makes this
-/// hold; this test is the tripwire.
-#[test]
-fn sampled_tabu_repair_is_bit_identical_across_engines_and_workers() {
-    use carol::tabu::Neighborhood;
-    use carol::ResiliencePolicy;
-
-    let (sim, snapshot) = failed_broker_federation(128, 16);
-    let sampled = Neighborhood::Sampled {
-        max_moves: 48,
-        seed: 23,
-    };
-    let mut one = repair_policy(1, 2, sampled, 1);
-    let reference = one
-        .repair(&sim, &snapshot)
-        .expect("failure must produce a repair");
-    reference.validate().unwrap();
-    let reference_score = one.last_repair_score.expect("score recorded");
-    // Two iterations × ≤48 sampled moves (+1 start): far below the full
-    // neighbourhood — the cap must actually bind at 128 hosts.
-    assert!(
-        one.surrogate_queries <= 2 * 48 + 1,
-        "sampling cap did not bind: {} queries",
-        one.surrogate_queries
-    );
-
-    let mut four = repair_policy(1, 2, sampled, 4);
-    let repaired = four
-        .repair(&sim, &snapshot)
-        .expect("failure must produce a repair");
-    assert_eq!(
-        repaired, reference,
-        "4 workers: sampled repair chose a different topology"
-    );
-    assert_eq!(
-        four.surrogate_queries, one.surrogate_queries,
-        "4 workers: query counts diverged"
-    );
-    assert_eq!(
-        four.last_repair_score.expect("score recorded").to_bits(),
-        reference_score.to_bits(),
-        "4 workers: winning objective diverged"
-    );
-}
-
 /// A 64-host DeFog trace of `intervals` captured states.
 fn defog_64_trace(intervals: usize) -> Vec<edgesim::state::SystemState> {
-    defog_trace(64, 8, intervals)
-}
-
-/// An `n_hosts`-host DeFog trace of `intervals` captured states.
-fn defog_trace(
-    n_hosts: usize,
-    n_brokers: usize,
-    intervals: usize,
-) -> Vec<edgesim::state::SystemState> {
     use workloads::trace::{generate_trace, TraceConfig};
 
     generate_trace(
         &TraceConfig {
             intervals,
             topology_period: 5,
-            arrival_rate: 0.45 * n_hosts as f64,
+            arrival_rate: 0.45 * 64.0,
             suite: workloads::BenchmarkSuite::DeFog,
             seed: 3,
         },
-        edgesim::SimConfig::small(n_hosts, n_brokers, 3),
+        edgesim::SimConfig::small(64, 8, 3),
     )
 }
 
 /// The small GON the training gates train.
 fn training_gon() -> gon::GonModel {
-    gon::GonModel::new(gon::GonConfig {
-        hidden: 12,
-        head_layers: 2,
-        gat_dim: 6,
-        gat_att: 4,
-        gen_lr: 5e-3,
-        gen_steps: 3,
-        gen_tol: 1e-7,
-        seed: 1,
-    })
+    let mut config = CarolConfig::fast_test().gon;
+    config.gen_steps = 3;
+    gon::GonModel::new(config)
 }
 
 /// `train_offline` of [`training_gon`] on `threads` workers: the trained
@@ -657,59 +312,6 @@ fn batched_training_is_bit_identical_to_serial() {
         param_bits(&mut one),
         "final parameters diverged"
     );
-}
-
-/// The trainer's row-budget chunk boundary: at 256 hosts
-/// `gon::batch_len` packs 8 fakes per ascent chunk, so a 9-state
-/// minibatch converges as chunks of 8 + 1. One `adversarial_step_batch`
-/// on one worker and on two must equal `adversarial_step` mapped over the
-/// same states: same per-sample losses, same accumulated gradients, same
-/// next RNG draw.
-#[test]
-fn row_budget_training_chunks_are_bit_identical_at_256_hosts() {
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
-
-    let trace = defog_trace(256, 32, 9);
-    assert_eq!(trace.len(), 9);
-    assert!(trace.iter().all(|s| s.n_hosts() == 256));
-    assert_eq!(gon::batch_len(256), 8, "256 hosts must chunk by 8");
-    let grad_bits = |m: &mut gon::GonModel| -> Vec<Vec<u64>> {
-        m.params_mut()
-            .iter()
-            .map(|p| p.grad.data().iter().map(|g| g.to_bits()).collect())
-            .collect()
-    };
-
-    let mut mapped_model = training_gon();
-    let mut mapped_rng = StdRng::seed_from_u64(31);
-    let mapped_losses: Vec<u64> = trace
-        .iter()
-        .map(|s| gon::training::adversarial_step(&mut mapped_model, s, &mut mapped_rng).to_bits())
-        .collect();
-    let mapped_grads = grad_bits(&mut mapped_model);
-    let mapped_next: u64 = mapped_rng.gen();
-    let refs: Vec<&edgesim::state::SystemState> = trace.iter().collect();
-    for threads in [1, 2] {
-        let mut batched_model = training_gon();
-        let mut batched_rng = StdRng::seed_from_u64(31);
-        let losses: Vec<u64> = batched_model
-            .adversarial_step_batch(&refs, &mut batched_rng, threads)
-            .iter()
-            .map(|l| l.to_bits())
-            .collect();
-        assert_eq!(losses, mapped_losses, "{threads} workers: losses diverged");
-        assert_eq!(
-            grad_bits(&mut batched_model),
-            mapped_grads,
-            "{threads} workers: accumulated gradients diverged"
-        );
-        assert_eq!(
-            batched_rng.gen::<u64>(),
-            mapped_next,
-            "{threads} workers: RNG stream consumption diverged"
-        );
-    }
 }
 
 #[test]

@@ -6,10 +6,114 @@ use carol::nodeshift::{broker_bounds, mutations, neighborhood};
 use carol::runner::{run_experiment, run_experiment_full, ExperimentConfig};
 use carol::tabu::{search, TabuConfig};
 use edgesim::scheduler::LeastLoadScheduler;
+use edgesim::state::SystemState;
 use edgesim::{FaultLoad, NodeRole, SimConfig, Simulator, TaskStatus, Topology};
+use gon::GonModel;
 use proptest::prelude::*;
 use workloads::replay::{export_jsonl, load_jsonl, record_suite, ReplayWorkload, TraceError};
+use workloads::trace::{generate_trace, TraceConfig};
 use workloads::{BagOfTasks, BenchmarkSuite};
+
+/// `batch_size` captured states of one balanced `n_hosts`-host
+/// federation; host `h` of state `b` carries load `loads[(b + h) % len]`.
+fn federation_states(
+    batch_size: usize,
+    n_hosts: usize,
+    n_brokers: usize,
+    loads: &[f64],
+) -> Vec<SystemState> {
+    use edgesim::scheduler::SchedulingDecision;
+    use edgesim::state::Normalizer;
+    use edgesim::{HostSpec, HostState};
+
+    let topo = Topology::balanced(n_hosts, n_brokers).unwrap();
+    let specs: Vec<HostSpec> = (0..n_hosts).map(HostSpec::rpi4gb).collect();
+    (0..batch_size)
+        .map(|b| {
+            let mut host_states = vec![HostState::default(); n_hosts];
+            for (h, st) in host_states.iter_mut().enumerate() {
+                let load = loads[(b + h) % loads.len()];
+                st.cpu = load;
+                st.ram = (load * 0.8).min(1.0);
+                st.energy_wh = 0.3 * load;
+            }
+            SystemState::capture(
+                &topo,
+                &specs,
+                &host_states,
+                &[],
+                &SchedulingDecision::new(),
+                &Normalizer::for_federation(n_hosts, n_brokers),
+            )
+        })
+        .collect()
+}
+
+/// The small GON of the batch ≡ mapped properties.
+fn small_gon(gen_steps: usize) -> GonModel {
+    let mut config = carol::carol::CarolConfig::fast_test().gon;
+    (config.hidden, config.gen_steps, config.seed) = (10, gen_steps, 13);
+    GonModel::new(config)
+}
+
+/// One batched adversarial training step over `states` on `threads`
+/// workers equals the serial step mapped over them: per-sample losses,
+/// accumulated parameter gradients, and RNG stream consumption. This is
+/// the contract the batched trainer rests on.
+fn step_batch_equals_mapped_steps(
+    states: &[SystemState],
+    gen_steps: usize,
+    threads: usize,
+) -> Result<(), TestCaseError> {
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    let grad_bits = |m: &mut GonModel| -> Vec<u64> {
+        let params = m.params_mut();
+        params
+            .iter()
+            .flat_map(|p| p.grad.data().iter().map(|g| g.to_bits()))
+            .collect()
+    };
+    let (mut serial_model, mut serial_rng) = (small_gon(gen_steps), StdRng::seed_from_u64(21));
+    let serial_losses: Vec<u64> = states
+        .iter()
+        .map(|s| gon::training::adversarial_step(&mut serial_model, s, &mut serial_rng).to_bits())
+        .collect();
+    let (mut batched_model, mut batched_rng) = (small_gon(gen_steps), StdRng::seed_from_u64(21));
+    let refs: Vec<&SystemState> = states.iter().collect();
+    let batched_losses = batched_model.adversarial_step_batch(&refs, &mut batched_rng, threads);
+    let batched_losses: Vec<u64> = batched_losses.iter().map(|l| l.to_bits()).collect();
+    prop_assert_eq!(serial_losses, batched_losses);
+    prop_assert_eq!(grad_bits(&mut serial_model), grad_bits(&mut batched_model));
+    // Both engines must have consumed the RNG stream identically.
+    prop_assert_eq!(serial_rng.gen::<u64>(), batched_rng.gen::<u64>());
+    Ok(())
+}
+
+/// The trainer's row-budget chunk boundary, as one more input of
+/// `adversarial_step_batch_equals_mapped_steps_bitwise`: at 256 hosts
+/// `gon::batch_len` packs 8 fakes per ascent chunk, so a 9-state DeFog
+/// minibatch converges as chunks of 8 + 1, on one worker and on two.
+#[test]
+fn row_budget_training_chunks_are_bit_identical_at_256_hosts() {
+    let trace = generate_trace(
+        &TraceConfig {
+            intervals: 9,
+            topology_period: 5,
+            arrival_rate: 0.45 * 256.0,
+            suite: BenchmarkSuite::DeFog,
+            seed: 3,
+        },
+        SimConfig::small(256, 32, 3),
+    );
+    assert!(trace.len() == 9 && trace.iter().all(|s| s.n_hosts() == 256));
+    assert_eq!(gon::batch_len(256), 8, "256 hosts must chunk by 8");
+    for threads in [1, 2] {
+        step_batch_equals_mapped_steps(&trace, 3, threads)
+            .unwrap_or_else(|e| panic!("{threads} workers: {e:?}"));
+    }
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -88,44 +192,9 @@ proptest! {
         loads in proptest::collection::vec(0.0f64..1.0, 8),
         gen_steps in 0usize..4,
     ) {
-        use edgesim::scheduler::SchedulingDecision;
-        use edgesim::state::{Normalizer, SystemState};
-        use edgesim::{HostSpec, HostState};
-        use gon::{GonConfig, GonModel};
-
         prop_assume!(n_brokers <= n_hosts / 2);
-        let topo = Topology::balanced(n_hosts, n_brokers).unwrap();
-        let specs: Vec<HostSpec> = (0..n_hosts).map(HostSpec::rpi4gb).collect();
-        let states: Vec<SystemState> = (0..batch_size)
-            .map(|b| {
-                let mut host_states = vec![HostState::default(); n_hosts];
-                for (h, st) in host_states.iter_mut().enumerate() {
-                    let load = loads[(b + h) % loads.len()];
-                    st.cpu = load;
-                    st.ram = (load * 0.8).min(1.0);
-                    st.energy_wh = 0.3 * load;
-                }
-                SystemState::capture(
-                    &topo,
-                    &specs,
-                    &host_states,
-                    &[],
-                    &SchedulingDecision::new(),
-                    &Normalizer::for_federation(n_hosts, n_brokers),
-                )
-            })
-            .collect();
-
-        let mut model = GonModel::new(GonConfig {
-            hidden: 10,
-            head_layers: 2,
-            gat_dim: 6,
-            gat_att: 4,
-            gen_lr: 5e-3,
-            gen_steps,
-            gen_tol: 1e-7,
-            seed: 13,
-        });
+        let states = federation_states(batch_size, n_hosts, n_brokers, &loads);
+        let mut model = small_gon(gen_steps);
 
         // score_batch ≡ mapped score, bit for bit.
         let serial: Vec<f64> = states.iter().map(|s| model.score(s)).collect();
@@ -164,76 +233,9 @@ proptest! {
         gen_steps in 0usize..4,
         threads in 1usize..4,
     ) {
-        use edgesim::scheduler::SchedulingDecision;
-        use edgesim::state::{Normalizer, SystemState};
-        use edgesim::{HostSpec, HostState};
-        use gon::{GonConfig, GonModel};
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
-
         prop_assume!(n_brokers <= n_hosts / 2);
-        let topo = Topology::balanced(n_hosts, n_brokers).unwrap();
-        let specs: Vec<HostSpec> = (0..n_hosts).map(HostSpec::rpi4gb).collect();
-        let states: Vec<SystemState> = (0..batch_size)
-            .map(|b| {
-                let mut host_states = vec![HostState::default(); n_hosts];
-                for (h, st) in host_states.iter_mut().enumerate() {
-                    let load = loads[(b + h) % loads.len()];
-                    st.cpu = load;
-                    st.ram = (load * 0.8).min(1.0);
-                    st.energy_wh = 0.3 * load;
-                }
-                SystemState::capture(
-                    &topo,
-                    &specs,
-                    &host_states,
-                    &[],
-                    &SchedulingDecision::new(),
-                    &Normalizer::for_federation(n_hosts, n_brokers),
-                )
-            })
-            .collect();
-
-        let mk_model = || GonModel::new(GonConfig {
-            hidden: 10,
-            head_layers: 2,
-            gat_dim: 6,
-            gat_att: 4,
-            gen_lr: 5e-3,
-            gen_steps,
-            gen_tol: 1e-7,
-            seed: 13,
-        });
-
-        let mut serial_model = mk_model();
-        let mut serial_rng = StdRng::seed_from_u64(21);
-        let serial_losses: Vec<f64> = states
-            .iter()
-            .map(|s| gon::training::adversarial_step(&mut serial_model, s, &mut serial_rng))
-            .collect();
-        let serial_grads: Vec<Vec<u64>> = serial_model
-            .params_mut()
-            .iter()
-            .map(|p| p.grad.data().iter().map(|g| g.to_bits()).collect())
-            .collect();
-
-        let mut batched_model = mk_model();
-        let mut batched_rng = StdRng::seed_from_u64(21);
-        let refs: Vec<&SystemState> = states.iter().collect();
-        let batched_losses = batched_model.adversarial_step_batch(&refs, &mut batched_rng, threads);
-        let batched_grads: Vec<Vec<u64>> = batched_model
-            .params_mut()
-            .iter()
-            .map(|p| p.grad.data().iter().map(|g| g.to_bits()).collect())
-            .collect();
-
-        prop_assert_eq!(serial_losses.len(), batched_losses.len());
-        for (a, b) in serial_losses.iter().zip(&batched_losses) {
-            prop_assert_eq!(a.to_bits(), b.to_bits());
-        }
-        prop_assert_eq!(serial_grads, batched_grads);
-        // Both engines must have consumed the RNG stream identically.
-        prop_assert_eq!(serial_rng.gen::<u64>(), batched_rng.gen::<u64>());
+        let states = federation_states(batch_size, n_hosts, n_brokers, &loads);
+        step_batch_equals_mapped_steps(&states, gen_steps, threads)?;
     }
 
     /// Tabu search never returns something worse than its start, for any
