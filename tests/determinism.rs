@@ -9,12 +9,22 @@
 //! reordering of floating-point accumulation or RNG draws fails loudly.
 //! The repair objective's engine (chunked, fanned-out, patched scoring
 //! and the tabu repair) is checked against a plain per-candidate
-//! reference in `tests/objective_oracle.rs`.
+//! reference, the oracle of `tests/oracle/mod.rs`: its corner rows are
+//! gates here, its full neighbourhood at 128 hosts and its random
+//! federations are in `tests/objective_oracle.rs`.
+
+mod oracle;
 
 use baselines::Lbos;
 use carol::carol::{Carol, CarolConfig};
+use carol::nodeshift::mutations_sampled;
 use carol::runner::{run_experiment, run_seeds_threads, ExperimentConfig, ExperimentResult};
 use carol::scenario::{run_scenarios_threads, ScenarioSpec, WorkloadSource};
+use carol::tabu::Neighborhood;
+use edgesim::{Simulator, Topology};
+use oracle::{carol_config, check_row, first_last, sampled};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 fn fast_config(seed: u64) -> ExperimentConfig {
     ExperimentConfig {
@@ -169,6 +179,54 @@ fn trace_replay_is_bit_identical_across_runs() {
     let second = run();
     assert!(first.result.completed > 0);
     assert_identical(&first.result, &second.result);
+}
+
+/// Oracle candidates: none beyond those the repair scores.
+fn none(_: &Simulator) -> Vec<Topology> {
+    Vec::new()
+}
+
+/// Nine sampled candidates: at 512 hosts `gon::batch_len` is 4, so they
+/// score as chunks of 4 + 4 + 1 — a short tail, and more chunks than
+/// workers at 3 workers.
+fn nine_sampled(sim: &Simulator) -> Vec<Topology> {
+    let mut rng = StdRng::seed_from_u64(29);
+    let mut candidates = mutations_sampled(sim.topology(), &[], 12, &mut rng);
+    candidates.truncate(9);
+    assert_eq!(candidates.len(), 9);
+    candidates
+}
+
+/// The full neighbourhood of a 64-host repair, scored and searched on 1
+/// and 4 workers; two ascent steps exercise the per-candidate stop masks.
+/// (The 128-host full neighbourhood is in `tests/objective_oracle.rs`.)
+#[test]
+fn batched_tabu_repair_is_bit_identical_to_serial() {
+    let full = carol_config(2, 1, Neighborhood::Full);
+    check_row((64, 8, none, full, &[1, 4]));
+}
+
+/// Row-budget chunks of 4 + 4 + 1 at 512 hosts, on 1 and 3 workers.
+#[test]
+fn row_budget_chunks_score_bit_identically_at_512_hosts() {
+    let config = carol_config(2, 1, sampled(2, 29));
+    check_row((512, 64, nine_sampled, config, &[1, 3]));
+}
+
+/// Patched promote, demote and reassign moves, from the snapshot and
+/// from a repair shift, up to a 171-broker clique.
+#[test]
+fn patched_graph_branch_generates_bit_identically_to_full_batches() {
+    for (n_hosts, n_brokers) in [(64, 8), (512, 64), (1024, 171)] {
+        let config = carol_config(3, 1, sampled(2, 5));
+        check_row((n_hosts, n_brokers, first_last, config, &[1, 3]));
+    }
+}
+
+/// A two-iteration sampled repair whose cap binds, on 1 and 4 workers.
+#[test]
+fn sampled_tabu_repair_is_bit_identical_across_engines_and_workers() {
+    check_row((128, 16, none, carol_config(1, 2, sampled(48, 23)), &[1, 4]));
 }
 
 /// A 64-host DeFog trace of `intervals` captured states.
@@ -327,7 +385,9 @@ fn simd_and_scalar_kernels_are_bit_identical_end_to_end() {
     // under test: concurrently running tests cannot observe the swap
     // unless some kernel is *not* bit-identical. On hosts where auto
     // resolves to scalar the comparison is trivially scalar-vs-scalar;
-    // the AVX2 CI leg is where it bites.
+    // the AVX2 CI leg is where it bites. The oracle's scalar pins take
+    // the same lock, so neither leg's restore can undo the other's swap.
+    let _backend = oracle::backend_lock();
     let trace = defog_64_trace(12);
 
     let leg = |backend: Backend| {
