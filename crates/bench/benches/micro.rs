@@ -7,7 +7,7 @@
 //! Set `BENCH_JSON=<path>` to also write `{name, median_ns, iters}`
 //! records as a JSON array (CI archives this as `BENCH_PR.json`); every
 //! record carries a `"simd"` label naming the `nn::kernel` backend that
-//! dispatched (pin it with `CAROL_SIMD=scalar|avx2|neon`).
+//! dispatched (pin the scalar oracle with `CAROL_SIMD=scalar`).
 
 use carol::carol::{Carol, CarolConfig};
 use carol::nodeshift::{apply_move, enumerate_moves, mutations, neighborhood, Move};
@@ -155,7 +155,6 @@ fn repair_fixture(
             gat_att: 4,
             gen_lr: 5e-3,
             gen_steps: 2,
-            gen_tol: 1e-7,
             seed: 3,
         },
         tabu: TabuConfig {
@@ -322,7 +321,6 @@ fn bench_gon_batch(c: &mut Criterion) {
         gat_att: 4,
         gen_lr: 5e-3,
         gen_steps: 2,
-        gen_tol: 1e-7,
         seed: 5,
     });
     c.bench_function("gon_generate_16x64_serial", |b| {
@@ -372,7 +370,6 @@ fn bench_train(c: &mut Criterion) {
         gat_att: 4,
         gen_lr: 5e-3,
         gen_steps: 10, // the fig4 training shape — the ascent dominates
-        gen_tol: 1e-7,
         seed,
     };
     for (label, trace) in [fixture("tiny", 16, 4), fixture("64", 64, 8)] {

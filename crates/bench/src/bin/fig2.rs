@@ -15,14 +15,8 @@
 
 use bench::fig5::fig5_carol_config;
 use carol::carol::Carol;
-use carol::runner::ExperimentConfig;
+use carol::runner::{run_experiment, ExperimentConfig};
 use carol::scenario::run_scenario;
-use carol::ResiliencePolicy;
-use edgesim::scheduler::LeastLoadScheduler;
-use edgesim::state::{Normalizer, SystemState};
-use edgesim::{SimConfig, Simulator};
-use faults::FaultInjector;
-use workloads::BagOfTasks;
 
 fn print_history(policy: &Carol, intervals: usize, label: &str) {
     println!("# Fig. 2 — confidence scores and POT threshold, {intervals} intervals ({label})");
@@ -79,41 +73,11 @@ fn main() {
     let mut policy = Carol::pretrained(fig5_carol_config(), seed);
 
     eprintln!("[fig2] running {intervals} AIoTBench intervals with fault injection…");
-    let exp = ExperimentConfig::paper(seed);
-    let mut sim = Simulator::new(SimConfig { seed, ..exp.sim });
-    let mut workload = BagOfTasks::new(exp.suite, exp.arrival_rate, seed ^ 0x5754);
-    let mut injector = FaultInjector::paper_defaults(seed ^ 0x4654);
-    let mut scheduler = LeastLoadScheduler::new();
-    let norm = Normalizer::default();
-
-    let mut snapshot = SystemState::capture(
-        sim.topology(),
-        sim.specs(),
-        sim.host_states(),
-        sim.tasks(),
-        &edgesim::SchedulingDecision::new(),
-        &norm,
-    );
-    for t in 0..intervals {
-        if let Some(topo) = policy.repair(&sim, &snapshot) {
-            sim.set_topology(topo);
-        }
-        injector.inject(t, &mut sim);
-        let arrivals = workload.sample_interval(t);
-        let report = sim.step(arrivals, &mut scheduler);
-        snapshot = SystemState::capture(
-            sim.topology(),
-            sim.specs(),
-            sim.host_states(),
-            sim.tasks(),
-            &report.decision,
-            &norm,
-        );
-        policy.observe(&sim, &snapshot, &report);
-        if (t + 1) % 100 == 0 {
-            eprintln!("[fig2]   {} / {intervals} intervals", t + 1);
-        }
-    }
+    let config = ExperimentConfig {
+        intervals,
+        ..ExperimentConfig::paper(seed)
+    };
+    let _ = run_experiment(&mut policy, &config);
 
     print_history(&policy, intervals, "paper shape");
 }

@@ -4,7 +4,7 @@ use crate::nodeshift::random_shift;
 use crate::policy::{ObserveOutcome, ResiliencePolicy};
 use crate::pot::PotDetector;
 use crate::tabu::{self, BatchObjective, TabuConfig};
-use edgesim::state::{qos_components, Projection, SystemState};
+use edgesim::state::{qos_components, Projection, SystemState, QOS_ALPHA, QOS_BETA};
 use edgesim::{HostId, IntervalReport, NodeRole, SimConfig, Simulator, Topology};
 use gon::surrogates::{FeedForwardSurrogate, GanSurrogate};
 use gon::{train_offline, GonCheckpoint, GonConfig, GonModel, TrainConfig};
@@ -47,10 +47,6 @@ pub enum CarolVariant {
 pub struct CarolConfig {
     /// GON network hyperparameters.
     pub gon: GonConfig,
-    /// Energy weight α in `O(M) = α·q_energy + β·q_slo` (paper: 0.5).
-    pub alpha: f64,
-    /// SLO weight β (paper: 0.5; α + β = 1).
-    pub beta: f64,
     /// Tabu-search configuration (list size 100 in the paper).
     pub tabu: TabuConfig,
     /// Fine-tuning trigger.
@@ -73,8 +69,6 @@ impl Default for CarolConfig {
     fn default() -> Self {
         Self {
             gon: GonConfig::default(),
-            alpha: 0.5,
-            beta: 0.5,
             tabu: TabuConfig::default(),
             fine_tune: FineTuneMode::Confidence,
             variant: CarolVariant::Gon,
@@ -97,7 +91,6 @@ impl CarolConfig {
                 gat_att: 4,
                 gen_lr: 5e-3,
                 gen_steps: 5,
-                gen_tol: 1e-7,
                 seed: 1,
             },
             tabu: TabuConfig {
@@ -185,7 +178,7 @@ impl Carol {
         Self {
             pot: PotDetector::carol_defaults(),
             gamma: Vec::new(),
-            adam: Adam::new(config.offline.lr.max(1e-4), config.offline.weight_decay),
+            adam: Adam::new(config.offline.lr.max(1e-4), gon::WEIGHT_DECAY),
             rng: StdRng::seed_from_u64(seed),
             interval: 0,
             confidence_history: Vec::new(),
@@ -231,10 +224,9 @@ impl Carol {
             }
         }
         if let Some(ff) = policy.ff.as_mut() {
-            let (alpha, beta) = (policy.config.alpha, policy.config.beta);
             for state in &trace {
                 let (qe, qs) = state.qos_components();
-                ff.train_step(state, alpha * qe + beta * qs);
+                ff.train_step(state, QOS_ALPHA * qe + QOS_BETA * qs);
             }
         }
         policy
@@ -365,7 +357,6 @@ impl Carol {
         let chunks: Vec<&[Topology]> = candidates
             .chunks(gon::batch_len(base.base().n_hosts()))
             .collect();
-        let (alpha, beta) = (self.config.alpha, self.config.beta);
         let probes = |chunk: &[Topology]| -> Vec<SystemState> {
             chunk.iter().map(|t| base.with_topology(t)).collect()
         };
@@ -398,7 +389,7 @@ impl Carol {
                                 // models pay proportionally more per pass
                                 // (the Fig. 6b scheduling-time growth).
                                 let cost = 8.0e-5 * depth_factor * gen.iterations as f64;
-                                (alpha * qe + beta * qs, cost)
+                                (QOS_ALPHA * qe + QOS_BETA * qs, cost)
                             })
                             .collect()
                     },
@@ -412,7 +403,7 @@ impl Carol {
                     || gan.clone(),
                     |model, chunk| {
                         model
-                            .predict_qos_batch(&probes(chunk), alpha, beta, 17)
+                            .predict_qos_batch(&probes(chunk), 17)
                             .into_iter()
                             .map(|q| (q, 0.00045))
                             .collect()
@@ -734,7 +725,7 @@ impl ResiliencePolicy for Carol {
             CarolVariant::TraditionalSurrogate => {
                 // Regression toward the *observed* objective each interval.
                 let (qe, qs) = snapshot.qos_components();
-                let target = self.config.alpha * qe + self.config.beta * qs;
+                let target = QOS_ALPHA * qe + QOS_BETA * qs;
                 self.ff
                     .as_mut()
                     .expect("FF present")

@@ -80,15 +80,15 @@ impl ProactiveCarol {
             max_iters: 2,
             ..self.inner.config().tabu.clone()
         };
-        let inner = &mut self.inner;
-        let current_score = inner.objective_batch(snapshot, std::slice::from_ref(&current))[0];
+        // One objective view scores `current` (the search's start) and
+        // every neighbourhood, so the snapshot is prepared once.
         let result = tabu::search(
             current.clone(),
             &banned,
             &tabu_cfg,
-            inner.batch_objective(snapshot),
+            self.inner.batch_objective(snapshot),
         );
-        if result.best != current && result.best_score < current_score - self.min_gain {
+        if result.best != current && result.best_score < result.start_score - self.min_gain {
             self.preventive_changes += 1;
             Some(result.best)
         } else {
@@ -142,6 +142,8 @@ mod tests {
     use super::*;
     use crate::carol::CarolConfig;
     use crate::runner::{run_experiment, ExperimentConfig};
+    use edgesim::state::Normalizer;
+    use edgesim::SchedulingDecision;
 
     #[test]
     fn proactive_wraps_and_runs() {
@@ -170,6 +172,40 @@ mod tests {
             policy.preventive_changes, 0,
             "an infinite bar must block every change"
         );
+    }
+
+    /// A preventive pass issues exactly the search's surrogate queries:
+    /// the start topology's score comes from the search, not from a
+    /// query of its own.
+    #[test]
+    fn preventive_pass_queries_only_the_search() {
+        let sim = Simulator::new(ExperimentConfig::small(34).sim);
+        let snapshot = SystemState::capture(
+            sim.topology(),
+            sim.specs(),
+            sim.host_states(),
+            sim.tasks(),
+            &SchedulingDecision::new(),
+            &Normalizer::default(),
+        );
+        let mut policy =
+            ProactiveCarol::new(Carol::pretrained(CarolConfig::fast_test(), 34), 1, 0.0);
+        // The search `preventive` runs: same start, no banned host, its
+        // two-iteration walk.
+        let tabu_cfg = TabuConfig {
+            max_iters: 2,
+            ..policy.inner.config().tabu.clone()
+        };
+        let inner = &mut policy.inner;
+        let search = tabu::search(
+            sim.topology().clone(),
+            &[],
+            &tabu_cfg,
+            inner.batch_objective(&snapshot),
+        );
+        let before = policy.inner.surrogate_queries;
+        policy.preventive(&sim, &snapshot);
+        assert_eq!(policy.inner.surrogate_queries - before, search.evaluations);
     }
 
     #[test]

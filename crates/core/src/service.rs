@@ -162,7 +162,6 @@ impl ExperimentSpec {
                 gat_att: 4,
                 gen_lr: 5e-3,
                 gen_steps: 5,
-                gen_tol: 1e-7,
                 seed: self.scenario.seed,
             },
             tabu: TabuConfig {

@@ -113,6 +113,9 @@ pub struct TabuResult {
     pub best: Topology,
     /// Objective value of `best` (lower is better).
     pub best_score: f64,
+    /// Objective value of the start topology — the search scores it
+    /// first, so a caller comparing against it needs no query of its own.
+    pub start_score: f64,
     /// Candidate topologies evaluated (surrogate queries issued).
     pub evaluations: usize,
 }
@@ -139,8 +142,9 @@ pub fn search(
         1,
         "objective must score every candidate"
     );
+    let start_score = start_scores[0];
     let mut best = start.clone();
-    let mut best_score = start_scores[0];
+    let mut best_score = start_score;
     let mut current = start;
 
     let mut tabu: VecDeque<Vec<NodeRole>> = VecDeque::with_capacity(config.list_size + 1);
@@ -200,6 +204,7 @@ pub fn search(
     TabuResult {
         best,
         best_score,
+        start_score,
         evaluations,
     }
 }
@@ -284,6 +289,7 @@ mod tests {
         let mut obj = broker_count_objective(2);
         let start_score = obj(&start);
         let result = search(start, &[], &TabuConfig::default(), from_fn(obj));
+        assert_eq!(result.start_score, start_score);
         assert!(result.best_score <= start_score);
     }
 

@@ -27,7 +27,10 @@
 use crate::host::{HostId, HostState};
 use crate::network::GATEWAY_BROKER_HOP_S;
 use crate::scheduler::{Scheduler, SchedulingDecision};
-use crate::sim::{FaultLoad, IntervalReport, SimConfig, Simulator, STANDBY_POWER_FRACTION};
+use crate::sim::{
+    FaultLoad, IntervalReport, SimConfig, Simulator, BROKER_BASE_CPU, BROKER_MGMT_RAM_MB,
+    BROKER_PER_WORKER_CPU, BROKER_SPAN, STANDBY_POWER_FRACTION,
+};
 use crate::task::{Task, TaskId, TaskSpec, TaskStatus};
 use crate::topology::{NodeRole, Topology};
 use crate::INTERVAL_SECONDS;
@@ -214,10 +217,10 @@ fn broker_management(
     if !matches!(topology.role(h), NodeRole::Broker) {
         return (0.0, 0.0);
     }
-    let cpu = config.broker_base_overhead
-        + config.broker_per_worker_overhead * topology.workers_of(h).len() as f64
+    let cpu = BROKER_BASE_CPU
+        + BROKER_PER_WORKER_CPU * topology.workers_of(h).len() as f64
         + (0.012 * queued as f64).min(0.25);
-    (cpu, config.broker_mgmt_ram_mb / config.specs[h].ram_mb)
+    (cpu, BROKER_MGMT_RAM_MB / config.specs[h].ram_mb)
 }
 
 /// Organic (task + management) utilisation of `h` before fault load, as
@@ -433,7 +436,7 @@ fn step_host(
     // storage-mapped virtual memory over congested backhaul).
     let thrash = 1.0 / (1.0 + 2.0 * swap);
     // Broker-bottleneck contention (§I): a worker whose broker manages
-    // more than `broker_span` peers runs degraded, waiting on
+    // more than `BROKER_SPAN` peers runs degraded, waiting on
     // dispatch/synchronisation from the saturated broker.
     let span_eff = if is_broker {
         1.0
@@ -443,7 +446,7 @@ fn step_host(
             .workers_of(ctx.topology.broker_of(h))
             .len()
             .max(1);
-        (ctx.config.broker_span as f64 / siblings as f64).min(1.0)
+        (BROKER_SPAN as f64 / siblings as f64).min(1.0)
     };
     let cap_frac = (1.0 - mgmt_cpu - fl.cpu).max(0.0);
     let capacity_per_s = spec_h.cpu_capacity * cap_frac * thrash * span_eff;

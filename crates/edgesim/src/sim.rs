@@ -22,6 +22,29 @@ use std::time::Instant;
 /// Fraction of idle power drawn by a task-less worker in standby mode.
 pub const STANDBY_POWER_FRACTION: f64 = 0.45;
 
+/// Fraction of a broker's CPU consumed by the management stack itself.
+/// The simulator charges it and candidate projection
+/// ([`crate::state::Projection`]) prices it, so both read this one value.
+pub const BROKER_BASE_CPU: f64 = 0.08;
+
+/// Additional broker CPU fraction per managed worker (synchronisation,
+/// audits); shared like [`BROKER_BASE_CPU`].
+pub const BROKER_PER_WORKER_CPU: f64 = 0.015;
+
+/// RAM (MB) consumed by the broker management software; shared like
+/// [`BROKER_BASE_CPU`].
+pub const BROKER_MGMT_RAM_MB: f64 = 512.0;
+
+/// Workers one broker manages at full efficiency. Beyond this span the
+/// LEI's workers run degraded — the "low broker count can cause
+/// bottlenecks and contentions" effect of §I — and candidate projection
+/// prices the same contention.
+pub const BROKER_SPAN: usize = 5;
+
+/// Seconds of unavailability charged to a node whose role changed
+/// (management-container start-up + state sync, §IV-H).
+pub const NODE_SHIFT_COST_S: f64 = 20.0;
+
 /// Extra resource pressure applied to one host for one interval by the
 /// fault-injection module (CPU hog, memory thrasher, IOZone, DDoS — §IV-F).
 /// Values are utilisation fractions added on top of organic load.
@@ -105,19 +128,6 @@ pub struct SimConfig {
     pub n_brokers: usize,
     /// RNG seed for everything inside the engine.
     pub seed: u64,
-    /// Fraction of a broker's CPU consumed by the management stack itself.
-    pub broker_base_overhead: f64,
-    /// Additional broker CPU per managed worker (synchronisation, audits).
-    pub broker_per_worker_overhead: f64,
-    /// Seconds of unavailability charged to a node whose role changed
-    /// (management-container start-up + state sync, §IV-H).
-    pub node_shift_cost_s: f64,
-    /// RAM (MB) consumed by the broker management software.
-    pub broker_mgmt_ram_mb: f64,
-    /// Workers one broker can manage at full efficiency. Beyond this span
-    /// the LEI's workers run degraded — the "low broker count can cause
-    /// bottlenecks and contentions" effect of §I.
-    pub broker_span: usize,
 }
 
 impl SimConfig {
@@ -127,18 +137,13 @@ impl SimConfig {
             specs: HostSpec::testbed16(),
             n_brokers: 4,
             seed,
-            broker_base_overhead: 0.08,
-            broker_per_worker_overhead: 0.015,
-            node_shift_cost_s: 20.0,
-            broker_mgmt_ram_mb: 512.0,
-            broker_span: 5,
         }
     }
 
     /// A federation of arbitrary size with the testbed's hardware mix
-    /// ([`FleetMix::Pi`]: alternating 8 GB / 4 GB Pi boards) and overhead
-    /// constants — `small(16, 4, s)` is hardware-equivalent to
-    /// [`SimConfig::testbed`] up to host ordering. Every component
+    /// ([`FleetMix::Pi`]: alternating 8 GB / 4 GB Pi boards) —
+    /// `small(16, 4, s)` is hardware-equivalent to [`SimConfig::testbed`]
+    /// up to host ordering. Every component
     /// downstream (topology, GON encoders, normalizer) is
     /// host-count-agnostic, so this serves fast tests and the 32 → 4096-host
     /// scenario sweeps alike.
@@ -155,18 +160,13 @@ impl SimConfig {
             specs: FleetMix::Pi.specs(n_hosts),
             n_brokers,
             seed,
-            broker_base_overhead: 0.08,
-            broker_per_worker_overhead: 0.015,
-            node_shift_cost_s: 20.0,
-            broker_mgmt_ram_mb: 512.0,
-            broker_span: 5,
         }
     }
 
     /// A federation with an explicit hardware [`FleetMix`].
     /// `fleet(n, b, FleetMix::Pi, s)` equals `small(n, b, s)` exactly
-    /// (same specs, same overhead constants), so Pi scenarios keep their
-    /// historical bit-identical results.
+    /// (same specs), so Pi scenarios keep their historical bit-identical
+    /// results.
     ///
     /// # Panics
     ///
@@ -378,7 +378,7 @@ impl Simulator {
 
     /// Installs a repaired topology (Algorithm 2 line 17). Role changes are
     /// charged the node-shift cost of §IV-H: every host whose role changed
-    /// is unavailable for `node_shift_cost_s` at the start of the next
+    /// is unavailable for [`NODE_SHIFT_COST_S`] at the start of the next
     /// interval, and orphan reassignment costs a smaller sync penalty.
     ///
     /// # Panics
@@ -394,7 +394,7 @@ impl Simulator {
             match (old_role, new_role) {
                 (NodeRole::Broker, NodeRole::Worker { .. })
                 | (NodeRole::Worker { .. }, NodeRole::Broker) => {
-                    self.shift_penalty_s[h] += self.config.node_shift_cost_s;
+                    self.shift_penalty_s[h] += NODE_SHIFT_COST_S;
                 }
                 (NodeRole::Worker { broker: a }, NodeRole::Worker { broker: b }) if a != b => {
                     // Refreshing the broker IP is cheap (§IV-H).
@@ -535,7 +535,6 @@ mod tests {
         let fed = SimConfig::small(32, 8, 5);
         assert_eq!(fleet.specs, fed.specs);
         assert_eq!(fleet.n_brokers, fed.n_brokers);
-        assert_eq!(fleet.broker_span, fed.broker_span);
     }
 
     #[test]

@@ -11,6 +11,7 @@
 
 use crate::host::{HostSpec, HostState};
 use crate::scheduler::SchedulingDecision;
+use crate::sim::{BROKER_BASE_CPU, BROKER_MGMT_RAM_MB, BROKER_PER_WORKER_CPU, BROKER_SPAN};
 use crate::task::{Task, TaskId, TaskStatus};
 use crate::topology::{NodeRole, Topology};
 use serde::{Deserialize, Serialize};
@@ -25,38 +26,25 @@ pub const SCHED_DIM: usize = 3;
 /// Width of one node's GAT feature vector.
 pub const GRAPH_DIM: usize = 6;
 
-/// Deterministic role-change cost model used when projecting a snapshot
-/// onto a *candidate* topology: brokers carry management CPU/RAM, and
-/// workers in over-span LEIs suffer dispatch contention. The constants
-/// mirror [`crate::SimConfig`]'s defaults.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct CostModel {
-    /// Broker management base CPU fraction.
-    pub base_cpu: f64,
-    /// Broker management CPU fraction per managed worker.
-    pub per_worker_cpu: f64,
-    /// Broker management RAM, MB.
-    pub mgmt_ram_mb: f64,
-    /// Workers one broker manages at full efficiency.
-    pub span: usize,
-    /// Weight of the broker-failure blast-radius term: with byzantine
-    /// attacks striking brokers uniformly, every host's chance of being
-    /// stalled next interval is proportional to `1 / broker_count`, so
-    /// candidates with fewer brokers carry higher projected SLO risk.
-    pub stall_risk: f64,
-}
+/// Weight of the broker-failure blast-radius term of candidate
+/// projection: with byzantine attacks striking brokers uniformly, every
+/// host's chance of being stalled next interval is proportional to
+/// `1 / broker_count`, so candidates with fewer brokers carry higher
+/// projected SLO risk.
+pub const STALL_RISK: f64 = 0.08;
 
-impl Default for CostModel {
-    fn default() -> Self {
-        Self {
-            base_cpu: 0.08,
-            per_worker_cpu: 0.015,
-            mgmt_ram_mb: 512.0,
-            span: 5,
-            stall_risk: 0.08,
-        }
-    }
-}
+/// Seconds treated as the full-scale task deadline in `S`.
+pub const MAX_DEADLINE_S: f64 = 600.0;
+
+/// CPU work treated as full scale for one host's scheduled tasks in `S`.
+pub const MAX_CPU_WORK: f64 = 2.0e6;
+
+/// Energy weight α of the objective `O(M) = α·q_energy + β·q_slo`
+/// (eq. 6–7; paper: 0.5). See [`qos_components`].
+pub const QOS_ALPHA: f64 = 0.5;
+
+/// SLO weight β of the objective (paper: 0.5; α + β = 1).
+pub const QOS_BETA: f64 = 0.5;
 
 /// A complete `(M, S, G)` snapshot for the surrogate models.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -72,8 +60,6 @@ pub struct SystemState {
     pub topology: Topology,
     /// Per-host RAM capacities (MB), for role-change cost projection.
     pub ram_mb: Vec<f64>,
-    /// Role-change cost model (management CPU/RAM, broker span).
-    pub costs: CostModel,
 }
 
 /// Reference scales used to normalise raw metrics into `[0, 1]`.
@@ -83,10 +69,6 @@ pub struct Normalizer {
     pub max_energy_wh: f64,
     /// Active tasks per host treated as full scale.
     pub max_tasks: f64,
-    /// Seconds treated as full-scale deadline.
-    pub max_deadline_s: f64,
-    /// CPU work treated as full scale for one task.
-    pub max_cpu_work: f64,
 }
 
 impl Default for Normalizer {
@@ -95,8 +77,6 @@ impl Default for Normalizer {
             // A Pi 4B at peak for 5 minutes ≈ 0.58 Wh.
             max_energy_wh: 0.7,
             max_tasks: 8.0,
-            max_deadline_s: 600.0,
-            max_cpu_work: 2.0e6,
         }
     }
 }
@@ -250,8 +230,8 @@ impl SystemState {
             if sched_count[h] > 0.0 {
                 schedule[h] = [
                     (sched_count[h] / norm.max_tasks).clamp(0.0, 1.0),
-                    (sched_work[h] / norm.max_cpu_work).clamp(0.0, 1.0),
-                    (sched_deadline[h] / sched_count[h] / norm.max_deadline_s).clamp(0.0, 1.0),
+                    (sched_work[h] / MAX_CPU_WORK).clamp(0.0, 1.0),
+                    (sched_deadline[h] / sched_count[h] / MAX_DEADLINE_S).clamp(0.0, 1.0),
                 ];
             }
 
@@ -272,7 +252,6 @@ impl SystemState {
             graph_features,
             topology: topology.clone(),
             ram_mb: specs.iter().map(|s| s.ram_mb).collect(),
-            costs: CostModel::default(),
         }
     }
 
@@ -312,9 +291,11 @@ impl SystemState {
     /// the *deterministic* role-change costs applied: a newly promoted
     /// broker gains management CPU/RAM, a demoted one sheds it, and
     /// workers in LEIs beyond the management span pick up SLO pressure
-    /// from dispatch contention. This is the warm-start estimate of `M_t`
-    /// under the candidate — eq. 1's ascent then refines it (§III-B:
-    /// "we initialize M as M_{t-1} and then converge").
+    /// from dispatch contention, all priced with the simulator's own
+    /// broker constants ([`crate::sim::BROKER_BASE_CPU`] and its
+    /// siblings). This is the warm-start estimate of `M_t` under the
+    /// candidate — eq. 1's ascent then refines it (§III-B: "we initialize
+    /// M as M_{t-1} and then converge").
     ///
     /// Projecting many candidates from one snapshot? Build its
     /// [`SystemState::projection`] once instead.
@@ -363,11 +344,10 @@ impl<'a> Projection<'a> {
         assert_eq!(topology.len(), base.n_hosts(), "host count mismatch");
         let mut metrics = base.metrics.clone();
         let mut graph_features = base.graph_features.clone();
-        let c = base.costs;
         let cand_pressure = lei_pressure(topology, &base.metrics);
         let mgmt_cpu = |topo: &Topology, h: usize| -> f64 {
             if matches!(topo.role(h), NodeRole::Broker) {
-                c.base_cpu + c.per_worker_cpu * topo.workers_of(h).len() as f64
+                BROKER_BASE_CPU + BROKER_PER_WORKER_CPU * topo.workers_of(h).len() as f64
             } else {
                 0.0
             }
@@ -377,7 +357,7 @@ impl<'a> Projection<'a> {
                 0.0
             } else {
                 let siblings = topo.workers_of(topo.broker_of(h)).len().max(1);
-                0.25 * (siblings as f64 / c.span as f64 - 1.0).max(0.0)
+                0.25 * (siblings as f64 / BROKER_SPAN as f64 - 1.0).max(0.0)
             }
         };
         // Expected queueing share: each LEI's task pressure is served by
@@ -393,7 +373,7 @@ impl<'a> Projection<'a> {
             let pool = topo.workers_of(broker).len().max(1);
             pressure[broker] / pool as f64
         };
-        let blast = |topo: &Topology| c.stall_risk / topo.brokers().len().max(1) as f64;
+        let blast = |topo: &Topology| STALL_RISK / topo.brokers().len().max(1) as f64;
         for h in 0..base.n_hosts() {
             let is_broker = matches!(topology.role(h), NodeRole::Broker);
             graph_features[h][4] = if is_broker { 1.0 } else { 0.0 };
@@ -403,7 +383,7 @@ impl<'a> Projection<'a> {
             let d_cpu = mgmt_cpu(topology, h) - mgmt_cpu(&base.topology, h);
             let d_ram = (matches!(topology.role(h), NodeRole::Broker) as u8 as f64
                 - matches!(base.topology.role(h), NodeRole::Broker) as u8 as f64)
-                * c.mgmt_ram_mb
+                * BROKER_MGMT_RAM_MB
                 / base.ram_mb.get(h).copied().unwrap_or(8192.0);
             let d_slo = contention(topology, h) - contention(&base.topology, h)
                 + 0.45
@@ -436,7 +416,6 @@ impl<'a> Projection<'a> {
             graph_features,
             topology: topology.clone(),
             ram_mb: base.ram_mb.clone(),
-            costs: base.costs,
         }
     }
 }
@@ -604,8 +583,6 @@ mod tests {
             let fleet = Normalizer::for_fleet(&FleetMix::Pi.specs(n), b);
             assert_eq!(fleet.max_energy_wh.to_bits(), fed.max_energy_wh.to_bits());
             assert_eq!(fleet.max_tasks.to_bits(), fed.max_tasks.to_bits());
-            assert_eq!(fleet.max_deadline_s.to_bits(), fed.max_deadline_s.to_bits());
-            assert_eq!(fleet.max_cpu_work.to_bits(), fed.max_cpu_work.to_bits());
         }
     }
 
@@ -618,8 +595,6 @@ mod tests {
         // Only the energy scale moves; the rest stays size/fleet-invariant.
         let fed = Normalizer::for_federation(16, 4);
         assert_eq!(hetero.max_tasks, fed.max_tasks);
-        assert_eq!(hetero.max_deadline_s, fed.max_deadline_s);
-        assert_eq!(hetero.max_cpu_work, fed.max_cpu_work);
     }
 
     #[test]
@@ -641,7 +616,6 @@ mod tests {
         assert_eq!(n128.max_tasks, 32.0);
         // Per-host scales stay size-invariant.
         assert_eq!(n128.max_energy_wh, Normalizer::default().max_energy_wh);
-        assert_eq!(n128.max_deadline_s, Normalizer::default().max_deadline_s);
     }
 
     #[test]

@@ -133,7 +133,6 @@ mod tests {
             gat_att: 4,
             gen_lr: 5e-3,
             gen_steps: 5,
-            gen_tol: 1e-7,
             seed: 3,
         })
     }

@@ -10,6 +10,11 @@ use rand::rngs::StdRng;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
+/// Convergence threshold of the generation loop on the per-step
+/// confidence gain, at the reference step size γ = 1e-3; the loop scales
+/// it with γ so the stopping point does not depend on the step size.
+pub const GEN_TOL: f64 = 1e-7;
+
 /// Hyperparameters of the GON network.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct GonConfig {
@@ -27,8 +32,6 @@ pub struct GonConfig {
     pub gen_lr: f64,
     /// Maximum generation iterations per query.
     pub gen_steps: usize,
-    /// Convergence threshold on the metric-update norm.
-    pub gen_tol: f64,
     /// Parameter-initialisation seed.
     pub seed: u64,
 }
@@ -42,7 +45,6 @@ impl Default for GonConfig {
             gat_att: 16,
             gen_lr: 1e-3,
             gen_steps: 40,
-            gen_tol: 1e-7,
             seed: 7,
         }
     }
@@ -478,7 +480,7 @@ impl GonModel {
         let mut active = vec![true; b];
         let mut n_active = b;
         // Step-size-invariant tolerance, exactly as in `generate`.
-        let tol = self.config.gen_tol * (self.config.gen_lr / 1e-3).max(1e-6);
+        let tol = GEN_TOL * (self.config.gen_lr / 1e-3).max(1e-6);
 
         for it in 0..self.config.gen_steps {
             if n_active == 0 {
@@ -738,7 +740,6 @@ mod tests {
             gat_att: 4,
             gen_lr: 1e-2,
             gen_steps: 20,
-            gen_tol: 1e-7,
             seed: 3,
         }
     }

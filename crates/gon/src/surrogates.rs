@@ -13,7 +13,9 @@
 //!   demonstrates.
 
 use crate::model::stacked_graph;
-use edgesim::state::{qos_components, SystemState, GRAPH_DIM, METRIC_DIM, SCHED_DIM};
+use edgesim::state::{
+    qos_components, SystemState, GRAPH_DIM, METRIC_DIM, QOS_ALPHA, QOS_BETA, SCHED_DIM,
+};
 use nn::init::Initializer;
 use nn::layer::{Activation, Dense, Layer, Sequential};
 use nn::{Adam, GraphAttention, Matrix};
@@ -231,9 +233,9 @@ impl GanSurrogate {
     /// and read the objective columns `α·q_energy + β·q_slo` — the same
     /// objective CAROL reads off the GON's generated `M*`, so the
     /// surrogates are swappable.
-    pub fn predict_qos(&mut self, state: &SystemState, alpha: f64, beta: f64, seed: u64) -> f64 {
+    pub fn predict_qos(&mut self, state: &SystemState, seed: u64) -> f64 {
         let (qe, qs) = qos_components(&self.generate(state, seed));
-        alpha * qe + beta * qs
+        QOS_ALPHA * qe + QOS_BETA * qs
     }
 
     /// Batched [`GanSurrogate::predict_qos`]: one generator forward over
@@ -242,13 +244,7 @@ impl GanSurrogate {
     /// its noise from a fresh `Initializer::new(seed)` exactly as the
     /// serial call does, so the result is bit-identical to mapping
     /// `predict_qos` over the candidates.
-    pub fn predict_qos_batch(
-        &mut self,
-        states: &[SystemState],
-        alpha: f64,
-        beta: f64,
-        seed: u64,
-    ) -> Vec<f64> {
+    pub fn predict_qos_batch(&mut self, states: &[SystemState], seed: u64) -> Vec<f64> {
         if states.is_empty() {
             return Vec::new();
         }
@@ -276,7 +272,7 @@ impl GanSurrogate {
                 let (qe, qs) =
                     qos_components(&y.data()[offset * METRIC_DIM..(offset + n) * METRIC_DIM]);
                 offset += n;
-                alpha * qe + beta * qs
+                QOS_ALPHA * qe + QOS_BETA * qs
             })
             .collect()
     }
@@ -432,16 +428,13 @@ mod tests {
         let states = batch();
 
         let mut gan = GanSurrogate::new(12, 6, 9);
-        let mapped: Vec<f64> = states
-            .iter()
-            .map(|s| gan.predict_qos(s, 0.5, 0.5, 17))
-            .collect();
-        let batched = gan.predict_qos_batch(&states, 0.5, 0.5, 17);
+        let mapped: Vec<f64> = states.iter().map(|s| gan.predict_qos(s, 17)).collect();
+        let batched = gan.predict_qos_batch(&states, 17);
         assert_eq!(mapped.len(), batched.len());
         for (a, b) in mapped.iter().zip(&batched) {
             assert_eq!(a.to_bits(), b.to_bits(), "GAN predictor diverged");
         }
-        assert!(gan.predict_qos_batch(&[], 0.5, 0.5, 17).is_empty());
+        assert!(gan.predict_qos_batch(&[], 17).is_empty());
 
         let mut ff = FeedForwardSurrogate::new(12, 9);
         let mapped: Vec<f64> = states.iter().map(|s| ff.predict_qos(s)).collect();
@@ -456,7 +449,7 @@ mod tests {
     #[test]
     fn gan_qos_prediction_is_finite_and_swappable() {
         let mut gan = GanSurrogate::new(16, 6, 5);
-        let q = gan.predict_qos(&test_state(0.5), 0.5, 0.5, 7);
+        let q = gan.predict_qos(&test_state(0.5), 7);
         assert!(q.is_finite());
         assert!(q >= 0.0);
     }

@@ -34,6 +34,13 @@ use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
+/// Train fraction of the 80/20 chronological train/test split (§IV-E).
+pub const TRAIN_FRACTION: f64 = 0.8;
+
+/// Adam weight decay of GON offline training and fine-tuning (paper:
+/// 1e-5, §IV-E).
+pub const WEIGHT_DECAY: f64 = 1e-5;
+
 /// Hyperparameters of offline training.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct TrainConfig {
@@ -46,12 +53,8 @@ pub struct TrainConfig {
     /// Training loss keeps falling on an overfitting run; the test metric
     /// is what stalls, so that is what the patience counter watches.
     pub patience: usize,
-    /// Train fraction of the 80/20 split.
-    pub train_fraction: f64,
     /// Adam learning rate (paper: 1e-4).
     pub lr: f64,
-    /// Adam weight decay (paper: 1e-5).
-    pub weight_decay: f64,
     /// Shuffling / noise seed.
     pub seed: u64,
     /// Worker threads for the batched fake-sample ascent. `None` uses
@@ -66,9 +69,7 @@ impl Default for TrainConfig {
             epochs: 30,
             minibatch: 32,
             patience: 5,
-            train_fraction: 0.8,
             lr: 1e-4,
-            weight_decay: 1e-5,
             seed: 11,
             train_threads: None,
         }
@@ -94,10 +95,10 @@ pub struct EpochStats {
 ///
 /// The fake sample converges first, through the **configured** eq.-1
 /// ascent ([`GonModel::generate`]): the same `gen_steps`, `gen_lr` and
-/// γ-scaled `gen_tol` stopping rule applied at inference time, with no
-/// hard-coded iteration count or `gen_lr` floor. The ascent leaves
-/// previously accumulated parameter gradients untouched, which is what
-/// lets this step be mapped over a minibatch.
+/// γ-scaled [`GEN_TOL`](crate::model::GEN_TOL) stopping rule applied at
+/// inference time, with no hard-coded iteration count or `gen_lr` floor.
+/// The ascent leaves previously accumulated parameter gradients
+/// untouched, which is what lets this step be mapped over a minibatch.
 pub fn adversarial_step(model: &mut GonModel, state: &SystemState, rng: &mut StdRng) -> f64 {
     let n = state.n_hosts();
     const EPS: f64 = 1e-9;
@@ -208,12 +209,12 @@ pub fn train_offline(
     config: &TrainConfig,
 ) -> Vec<EpochStats> {
     assert!(!dataset.is_empty(), "cannot train on an empty dataset");
-    let split = ((dataset.len() as f64) * config.train_fraction).round() as usize;
+    let split = ((dataset.len() as f64) * TRAIN_FRACTION).round() as usize;
     let split = split.clamp(1, dataset.len());
     let (train, test) = dataset.split_at(split);
     let test = if test.is_empty() { train } else { test };
 
-    let mut adam = Adam::new(config.lr, config.weight_decay);
+    let mut adam = Adam::new(config.lr, WEIGHT_DECAY);
     let mut rng = StdRng::seed_from_u64(config.seed);
     let mut stats = Vec::with_capacity(config.epochs);
     let mut best_metric = f64::INFINITY;
@@ -314,7 +315,6 @@ mod tests {
             gat_att: 4,
             gen_lr: 5e-3,
             gen_steps: 6,
-            gen_tol: 1e-7,
             seed: 1,
         }
     }
@@ -472,6 +472,7 @@ mod tests {
             dataset.push(a);
             dataset.push(b);
         }
+        // TRAIN_FRACTION splits at 40: the alternating tail is the test set.
         assert_eq!(dataset.len(), 50);
         let epochs = 6;
         let stats = train_offline(
@@ -481,7 +482,6 @@ mod tests {
                 epochs,
                 minibatch: 8,
                 patience: 2,
-                train_fraction: 0.8, // split at 40: the alternating tail is the test set
                 lr: 3e-3,
                 ..Default::default()
             },

@@ -11,8 +11,8 @@
 //! `std::arch` AVX2 (x86-64) and NEON (aarch64) paths, selected **once**
 //! at startup — mirroring how `CAROL_THREADS` resolves through
 //! `par::EngineConfig` — via the [`SIMD_ENV`]
-//! (`CAROL_SIMD=auto|scalar|avx2|neon`) override so CI can pin either
-//! path.
+//! (`CAROL_SIMD=auto|scalar`) override so CI can pin the scalar oracle
+//! against the dispatched path.
 //!
 //! The elementwise kernels — [`axpy`], [`axpy_scaled`], [`add_assign`],
 //! [`scale_assign`] and [`ascent_update`] — are one plain loop each, with
@@ -46,7 +46,7 @@
 use std::sync::atomic::{AtomicU8, Ordering};
 
 /// Environment variable selecting the kernel backend
-/// (`auto|scalar|avx2|neon`). Read **once**, at the first kernel call;
+/// (`auto|scalar`). Read **once**, at the first kernel call;
 /// later changes to the environment have no effect. Unlike
 /// `CAROL_THREADS` (where an unparsable value falls back to the
 /// default), an unknown token here panics: a typo in a CI leg pinning
@@ -60,10 +60,6 @@ pub enum SimdMode {
     Auto,
     /// Force the scalar reference kernels.
     Scalar,
-    /// Force AVX2; panics at first kernel use if unsupported.
-    Avx2,
-    /// Force NEON; panics at first kernel use if unsupported.
-    Neon,
 }
 
 impl SimdMode {
@@ -77,9 +73,7 @@ impl SimdMode {
         match raw.map(str::trim) {
             None | Some("") | Some("auto") => SimdMode::Auto,
             Some("scalar") => SimdMode::Scalar,
-            Some("avx2") => SimdMode::Avx2,
-            Some("neon") => SimdMode::Neon,
-            Some(other) => panic!("{SIMD_ENV}={other:?}: expected auto|scalar|avx2|neon"),
+            Some(other) => panic!("{SIMD_ENV}={other:?}: expected auto|scalar"),
         }
     }
 }
@@ -111,12 +105,6 @@ impl Backend {
 
 /// Resolves a [`SimdMode`] to a concrete backend against the running
 /// CPU.
-///
-/// # Panics
-///
-/// Panics if a forced backend (`avx2`/`neon`) is not supported by this
-/// CPU or not compiled into this build — a forced pin that silently fell
-/// back would make a CI matrix leg test the wrong path.
 pub fn resolve(mode: SimdMode) -> Backend {
     match mode {
         SimdMode::Scalar => Backend::Scalar,
@@ -134,24 +122,6 @@ pub fn resolve(mode: SimdMode) -> Backend {
                 }
             }
             Backend::Scalar
-        }
-        SimdMode::Avx2 => {
-            #[cfg(target_arch = "x86_64")]
-            {
-                if std::arch::is_x86_feature_detected!("avx2") {
-                    return Backend::Avx2;
-                }
-            }
-            panic!("{SIMD_ENV}=avx2 forced, but this CPU/build has no AVX2 backend");
-        }
-        SimdMode::Neon => {
-            #[cfg(target_arch = "aarch64")]
-            {
-                if std::arch::is_aarch64_feature_detected!("neon") {
-                    return Backend::Neon;
-                }
-            }
-            panic!("{SIMD_ENV}=neon forced, but this CPU/build has no NEON backend");
         }
     }
 }
@@ -1027,14 +997,12 @@ mod tests {
         assert_eq!(SimdMode::parse(Some("")), SimdMode::Auto);
         assert_eq!(SimdMode::parse(Some(" auto ")), SimdMode::Auto);
         assert_eq!(SimdMode::parse(Some("scalar")), SimdMode::Scalar);
-        assert_eq!(SimdMode::parse(Some("avx2")), SimdMode::Avx2);
-        assert_eq!(SimdMode::parse(Some("neon")), SimdMode::Neon);
     }
 
     #[test]
-    #[should_panic(expected = "expected auto|scalar|avx2|neon")]
+    #[should_panic(expected = "expected auto|scalar")]
     fn mode_parsing_rejects_typos() {
-        SimdMode::parse(Some("avx512"));
+        SimdMode::parse(Some("avx2"));
     }
 
     #[test]

@@ -21,7 +21,7 @@
 //! threads are spawned for empty or single-item inputs.
 //!
 //! `CAROL_THREADS` has a SIMD sibling: `CAROL_SIMD` pins the f64 kernel
-//! backend (`auto|scalar|avx2|neon`) in `nn::kernel`, resolved once per
+//! backend (`auto|scalar`) in `nn::kernel`, resolved once per
 //! process exactly like the thread override. Both knobs exist for the
 //! same reason — every engine is bit-identical across their settings, so
 //! either can be pinned freely for debugging or CI without changing a

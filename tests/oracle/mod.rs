@@ -15,7 +15,7 @@ use carol::nodeshift::{apply_move, enumerate_moves, neighborhood, random_shift, 
 use carol::tabu::{self, Neighborhood};
 use carol::ResiliencePolicy;
 use edgesim::scheduler::LeastLoadScheduler;
-use edgesim::state::{qos_components, Normalizer, SystemState};
+use edgesim::state::{qos_components, Normalizer, SystemState, QOS_ALPHA, QOS_BETA};
 use edgesim::{FaultLoad, HostId, NodeRole, SimConfig, Simulator, Topology};
 use gon::{Generated, GonModel};
 use nn::kernel::{self, Backend};
@@ -118,7 +118,7 @@ impl Reference {
         let probe = snapshot.with_topology(candidate);
         let generated = on_scalar(|| self.gon.generate(&probe));
         let (q_energy, q_slo) = qos_components(&generated.metrics_flat);
-        let qos = self.config.alpha * q_energy + self.config.beta * q_slo;
+        let qos = QOS_ALPHA * q_energy + QOS_BETA * q_slo;
         let score = transition_cost(&snapshot.topology, candidate) + qos;
         self.candidates.push(candidate.clone());
         self.generated.push(generated);

@@ -71,7 +71,6 @@ fn topology_and_config_round_trip() {
     let back: SimConfig = serde_json::from_str(&json).unwrap();
     assert_eq!(cfg.specs, back.specs);
     assert_eq!(cfg.n_brokers, back.n_brokers);
-    assert_eq!(cfg.broker_span, back.broker_span);
 }
 
 #[test]
@@ -95,13 +94,15 @@ fn experiment_result_round_trips() {
 
 #[test]
 fn gon_config_and_normalizer_survive_defaults() {
-    // Normalizer / CostModel defaults are load-bearing for reproducibility:
-    // pin them so accidental changes fail loudly.
-    let norm = Normalizer::default();
-    assert_eq!(norm.max_tasks, 8.0);
-    let costs = edgesim::state::CostModel::default();
-    assert_eq!(costs.span, 5);
-    assert!(costs.base_cpu > 0.0 && costs.per_worker_cpu > 0.0);
+    // The normalizer default and the model constants are load-bearing for reproducibility.
+    use {edgesim::sim::*, edgesim::state::*, gon::*};
+    assert_eq!(Normalizer::default().max_tasks, 8.0);
+    assert_eq!((MAX_DEADLINE_S, MAX_CPU_WORK), (600.0, 2.0e6));
+    assert_eq!((BROKER_BASE_CPU, BROKER_PER_WORKER_CPU), (0.08, 0.015));
+    assert_eq!((BROKER_MGMT_RAM_MB, BROKER_SPAN), (512.0, 5));
+    assert_eq!((NODE_SHIFT_COST_S, STALL_RISK), (20.0, 0.08));
+    assert_eq!((QOS_ALPHA, QOS_BETA), (0.5, 0.5));
+    assert_eq!((GEN_TOL, TRAIN_FRACTION, WEIGHT_DECAY), (1e-7, 0.8, 1e-5));
 }
 
 /// GON checkpoint → JSON → restore is bit-exact on every `f64` of every
@@ -130,7 +131,6 @@ fn gon_checkpoint_restores_every_param_bit_exact() {
         gat_att: 2,
         gen_lr: 5e-3,
         gen_steps: 2,
-        gen_tol: 1e-7,
         seed: 5,
     });
     // Dirty weights, gradients and Adam moments alike.
