@@ -186,6 +186,14 @@ fn repair_fixture_with(
     n_brokers: usize,
     config: CarolConfig,
 ) -> (Simulator, SystemState, Carol) {
+    let (sim, snapshot) = failed_broker_snapshot(n_hosts, n_brokers);
+    let policy = Carol::from_model(GonModel::new(config.gon.clone()), config, 3);
+    (sim, snapshot, policy)
+}
+
+/// A `SimConfig::small` federation one interval after its first broker
+/// failed, and the state captured from that interval.
+fn failed_broker_snapshot(n_hosts: usize, n_brokers: usize) -> (Simulator, SystemState) {
     let mut sim = Simulator::new(SimConfig::small(n_hosts, n_brokers, 3));
     let mut sched = LeastLoadScheduler::new();
     let broker = sim.topology().brokers()[0];
@@ -206,8 +214,7 @@ fn repair_fixture_with(
         &report.decision,
         &Normalizer::for_federation(n_hosts, n_brokers),
     );
-    let policy = Carol::from_model(GonModel::new(config.gon.clone()), config, 3);
-    (sim, snapshot, policy)
+    (sim, snapshot)
 }
 
 fn bench_repair(c: &mut Criterion) {
@@ -253,32 +260,36 @@ fn bench_repair(c: &mut Criterion) {
     // repair shift, then a worker reassignment, as tabu's second
     // iteration scores — through the full GAT forward and through the
     // patched forward against the snapshot's reference, which is what
-    // the repair runs.
-    let failed = sim.failed_brokers().to_vec();
-    let shifted = neighborhood(sim.topology(), failed[0], &failed)
-        .pop()
-        .expect("a failed broker has repairs");
-    let reassign = enumerate_moves(&shifted, &failed)
-        .into_iter()
-        .rfind(|m| matches!(m, Move::Reassign { .. }))
-        .expect("a reassignment exists");
-    let candidate = apply_move(&shifted, reassign).expect("the move applies");
-    let (features, adjacency) = gat_inputs(&snapshot.with_topology(&candidate));
-    let (base_features, base_adjacency) = gat_inputs(&snapshot);
-    let reference = gat.reference(&base_features, &base_adjacency);
-    let mut full = gat.clone();
-    c.bench_function("gat_forward_1024", |b| {
-        b.iter(|| black_box(full.forward(black_box(&features), black_box(&adjacency))))
-    });
-    c.bench_function("gat_patched_1024", |b| {
-        b.iter(|| {
-            black_box(gat.forward_patched(
-                black_box(&reference),
-                black_box(&features),
-                black_box(&adjacency),
-            ))
-        })
-    });
+    // the repair runs: at the storm's shape and at 4,096 hosts in 683
+    // LEIs, where a broker mesh would be quadratic.
+    for (n_hosts, n_brokers) in [(1024, 171), (4096, 683)] {
+        let (sim, snapshot) = failed_broker_snapshot(n_hosts, n_brokers);
+        let failed = sim.failed_brokers().to_vec();
+        let shifted = neighborhood(sim.topology(), failed[0], &failed)
+            .pop()
+            .expect("a failed broker has repairs");
+        let reassign = enumerate_moves(&shifted, &failed)
+            .into_iter()
+            .rfind(|m| matches!(m, Move::Reassign { .. }))
+            .expect("a reassignment exists");
+        let candidate = apply_move(&shifted, reassign).expect("the move applies");
+        let (features, adjacency) = gat_inputs(&snapshot.with_topology(&candidate));
+        let (base_features, base_adjacency) = gat_inputs(&snapshot);
+        let reference = gat.reference(&base_features, &base_adjacency);
+        let mut full = gat.clone();
+        c.bench_function(&format!("gat_forward_{n_hosts}"), |b| {
+            b.iter(|| black_box(full.forward(black_box(&features), black_box(&adjacency))))
+        });
+        c.bench_function(&format!("gat_patched_{n_hosts}"), |b| {
+            b.iter(|| {
+                black_box(gat.forward_patched(
+                    black_box(&reference),
+                    black_box(&features),
+                    black_box(&adjacency),
+                ))
+            })
+        });
+    }
 
     // The CAROL_THREADS sweep at 64 hosts: the worker count pinned to
     // 1/2/4 through the same `EngineConfig` path the env var resolves,

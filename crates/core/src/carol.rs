@@ -3,7 +3,7 @@
 use crate::nodeshift::random_shift;
 use crate::policy::{ObserveOutcome, ResiliencePolicy};
 use crate::pot::PotDetector;
-use crate::tabu::{self, BatchObjective, TabuConfig};
+use crate::tabu::{self, TabuConfig};
 use edgesim::state::{qos_components, Projection, SystemState, QOS_ALPHA, QOS_BETA};
 use edgesim::{HostId, IntervalReport, NodeRole, SimConfig, Simulator, Topology};
 use gon::surrogates::{FeedForwardSurrogate, GanSurrogate};
@@ -291,14 +291,6 @@ impl Carol {
             }
         }
         cost
-    }
-
-    /// Batched surrogate objective Ω(G) over a candidate neighbourhood:
-    /// one [`Carol::batch_objective`] scoring call. A search scores many
-    /// neighbourhoods against one snapshot through one `batch_objective`,
-    /// which prepares the snapshot once.
-    pub fn objective_batch(&mut self, base: &SystemState, candidates: &[Topology]) -> Vec<f64> {
-        self.batch_objective(base).score_batch(candidates)
     }
 
     /// A [`tabu::BatchObjective`] view of this policy's surrogate, scoring
@@ -766,6 +758,7 @@ impl ResiliencePolicy for Carol {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tabu::BatchObjective;
     use edgesim::scheduler::LeastLoadScheduler;
     use edgesim::state::Normalizer;
     use edgesim::FaultLoad;
@@ -892,10 +885,14 @@ mod tests {
 
             let want: Vec<f64> = candidates
                 .iter()
-                .map(|t| one_by_one.objective_batch(&base, std::slice::from_ref(t))[0])
+                .map(|t| {
+                    one_by_one
+                        .batch_objective(&base)
+                        .score_batch(std::slice::from_ref(t))[0]
+                })
                 .collect();
             for (label, policy) in [("1 thread", &mut batched_1), ("4 threads", &mut batched_4)] {
-                let got = policy.objective_batch(&base, &candidates);
+                let got = policy.batch_objective(&base).score_batch(&candidates);
                 for (i, (a, b)) in want.iter().zip(&got).enumerate() {
                     assert_eq!(
                         a.to_bits(),

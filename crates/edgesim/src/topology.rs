@@ -311,27 +311,68 @@ impl Topology {
     }
 
     /// Neighbour row of `host` in the federation graph the GAT encoder
-    /// attends over (§IV-A): every worker links to its broker, brokers
-    /// form a full mesh, and each node carries a self-loop. The order is
-    /// fixed, because the attention softmax sums in it: a broker yields
-    /// itself, the other brokers ascending, then its own workers
-    /// ascending; a worker yields itself, then its broker.
+    /// attends over (§IV-A): every worker links to its broker, each
+    /// broker links to its own workers and to the [`GAT_BROKER_DEGREE`]
+    /// brokers nearest its rank in [`Topology::brokers`], half on either
+    /// side and wrapping around modulo the broker count, and each node
+    /// carries a self-loop. With at most `GAT_BROKER_DEGREE + 1` brokers
+    /// the window covers all of them, so small federations (the paper's
+    /// 4-broker testbed included) keep the full broker mesh; larger ones
+    /// get a graph linear in the broker count, in which a promote or
+    /// demote changes only the rows of the brokers around its rank.
+    ///
+    /// The order is fixed, because the attention softmax sums in it: a
+    /// broker yields itself, its window's other brokers ascending, then
+    /// its own workers ascending; a worker yields itself, then its
+    /// broker.
     ///
     /// # Panics
     ///
     /// Panics if `host` is out of range.
     pub fn gat_row(&self, host: HostId) -> impl Iterator<Item = HostId> + '_ {
-        let (before, after): (&[HostId], &[HostId]) = match &self.roles[host] {
-            NodeRole::Broker => {
-                let rank = self.brokers.partition_point(|&b| b < host);
-                (&self.brokers[..rank], &self.brokers[rank + 1..])
-            }
-            NodeRole::Worker { broker } => (std::slice::from_ref(broker), &[]),
+        let [a, b, c]: [&[HostId]; 3] = match &self.roles[host] {
+            NodeRole::Broker => self.broker_window(host),
+            NodeRole::Worker { broker } => [std::slice::from_ref(broker), &[], &[]],
         };
-        let rest = before.iter().chain(after).chain(&self.members[host]);
+        let rest = a.iter().chain(b).chain(c).chain(&self.members[host]);
         std::iter::once(host).chain(rest.copied())
     }
+
+    /// The brokers in broker `b`'s attention window, other than `b`, as
+    /// at most three ascending, consecutive runs of [`Topology::brokers`].
+    /// The window is the `len = min(GAT_BROKER_DEGREE + 1, B)` circular
+    /// ranks from `rank − len / 2`, so it is every broker when
+    /// `B ≤ GAT_BROKER_DEGREE + 1`. In ascending order it is the run
+    /// `[start, end)` when it does not wrap, and `[0, end − B)` followed
+    /// by `[start, B)` when it does, with `b` cut out of the run that
+    /// holds it.
+    fn broker_window(&self, b: HostId) -> [&[HostId]; 3] {
+        let n = self.brokers.len();
+        let rank = self.brokers.partition_point(|&x| x < b);
+        let len = (GAT_BROKER_DEGREE + 1).min(n);
+        let start = if rank >= len / 2 {
+            rank - len / 2
+        } else {
+            rank + n - len / 2
+        };
+        let end = start + len;
+        let wrapped = &self.brokers[..end.saturating_sub(n)];
+        let run = &self.brokers[start..end.min(n)];
+        if rank >= start {
+            let (before, after) = run.split_at(rank - start);
+            [wrapped, before, &after[1..]]
+        } else {
+            let (before, after) = wrapped.split_at(rank);
+            [before, &after[1..], run]
+        }
+    }
 }
+
+/// Broker neighbours of each broker in the GAT graph
+/// ([`Topology::gat_row`]) once a federation has more than
+/// `GAT_BROKER_DEGREE + 1` brokers: half of them on either side of its
+/// rank.
+pub const GAT_BROKER_DEGREE: usize = 16;
 
 /// Inserts `h` into the ascending list `v` (no-op if present).
 fn insert_sorted(v: &mut Vec<HostId>, h: HostId) {
@@ -482,6 +523,141 @@ mod tests {
             for j in t.gat_row(i).filter(|&j| j != i) {
                 assert!(t.gat_row(j).any(|k| k == i), "edge {i}->{j} not symmetric");
             }
+        }
+    }
+
+    /// `n_hosts` hosts in LEIs of `span`: host `span·i` is the broker of
+    /// hosts `span·i + 1 ..`, so broker ids are spread out and a promoted
+    /// worker lands mid-rank.
+    fn spread(n_hosts: usize, span: usize) -> Topology {
+        let roles = (0..n_hosts)
+            .map(|h| match h % span {
+                0 => NodeRole::Broker,
+                r => NodeRole::Worker { broker: h - r },
+            })
+            .collect();
+        Topology::new(roles).unwrap()
+    }
+
+    /// The full-mesh row, read off the roles alone: itself, every other
+    /// broker ascending, then its workers ascending; a worker's is
+    /// itself and its broker.
+    fn clique_row(t: &Topology, host: HostId) -> Vec<HostId> {
+        let roles = t.roles();
+        let NodeRole::Broker = roles[host] else {
+            return vec![host, t.broker_of(host)];
+        };
+        let brokers = (0..t.len()).filter(|&h| h != host && roles[h] == NodeRole::Broker);
+        let workers = (0..t.len()).filter(|&h| roles[h] == NodeRole::Worker { broker: host });
+        std::iter::once(host)
+            .chain(brokers)
+            .chain(workers)
+            .collect()
+    }
+
+    #[test]
+    fn gat_window_is_the_full_mesh_up_to_seventeen_brokers() {
+        for b in 1..=GAT_BROKER_DEGREE + 1 {
+            let mut shapes = vec![Topology::balanced(3 * b + 2, b).unwrap(), spread(3 * b, 3)];
+            // Scattered broker ids: promote a worker between every two of
+            // the first brokers, up to `b` brokers in all.
+            let mut promoted = spread(4 * b.div_ceil(2), 4);
+            for i in 0..b / 2 {
+                promoted.promote(4 * i + 2).unwrap();
+            }
+            assert_eq!(promoted.brokers().len(), b);
+            shapes.push(promoted);
+            for t in &shapes {
+                for h in 0..t.len() {
+                    assert_eq!(gat_row(t, h), clique_row(t, h), "{b} brokers, host {h}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn gat_window_has_k_ascending_brokers_past_seventeen() {
+        let k = GAT_BROKER_DEGREE;
+        for (n_hosts, n_brokers) in [(54, 18), (1024, 171), (4096, 683)] {
+            for t in [
+                Topology::balanced(n_hosts, n_brokers).unwrap(),
+                spread(3 * n_brokers, 3),
+            ] {
+                let brokers = t.brokers();
+                for (rank, &b) in brokers.iter().enumerate() {
+                    let row = gat_row(&t, b);
+                    assert_eq!(row[0], b);
+                    let (peers, workers) = row[1..].split_at(k);
+                    assert_eq!(workers, t.workers_of(b), "{n_brokers} brokers, broker {b}");
+                    assert!(
+                        peers.windows(2).all(|p| p[0] < p[1]),
+                        "{peers:?} not ascending"
+                    );
+                    assert!(!peers.contains(&b), "broker {b} attends to itself twice");
+                    let mut want: Vec<HostId> = (1..=k / 2)
+                        .flat_map(|d| [rank + d, rank + n_brokers - d])
+                        .map(|r| brokers[r % n_brokers])
+                        .collect();
+                    want.sort_unstable();
+                    assert_eq!(peers, want, "{n_brokers} brokers, rank {rank}");
+                }
+                // The window wraps at both ends of the rank order.
+                let (first, last) = (brokers[0], brokers[n_brokers - 1]);
+                assert!(gat_row(&t, first).contains(&last));
+                assert!(gat_row(&t, last).contains(&first));
+                for i in 0..t.len() {
+                    for j in t.gat_row(i) {
+                        assert!(t.gat_row(j).any(|h| h == i), "edge {i}->{j} not symmetric");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn one_move_changes_at_most_k_plus_two_gat_rows() {
+        // 1,024 hosts, 171 brokers. Brokers 0 (rank 0) and 1020 (the last
+        // rank) lend their workers to a neighbour, so they can be demoted.
+        let mut snapshot = spread(1024, 6);
+        assert_eq!(snapshot.brokers().len(), 171);
+        for w in 1..6 {
+            snapshot.reassign(w, 6).unwrap();
+        }
+        for w in 1021..1024 {
+            snapshot.reassign(w, 1014).unwrap();
+        }
+        let mut promoted = snapshot.clone();
+        promoted.promote(511).unwrap();
+        type Move = fn(&mut Topology) -> Result<(), TopologyError>;
+        let moves: [(&str, &Topology, Move); 9] = [
+            ("promote to rank 1", &snapshot, |t| t.promote(7)),
+            ("promote mid-rank", &snapshot, |t| t.promote(511)),
+            ("promote to the last rank", &snapshot, |t| t.promote(1023)),
+            ("demote rank 0", &snapshot, |t| t.demote(0, 6)),
+            ("demote the last rank", &snapshot, |t| t.demote(1020, 1014)),
+            ("demote mid-rank", &promoted, |t| t.demote(511, 510)),
+            ("reassign across the wrap", &snapshot, |t| {
+                t.reassign(1, 1014)
+            }),
+            ("reassign mid-rank", &snapshot, |t| t.reassign(509, 12)),
+            ("reassign to a neighbour", &snapshot, |t| {
+                t.reassign(509, 498)
+            }),
+        ];
+        let rows = |t: &Topology| (0..t.len()).map(|h| gat_row(t, h)).collect::<Vec<_>>();
+        for (name, base, apply) in moves {
+            let mut t = base.clone();
+            apply(&mut t).unwrap();
+            let changed = rows(&t)
+                .iter()
+                .zip(rows(base))
+                .filter(|(a, b)| **a != *b)
+                .count();
+            assert!(changed > 0, "{name}: no row changed");
+            assert!(
+                changed <= GAT_BROKER_DEGREE + 2,
+                "{name}: {changed} rows changed"
+            );
         }
     }
 

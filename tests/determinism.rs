@@ -214,7 +214,8 @@ fn row_budget_chunks_score_bit_identically_at_512_hosts() {
 }
 
 /// Patched promote, demote and reassign moves, from the snapshot and
-/// from a repair shift, up to a 171-broker clique.
+/// from a repair shift, up to 171 brokers, where each broker attends to
+/// a wrapped window of 16 (`Topology::gat_row`).
 #[test]
 fn patched_graph_branch_generates_bit_identically_to_full_batches() {
     for (n_hosts, n_brokers) in [(64, 8), (512, 64), (1024, 171)] {

@@ -12,7 +12,7 @@
 
 use carol::carol::{Carol, CarolConfig};
 use carol::nodeshift::{apply_move, enumerate_moves, neighborhood, random_shift, Move};
-use carol::tabu::{self, Neighborhood};
+use carol::tabu::{self, BatchObjective, Neighborhood};
 use carol::ResiliencePolicy;
 use edgesim::scheduler::LeastLoadScheduler;
 use edgesim::state::{qos_components, Normalizer, SystemState, QOS_ALPHA, QOS_BETA};
@@ -172,8 +172,9 @@ fn assert_bits(case: &str, what: &str, got: &[f64], want: &[f64]) {
 /// 1. `GonModel::generate_candidates`, chunked by `gon::batch_len` and
 ///    fanned over the workers, on `candidates`: every metric, the
 ///    confidence and the iteration count;
-/// 2. `Carol::objective_batch` on `candidates`, then on every candidate
-///    the reference search scored: scores, queries and modeled time;
+/// 2. `Carol::batch_objective`'s `score_batch` on `candidates`, then on
+///    every candidate the reference search scored: scores, queries and
+///    modeled time;
 /// 3. `Carol::repair`: topology, best score, queries and modeled time.
 pub fn check(
     case: &str,
@@ -226,7 +227,8 @@ pub fn check(
         // that keep their own chunk boundaries.
         let mut carol = policy();
         for (batch, range) in [("given score", 0..n), ("searched score", n..total)] {
-            let got = carol.objective_batch(snapshot, &reference.candidates[range.clone()]);
+            let candidates = &reference.candidates[range.clone()];
+            let got = carol.batch_objective(snapshot).score_batch(candidates);
             assert_bits(&case, batch, &got, &reference.scores[range]);
         }
         let queries = carol.surrogate_queries;
