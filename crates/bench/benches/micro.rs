@@ -91,6 +91,20 @@ fn bench_kernels(c: &mut Criterion) {
     c.bench_function("matmul_256x13_13x128_stacked", |bch| {
         bch.iter(|| black_box(black_box(&a_256x13).matmul(black_box(&b_13x128))))
     });
+    // The storm's per-step encoder shapes (a 2,048-row `batch_len`
+    // chunk): the forward, and the `dX = dY·Wᵀ` of
+    // `Dense::backward_input`, whose left operand is about half exact
+    // zeros after the ReLU, so every row takes its own skip decisions.
+    let a_2048x13 = Matrix::lcg(2048, 13, 15);
+    let b_13x16 = Matrix::lcg(13, 16, 16);
+    c.bench_function("matmul_2048x13_13x16", |bch| {
+        bch.iter(|| black_box(black_box(&a_2048x13).matmul(black_box(&b_13x16))))
+    });
+    let a_2048x16 = Matrix::lcg(2048, 16, 19).map(|v| v.max(0.0));
+    let b_16x13 = Matrix::lcg(16, 13, 20);
+    c.bench_function("matmul_2048x16_16x13", |bch| {
+        bch.iter(|| black_box(black_box(&a_2048x16).matmul(black_box(&b_16x13))))
+    });
     let a_16x160 = Matrix::lcg(16, 160, 13);
     let b_160x128 = Matrix::lcg(160, 128, 14);
     c.bench_function("matmul_16x160_160x128_head", |bch| {

@@ -19,10 +19,7 @@ use bench::fuzz::{run_fuzz, FuzzConfig, FUZZ_JSON_ENV};
 
 fn main() {
     let args = bench::cli::CommonArgs::parse();
-    let seed = args
-        .flag_value("--seed")
-        .map(|s| s.parse().expect("--seed takes a u64"))
-        .unwrap_or(0);
+    let seed = args.seed(0);
     let mut config = if args.fast {
         FuzzConfig::fast(seed)
     } else {

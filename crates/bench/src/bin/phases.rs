@@ -15,10 +15,7 @@ use bench::phases::{profile, render_table, to_json, PhasesConfig, PHASES_JSON_EN
 
 fn main() {
     let args = bench::cli::CommonArgs::parse();
-    let seed = args
-        .flag_value("--seed")
-        .map(|s| s.parse().expect("--seed takes a u64"))
-        .unwrap_or(7);
+    let seed = args.seed(7);
     let out_path = args.out_path(PHASES_JSON_ENV);
 
     let config = if args.fast {

@@ -6,7 +6,7 @@
 //! cargo run --release -p bench --bin scale            # full sweep (→ 4096 hosts)
 //! cargo run --release -p bench --bin scale -- --fast  # CI sweep (→ 256 hosts)
 //! cargo run --release -p bench --bin scale -- --out scale.json
-//! cargo run --release -p bench --bin scale -- --scenario storm-64
+//! cargo run --release -p bench --bin scale -- --scenario storm-64 --seed 3
 //! SCALE_JSON=scale.json cargo run --release -p bench --bin scale
 //! ```
 //!
@@ -19,9 +19,10 @@ use bench::scale::{render_table, run_cell, sweep, to_json, ScaleConfig, SCALE_JS
 fn main() {
     let args = bench::cli::CommonArgs::parse();
     let fast = args.fast;
+    let seed = args.seed(0);
     let out_path = args.out_path(SCALE_JSON_ENV);
 
-    let points = if let Some(mut spec) = args.scenario(0) {
+    let points = if let Some(mut spec) = args.scenario(seed) {
         if fast {
             // Same CI-budget cap as the fig2 scenario path.
             spec.intervals = spec.intervals.min(25);
@@ -36,9 +37,9 @@ fn main() {
         vec![run_cell(&spec, spec.seed)]
     } else {
         let config = if fast {
-            ScaleConfig::fast(0)
+            ScaleConfig::fast(seed)
         } else {
-            ScaleConfig::full(0)
+            ScaleConfig::full(seed)
         };
         println!(
             "scale sweep: sizes {:?}, {} intervals each{}",

@@ -35,10 +35,7 @@ use carol::service::{
 
 fn main() {
     let args = bench::cli::CommonArgs::parse();
-    let seed = args
-        .flag_value("--seed")
-        .map(|s| s.parse().expect("--seed takes a u64"))
-        .unwrap_or(7);
+    let seed = args.seed(7);
     let out_path = args.out_path(SERVE_JSON_ENV);
 
     let checkpoint_path =

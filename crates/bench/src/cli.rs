@@ -56,6 +56,19 @@ impl CommonArgs {
             .and_then(|i| self.args.get(i + 1).cloned())
     }
 
+    /// `--seed <u64>`, or `default` when the flag (or its value) is
+    /// absent.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the value is not a `u64` — a CLI usage error.
+    pub fn seed(&self, default: u64) -> u64 {
+        self.flag_value("--seed").map_or(default, |s| {
+            s.parse()
+                .unwrap_or_else(|_| panic!("--seed takes a u64, got {s:?}"))
+        })
+    }
+
     /// `--scenario <name>`, resolved through the registry with `seed`.
     /// `None` when the flag is absent; aborts with the catalogue on a
     /// missing or unknown name (see [`scenario_from_args`]).
@@ -155,6 +168,18 @@ mod tests {
             Some("x.json")
         );
         assert_eq!(a.scenario(3).unwrap().name, "paper-16");
+    }
+
+    #[test]
+    fn seed_reads_the_flag_or_falls_back_to_the_default() {
+        assert_eq!(CommonArgs::from_vec(args(&["--seed", "42"])).seed(7), 42);
+        assert_eq!(CommonArgs::from_vec(args(&["--fast"])).seed(7), 7);
+    }
+
+    #[test]
+    #[should_panic(expected = "--seed takes a u64")]
+    fn malformed_seed_aborts() {
+        CommonArgs::from_vec(args(&["--seed", "-3"])).seed(0);
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! The f64 hot loops: runtime-dispatched SIMD reductions plus plain
-//! elementwise loops.
+//! The f64 hot loops: reductions compiled twice, for the baseline ISA
+//! and for AVX2, plus plain elementwise loops.
 //!
 //! Every surrogate query bottoms out in a handful of dense f64 kernels:
 //! the blocked matmul, the transposed-B dot products of the backward
@@ -7,12 +7,15 @@
 //! the elementwise updates of the eq.-1 generative ascent.
 //!
 //! The reductions — [`matmul_into`], [`dot4_rows`], [`dot_cols_skip_zero`]
-//! and [`axpy_rows`] — each have a scalar reference implementation plus
-//! `std::arch` AVX2 (x86-64) and NEON (aarch64) paths, selected **once**
-//! at startup — mirroring how `CAROL_THREADS` resolves through
-//! `par::EngineConfig` — via the [`SIMD_ENV`]
-//! (`CAROL_SIMD=auto|scalar`) override so CI can pin the scalar oracle
-//! against the dispatched path.
+//! and [`axpy_rows`] — are each one safe, register-blocked loop body.
+//! [`Backend::Scalar`] runs it compiled for the target's baseline ISA
+//! (SSE2 on x86-64; on aarch64 that baseline includes NEON, so it is the
+//! only path there). On x86-64 [`Backend::Avx2`] runs the same body
+//! inside a `#[target_feature(enable = "avx2")]` function, where the
+//! compiler vectorises the blocks at 4 lanes. The backend is selected
+//! **once** at startup — mirroring how `CAROL_THREADS` resolves through
+//! `par::EngineConfig` — via the [`SIMD_ENV`] (`CAROL_SIMD=auto|scalar`)
+//! override, so CI can pin the baseline build against the AVX2 one.
 //!
 //! The elementwise kernels — [`axpy`], [`axpy_scaled`], [`add_assign`],
 //! [`scale_assign`] and [`ascent_update`] — are one plain loop each, with
@@ -26,23 +29,26 @@
 //! The house determinism contract (see `Matrix::matmul`) fixes the f64
 //! accumulation chain **per output element** — ascending-`k`, one
 //! accumulator, zero operands of the left matrix skipped — but says
-//! nothing about the order *across* output elements. The SIMD reduction
-//! paths exploit exactly that freedom: each vector lane carries one
-//! complete per-element chain (4 independent chains per AVX2 register, 2
-//! per NEON register), every multiply and add is a separate
-//! correctly-rounded instruction (**never** an FMA, which rounds once
-//! where scalar code rounds twice), and the zero-skip test happens on the
-//! same broadcast scalar the reference path tests. The result is
-//! bitwise-identical to the scalar kernel for every input, including NaN,
-//! ±Inf and signed zeros — gated by the bit-oracle tests below (which
-//! also pin each elementwise kernel to its per-element expression), the
-//! kernel proptests in `tests/properties.rs`, and the full-trajectory
-//! SIMD ≡ scalar gate in `tests/determinism.rs`.
+//! nothing about the order *across* output elements. The blocked bodies
+//! exploit exactly that freedom: a block holds many independent
+//! per-element chains side by side (4 rows × 8 columns for the matmul, 4
+//! dot products, up to 16 aggregation columns), so the compiler may put them
+//! in vector lanes without splitting any one chain. Every multiply and
+//! add stays a separate correctly-rounded operation (Rust never
+//! contracts them into an FMA, which rounds once where the scalar code
+//! rounds twice), and the zero-skip tests the same scalar the per-element
+//! chain tests. The result is bitwise-identical to the per-element
+//! expression for every input, including NaN, ±Inf and signed zeros —
+//! gated by the bit-oracle tests below (which compare every backend with
+//! an independent per-element reference and pin each elementwise kernel
+//! to its expression), the kernel proptests in `tests/properties.rs`, and
+//! the full-trajectory AVX2 ≡ scalar gate in `tests/determinism.rs`.
 //!
 //! Transcendentals (`tanh`, `exp` in the attention softmax, `sigmoid`)
 //! deliberately stay scalar: libm calls cannot be vectorized
 //! bit-identically.
 
+use std::slice::ChunksExact;
 use std::sync::atomic::{AtomicU8, Ordering};
 
 /// Environment variable selecting the kernel backend
@@ -58,7 +64,7 @@ pub const SIMD_ENV: &str = "CAROL_SIMD";
 pub enum SimdMode {
     /// Pick the best backend the CPU supports (the default).
     Auto,
-    /// Force the scalar reference kernels.
+    /// Force the baseline-ISA build of the kernels.
     Scalar,
 }
 
@@ -78,17 +84,17 @@ impl SimdMode {
     }
 }
 
-/// A concrete kernel backend. All backends are bit-identical; the only
-/// observable difference is speed.
+/// A concrete kernel backend: one build of the reduction bodies. All
+/// backends are bit-identical; the only observable difference is speed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u8)]
 pub enum Backend {
-    /// Portable scalar reference kernels (the oracle).
+    /// The bodies compiled for the target's baseline ISA (the oracle leg
+    /// of CI, and the only backend on aarch64).
     Scalar = 1,
-    /// AVX2 f64 kernels (x86-64, runtime-detected).
+    /// The bodies compiled with AVX2 enabled (x86-64, runtime-detected).
+    #[cfg(target_arch = "x86_64")]
     Avx2 = 2,
-    /// NEON f64 kernels (aarch64, runtime-detected).
-    Neon = 3,
 }
 
 impl Backend {
@@ -97,8 +103,8 @@ impl Backend {
     pub fn name(self) -> &'static str {
         match self {
             Backend::Scalar => "scalar",
+            #[cfg(target_arch = "x86_64")]
             Backend::Avx2 => "avx2",
-            Backend::Neon => "neon",
         }
     }
 }
@@ -107,22 +113,9 @@ impl Backend {
 /// CPU.
 pub fn resolve(mode: SimdMode) -> Backend {
     match mode {
-        SimdMode::Scalar => Backend::Scalar,
-        SimdMode::Auto => {
-            #[cfg(target_arch = "x86_64")]
-            {
-                if std::arch::is_x86_feature_detected!("avx2") {
-                    return Backend::Avx2;
-                }
-            }
-            #[cfg(target_arch = "aarch64")]
-            {
-                if std::arch::is_aarch64_feature_detected!("neon") {
-                    return Backend::Neon;
-                }
-            }
-            Backend::Scalar
-        }
+        #[cfg(target_arch = "x86_64")]
+        SimdMode::Auto if std::arch::is_x86_feature_detected!("avx2") => Backend::Avx2,
+        SimdMode::Auto | SimdMode::Scalar => Backend::Scalar,
     }
 }
 
@@ -136,8 +129,8 @@ static ACTIVE: AtomicU8 = AtomicU8::new(BACKEND_UNRESOLVED);
 pub fn active() -> Backend {
     match ACTIVE.load(Ordering::Relaxed) {
         1 => Backend::Scalar,
+        #[cfg(target_arch = "x86_64")]
         2 => Backend::Avx2,
-        3 => Backend::Neon,
         _ => {
             let backend = resolve(SimdMode::parse(std::env::var(SIMD_ENV).ok().as_deref()));
             ACTIVE.store(backend as u8, Ordering::Relaxed);
@@ -158,15 +151,6 @@ pub fn set_backend(backend: Backend) -> Backend {
     prev
 }
 
-#[cold]
-#[inline(never)]
-fn unsupported(backend: Backend) -> ! {
-    panic!(
-        "kernel backend {} is not compiled into this build",
-        backend.name()
-    )
-}
-
 // ---------------------------------------------------------------------------
 // matmul: out[i][j] (+)= Σ_k a[i][k]·b[k][j], B in natural k×n layout
 // ---------------------------------------------------------------------------
@@ -175,6 +159,10 @@ fn unsupported(backend: Backend) -> ! {
 /// `a`-row segment stay within L1. Shared by every backend so the
 /// partial-sum reload points line up bit-exactly.
 const KB: usize = 512;
+
+/// Columns per matmul register tile: two AVX2 registers, four SSE2 or
+/// NEON ones.
+const TILE: usize = 8;
 
 /// The blocked matmul kernel behind `Matrix::matmul`:
 /// `out[i·n + j] = Σ_k a[i·k + k]·b[k·n + j]` with the per-element
@@ -205,57 +193,156 @@ pub fn matmul_into_on(
     assert_eq!(b.len(), k * n, "matmul b-operand length");
     assert_eq!(out.len(), m * n, "matmul out length");
     match backend {
-        Backend::Scalar => matmul_into_scalar(out, a, b, m, k, n),
+        Backend::Scalar => matmul_body(out, a, b, m, k, n),
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: dispatch only yields Avx2 after is_x86_feature_detected.
-        Backend::Avx2 => unsafe { matmul_into_avx2(out, a, b, m, k, n) },
-        #[cfg(target_arch = "aarch64")]
-        // SAFETY: dispatch only yields Neon after is_aarch64_feature_detected.
-        Backend::Neon => unsafe { matmul_into_neon(out, a, b, m, k, n) },
-        other => unsupported(other),
-    }
-}
-
-fn matmul_into_scalar(out: &mut [f64], a: &[f64], b: &[f64], m: usize, k: usize, n: usize) {
-    // 8 f64 accumulators = two AVX2 (or four NEON) registers.
-    const TILE: usize = 8;
-    for k0 in (0..k).step_by(KB) {
-        let k1 = (k0 + KB).min(k);
-        for i in 0..m {
-            let a_seg = &a[i * k + k0..i * k + k1];
-            let mut j0 = 0;
-            while j0 + TILE <= n {
-                let mut acc = [0.0f64; TILE];
-                if k0 > 0 {
-                    acc.copy_from_slice(&out[i * n + j0..i * n + j0 + TILE]);
-                }
-                for (kk, &av) in a_seg.iter().enumerate() {
-                    if av == 0.0 {
-                        continue;
-                    }
-                    let b_seg = &b[(k0 + kk) * n + j0..(k0 + kk) * n + j0 + TILE];
-                    for (s, &bv) in acc.iter_mut().zip(b_seg) {
-                        *s += av * bv;
-                    }
-                }
-                out[i * n + j0..i * n + j0 + TILE].copy_from_slice(&acc);
-                j0 += TILE;
-            }
-            if j0 < n {
-                matmul_col_tail(out, a, b, i, k0, k1, j0, k, n);
-            }
+        #[allow(unsafe_code)]
+        Backend::Avx2 => {
+            assert_avx2();
+            // SAFETY: `assert_avx2` just checked that the CPU has AVX2.
+            unsafe { matmul_avx2(out, a, b, m, k, n) }
         }
     }
 }
 
-/// Scalar remainder columns `[j0, n)` of row `i` for one k-block —
-/// shared by every backend so the tail bits come from one code path.
-#[inline]
+/// Panics unless the running CPU has AVX2, so each AVX2 dispatch is
+/// sound for any [`Backend`] a caller passes in (a cached load and test).
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+fn assert_avx2() {
+    assert!(
+        std::arch::is_x86_feature_detected!("avx2"),
+        "kernel backend avx2 needs a CPU with AVX2"
+    );
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn matmul_avx2(out: &mut [f64], a: &[f64], b: &[f64], m: usize, k: usize, n: usize) {
+    matmul_body(out, a, b, m, k, n)
+}
+
+/// Per KB-block of `k`: 4-row blocks of `a` through [`matmul_rows4`]
+/// (8 vector accumulators under AVX2, so each chain's add latency hides
+/// behind 7 siblings), then the remaining rows through [`matmul_row`].
+#[inline(always)]
+fn matmul_body(out: &mut [f64], a: &[f64], b: &[f64], m: usize, k: usize, n: usize) {
+    if n == 0 {
+        return;
+    }
+    for k0 in (0..k).step_by(KB) {
+        let k1 = (k0 + KB).min(k);
+        let b_rows = b[k0 * n..k1 * n].chunks_exact(n);
+        let mut i = 0;
+        while i + 4 <= m {
+            matmul_rows4(out, a, b_rows.clone(), i, k0, k1, k, n);
+            i += 4;
+        }
+        for i in i..m {
+            matmul_row(out, a, b_rows.clone(), i, k0, k1, k, n);
+        }
+    }
+}
+
+/// Rows `[i, i + 4)` of `out` for the k-block `[k0, k1)` (`b_rows`):
+/// 4 × [`TILE`] accumulators per column tile, each `b` row segment
+/// shared by the 4 rows, each row's `a` value tested once per `k` — a
+/// zero skips that row's whole tile update, as the per-element chain
+/// skips it.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+fn matmul_rows4(
+    out: &mut [f64],
+    a: &[f64],
+    b_rows: ChunksExact<'_, f64>,
+    i: usize,
+    k0: usize,
+    k1: usize,
+    k: usize,
+    n: usize,
+) {
+    let a_seg = |r: usize| a[(i + r) * k + k0..(i + r) * k + k1].iter();
+    // Built once, cloned per tile: building it divides by `n`.
+    let steps = a_seg(0)
+        .zip(a_seg(1))
+        .zip(a_seg(2))
+        .zip(a_seg(3))
+        .zip(b_rows.clone());
+    let mut j0 = 0;
+    while j0 + TILE <= n {
+        let mut acc = [[0.0f64; TILE]; 4];
+        if k0 > 0 {
+            for (r, acc_r) in acc.iter_mut().enumerate() {
+                acc_r.copy_from_slice(&out[(i + r) * n + j0..][..TILE]);
+            }
+        }
+        for ((((&v0, &v1), &v2), &v3), b_row) in steps.clone() {
+            let b_tile = &b_row[j0..j0 + TILE];
+            for (acc_r, av) in acc.iter_mut().zip([v0, v1, v2, v3]) {
+                if av == 0.0 {
+                    continue;
+                }
+                for (s, &bv) in acc_r.iter_mut().zip(b_tile) {
+                    *s += av * bv;
+                }
+            }
+        }
+        for (r, acc_r) in acc.iter().enumerate() {
+            out[(i + r) * n + j0..][..TILE].copy_from_slice(acc_r);
+        }
+        j0 += TILE;
+    }
+    if j0 < n {
+        for r in i..i + 4 {
+            matmul_col_tail(out, a, b_rows.clone(), r, k0, k1, j0, k, n);
+        }
+    }
+}
+
+/// One row of `out` for the k-block `[k0, k1)`: [`matmul_rows4`] for a
+/// single row.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+fn matmul_row(
+    out: &mut [f64],
+    a: &[f64],
+    b_rows: ChunksExact<'_, f64>,
+    i: usize,
+    k0: usize,
+    k1: usize,
+    k: usize,
+    n: usize,
+) {
+    let steps = a[i * k + k0..i * k + k1].iter().zip(b_rows.clone());
+    let mut j0 = 0;
+    while j0 + TILE <= n {
+        let mut acc = [0.0f64; TILE];
+        if k0 > 0 {
+            acc.copy_from_slice(&out[i * n + j0..][..TILE]);
+        }
+        for (&av, b_row) in steps.clone() {
+            if av == 0.0 {
+                continue;
+            }
+            for (s, &bv) in acc.iter_mut().zip(&b_row[j0..j0 + TILE]) {
+                *s += av * bv;
+            }
+        }
+        out[i * n + j0..][..TILE].copy_from_slice(&acc);
+        j0 += TILE;
+    }
+    if j0 < n {
+        matmul_col_tail(out, a, b_rows, i, k0, k1, j0, k, n);
+    }
+}
+
+/// Scalar remainder columns `[j0, n)` of row `i` for the k-block
+/// `[k0, k1)` (`b_rows`).
+#[inline(always)]
 #[allow(clippy::too_many_arguments)]
 fn matmul_col_tail(
     out: &mut [f64],
     a: &[f64],
-    b: &[f64],
+    b_rows: ChunksExact<'_, f64>,
     i: usize,
     k0: usize,
     k1: usize,
@@ -265,244 +352,13 @@ fn matmul_col_tail(
 ) {
     let a_seg = &a[i * k + k0..i * k + k1];
     let acc = &mut out[i * n + j0..(i + 1) * n];
-    for (kk, &av) in a_seg.iter().enumerate() {
+    for (&av, b_row) in a_seg.iter().zip(b_rows) {
         if av == 0.0 {
             continue;
         }
-        let b_seg = &b[(k0 + kk) * n + j0..(k0 + kk) * n + n];
-        for (s, &bv) in acc.iter_mut().zip(b_seg) {
+        for (s, &bv) in acc.iter_mut().zip(&b_row[j0..]) {
             *s += av * bv;
         }
-    }
-}
-
-/// AVX2 microkernel: 4 rows × 8 columns = 8 ymm accumulators in flight,
-/// so the 4-cycle `addpd` latency of each per-element chain is hidden by
-/// the 7 sibling chains (the scalar TILE loop keeps only one row's 8
-/// chains alive and is latency-bound). Per `k` step: two 4-wide loads of
-/// `b`'s row shared by all four `a` rows, then per row one broadcast +
-/// 2 mul + 2 add — skipped entirely when that row's `a` element is zero,
-/// exactly like the scalar kernel.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn matmul_into_avx2(out: &mut [f64], a: &[f64], b: &[f64], m: usize, k: usize, n: usize) {
-    use std::arch::x86_64::*;
-    let ap = a.as_ptr();
-    let bp = b.as_ptr();
-    let mut k0 = 0usize;
-    while k0 < k {
-        let k1 = (k0 + KB).min(k);
-        let mut i = 0usize;
-        while i + 4 <= m {
-            let mut j0 = 0usize;
-            while j0 + 8 <= n {
-                let op = out.as_mut_ptr();
-                let zero = _mm256_setzero_pd();
-                let (mut c00, mut c01) = (zero, zero);
-                let (mut c10, mut c11) = (zero, zero);
-                let (mut c20, mut c21) = (zero, zero);
-                let (mut c30, mut c31) = (zero, zero);
-                if k0 > 0 {
-                    c00 = _mm256_loadu_pd(op.add(i * n + j0));
-                    c01 = _mm256_loadu_pd(op.add(i * n + j0 + 4));
-                    c10 = _mm256_loadu_pd(op.add((i + 1) * n + j0));
-                    c11 = _mm256_loadu_pd(op.add((i + 1) * n + j0 + 4));
-                    c20 = _mm256_loadu_pd(op.add((i + 2) * n + j0));
-                    c21 = _mm256_loadu_pd(op.add((i + 2) * n + j0 + 4));
-                    c30 = _mm256_loadu_pd(op.add((i + 3) * n + j0));
-                    c31 = _mm256_loadu_pd(op.add((i + 3) * n + j0 + 4));
-                }
-                for kk in k0..k1 {
-                    let brow = bp.add(kk * n + j0);
-                    let b0 = _mm256_loadu_pd(brow);
-                    let b1 = _mm256_loadu_pd(brow.add(4));
-                    let a0 = *ap.add(i * k + kk);
-                    if a0 != 0.0 {
-                        let v = _mm256_set1_pd(a0);
-                        c00 = _mm256_add_pd(c00, _mm256_mul_pd(v, b0));
-                        c01 = _mm256_add_pd(c01, _mm256_mul_pd(v, b1));
-                    }
-                    let a1 = *ap.add((i + 1) * k + kk);
-                    if a1 != 0.0 {
-                        let v = _mm256_set1_pd(a1);
-                        c10 = _mm256_add_pd(c10, _mm256_mul_pd(v, b0));
-                        c11 = _mm256_add_pd(c11, _mm256_mul_pd(v, b1));
-                    }
-                    let a2 = *ap.add((i + 2) * k + kk);
-                    if a2 != 0.0 {
-                        let v = _mm256_set1_pd(a2);
-                        c20 = _mm256_add_pd(c20, _mm256_mul_pd(v, b0));
-                        c21 = _mm256_add_pd(c21, _mm256_mul_pd(v, b1));
-                    }
-                    let a3 = *ap.add((i + 3) * k + kk);
-                    if a3 != 0.0 {
-                        let v = _mm256_set1_pd(a3);
-                        c30 = _mm256_add_pd(c30, _mm256_mul_pd(v, b0));
-                        c31 = _mm256_add_pd(c31, _mm256_mul_pd(v, b1));
-                    }
-                }
-                _mm256_storeu_pd(op.add(i * n + j0), c00);
-                _mm256_storeu_pd(op.add(i * n + j0 + 4), c01);
-                _mm256_storeu_pd(op.add((i + 1) * n + j0), c10);
-                _mm256_storeu_pd(op.add((i + 1) * n + j0 + 4), c11);
-                _mm256_storeu_pd(op.add((i + 2) * n + j0), c20);
-                _mm256_storeu_pd(op.add((i + 2) * n + j0 + 4), c21);
-                _mm256_storeu_pd(op.add((i + 3) * n + j0), c30);
-                _mm256_storeu_pd(op.add((i + 3) * n + j0 + 4), c31);
-                j0 += 8;
-            }
-            if j0 < n {
-                for r in 0..4 {
-                    matmul_col_tail(out, a, b, i + r, k0, k1, j0, k, n);
-                }
-            }
-            i += 4;
-        }
-        while i < m {
-            let mut j0 = 0usize;
-            while j0 + 8 <= n {
-                let op = out.as_mut_ptr();
-                let (mut s0, mut s1) = if k0 > 0 {
-                    (
-                        _mm256_loadu_pd(op.add(i * n + j0)),
-                        _mm256_loadu_pd(op.add(i * n + j0 + 4)),
-                    )
-                } else {
-                    (_mm256_setzero_pd(), _mm256_setzero_pd())
-                };
-                for kk in k0..k1 {
-                    let av = *ap.add(i * k + kk);
-                    if av == 0.0 {
-                        continue;
-                    }
-                    let v = _mm256_set1_pd(av);
-                    let brow = bp.add(kk * n + j0);
-                    s0 = _mm256_add_pd(s0, _mm256_mul_pd(v, _mm256_loadu_pd(brow)));
-                    s1 = _mm256_add_pd(s1, _mm256_mul_pd(v, _mm256_loadu_pd(brow.add(4))));
-                }
-                _mm256_storeu_pd(op.add(i * n + j0), s0);
-                _mm256_storeu_pd(op.add(i * n + j0 + 4), s1);
-                j0 += 8;
-            }
-            if j0 < n {
-                matmul_col_tail(out, a, b, i, k0, k1, j0, k, n);
-            }
-            i += 1;
-        }
-        k0 = k1;
-    }
-}
-
-/// NEON mirror of the AVX2 microkernel at half vector width: 4 rows ×
-/// 4 columns = 8 two-lane accumulators, two shared loads of `b` per `k`
-/// step, separate `vmulq`/`vaddq` (never a fused `vfmaq`).
-#[cfg(target_arch = "aarch64")]
-#[target_feature(enable = "neon")]
-unsafe fn matmul_into_neon(out: &mut [f64], a: &[f64], b: &[f64], m: usize, k: usize, n: usize) {
-    use std::arch::aarch64::*;
-    let ap = a.as_ptr();
-    let bp = b.as_ptr();
-    let mut k0 = 0usize;
-    while k0 < k {
-        let k1 = (k0 + KB).min(k);
-        let mut i = 0usize;
-        while i + 4 <= m {
-            let mut j0 = 0usize;
-            while j0 + 4 <= n {
-                let op = out.as_mut_ptr();
-                let zero = vdupq_n_f64(0.0);
-                let (mut c00, mut c01) = (zero, zero);
-                let (mut c10, mut c11) = (zero, zero);
-                let (mut c20, mut c21) = (zero, zero);
-                let (mut c30, mut c31) = (zero, zero);
-                if k0 > 0 {
-                    c00 = vld1q_f64(op.add(i * n + j0));
-                    c01 = vld1q_f64(op.add(i * n + j0 + 2));
-                    c10 = vld1q_f64(op.add((i + 1) * n + j0));
-                    c11 = vld1q_f64(op.add((i + 1) * n + j0 + 2));
-                    c20 = vld1q_f64(op.add((i + 2) * n + j0));
-                    c21 = vld1q_f64(op.add((i + 2) * n + j0 + 2));
-                    c30 = vld1q_f64(op.add((i + 3) * n + j0));
-                    c31 = vld1q_f64(op.add((i + 3) * n + j0 + 2));
-                }
-                for kk in k0..k1 {
-                    let brow = bp.add(kk * n + j0);
-                    let b0 = vld1q_f64(brow);
-                    let b1 = vld1q_f64(brow.add(2));
-                    let a0 = *ap.add(i * k + kk);
-                    if a0 != 0.0 {
-                        let v = vdupq_n_f64(a0);
-                        c00 = vaddq_f64(c00, vmulq_f64(v, b0));
-                        c01 = vaddq_f64(c01, vmulq_f64(v, b1));
-                    }
-                    let a1 = *ap.add((i + 1) * k + kk);
-                    if a1 != 0.0 {
-                        let v = vdupq_n_f64(a1);
-                        c10 = vaddq_f64(c10, vmulq_f64(v, b0));
-                        c11 = vaddq_f64(c11, vmulq_f64(v, b1));
-                    }
-                    let a2 = *ap.add((i + 2) * k + kk);
-                    if a2 != 0.0 {
-                        let v = vdupq_n_f64(a2);
-                        c20 = vaddq_f64(c20, vmulq_f64(v, b0));
-                        c21 = vaddq_f64(c21, vmulq_f64(v, b1));
-                    }
-                    let a3 = *ap.add((i + 3) * k + kk);
-                    if a3 != 0.0 {
-                        let v = vdupq_n_f64(a3);
-                        c30 = vaddq_f64(c30, vmulq_f64(v, b0));
-                        c31 = vaddq_f64(c31, vmulq_f64(v, b1));
-                    }
-                }
-                vst1q_f64(op.add(i * n + j0), c00);
-                vst1q_f64(op.add(i * n + j0 + 2), c01);
-                vst1q_f64(op.add((i + 1) * n + j0), c10);
-                vst1q_f64(op.add((i + 1) * n + j0 + 2), c11);
-                vst1q_f64(op.add((i + 2) * n + j0), c20);
-                vst1q_f64(op.add((i + 2) * n + j0 + 2), c21);
-                vst1q_f64(op.add((i + 3) * n + j0), c30);
-                vst1q_f64(op.add((i + 3) * n + j0 + 2), c31);
-                j0 += 4;
-            }
-            if j0 < n {
-                for r in 0..4 {
-                    matmul_col_tail(out, a, b, i + r, k0, k1, j0, k, n);
-                }
-            }
-            i += 4;
-        }
-        while i < m {
-            let mut j0 = 0usize;
-            while j0 + 4 <= n {
-                let op = out.as_mut_ptr();
-                let (mut s0, mut s1) = if k0 > 0 {
-                    (
-                        vld1q_f64(op.add(i * n + j0)),
-                        vld1q_f64(op.add(i * n + j0 + 2)),
-                    )
-                } else {
-                    (vdupq_n_f64(0.0), vdupq_n_f64(0.0))
-                };
-                for kk in k0..k1 {
-                    let av = *ap.add(i * k + kk);
-                    if av == 0.0 {
-                        continue;
-                    }
-                    let v = vdupq_n_f64(av);
-                    let brow = bp.add(kk * n + j0);
-                    s0 = vaddq_f64(s0, vmulq_f64(v, vld1q_f64(brow)));
-                    s1 = vaddq_f64(s1, vmulq_f64(v, vld1q_f64(brow.add(2))));
-                }
-                vst1q_f64(op.add(i * n + j0), s0);
-                vst1q_f64(op.add(i * n + j0 + 2), s1);
-                j0 += 4;
-            }
-            if j0 < n {
-                matmul_col_tail(out, a, b, i, k0, k1, j0, k, n);
-            }
-            i += 1;
-        }
-        k0 = k1;
     }
 }
 
@@ -549,31 +405,21 @@ pub fn dot4_rows_on(
         "dot4_rows operand lengths"
     );
     match backend {
-        Backend::Scalar => {
-            let (mut s0, mut s1, mut s2, mut s3) = (0.0, 0.0, 0.0, 0.0);
-            for t in 0..k {
-                let av = a[t];
-                s0 += av * b0[t];
-                s1 += av * b1[t];
-                s2 += av * b2[t];
-                s3 += av * b3[t];
-            }
-            [s0, s1, s2, s3]
-        }
+        Backend::Scalar => dot4::<false>(a, [b0, b1, b2, b3]),
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: dispatch only yields Avx2 after is_x86_feature_detected.
-        Backend::Avx2 => unsafe {
-            dot4_ptrs_avx2::<false>(a, [b0.as_ptr(), b1.as_ptr(), b2.as_ptr(), b3.as_ptr()])
-        },
-        #[cfg(target_arch = "aarch64")]
-        // SAFETY: dispatch only yields Neon after is_aarch64_feature_detected.
-        Backend::Neon => unsafe {
-            let lo = dot2_ptrs_neon::<false>(a, [b0.as_ptr(), b1.as_ptr()]);
-            let hi = dot2_ptrs_neon::<false>(a, [b2.as_ptr(), b3.as_ptr()]);
-            [lo[0], lo[1], hi[0], hi[1]]
-        },
-        other => unsupported(other),
+        #[allow(unsafe_code)]
+        Backend::Avx2 => {
+            assert_avx2();
+            // SAFETY: `assert_avx2` just checked that the CPU has AVX2.
+            unsafe { dot4_rows_avx2(a, [b0, b1, b2, b3]) }
+        }
     }
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn dot4_rows_avx2(a: &[f64], b: [&[f64]; 4]) -> [f64; 4] {
+    dot4::<false>(a, b)
 }
 
 /// All `out.len()` zero-skipping dot products of one left row against a
@@ -588,74 +434,43 @@ pub fn dot_cols_skip_zero(a: &[f64], bt: &[f64], out: &mut [f64]) {
 /// [`dot_cols_skip_zero`] pinned to an explicit backend.
 #[doc(hidden)]
 pub fn dot_cols_skip_zero_on(backend: Backend, a: &[f64], bt: &[f64], out: &mut [f64]) {
-    let k = a.len();
-    assert_eq!(bt.len(), out.len() * k, "dot_cols operand lengths");
-    let n = out.len();
+    assert_eq!(bt.len(), out.len() * a.len(), "dot_cols operand lengths");
     match backend {
-        Backend::Scalar => {
-            let mut j = 0;
-            while j + 4 <= n {
-                let b0 = &bt[j * k..(j + 1) * k];
-                let b1 = &bt[(j + 1) * k..(j + 2) * k];
-                let b2 = &bt[(j + 2) * k..(j + 3) * k];
-                let b3 = &bt[(j + 3) * k..(j + 4) * k];
-                let (mut s0, mut s1, mut s2, mut s3) = (0.0, 0.0, 0.0, 0.0);
-                for (idx, &av) in a.iter().enumerate() {
-                    if av == 0.0 {
-                        continue;
-                    }
-                    s0 += av * b0[idx];
-                    s1 += av * b1[idx];
-                    s2 += av * b2[idx];
-                    s3 += av * b3[idx];
-                }
-                out[j] = s0;
-                out[j + 1] = s1;
-                out[j + 2] = s2;
-                out[j + 3] = s3;
-                j += 4;
-            }
-            while j < n {
-                out[j] = dot_skip_zero_scalar(a, &bt[j * k..(j + 1) * k]);
-                j += 1;
-            }
-        }
+        Backend::Scalar => dot_cols_body(a, bt, out),
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: dispatch only yields Avx2 after is_x86_feature_detected.
-        Backend::Avx2 => unsafe {
-            let bp = bt.as_ptr();
-            let mut j = 0;
-            while j + 4 <= n {
-                let base = bp.add(j * k);
-                let res = dot4_ptrs_avx2::<true>(
-                    a,
-                    [base, base.add(k), base.add(2 * k), base.add(3 * k)],
-                );
-                out[j..j + 4].copy_from_slice(&res);
-                j += 4;
-            }
-            while j < n {
-                out[j] = dot_skip_zero_scalar(a, &bt[j * k..(j + 1) * k]);
-                j += 1;
-            }
-        },
-        #[cfg(target_arch = "aarch64")]
-        // SAFETY: dispatch only yields Neon after is_aarch64_feature_detected.
-        Backend::Neon => unsafe {
-            let bp = bt.as_ptr();
-            let mut j = 0;
-            while j + 2 <= n {
-                let base = bp.add(j * k);
-                let res = dot2_ptrs_neon::<true>(a, [base, base.add(k)]);
-                out[j..j + 2].copy_from_slice(&res);
-                j += 2;
-            }
-            while j < n {
-                out[j] = dot_skip_zero_scalar(a, &bt[j * k..(j + 1) * k]);
-                j += 1;
-            }
-        },
-        other => unsupported(other),
+        #[allow(unsafe_code)]
+        Backend::Avx2 => {
+            assert_avx2();
+            // SAFETY: `assert_avx2` just checked that the CPU has AVX2.
+            unsafe { dot_cols_avx2(a, bt, out) }
+        }
+    }
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn dot_cols_avx2(a: &[f64], bt: &[f64], out: &mut [f64]) {
+    dot_cols_body(a, bt, out)
+}
+
+/// Four columns at a time through [`dot4`], the rest one chain each.
+#[inline(always)]
+fn dot_cols_body(a: &[f64], bt: &[f64], out: &mut [f64]) {
+    let k = a.len();
+    // Empty chains; `chunks_exact` below needs a non-zero `k`.
+    if k == 0 {
+        out.fill(0.0);
+        return;
+    }
+    let mut out4 = out.chunks_exact_mut(4);
+    let mut bt4 = bt.chunks_exact(4 * k);
+    for (o, rows) in (&mut out4).zip(&mut bt4) {
+        let b = std::array::from_fn(|r| &rows[r * k..(r + 1) * k]);
+        o.copy_from_slice(&dot4::<true>(a, b));
+    }
+    let bt_rest = bt4.remainder().chunks_exact(k);
+    for (o, b) in out4.into_remainder().iter_mut().zip(bt_rest) {
+        *o = dot_skip_zero_scalar(a, b);
     }
 }
 
@@ -671,110 +486,39 @@ fn dot_skip_zero_scalar(a: &[f64], b: &[f64]) -> f64 {
     acc
 }
 
-/// Four lane-parallel dot chains via a 4×4 in-register transpose: four
-/// 4-wide loads of the `b` rows are shuffled into per-`t` column vectors
-/// `(b0[t], b1[t], b2[t], b3[t])`, then each `t` issues one broadcast +
-/// mul + add, keeping every lane's chain ascending-`t`. The zero test
-/// (`SKIP`) happens on the broadcast scalar, so skipping is
-/// lane-uniform — identical to the scalar kernels.
-///
-/// # Safety
-///
-/// Caller guarantees AVX2 and that each pointer addresses `a.len()`
-/// readable doubles.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn dot4_ptrs_avx2<const SKIP: bool>(a: &[f64], b: [*const f64; 4]) -> [f64; 4] {
-    use std::arch::x86_64::*;
+/// Four lane-parallel dot chains over 4×4 blocks: each block holds four
+/// consecutive values of every `b` row, and stepping `t` through it reads
+/// one column, so the compiler can transpose the block in registers and
+/// emit one broadcast-multiply-add per `t` for all four chains, each
+/// still ascending-`t`. The zero test (`SKIP`) is on the shared `a[t]`,
+/// so skipping is lane-uniform — identical to four single chains.
+#[inline(always)]
+fn dot4<const SKIP: bool>(a: &[f64], b: [&[f64]; 4]) -> [f64; 4] {
     let k = a.len();
-    let mut acc = _mm256_setzero_pd();
-    let mut t = 0usize;
-    while t + 4 <= k {
-        let r0 = _mm256_loadu_pd(b[0].add(t));
-        let r1 = _mm256_loadu_pd(b[1].add(t));
-        let r2 = _mm256_loadu_pd(b[2].add(t));
-        let r3 = _mm256_loadu_pd(b[3].add(t));
-        let t0 = _mm256_unpacklo_pd(r0, r1);
-        let t1 = _mm256_unpackhi_pd(r0, r1);
-        let t2 = _mm256_unpacklo_pd(r2, r3);
-        let t3 = _mm256_unpackhi_pd(r2, r3);
-        let c0 = _mm256_permute2f128_pd(t0, t2, 0x20);
-        let c1 = _mm256_permute2f128_pd(t1, t3, 0x20);
-        let c2 = _mm256_permute2f128_pd(t0, t2, 0x31);
-        let c3 = _mm256_permute2f128_pd(t1, t3, 0x31);
-        let a0 = *a.get_unchecked(t);
-        if !SKIP || a0 != 0.0 {
-            acc = _mm256_add_pd(acc, _mm256_mul_pd(_mm256_set1_pd(a0), c0));
+    let b = b.map(|row| &row[..k]);
+    let (a_blks, a_tail) = a.as_chunks::<4>();
+    let [b0, b1, b2, b3] = b.map(|row| row.as_chunks::<4>().0);
+    let mut acc = [0.0f64; 4];
+    for ((((a_blk, r0), r1), r2), r3) in a_blks.iter().zip(b0).zip(b1).zip(b2).zip(b3) {
+        for (s, &av) in a_blk.iter().enumerate() {
+            if SKIP && av == 0.0 {
+                continue;
+            }
+            for (sum, bv) in acc.iter_mut().zip([r0[s], r1[s], r2[s], r3[s]]) {
+                *sum += av * bv;
+            }
         }
-        let a1 = *a.get_unchecked(t + 1);
-        if !SKIP || a1 != 0.0 {
-            acc = _mm256_add_pd(acc, _mm256_mul_pd(_mm256_set1_pd(a1), c1));
-        }
-        let a2 = *a.get_unchecked(t + 2);
-        if !SKIP || a2 != 0.0 {
-            acc = _mm256_add_pd(acc, _mm256_mul_pd(_mm256_set1_pd(a2), c2));
-        }
-        let a3 = *a.get_unchecked(t + 3);
-        if !SKIP || a3 != 0.0 {
-            acc = _mm256_add_pd(acc, _mm256_mul_pd(_mm256_set1_pd(a3), c3));
-        }
-        t += 4;
     }
-    let mut res = [0.0f64; 4];
-    _mm256_storeu_pd(res.as_mut_ptr(), acc);
-    while t < k {
-        let av = *a.get_unchecked(t);
-        if !SKIP || av != 0.0 {
-            res[0] += av * *b[0].add(t);
-            res[1] += av * *b[1].add(t);
-            res[2] += av * *b[2].add(t);
-            res[3] += av * *b[3].add(t);
+    let t_tail = k - a_tail.len();
+    for (t, &av) in (t_tail..k).zip(a_tail) {
+        if SKIP && av == 0.0 {
+            continue;
         }
-        t += 1;
+        for (sum, row) in acc.iter_mut().zip(&b) {
+            *sum += av * row[t];
+        }
     }
-    res
-}
-
-/// NEON half-width sibling of [`dot4_ptrs_avx2`]: two lanes per
-/// register, transposed with `vtrn1q`/`vtrn2q`.
-///
-/// # Safety
-///
-/// Caller guarantees NEON and that each pointer addresses `a.len()`
-/// readable doubles.
-#[cfg(target_arch = "aarch64")]
-#[target_feature(enable = "neon")]
-unsafe fn dot2_ptrs_neon<const SKIP: bool>(a: &[f64], b: [*const f64; 2]) -> [f64; 2] {
-    use std::arch::aarch64::*;
-    let k = a.len();
-    let mut acc = vdupq_n_f64(0.0);
-    let mut t = 0usize;
-    while t + 2 <= k {
-        let r0 = vld1q_f64(b[0].add(t));
-        let r1 = vld1q_f64(b[1].add(t));
-        let c0 = vtrn1q_f64(r0, r1);
-        let c1 = vtrn2q_f64(r0, r1);
-        let a0 = *a.get_unchecked(t);
-        if !SKIP || a0 != 0.0 {
-            acc = vaddq_f64(acc, vmulq_f64(vdupq_n_f64(a0), c0));
-        }
-        let a1 = *a.get_unchecked(t + 1);
-        if !SKIP || a1 != 0.0 {
-            acc = vaddq_f64(acc, vmulq_f64(vdupq_n_f64(a1), c1));
-        }
-        t += 2;
-    }
-    let mut res = [0.0f64; 2];
-    vst1q_f64(res.as_mut_ptr(), acc);
-    while t < k {
-        let av = *a.get_unchecked(t);
-        if !SKIP || av != 0.0 {
-            res[0] += av * *b[0].add(t);
-            res[1] += av * *b[1].add(t);
-        }
-        t += 1;
-    }
-    res
+    acc
 }
 
 // ---------------------------------------------------------------------------
@@ -797,10 +541,9 @@ pub fn axpy(acc: &mut [f64], s: f64, x: &[f64]) {
 
 /// `acc += Σ_t w[t]·rows[t]`: exactly `for t { axpy(acc, w[t], rows[t]) }`,
 /// bit for bit — each element one ordered chain of mul-then-add steps.
-/// The AVX2 path keeps each block of 16 columns in registers across all
-/// the rows instead of loading and storing it once per row; the other
-/// backends run one [`axpy`] per row. The GAT attention aggregation
-/// `Σ_j α_ij h_j`.
+/// Each block of 16, 8 or 4 columns stays in registers across all the
+/// rows instead of being loaded and stored once per row. The GAT
+/// attention aggregation `Σ_j α_ij h_j`.
 ///
 /// # Panics
 ///
@@ -819,62 +562,61 @@ pub fn axpy_rows_on(backend: Backend, acc: &mut [f64], w: &[f64], rows: &[&[f64]
         "axpy_rows operand lengths"
     );
     match backend {
+        Backend::Scalar => axpy_rows_body(acc, w, rows),
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: dispatch only yields Avx2 after is_x86_feature_detected;
-        // every row was checked to be as long as `acc`.
-        Backend::Avx2 => unsafe { axpy_rows_avx2(acc, w, rows) },
-        _ => {
-            for (&s, x) in w.iter().zip(rows) {
-                axpy(acc, s, x);
-            }
+        #[allow(unsafe_code)]
+        Backend::Avx2 => {
+            assert_avx2();
+            // SAFETY: `assert_avx2` just checked that the CPU has AVX2.
+            unsafe { axpy_rows_avx2(acc, w, rows) }
         }
     }
 }
 
-/// # Safety
-///
-/// The CPU must support AVX2, and every row must be as long as `acc`.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-unsafe fn axpy_rows_avx2(acc: &mut [f64], w: &[f64], rows: &[&[f64]]) {
-    use std::arch::x86_64::*;
-    let n = acc.len();
-    let ap = acc.as_mut_ptr();
-    let mut c = 0usize;
-    while c + 16 <= n {
-        let mut s = [
-            _mm256_loadu_pd(ap.add(c)),
-            _mm256_loadu_pd(ap.add(c + 4)),
-            _mm256_loadu_pd(ap.add(c + 8)),
-            _mm256_loadu_pd(ap.add(c + 12)),
-        ];
+fn axpy_rows_avx2(acc: &mut [f64], w: &[f64], rows: &[&[f64]]) {
+    axpy_rows_body(acc, w, rows)
+}
+
+/// 16-column blocks, then at most one 8- and one 4-column block, then
+/// one [`axpy`] per row over the last `len % 4` columns. The GAT widths
+/// (8 in the service-tier GON, 32 in the default one) take no tail.
+#[inline(always)]
+fn axpy_rows_body(acc: &mut [f64], w: &[f64], rows: &[&[f64]]) {
+    let (rest, c) = axpy_rows_blocks::<16>(acc, 0, w, rows);
+    let (rest, c) = axpy_rows_blocks::<8>(rest, c, w, rows);
+    let (tail, c) = axpy_rows_blocks::<4>(rest, c, w, rows);
+    if !tail.is_empty() {
         for (&wt, x) in w.iter().zip(rows) {
-            let xp = x.as_ptr().add(c);
-            let vw = _mm256_set1_pd(wt);
-            for (k, sk) in s.iter_mut().enumerate() {
-                *sk = _mm256_add_pd(*sk, _mm256_mul_pd(vw, _mm256_loadu_pd(xp.add(4 * k))));
+            axpy(tail, wt, &x[c..]);
+        }
+    }
+}
+
+/// The `B`-column blocks of `acc` (column `c0` of the rows on), each
+/// held in registers across all the rows; returns the columns left over
+/// and the row column they start at.
+#[inline(always)]
+fn axpy_rows_blocks<'a, const B: usize>(
+    acc: &'a mut [f64],
+    c0: usize,
+    w: &[f64],
+    rows: &[&[f64]],
+) -> (&'a mut [f64], usize) {
+    let (blocks, rest) = acc.as_chunks_mut::<B>();
+    let c_rest = c0 + blocks.len() * B;
+    for (c, out) in (c0..).step_by(B).zip(blocks) {
+        let mut s = *out;
+        for (&wt, x) in w.iter().zip(rows) {
+            let x: &[f64; B] = x[c..c + B].try_into().expect("B columns");
+            for (sv, &xv) in s.iter_mut().zip(x) {
+                *sv += wt * xv;
             }
         }
-        for (k, sk) in s.iter().enumerate() {
-            _mm256_storeu_pd(ap.add(c + 4 * k), *sk);
-        }
-        c += 16;
+        *out = s;
     }
-    while c + 4 <= n {
-        let mut s = _mm256_loadu_pd(ap.add(c));
-        for (&wt, x) in w.iter().zip(rows) {
-            let x = _mm256_loadu_pd(x.as_ptr().add(c));
-            s = _mm256_add_pd(s, _mm256_mul_pd(_mm256_set1_pd(wt), x));
-        }
-        _mm256_storeu_pd(ap.add(c), s);
-        c += 4;
-    }
-    while c < n {
-        for (&wt, x) in w.iter().zip(rows) {
-            *ap.add(c) += wt * *x.as_ptr().add(c);
-        }
-        c += 1;
-    }
+    (rest, c_rest)
 }
 
 /// `acc[t] += (s·x[t])·post` — the attention Q/K gradient update, where
@@ -934,14 +676,11 @@ mod tests {
 
     /// Backends available on the test machine, scalar first.
     fn backends() -> Vec<Backend> {
+        #[cfg_attr(not(target_arch = "x86_64"), allow(unused_mut))]
         let mut v = vec![Backend::Scalar];
         #[cfg(target_arch = "x86_64")]
         if std::arch::is_x86_feature_detected!("avx2") {
             v.push(Backend::Avx2);
-        }
-        #[cfg(target_arch = "aarch64")]
-        if std::arch::is_aarch64_feature_detected!("neon") {
-            v.push(Backend::Neon);
         }
         v
     }
@@ -1017,23 +756,35 @@ mod tests {
     }
 
     /// Awkward shapes: 1×1, k=1 chains, widths straddling the 8-wide
-    /// AVX2 tile (and its 4-col remainder), row counts straddling the
-    /// 4-row microkernel, and k past the KB=512 block boundary.
+    /// tile (and its remainder columns), row counts straddling the 4-row
+    /// block, k past the KB=512 block boundary, and the storm's encoder
+    /// shapes. `staggered` zeroes `a[i][kk]` where `(i + kk) % 3 == 0`, so
+    /// the rows of one 4-row block skip different `k` (also across KB).
     #[test]
     fn matmul_backends_bit_identical_across_awkward_shapes() {
-        for &(m, k, n) in &[
-            (1usize, 1usize, 1usize),
-            (1, 7, 1),
-            (2, 1, 9),
-            (3, 5, 2),
-            (4, 16, 8),
-            (5, 13, 12),
-            (6, 33, 7),
-            (7, 64, 11),
-            (16, 64, 64),
-            (9, 600, 9),
+        for &(m, k, n, staggered) in &[
+            (1usize, 1usize, 1usize, false),
+            (1, 7, 1, false),
+            (2, 1, 9, false),
+            (3, 5, 2, false),
+            (4, 16, 8, false),
+            (5, 13, 12, false),
+            (6, 33, 7, false),
+            (7, 64, 11, false),
+            (16, 64, 64, false),
+            (9, 600, 9, false),
+            (2048, 13, 16, false),
+            (2048, 16, 13, true),
+            (9, 600, 19, true),
         ] {
-            let a = lcg_vec(m * k, 0x11 ^ ((m as u64) << 24) ^ ((k as u64) << 8));
+            let mut a = lcg_vec(m * k, 0x11 ^ ((m as u64) << 24) ^ ((k as u64) << 8));
+            if staggered {
+                for (idx, v) in a.iter_mut().enumerate() {
+                    if (idx / k + idx % k) % 3 == 0 {
+                        *v = 0.0;
+                    }
+                }
+            }
             let b = lcg_vec(k * n, 0x22 ^ ((n as u64) << 24) ^ ((k as u64) << 8));
             let want = oracle_matmul(&a, &b, m, k, n);
             for backend in backends() {
@@ -1106,12 +857,7 @@ mod tests {
         for k in [0usize, 1, 2, 3, 4, 5, 8, 17, 64] {
             let a = lcg_vec(k, 1000 + k as u64);
             let rows: Vec<Vec<f64>> = (0..4).map(|r| lcg_vec(k, 2000 + r)).collect();
-            let want = [
-                dot(&a, &rows[0]),
-                dot(&a, &rows[1]),
-                dot(&a, &rows[2]),
-                dot(&a, &rows[3]),
-            ];
+            let want: [f64; 4] = std::array::from_fn(|r| dot(&a, &rows[r]));
             for backend in backends() {
                 let got = dot4_rows_on(backend, &a, &rows[0], &rows[1], &rows[2], &rows[3]);
                 for (i, (x, y)) in got.iter().zip(&want).enumerate() {
@@ -1127,16 +873,17 @@ mod tests {
     }
 
     #[test]
-    fn dot_cols_skip_zero_matches_scalar_for_every_width() {
-        for k in [1usize, 3, 4, 7, 16, 23] {
+    fn dot_cols_skip_zero_matches_single_chains_for_every_width() {
+        for k in [0usize, 1, 3, 4, 7, 16, 23] {
             for n in [1usize, 2, 3, 4, 5, 7, 8, 9, 16] {
                 let mut a = lcg_vec(k, 31 * k as u64 + 7);
                 if k > 2 {
                     a[2] = 0.0; // exercise the skip
                 }
                 let bt = lcg_vec(n * k, 17 * n as u64 + 3);
-                let mut want = vec![0.0f64; n];
-                dot_cols_skip_zero_on(Backend::Scalar, &a, &bt, &mut want);
+                let want: Vec<f64> = (0..n)
+                    .map(|j| dot_skip_zero_scalar(&a, &bt[j * k..(j + 1) * k]))
+                    .collect();
                 for backend in backends() {
                     let mut got = vec![0.0f64; n];
                     dot_cols_skip_zero_on(backend, &a, &bt, &mut got);
@@ -1195,10 +942,10 @@ mod tests {
 
     #[test]
     fn axpy_rows_matches_one_axpy_per_row() {
-        // Widths straddle the 16-column register blocks and the 4- and
-        // 2-lane remainders; the rows carry NaN, ±Inf, ±0.0 and
+        // Widths straddle the 16-, 8- and 4-column register blocks and
+        // the per-row tail; the rows carry NaN, ±Inf, ±0.0 and
         // subnormals.
-        for len in [0usize, 1, 2, 3, 4, 5, 15, 16, 17, 21, 32, 35] {
+        for len in [0usize, 1, 2, 3, 4, 5, 8, 12, 15, 16, 17, 21, 24, 29, 32, 35] {
             for count in [0usize, 1, 3, 6] {
                 let rows: Vec<Vec<f64>> = (0..count)
                     .map(|r| {

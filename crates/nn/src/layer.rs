@@ -3,8 +3,8 @@
 //! The f64 hot paths underneath these layers — blocked matmuls, the
 //! `Xᵀ` products of the weight gradients, bias broadcasts and row-sum
 //! reductions — all route through [`crate::kernel`], so every layer
-//! picks up the runtime-dispatched AVX2/NEON backends (bit-identical to
-//! the scalar oracle by construction; pin with `CAROL_SIMD`).
+//! picks up its runtime-dispatched AVX2 build on x86-64 (bit-identical
+//! to the baseline build by construction; pin with `CAROL_SIMD`).
 //! Activation transcendentals (`tanh`/`exp`) stay scalar: libm calls
 //! cannot be vectorised bit-identically.
 

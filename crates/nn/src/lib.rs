@@ -16,10 +16,11 @@
 //! * the mean-squared-error loss of the reconstruction and regression
 //!   surrogates.
 //!
-//! The f64 hot loops live in [`kernel`]: the reductions dispatch to
-//! runtime-detected AVX2/NEON paths with a scalar oracle, bit-identical
-//! by construction and pinnable via `CAROL_SIMD` (see
-//! [`kernel::SIMD_ENV`]); the elementwise kernels are plain loops.
+//! The f64 hot loops live in [`kernel`]: each reduction is one safe
+//! blocked loop, compiled for the baseline ISA and, on x86-64, again for
+//! runtime-detected AVX2 — bit-identical by construction and pinnable
+//! via `CAROL_SIMD` (see [`kernel::SIMD_ENV`]); the elementwise kernels
+//! are plain loops.
 //!
 //! Everything is deterministic given a seed and carries numerical
 //! gradient-check tests.

@@ -234,10 +234,11 @@ impl Matrix {
     /// `tests/determinism.rs` stays bit-exact. Within those constraints
     /// the kernel optimises freely:
     ///
-    /// * an 8-column register tile holds the accumulators of 8 output
-    ///   elements across the whole `k` sweep, so each `k` step is one
-    ///   contiguous 8-wide load from `b`'s row — independent element
-    ///   chains that auto-vectorise without reassociating any sum;
+    /// * a 4-row × 8-column register block holds the accumulators of 32
+    ///   output elements across the whole `k` sweep, so each `k` step is
+    ///   one contiguous 8-wide load from `b`'s row shared by 4 rows —
+    ///   independent element chains that auto-vectorise without
+    ///   reassociating any sum;
     /// * rows of `a` that multiply as exact zeros are skipped (ReLU
     ///   activations are ~half zeros), which only ever drops `±0.0`
     ///   addends;
@@ -245,9 +246,9 @@ impl Matrix {
     ///   tiles are reused from cache at production shapes, while the
     ///   GAT-sized operands (k ≤ 160) take the single-block fast path.
     ///
-    /// The loops themselves live in [`crate::kernel::matmul_into`],
-    /// which dispatches between the scalar reference and the AVX2/NEON
-    /// microkernels — all bit-identical under this contract.
+    /// The loops themselves live in [`crate::kernel::matmul_into`], one
+    /// blocked body compiled for the baseline ISA and for AVX2 — both
+    /// bit-identical under this contract.
     fn matmul_with_b_natural(&self, b: &Matrix) -> Matrix {
         debug_assert_eq!(self.cols, b.rows);
         let (m, k, n) = (self.rows, self.cols, b.cols);

@@ -377,9 +377,9 @@ fn batched_training_is_bit_identical_to_serial() {
 fn simd_and_scalar_kernels_are_bit_identical_end_to_end() {
     use nn::kernel::{self, Backend};
 
-    // One leg per kernel backend: the auto-resolved one (AVX2/NEON where
-    // the host supports it, honouring CAROL_SIMD) and the pinned scalar
-    // oracle. Each leg runs the full pipeline — GON pretraining,
+    // One leg per kernel backend: the auto-resolved one (AVX2 where the
+    // host supports it, honouring CAROL_SIMD) and the pinned scalar
+    // build. Each leg runs the full pipeline — GON pretraining,
     // simulation, fault repair — plus an explicit offline-train +
     // generate trajectory at 64 hosts. `set_backend` swaps a
     // process-global, which is safe precisely because of the invariant

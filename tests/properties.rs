@@ -664,11 +664,11 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// The auto-resolved SIMD kernel backend is bit-identical to the
-    /// scalar oracle for arbitrary matmul shapes and data — remainder
-    /// lanes, k-block boundaries and the semantic zero-skip included.
-    /// On hosts where auto resolves to scalar this is trivially true;
-    /// the AVX2 CI leg is where it bites.
+    /// Both kernel backends (the auto-resolved one and the baseline-ISA
+    /// build) are bit-identical to a naive per-element scalar oracle —
+    /// one ascending-k chain per output, zero left operands skipped — for
+    /// arbitrary matmul shapes and data: remainder rows and columns,
+    /// k-block boundaries and the semantic zero-skip included.
     #[test]
     fn simd_matmul_is_bit_identical_to_scalar_oracle(
         m in 1usize..14,
@@ -680,40 +680,55 @@ proptest! {
         use nn::kernel::{self, Backend};
         use nn::Matrix;
 
-        let simd = kernel::active();
         let mut a = Matrix::lcg(m, k, seed);
         let b = Matrix::lcg(k, n, seed ^ 0x5eed);
         // Sprinkle exact zeros into the left operand: the kernels skip
         // zero multiplicands *semantically* (0·x never enters the
-        // accumulator chain), so the skip must fire identically on every
-        // backend.
+        // accumulator chain), so the skip must fire exactly where the
+        // oracle's does.
         for (i, v) in a.data_mut().iter_mut().enumerate() {
             if i % zero_every == 0 {
                 *v = 0.0;
             }
         }
+        let chain = |x: &[f64], y: &mut dyn Iterator<Item = f64>| {
+            let mut acc = 0.0f64;
+            for (&xv, yv) in x.iter().zip(y) {
+                if xv != 0.0 {
+                    acc += xv * yv;
+                }
+            }
+            acc
+        };
 
         let mut want = vec![0.0; m * n];
-        kernel::matmul_into_on(Backend::Scalar, &mut want, a.data(), b.data(), m, k, n);
-        let mut got = vec![0.0; m * n];
-        kernel::matmul_into_on(simd, &mut got, a.data(), b.data(), m, k, n);
-        for (i, (x, y)) in want.iter().zip(&got).enumerate() {
-            prop_assert!(
-                x.to_bits() == y.to_bits(),
-                "matmul element {} diverged on {} ({} vs {})",
-                i, simd.name(), x, y
-            );
+        for i in 0..m {
+            for j in 0..n {
+                want[i * n + j] = chain(a.row(i), &mut (0..k).map(|t| b.data()[t * n + j]));
+            }
         }
-
         // The transpose-side sibling (dX = dY·Wᵀ rows) on the same data:
-        // row 0 of `a` against every row of `b` reinterpreted as Bᵀ.
+        // row 0 of `a` against every row of `bt`, read as Bᵀ.
         let bt = Matrix::lcg(n, k, seed ^ 0x7ab5);
-        let mut want_t = vec![0.0; n];
-        kernel::dot_cols_skip_zero_on(Backend::Scalar, a.row(0), bt.data(), &mut want_t);
-        let mut got_t = vec![0.0; n];
-        kernel::dot_cols_skip_zero_on(simd, a.row(0), bt.data(), &mut got_t);
-        for (x, y) in want_t.iter().zip(&got_t) {
-            prop_assert!(x.to_bits() == y.to_bits(), "dot_cols diverged on {}", simd.name());
+        let want_t: Vec<f64> = (0..n)
+            .map(|j| chain(a.row(0), &mut bt.row(j).iter().copied()))
+            .collect();
+
+        for backend in [kernel::active(), Backend::Scalar] {
+            let mut got = vec![0.0; m * n];
+            kernel::matmul_into_on(backend, &mut got, a.data(), b.data(), m, k, n);
+            for (i, (x, y)) in want.iter().zip(&got).enumerate() {
+                prop_assert!(
+                    x.to_bits() == y.to_bits(),
+                    "matmul element {} diverged on {} ({} vs {})",
+                    i, backend.name(), x, y
+                );
+            }
+            let mut got_t = vec![0.0; n];
+            kernel::dot_cols_skip_zero_on(backend, a.row(0), bt.data(), &mut got_t);
+            for (x, y) in want_t.iter().zip(&got_t) {
+                prop_assert!(x.to_bits() == y.to_bits(), "dot_cols diverged on {}", backend.name());
+            }
         }
     }
 
