@@ -20,7 +20,7 @@ use edgesim::state::{Normalizer, SystemState, GRAPH_DIM};
 use edgesim::{FaultLoad, SchedulingDecision, SimConfig, Simulator, Topology};
 use gon::{GonConfig, GonModel};
 use nn::init::Initializer;
-use nn::{Adjacency, GraphAttention, Matrix};
+use nn::{Activation, Adjacency, Dense, GraphAttention, Layer, Matrix, Sequential};
 
 fn testbed_state() -> SystemState {
     let mut sim = Simulator::new(SimConfig::testbed(7));
@@ -105,10 +105,38 @@ fn bench_kernels(c: &mut Criterion) {
     c.bench_function("matmul_2048x16_16x13", |bch| {
         bch.iter(|| black_box(black_box(&a_2048x16).matmul(black_box(&b_16x13))))
     });
+    // A `Dense(13→16)` + ReLU `forward` and `backward_input` at the same
+    // chunk: the two encoder matmuls plus the layer copies around them
+    // (caches, bias, activation) that one eq.-1 step pays.
+    let mut encoder = Sequential::new();
+    encoder.push(Dense::new(13, 16, &mut Initializer::new(23)));
+    encoder.push(Activation::relu());
+    let g_2048x16 = Matrix::lcg(2048, 16, 24);
+    c.bench_function("encoder_step_2048", |bch| {
+        bch.iter(|| {
+            black_box(encoder.forward(black_box(&a_2048x13)));
+            black_box(encoder.backward_input(black_box(&g_2048x16)))
+        })
+    });
+    // The head's 1-wide output layer at the storm's 2-candidate chunk and
+    // at paper-16's 16 candidates, and one pooled row through a
+    // default-width head layer: narrow `n` and small `m`, where any fixed
+    // per-call cost of the kernel shows.
+    let b_16x1 = Matrix::lcg(16, 1, 25);
+    for m in [2usize, 16] {
+        let a = Matrix::lcg(m, 16, 26);
+        c.bench_function(&format!("matmul_{m}x16_16x1"), |bch| {
+            bch.iter(|| black_box(black_box(&a).matmul(black_box(&b_16x1))))
+        });
+    }
+    let a_1x160 = Matrix::lcg(1, 160, 27);
     let a_16x160 = Matrix::lcg(16, 160, 13);
     let b_160x128 = Matrix::lcg(160, 128, 14);
     c.bench_function("matmul_16x160_160x128_head", |bch| {
         bch.iter(|| black_box(black_box(&a_16x160).matmul(black_box(&b_160x128))))
+    });
+    c.bench_function("matmul_1x160_160x128", |bch| {
+        bch.iter(|| black_box(black_box(&a_1x160).matmul(black_box(&b_160x128))))
     });
 
     // GAT attention rows (logits + softmax + aggregation) at the default

@@ -254,8 +254,7 @@ impl GonModel {
 
         let dx = self.ms_encoder.backward(&g_ms);
         let _dgraph = self.gat.backward(&g_g); // graph features are inputs too
-        let (d_metrics, _d_sched) = dx.hsplit(METRIC_DIM);
-        d_metrics
+        dx.column_block(0, METRIC_DIM)
     }
 
     /// Runs the generation loop of eq. 1: starting from the metrics in
@@ -381,15 +380,14 @@ impl GonModel {
         debug_assert_eq!(segments.len(), grad_scores.len());
         let g = Matrix::from_vec(grad_scores.len(), 1, grad_scores.to_vec());
         let g_head = self.head.backward_input(&g); // [B × hidden + gat_dim]
-        let (g_ms_pooled, _g_g_pooled) = g_head.hsplit(self.config.hidden);
+        let g_ms_pooled = g_head.column_block(0, self.config.hidden);
 
         let g_ms = Self::unpool_segments(&g_ms_pooled, segments);
         // The GAT branch is skipped entirely: its backward contributes
         // nothing to the metric gradient (graph features are a separate
         // input), matching the serial path where its output is discarded.
         let dx = self.ms_encoder.backward_input(&g_ms);
-        let (d_metrics, _d_sched) = dx.hsplit(METRIC_DIM);
-        d_metrics
+        dx.column_block(0, METRIC_DIM)
     }
 
     /// Batched [`GonModel::generate`]: runs every candidate's eq.-1 ascent

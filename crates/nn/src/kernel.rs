@@ -8,6 +8,12 @@
 //!
 //! The reductions — [`matmul_into`], [`dot4_rows`], [`dot_cols_skip_zero`]
 //! and [`axpy_rows`] — are each one safe, register-blocked loop body.
+//! The matmul's body covers every shape with one tile routine: 4-row
+//! blocks by 8-, 4- or 1-column tiles (single rows up to 16 columns), the
+//! last tile overlapping its predecessor when the width does not divide
+//! `n`, so no column takes a scalar tail. It has no per-`(row, k)` branch: the zero-skip
+//! is a `const` instantiation that runs only when the skip-free pass left
+//! a NaN output (see below).
 //! [`Backend::Scalar`] runs it compiled for the target's baseline ISA
 //! (SSE2 on x86-64; on aarch64 that baseline includes NEON, so it is the
 //! only path there). On x86-64 [`Backend::Avx2`] runs the same body
@@ -37,8 +43,14 @@
 //! add stays a separate correctly-rounded operation (Rust never
 //! contracts them into an FMA, which rounds once where the scalar code
 //! rounds twice), and the zero-skip tests the same scalar the per-element
-//! chain tests. The result is bitwise-identical to the per-element
-//! expression for every input, including NaN, ±Inf and signed zeros —
+//! chain tests. The matmul skips nothing on its first pass. A skipped
+//! term is `±0·b`: for finite `b` that is ±0, and adding ±0 never changes
+//! an accumulator, because the chain starts at +0.0 and under
+//! round-to-nearest can never become −0.0. For ±∞ or NaN `b` the term is
+//! NaN, so its output is NaN; when any output is NaN the body runs again
+//! with the skip, overwriting every output. The result is
+//! bitwise-identical to the per-element expression for every input,
+//! including NaN, ±Inf and signed zeros —
 //! gated by the bit-oracle tests below (which compare every backend with
 //! an independent per-element reference and pin each elementwise kernel
 //! to its expression), the kernel proptests in `tests/properties.rs`, and
@@ -48,7 +60,6 @@
 //! deliberately stay scalar: libm calls cannot be vectorized
 //! bit-identically.
 
-use std::slice::ChunksExact;
 use std::sync::atomic::{AtomicU8, Ordering};
 
 /// Environment variable selecting the kernel backend
@@ -166,9 +177,11 @@ const TILE: usize = 8;
 
 /// The blocked matmul kernel behind `Matrix::matmul`:
 /// `out[i·n + j] = Σ_k a[i·k + k]·b[k·n + j]` with the per-element
-/// ascending-`k` chain and ±0.0-only zero-skip documented on
-/// `Matrix::matmul`. `out` must be zero-filled on entry; the KB-sized
-/// k-blocking spills and reloads its own partial sums through it.
+/// ascending-`k` chain and zero-skip documented on `Matrix::matmul`,
+/// reproduced by a skip-free pass and, only if that left a NaN, a
+/// skipping one (see the module doc). `out` must be zero-filled on
+/// entry; the KB-sized k-blocking spills and reloads its own partial
+/// sums through it. No heap allocation, no scan of `b`.
 ///
 /// # Panics
 ///
@@ -221,143 +234,142 @@ fn matmul_avx2(out: &mut [f64], a: &[f64], b: &[f64], m: usize, k: usize, n: usi
     matmul_body(out, a, b, m, k, n)
 }
 
-/// Per KB-block of `k`: 4-row blocks of `a` through [`matmul_rows4`]
-/// (8 vector accumulators under AVX2, so each chain's add latency hides
-/// behind 7 siblings), then the remaining rows through [`matmul_row`].
+/// One pass with no zero-skip; if any output came out NaN, a second pass
+/// with the skip. Bit-identical to skipping always: a skipped term is
+/// `±0·b`, which for finite `b` is ±0, and adding ±0 never changes an
+/// accumulator (the chain starts at +0.0 and under round-to-nearest never
+/// becomes −0.0). For ±∞ or NaN `b` the term is NaN, so that output is
+/// NaN after the first pass and is recomputed. The NaN test is one
+/// vectorised pass over `out` (a per-tile test cost more at k = 13). The
+/// second pass needs no zeroed `out`: its first k-block starts every
+/// accumulator at +0.0 and stores every output.
 #[inline(always)]
 fn matmul_body(out: &mut [f64], a: &[f64], b: &[f64], m: usize, k: usize, n: usize) {
+    matmul_pass::<false>(out, a, b, m, k, n);
+    if out.iter().fold(false, |nan, v| nan | v.is_nan()) {
+        matmul_pass::<true>(out, a, b, m, k, n);
+    }
+}
+
+/// Per KB-block of `k`: 4-row blocks of `a` (8 vector accumulators under
+/// AVX2 at the 8-wide tile, so each chain's add latency hides behind 7
+/// siblings), then the remaining rows one at a time, each through
+/// [`matmul_tiles`]. `SKIP` skips the exact-zero `a` terms.
+#[inline(always)]
+fn matmul_pass<const SKIP: bool>(
+    out: &mut [f64],
+    a: &[f64],
+    b: &[f64],
+    m: usize,
+    k: usize,
+    n: usize,
+) {
     if n == 0 {
         return;
     }
     for k0 in (0..k).step_by(KB) {
         let k1 = (k0 + KB).min(k);
         let b_rows = b[k0 * n..k1 * n].chunks_exact(n);
+        let a_seg = |i: usize| a[i * k + k0..i * k + k1].iter();
         let mut i = 0;
         while i + 4 <= m {
-            matmul_rows4(out, a, b_rows.clone(), i, k0, k1, k, n);
+            // Built once, cloned per tile: building it divides by `n`.
+            let steps = a_seg(i)
+                .zip(a_seg(i + 1))
+                .zip(a_seg(i + 2))
+                .zip(a_seg(i + 3))
+                .map(|(((&v0, &v1), &v2), &v3)| [v0, v1, v2, v3])
+                .zip(b_rows.clone());
+            matmul_tiles::<4, SKIP>(out, steps, i, k0, n);
             i += 4;
         }
         for i in i..m {
-            matmul_row(out, a, b_rows.clone(), i, k0, k1, k, n);
+            let steps = a_seg(i).map(|&v| [v]).zip(b_rows.clone());
+            matmul_tiles::<1, SKIP>(out, steps, i, k0, n);
         }
     }
 }
 
-/// Rows `[i, i + 4)` of `out` for the k-block `[k0, k1)` (`b_rows`):
-/// 4 × [`TILE`] accumulators per column tile, each `b` row segment
-/// shared by the 4 rows, each row's `a` value tested once per `k` — a
-/// zero skips that row's whole tile update, as the per-element chain
-/// skips it.
+/// Every column of rows `[i, i + R)` for one k-block, in register tiles
+/// of the widest `W` in {8, 4, 1} that fits `n`, or 16 for a single row,
+/// whose one `a` value per `k` then feeds four AVX2 accumulators instead
+/// of two (1.3–1.8× faster than 8 wide at m = 1 and 2, k = 16–160).
 #[inline(always)]
-#[allow(clippy::too_many_arguments)]
-fn matmul_rows4(
+fn matmul_tiles<'b, const R: usize, const SKIP: bool>(
     out: &mut [f64],
-    a: &[f64],
-    b_rows: ChunksExact<'_, f64>,
+    steps: impl Iterator<Item = ([f64; R], &'b [f64])> + Clone,
     i: usize,
     k0: usize,
-    k1: usize,
-    k: usize,
     n: usize,
 ) {
-    let a_seg = |r: usize| a[(i + r) * k + k0..(i + r) * k + k1].iter();
-    // Built once, cloned per tile: building it divides by `n`.
-    let steps = a_seg(0)
-        .zip(a_seg(1))
-        .zip(a_seg(2))
-        .zip(a_seg(3))
-        .zip(b_rows.clone());
+    match n {
+        16.. if R == 1 => matmul_tiles_w::<R, 16, SKIP>(out, steps, i, k0, n),
+        TILE.. => matmul_tiles_w::<R, TILE, SKIP>(out, steps, i, k0, n),
+        4.. => matmul_tiles_w::<R, 4, SKIP>(out, steps, i, k0, n),
+        _ => matmul_tiles_w::<R, 1, SKIP>(out, steps, i, k0, n),
+    }
+}
+
+/// [`matmul_tiles`] at tile width `W ≤ n`. When `W` does not divide `n`,
+/// the last tile overlaps its predecessor and stores only its new
+/// columns, so no column takes a narrower path.
+#[inline(always)]
+fn matmul_tiles_w<'b, const R: usize, const W: usize, const SKIP: bool>(
+    out: &mut [f64],
+    steps: impl Iterator<Item = ([f64; R], &'b [f64])> + Clone,
+    i: usize,
+    k0: usize,
+    n: usize,
+) {
     let mut j0 = 0;
-    while j0 + TILE <= n {
-        let mut acc = [[0.0f64; TILE]; 4];
-        if k0 > 0 {
-            for (r, acc_r) in acc.iter_mut().enumerate() {
-                acc_r.copy_from_slice(&out[(i + r) * n + j0..][..TILE]);
-            }
-        }
-        for ((((&v0, &v1), &v2), &v3), b_row) in steps.clone() {
-            let b_tile = &b_row[j0..j0 + TILE];
-            for (acc_r, av) in acc.iter_mut().zip([v0, v1, v2, v3]) {
-                if av == 0.0 {
-                    continue;
-                }
-                for (s, &bv) in acc_r.iter_mut().zip(b_tile) {
-                    *s += av * bv;
-                }
-            }
-        }
-        for (r, acc_r) in acc.iter().enumerate() {
-            out[(i + r) * n + j0..][..TILE].copy_from_slice(acc_r);
-        }
-        j0 += TILE;
+    while j0 + W <= n {
+        matmul_tile::<R, W, SKIP>(out, steps.clone(), i, k0, n, j0, 0);
+        j0 += W;
     }
     if j0 < n {
-        for r in i..i + 4 {
-            matmul_col_tail(out, a, b_rows.clone(), r, k0, k1, j0, k, n);
-        }
+        matmul_tile::<R, W, SKIP>(out, steps, i, k0, n, n - W, j0 + W - n);
     }
 }
 
-/// One row of `out` for the k-block `[k0, k1)`: [`matmul_rows4`] for a
-/// single row.
+/// One `R × W` tile of `out` at column `j0` for one k-block: `R × W`
+/// accumulators (reloaded from `out` past the first k-block), each `b`
+/// row segment shared by the `R` rows; a zero `a` value skips its row's
+/// whole update when `SKIP`. Stores columns `[j0 + keep, j0 + W)`; the
+/// lane test keeps every accumulator index constant, so the tile stays in
+/// registers.
 #[inline(always)]
-#[allow(clippy::too_many_arguments)]
-fn matmul_row(
+fn matmul_tile<'b, const R: usize, const W: usize, const SKIP: bool>(
     out: &mut [f64],
-    a: &[f64],
-    b_rows: ChunksExact<'_, f64>,
+    steps: impl Iterator<Item = ([f64; R], &'b [f64])>,
     i: usize,
     k0: usize,
-    k1: usize,
-    k: usize,
     n: usize,
+    j0: usize,
+    keep: usize,
 ) {
-    let steps = a[i * k + k0..i * k + k1].iter().zip(b_rows.clone());
-    let mut j0 = 0;
-    while j0 + TILE <= n {
-        let mut acc = [0.0f64; TILE];
-        if k0 > 0 {
-            acc.copy_from_slice(&out[i * n + j0..][..TILE]);
+    let mut acc = [[0.0f64; W]; R];
+    if k0 > 0 {
+        for (r, acc_r) in acc.iter_mut().enumerate() {
+            acc_r.copy_from_slice(&out[(i + r) * n + j0..][..W]);
         }
-        for (&av, b_row) in steps.clone() {
-            if av == 0.0 {
+    }
+    for (av, b_row) in steps {
+        let b_tile = &b_row[j0..j0 + W];
+        for (acc_r, av) in acc.iter_mut().zip(av) {
+            if SKIP && av == 0.0 {
                 continue;
             }
-            for (s, &bv) in acc.iter_mut().zip(&b_row[j0..j0 + TILE]) {
+            for (s, &bv) in acc_r.iter_mut().zip(b_tile) {
                 *s += av * bv;
             }
         }
-        out[i * n + j0..][..TILE].copy_from_slice(&acc);
-        j0 += TILE;
     }
-    if j0 < n {
-        matmul_col_tail(out, a, b_rows, i, k0, k1, j0, k, n);
-    }
-}
-
-/// Scalar remainder columns `[j0, n)` of row `i` for the k-block
-/// `[k0, k1)` (`b_rows`).
-#[inline(always)]
-#[allow(clippy::too_many_arguments)]
-fn matmul_col_tail(
-    out: &mut [f64],
-    a: &[f64],
-    b_rows: ChunksExact<'_, f64>,
-    i: usize,
-    k0: usize,
-    k1: usize,
-    j0: usize,
-    k: usize,
-    n: usize,
-) {
-    let a_seg = &a[i * k + k0..i * k + k1];
-    let acc = &mut out[i * n + j0..(i + 1) * n];
-    for (&av, b_row) in a_seg.iter().zip(b_rows) {
-        if av == 0.0 {
-            continue;
-        }
-        for (s, &bv) in acc.iter_mut().zip(&b_row[j0..]) {
-            *s += av * bv;
+    for (r, acc_r) in acc.iter().enumerate() {
+        let dst = &mut out[(i + r) * n + j0..][..W];
+        for (c, (o, &v)) in dst.iter_mut().zip(acc_r).enumerate() {
+            if c >= keep {
+                *o = v;
+            }
         }
     }
 }
@@ -760,6 +772,10 @@ mod tests {
     /// block, k past the KB=512 block boundary, and the storm's encoder
     /// shapes. `staggered` zeroes `a[i][kk]` where `(i + kk) % 3 == 0`, so
     /// the rows of one 4-row block skip different `k` (also across KB).
+    /// The `k = 530` rows put every remainder width 9–15, the 4- and
+    /// 1-wide tiles' overlaps (5, 3) and a single row's 16-wide one (24)
+    /// past KB, where the overlapping last tile reloads columns its
+    /// predecessor already finished and must store only its own.
     #[test]
     fn matmul_backends_bit_identical_across_awkward_shapes() {
         for &(m, k, n, staggered) in &[
@@ -776,6 +792,16 @@ mod tests {
             (2048, 13, 16, false),
             (2048, 16, 13, true),
             (9, 600, 19, true),
+            (6, 530, 3, true),
+            (6, 530, 5, true),
+            (6, 530, 9, true),
+            (6, 530, 10, true),
+            (6, 530, 11, true),
+            (6, 530, 12, true),
+            (6, 530, 13, true),
+            (6, 530, 14, true),
+            (6, 530, 15, true),
+            (3, 530, 24, true),
         ] {
             let mut a = lcg_vec(m * k, 0x11 ^ ((m as u64) << 24) ^ ((k as u64) << 8));
             if staggered {
@@ -849,6 +875,78 @@ mod tests {
                 &want,
                 &format!("non-finite matmul on {}", backend.name()),
             );
+        }
+    }
+
+    /// The skip-free first pass must hand a NaN output back to the
+    /// skipping re-run: `b` row 520 (inside the second KB block) holds
+    /// +∞, −∞ and NaN where rows 2, 5 and 8 have a zero `a`, so only the
+    /// skip keeps those rows finite. The re-run must replace the first
+    /// pass's outputs over both k-blocks, the last column group through
+    /// the overlapping tail tile.
+    #[test]
+    fn matmul_rerun_skips_zero_times_non_finite_across_k_blocks() {
+        let (m, k, n) = (9usize, 600usize, 13usize);
+        let mut a = lcg_vec(m * k, 0x51);
+        for (idx, v) in a.iter_mut().enumerate() {
+            if (idx / k + idx % k) % 3 == 0 {
+                *v = 0.0;
+            }
+        }
+        let mut b = lcg_vec(k * n, 0x52);
+        b[520 * n + 3] = f64::INFINITY;
+        b[520 * n + 10] = f64::NEG_INFINITY;
+        b[520 * n + 12] = f64::NAN;
+        let want = oracle_matmul(&a, &b, m, k, n);
+        for i in 0..m {
+            let skips = a[i * k + 520] == 0.0;
+            assert_eq!(skips, i % 3 == 2, "fixture: which rows skip k = 520");
+            for j in [3, 10, 12] {
+                assert_eq!(
+                    want[i * n + j].is_finite(),
+                    skips,
+                    "fixture row {i} col {j}"
+                );
+            }
+        }
+        for backend in backends() {
+            let mut got = vec![0.0f64; m * n];
+            matmul_into_on(backend, &mut got, &a, &b, m, k, n);
+            assert_bits_eq(&got, &want, &format!("re-run matmul on {}", backend.name()));
+        }
+    }
+
+    /// A left row of only ±0.0 gives +0.0 bits whatever the signs in `b`:
+    /// the skip-free pass adds its ±0 products to a chain that starts at
+    /// +0.0 and stays there. Rows 1 (in a 4-row block) and 4 (the
+    /// remainder row) are the zero rows; `b` mixes signs and −0.0.
+    #[test]
+    fn matmul_signed_zero_rows_give_positive_zero() {
+        let (m, k, n) = (5usize, 7usize, 13usize);
+        let mut a = lcg_vec(m * k, 0x61);
+        for i in [1, 4] {
+            for (t, v) in a[i * k..(i + 1) * k].iter_mut().enumerate() {
+                *v = if t % 2 == 0 { -0.0 } else { 0.0 };
+            }
+        }
+        let mut b = lcg_vec(k * n, 0x62);
+        b[2 * n + 5] = -0.0;
+        b[3 * n + 11] = -0.0;
+        let want = oracle_matmul(&a, &b, m, k, n);
+        for backend in backends() {
+            let mut got = vec![0.0f64; m * n];
+            matmul_into_on(backend, &mut got, &a, &b, m, k, n);
+            assert_bits_eq(&got, &want, &format!("±0 rows on {}", backend.name()));
+            for i in [1, 4] {
+                for &v in &got[i * n..(i + 1) * n] {
+                    assert_eq!(
+                        v.to_bits(),
+                        0.0f64.to_bits(),
+                        "row {i} on {}",
+                        backend.name()
+                    );
+                }
+            }
         }
     }
 

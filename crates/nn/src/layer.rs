@@ -195,7 +195,7 @@ impl Layer for Dense {
         let out = input
             .matmul(&self.weight.value)
             .add_row_broadcast(&self.bias.value);
-        self.cached_input = Some(input.clone());
+        refill(&mut self.cached_input, input);
         out
     }
 
@@ -290,21 +290,27 @@ impl ActivationKind {
         }
     }
 
-    /// Derivative expressed in terms of the activation *output* `y`
-    /// (and input `x` where needed).
-    pub fn derivative(self, x: f64, y: f64) -> f64 {
+    /// Whether [`ActivationKind::derivative`] reads the activation's
+    /// output `y` (tanh, sigmoid) rather than its input `x`.
+    fn derivative_reads_output(self) -> bool {
+        matches!(self, ActivationKind::Tanh | ActivationKind::Sigmoid)
+    }
+
+    /// Derivative at `v`: the input `x` for ReLU and LeakyReLU, the
+    /// output `y` for tanh and sigmoid.
+    pub fn derivative(self, v: f64) -> f64 {
         match self {
             ActivationKind::Relu => {
-                if x > 0.0 {
+                if v > 0.0 {
                     1.0
                 } else {
                     0.0
                 }
             }
-            ActivationKind::Tanh => 1.0 - y * y,
-            ActivationKind::Sigmoid => y * (1.0 - y),
+            ActivationKind::Tanh => 1.0 - v * v,
+            ActivationKind::Sigmoid => v * (1.0 - v),
             ActivationKind::LeakyRelu => {
-                if x > 0.0 {
+                if v > 0.0 {
                     1.0
                 } else {
                     0.01
@@ -314,12 +320,22 @@ impl ActivationKind {
     }
 }
 
+/// Refills a layer cache with `src`, reusing its buffer once it exists.
+fn refill(cache: &mut Option<Matrix>, src: &Matrix) {
+    match cache {
+        Some(m) => m.clone_from(src),
+        None => *cache = Some(src.clone()),
+    }
+}
+
 /// Stateless activation layer.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Activation {
     kind: ActivationKind,
+    /// The one tensor the derivative reads: the last input for ReLU and
+    /// LeakyReLU, the last output for tanh and sigmoid.
     #[serde(skip)]
-    cached: Option<(Matrix, Matrix)>, // (input, output)
+    cached: Option<Matrix>,
 }
 
 impl Activation {
@@ -347,18 +363,23 @@ impl Activation {
 impl Layer for Activation {
     fn forward(&mut self, input: &Matrix) -> Matrix {
         let out = input.map(|v| self.kind.apply(v));
-        self.cached = Some((input.clone(), out.clone()));
+        let read = if self.kind.derivative_reads_output() {
+            &out
+        } else {
+            input
+        };
+        refill(&mut self.cached, read);
         out
     }
 
     fn backward(&mut self, grad_output: &Matrix) -> Matrix {
-        let (input, output) = self
+        let cached = self
             .cached
             .as_ref()
             .expect("Activation::backward called before forward");
         let mut grad = grad_output.clone();
-        for i in 0..grad.len() {
-            grad.data_mut()[i] *= self.kind.derivative(input.data()[i], output.data()[i]);
+        for (g, &v) in grad.data_mut().iter_mut().zip(cached.data()) {
+            *g *= self.kind.derivative(v);
         }
         grad
     }
@@ -436,37 +457,43 @@ impl Sequential {
     }
 }
 
+/// Runs `step` through `layers` in turn; the first layer reads `x`
+/// itself, so no copy of it is made unless there are no layers.
+fn chain<'a>(
+    mut layers: impl Iterator<Item = &'a mut Box<dyn Layer + Send + Sync>>,
+    x: &Matrix,
+    mut step: impl FnMut(&mut Box<dyn Layer + Send + Sync>, &Matrix) -> Matrix,
+) -> Matrix {
+    match layers.next() {
+        Some(first) => {
+            let y = step(first, x);
+            layers.fold(y, |y, layer| step(layer, &y))
+        }
+        None => x.clone(),
+    }
+}
+
 impl Layer for Sequential {
     fn forward(&mut self, input: &Matrix) -> Matrix {
-        let mut x = input.clone();
-        for layer in &mut self.layers {
-            x = layer.forward(&x);
-        }
-        x
+        chain(self.layers.iter_mut(), input, |l, x| l.forward(x))
     }
 
     fn backward(&mut self, grad_output: &Matrix) -> Matrix {
-        let mut g = grad_output.clone();
-        for layer in self.layers.iter_mut().rev() {
-            g = layer.backward(&g);
-        }
-        g
+        chain(self.layers.iter_mut().rev(), grad_output, |l, g| {
+            l.backward(g)
+        })
     }
 
     fn backward_input(&mut self, grad_output: &Matrix) -> Matrix {
-        let mut g = grad_output.clone();
-        for layer in self.layers.iter_mut().rev() {
-            g = layer.backward_input(&g);
-        }
-        g
+        chain(self.layers.iter_mut().rev(), grad_output, |l, g| {
+            l.backward_input(g)
+        })
     }
 
     fn backward_batch(&mut self, grad_output: &Matrix, segments: &[(usize, usize)]) -> Matrix {
-        let mut g = grad_output.clone();
-        for layer in self.layers.iter_mut().rev() {
-            g = layer.backward_batch(&g, segments);
-        }
-        g
+        chain(self.layers.iter_mut().rev(), grad_output, |l, g| {
+            l.backward_batch(g, segments)
+        })
     }
 
     fn params_mut(&mut self) -> Vec<&mut Param> {

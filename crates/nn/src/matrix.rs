@@ -17,11 +17,29 @@ use std::ops::{Add, Mul, Sub};
 /// let b = Matrix::identity(2);
 /// assert_eq!(a.matmul(&b), a);
 /// ```
-#[derive(Clone, PartialEq, Serialize, Deserialize)]
+#[derive(PartialEq, Serialize, Deserialize)]
 pub struct Matrix {
     rows: usize,
     cols: usize,
     data: Vec<f64>,
+}
+
+impl Clone for Matrix {
+    fn clone(&self) -> Self {
+        Self {
+            rows: self.rows,
+            cols: self.cols,
+            data: self.data.clone(),
+        }
+    }
+
+    /// Copies into `self`'s buffer, allocating only to grow it — how the
+    /// layers refill their caches every step.
+    fn clone_from(&mut self, source: &Self) {
+        self.rows = source.rows;
+        self.cols = source.cols;
+        self.data.clone_from(&source.data);
+    }
 }
 
 impl fmt::Debug for Matrix {
@@ -238,10 +256,15 @@ impl Matrix {
     ///   output elements across the whole `k` sweep, so each `k` step is
     ///   one contiguous 8-wide load from `b`'s row shared by 4 rows —
     ///   independent element chains that auto-vectorise without
-    ///   reassociating any sum;
-    /// * rows of `a` that multiply as exact zeros are skipped (ReLU
-    ///   activations are ~half zeros), which only ever drops `±0.0`
-    ///   addends;
+    ///   reassociating any sum (narrower outputs take 4- or 1-wide
+    ///   tiles, single rows up to 16-wide ones, and a last partial tile
+    ///   overlaps the one before it);
+    /// * terms whose `a` value is an exact zero (±0.0) are skipped. For
+    ///   finite `b` a skipped term is a `±0.0` addend, which never changes
+    ///   the chain (it starts at +0.0 and never becomes −0.0). For ±∞ or
+    ///   NaN `b` the skip is semantic: it drops the NaN of `0·∞` or
+    ///   `0·NaN`. The kernel therefore runs without the skip and repeats
+    ///   the product with it only when an output came out NaN;
     /// * `k` is processed in L1-sized blocks per column stripe so `b`
     ///   tiles are reused from cache at production shapes, while the
     ///   GAT-sized operands (k ≤ 160) take the single-block fast path.
@@ -318,6 +341,31 @@ impl Matrix {
         }
     }
 
+    /// Copies columns `[offset, offset + n)` into a fresh `rows × n`
+    /// matrix — the column sibling of [`Matrix::row_block`], for a caller
+    /// that needs one side of an [`Matrix::hsplit`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `offset + n > cols()`.
+    pub fn column_block(&self, offset: usize, n: usize) -> Matrix {
+        assert!(
+            offset + n <= self.cols,
+            "column_block [{offset}, {}) out of range for {} columns",
+            offset + n,
+            self.cols
+        );
+        let mut data = Vec::with_capacity(self.rows * n);
+        for r in 0..self.rows {
+            data.extend_from_slice(&self.row(r)[offset..offset + n]);
+        }
+        Matrix {
+            rows: self.rows,
+            cols: n,
+            data,
+        }
+    }
+
     /// Elementwise map.
     pub fn map(&self, f: impl Fn(f64) -> f64) -> Matrix {
         Matrix {
@@ -346,19 +394,19 @@ impl Matrix {
         }
     }
 
-    /// Adds `row` (1×cols) to every row of `self` — the bias broadcast.
+    /// Adds `row` (1×cols) to every row of `self`, in place — the bias
+    /// broadcast.
     ///
     /// # Panics
     ///
     /// Panics unless `row` is `1 × self.cols()`.
-    pub fn add_row_broadcast(&self, row: &Matrix) -> Matrix {
+    pub fn add_row_broadcast(mut self, row: &Matrix) -> Matrix {
         assert_eq!(row.rows, 1, "broadcast source must be a row vector");
         assert_eq!(row.cols, self.cols, "broadcast width mismatch");
-        let mut out = self.clone();
         for r in 0..self.rows {
-            crate::kernel::add_assign(&mut out.data[r * self.cols..(r + 1) * self.cols], &row.data);
+            crate::kernel::add_assign(self.row_mut(r), &row.data);
         }
-        out
+        self
     }
 
     /// Sums each column into a 1×cols row vector — the bias-gradient
@@ -685,6 +733,9 @@ mod tests {
         let (l, r) = joined.hsplit(2);
         assert_eq!(l, a);
         assert_eq!(r, b);
+        assert_eq!(joined.column_block(0, 2), a);
+        assert_eq!(joined.column_block(2, 1), b);
+        assert_eq!(joined.column_block(1, 0).shape(), (2, 0));
     }
 
     #[test]

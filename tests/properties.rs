@@ -668,7 +668,11 @@ proptest! {
     /// build) are bit-identical to a naive per-element scalar oracle —
     /// one ascending-k chain per output, zero left operands skipped — for
     /// arbitrary matmul shapes and data: remainder rows and columns,
-    /// k-block boundaries and the semantic zero-skip included.
+    /// k-block boundaries and the semantic zero-skip included. Zeros in
+    /// the left operand fall periodically and under a random per-element
+    /// mask; the right operand carries occasional ±∞ and NaN, so a zero
+    /// `a` meets a non-finite `b` and the kernel's skipping re-run must
+    /// reproduce the oracle's skip.
     #[test]
     fn simd_matmul_is_bit_identical_to_scalar_oracle(
         m in 1usize..14,
@@ -676,18 +680,38 @@ proptest! {
         n in 1usize..24,
         seed in 0u64..1_000_000,
         zero_every in 1usize..7,
+        zero_pct in 0u64..60,
+        special_pct in 0u64..8,
     ) {
         use nn::kernel::{self, Backend};
         use nn::Matrix;
 
+        // splitmix64 of (seed, stream, index): the masks' coin flips.
+        let coin = |stream: u64, i: usize| {
+            let mut z = (seed ^ stream.rotate_left(32))
+                .wrapping_add((i as u64 + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15));
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        };
+        let specials = [f64::INFINITY, f64::NEG_INFINITY, f64::NAN];
+        let sprinkle = |x: &mut Matrix, stream: u64| {
+            for (i, v) in x.data_mut().iter_mut().enumerate() {
+                let c = coin(stream, i);
+                if c % 100 < special_pct {
+                    *v = specials[(c / 100 % 3) as usize];
+                }
+            }
+        };
         let mut a = Matrix::lcg(m, k, seed);
-        let b = Matrix::lcg(k, n, seed ^ 0x5eed);
+        let mut b = Matrix::lcg(k, n, seed ^ 0x5eed);
+        sprinkle(&mut b, 2);
         // Sprinkle exact zeros into the left operand: the kernels skip
         // zero multiplicands *semantically* (0·x never enters the
         // accumulator chain), so the skip must fire exactly where the
         // oracle's does.
         for (i, v) in a.data_mut().iter_mut().enumerate() {
-            if i % zero_every == 0 {
+            if i % zero_every == 0 || coin(1, i) % 100 < zero_pct {
                 *v = 0.0;
             }
         }
@@ -709,7 +733,8 @@ proptest! {
         }
         // The transpose-side sibling (dX = dY·Wᵀ rows) on the same data:
         // row 0 of `a` against every row of `bt`, read as Bᵀ.
-        let bt = Matrix::lcg(n, k, seed ^ 0x7ab5);
+        let mut bt = Matrix::lcg(n, k, seed ^ 0x7ab5);
+        sprinkle(&mut bt, 3);
         let want_t: Vec<f64> = (0..n)
             .map(|j| chain(a.row(0), &mut bt.row(j).iter().copied()))
             .collect();
