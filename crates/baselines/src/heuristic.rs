@@ -62,7 +62,8 @@ impl ResiliencePolicy for Dyverse {
 
     fn repair(&mut self, sim: &Simulator, _snapshot: &SystemState) -> Option<Topology> {
         if !sim.failed_brokers().is_empty() {
-            // A least-CPU scan over the LEI: cheap (DESIGN.md).
+            // A least-CPU scan over the LEI: cheap (see
+            // `ResiliencePolicy::modeled_decision_s`).
             self.modeled_decision_s += 0.05;
         }
         promote_orphan_repair(

@@ -58,8 +58,8 @@ fn bench_gon(c: &mut Criterion) {
 
 fn bench_matmul(c: &mut Criterion) {
     // The GAT/head shapes of the GON forward and backward passes: a tall
-    // activation block times a square weight, and its transpose-side
-    // sibling. These isolate the blocked kernel behind
+    // activation block times a square weight, and a square block times a
+    // narrow weight. These isolate the blocked kernel behind
     // `gon_generate_10_steps`.
     let a_16x64 = Matrix::lcg(16, 64, 1);
     let b_64x64 = Matrix::lcg(64, 64, 2);
@@ -70,11 +70,6 @@ fn bench_matmul(c: &mut Criterion) {
     let b_64x16 = Matrix::lcg(64, 16, 4);
     c.bench_function("matmul_64x64_64x16", |bch| {
         bch.iter(|| black_box(black_box(&a_64x64).matmul(black_box(&b_64x16))))
-    });
-    // The fused dX = dY·Wᵀ path of every Dense/GAT backward.
-    let w_16x64 = Matrix::lcg(16, 64, 5);
-    c.bench_function("matmul_transpose_b_64x64_16x64t", |bch| {
-        bch.iter(|| black_box(black_box(&a_64x64).matmul_transpose_b(black_box(&w_16x64))))
     });
 }
 

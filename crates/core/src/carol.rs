@@ -357,10 +357,10 @@ impl Carol {
         // cost), computed in parallel; bookkeeping is replayed in
         // candidate order below, so the f64 accumulation order does not
         // depend on the worker count. Testbed-equivalent cost per query
-        // (DESIGN.md): the GON pays per ascent iteration (γ and model
-        // depth control how many/much — the Fig. 6a/6b scheduling-time
-        // effects); the one-shot GAN and the feed-forward surrogate pay a
-        // flat inference cost.
+        // (see `ResiliencePolicy::modeled_decision_s`): the GON pays per
+        // ascent iteration (γ and model depth control how many/much — the
+        // Fig. 6a/6b scheduling-time effects); the one-shot GAN and the
+        // feed-forward surrogate pay a flat inference cost.
         let scored: Vec<Vec<(f64, f64)>> = match self.config.variant {
             CarolVariant::Gon => {
                 let gon = &self.gon;
@@ -725,7 +725,8 @@ impl ResiliencePolicy for Carol {
             }
         }
         // Testbed-equivalent fine-tuning cost: a fixed optimiser set-up
-        // plus a per-sample gradient cost over Γ (DESIGN.md).
+        // plus a per-sample gradient cost over Γ, on the basis of
+        // `ResiliencePolicy::modeled_decision_s`.
         self.modeled_overhead_s += match self.config.variant {
             CarolVariant::Gon => 0.5 + 0.45 * self.gamma.len().max(1) as f64,
             CarolVariant::Gan => 0.4 + 0.30 * self.gamma.len().max(1) as f64,

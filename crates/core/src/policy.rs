@@ -51,9 +51,9 @@ pub trait ResiliencePolicy {
     /// Rust on a fast host, so raw wall-clock cannot reproduce the
     /// testbed's ordering. Instead each policy counts its real algorithmic
     /// operations (surrogate queries, GA generations, matchmaking passes)
-    /// and charges them the per-operation costs of the testbed (see
-    /// DESIGN.md §"Decision-time and overhead model"). The experiment
-    /// runner adds the infrastructure constant shared by all policies.
+    /// and charges them the per-operation costs of the testbed. The
+    /// experiment runner adds the infrastructure constant shared by all
+    /// policies.
     fn modeled_decision_s(&self) -> f64;
 
     /// Cumulative testbed-equivalent seconds spent fine-tuning / updating

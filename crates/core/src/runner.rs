@@ -39,8 +39,8 @@ pub struct ExperimentConfig {
 impl ExperimentConfig {
     /// The §V configuration: 16-node testbed, 100 intervals, AIoTBench at
     /// λ scaled to 1.8 per LEI (7.2 federation-wide; the paper's testbed
-    /// keeps its containers continuously busy — see DESIGN.md's workload
-    /// calibration note), broker faults at λ_f = 0.5.
+    /// keeps its containers continuously busy), broker faults at
+    /// λ_f = 0.5.
     pub fn paper(seed: u64) -> Self {
         Self {
             sim: SimConfig::testbed(seed),

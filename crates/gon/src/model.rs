@@ -225,17 +225,7 @@ impl GonModel {
 
     /// Forward pass: `D(M, S, G; θ) ∈ [0, 1]`.
     pub fn score(&mut self, state: &SystemState) -> f64 {
-        let n = state.n_hosts() as f64;
-        let (x, _) = Self::stacked_ms(&[state]);
-        let (gfeat, adjacency) = stacked_graph(&[state]);
-        let e = self.ms_encoder.forward(&x); // [n × hidden]
-        let e_ms = e.sum_rows().scale(1.0 / n); // mean-pool → [1 × hidden]
-
-        let eg = self.gat.forward(&gfeat, &adjacency); // [n × gat_dim]
-        let e_g = eg.sum_rows().scale(1.0 / n);
-
-        let z = self.head.forward(&e_ms.hcat(&e_g));
-        z[(0, 0)]
+        self.forward_batch_internal(&[state]).0[(0, 0)]
     }
 
     /// Backward pass after [`GonModel::score`]: given `dL/dD`, accumulates
@@ -310,11 +300,9 @@ impl GonModel {
         (x, segments)
     }
 
-    /// Per-segment mean-pool, mirroring the serial
-    /// `sum_rows().scale(1.0 / n)` chain exactly: ascending-row
-    /// accumulation per column, then one multiply by the precomputed
-    /// reciprocal — so each pooled row is bit-identical to the serial
-    /// forward's.
+    /// Per-segment mean-pool: ascending-row accumulation per column, then
+    /// one multiply by the precomputed reciprocal — so each pooled row is
+    /// independent of the other segments in the batch.
     fn pool_segments(m: &Matrix, segments: &[(usize, usize)]) -> Matrix {
         let mut out = Matrix::zeros(segments.len(), m.cols());
         for (b, &(offset, n)) in segments.iter().enumerate() {
@@ -370,8 +358,8 @@ impl GonModel {
     /// per segment (`dL/dD` for that candidate), returning the stacked
     /// `Σn × METRIC_DIM` gradient. Parameter gradients are left untouched
     /// — the generation loop discards them anyway, which is what lets
-    /// this path skip the `Wᵀ`-rebuild and grad-accumulation work the
-    /// serial [`GonModel::backward`] pays per candidate.
+    /// this path skip the grad-accumulation work the serial
+    /// [`GonModel::backward`] pays per candidate.
     fn backward_metrics_batch(
         &mut self,
         segments: &[(usize, usize)],

@@ -586,7 +586,7 @@ impl GraphAttention {
         );
         let grad_segments: Vec<_> = segments.iter().map(|&(o, k)| (o, k, o)).collect();
         self.backward_segments(grad_output, &grad_segments)
-            .matmul_transpose_b(&self.w.value)
+            .matmul(&self.w.value.transpose())
     }
 
     /// Backward over **interleaved real/fake gradient pairs sharing one
@@ -703,8 +703,6 @@ impl GraphAttention {
 
         // Through Q = H·Wq and K = H·Wk, one segment at a time so each
         // `Hᵀ·dQ` reduction chain matches the serial per-sample backward.
-        // The dX = dY·Wᵀ products use the fused transposed-B kernel: W is
-        // already laid out as the transpose of what the dot products need.
         for &(co, nb, go) in segments {
             let hseg = cache.graph.h.row_block(co, nb).transpose();
             self.wq
@@ -714,8 +712,8 @@ impl GraphAttention {
                 .grad
                 .add_in_place(&hseg.matmul(&d_k.row_block(go, nb)));
         }
-        d_h.add_in_place(&d_q.matmul_transpose_b(&self.wq.value));
-        d_h.add_in_place(&d_k.matmul_transpose_b(&self.wk.value));
+        d_h.add_in_place(&d_q.matmul(&self.wq.value.transpose()));
+        d_h.add_in_place(&d_k.matmul(&self.wk.value.transpose()));
 
         // Through H = tanh(U·W + b).
         let mut d_hpre = d_h;

@@ -2,12 +2,12 @@
 //! and for AVX2, plus plain elementwise loops.
 //!
 //! Every surrogate query bottoms out in a handful of dense f64 kernels:
-//! the blocked matmul, the transposed-B dot products of the backward
-//! passes and the GAT attention logits, the attention aggregation, and
+//! the blocked matmul (every forward product and every backward
+//! `dY·Wᵀ`), the GAT attention logits, the attention aggregation, and
 //! the elementwise updates of the eq.-1 generative ascent.
 //!
-//! The reductions — [`matmul_into`], [`dot4_rows`], [`dot_cols_skip_zero`]
-//! and [`axpy_rows`] — are each one safe, register-blocked loop body.
+//! The reductions — [`matmul_into`], [`dot4_rows`] and [`axpy_rows`] —
+//! are each one safe, register-blocked loop body.
 //! The matmul's body covers every shape with one tile routine: 4-row
 //! blocks by 8-, 4- or 1-column tiles (single rows up to 16 columns), the
 //! last tile overlapping its predecessor when the width does not divide
@@ -375,7 +375,7 @@ fn matmul_tile<'b, const R: usize, const W: usize, const SKIP: bool>(
 }
 
 // ---------------------------------------------------------------------------
-// Transposed-B dot products (backward passes, GAT attention logits)
+// Dot products (GAT attention logits)
 // ---------------------------------------------------------------------------
 
 /// Single ascending-index dot product `Σ a[t]·b[t]` with **no**
@@ -417,7 +417,7 @@ pub fn dot4_rows_on(
         "dot4_rows operand lengths"
     );
     match backend {
-        Backend::Scalar => dot4::<false>(a, [b0, b1, b2, b3]),
+        Backend::Scalar => dot4(a, [b0, b1, b2, b3]),
         #[cfg(target_arch = "x86_64")]
         #[allow(unsafe_code)]
         Backend::Avx2 => {
@@ -431,81 +431,16 @@ pub fn dot4_rows_on(
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 fn dot4_rows_avx2(a: &[f64], b: [&[f64]; 4]) -> [f64; 4] {
-    dot4::<false>(a, b)
-}
-
-/// All `out.len()` zero-skipping dot products of one left row against a
-/// transposed right operand: `out[j] = Σ_{a[t]≠0} a[t]·bt[j·k + t]`
-/// where `k = a.len()` — the whole inner loop of
-/// `Matrix::matmul_transpose_b`'s small-m path. `bt` holds `out.len()`
-/// contiguous rows of length `k` (i.e. Bᵀ row-major).
-pub fn dot_cols_skip_zero(a: &[f64], bt: &[f64], out: &mut [f64]) {
-    dot_cols_skip_zero_on(active(), a, bt, out)
-}
-
-/// [`dot_cols_skip_zero`] pinned to an explicit backend.
-#[doc(hidden)]
-pub fn dot_cols_skip_zero_on(backend: Backend, a: &[f64], bt: &[f64], out: &mut [f64]) {
-    assert_eq!(bt.len(), out.len() * a.len(), "dot_cols operand lengths");
-    match backend {
-        Backend::Scalar => dot_cols_body(a, bt, out),
-        #[cfg(target_arch = "x86_64")]
-        #[allow(unsafe_code)]
-        Backend::Avx2 => {
-            assert_avx2();
-            // SAFETY: `assert_avx2` just checked that the CPU has AVX2.
-            unsafe { dot_cols_avx2(a, bt, out) }
-        }
-    }
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-fn dot_cols_avx2(a: &[f64], bt: &[f64], out: &mut [f64]) {
-    dot_cols_body(a, bt, out)
-}
-
-/// Four columns at a time through [`dot4`], the rest one chain each.
-#[inline(always)]
-fn dot_cols_body(a: &[f64], bt: &[f64], out: &mut [f64]) {
-    let k = a.len();
-    // Empty chains; `chunks_exact` below needs a non-zero `k`.
-    if k == 0 {
-        out.fill(0.0);
-        return;
-    }
-    let mut out4 = out.chunks_exact_mut(4);
-    let mut bt4 = bt.chunks_exact(4 * k);
-    for (o, rows) in (&mut out4).zip(&mut bt4) {
-        let b = std::array::from_fn(|r| &rows[r * k..(r + 1) * k]);
-        o.copy_from_slice(&dot4::<true>(a, b));
-    }
-    let bt_rest = bt4.remainder().chunks_exact(k);
-    for (o, b) in out4.into_remainder().iter_mut().zip(bt_rest) {
-        *o = dot_skip_zero_scalar(a, b);
-    }
-}
-
-#[inline]
-fn dot_skip_zero_scalar(a: &[f64], b: &[f64]) -> f64 {
-    let mut acc = 0.0;
-    for (&av, &bv) in a.iter().zip(b) {
-        if av == 0.0 {
-            continue;
-        }
-        acc += av * bv;
-    }
-    acc
+    dot4(a, b)
 }
 
 /// Four lane-parallel dot chains over 4×4 blocks: each block holds four
 /// consecutive values of every `b` row, and stepping `t` through it reads
 /// one column, so the compiler can transpose the block in registers and
 /// emit one broadcast-multiply-add per `t` for all four chains, each
-/// still ascending-`t`. The zero test (`SKIP`) is on the shared `a[t]`,
-/// so skipping is lane-uniform — identical to four single chains.
+/// still ascending-`t` — identical to four single [`dot`] chains.
 #[inline(always)]
-fn dot4<const SKIP: bool>(a: &[f64], b: [&[f64]; 4]) -> [f64; 4] {
+fn dot4(a: &[f64], b: [&[f64]; 4]) -> [f64; 4] {
     let k = a.len();
     let b = b.map(|row| &row[..k]);
     let (a_blks, a_tail) = a.as_chunks::<4>();
@@ -513,9 +448,6 @@ fn dot4<const SKIP: bool>(a: &[f64], b: [&[f64]; 4]) -> [f64; 4] {
     let mut acc = [0.0f64; 4];
     for ((((a_blk, r0), r1), r2), r3) in a_blks.iter().zip(b0).zip(b1).zip(b2).zip(b3) {
         for (s, &av) in a_blk.iter().enumerate() {
-            if SKIP && av == 0.0 {
-                continue;
-            }
             for (sum, bv) in acc.iter_mut().zip([r0[s], r1[s], r2[s], r3[s]]) {
                 *sum += av * bv;
             }
@@ -523,9 +455,6 @@ fn dot4<const SKIP: bool>(a: &[f64], b: [&[f64]; 4]) -> [f64; 4] {
     }
     let t_tail = k - a_tail.len();
     for (t, &av) in (t_tail..k).zip(a_tail) {
-        if SKIP && av == 0.0 {
-            continue;
-        }
         for (sum, row) in acc.iter_mut().zip(&b) {
             *sum += av * row[t];
         }
@@ -964,31 +893,6 @@ mod tests {
                         y.to_bits(),
                         "dot4_rows k={k} lane {i} on {}",
                         backend.name()
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn dot_cols_skip_zero_matches_single_chains_for_every_width() {
-        for k in [0usize, 1, 3, 4, 7, 16, 23] {
-            for n in [1usize, 2, 3, 4, 5, 7, 8, 9, 16] {
-                let mut a = lcg_vec(k, 31 * k as u64 + 7);
-                if k > 2 {
-                    a[2] = 0.0; // exercise the skip
-                }
-                let bt = lcg_vec(n * k, 17 * n as u64 + 3);
-                let want: Vec<f64> = (0..n)
-                    .map(|j| dot_skip_zero_scalar(&a, &bt[j * k..(j + 1) * k]))
-                    .collect();
-                for backend in backends() {
-                    let mut got = vec![0.0f64; n];
-                    dot_cols_skip_zero_on(backend, &a, &bt, &mut got);
-                    assert_bits_eq(
-                        &got,
-                        &want,
-                        &format!("dot_cols k={k} n={n} on {}", backend.name()),
                     );
                 }
             }

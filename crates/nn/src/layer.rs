@@ -188,6 +188,15 @@ impl Dense {
     pub fn weight(&self) -> &Matrix {
         &self.weight.value
     }
+
+    /// `dX = dY·Wᵀ` against the cached `Wᵀ`, built on first use after
+    /// each [`Layer::params_mut`].
+    fn input_grad(&mut self, grad_output: &Matrix) -> Matrix {
+        let wt = self
+            .cached_wt
+            .get_or_insert_with(|| self.weight.value.transpose());
+        grad_output.matmul(wt)
+    }
 }
 
 impl Layer for Dense {
@@ -200,15 +209,7 @@ impl Layer for Dense {
     }
 
     fn backward(&mut self, grad_output: &Matrix) -> Matrix {
-        let input = self
-            .cached_input
-            .as_ref()
-            .expect("Dense::backward called before forward");
-        let grad_w = input.transpose().matmul(grad_output);
-        self.weight.grad.add_in_place(&grad_w);
-        self.bias.grad.add_in_place(&grad_output.sum_rows());
-        // dX = dY·Wᵀ via the fused kernel — W is already Bᵀ's layout.
-        grad_output.matmul_transpose_b(&self.weight.value)
+        self.backward_batch(grad_output, &[(0, grad_output.rows())])
     }
 
     fn backward_input(&mut self, grad_output: &Matrix) -> Matrix {
@@ -216,14 +217,7 @@ impl Layer for Dense {
             self.cached_input.is_some(),
             "Dense::backward called before forward"
         );
-        // Explicit-transpose matmul is bit-identical to the fused
-        // `matmul_transpose_b` path `backward` takes (both reduce over
-        // ascending k; see the kernel's determinism contract), so reusing
-        // a cached Wᵀ changes no bits — only the per-call transpose cost.
-        if self.cached_wt.is_none() {
-            self.cached_wt = Some(self.weight.value.transpose());
-        }
-        grad_output.matmul(self.cached_wt.as_ref().expect("just inserted"))
+        self.input_grad(grad_output)
     }
 
     fn backward_batch(&mut self, grad_output: &Matrix, segments: &[(usize, usize)]) -> Matrix {
@@ -242,8 +236,8 @@ impl Layer for Dense {
                 .add_in_place(&iseg.transpose().matmul(&gseg));
             self.bias.grad.add_in_place(&gseg.sum_rows());
         }
-        // dX rows are sample-independent; one fused matmul serves all.
-        grad_output.matmul_transpose_b(&self.weight.value)
+        // dX rows are sample-independent; one matmul serves all.
+        self.input_grad(grad_output)
     }
 
     fn params_mut(&mut self) -> Vec<&mut Param> {
@@ -627,7 +621,7 @@ mod tests {
     fn backward_input_is_bit_identical_and_grad_free() {
         let mut init = Initializer::new(3);
         let mut net = Sequential::new();
-        net.push(Dense::new(4, 9, &mut init)); // 9 rows > the m ≤ 8 fast path
+        net.push(Dense::new(4, 9, &mut init));
         net.push(Activation::tanh());
         net.push(Dense::new(9, 3, &mut init));
         net.push(Activation::sigmoid());
@@ -646,6 +640,33 @@ mod tests {
         // `backward_input` accumulated nothing.
         for (p, saved) in net.params_mut().iter().zip(&grads) {
             assert_eq!(p.grad, *saved, "backward_input touched parameter grads");
+        }
+
+        // On one Dense, every entry point returns the bits of
+        // `dY·Wᵀ` through `Matrix::matmul`, at 1, 8 and 9 rows and with
+        // exact zeros (the kernel's skipped terms) in dY.
+        let mut dense = Dense::new(6, 5, &mut init);
+        for m in [1usize, 8, 9] {
+            let x = Initializer::new(40 + m as u64).normal(m, 6, 0.7);
+            let mut dy = Initializer::new(50 + m as u64).normal(m, 5, 0.5);
+            for (t, v) in dy.data_mut().iter_mut().enumerate() {
+                if t % 3 == 1 {
+                    *v = if t % 2 == 0 { 0.0 } else { -0.0 };
+                }
+            }
+            let want = dy.matmul(&dense.weight().transpose());
+            let _ = dense.forward(&x);
+            let got = [
+                ("backward", dense.backward(&dy)),
+                ("backward_input", dense.backward_input(&dy)),
+                ("backward_batch", dense.backward_batch(&dy, &[(0, m)])),
+            ];
+            for (name, got) in got {
+                assert_eq!(got.shape(), (m, 6));
+                for (a, b) in got.data().iter().zip(want.data()) {
+                    assert_eq!(a.to_bits(), b.to_bits(), "{name} at m = {m}");
+                }
+            }
         }
     }
 
@@ -718,7 +739,7 @@ mod tests {
         let after = dense.backward_input(&y);
         // A stale Wᵀ cache would reproduce `before` exactly.
         assert_ne!(before, after, "Wᵀ cache survived a parameter update");
-        let expected = y.matmul_transpose_b(dense.weight());
+        let expected = y.matmul(&dense.weight().transpose());
         for (a, b) in after.data().iter().zip(expected.data()) {
             assert_eq!(a.to_bits(), b.to_bits());
         }

@@ -184,66 +184,10 @@ impl Matrix {
         &mut self.data[r * self.cols..(r + 1) * self.cols]
     }
 
-    /// Matrix product `self · other`, via the shared
-    /// register-tiled, cache-blocked inner kernel (see `matmul_transpose_b`
-    /// for the f64 ordering guarantee both entry points share).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `self.cols() != other.rows()`.
-    pub fn matmul(&self, other: &Matrix) -> Matrix {
-        assert_eq!(
-            self.cols, other.rows,
-            "matmul shape mismatch: {}x{} · {}x{}",
-            self.rows, self.cols, other.rows, other.cols
-        );
-        self.matmul_with_b_natural(other)
-    }
-
-    /// Product with an already-transposed right operand:
-    /// `self · other_tᵀ`, i.e. `matmul(&other_t.transpose())` without the
-    /// caller materialising the transpose. This is the layout the
-    /// backward passes hold — `dX = dY·Wᵀ` with `W` stored naturally —
-    /// so `gat.rs` and `layer.rs` call this instead of allocating a
-    /// fresh `Wᵀ` on every backward step. The single internal transpose
-    /// feeds the same kernel as [`Matrix::matmul`], so both entry points
-    /// share one f64 accumulation order and are bit-identical.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `self.cols() != other_t.cols()` (`other_t` holds Bᵀ, so
-    /// its columns are B's rows).
-    pub fn matmul_transpose_b(&self, other_t: &Matrix) -> Matrix {
-        assert_eq!(
-            self.cols, other_t.cols,
-            "matmul_transpose_b shape mismatch: {}x{} · ({}x{})ᵀ",
-            self.rows, self.cols, other_t.rows, other_t.cols
-        );
-        let (m, k, n) = (self.rows, self.cols, other_t.rows);
-        // Two regimes. For a handful of left rows (the 1-row pooled
-        // embeddings of the discriminator head) the k×n un-transpose
-        // costs more than the whole multiply, and the transposed layout
-        // is exactly what a dot product wants: both operand rows
-        // contiguous. For larger m the vectorisable saxpy kernel wins and
-        // one blocked transpose amortises over m rows.
-        if m <= 8 {
-            let mut out = Matrix::zeros(m, n);
-            for i in 0..m {
-                let a_row = &self.data[i * k..(i + 1) * k];
-                let out_row = &mut out.data[i * n..(i + 1) * n];
-                // Independent single-chain dots, 4 lanes at a time on the
-                // SIMD backends; each chain is still ascending-k with the
-                // same ±0.0-only skip as the saxpy path.
-                crate::kernel::dot_cols_skip_zero(a_row, &other_t.data, out_row);
-            }
-            out
-        } else {
-            self.matmul_with_b_natural(&other_t.transpose())
-        }
-    }
-
-    /// The shared inner kernel: cache-blocked, register-tiled saxpy over
-    /// `b` in natural (row-major, `k×n`) layout.
+    /// Matrix product `self · b`: cache-blocked, register-tiled saxpy
+    /// over `b` in natural (row-major, `k×n`) layout. Every forward
+    /// product and every backward `dX = dY·Wᵀ` (as `matmul(&w.transpose())`)
+    /// runs through it.
     ///
     /// Determinism contract: every output element `out[i][j]` is the sum
     /// of `a[i][k]·b[k][j]` over `k` in ascending order through a single
@@ -272,8 +216,16 @@ impl Matrix {
     /// The loops themselves live in [`crate::kernel::matmul_into`], one
     /// blocked body compiled for the baseline ISA and for AVX2 — both
     /// bit-identical under this contract.
-    fn matmul_with_b_natural(&self, b: &Matrix) -> Matrix {
-        debug_assert_eq!(self.cols, b.rows);
+    ///
+    /// # Panics
+    ///
+    /// Panics if `self.cols() != b.rows()`.
+    pub fn matmul(&self, b: &Matrix) -> Matrix {
+        assert_eq!(
+            self.cols, b.rows,
+            "matmul shape mismatch: {}x{} · {}x{}",
+            self.rows, self.cols, b.rows, b.cols
+        );
         let (m, k, n) = (self.rows, self.cols, b.cols);
         let mut out = Matrix::zeros(m, n);
         // Outer product (the `dW = xᵀ·dY` shape of every Dense backward):
@@ -580,14 +532,6 @@ mod tests {
         a.matmul(&b);
     }
 
-    #[test]
-    #[should_panic(expected = "matmul_transpose_b shape mismatch")]
-    fn matmul_transpose_b_shape_checked() {
-        let a = Matrix::zeros(2, 3);
-        let b_t = Matrix::zeros(5, 4); // inner dims 3 vs 4
-        a.matmul_transpose_b(&b_t);
-    }
-
     /// Textbook i-j-k triple loop; the oracle for the blocked kernel.
     fn naive_matmul(a: &Matrix, b: &Matrix) -> Matrix {
         let mut out = Matrix::zeros(a.rows(), b.cols());
@@ -633,32 +577,6 @@ mod tests {
     }
 
     #[test]
-    fn matmul_transpose_b_matches_explicit_transpose_bitwise() {
-        // m straddles the m ≤ 8 dot-product fast path (the shape every
-        // batch-1 Dense/GAT backward takes) and the transpose-then-saxpy
-        // path; n=9 forces the scalar tail after the 4-wide unroll.
-        for &(m, k, n) in &[
-            (1, 160, 128),
-            (4, 23, 9),
-            (8, 8, 4),
-            (17, 23, 9),
-            (64, 64, 16),
-        ] {
-            let a = Matrix::lcg(m, k, 1 + m as u64);
-            let b = Matrix::lcg(k, n, 2 + n as u64);
-            let fused = a.matmul_transpose_b(&b.transpose());
-            let explicit = a.matmul(&b);
-            for (x, y) in fused.data().iter().zip(explicit.data()) {
-                assert_eq!(
-                    x.to_bits(),
-                    y.to_bits(),
-                    "fused path diverged at {m}x{k}·({n}x{k})ᵀ"
-                );
-            }
-        }
-    }
-
-    #[test]
     fn negative_zero_products_follow_the_accumulator_chain() {
         // A -2.0 · 0.0 product is -0.0; every kernel path starts its
         // accumulator at +0.0, so the stored element must be +0.0 (bit
@@ -671,31 +589,19 @@ mod tests {
         for (x, y) in out.data().iter().zip(naive.data()) {
             assert_eq!(x.to_bits(), y.to_bits());
         }
-        // And the m ≤ 8 dot path of matmul_transpose_b at k == 1 agrees.
-        let fused = a.matmul_transpose_b(&b.transpose());
-        for (x, y) in fused.data().iter().zip(out.data()) {
-            assert_eq!(x.to_bits(), y.to_bits());
-        }
     }
 
-    /// The public entry points must produce the same bits no matter
-    /// which kernel backend is dispatched — the in-process flip via
+    /// `matmul` must produce the same bits no matter which kernel
+    /// backend is dispatched — the in-process flip via
     /// `set_backend` is safe precisely because of this equivalence.
     #[test]
     fn matmul_entry_points_bit_identical_across_backends() {
         use crate::kernel::{self, Backend};
         let shapes = [(1usize, 160usize, 128usize), (16, 64, 64), (70, 33, 67)];
-        let compute = |(m, k, n): (usize, usize, usize)| {
+        let compute = |(m, k, n): (usize, usize, usize)| -> Vec<u64> {
             let a = Matrix::lcg(m, k, 7 + m as u64);
             let b = Matrix::lcg(k, n, 9 + n as u64);
-            let mut bits: Vec<u64> = a.matmul(&b).data().iter().map(|v| v.to_bits()).collect();
-            bits.extend(
-                a.matmul_transpose_b(&b.transpose())
-                    .data()
-                    .iter()
-                    .map(|v| v.to_bits()),
-            );
-            bits
+            a.matmul(&b).data().iter().map(|v| v.to_bits()).collect()
         };
         let prev = kernel::set_backend(Backend::Scalar);
         let scalar: Vec<Vec<u64>> = shapes.iter().map(|&s| compute(s)).collect();
