@@ -19,6 +19,7 @@ use edgesim::scheduler::LeastLoadScheduler;
 use edgesim::state::{Normalizer, SystemState, GRAPH_DIM};
 use edgesim::{FaultLoad, SchedulingDecision, SimConfig, Simulator, Topology};
 use gon::{GonConfig, GonModel};
+use nn::gat::GraphDelta;
 use nn::init::Initializer;
 use nn::{Activation, Adjacency, Dense, GraphAttention, Layer, Matrix, Sequential};
 
@@ -217,6 +218,14 @@ fn gat_inputs(state: &SystemState) -> (Matrix, Adjacency) {
     (features, adjacency)
 }
 
+/// The last repair shift of the failed broker.
+fn repair_shift(sim: &Simulator) -> Topology {
+    let failed = sim.failed_brokers();
+    neighborhood(sim.topology(), failed[0], failed)
+        .pop()
+        .expect("a failed broker has repairs")
+}
+
 /// [`repair_fixture`] under an arbitrary controller configuration.
 fn repair_fixture_with(
     n_hosts: usize,
@@ -283,7 +292,7 @@ fn bench_repair(c: &mut Criterion) {
         storm.gon.gat_att,
         &mut Initializer::new(3),
     );
-    let (sim, snapshot, mut policy) = repair_fixture_with(1024, 171, storm);
+    let (sim, snapshot, mut policy) = repair_fixture_with(1024, 171, storm.clone());
     c.bench_function("repair_1024_sampled", |b| {
         b.iter(|| {
             let repaired = policy
@@ -293,38 +302,73 @@ fn bench_repair(c: &mut Criterion) {
         })
     });
 
-    // The graph branch of one storm candidate — the failed broker's
-    // repair shift, then a worker reassignment, as tabu's second
-    // iteration scores — through the full GAT forward and through the
-    // patched forward against the snapshot's reference, which is what
-    // the repair runs: at the storm's shape and at 4,096 hosts in 683
-    // LEIs, where a broker mesh would be quadratic.
+    // The graph branch of one storm candidate — a worker reassignment
+    // from the failed broker's repair shift, as tabu's second iteration
+    // scores — through the full GAT forward and through the delta
+    // forward against the shift's reference, which is what the repair
+    // runs: at the storm's shape and at 4,096 hosts in 683 LEIs, where a
+    // broker mesh would be quadratic.
     for (n_hosts, n_brokers) in [(1024, 171), (4096, 683)] {
         let (sim, snapshot) = failed_broker_snapshot(n_hosts, n_brokers);
-        let failed = sim.failed_brokers().to_vec();
-        let shifted = neighborhood(sim.topology(), failed[0], &failed)
-            .pop()
-            .expect("a failed broker has repairs");
-        let reassign = enumerate_moves(&shifted, &failed)
+        let shifted = repair_shift(&sim);
+        let reassign = enumerate_moves(&shifted, sim.failed_brokers())
             .into_iter()
             .rfind(|m| matches!(m, Move::Reassign { .. }))
             .expect("a reassignment exists");
         let candidate = apply_move(&shifted, reassign).expect("the move applies");
-        let (features, adjacency) = gat_inputs(&snapshot.with_topology(&candidate));
-        let (base_features, base_adjacency) = gat_inputs(&snapshot);
+        let probe = snapshot.with_topology(&candidate);
+        let (features, adjacency) = gat_inputs(&probe);
+        let (base_features, base_adjacency) = gat_inputs(&snapshot.with_topology(&shifted));
         let reference = gat.reference(&base_features, &base_adjacency);
+        let mut delta = GraphDelta::default();
+        for h in candidate.gat_changes_from(&shifted) {
+            delta.push(h, &probe.graph_features[h], candidate.gat_row(h));
+        }
+        let deltas = [delta];
         let mut full = gat.clone();
         c.bench_function(&format!("gat_forward_{n_hosts}"), |b| {
             b.iter(|| black_box(full.forward(black_box(&features), black_box(&adjacency))))
         });
-        c.bench_function(&format!("gat_patched_{n_hosts}"), |b| {
-            b.iter(|| {
-                black_box(gat.forward_patched(
-                    black_box(&reference),
-                    black_box(&features),
-                    black_box(&adjacency),
-                ))
-            })
+        c.bench_function(&format!("gat_delta_{n_hosts}"), |b| {
+            b.iter(|| black_box(gat.forward_delta(black_box(&reference), black_box(&deltas))))
+        });
+    }
+
+    // One 2-candidate storm chunk (`gon::batch_len(1024)`) through
+    // `generate_candidates` against its parent's record, as the repair
+    // scores it: two reassignments of the repair shift, which keep the
+    // broker count and change a few rows, and two demotions of a parent
+    // at the snapshot's broker count, which raise every row's blast term
+    // (the step-0 encoder then runs whole).
+    let (sim, snapshot) = failed_broker_snapshot(1024, 171);
+    let failed = sim.failed_brokers();
+    let two_moves = |parent: &Topology, is_kind: fn(&Move) -> bool| -> Vec<Topology> {
+        enumerate_moves(parent, failed)
+            .into_iter()
+            .filter(is_kind)
+            .rev()
+            .take(2)
+            .map(|m| apply_move(parent, m).expect("the move applies"))
+            .collect()
+    };
+    let is_reassign: fn(&Move) -> bool = |m| matches!(m, Move::Reassign { .. });
+    let is_demotion: fn(&Move) -> bool = |m| matches!(m, Move::Demote { .. });
+    let shifted = repair_shift(&sim);
+    let demoted = two_moves(&shifted, is_demotion).swap_remove(0);
+    assert_eq!(demoted.brokers().len(), snapshot.topology.brokers().len());
+    let mut gon = GonModel::new(storm.gon.clone());
+    for (kind, parent, is_kind) in [
+        ("reassign", &shifted, is_reassign),
+        ("demote", &demoted, is_demotion),
+    ] {
+        let record = gon.record_parent(&snapshot.with_topology(parent));
+        let chunk: Vec<SystemState> = two_moves(parent, is_kind)
+            .iter()
+            .map(|t| snapshot.with_topology(t))
+            .collect();
+        assert_eq!(chunk.len(), gon::batch_len(1024));
+        c.bench_function(&format!("storm_chunk_{kind}"), |b| {
+            b.iter(|| black_box(gon.generate_candidates(black_box(&record), black_box(&chunk))))
         });
     }
 

@@ -7,8 +7,7 @@ use crate::tabu::{self, TabuConfig};
 use edgesim::state::{qos_components, Projection, SystemState, QOS_ALPHA, QOS_BETA};
 use edgesim::{HostId, IntervalReport, NodeRole, SimConfig, Simulator, Topology};
 use gon::surrogates::{FeedForwardSurrogate, GanSurrogate};
-use gon::{train_offline, GonCheckpoint, GonConfig, GonModel, TrainConfig};
-use nn::gat::Reference;
+use gon::{train_offline, GonCheckpoint, GonConfig, GonModel, ParentRecord, TrainConfig};
 use nn::Adam;
 use par::EngineConfig;
 use rand::rngs::StdRng;
@@ -298,33 +297,34 @@ impl Carol {
     /// [`tabu::search`]; extensions like
     /// [`crate::proactive::ProactiveCarol`] use it the same way.
     ///
-    /// Building the view prepares `base` once for every candidate it
-    /// will score: its [`SystemState::projection`] and, for the GON
-    /// variant, its graph branch ([`GonModel::graph_reference`]), which
-    /// each candidate's GAT forward patches instead of recomputing.
+    /// Building the view prepares `base`'s [`SystemState::projection`]
+    /// once for every candidate it will score.
     pub fn batch_objective<'a>(&'a mut self, base: &'a SystemState) -> CarolObjective<'a> {
         self.install_pending_tune();
-        let graph = matches!(self.config.variant, CarolVariant::Gon)
-            .then(|| self.gon.graph_reference(base));
         CarolObjective {
             carol: self,
             base: base.projection(),
-            graph,
+            record: None,
         }
     }
 
     /// Ω(G) of every candidate against the prepared snapshot `base` —
-    /// the engine behind every tabu iteration.
+    /// the engine behind every tabu iteration. `parent` is the topology
+    /// the candidates are moves from; any topology over the same hosts
+    /// gives the same bits, but one close to the candidates leaves the
+    /// GON little to recompute.
     ///
     /// Candidates are chunked by [`gon::batch_len`] — about 2,048 stacked
     /// host rows per chunk, 16 candidates up to 128 hosts, 2 at 1,024 —
     /// so a chunk's activations stay a small working set the allocator
     /// reuses instead of returning to the kernel and faulting back in.
     /// Each chunk runs as one stacked network forward (for the GON, one
-    /// patched graph branch against `graph` and one batched eq.-1
-    /// ascent), and the chunks fan out over [`par::par_map_init`] workers
-    /// that each clone the model once and score all their chunks on that
-    /// replica; every worker reads the one `graph` reference. Chunk
+    /// batched eq.-1 ascent whose graph branch and first encoder step are
+    /// deltas against the parent's [`ParentRecord`], kept in `record`
+    /// and recorded anew only when the parent changes), and the chunks
+    /// fan out over [`par::par_map_init`]
+    /// workers that each clone the model once and score all their chunks
+    /// on that replica; every worker reads the one parent record. Chunk
     /// boundaries are a pure function of the candidate list, results are
     /// written to input-index slots, and the modeled decision-time costs
     /// are charged in candidate order afterwards — so the returned scores
@@ -336,7 +336,8 @@ impl Carol {
     fn score_candidates(
         &mut self,
         base: &Projection<'_>,
-        graph: Option<&Reference>,
+        parent: &Topology,
+        record: &mut Option<ParentRecord>,
         candidates: &[Topology],
     ) -> Vec<f64> {
         if candidates.is_empty() {
@@ -363,8 +364,11 @@ impl Carol {
         // feed-forward surrogate pay a flat inference cost.
         let scored: Vec<Vec<(f64, f64)>> = match self.config.variant {
             CarolVariant::Gon => {
+                let parent: &ParentRecord = match record.take() {
+                    Some(kept) if kept.topology() == parent => record.insert(kept),
+                    _ => record.insert(self.gon.record_parent(&base.with_topology(parent))),
+                };
                 let gon = &self.gon;
-                let graph = graph.expect("GON objectives carry the snapshot's graph reference");
                 let depth_factor = self.config.gon.head_layers.max(1) as f64 / 3.0;
                 par::par_map_init(
                     threads,
@@ -372,7 +376,7 @@ impl Carol {
                     || gon.clone(),
                     |model, chunk| {
                         model
-                            .generate_candidates(graph, &probes(chunk))
+                            .generate_candidates(parent, &probes(chunk))
                             .iter()
                             .map(|gen| {
                                 let (qe, qs) = qos_components(&gen.metrics_flat);
@@ -582,18 +586,26 @@ impl std::error::Error for CarolCheckpointError {}
 
 /// Borrowed view of a [`Carol`] as a batched tabu objective: candidates
 /// are scored against one snapshot, prepared once by
-/// [`Carol::batch_objective`].
+/// [`Carol::batch_objective`], as deltas against their tabu parent.
 pub struct CarolObjective<'a> {
     carol: &'a mut Carol,
     base: Projection<'a>,
-    /// The snapshot's GAT forward (GON variant only).
-    graph: Option<Reference>,
+    /// The last parent's record (GON variant): [`tabu::search`] scores
+    /// its start, then the start's neighbours, against one parent.
+    record: Option<ParentRecord>,
 }
 
 impl tabu::BatchObjective for CarolObjective<'_> {
+    /// [`tabu::BatchObjective::score_neighbors`] with the snapshot's own
+    /// topology as the parent.
     fn score_batch(&mut self, candidates: &[Topology]) -> Vec<f64> {
+        let snapshot = self.base.base();
+        self.score_neighbors(&snapshot.topology, candidates)
+    }
+
+    fn score_neighbors(&mut self, parent: &Topology, candidates: &[Topology]) -> Vec<f64> {
         self.carol
-            .score_candidates(&self.base, self.graph.as_ref(), candidates)
+            .score_candidates(&self.base, parent, &mut self.record, candidates)
     }
 }
 
@@ -907,6 +919,62 @@ mod tests {
                     one_by_one.modeled_decision_s.to_bits(),
                     "{variant:?}/{label}: modeled decision time diverged"
                 );
+            }
+        }
+    }
+
+    /// The tabu parent decides only how much of each candidate the GON
+    /// recomputes, never the bits: `score_neighbors` against the
+    /// snapshot's topology, a candidate, a move away from the candidates
+    /// and an unrelated topology all equal `score_batch`, on a fresh
+    /// objective and on one that keeps its last parent's record across
+    /// repeated and changing parents.
+    #[test]
+    fn score_neighbors_is_bit_identical_to_score_batch_for_any_parent() {
+        for (n_hosts, n_brokers) in [(16, 4), (1024, 171)] {
+            let config = CarolConfig::fast_test();
+            let gon = GonModel::new(config.gon.clone());
+            let mut policy = Carol::from_model(gon, config, 3);
+            let mut sim = Simulator::new(SimConfig::small(n_hosts, n_brokers, 3));
+            let report = sim.step(Vec::new(), &mut LeastLoadScheduler::new());
+            let base = capture(&sim, &report.decision);
+            let mut rng = StdRng::seed_from_u64(4);
+            let snapshot = sim.topology().clone();
+            let candidates = crate::nodeshift::mutations_sampled(&snapshot, &[], 5, &mut rng);
+            let further = crate::nodeshift::mutations_sampled(&candidates[0], &[], 3, &mut rng);
+            let unrelated = Topology::balanced(n_hosts, n_brokers / 2 + 1).unwrap();
+
+            let want = policy.batch_objective(&base).score_batch(&candidates);
+            let parents = [
+                ("snapshot", &snapshot),
+                ("first candidate", &candidates[0]),
+                ("first candidate again", &candidates[0]),
+                ("last candidate", &candidates[4]),
+                ("two moves away", &further[0]),
+                ("unrelated", &unrelated),
+                ("snapshot again", &snapshot),
+            ];
+            let mut kept = Vec::new();
+            {
+                let mut objective = policy.batch_objective(&base);
+                for (label, parent) in parents {
+                    kept.push((label, objective.score_neighbors(parent, &candidates)));
+                }
+            }
+            for (label, parent) in parents {
+                let fresh = policy
+                    .batch_objective(&base)
+                    .score_neighbors(parent, &candidates);
+                kept.push((label, fresh));
+            }
+            for (label, got) in kept {
+                for (i, (a, b)) in want.iter().zip(&got).enumerate() {
+                    assert_eq!(
+                        a.to_bits(),
+                        b.to_bits(),
+                        "{n_hosts} hosts, {label} parent: candidate {i}"
+                    );
+                }
             }
         }
     }

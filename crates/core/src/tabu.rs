@@ -33,11 +33,24 @@ use std::collections::VecDeque;
 pub trait BatchObjective {
     /// Scores every candidate, in order.
     fn score_batch(&mut self, candidates: &[Topology]) -> Vec<f64>;
+
+    /// [`BatchObjective::score_batch`] of candidates that are moves from
+    /// `parent`: the same scores, which an objective may compute as
+    /// deltas against `parent`. [`search`] scores every neighbourhood
+    /// through this. The default ignores `parent`.
+    fn score_neighbors(&mut self, parent: &Topology, candidates: &[Topology]) -> Vec<f64> {
+        let _ = parent;
+        self.score_batch(candidates)
+    }
 }
 
 impl<T: BatchObjective + ?Sized> BatchObjective for &mut T {
     fn score_batch(&mut self, candidates: &[Topology]) -> Vec<f64> {
         (**self).score_batch(candidates)
+    }
+
+    fn score_neighbors(&mut self, parent: &Topology, candidates: &[Topology]) -> Vec<f64> {
+        (**self).score_neighbors(parent, candidates)
     }
 }
 
@@ -125,7 +138,9 @@ pub struct TabuResult {
 ///
 /// `objective` is `Ω(G; D, S, O)` in the paper: the surrogate-predicted
 /// QoS of candidate `G`. Each iteration enumerates the full node-shift
-/// neighbourhood and scores it with **one** `score_batch` call. The
+/// neighbourhood and scores it with **one** `score_neighbors` call, whose
+/// parent is the iteration's current topology (and `start` itself for
+/// the start score). The
 /// search is deterministic: ties break toward the earlier-enumerated
 /// neighbour, and a tabu move is only admitted when it beats the global
 /// best (aspiration criterion). Serial closures plug in via [`from_fn`].
@@ -136,7 +151,7 @@ pub fn search(
     mut objective: impl BatchObjective,
 ) -> TabuResult {
     let mut evaluations = 1usize;
-    let start_scores = objective.score_batch(std::slice::from_ref(&start));
+    let start_scores = objective.score_neighbors(&start, std::slice::from_ref(&start));
     assert_eq!(
         start_scores.len(),
         1,
@@ -167,7 +182,7 @@ pub fn search(
                 sample_rng.as_mut().expect("rng exists for sampled mode"),
             ),
         };
-        let scores = objective.score_batch(&neighbors);
+        let scores = objective.score_neighbors(&current, &neighbors);
         assert_eq!(
             scores.len(),
             neighbors.len(),
@@ -439,6 +454,50 @@ mod tests {
             recording.batch_sizes.iter().sum::<usize>(),
             batched.evaluations
         );
+    }
+
+    /// A serial closure objective that logs each call's parent and
+    /// candidates.
+    struct Parents<F> {
+        f: F,
+        calls: Vec<(Topology, Vec<Topology>)>,
+    }
+
+    impl<F: FnMut(&Topology) -> f64> BatchObjective for Parents<F> {
+        fn score_batch(&mut self, candidates: &[Topology]) -> Vec<f64> {
+            candidates.iter().map(|t| (self.f)(t)).collect()
+        }
+
+        fn score_neighbors(&mut self, parent: &Topology, candidates: &[Topology]) -> Vec<f64> {
+            self.calls.push((parent.clone(), candidates.to_vec()));
+            self.score_batch(candidates)
+        }
+    }
+
+    #[test]
+    fn search_scores_each_neighbourhood_against_its_current_topology() {
+        let start = Topology::balanced(12, 3).unwrap();
+        let config = TabuConfig {
+            list_size: 30,
+            max_iters: 5,
+            ..Default::default()
+        };
+        let mut parents = Parents {
+            f: broker_count_objective(5),
+            calls: Vec::new(),
+        };
+        search(start.clone(), &[], &config, &mut parents);
+        let calls = parents.calls;
+        assert_eq!(calls.len(), 1 + config.max_iters);
+        assert_eq!(calls[0], (start.clone(), vec![start.clone()]));
+        assert_eq!(calls[1].0, start);
+        for (k, (parent, candidates)) in calls.iter().enumerate().skip(1) {
+            assert_eq!(*candidates, mutations(parent, &[]), "iteration {k}");
+            if k > 1 {
+                // The parent is the move the previous iteration took.
+                assert!(calls[k - 1].1.contains(parent), "iteration {k}");
+            }
+        }
     }
 
     /// Aspiration criterion: a tabu move is accepted iff it beats the

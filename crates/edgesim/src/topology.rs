@@ -338,6 +338,37 @@ impl Topology {
         std::iter::once(host).chain(rest.copied())
     }
 
+    /// The hosts whose [`Topology::gat_row`] or role-derived GAT features
+    /// (broker flag, worker share) may differ from `parent`'s, ascending:
+    /// every host whose role differs, the old and new broker of each such
+    /// worker (their worker lists change), and every broker when the
+    /// broker list differs (their windows may shift). A superset, found
+    /// without reading the unchanged hosts' rows.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the host counts differ.
+    pub fn gat_changes_from(&self, parent: &Topology) -> Vec<HostId> {
+        assert_eq!(self.len(), parent.len(), "host count mismatch");
+        let mut hosts = Vec::new();
+        for (h, (&new, &old)) in self.roles.iter().zip(&parent.roles).enumerate() {
+            if new != old {
+                hosts.push(h);
+                for role in [new, old] {
+                    if let NodeRole::Worker { broker } = role {
+                        hosts.push(broker);
+                    }
+                }
+            }
+        }
+        if self.brokers != parent.brokers {
+            hosts.extend_from_slice(&self.brokers);
+        }
+        hosts.sort_unstable();
+        hosts.dedup();
+        hosts
+    }
+
     /// The brokers in broker `b`'s attention window, other than `b`, as
     /// at most three ascending, consecutive runs of [`Topology::brokers`].
     /// The window is the `len = min(GAT_BROKER_DEGREE + 1, B)` circular
@@ -658,6 +689,81 @@ mod tests {
                 changed <= GAT_BROKER_DEGREE + 2,
                 "{name}: {changed} rows changed"
             );
+        }
+    }
+
+    /// A node-shift move on `t`: promote worker `a`, demote broker `a`
+    /// into broker `b` (its workers move to `b` first), or reassign
+    /// worker `a` to broker `b`. `None` if the move does not apply.
+    fn shift(t: &Topology, kind: usize, a: HostId, b: HostId) -> Option<Topology> {
+        let mut t = t.clone();
+        let ok = match kind {
+            0 => t.promote(a).is_ok(),
+            1 => {
+                if a != b && t.role(b) == NodeRole::Broker {
+                    for w in t.workers_of(a).to_vec() {
+                        t.reassign(w, b).unwrap();
+                    }
+                }
+                t.demote(a, b).is_ok()
+            }
+            _ => t.broker_of(a) != b && t.reassign(a, b).is_ok(),
+        };
+        ok.then_some(t)
+    }
+
+    /// `child.gat_changes_from(parent)` is ascending and names every
+    /// host whose GAT row, broker flag or worker count differs.
+    fn assert_changes_cover(parent: &Topology, child: &Topology, case: &str) {
+        let changes = child.gat_changes_from(parent);
+        assert!(
+            changes.windows(2).all(|w| w[0] < w[1]),
+            "{case}: not ascending"
+        );
+        let features = |t: &Topology, h| (t.role(h) == NodeRole::Broker, t.workers_of(h).len());
+        for h in 0..child.len() {
+            if gat_row(child, h) != gat_row(parent, h) || features(child, h) != features(parent, h)
+            {
+                assert!(changes.binary_search(&h).is_ok(), "{case}: host {h} missed");
+            }
+        }
+    }
+
+    #[test]
+    fn gat_changes_cover_every_changed_row_and_feature() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(13);
+        for (n_hosts, span) in [(24, 3), (51, 3), (54, 3), (1024, 6)] {
+            let base = spread(n_hosts, span);
+            let brokers = base.brokers().to_vec();
+            let (first, last) = (brokers[0], brokers[brokers.len() - 1]);
+            // The window wraps at ranks 0 and B − 1: demote both ends,
+            // promote past the last rank, move a worker onto either end.
+            let mut moves = vec![
+                (1, first, brokers[1]),
+                (1, last, first),
+                (0, n_hosts - 1, 0),
+                (2, 1, last),
+                (2, n_hosts - 1, first),
+            ];
+            for _ in 0..60 {
+                let kind = rng.gen_range(0..3);
+                let a = rng.gen_range(0..n_hosts);
+                moves.push((kind, a, brokers[rng.gen_range(0..brokers.len())]));
+            }
+            let mut walk = base.clone();
+            for (kind, a, b) in moves {
+                let case = format!("{} brokers, move {kind} of {a} onto {b}", brokers.len());
+                if let Some(child) = shift(&base, kind, a, b) {
+                    assert_changes_cover(&base, &child, &case);
+                    assert_changes_cover(&child, &base, &format!("{case}, reversed"));
+                }
+                // Unrelated pairs too: a random walk against the base.
+                if let Some(next) = shift(&walk, kind, a, b) {
+                    walk = next;
+                    assert_changes_cover(&base, &walk, &format!("{case}, walked"));
+                }
+            }
         }
     }
 

@@ -1,7 +1,8 @@
 //! The GON discriminator network and input-space generation loop.
 
 use edgesim::state::{SystemState, GRAPH_DIM, METRIC_DIM, SCHED_DIM};
-use nn::gat::Reference;
+use edgesim::Topology;
+use nn::gat::{GraphDelta, Reference};
 use nn::init::Initializer;
 use nn::kernel;
 use nn::layer::{Activation, Dense, Layer, Param, Sequential};
@@ -145,6 +146,53 @@ pub(crate) fn stacked_graph(states: &[&SystemState]) -> (Matrix, Adjacency) {
     (g, adjacency)
 }
 
+/// Mean-pools `rows` into the zeroed `out`: ascending-row accumulation
+/// per column, then one multiply by the reciprocal row count.
+fn pool_rows<'a>(out: &mut [f64], rows: impl ExactSizeIterator<Item = &'a [f64]>) {
+    let n = rows.len();
+    for row in rows {
+        kernel::add_assign(out, row);
+    }
+    kernel::scale_assign(out, 1.0 / n as f64);
+}
+
+/// A tabu parent prepared for [`GonModel::generate_candidates`], once
+/// per tabu iteration: its topology, its GAT forward, its `[M | S]` rows
+/// and each `[M | S]` encoder layer's output for them. Valid for the
+/// weights that built it (and any clone's) until they next change, and
+/// only for candidates projected from the snapshot it was projected
+/// from: a record must not outlive its snapshot.
+#[derive(Debug, Clone)]
+pub struct ParentRecord {
+    topology: Topology,
+    graph: Reference,
+    ms: Matrix,
+    encoder: Vec<Matrix>,
+}
+
+impl ParentRecord {
+    /// The parent's topology.
+    pub fn topology(&self) -> &Topology {
+        &self.topology
+    }
+
+    /// Whether every host of `state` outside `listed` (ascending) has
+    /// the parent's graph features and GAT row, bit for bit: what the
+    /// graph delta takes on trust for the hosts it does not list.
+    fn matches_outside(&self, state: &SystemState, listed: &[usize]) -> bool {
+        let features = self.graph.features();
+        let mut listed = listed.iter().peekable();
+        (0..state.n_hosts()).all(|h| {
+            listed.next_if_eq(&&h).is_some()
+                || (state.graph_features[h]
+                    .iter()
+                    .zip(features.row(h))
+                    .all(|(a, b)| a.to_bits() == b.to_bits())
+                    && state.topology.gat_row(h).eq(self.topology.gat_row(h)))
+        })
+    }
+}
+
 /// The composite discriminator of Fig. 3.
 ///
 /// The model is `Clone`: batched candidate evaluation hands each worker
@@ -285,19 +333,19 @@ impl GonModel {
     /// is [`stacked_graph`].
     fn stacked_ms(states: &[&SystemState]) -> (Matrix, Vec<(usize, usize)>) {
         let total: usize = states.iter().map(|s| s.n_hosts()).sum();
-        let mut x = Matrix::zeros(total, METRIC_DIM + SCHED_DIM);
+        let mut data = Vec::with_capacity(total * (METRIC_DIM + SCHED_DIM));
         let mut segments = Vec::with_capacity(states.len());
-        let mut offset = 0;
         for s in states {
-            let n = s.n_hosts();
-            for h in 0..n {
-                x.row_mut(offset + h)[..METRIC_DIM].copy_from_slice(&s.metrics[h]);
-                x.row_mut(offset + h)[METRIC_DIM..].copy_from_slice(&s.schedule[h]);
+            segments.push((data.len() / (METRIC_DIM + SCHED_DIM), s.n_hosts()));
+            for (m, sched) in s.metrics.iter().zip(&s.schedule) {
+                data.extend_from_slice(m);
+                data.extend_from_slice(sched);
             }
-            segments.push((offset, n));
-            offset += n;
         }
-        (x, segments)
+        (
+            Matrix::from_vec(total, METRIC_DIM + SCHED_DIM, data),
+            segments,
+        )
     }
 
     /// Per-segment mean-pool: ascending-row accumulation per column, then
@@ -306,10 +354,7 @@ impl GonModel {
     fn pool_segments(m: &Matrix, segments: &[(usize, usize)]) -> Matrix {
         let mut out = Matrix::zeros(segments.len(), m.cols());
         for (b, &(offset, n)) in segments.iter().enumerate() {
-            for r in offset..offset + n {
-                kernel::add_assign(out.row_mut(b), m.row(r));
-            }
-            kernel::scale_assign(out.row_mut(b), 1.0 / n as f64);
+            pool_rows(out.row_mut(b), (offset..offset + n).map(|r| m.row(r)));
         }
         out
     }
@@ -397,41 +442,84 @@ impl GonModel {
         self.generate_stacked(states, None)
     }
 
-    /// The graph branch of `state` — its GAT forward — recorded as the
-    /// reference [`GonModel::generate_candidates`] patches. Valid for
-    /// this model's weights (and any clone's) until they next change.
-    pub fn graph_reference(&self, state: &SystemState) -> Reference {
-        let (gfeat, adjacency) = stacked_graph(&[state]);
-        self.gat.reference(&gfeat, &adjacency)
+    /// The [`ParentRecord`] of `parent`: a tabu parent projected from
+    /// the snapshot (`snapshot.with_topology(parent topology)`), whose
+    /// neighbours [`GonModel::generate_candidates`] then scores as deltas.
+    pub fn record_parent(&mut self, parent: &SystemState) -> ParentRecord {
+        let (ms, _) = Self::stacked_ms(&[parent]);
+        let (gfeat, adjacency) = stacked_graph(&[parent]);
+        ParentRecord {
+            topology: parent.topology.clone(),
+            graph: self.gat.reference(&gfeat, &adjacency),
+            encoder: self.ms_encoder.forward_layers(&ms),
+            ms,
+        }
     }
 
-    /// [`GonModel::generate_batch`] of candidates that differ from one
-    /// snapshot in a few hosts, with the snapshot's
-    /// [`GonModel::graph_reference`] as `reference`: the graph branch is
-    /// [`GraphAttention::forward_patched`], which recomputes only the
-    /// rows a candidate's changes touch; the pool and the masked ascent
-    /// are unchanged. Bit-identical to `generate_batch`.
+    /// [`GonModel::generate_batch`] of candidates scored as deltas
+    /// against the [`GonModel::record_parent`] of their tabu parent.
+    ///
+    /// The graph branch is [`GraphAttention::forward_delta`] over the
+    /// hosts [`Topology::gat_changes_from`] names, and each candidate
+    /// pools the parent's GAT rows with the recomputed ones in their
+    /// place. The first ascent step runs the `[M | S]` encoder only on
+    /// rows that differ bitwise from the parent's, copying the rest from
+    /// the record; later steps move every row and run it whole.
+    /// Bit-identical to `generate_batch`, by row independence, for any
+    /// parent projected from the same snapshot as the candidates: only
+    /// the hosts `gat_changes_from` names may differ in graph features
+    /// (debug builds check every other host against the record).
     ///
     /// # Panics
     ///
-    /// Panics if a state's host count differs from the reference's.
+    /// Panics if a state's host count differs from the parent's.
     pub fn generate_candidates(
         &mut self,
-        reference: &Reference,
+        parent: &ParentRecord,
         states: &[SystemState],
     ) -> Vec<Generated> {
         for s in states {
-            assert_eq!(s.n_hosts(), reference.rows(), "host count mismatch");
+            assert_eq!(s.n_hosts(), parent.ms.rows(), "host count mismatch");
         }
-        self.generate_stacked(states, Some(reference))
+        self.generate_stacked(states, Some(parent))
     }
 
-    /// The masked batched ascent of [`GonModel::generate_batch`]; the
-    /// graph branch is patched against `reference` when one is given.
+    /// The pooled graph branch of each candidate against `parent`: the
+    /// rows [`GraphAttention::forward_delta`] recomputes, the parent's
+    /// rows elsewhere, summed in row order as
+    /// [`GonModel::pool_segments`] sums.
+    fn pooled_graph_delta(&self, parent: &ParentRecord, states: &[SystemState]) -> Matrix {
+        let deltas: Vec<GraphDelta> = states
+            .iter()
+            .map(|s| {
+                let listed = s.topology.gat_changes_from(&parent.topology);
+                debug_assert!(
+                    parent.matches_outside(s, &listed),
+                    "a candidate differs from its parent record outside the listed hosts \
+                     (was the record projected from another snapshot?)"
+                );
+                let mut delta = GraphDelta::default();
+                for h in listed {
+                    delta.push(h, &s.graph_features[h], s.topology.gat_row(h));
+                }
+                delta
+            })
+            .collect();
+        let patches = self.gat.forward_delta(&parent.graph, &deltas);
+        let mut out = Matrix::zeros(states.len(), self.config.gat_dim);
+        for (b, patch) in patches.iter().enumerate() {
+            pool_rows(out.row_mut(b), patch.output_rows(&parent.graph));
+        }
+        out
+    }
+
+    /// The masked batched ascent of [`GonModel::generate_batch`]; with a
+    /// `parent`, the graph branch and the first encoder step are deltas
+    /// against it ([`GonModel::generate_candidates`]).
     fn generate_stacked(
         &mut self,
         states: &[SystemState],
-        reference: Option<&Reference>,
+        parent: Option<&ParentRecord>,
     ) -> Vec<Generated> {
         let b = states.len();
         if b == 0 {
@@ -439,20 +527,35 @@ impl GonModel {
         }
         let refs: Vec<&SystemState> = states.iter().collect();
         let (mut x, segments) = Self::stacked_ms(&refs);
-        let (gfeat, adjacency) = stacked_graph(&refs);
-        let eg = match reference {
-            Some(reference) => self.gat.forward_patched(reference, &gfeat, &adjacency),
-            None => self.gat.forward(&gfeat, &adjacency),
+        // The pooled graph branch is constant across steps.
+        let (e_g, fresh) = match parent {
+            Some(parent) => {
+                let width = METRIC_DIM + SCHED_DIM;
+                let parent_rows = parent.ms.data().chunks_exact(width).cycle();
+                let rows = x.data().chunks_exact(width).zip(parent_rows);
+                let fresh: Vec<usize> = (0..)
+                    .zip(rows)
+                    .filter(|(_, (a, p))| {
+                        let bits = a.iter().zip(*p).map(|(a, p)| a.to_bits() ^ p.to_bits());
+                        bits.fold(0, |acc, d| acc | d) != 0
+                    })
+                    .map(|(r, _)| r)
+                    .collect();
+                (self.pooled_graph_delta(parent, states), fresh)
+            }
+            None => {
+                let (gfeat, adjacency) = stacked_graph(&refs);
+                let eg = self.gat.forward(&gfeat, &adjacency);
+                (Self::pool_segments(&eg, &segments), Vec::new())
+            }
         };
-        let e_g = Self::pool_segments(&eg, &segments); // constant across steps
 
         // Every candidate's M, stacked in the `d_metrics` layout: candidate
         // i owns `METRIC_DIM`-wide rows `segments[i]`.
-        let mut metrics: Vec<f64> = states
-            .iter()
-            .flat_map(|s| s.metrics.as_flattened())
-            .copied()
-            .collect();
+        let mut metrics = Vec::with_capacity(x.rows() * METRIC_DIM);
+        for s in states {
+            metrics.extend_from_slice(s.metrics.as_flattened());
+        }
         let block = |(offset, n): (usize, usize)| offset * METRIC_DIM..(offset + n) * METRIC_DIM;
         let mut outs: Vec<Generated> = segments
             .iter()
@@ -475,7 +578,13 @@ impl GonModel {
             // Forward: stopped candidates' rows ride along unused — they
             // cannot perturb active rows (row independence), and one
             // rectangular matmul beats re-stacking the batch every step.
-            let e = self.ms_encoder.forward(&x);
+            // The first step's rows outside `fresh` are the parent's.
+            let e = match parent {
+                Some(parent) if it == 0 => {
+                    self.ms_encoder.forward_reusing(&x, &fresh, &parent.encoder)
+                }
+                _ => self.ms_encoder.forward(&x),
+            };
             let e_ms = Self::pool_segments(&e, &segments);
             let scores = self.head.forward(&e_ms.hcat(&e_g)); // [B × 1]
 
@@ -851,6 +960,66 @@ mod tests {
         for p in model.params_mut() {
             assert!(p.grad.data().iter().all(|&g| g == 0.0));
         }
+    }
+
+    fn assert_same_generations(got: &[Generated], want: &[Generated], case: &str) {
+        assert_eq!(got.len(), want.len(), "{case}: count");
+        for (i, (a, b)) in got.iter().zip(want).enumerate() {
+            assert_eq!(
+                a.confidence.to_bits(),
+                b.confidence.to_bits(),
+                "{case}: {i}"
+            );
+            assert_eq!(a.iterations, b.iterations, "{case}: {i} iterations");
+            for (x, y) in a.metrics_flat.iter().zip(&b.metrics_flat) {
+                assert_eq!(x.to_bits(), y.to_bits(), "{case}: {i} metrics");
+            }
+        }
+    }
+
+    /// Any parent record gives `generate_batch`'s bits: the candidates'
+    /// own topology, a promotion (another broker count) and an unrelated
+    /// topology, on chunks that reuse the parent's step-0 encoder rows
+    /// and on chunks that mostly cannot.
+    #[test]
+    fn generate_candidates_is_bit_identical_to_generate_batch() {
+        let base = test_state(12, 3, 0.4);
+        let topology = base.topology.clone();
+        let mut promoted = topology.clone();
+        promoted.promote(5).unwrap();
+        let mut moved = topology.clone();
+        moved.reassign(7, 0).unwrap();
+        let unrelated = Topology::balanced(12, 5).unwrap();
+        let candidates: Vec<SystemState> = [&topology, &promoted, &moved, &unrelated]
+            .map(|t| base.with_topology(t))
+            .to_vec();
+        for gen_steps in [0, 20] {
+            let mut model = GonModel::new(GonConfig {
+                gen_steps,
+                ..small_config()
+            });
+            for parent in [&topology, &promoted, &unrelated] {
+                let record = model.record_parent(&base.with_topology(parent));
+                for chunk in [&candidates[..], &candidates[2..3], &candidates[..3]] {
+                    let want = model.generate_batch(chunk);
+                    let got = model.generate_candidates(&record, chunk);
+                    let case = format!("{gen_steps} steps, {} candidates", chunk.len());
+                    assert_same_generations(&got, &want, &case);
+                }
+            }
+        }
+    }
+
+    /// A record projected from another snapshot, with the same host
+    /// count and topology, trips the debug check instead of scoring the
+    /// candidates against the wrong graph features.
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "outside the listed hosts")]
+    fn generate_candidates_rejects_a_record_of_another_snapshot() {
+        let mut model = GonModel::new(small_config());
+        let record = model.record_parent(&test_state(12, 3, 0.9));
+        model.generate_candidates(&record, &[test_state(12, 3, 0.4)]);
     }
 
     #[test]

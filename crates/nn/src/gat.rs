@@ -98,13 +98,10 @@ pub struct GraphAttention {
     cache: Option<Cache>,
 }
 
-/// One graph's forward pass, recorded so that
-/// [`GraphAttention::forward_patched`] can evaluate graphs that differ
-/// from it in a few nodes by recomputing only what those nodes touch.
-/// Built by [`GraphAttention::reference`]; only valid with the weights
-/// that built it.
+/// One graph's forward pass: its inputs, the `h`, `q`, `k` rows, the
+/// attention values and the output.
 #[derive(Debug, Clone)]
-pub struct Reference {
+struct Record {
     features: Matrix,
     adjacency: Adjacency,
     h: Matrix,
@@ -119,42 +116,110 @@ pub struct Reference {
     output: Matrix,
 }
 
+/// One graph's forward pass, recorded so that
+/// [`GraphAttention::forward_delta`] can evaluate graphs that differ
+/// from it in a few nodes by recomputing only the rows those nodes
+/// touch. Built by [`GraphAttention::reference`]; only valid with the
+/// weights that built it.
+#[derive(Debug, Clone)]
+pub struct Reference {
+    graph: Record,
+    /// Row `j`: the nodes whose neighbour row holds `j`.
+    incoming: Adjacency,
+}
+
 impl Reference {
     /// Number of nodes in the recorded graph.
     pub fn rows(&self) -> usize {
-        self.features.rows()
+        self.graph.features.rows()
+    }
+
+    /// The recorded graph's node features, one row per node.
+    pub fn features(&self) -> &Matrix {
+        &self.graph.features
+    }
+}
+
+/// A graph over a [`Reference`]'s nodes, given as its differences from
+/// the reference graph: each listed node's feature row and neighbour
+/// row. Every node not listed keeps the reference's rows. A node may be
+/// listed with its reference rows unchanged.
+#[derive(Debug, Clone, Default)]
+pub struct GraphDelta {
+    nodes: Vec<usize>,
+    features: Vec<f64>,
+    adjacency: Adjacency,
+}
+
+impl GraphDelta {
+    /// Gives `node` the feature row `features` and the neighbour row
+    /// `row`.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `node` is above every node pushed before it.
+    pub fn push(&mut self, node: usize, features: &[f64], row: impl IntoIterator<Item = usize>) {
+        assert!(
+            self.nodes.last().is_none_or(|&last| last < node),
+            "delta nodes must ascend"
+        );
+        self.nodes.push(node);
+        self.features.extend_from_slice(features);
+        self.adjacency.push_row(0, row);
+    }
+}
+
+/// The output rows [`GraphAttention::forward_delta`] recomputed for one
+/// [`GraphDelta`]; every other row is the reference's.
+#[derive(Debug, Clone)]
+pub struct Patch {
+    /// Recomputed nodes, ascending.
+    rows: Vec<usize>,
+    /// One output row per entry of `rows`.
+    output: Matrix,
+}
+
+impl Patch {
+    /// The patched graph's output rows in node order: the recomputed row
+    /// where there is one, the reference's otherwise.
+    pub fn output_rows<'a>(
+        &'a self,
+        reference: &'a Reference,
+    ) -> impl ExactSizeIterator<Item = &'a [f64]> {
+        let mut next = self.rows.iter().enumerate().peekable();
+        (0..reference.rows()).map(move |r| match next.next_if(|&(_, &p)| p == r) {
+            Some((k, _)) => self.output.row(k),
+            None => reference.graph.output.row(r),
+        })
     }
 }
 
 /// What `backward` needs: the forward's record plus its softmax weights.
 #[derive(Debug, Clone)]
 struct Cache {
-    graph: Reference,
+    graph: Record,
     /// Softmax weights, one per edge, aligned with `graph.adjacency`.
     attention: Vec<f64>,
 }
 
-/// Marks "no row" in the index arrays of a patched forward.
+/// Marks "no row" in the index arrays of a delta forward.
 const NONE: usize = usize::MAX;
 
 /// Where the h/q/k rows of a graph's nodes live: node `g` reads row
-/// `src[g]` of the `base` matrices when that is below their row count,
-/// and row `src[g] − base rows` of the `fresh` ones otherwise.
+/// `fresh_of[g]` of the `fresh` matrices when that entry exists and is
+/// not [`NONE`], and row `g` of the `base` ones otherwise.
 struct Nodes<'a> {
     base: [&'a Matrix; 3],
     fresh: [&'a Matrix; 3],
-    src: &'a [usize],
+    fresh_of: &'a [usize],
 }
 
 impl<'a> Nodes<'a> {
     #[inline]
     fn row(&self, which: usize, g: usize) -> &'a [f64] {
-        let s = self.src[g];
-        let base = self.base[which];
-        if s < base.rows() {
-            base.row(s)
-        } else {
-            self.fresh[which].row(s - base.rows())
+        match self.fresh_of.get(g) {
+            Some(&s) if s != NONE => self.fresh[which].row(s),
+            _ => self.base[which].row(g),
         }
     }
 
@@ -349,128 +414,192 @@ impl GraphAttention {
     }
 
     /// [`GraphAttention::forward`] without the backward cache, recorded
-    /// as a [`Reference`] for [`GraphAttention::forward_patched`].
+    /// as a [`Reference`] for [`GraphAttention::forward_delta`].
     ///
     /// # Panics
     ///
     /// As [`GraphAttention::forward`].
     pub fn reference(&self, features: &Matrix, adjacency: &Adjacency) -> Reference {
-        self.attend(features, adjacency).0
+        let graph = self.attend(features, adjacency).0;
+        let n = graph.features.rows();
+        let mut offsets = vec![0; n + 1];
+        for &j in &graph.adjacency.targets {
+            offsets[j + 1] += 1;
+        }
+        for j in 0..n {
+            offsets[j + 1] += offsets[j];
+        }
+        let mut fill = offsets.clone();
+        let mut targets = vec![0; graph.adjacency.targets.len()];
+        for i in 0..n {
+            for &j in graph.adjacency.row(i) {
+                targets[fill[j]] = i;
+                fill[j] += 1;
+            }
+        }
+        Reference {
+            graph,
+            incoming: Adjacency { offsets, targets },
+        }
     }
 
-    /// Inference-only [`GraphAttention::forward`] of a graph that differs
-    /// from `reference` in a few nodes: returns exactly what `forward`
-    /// would, bit for bit, but computes only what the differences touch.
+    /// Inference-only [`GraphAttention::forward`] of each graph in
+    /// `deltas`, given by its differences from `reference`: returns, per
+    /// delta, the output rows that differ from the reference's, bit for
+    /// bit what `forward` of the whole graph puts there. Every other
+    /// row's output is the reference's ([`Patch::output_rows`]).
     ///
-    /// `features` may stack several graphs over the reference's node set
-    /// (the disjoint-union layout `forward` documents): node `g` stands
-    /// over reference node `g % reference.rows()`, and a node is
-    /// *changed* when its feature row differs bitwise from that node's.
-    /// Only changed nodes get new `h`, `q`, `k` — one gathered matmul per
-    /// weight for the whole stack. An unchanged node whose neighbours
-    /// stand, unchanged and in order, over its reference node's neighbour
-    /// row copies the reference output row. Every other row runs the full
-    /// attention chain, reusing the reference logit of each edge between
-    /// unchanged nodes that the reference row also holds, and that edge's
-    /// exp too when the row's max is bitwise the reference max.
+    /// A listed node whose feature row differs bitwise from the
+    /// reference's gets new `h`, `q`, `k` rows — one gathered matmul per
+    /// weight for all deltas. A row is recomputed when its node has new
+    /// features, when its neighbour row differs from the reference's, or
+    /// when one of its neighbours has new features (found through the
+    /// reference's incoming edges); no other row is read. A recomputed
+    /// row reuses the reference logit of each edge between unchanged
+    /// nodes that the reference row also holds, and that edge's exp too
+    /// when the row's max is bitwise the reference max.
     ///
     /// # Panics
     ///
-    /// As [`GraphAttention::forward`], and if `features.rows()` is not a
-    /// multiple of `reference.rows()` or the reference is empty.
-    pub fn forward_patched(
-        &self,
-        reference: &Reference,
-        features: &Matrix,
-        adjacency: &Adjacency,
-    ) -> Matrix {
-        self.check_graph(features, adjacency);
-        let n = features.rows();
-        let base_n = reference.rows();
-        assert!(
-            base_n > 0 && n.is_multiple_of(base_n),
-            "{n} nodes do not stack over a {base_n}-node reference"
-        );
+    /// Panics if a delta names a node outside the reference, or has a
+    /// feature row not `in_dim` wide.
+    pub fn forward_delta(&self, reference: &Reference, deltas: &[GraphDelta]) -> Vec<Patch> {
+        let n = reference.rows();
+        let in_dim = self.in_dim();
+        let graph = &reference.graph;
 
-        // Changed nodes get fresh h/q/k rows from one gathered matmul per
-        // weight; every other node reads its reference node's rows.
-        let mut src: Vec<usize> = (0..n / base_n).flat_map(|_| 0..base_n).collect();
-        let mut changed = Vec::new();
-        for (g, s) in src.iter_mut().enumerate() {
-            if !same_bits(features.row(g), reference.features.row(*s)) {
-                *s = base_n + changed.len();
-                changed.push(g);
+        // Every delta's changed feature rows, gathered for one projection.
+        let mut gathered = Vec::new();
+        let mut fresh_rows: Vec<Vec<usize>> = Vec::with_capacity(deltas.len());
+        for d in deltas {
+            assert_eq!(
+                d.features.len(),
+                d.nodes.len() * in_dim,
+                "feature width mismatch"
+            );
+            if let Some(&j) = d
+                .nodes
+                .last()
+                .into_iter()
+                .chain(&d.adjacency.targets)
+                .find(|&&j| j >= n)
+            {
+                panic!("node {j} out of range for {n} nodes");
             }
-        }
-        let mut gathered = Matrix::zeros(changed.len(), self.in_dim());
-        for (r, &g) in changed.iter().enumerate() {
-            gathered.row_mut(r).copy_from_slice(features.row(g));
-        }
-        let [fresh_h, fresh_q, fresh_k] = self.project(&gathered);
-        let nodes = Nodes {
-            base: [&reference.h, &reference.q, &reference.k],
-            fresh: [&fresh_h, &fresh_q, &fresh_k],
-            src: &src,
-        };
-
-        let scale = self.scale();
-        let mut output = Matrix::zeros(n, self.out_dim());
-        // `position[x]`: the reference edge from the row being patched to
-        // reference node `x`, or NONE; reset after every row.
-        let mut position = vec![NONE; base_n];
-        let widest = (0..n).map(|i| adjacency.span(i).len()).max().unwrap_or(0);
-        let mut slots = vec![NONE; widest];
-        let (mut logits, mut exps, mut alpha) =
-            (vec![0.0; widest], vec![0.0; widest], vec![0.0; widest]);
-        let mut h_rows = Vec::with_capacity(widest);
-        for i in 0..n {
-            let nbrs = adjacency.row(i);
-            let len = nbrs.len();
-            let r = src[i];
-            let reuse = if r < base_n {
-                let span = reference.adjacency.span(r);
-                let ref_row = &reference.adjacency.targets[span.clone()];
-                // The reference row's neighbours, unchanged and in its
-                // order: the reference row's output.
-                if len == ref_row.len() && nbrs.iter().zip(ref_row).all(|(&j, &x)| src[j] == x) {
-                    output.row_mut(i).copy_from_slice(reference.output.row(r));
-                    continue;
-                }
-                for (p, &x) in span.zip(ref_row) {
-                    position[x] = p;
-                }
-                let slots = &mut slots[..len];
-                for (slot, &j) in slots.iter_mut().zip(nbrs) {
-                    *slot = position.get(src[j]).copied().unwrap_or(NONE);
-                }
-                for &x in ref_row {
-                    position[x] = NONE;
-                }
-                Some(Reuse {
-                    slots,
-                    logits: &reference.logits,
-                    exps: &reference.exps,
-                    max: reference.max[r],
+            let rows = d.features.chunks_exact(in_dim).zip(&d.nodes);
+            fresh_rows.push(
+                rows.map(|(f, &g)| {
+                    if same_bits(f, graph.features.row(g)) {
+                        NONE
+                    } else {
+                        gathered.extend_from_slice(f);
+                        gathered.len() / in_dim - 1
+                    }
                 })
-            } else {
-                None
-            };
-            attend_row(
-                nodes.q(i),
-                nbrs,
-                &nodes,
-                scale,
-                reuse,
-                EdgeRow {
-                    logits: &mut logits[..len],
-                    exps: &mut exps[..len],
-                    alpha: &mut alpha[..len],
-                    h_rows: &mut h_rows,
-                },
-                output.row_mut(i),
+                .collect(),
             );
         }
-        output
+        let gathered = Matrix::from_vec(gathered.len() / in_dim, in_dim, gathered);
+        let [fresh_h, fresh_q, fresh_k] = self.project(&gathered);
+
+        let scale = self.scale();
+        // Per node, reset after every delta: its fresh h/q/k row and its
+        // place in the delta's node list. `position[x]`: the reference
+        // edge from the row being recomputed to node `x`; reset after
+        // every row.
+        let mut fresh_of = vec![NONE; n];
+        let mut listed = vec![NONE; n];
+        let mut position = vec![NONE; n];
+        let (mut slots, mut logits, mut exps, mut alpha) = (vec![], vec![], vec![], vec![]);
+        let mut patches = Vec::with_capacity(deltas.len());
+        for (d, fresh) in deltas.iter().zip(&fresh_rows) {
+            for (p, (&g, &f)) in d.nodes.iter().zip(fresh).enumerate() {
+                fresh_of[g] = f;
+                listed[g] = p;
+            }
+            let nodes = Nodes {
+                base: [&graph.h, &graph.q, &graph.k],
+                fresh: [&fresh_h, &fresh_q, &fresh_k],
+                fresh_of: &fresh_of,
+            };
+            let mut h_rows = Vec::new();
+            let row_of = |i: usize| match listed[i] {
+                NONE => graph.adjacency.row(i),
+                p => d.adjacency.row(p),
+            };
+
+            let mut rows: Vec<usize> = Vec::new();
+            for (p, &g) in d.nodes.iter().enumerate() {
+                let nbrs = d.adjacency.row(p);
+                if fresh_of[g] != NONE
+                    || nbrs != graph.adjacency.row(g)
+                    || nbrs.iter().any(|&j| fresh_of[j] != NONE)
+                {
+                    rows.push(g);
+                }
+            }
+            for &g in d.nodes.iter().filter(|&&g| fresh_of[g] != NONE) {
+                rows.extend(
+                    reference
+                        .incoming
+                        .row(g)
+                        .iter()
+                        .filter(|&&i| listed[i] == NONE),
+                );
+            }
+            rows.sort_unstable();
+            rows.dedup();
+
+            let mut output = Matrix::zeros(rows.len(), self.out_dim());
+            for (r, &i) in rows.iter().enumerate() {
+                let nbrs = row_of(i);
+                let len = nbrs.len();
+                for buf in [&mut logits, &mut exps, &mut alpha] {
+                    buf.resize(len.max(buf.len()), 0.0);
+                }
+                // An unchanged query reuses the logits of its reference
+                // row's edges to unchanged keys.
+                slots.clear();
+                if fresh_of[i] == NONE {
+                    let ref_row = graph.adjacency.row(i);
+                    for (p, &x) in graph.adjacency.span(i).zip(ref_row) {
+                        position[x] = p;
+                    }
+                    slots.extend(nbrs.iter().map(|&j| match fresh_of[j] {
+                        NONE => position[j],
+                        _ => NONE,
+                    }));
+                    for &x in ref_row {
+                        position[x] = NONE;
+                    }
+                }
+                let reuse = (fresh_of[i] == NONE).then_some(Reuse {
+                    slots: &slots,
+                    logits: &graph.logits,
+                    exps: &graph.exps,
+                    max: graph.max[i],
+                });
+                attend_row(
+                    nodes.q(i),
+                    nbrs,
+                    &nodes,
+                    scale,
+                    reuse,
+                    EdgeRow {
+                        logits: &mut logits[..len],
+                        exps: &mut exps[..len],
+                        alpha: &mut alpha[..len],
+                        h_rows: &mut h_rows,
+                    },
+                    output.row_mut(r),
+                );
+            }
+            for &g in &d.nodes {
+                (fresh_of[g], listed[g]) = (NONE, NONE);
+            }
+            patches.push(Patch { rows, output });
+        }
+        patches
     }
 
     /// The shape and index checks every forward form makes.
@@ -502,16 +631,15 @@ impl GraphAttention {
 
     /// The full forward: every row through [`attend_row`]. Returns the
     /// record and the softmax weights.
-    fn attend(&self, features: &Matrix, adjacency: &Adjacency) -> (Reference, Vec<f64>) {
+    fn attend(&self, features: &Matrix, adjacency: &Adjacency) -> (Record, Vec<f64>) {
         self.check_graph(features, adjacency);
         let n = features.rows();
         let [h, q, k] = self.project(features);
-        let src: Vec<usize> = (0..n).collect();
         let empty = Matrix::zeros(0, 0);
         let nodes = Nodes {
             base: [&h, &q, &k],
             fresh: [&empty, &empty, &empty],
-            src: &src,
+            fresh_of: &[],
         };
         let scale = self.scale();
         let edges = adjacency.targets.len();
@@ -537,7 +665,7 @@ impl GraphAttention {
                 output.row_mut(i),
             );
         }
-        let graph = Reference {
+        let graph = Record {
             features: features.clone(),
             adjacency: adjacency.clone(),
             h,
@@ -1098,46 +1226,68 @@ mod tests {
         adj
     }
 
-    /// The reference's logit for edge `i → j`, recomputed from its rows.
-    fn logit(reference: &Reference, scale: f64, i: usize, j: usize) -> f64 {
-        kernel::dot(reference.q.row(i), reference.k.row(j)) * scale
+    /// The graph `(feats, rows)` as a delta listing `nodes`.
+    fn delta_of(feats: &Matrix, rows: &[Vec<usize>], nodes: &[usize]) -> GraphDelta {
+        let mut delta = GraphDelta::default();
+        for &g in nodes {
+            delta.push(g, feats.row(g), rows[g].iter().copied());
+        }
+        delta
     }
 
-    /// `forward_patched` against `reference` must equal `forward` on the
-    /// same graph, bit for bit.
-    fn assert_patched_is_forward(
+    /// The nodes whose feature or neighbour row differs from the
+    /// reference graph's.
+    fn changed(base: (&Matrix, &[Vec<usize>]), feats: &Matrix, rows: &[Vec<usize>]) -> Vec<usize> {
+        (0..rows.len())
+            .filter(|&g| rows[g] != base.1[g] || !same_bits(feats.row(g), base.0.row(g)))
+            .collect()
+    }
+
+    /// `forward_delta` of the graph `(feats, rows)`, listing `nodes`,
+    /// patches `reference` into exactly `forward`'s output, bit for bit.
+    /// Returns the rows it recomputed.
+    fn assert_delta_is_forward(
         gat: &GraphAttention,
         reference: &Reference,
-        feats: &Matrix,
-        adj: &Adjacency,
+        (feats, rows): (&Matrix, &[Vec<usize>]),
+        nodes: &[usize],
         case: &str,
-    ) {
-        let want = gat.clone().forward(feats, adj);
-        let got = gat.forward_patched(reference, feats, adj);
-        assert_eq!(got.shape(), want.shape(), "{case}: shape");
-        for (t, (a, b)) in got.data().iter().zip(want.data()).enumerate() {
-            assert_eq!(
-                a.to_bits(),
-                b.to_bits(),
-                "{case}: element {t} diverged ({a} vs {b})"
-            );
+    ) -> Vec<usize> {
+        let want = gat.clone().forward(feats, &to_adjacency(rows));
+        let patch = gat
+            .forward_delta(reference, &[delta_of(feats, rows, nodes)])
+            .pop()
+            .expect("one patch per delta");
+        assert!(patch.rows.windows(2).all(|w| w[0] < w[1]), "{case}: rows");
+        for (r, got) in patch.output_rows(reference).enumerate() {
+            for (a, b) in got.iter().zip(want.row(r)) {
+                assert_eq!(a.to_bits(), b.to_bits(), "{case}: row {r} ({a} vs {b})");
+            }
         }
+        patch.rows
     }
 
     #[test]
-    fn patched_forward_is_bit_identical_to_forward() {
+    fn delta_forward_is_bit_identical_to_forward() {
         let gat = GraphAttention::new(3, 5, 4, &mut Initializer::new(101));
         let scale = gat.scale();
         for seed in 0..6u64 {
             let n = 16;
             let (feats, rows) = random_graph(n, 200 + seed);
             let reference = gat.reference(&feats, &to_adjacency(&rows));
+            let graph = &reference.graph;
+            let every: Vec<usize> = (0..n).collect();
             let check = |f: &Matrix, r: &[Vec<usize>], case: &str| {
                 let case = format!("seed {seed}: {case}");
-                assert_patched_is_forward(&gat, &reference, f, &to_adjacency(r), &case);
+                // The exact changes, and every node listed.
+                let exact = changed((&feats, &rows), f, r);
+                assert_delta_is_forward(&gat, &reference, (f, r), &exact, &case);
+                let all = format!("{case}, every node listed");
+                assert_delta_is_forward(&gat, &reference, (f, r), &every, &all)
             };
 
-            check(&feats, &rows, "unchanged graph");
+            let kept = check(&feats, &rows, "unchanged graph");
+            assert!(kept.is_empty(), "an unchanged graph recomputes {kept:?}");
 
             let mut edited = feats.clone();
             let noise = Initializer::new(300 + seed).normal(3, 3, 1.0);
@@ -1158,12 +1308,13 @@ mod tests {
 
             // A new neighbour whose logit tops the row: reused exps would
             // be stale, so every exp of the row must be recomputed.
+            let logit = |i: usize, j: usize| kernel::dot(graph.q.row(i), graph.k.row(j)) * scale;
             let (i, j) = (0..n)
                 .filter(|&i| !rows[i].is_empty())
                 .find_map(|i| {
                     (0..n)
                         .filter(|j| !rows[i].contains(j))
-                        .find(|&j| logit(&reference, scale, i, j) > reference.max[i])
+                        .find(|&j| logit(i, j) > graph.max[i])
                         .map(|j| (i, j))
                 })
                 .expect("some node must out-score a row's max");
@@ -1174,9 +1325,10 @@ mod tests {
             // Drop each row's max holder in turn.
             let mut beheaded = rows.clone();
             for (i, row) in beheaded.iter_mut().enumerate() {
-                if let Some(t) = row.iter().position(|&j| {
-                    logit(&reference, scale, i, j).to_bits() == reference.max[i].to_bits()
-                }) {
+                if let Some(t) = row
+                    .iter()
+                    .position(|&j| logit(i, j).to_bits() == graph.max[i].to_bits())
+                {
                     row.remove(t);
                 }
             }
@@ -1187,34 +1339,40 @@ mod tests {
     }
 
     #[test]
-    fn patched_forward_of_a_stack_matches_forward() {
-        // Three patches of one reference stacked as a disjoint union; the
-        // middle block also links one node into the first block.
+    fn deltas_of_one_call_match_their_own_calls() {
+        // Three graphs over one reference in one call share the gathered
+        // projection; each patch must equal that delta's call alone.
         let gat = GraphAttention::new(3, 5, 4, &mut Initializer::new(103));
         let n = 12;
         let (feats, rows) = random_graph(n, 77);
         let reference = gat.reference(&feats, &to_adjacency(&rows));
-        let mut stacked = Matrix::zeros(3 * n, 3);
-        let mut adj = Adjacency::default();
+        let mut deltas = Vec::new();
         for b in 0..3 {
-            let mut targets: Vec<Vec<usize>> = rows
-                .iter()
-                .map(|row| row.iter().map(|&j| j + b * n).collect())
-                .collect();
-            let mut block_feats = feats.clone();
-            if b == 1 {
-                targets[5].push(n + 8);
-                targets[n - 1].push(0);
-                block_feats.row_mut(2)[0] += 0.5;
+            let (mut f, mut r) = (feats.clone(), rows.clone());
+            if b != 2 {
+                r[5].push(8 - 3 * b);
+                f.row_mut(2 + b)[0] += 0.5;
             }
-            for (r, row) in targets.into_iter().enumerate() {
-                stacked
-                    .row_mut(b * n + r)
-                    .copy_from_slice(block_feats.row(r));
-                adj.push_row(0, row);
+            let nodes = changed((&feats, &rows), &f, &r);
+            deltas.push(delta_of(&f, &r, &nodes));
+            assert_delta_is_forward(&gat, &reference, (&f, &r), &nodes, "alone");
+        }
+        let together = gat.forward_delta(&reference, &deltas);
+        for (d, patch) in deltas.iter().zip(&together) {
+            let alone = gat.forward_delta(&reference, std::slice::from_ref(d));
+            assert_eq!(patch.rows, alone[0].rows);
+            for (a, b) in patch.output.data().iter().zip(alone[0].output.data()) {
+                assert_eq!(a.to_bits(), b.to_bits(), "a shared call diverged");
             }
         }
-        assert_patched_is_forward(&gat, &reference, &stacked, &adj, "stack of three");
+    }
+
+    #[test]
+    #[should_panic(expected = "delta nodes must ascend")]
+    fn delta_nodes_must_ascend() {
+        let mut delta = GraphDelta::default();
+        delta.push(3, &[0.0], [3]);
+        delta.push(1, &[0.0], [1]);
     }
 
     #[test]

@@ -26,6 +26,17 @@ fn full_neighbourhood_at_128_hosts_matches_the_reference() {
     check_row((128, 16, first_last, full, &[1, 4]));
 }
 
+/// Federations at the edge of the GAT broker window: 17 brokers, which
+/// the window covers whole, and 18, where it first wraps. The repair
+/// shifts and moves cross between the two shapes.
+#[test]
+fn broker_window_edge_federations_match_the_reference() {
+    for n_brokers in [17, 18] {
+        let config = carol_config(2, 1, sampled(4, 3));
+        check_row((4 * n_brokers, n_brokers, first_last, config, &[2]));
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 

@@ -170,8 +170,9 @@ fn assert_bits(case: &str, what: &str, got: &[f64], want: &[f64]) {
 /// and then repairs the federation, on each worker count in `workers`:
 ///
 /// 1. `GonModel::generate_candidates`, chunked by `gon::batch_len` and
-///    fanned over the workers, on `candidates`: every metric, the
-///    confidence and the iteration count;
+///    fanned over the workers, on `candidates`, against two parent
+///    records: the snapshot's, and a repair shift's whose broker count
+///    differs. Every metric, the confidence and the iteration count;
 /// 2. `Carol::batch_objective`'s `score_batch` on `candidates`, then on
 ///    every candidate the reference search scored: scores, queries and
 ///    modeled time;
@@ -197,6 +198,12 @@ pub fn check(
     }
     let (want_repair, want_score) = reference.repair(sim, snapshot);
     let (n, total) = (candidates.len(), reference.scores.len());
+    let brokers = snapshot.topology.brokers().len();
+    let failed = sim.failed_brokers();
+    let shifted = neighborhood(sim.topology(), failed[0], failed)
+        .into_iter()
+        .find(|t| t.brokers().len() != brokers)
+        .expect("some repair shift changes the broker count");
 
     for &w in workers {
         let case = format!("{case} / {w} workers");
@@ -204,23 +211,29 @@ pub fn check(
         config.eval_threads = Some(w);
         let policy = || Carol::from_model(gon.clone(), config.clone(), POLICY_SEED);
 
-        // 1. The patched, chunked, fanned-out generation.
-        let graph = gon.graph_reference(snapshot);
+        // 1. The chunked, fanned-out generation, as deltas against the
+        // snapshot and against a parent with another broker count.
         let probes: Vec<SystemState> = candidates
             .iter()
             .map(|c| snapshot.with_topology(c))
             .collect();
         let chunks: Vec<&[SystemState]> =
             probes.chunks(gon::batch_len(snapshot.n_hosts())).collect();
-        let generate =
-            |m: &mut GonModel, chunk: &&[SystemState]| m.generate_candidates(&graph, chunk);
-        let generated = par::par_map_init(w, &chunks, || gon.clone(), generate).concat();
-        assert_eq!(generated.len(), n, "{case}: generated count");
-        for (i, (got, want)) in generated.iter().zip(&reference.generated).enumerate() {
-            let at = format!("{case}: candidate {i}");
-            assert_bits(&at, "metric", &got.metrics_flat, &want.metrics_flat);
-            assert_bits(&at, "confidence", &[got.confidence], &[want.confidence]);
-            assert_eq!(got.iterations, want.iterations, "{at}: iterations");
+        for (label, parent) in [
+            ("snapshot parent", snapshot.clone()),
+            ("shifted parent", snapshot.with_topology(&shifted)),
+        ] {
+            let record = gon.clone().record_parent(&parent);
+            let generate =
+                |m: &mut GonModel, chunk: &&[SystemState]| m.generate_candidates(&record, chunk);
+            let generated = par::par_map_init(w, &chunks, || gon.clone(), generate).concat();
+            assert_eq!(generated.len(), n, "{case}: generated count");
+            for (i, (got, want)) in generated.iter().zip(&reference.generated).enumerate() {
+                let at = format!("{case}, {label}: candidate {i}");
+                assert_bits(&at, "metric", &got.metrics_flat, &want.metrics_flat);
+                assert_bits(&at, "confidence", &[got.confidence], &[want.confidence]);
+                assert_eq!(got.iterations, want.iterations, "{at}: iterations");
+            }
         }
 
         // 2. The batched objective and its bookkeeping, in two batches
