@@ -21,7 +21,8 @@ use edgesim::{FaultLoad, SchedulingDecision, SimConfig, Simulator, Topology};
 use gon::{GonConfig, GonModel};
 use nn::gat::GraphDelta;
 use nn::init::Initializer;
-use nn::{Activation, Adjacency, Dense, GraphAttention, Layer, Matrix, Sequential};
+use nn::layer::Workspace;
+use nn::{Activation, Adjacency, Dense, GraphAttention, Matrix, Sequential};
 
 fn testbed_state() -> SystemState {
     let mut sim = Simulator::new(SimConfig::testbed(7));
@@ -88,8 +89,8 @@ fn bench_kernels(c: &mut Criterion) {
         bch.iter(|| black_box(black_box(&a_256x13).matmul(black_box(&b_13x128))))
     });
     // The storm's per-step encoder shapes (a 2,048-row `batch_len`
-    // chunk): the forward, and the `dX = dY·Wᵀ` of
-    // `Dense::backward_input`, whose left operand is about half exact
+    // chunk): the forward, and the `dX = dY·Wᵀ` of the Dense input
+    // gradient, whose left operand is about half exact
     // zeros after the ReLU, so every row takes its own skip decisions.
     let a_2048x13 = Matrix::lcg(2048, 13, 15);
     let b_13x16 = Matrix::lcg(13, 16, 16);
@@ -101,17 +102,19 @@ fn bench_kernels(c: &mut Criterion) {
     c.bench_function("matmul_2048x16_16x13", |bch| {
         bch.iter(|| black_box(black_box(&a_2048x16).matmul(black_box(&b_16x13))))
     });
-    // A `Dense(13→16)` + ReLU `forward` and `backward_input` at the same
-    // chunk: the two encoder matmuls plus the layer copies around them
-    // (caches, bias, activation) that one eq.-1 step pays.
+    // A `Dense(13→16)` + ReLU workspace step at the same chunk: the
+    // two encoder matmuls plus the bias and activation passes around
+    // them, into buffers reused from one iteration to the next, as each
+    // eq.-1 step of the ascent runs them.
     let mut encoder = Sequential::new();
     encoder.push(Dense::new(13, 16, &mut Initializer::new(23)));
     encoder.push(Activation::relu());
     let g_2048x16 = Matrix::lcg(2048, 16, 24);
-    c.bench_function("encoder_step_2048", |bch| {
+    let mut ws = Workspace::default();
+    c.bench_function("encoder_workspace_step_2048", |bch| {
         bch.iter(|| {
-            black_box(encoder.forward(black_box(&a_2048x13)));
-            black_box(encoder.backward_input(black_box(&g_2048x16)))
+            black_box(encoder.forward_with(black_box(&a_2048x13), &mut ws));
+            black_box(encoder.backward_input_with(&a_2048x13, black_box(&g_2048x16), &mut ws));
         })
     });
     // The head's 1-wide output layer at the storm's 2-candidate chunk and

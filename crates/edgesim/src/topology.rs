@@ -341,8 +341,12 @@ impl Topology {
     /// The hosts whose [`Topology::gat_row`] or role-derived GAT features
     /// (broker flag, worker share) may differ from `parent`'s, ascending:
     /// every host whose role differs, the old and new broker of each such
-    /// worker (their worker lists change), and every broker when the
-    /// broker list differs (their windows may shift). A superset, found
+    /// worker (their worker lists change), and the brokers whose windows
+    /// may have shifted. When one broker list is the other plus one
+    /// broker (a promotion or demotion), those are the brokers whose
+    /// window in the longer list holds its rank: every other broker's
+    /// window keeps the same brokers on both sides. After any other
+    /// change of the broker list they are all brokers. A superset, found
     /// without reading the unchanged hosts' rows.
     ///
     /// # Panics
@@ -362,7 +366,10 @@ impl Topology {
             }
         }
         if self.brokers != parent.brokers {
-            hosts.extend_from_slice(&self.brokers);
+            match one_inserted(&self.brokers, &parent.brokers) {
+                Some((longer, rank)) => hosts.extend(windows_holding(longer, rank)),
+                None => hosts.extend_from_slice(&self.brokers),
+            }
         }
         hosts.sort_unstable();
         hosts.dedup();
@@ -397,6 +404,31 @@ impl Topology {
             [before, &after[1..], run]
         }
     }
+}
+
+/// When one of `a` and `b` (ascending) is the other with one entry
+/// inserted, that longer list and the entry's rank in it.
+fn one_inserted<'a>(a: &'a [HostId], b: &'a [HostId]) -> Option<(&'a [HostId], usize)> {
+    let (longer, shorter) = if a.len() > b.len() { (a, b) } else { (b, a) };
+    if longer.len() != shorter.len() + 1 {
+        return None;
+    }
+    let rank = longer
+        .iter()
+        .zip(shorter)
+        .take_while(|(x, y)| x == y)
+        .count();
+    (longer[rank + 1..] == shorter[rank..]).then_some((longer, rank))
+}
+
+/// The brokers of the ascending list `brokers` whose attention window
+/// (see `Topology::broker_window`) holds rank `rank`: the window of rank
+/// `p` spans `[p − len/2, p − len/2 + len)` circularly, so these are the
+/// `len` ranks `rank + len/2 − t` for `t` in `0..len`.
+fn windows_holding(brokers: &[HostId], rank: usize) -> impl Iterator<Item = HostId> + '_ {
+    let n = brokers.len();
+    let len = (GAT_BROKER_DEGREE + 1).min(n);
+    (0..len).map(move |t| brokers[(rank + n + len / 2 - t) % n])
 }
 
 /// Broker neighbours of each broker in the GAT graph
@@ -688,6 +720,13 @@ mod tests {
             assert!(
                 changed <= GAT_BROKER_DEGREE + 2,
                 "{name}: {changed} rows changed"
+            );
+            // The delta's host list is as short: a promotion or demotion
+            // lists the brokers whose window holds its rank, not all 171.
+            let listed = t.gat_changes_from(base).len();
+            assert!(
+                listed <= GAT_BROKER_DEGREE + 2,
+                "{name}: {listed} hosts listed"
             );
         }
     }

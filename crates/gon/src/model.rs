@@ -5,7 +5,7 @@ use edgesim::Topology;
 use nn::gat::{GraphDelta, Reference};
 use nn::init::Initializer;
 use nn::kernel;
-use nn::layer::{Activation, Dense, Layer, Param, Sequential};
+use nn::layer::{Activation, ActivationKind, Dense, Layer, Param, Sequential, Workspace};
 use nn::{Adjacency, GraphAttention, Matrix};
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -146,19 +146,48 @@ pub(crate) fn stacked_graph(states: &[&SystemState]) -> (Matrix, Adjacency) {
     (g, adjacency)
 }
 
-/// Mean-pools `rows` into the zeroed `out`: ascending-row accumulation
-/// per column, then one multiply by the reciprocal row count.
-fn pool_rows<'a>(out: &mut [f64], rows: impl ExactSizeIterator<Item = &'a [f64]>) {
+/// Mean-pools `f` of `rows` into `out`: ascending-row accumulation per
+/// column from +0.0, then one multiply by the reciprocal row count.
+fn pool_rows<'a>(
+    out: &mut [f64],
+    rows: impl ExactSizeIterator<Item = &'a [f64]>,
+    f: impl Fn(f64) -> f64,
+) {
     let n = rows.len();
+    out.fill(0.0);
     for row in rows {
-        kernel::add_assign(out, row);
+        for (o, &v) in out.iter_mut().zip(row) {
+            *o += f(v);
+        }
     }
     kernel::scale_assign(out, 1.0 / n as f64);
 }
 
+/// Stacks the `[M | S]` rows of `states` into `x` and records each
+/// state's `(row offset, n_hosts)` in `segments`, reusing both buffers.
+fn stack_ms_into<'a>(
+    states: impl Iterator<Item = &'a SystemState> + Clone,
+    x: &mut Matrix,
+    segments: &mut Vec<(usize, usize)>,
+) {
+    let total = states.clone().map(|s| s.n_hosts()).sum();
+    x.resize(total, METRIC_DIM + SCHED_DIM);
+    segments.clear();
+    let mut rows = x.data_mut().chunks_exact_mut(METRIC_DIM + SCHED_DIM);
+    let mut offset = 0;
+    for s in states {
+        segments.push((offset, s.n_hosts()));
+        offset += s.n_hosts();
+        for ((m, sched), row) in s.metrics.iter().zip(&s.schedule).zip(&mut rows) {
+            row[..METRIC_DIM].copy_from_slice(m);
+            row[METRIC_DIM..].copy_from_slice(sched);
+        }
+    }
+}
+
 /// A tabu parent prepared for [`GonModel::generate_candidates`], once
 /// per tabu iteration: its topology, its GAT forward, its `[M | S]` rows
-/// and each `[M | S]` encoder layer's output for them. Valid for the
+/// and the encoder's pre-activation rows for them. Valid for the
 /// weights that built it (and any clone's) until they next change, and
 /// only for candidates projected from the snapshot it was projected
 /// from: a record must not outlive its snapshot.
@@ -167,7 +196,7 @@ pub struct ParentRecord {
     topology: Topology,
     graph: Reference,
     ms: Matrix,
-    encoder: Vec<Matrix>,
+    z: Matrix,
 }
 
 impl ParentRecord {
@@ -201,9 +230,52 @@ impl ParentRecord {
 #[derive(Clone)]
 pub struct GonModel {
     config: GonConfig,
-    ms_encoder: Sequential,
+    /// The `[M | S]` encoder's dense layer (eq. 3 is `ReLU` of it).
+    ms_encoder: Dense,
+    /// The encoder's ReLU as the training passes run it, caching its
+    /// input; the ascent applies `ReLU` to its workspace rows inline.
+    ms_relu: Activation,
     gat: GraphAttention,
     head: Sequential,
+    ascent: Ascent,
+}
+
+/// The buffers of [`GonModel::generate_batch`]'s eq.-1 ascent, reused
+/// for every chunk the model (each worker's replica) scores: once they
+/// have held a chunk of a shape, a step of the ascent allocates nothing.
+/// A clone starts empty, since the contents are scratch.
+#[derive(Debug, Default)]
+struct Ascent {
+    /// The stacked `[M | S]` rows. Their metric columns are the
+    /// candidates' current `M`, which each step updates in place.
+    x: Matrix,
+    /// Each candidate's `(row offset, n_hosts)` in `x`.
+    segments: Vec<(usize, usize)>,
+    /// The encoder's pre-activation rows; the backward overwrites them
+    /// with their gradient.
+    z: Matrix,
+    /// One head input row per candidate: the pooled encoder rows, then
+    /// the pooled graph branch, which is constant across steps.
+    pooled: Matrix,
+    /// The head's layer outputs and gradients.
+    head: Workspace,
+    /// `dL/dD` per candidate: `1 / D` while it ascends, 0 once stopped.
+    grads: Matrix,
+    /// The metric columns of the gradient with respect to `x`.
+    d_metrics: Matrix,
+    /// Each candidate's last score, and whether it still ascends.
+    prev: Vec<f64>,
+    active: Vec<bool>,
+    /// Whether each row of `x` differs from its parent row.
+    fresh: Vec<bool>,
+    /// One candidate's pooled encoder gradient divided by its row count.
+    unpooled: Vec<f64>,
+}
+
+impl Clone for Ascent {
+    fn clone(&self) -> Self {
+        Self::default()
+    }
 }
 
 impl std::fmt::Debug for GonModel {
@@ -222,9 +294,7 @@ impl GonModel {
     /// Builds the network from a configuration.
     pub fn new(config: GonConfig) -> Self {
         let mut init = Initializer::new(config.seed);
-        let mut ms_encoder = Sequential::new();
-        ms_encoder.push(Dense::new(METRIC_DIM + SCHED_DIM, config.hidden, &mut init));
-        ms_encoder.push(Activation::relu());
+        let ms_encoder = Dense::new(METRIC_DIM + SCHED_DIM, config.hidden, &mut init);
 
         let gat = GraphAttention::new(GRAPH_DIM, config.gat_dim, config.gat_att, &mut init);
 
@@ -241,8 +311,10 @@ impl GonModel {
         Self {
             config,
             ms_encoder,
+            ms_relu: Activation::relu(),
             gat,
             head,
+            ascent: Ascent::default(),
         }
     }
 
@@ -290,7 +362,7 @@ impl GonModel {
         let g_ms = Self::unpool_segments(&g_ms_pooled, &segments);
         let g_g = Self::unpool_segments(&g_g_pooled, &segments);
 
-        let dx = self.ms_encoder.backward(&g_ms);
+        let dx = self.ms_encoder.backward(&self.ms_relu.backward(&g_ms));
         let _dgraph = self.gat.backward(&g_g); // graph features are inputs too
         dx.column_block(0, METRIC_DIM)
     }
@@ -332,20 +404,9 @@ impl GonModel {
     /// the `(row offset, n_hosts)` segment of each state. The graph half
     /// is [`stacked_graph`].
     fn stacked_ms(states: &[&SystemState]) -> (Matrix, Vec<(usize, usize)>) {
-        let total: usize = states.iter().map(|s| s.n_hosts()).sum();
-        let mut data = Vec::with_capacity(total * (METRIC_DIM + SCHED_DIM));
-        let mut segments = Vec::with_capacity(states.len());
-        for s in states {
-            segments.push((data.len() / (METRIC_DIM + SCHED_DIM), s.n_hosts()));
-            for (m, sched) in s.metrics.iter().zip(&s.schedule) {
-                data.extend_from_slice(m);
-                data.extend_from_slice(sched);
-            }
-        }
-        (
-            Matrix::from_vec(total, METRIC_DIM + SCHED_DIM, data),
-            segments,
-        )
+        let (mut x, mut segments) = (Matrix::default(), Vec::new());
+        stack_ms_into(states.iter().copied(), &mut x, &mut segments);
+        (x, segments)
     }
 
     /// Per-segment mean-pool: ascending-row accumulation per column, then
@@ -354,7 +415,11 @@ impl GonModel {
     fn pool_segments(m: &Matrix, segments: &[(usize, usize)]) -> Matrix {
         let mut out = Matrix::zeros(segments.len(), m.cols());
         for (b, &(offset, n)) in segments.iter().enumerate() {
-            pool_rows(out.row_mut(b), (offset..offset + n).map(|r| m.row(r)));
+            pool_rows(
+                out.row_mut(b),
+                (offset..offset + n).map(|r| m.row(r)),
+                |v| v,
+            );
         }
         out
     }
@@ -381,7 +446,7 @@ impl GonModel {
     fn forward_batch_internal(&mut self, states: &[&SystemState]) -> (Matrix, Vec<(usize, usize)>) {
         let (x, segments) = Self::stacked_ms(states);
         let (gfeat, adjacency) = stacked_graph(states);
-        let e = self.ms_encoder.forward(&x); // [Σn × hidden]
+        let e = self.ms_relu.forward(&self.ms_encoder.forward(&x)); // [Σn × hidden]
         let e_ms = Self::pool_segments(&e, &segments); // [B × hidden]
         let eg = self.gat.forward(&gfeat, &adjacency); // [Σn × gat_dim]
         let e_g = Self::pool_segments(&eg, &segments);
@@ -399,30 +464,6 @@ impl GonModel {
         self.forward_batch_internal(&refs).0.into_vec()
     }
 
-    /// Input-metric gradient of the batched score: one `grad_scores` entry
-    /// per segment (`dL/dD` for that candidate), returning the stacked
-    /// `Σn × METRIC_DIM` gradient. Parameter gradients are left untouched
-    /// — the generation loop discards them anyway, which is what lets
-    /// this path skip the grad-accumulation work the serial
-    /// [`GonModel::backward`] pays per candidate.
-    fn backward_metrics_batch(
-        &mut self,
-        segments: &[(usize, usize)],
-        grad_scores: &[f64],
-    ) -> Matrix {
-        debug_assert_eq!(segments.len(), grad_scores.len());
-        let g = Matrix::from_vec(grad_scores.len(), 1, grad_scores.to_vec());
-        let g_head = self.head.backward_input(&g); // [B × hidden + gat_dim]
-        let g_ms_pooled = g_head.column_block(0, self.config.hidden);
-
-        let g_ms = Self::unpool_segments(&g_ms_pooled, segments);
-        // The GAT branch is skipped entirely: its backward contributes
-        // nothing to the metric gradient (graph features are a separate
-        // input), matching the serial path where its output is discarded.
-        let dx = self.ms_encoder.backward_input(&g_ms);
-        dx.column_block(0, METRIC_DIM)
-    }
-
     /// Batched [`GonModel::generate`]: runs every candidate's eq.-1 ascent
     /// in lock-step, with per-candidate convergence. Candidates that
     /// overshoot or plateau drop out of the ascent (their recorded best is
@@ -430,14 +471,15 @@ impl GonModel {
     /// to mapping `generate` over the batch: per-candidate trajectories
     /// are row-independent through every layer.
     ///
-    /// Two structural savings over the serial loop, both bit-neutral:
-    /// the graph branch (GAT + pool) sees only graph features and
+    /// The graph branch (GAT + pool) sees only graph features and
     /// adjacency — constant across eq.-1 steps — so its pooled embedding
-    /// is computed **once per batch** instead of once per step per
-    /// candidate; and the stacked `[M | S]` input is built once, with
-    /// only the metric columns rewritten between steps. Like `generate`,
-    /// it leaves parameter gradients untouched; side-effect-free
-    /// evaluation during training runs on this.
+    /// is computed **once per batch**. Every step runs in the model's
+    /// reused workspace: the `[M | S]` stack (whose metric columns the
+    /// eq.-1 update rewrites in place), the encoder rows, the pooled head
+    /// input, the head's layers, and only the `METRIC_DIM` columns of the
+    /// input gradient that the ascent reads. Like `generate`, it leaves
+    /// parameter gradients untouched; side-effect-free evaluation during
+    /// training runs on this.
     pub fn generate_batch(&mut self, states: &[SystemState]) -> Vec<Generated> {
         self.generate_stacked(states, None)
     }
@@ -448,11 +490,13 @@ impl GonModel {
     pub fn record_parent(&mut self, parent: &SystemState) -> ParentRecord {
         let (ms, _) = Self::stacked_ms(&[parent]);
         let (gfeat, adjacency) = stacked_graph(&[parent]);
+        let mut z = Matrix::default();
+        self.ms_encoder.forward_into(&ms, &mut z);
         ParentRecord {
             topology: parent.topology.clone(),
             graph: self.gat.reference(&gfeat, &adjacency),
-            encoder: self.ms_encoder.forward_layers(&ms),
             ms,
+            z,
         }
     }
 
@@ -462,13 +506,13 @@ impl GonModel {
     /// The graph branch is [`GraphAttention::forward_delta`] over the
     /// hosts [`Topology::gat_changes_from`] names, and each candidate
     /// pools the parent's GAT rows with the recomputed ones in their
-    /// place. The first ascent step runs the `[M | S]` encoder only on
-    /// rows that differ bitwise from the parent's, copying the rest from
-    /// the record; later steps move every row and run it whole.
-    /// Bit-identical to `generate_batch`, by row independence, for any
-    /// parent projected from the same snapshot as the candidates: only
-    /// the hosts `gat_changes_from` names may differ in graph features
-    /// (debug builds check every other host against the record).
+    /// place. The first ascent step copies the parent's encoder rows for
+    /// every `[M | S]` row equal bitwise to the parent's and runs the
+    /// encoder only on the others; later steps move every row and run it
+    /// whole. Bit-identical to `generate_batch`, by row independence, for
+    /// any parent projected from the same snapshot as the candidates:
+    /// only the hosts `gat_changes_from` names may differ in graph
+    /// features (debug builds check every other host against the record).
     ///
     /// # Panics
     ///
@@ -484,11 +528,12 @@ impl GonModel {
         self.generate_stacked(states, Some(parent))
     }
 
-    /// The pooled graph branch of each candidate against `parent`: the
-    /// rows [`GraphAttention::forward_delta`] recomputes, the parent's
-    /// rows elsewhere, summed in row order as
-    /// [`GonModel::pool_segments`] sums.
-    fn pooled_graph_delta(&self, parent: &ParentRecord, states: &[SystemState]) -> Matrix {
+    /// Pools each candidate's graph branch against `parent` into the
+    /// graph columns of its `pooled` row: the rows
+    /// [`GraphAttention::forward_delta`] recomputes, the parent's rows
+    /// elsewhere, summed in row order as [`GonModel::pool_segments`]
+    /// sums.
+    fn pool_graph_delta(&self, parent: &ParentRecord, states: &[SystemState], pooled: &mut Matrix) {
         let deltas: Vec<GraphDelta> = states
             .iter()
             .map(|s| {
@@ -506,67 +551,68 @@ impl GonModel {
             })
             .collect();
         let patches = self.gat.forward_delta(&parent.graph, &deltas);
-        let mut out = Matrix::zeros(states.len(), self.config.gat_dim);
         for (b, patch) in patches.iter().enumerate() {
-            pool_rows(out.row_mut(b), patch.output_rows(&parent.graph));
+            let out = &mut pooled.row_mut(b)[self.config.hidden..];
+            pool_rows(out, patch.output_rows(&parent.graph), |v| v);
         }
-        out
     }
 
-    /// The masked batched ascent of [`GonModel::generate_batch`]; with a
-    /// `parent`, the graph branch and the first encoder step are deltas
-    /// against it ([`GonModel::generate_candidates`]).
+    /// The masked batched ascent of [`GonModel::generate_batch`] in the
+    /// model's workspace; with a `parent`, the graph branch and the
+    /// first encoder step are deltas against it
+    /// ([`GonModel::generate_candidates`]).
     fn generate_stacked(
         &mut self,
         states: &[SystemState],
         parent: Option<&ParentRecord>,
     ) -> Vec<Generated> {
-        let b = states.len();
-        if b == 0 {
+        if states.is_empty() {
             return Vec::new();
         }
-        let refs: Vec<&SystemState> = states.iter().collect();
-        let (mut x, segments) = Self::stacked_ms(&refs);
+        let mut ws = std::mem::take(&mut self.ascent);
+        let outs = self.ascend(&mut ws, states, parent);
+        self.ascent = ws;
+        outs
+    }
+
+    /// [`GonModel::generate_stacked`] on the workspace `ws`.
+    fn ascend(
+        &mut self,
+        ws: &mut Ascent,
+        states: &[SystemState],
+        parent: Option<&ParentRecord>,
+    ) -> Vec<Generated> {
+        let b = states.len();
+        stack_ms_into(states.iter(), &mut ws.x, &mut ws.segments);
         // The pooled graph branch is constant across steps.
-        let (e_g, fresh) = match parent {
-            Some(parent) => {
-                let width = METRIC_DIM + SCHED_DIM;
-                let parent_rows = parent.ms.data().chunks_exact(width).cycle();
-                let rows = x.data().chunks_exact(width).zip(parent_rows);
-                let fresh: Vec<usize> = (0..)
-                    .zip(rows)
-                    .filter(|(_, (a, p))| {
-                        let bits = a.iter().zip(*p).map(|(a, p)| a.to_bits() ^ p.to_bits());
-                        bits.fold(0, |acc, d| acc | d) != 0
-                    })
-                    .map(|(r, _)| r)
-                    .collect();
-                (self.pooled_graph_delta(parent, states), fresh)
-            }
+        ws.pooled
+            .resize(b, self.config.hidden + self.config.gat_dim);
+        match parent {
+            Some(parent) => self.pool_graph_delta(parent, states, &mut ws.pooled),
             None => {
+                let refs: Vec<&SystemState> = states.iter().collect();
                 let (gfeat, adjacency) = stacked_graph(&refs);
                 let eg = self.gat.forward(&gfeat, &adjacency);
-                (Self::pool_segments(&eg, &segments), Vec::new())
+                for (i, &(offset, n)) in ws.segments.iter().enumerate() {
+                    let out = &mut ws.pooled.row_mut(i)[self.config.hidden..];
+                    pool_rows(out, (offset..offset + n).map(|r| eg.row(r)), |v| v);
+                }
             }
-        };
-
-        // Every candidate's M, stacked in the `d_metrics` layout: candidate
-        // i owns `METRIC_DIM`-wide rows `segments[i]`.
-        let mut metrics = Vec::with_capacity(x.rows() * METRIC_DIM);
-        for s in states {
-            metrics.extend_from_slice(s.metrics.as_flattened());
         }
-        let block = |(offset, n): (usize, usize)| offset * METRIC_DIM..(offset + n) * METRIC_DIM;
-        let mut outs: Vec<Generated> = segments
+
+        let mut outs: Vec<Generated> = states
             .iter()
-            .map(|&seg| Generated {
-                metrics_flat: metrics[block(seg)].to_vec(),
+            .map(|s| Generated {
+                metrics_flat: s.metrics_flat(),
                 confidence: f64::NEG_INFINITY,
                 iterations: 0,
             })
             .collect();
-        let mut prev = vec![f64::NEG_INFINITY; b];
-        let mut active = vec![true; b];
+        ws.prev.clear();
+        ws.prev.resize(b, f64::NEG_INFINITY);
+        ws.active.clear();
+        ws.active.resize(b, true);
+        ws.grads.resize(b, 1);
         let mut n_active = b;
         // Step-size-invariant tolerance, exactly as in `generate`.
         let tol = GEN_TOL * (self.config.gen_lr / 1e-3).max(1e-6);
@@ -578,65 +624,53 @@ impl GonModel {
             // Forward: stopped candidates' rows ride along unused — they
             // cannot perturb active rows (row independence), and one
             // rectangular matmul beats re-stacking the batch every step.
-            // The first step's rows outside `fresh` are the parent's.
-            let e = match parent {
-                Some(parent) if it == 0 => {
-                    self.ms_encoder.forward_reusing(&x, &fresh, &parent.encoder)
-                }
-                _ => self.ms_encoder.forward(&x),
-            };
-            let e_ms = Self::pool_segments(&e, &segments);
-            let scores = self.head.forward(&e_ms.hcat(&e_g)); // [B × 1]
-
-            let mut grads = vec![0.0; b];
+            // The first step's rows that equal the parent's are its.
+            self.encode(ws, parent.filter(|_| it == 0));
+            let scores = self.head.forward_with(&ws.pooled, &mut ws.head); // [B × 1]
             for i in 0..b {
-                if !active[i] {
+                ws.grads[(i, 0)] = 0.0;
+                if !ws.active[i] {
                     continue;
                 }
                 let score = scores[(i, 0)];
                 if score > outs[i].confidence {
                     outs[i].confidence = score;
-                    outs[i]
-                        .metrics_flat
-                        .copy_from_slice(&metrics[block(segments[i])]);
+                    let rows = ws.x.data().chunks_exact(METRIC_DIM + SCHED_DIM);
+                    let (offset, _) = ws.segments[i];
+                    let best = outs[i].metrics_flat.chunks_exact_mut(METRIC_DIM);
+                    for (dst, row) in best.zip(rows.skip(offset)) {
+                        dst.copy_from_slice(&row[..METRIC_DIM]);
+                    }
                 }
                 outs[i].iterations = it + 1;
                 // Same stop conditions as the serial loop: overshoot
                 // first, then plateau.
-                let overshoot = score < prev[i];
-                let plateaued = it > 0 && score - prev[i] < tol;
+                let overshoot = score < ws.prev[i];
+                let plateaued = it > 0 && score - ws.prev[i] < tol;
                 if overshoot || plateaued {
-                    active[i] = false;
+                    ws.active[i] = false;
                     n_active -= 1;
                 } else {
-                    prev[i] = score;
-                    // ∇_M log D = (1/D) ∇_M D; stopped rows keep a zero
-                    // grad, so their d_metrics rows are never applied.
-                    grads[i] = 1.0 / score.max(1e-9);
+                    ws.prev[i] = score;
+                    // ∇_M log D = (1/D) ∇_M D; stopped candidates keep a
+                    // zero grad, and their rows are never updated.
+                    ws.grads[(i, 0)] = 1.0 / score.max(1e-9);
                 }
             }
             if n_active == 0 {
                 break; // every remaining candidate stopped this step
             }
-            let d_metrics = self.backward_metrics_batch(&segments, &grads);
-            for i in 0..b {
-                if !active[i] {
+            self.metric_gradient(ws);
+            for (i, &(offset, n)) in ws.segments.iter().enumerate() {
+                if !ws.active[i] {
                     continue;
                 }
-                let (offset, n) = segments[i];
-                let rows = block(segments[i]);
-                // The candidate's d_metrics rows are contiguous (METRIC_DIM
-                // columns), so the whole eq.-1 step + clamp is one
-                // elementwise kernel call.
-                kernel::ascent_update(
-                    &mut metrics[rows.clone()],
-                    &d_metrics.data()[rows],
-                    self.config.gen_lr,
-                );
                 for h in offset..offset + n {
-                    // Refresh the metric columns of the stacked input.
-                    x.row_mut(h)[..METRIC_DIM]
-                        .copy_from_slice(&metrics[h * METRIC_DIM..(h + 1) * METRIC_DIM]);
+                    kernel::ascent_update(
+                        &mut ws.x.row_mut(h)[..METRIC_DIM],
+                        ws.d_metrics.row(h),
+                        self.config.gen_lr,
+                    );
                 }
             }
         }
@@ -644,9 +678,8 @@ impl GonModel {
         // gen_steps == 0: score the untouched warm start, as `generate`
         // does in its fallback.
         if outs.iter().any(|o| o.confidence == f64::NEG_INFINITY) {
-            let e = self.ms_encoder.forward(&x);
-            let e_ms = Self::pool_segments(&e, &segments);
-            let scores = self.head.forward(&e_ms.hcat(&e_g));
+            self.encode(ws, None);
+            let scores = self.head.forward_with(&ws.pooled, &mut ws.head);
             for (i, out) in outs.iter_mut().enumerate() {
                 if out.confidence == f64::NEG_INFINITY {
                     out.confidence = scores[(i, 0)];
@@ -654,6 +687,103 @@ impl GonModel {
             }
         }
         outs
+    }
+
+    /// The encoder half of an ascent step's forward: the pre-activation
+    /// rows of `ws.x` into `ws.z`, then each candidate's mean-pooled
+    /// `ReLU` of them into its `pooled` row. With `reuse`, a row equal
+    /// bitwise to its parent row copies the record's encoder row, and
+    /// each run of the other rows goes through the encoder in one call,
+    /// unless most rows differ and every row goes through it at once.
+    fn encode(&self, ws: &mut Ascent, reuse: Option<&ParentRecord>) {
+        let Ascent {
+            x,
+            z,
+            segments,
+            pooled,
+            fresh,
+            ..
+        } = ws;
+        let (rows, width, hidden) = (x.rows(), x.cols(), self.config.hidden);
+        z.resize(rows, hidden);
+        match reuse {
+            None => self.ms_encoder.forward_rows_into(x.data(), z.data_mut()),
+            Some(parent) => {
+                let parent_ms = parent.ms.data().chunks_exact(width).cycle();
+                fresh.clear();
+                fresh.extend(x.data().chunks_exact(width).zip(parent_ms).map(|(a, p)| {
+                    let bits = a.iter().zip(p).map(|(a, p)| a.to_bits() ^ p.to_bits());
+                    bits.fold(0, |acc, d| acc | d) != 0
+                }));
+                let count = fresh.iter().filter(|&&f| f).count();
+                // Copying a reused row costs about as much as computing
+                // it, and the runs of fresh rows between them make
+                // short matmuls: with most rows fresh (a demotion moves
+                // every row's blast term) one whole pass is faster.
+                if 2 * count > rows {
+                    self.ms_encoder.forward_rows_into(x.data(), z.data_mut());
+                } else {
+                    let parent_z = parent.z.data().chunks_exact(hidden).cycle();
+                    // `from` starts the run of fresh rows before row `r`.
+                    let mut from = 0;
+                    for (r, (&is_fresh, parent_row)) in fresh.iter().zip(parent_z).enumerate() {
+                        if is_fresh {
+                            continue;
+                        }
+                        if from < r {
+                            self.ms_encoder.forward_rows_into(
+                                &x.data()[from * width..r * width],
+                                &mut z.data_mut()[from * hidden..r * hidden],
+                            );
+                        }
+                        z.row_mut(r).copy_from_slice(parent_row);
+                        from = r + 1;
+                    }
+                    self.ms_encoder.forward_rows_into(
+                        &x.data()[from * width..],
+                        &mut z.data_mut()[from * hidden..],
+                    );
+                }
+            }
+        }
+        let relu = |v| ActivationKind::Relu.apply(v);
+        for (i, &(offset, n)) in segments.iter().enumerate() {
+            let rows = (offset..offset + n).map(|r| z.row(r));
+            pool_rows(&mut pooled.row_mut(i)[..hidden], rows, relu);
+        }
+    }
+
+    /// The ascent step's backward, after [`GonModel::encode`] and the
+    /// head's forward: `ws.grads` through the head, then the mean-pool
+    /// backward fused with the `ReLU` mask, each encoder row's gradient
+    /// written over its pre-activation, then only the `METRIC_DIM`
+    /// columns of `dX` into `ws.d_metrics`. The GAT branch is skipped:
+    /// graph features are a separate input, so it adds nothing to the
+    /// metric gradient. Parameter gradients are untouched.
+    fn metric_gradient(&mut self, ws: &mut Ascent) {
+        let Ascent {
+            z,
+            segments,
+            pooled,
+            head,
+            grads,
+            d_metrics,
+            unpooled,
+            ..
+        } = ws;
+        let g_head = self.head.backward_input_with(pooled, grads, head);
+        for (i, &(offset, n)) in segments.iter().enumerate() {
+            // Every row of the segment gets the same `g / n`.
+            unpooled.clear();
+            let nf = n as f64;
+            unpooled.extend(g_head.row(i)[..self.config.hidden].iter().map(|&g| g / nf));
+            for r in offset..offset + n {
+                for (zv, &g) in z.row_mut(r).iter_mut().zip(unpooled.iter()) {
+                    *zv = g * ActivationKind::Relu.derivative(*zv);
+                }
+            }
+        }
+        self.ms_encoder.input_grad_into(z, METRIC_DIM, d_metrics);
     }
 
     /// One batched adversarial update (Algorithm 1 lines 3–6) over a
@@ -762,7 +892,7 @@ impl GonModel {
             e_g.row_mut(2 * i + 1).copy_from_slice(e_g_real.row(i));
         }
 
-        let e = self.ms_encoder.forward(&x); // [Σ2n × hidden]
+        let e = self.ms_relu.forward(&self.ms_encoder.forward(&x)); // [Σ2n × hidden]
         let e_ms = Self::pool_segments(&e, &segments); // [2B × hidden]
         let scores = self.head.forward(&e_ms.hcat(&e_g)); // [2B × 1]
 
@@ -794,7 +924,8 @@ impl GonModel {
         // layout `backward_interleaved` expects.
         let g_ms = Self::unpool_segments(&g_ms_pooled, &segments);
         let g_g = Self::unpool_segments(&g_g_pooled, &segments);
-        self.ms_encoder.backward_batch(&g_ms, &segments);
+        let g_e = self.ms_relu.backward_batch(&g_ms, &segments);
+        self.ms_encoder.backward_batch(&g_e, &segments);
         self.gat.backward_interleaved(&g_g, &real_segments);
         losses
     }

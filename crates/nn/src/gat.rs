@@ -96,6 +96,11 @@ pub struct GraphAttention {
     wk: Param,
     #[serde(skip)]
     cache: Option<Cache>,
+    /// `Wᵀ`, `W_qᵀ` and `W_kᵀ` for the backward's input-gradient
+    /// products, built on first use after each
+    /// [`GraphAttention::params_mut`], as `Dense` caches its `Wᵀ`.
+    #[serde(skip)]
+    transposes: Option<[Matrix; 3]>,
 }
 
 /// One graph's forward pass: its inputs, the `h`, `q`, `k` rows, the
@@ -358,6 +363,7 @@ impl GraphAttention {
             wq: Param::new(init.glorot(out_dim, att_dim)),
             wk: Param::new(init.glorot(out_dim, att_dim)),
             cache: None,
+            transposes: None,
         }
     }
 
@@ -378,6 +384,7 @@ impl GraphAttention {
 
     /// Mutable access to all parameters, for the optimizer.
     pub fn params_mut(&mut self) -> Vec<&mut Param> {
+        self.transposes = None;
         vec![&mut self.w, &mut self.b, &mut self.wq, &mut self.wk]
     }
 
@@ -713,8 +720,8 @@ impl GraphAttention {
             "grad_output shape mismatch"
         );
         let grad_segments: Vec<_> = segments.iter().map(|&(o, k)| (o, k, o)).collect();
-        self.backward_segments(grad_output, &grad_segments)
-            .matmul(&self.w.value.transpose())
+        let d_hpre = self.backward_segments(grad_output, &grad_segments);
+        d_hpre.matmul(&self.transposes()[0])
     }
 
     /// Backward over **interleaved real/fake gradient pairs sharing one
@@ -757,6 +764,13 @@ impl GraphAttention {
         self.backward_segments(grad_output, &grad_segments);
     }
 
+    /// `[Wᵀ, W_qᵀ, W_kᵀ]`, built if [`GraphAttention::params_mut`]
+    /// dropped them.
+    fn transposes(&mut self) -> &[Matrix; 3] {
+        self.transposes
+            .get_or_insert_with(|| [&self.w, &self.wq, &self.wk].map(|p| p.value.transpose()))
+    }
+
     fn cached_rows(&self) -> usize {
         self.cache
             .as_ref()
@@ -787,14 +801,16 @@ impl GraphAttention {
         grad_output: &Matrix,
         segments: &[(usize, usize, usize)],
     ) -> Matrix {
-        let cache = self
-            .cache
-            .as_ref()
-            .expect("GraphAttention::backward called before forward");
         let rows = grad_output.rows();
         let d_out = self.out_dim();
         let d_att = self.wq.value.cols();
         let scale = 1.0 / (d_att as f64).sqrt();
+        self.transposes();
+        let [_, wqt, wkt] = self.transposes.as_ref().expect("just built");
+        let cache = self
+            .cache
+            .as_ref()
+            .expect("GraphAttention::backward called before forward");
 
         // Through a tanh whose outputs are the cached `y`: each grad row
         // scales by `1 − y²` of the cache row it backs onto.
@@ -840,8 +856,8 @@ impl GraphAttention {
                 .grad
                 .add_in_place(&hseg.matmul(&d_k.row_block(go, nb)));
         }
-        d_h.add_in_place(&d_q.matmul(&self.wq.value.transpose()));
-        d_h.add_in_place(&d_k.matmul(&self.wk.value.transpose()));
+        d_h.add_in_place(&d_q.matmul(wqt));
+        d_h.add_in_place(&d_k.matmul(wkt));
 
         // Through H = tanh(U·W + b).
         let mut d_hpre = d_h;
@@ -1002,6 +1018,29 @@ mod tests {
         let out = gat.forward(&feats, &adj);
         // tanh(0) = 0 for the isolated node's row.
         assert!(out.row(2).iter().all(|&v| v == 0.0));
+    }
+
+    /// The cached transposes follow a weight change made through
+    /// `params_mut`: the input gradient after it equals a fresh layer's
+    /// with the changed weights.
+    #[test]
+    fn cached_transposes_are_invalidated_by_params_mut() {
+        let mut gat = GraphAttention::new(3, 4, 3, &mut Initializer::new(8));
+        let feats = Initializer::new(14).normal(4, 3, 0.8);
+        let adj = ring(4);
+        let grad = Initializer::new(15).normal(4, 4, 0.5);
+        gat.forward(&feats, &adj);
+        let before = gat.backward(&grad);
+        for p in gat.params_mut() {
+            p.value = p.value.scale(1.5);
+        }
+        let mut fresh = gat.clone();
+        fresh.transposes = None;
+        gat.forward(&feats, &adj);
+        fresh.forward(&feats, &adj);
+        let after = gat.backward(&grad);
+        assert_ne!(before, after, "stale transposes survived params_mut");
+        assert_eq!(after, fresh.backward(&grad));
     }
 
     #[test]

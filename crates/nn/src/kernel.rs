@@ -179,9 +179,11 @@ const TILE: usize = 8;
 /// `out[i·n + j] = Σ_k a[i·k + k]·b[k·n + j]` with the per-element
 /// ascending-`k` chain and zero-skip documented on `Matrix::matmul`,
 /// reproduced by a skip-free pass and, only if that left a NaN, a
-/// skipping one (see the module doc). `out` must be zero-filled on
-/// entry; the KB-sized k-blocking spills and reloads its own partial
-/// sums through it. No heap allocation, no scan of `b`.
+/// skipping one (see the module doc). `out` is write-only: its values
+/// on entry are never read, because the first KB-sized k-block starts
+/// every accumulator at +0.0 and stores every output (later k-blocks
+/// reload those partial sums), and at `k = 0` the kernel writes the
+/// empty sums' zeros itself. No heap allocation, no scan of `b`.
 ///
 /// # Panics
 ///
@@ -205,6 +207,10 @@ pub fn matmul_into_on(
     assert_eq!(a.len(), m * k, "matmul a-operand length");
     assert_eq!(b.len(), k * n, "matmul b-operand length");
     assert_eq!(out.len(), m * n, "matmul out length");
+    if k == 0 {
+        out.fill(0.0);
+        return;
+    }
     match backend {
         Backend::Scalar => matmul_body(out, a, b, m, k, n),
         #[cfg(target_arch = "x86_64")]
@@ -240,9 +246,8 @@ fn matmul_avx2(out: &mut [f64], a: &[f64], b: &[f64], m: usize, k: usize, n: usi
 /// accumulator (the chain starts at +0.0 and under round-to-nearest never
 /// becomes −0.0). For ±∞ or NaN `b` the term is NaN, so that output is
 /// NaN after the first pass and is recomputed. The NaN test is one
-/// vectorised pass over `out` (a per-tile test cost more at k = 13). The
-/// second pass needs no zeroed `out`: its first k-block starts every
-/// accumulator at +0.0 and stores every output.
+/// vectorised pass over `out` (a per-tile test cost more at k = 13).
+/// Neither pass reads `out` before its first k-block has stored it.
 #[inline(always)]
 fn matmul_body(out: &mut [f64], a: &[f64], b: &[f64], m: usize, k: usize, n: usize) {
     matmul_pass::<false>(out, a, b, m, k, n);
@@ -875,6 +880,35 @@ mod tests {
                         backend.name()
                     );
                 }
+            }
+        }
+    }
+
+    /// `out` is write-only: a NaN-filled `out` gives the bits a zeroed
+    /// one does, at k = 0 (the kernel's own fill), 1, 13 and 16 (the
+    /// GON's encoder widths) and 513 (past the KB = 512 block, whose
+    /// second k-block reloads what the first stored), with a zero-heavy
+    /// left operand so the NaN re-run also fires where `b` is ±∞.
+    #[test]
+    fn matmul_ignores_what_out_held_on_entry() {
+        let (m, n) = (9usize, 13usize);
+        for k in [0usize, 1, 13, 16, 513] {
+            let mut a = lcg_vec(m * k, 0x71 + k as u64);
+            for v in a.iter_mut().step_by(3) {
+                *v = 0.0;
+            }
+            let mut b = lcg_vec(k * n, 0x72 + k as u64);
+            if k > 0 {
+                b[n - 1] = f64::INFINITY;
+            }
+            for backend in backends() {
+                let mut zeroed = vec![0.0f64; m * n];
+                matmul_into_on(backend, &mut zeroed, &a, &b, m, k, n);
+                let mut stale = vec![f64::NAN; m * n];
+                matmul_into_on(backend, &mut stale, &a, &b, m, k, n);
+                let what = format!("NaN-filled out at k = {k} on {}", backend.name());
+                assert_bits_eq(&stale, &zeroed, &what);
+                assert_bits_eq(&zeroed, &oracle_matmul(&a, &b, m, k, n), &what);
             }
         }
     }

@@ -9,6 +9,7 @@
 //! cannot be vectorised bit-identically.
 
 use crate::init::Initializer;
+use crate::kernel;
 use crate::matrix::Matrix;
 use serde::{Deserialize, Serialize};
 
@@ -80,26 +81,13 @@ pub trait Layer {
     /// Implementations may panic if called before `forward`.
     fn backward(&mut self, grad_output: &Matrix) -> Matrix;
 
-    /// Like [`Layer::backward`], but returns *only* the input gradient,
-    /// leaving parameter gradients untouched. The GON generation loop
-    /// (eq. 1) ascends the input and discards parameter gradients, so this
-    /// is its hot path. The returned matrix is bit-identical to what
-    /// `backward` returns.
-    ///
-    /// Layers with parameters should override this to skip the
-    /// accumulation work; the default simply delegates to `backward` and
-    /// is only correct for parameter-free layers.
-    fn backward_input(&mut self, grad_output: &Matrix) -> Matrix {
-        self.backward(grad_output)
-    }
-
     /// Batched [`Layer::backward`] over a stacked minibatch whose rows are
     /// grouped into per-sample `(row offset, row count)` segments:
     /// accumulates parameter gradients **per segment, in segment order**,
     /// and returns the full input gradient.
     ///
-    /// This is the training sibling of [`Layer::backward_input`]: where
-    /// the generation loop skips parameter gradients entirely, adversarial
+    /// This is the training sibling of [`Layer::backward_input_into`]:
+    /// where the generation loop skips parameter gradients entirely, adversarial
     /// training needs them — and needs the accumulation to be
     /// **bit-identical** to running `forward` + `backward` once per
     /// sample. A single stacked `Xᵀ·dY` matmul would chain the f64
@@ -115,18 +103,25 @@ pub trait Layer {
         self.backward(grad_output)
     }
 
-    /// [`Layer::forward`] of `input` when every row outside `fresh`
-    /// (ascending) is bitwise the input row behind row `r %
-    /// reference.rows()` of `reference`, an earlier output of this layer:
-    /// those rows are copied from `reference` and only the `fresh` rows
-    /// are computed. Caches what `forward` caches, so `backward` follows
-    /// as usual. Bit-identical to `forward` by row independence.
-    ///
-    /// The default runs the whole `forward`; row-wise layers override it.
-    fn forward_rows(&mut self, input: &Matrix, fresh: &[usize], reference: &Matrix) -> Matrix {
-        let _ = (fresh, reference);
-        self.forward(input)
-    }
+    /// [`Layer::forward`] into the caller's `out` (reshaped to the
+    /// output's shape, then fully overwritten), caching nothing:
+    /// [`Layer::backward_input_into`] reads this pass's input and output
+    /// from the caller instead. `forward` is this body plus the cache.
+    fn forward_into(&self, input: &Matrix, out: &mut Matrix);
+
+    /// The input gradient [`Layer::backward`] returns, into the caller's
+    /// `grad_input`, for the pass [`Layer::forward_into`] ran from `input`
+    /// to `output`: reads its derivative from those two, not from a
+    /// cache, and leaves parameter gradients untouched — the GON's eq.-1
+    /// ascent ascends the input and discards them. Bit-identical to the
+    /// gradient `backward` returns.
+    fn backward_input_into(
+        &mut self,
+        input: &Matrix,
+        output: &Matrix,
+        grad_output: &Matrix,
+        grad_input: &mut Matrix,
+    );
 
     /// Mutable access to this layer's parameters (empty for activations).
     fn params_mut(&mut self) -> Vec<&mut Param> {
@@ -202,43 +197,67 @@ impl Dense {
         &self.weight.value
     }
 
-    /// `dX = dY·Wᵀ` against the cached `Wᵀ`, built on first use after
-    /// each [`Layer::params_mut`].
-    fn input_grad(&mut self, grad_output: &Matrix) -> Matrix {
-        let wt = self
-            .cached_wt
-            .get_or_insert_with(|| self.weight.value.transpose());
-        grad_output.matmul(wt)
+    /// `Y = X·W + b` of the rows of `input` into `out` (the same rows
+    /// of `out_dim` columns): the one body of every Dense forward, also
+    /// run on a run of rows of a larger stack.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `input` holds whole `in_dim` rows and `out` as
+    /// many `out_dim` rows.
+    pub fn forward_rows_into(&self, input: &[f64], out: &mut [f64]) {
+        let (k, n) = self.weight.value.shape();
+        let m = input.len() / k.max(1);
+        kernel::matmul_into(out, input, self.weight.value.data(), m, k, n);
+        for row in out.chunks_exact_mut(n) {
+            kernel::add_assign(row, self.bias.value.data());
+        }
+    }
+
+    /// The first `cols` columns of `dX = dY·Wᵀ`, into `out`: a product
+    /// against the cached transpose of `W`'s first `cols` rows, built on
+    /// first use after each [`Layer::params_mut`] or change of `cols`.
+    /// Each output element is its own ascending-`k` chain, so the
+    /// columns are bitwise those of the full product.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cols > in_dim` or `grad_output` is not `out_dim` wide.
+    pub fn input_grad_into(&mut self, grad_output: &Matrix, cols: usize, out: &mut Matrix) {
+        if self.cached_wt.as_ref().is_none_or(|wt| wt.cols() != cols) {
+            self.cached_wt = Some(self.weight.value.row_block(0, cols).transpose());
+        }
+        let wt = self.cached_wt.as_ref().expect("just built");
+        grad_output.matmul_into(wt, out);
     }
 }
 
 impl Layer for Dense {
     fn forward(&mut self, input: &Matrix) -> Matrix {
-        let out = input
-            .matmul(&self.weight.value)
-            .add_row_broadcast(&self.bias.value);
+        let mut out = Matrix::zeros(input.rows(), self.out_dim());
+        self.forward_into(input, &mut out);
         refill(&mut self.cached_input, input);
         out
     }
 
-    fn forward_rows(&mut self, input: &Matrix, fresh: &[usize], reference: &Matrix) -> Matrix {
-        let computed = gather_rows(input, fresh)
-            .matmul(&self.weight.value)
-            .add_row_broadcast(&self.bias.value);
-        refill(&mut self.cached_input, input);
-        merge_rows(input.rows(), fresh, &computed, reference)
+    fn forward_into(&self, input: &Matrix, out: &mut Matrix) {
+        assert_eq!(input.cols(), self.in_dim(), "Dense input width");
+        out.resize(input.rows(), self.out_dim());
+        self.forward_rows_into(input.data(), out.data_mut());
+    }
+
+    fn backward_input_into(
+        &mut self,
+        _input: &Matrix,
+        _output: &Matrix,
+        grad_output: &Matrix,
+        grad_input: &mut Matrix,
+    ) {
+        self.input_grad_into(grad_output, self.in_dim(), grad_input);
     }
 
     fn backward(&mut self, grad_output: &Matrix) -> Matrix {
         self.backward_batch(grad_output, &[(0, grad_output.rows())])
-    }
-
-    fn backward_input(&mut self, grad_output: &Matrix) -> Matrix {
-        assert!(
-            self.cached_input.is_some(),
-            "Dense::backward called before forward"
-        );
-        self.input_grad(grad_output)
     }
 
     fn backward_batch(&mut self, grad_output: &Matrix, segments: &[(usize, usize)]) -> Matrix {
@@ -258,7 +277,9 @@ impl Layer for Dense {
             self.bias.grad.add_in_place(&gseg.sum_rows());
         }
         // dX rows are sample-independent; one matmul serves all.
-        self.input_grad(grad_output)
+        let mut dx = Matrix::default();
+        self.input_grad_into(grad_output, self.in_dim(), &mut dx);
+        dx
     }
 
     fn params_mut(&mut self) -> Vec<&mut Param> {
@@ -290,6 +311,7 @@ pub enum ActivationKind {
 
 impl ActivationKind {
     /// Applies the activation to a scalar.
+    #[inline]
     pub fn apply(self, x: f64) -> f64 {
         match self {
             ActivationKind::Relu => x.max(0.0),
@@ -313,6 +335,7 @@ impl ActivationKind {
 
     /// Derivative at `v`: the input `x` for ReLU and LeakyReLU, the
     /// output `y` for tanh and sigmoid.
+    #[inline]
     pub fn derivative(self, v: f64) -> f64 {
         match self {
             ActivationKind::Relu => {
@@ -341,42 +364,6 @@ fn refill(cache: &mut Option<Matrix>, src: &Matrix) {
         Some(m) => m.clone_from(src),
         None => *cache = Some(src.clone()),
     }
-}
-
-/// The rows `rows` of `m`, in order.
-fn gather_rows(m: &Matrix, rows: &[usize]) -> Matrix {
-    let mut data = Vec::with_capacity(rows.len() * m.cols());
-    for &r in rows {
-        data.extend_from_slice(m.row(r));
-    }
-    Matrix::from_vec(rows.len(), m.cols(), data)
-}
-
-/// The `rows`-row output of a [`Layer::forward_rows`]: row `fresh[k]`
-/// is row `k` of `computed`, every other row `r` is row `r % n` of the
-/// `n`-row `reference`.
-fn merge_rows(rows: usize, fresh: &[usize], computed: &Matrix, reference: &Matrix) -> Matrix {
-    let (n, cols) = reference.shape();
-    let mut data = Vec::with_capacity(rows * cols);
-    // Copies reference rows [from, to) of the output: each run within
-    // one n-row stretch is one contiguous reference block.
-    let copy = |data: &mut Vec<f64>, mut from: usize, to: usize| {
-        while from < to {
-            let end = to.min((from / n + 1) * n);
-            data.extend_from_slice(
-                &reference.data()[(from % n) * cols..((end - 1) % n + 1) * cols],
-            );
-            from = end;
-        }
-    };
-    let mut next = 0;
-    for (k, &f) in fresh.iter().enumerate() {
-        copy(&mut data, next, f);
-        data.extend_from_slice(computed.row(k));
-        next = f + 1;
-    }
-    copy(&mut data, next, rows);
-    Matrix::from_vec(rows, cols, data)
 }
 
 /// Stateless activation layer.
@@ -409,6 +396,17 @@ impl Activation {
     pub fn sigmoid() -> Self {
         Self::new(ActivationKind::Sigmoid)
     }
+
+    /// `grad_input = grad_output ⊙ f′`, with `f′` read from `read`: the
+    /// layer's input or output, as [`ActivationKind::derivative`] takes.
+    fn backward_from(&self, read: &Matrix, grad_output: &Matrix, grad_input: &mut Matrix) {
+        assert_eq!(read.shape(), grad_output.shape(), "activation grad shape");
+        grad_input.resize(read.rows(), read.cols());
+        let pairs = grad_output.data().iter().zip(read.data());
+        for (g, (&dy, &v)) in grad_input.data_mut().iter_mut().zip(pairs) {
+            *g = dy * self.kind.derivative(v);
+        }
+    }
 }
 
 impl Layer for Activation {
@@ -423,16 +421,11 @@ impl Layer for Activation {
         out
     }
 
-    fn forward_rows(&mut self, input: &Matrix, fresh: &[usize], reference: &Matrix) -> Matrix {
-        let computed = gather_rows(input, fresh).map(|v| self.kind.apply(v));
-        let out = merge_rows(input.rows(), fresh, &computed, reference);
-        let read = if self.kind.derivative_reads_output() {
-            &out
-        } else {
-            input
-        };
-        refill(&mut self.cached, read);
-        out
+    fn forward_into(&self, input: &Matrix, out: &mut Matrix) {
+        out.resize(input.rows(), input.cols());
+        for (o, &v) in out.data_mut().iter_mut().zip(input.data()) {
+            *o = self.kind.apply(v);
+        }
     }
 
     fn backward(&mut self, grad_output: &Matrix) -> Matrix {
@@ -440,11 +433,24 @@ impl Layer for Activation {
             .cached
             .as_ref()
             .expect("Activation::backward called before forward");
-        let mut grad = grad_output.clone();
-        for (g, &v) in grad.data_mut().iter_mut().zip(cached.data()) {
-            *g *= self.kind.derivative(v);
-        }
+        let mut grad = Matrix::default();
+        self.backward_from(cached, grad_output, &mut grad);
         grad
+    }
+
+    fn backward_input_into(
+        &mut self,
+        input: &Matrix,
+        output: &Matrix,
+        grad_output: &Matrix,
+        grad_input: &mut Matrix,
+    ) {
+        let read = if self.kind.derivative_reads_output() {
+            output
+        } else {
+            input
+        };
+        self.backward_from(read, grad_output, grad_input);
     }
 
     fn clone_boxed(&self) -> Box<dyn Layer + Send + Sync> {
@@ -519,49 +525,62 @@ impl Sequential {
         }
     }
 
-    /// [`Layer::forward`] of `input`, returning every layer's output,
-    /// first to last: the record [`Sequential::forward_reusing`] copies
-    /// unchanged rows from.
-    pub fn forward_layers(&mut self, input: &Matrix) -> Vec<Matrix> {
-        let mut outputs: Vec<Matrix> = Vec::with_capacity(self.layers.len());
-        for layer in &mut self.layers {
-            let y = layer.forward(outputs.last().unwrap_or(input));
-            outputs.push(y);
+    /// [`Layer::forward_into`] through the stack, each layer writing
+    /// its output into `ws`; returns the last output (`input` itself
+    /// for an empty stack). Once `ws` has held one pass of these
+    /// shapes, another allocates nothing.
+    pub fn forward_with<'w>(&self, input: &'w Matrix, ws: &'w mut Workspace) -> &'w Matrix {
+        ws.outputs.resize_with(self.layers.len(), Matrix::default);
+        for (i, layer) in self.layers.iter().enumerate() {
+            let (done, rest) = ws.outputs.split_at_mut(i);
+            layer.forward_into(done.last().unwrap_or(input), &mut rest[0]);
         }
-        outputs
+        ws.outputs.last().unwrap_or(input)
     }
 
-    /// [`Layer::forward_rows`] through the stack: `record` holds each
-    /// layer's output for the reference input, as
-    /// [`Sequential::forward_layers`] returns it. A row outside `fresh`
-    /// equals its reference row at the input, so it does at every layer.
+    /// [`Layer::backward_input_into`] through the stack, after
+    /// [`Sequential::forward_with`] of `input` into the same `ws`: each
+    /// layer reads its input and output from there and writes the
+    /// gradient with respect to its input into `ws`. Returns the
+    /// gradient with respect to `input`; parameter gradients are
+    /// untouched.
     ///
     /// # Panics
     ///
-    /// Panics if `record` does not hold one output per layer.
-    pub fn forward_reusing(
+    /// Panics if `ws` does not hold one output per layer.
+    pub fn backward_input_with<'w>(
         &mut self,
         input: &Matrix,
-        fresh: &[usize],
-        record: &[Matrix],
-    ) -> Matrix {
-        assert_eq!(record.len(), self.layers.len(), "one record per layer");
-        // Gathering and merging a row costs about as much as computing
-        // it, so reusing pays only while most rows are reused. At the
-        // storm's step-0 encoder (2,048 rows, 13 → 16) with 86-100 % of
-        // rows fresh, as after a demotion, the whole forward takes 0.6-0.7×
-        // the gathered path's time, and a two-demotion chunk 0.9×.
-        if 2 * fresh.len() > input.rows() {
-            return self.forward(input);
+        grad_output: &'w Matrix,
+        ws: &'w mut Workspace,
+    ) -> &'w Matrix {
+        let n = self.layers.len();
+        assert_eq!(ws.outputs.len(), n, "forward_with must run first");
+        ws.grads.resize_with(n, Matrix::default);
+        for (i, layer) in self.layers.iter_mut().enumerate().rev() {
+            let (below, above) = ws.grads.split_at_mut(i + 1);
+            let layer_input = if i == 0 { input } else { &ws.outputs[i - 1] };
+            let grad = above.first().unwrap_or(grad_output);
+            layer.backward_input_into(layer_input, &ws.outputs[i], grad, &mut below[i]);
         }
-        let mut layers = self.layers.iter_mut().zip(record);
-        let Some((first, reference)) = layers.next() else {
-            return input.clone();
-        };
-        let y = first.forward_rows(input, fresh, reference);
-        layers.fold(y, |y, (layer, reference)| {
-            layer.forward_rows(&y, fresh, reference)
-        })
+        ws.grads.first().unwrap_or(grad_output)
+    }
+}
+
+/// The buffers of a [`Sequential`] pass run through
+/// [`Sequential::forward_with`] and [`Sequential::backward_input_with`]:
+/// each layer's output and the gradient with respect to each layer's
+/// input, kept between calls. A clone starts empty, since the contents
+/// are scratch.
+#[derive(Debug, Default)]
+pub struct Workspace {
+    outputs: Vec<Matrix>,
+    grads: Vec<Matrix>,
+}
+
+impl Clone for Workspace {
+    fn clone(&self) -> Self {
+        Self::default()
     }
 }
 
@@ -586,15 +605,29 @@ impl Layer for Sequential {
         chain(self.layers.iter_mut(), input, |l, x| l.forward(x))
     }
 
+    /// Through a fresh [`Workspace`]; [`Sequential::forward_with`]
+    /// keeps one across calls.
+    fn forward_into(&self, input: &Matrix, out: &mut Matrix) {
+        out.clone_from(self.forward_with(input, &mut Workspace::default()));
+    }
+
+    /// Re-runs the stack's forward from `input` into a fresh
+    /// [`Workspace`] for the layers' own outputs.
+    fn backward_input_into(
+        &mut self,
+        input: &Matrix,
+        _output: &Matrix,
+        grad_output: &Matrix,
+        grad_input: &mut Matrix,
+    ) {
+        let mut ws = Workspace::default();
+        self.forward_with(input, &mut ws);
+        grad_input.clone_from(self.backward_input_with(input, grad_output, &mut ws));
+    }
+
     fn backward(&mut self, grad_output: &Matrix) -> Matrix {
         chain(self.layers.iter_mut().rev(), grad_output, |l, g| {
             l.backward(g)
-        })
-    }
-
-    fn backward_input(&mut self, grad_output: &Matrix) -> Matrix {
-        chain(self.layers.iter_mut().rev(), grad_output, |l, g| {
-            l.backward_input(g)
         })
     }
 
@@ -713,42 +746,41 @@ mod tests {
         assert_eq!(ActivationKind::LeakyRelu.apply(-1.0), -0.01);
     }
 
-    /// `forward_reusing` over a stack of three 5-row copies of a
-    /// reference input, with a few rows changed, returns `forward`'s bits
-    /// and leaves the caches `backward_input` reads as `forward` does.
+    /// A workspace pass — `forward_with`, then `backward_input_with` —
+    /// returns the bits of `forward` and `backward`, through each
+    /// kind of activation, on a workspace reused across batch sizes
+    /// (stale values from a larger pass must not leak into a smaller
+    /// one), and leaves parameter gradients untouched.
     #[test]
-    fn forward_reusing_is_bit_identical_to_forward() {
+    fn workspace_pass_is_bit_identical_to_forward_and_backward() {
         let mut init = Initializer::new(17);
         let mut net = Sequential::new();
         net.push(Dense::new(3, 6, &mut init));
         net.push(Activation::relu());
-        net.push(Dense::new(6, 4, &mut init));
+        net.push(Dense::new(6, 5, &mut init));
+        net.push(Activation::new(ActivationKind::LeakyRelu));
+        net.push(Dense::new(5, 4, &mut init));
         net.push(Activation::tanh());
-        let base = Initializer::new(18).normal(5, 3, 1.0);
-        let record = net.forward_layers(&base);
-        assert_eq!(record.len(), 4);
-        assert_eq!(record[3], net.forward(&base));
-
-        let noise = Initializer::new(19).normal(15, 3, 1.0);
-        for fresh in [vec![], vec![0, 7], vec![4, 5, 14], (0..15).collect()] {
-            let mut x = Matrix::zeros(15, 3);
-            for r in 0..15 {
-                let src = if fresh.contains(&r) { &noise } else { &base };
-                x.row_mut(r).copy_from_slice(src.row(r % 5));
-            }
+        net.push(Dense::new(4, 2, &mut init));
+        net.push(Activation::sigmoid());
+        let mut ws = Workspace::default();
+        for (rows, seed) in [(15usize, 18u64), (4, 19), (15, 20), (1, 21)] {
+            let x = Initializer::new(seed).normal(rows, 3, 1.0);
+            let grad = Initializer::new(seed + 100).normal(rows, 2, 1.0);
             let mut full = net.clone();
-            let want = full.forward(&x);
-            let got = net.forward_reusing(&x, &fresh, &record);
-            let grad = Initializer::new(20).normal(15, 4, 1.0);
-            let pairs = [
-                (got, want),
-                (net.backward_input(&grad), full.backward_input(&grad)),
-            ];
-            for (got, want) in pairs {
+            let want_y = full.forward(&x);
+            let want_dx = full.backward(&grad);
+            let got_y = net.forward_with(&x, &mut ws).clone();
+            let got_dx = net.backward_input_with(&x, &grad, &mut ws);
+            for (got, want) in [(&got_y, &want_y), (got_dx, &want_dx)] {
+                assert_eq!(got.shape(), want.shape(), "{rows} rows");
                 for (a, b) in got.data().iter().zip(want.data()) {
-                    assert_eq!(a.to_bits(), b.to_bits(), "fresh rows {fresh:?}");
+                    assert_eq!(a.to_bits(), b.to_bits(), "{rows} rows");
                 }
             }
+        }
+        for p in net.params_mut() {
+            assert!(p.grad.data().iter().all(|&g| g == 0.0));
         }
     }
 
@@ -771,33 +803,12 @@ mod tests {
     }
 
     #[test]
-    fn backward_input_is_bit_identical_and_grad_free() {
+    fn dense_input_gradient_entry_points_agree() {
         let mut init = Initializer::new(3);
-        let mut net = Sequential::new();
-        net.push(Dense::new(4, 9, &mut init));
-        net.push(Activation::tanh());
-        net.push(Dense::new(9, 3, &mut init));
-        net.push(Activation::sigmoid());
-        let x = Initializer::new(11).normal(12, 4, 0.9); // multi-row batch
-
-        let y = net.forward(&x);
-        let via_backward = net.backward(&y);
-        let grads: Vec<Matrix> = net.params_mut().iter().map(|p| p.grad.clone()).collect();
-
-        let _ = net.forward(&x);
-        let via_input_only = net.backward_input(&y);
-        for (a, b) in via_backward.data().iter().zip(via_input_only.data()) {
-            assert_eq!(a.to_bits(), b.to_bits(), "input gradients diverged");
-        }
-        // Parameter gradients must be exactly as `backward` left them —
-        // `backward_input` accumulated nothing.
-        for (p, saved) in net.params_mut().iter().zip(&grads) {
-            assert_eq!(p.grad, *saved, "backward_input touched parameter grads");
-        }
-
-        // On one Dense, every entry point returns the bits of
-        // `dY·Wᵀ` through `Matrix::matmul`, at 1, 8 and 9 rows and with
-        // exact zeros (the kernel's skipped terms) in dY.
+        // Every entry point returns the bits of `dY·Wᵀ` through
+        // `Matrix::matmul`, at 1, 8 and 9 rows and with exact zeros (the
+        // kernel's skipped terms) in dY; `input_grad_into` of the first
+        // 4 columns returns those columns of it.
         let mut dense = Dense::new(6, 5, &mut init);
         for m in [1usize, 8, 9] {
             let x = Initializer::new(40 + m as u64).normal(m, 6, 0.7);
@@ -808,16 +819,26 @@ mod tests {
                 }
             }
             let want = dy.matmul(&dense.weight().transpose());
-            let _ = dense.forward(&x);
+            let y = dense.forward(&x);
+            let mut into = Matrix::default();
+            dense.backward_input_into(&x, &y, &dy, &mut into);
+            let mut four = Matrix::default();
+            dense.input_grad_into(&dy, 4, &mut four);
             let got = [
                 ("backward", dense.backward(&dy)),
-                ("backward_input", dense.backward_input(&dy)),
+                ("backward_input_into", into),
                 ("backward_batch", dense.backward_batch(&dy, &[(0, m)])),
             ];
             for (name, got) in got {
                 assert_eq!(got.shape(), (m, 6));
                 for (a, b) in got.data().iter().zip(want.data()) {
                     assert_eq!(a.to_bits(), b.to_bits(), "{name} at m = {m}");
+                }
+            }
+            assert_eq!(four.shape(), (m, 4));
+            for r in 0..m {
+                for (a, b) in four.row(r).iter().zip(want.row(r)) {
+                    assert_eq!(a.to_bits(), b.to_bits(), "4 columns at m = {m}");
                 }
             }
         }
@@ -880,7 +901,12 @@ mod tests {
         let mut dense = Dense::new(3, 2, &mut init);
         let x = Initializer::new(6).normal(10, 3, 1.0);
         let y = dense.forward(&x);
-        let before = dense.backward_input(&y);
+        let dx = |dense: &mut Dense| {
+            let mut out = Matrix::default();
+            dense.input_grad_into(&y, 3, &mut out);
+            out
+        };
+        let before = dx(&mut dense);
         // Mutate the weights through the only mutable access path.
         {
             let mut params = dense.params_mut();
@@ -888,8 +914,7 @@ mod tests {
             let scaled = w.scale(2.0);
             *w = scaled;
         }
-        let _ = dense.forward(&x);
-        let after = dense.backward_input(&y);
+        let after = dx(&mut dense);
         // A stale Wᵀ cache would reproduce `before` exactly.
         assert_ne!(before, after, "Wᵀ cache survived a parameter update");
         let expected = y.matmul(&dense.weight().transpose());

@@ -28,6 +28,8 @@
 #![warn(missing_docs)]
 
 pub mod adam;
+#[doc(hidden)]
+pub mod alloc_count;
 pub mod gat;
 pub mod init;
 pub mod kernel;

@@ -17,7 +17,7 @@ use std::ops::{Add, Mul, Sub};
 /// let b = Matrix::identity(2);
 /// assert_eq!(a.matmul(&b), a);
 /// ```
-#[derive(PartialEq, Serialize, Deserialize)]
+#[derive(Default, PartialEq, Serialize, Deserialize)]
 pub struct Matrix {
     rows: usize,
     cols: usize,
@@ -221,22 +221,39 @@ impl Matrix {
     ///
     /// Panics if `self.cols() != b.rows()`.
     pub fn matmul(&self, b: &Matrix) -> Matrix {
+        // A zeroed allocation, not a grown empty one: the daemon's
+        // per-interval scoring, all small fresh matrices, measured a
+        // lower median interval this way (README, allocation-free ascent).
+        let mut out = Matrix::zeros(self.rows, b.cols);
+        self.matmul_into(b, &mut out);
+        out
+    }
+
+    /// [`Matrix::matmul`] into `out`, which is reshaped to the product's
+    /// shape and fully overwritten: a reused `out` of that shape is
+    /// neither reallocated nor cleared first.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `self.cols() != b.rows()`.
+    pub fn matmul_into(&self, b: &Matrix, out: &mut Matrix) {
         assert_eq!(
             self.cols, b.rows,
             "matmul shape mismatch: {}x{} · {}x{}",
             self.rows, self.cols, b.rows, b.cols
         );
         let (m, k, n) = (self.rows, self.cols, b.cols);
-        let mut out = Matrix::zeros(m, n);
+        out.resize(m, n);
         // Outer product (the `dW = xᵀ·dY` shape of every Dense backward):
         // each output row is one scaled copy of b's only row.
         if k == 1 {
-            for i in 0..m {
-                let a = self.data[i];
+            for (i, &a) in self.data.iter().enumerate() {
+                let o_row = &mut out.data[i * n..(i + 1) * n];
                 if a == 0.0 {
+                    o_row.fill(0.0);
                     continue;
                 }
-                for (o, &bv) in out.data[i * n..(i + 1) * n].iter_mut().zip(&b.data) {
+                for (o, &bv) in o_row.iter_mut().zip(&b.data) {
                     // `0.0 +` matches the accumulator chain's start value:
                     // a -0.0 product must still yield +0.0, as in the
                     // other paths (and LLVM cannot fold it away without
@@ -244,10 +261,19 @@ impl Matrix {
                     *o = 0.0 + a * bv;
                 }
             }
-            return out;
+            return;
         }
         crate::kernel::matmul_into(&mut out.data, &self.data, &b.data, m, k, n);
-        out
+    }
+
+    /// Reshapes to `rows × cols` in place for a caller that then writes
+    /// every element: the buffer is kept, and it allocates only to grow
+    /// (the new elements are zero). Elements that were there before keep
+    /// stale values until overwritten.
+    pub fn resize(&mut self, rows: usize, cols: usize) {
+        self.rows = rows;
+        self.cols = cols;
+        self.data.resize(rows * cols, 0.0);
     }
 
     /// Transpose. Tiled 8×8 so both the reads and the strided writes stay

@@ -6,8 +6,10 @@
 //! plus the transition cost of installing `G` (§III-B). Production runs
 //! that as an engine: row-budget chunks, worker fan-out, patched GAT
 //! branches and SIMD reductions. [`Reference`] computes it the plain way,
-//! one candidate at a time through the full-forward `GonModel::generate`
-//! on the scalar kernels, and repairs over it as Algorithm 2 does.
+//! one candidate at a time on the scalar kernels, through an eq.-1 loop
+//! of its own ([`reference_generate`]: the training path's allocating
+//! `GonModel::score` and `GonModel::backward`, not the ascent engine
+//! under test), and repairs over it as Algorithm 2 does.
 //! [`check`] requires the engine to match both bit for bit.
 
 use carol::carol::{Carol, CarolConfig};
@@ -15,9 +17,9 @@ use carol::nodeshift::{apply_move, enumerate_moves, neighborhood, random_shift, 
 use carol::tabu::{self, BatchObjective, Neighborhood};
 use carol::ResiliencePolicy;
 use edgesim::scheduler::LeastLoadScheduler;
-use edgesim::state::{qos_components, Normalizer, SystemState, QOS_ALPHA, QOS_BETA};
+use edgesim::state::{qos_components, Normalizer, SystemState, METRIC_DIM, QOS_ALPHA, QOS_BETA};
 use edgesim::{FaultLoad, HostId, NodeRole, SimConfig, Simulator, Topology};
-use gon::{Generated, GonModel};
+use gon::{Generated, GonModel, GEN_TOL};
 use nn::kernel::{self, Backend};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -87,6 +89,48 @@ fn on_scalar<T>(f: impl FnOnce() -> T) -> T {
     out
 }
 
+/// The eq.-1 ascent of `state` (`M ← clamp(M + γ·∇_M log D)`), one
+/// step at a time through the training path: `score` runs the whole
+/// network, `backward` the whole gradient, and only its metric columns
+/// enter the update. A candidate stops when its score drops below the
+/// last one (overshoot) or, past the first step, gains less than
+/// `GEN_TOL` scaled by γ (plateau); it returns its best-scoring metrics,
+/// that score, and the steps it took. With no steps it scores the warm
+/// start.
+fn reference_generate(gon: &mut GonModel, state: &SystemState) -> Generated {
+    let (steps, lr) = (gon.config().gen_steps, gon.config().gen_lr);
+    let tol = GEN_TOL * (lr / 1e-3).max(1e-6);
+    let mut probe = state.clone();
+    let mut metrics = state.metrics_flat();
+    let mut best = Generated {
+        metrics_flat: metrics.clone(),
+        confidence: f64::NEG_INFINITY,
+        iterations: 0,
+    };
+    let mut prev = f64::NEG_INFINITY;
+    for it in 0..steps {
+        probe.set_metrics_flat(&metrics);
+        let score = gon.score(&probe);
+        if score > best.confidence {
+            best.confidence = score;
+            best.metrics_flat.clone_from(&metrics);
+        }
+        best.iterations = it + 1;
+        if score < prev || (it > 0 && score - prev < tol) {
+            break;
+        }
+        prev = score;
+        let gradient = gon.backward(state.n_hosts(), 1.0 / score.max(1e-9));
+        assert_eq!(gradient.cols(), METRIC_DIM);
+        kernel::ascent_update(&mut metrics, gradient.data(), lr);
+    }
+    if best.confidence == f64::NEG_INFINITY {
+        probe.set_metrics_flat(&metrics);
+        best.confidence = gon.score(&probe);
+    }
+    best
+}
+
 /// The cost of installing `candidate` over `current`: 0.04 per host that
 /// changes layer, 0.004 per worker that changes broker.
 fn transition_cost(current: &Topology, candidate: &Topology) -> f64 {
@@ -116,7 +160,7 @@ impl Reference {
     /// The objective of `candidate` against `snapshot`.
     fn objective(&mut self, snapshot: &SystemState, candidate: &Topology) -> f64 {
         let probe = snapshot.with_topology(candidate);
-        let generated = on_scalar(|| self.gon.generate(&probe));
+        let generated = on_scalar(|| reference_generate(&mut self.gon, &probe));
         let (q_energy, q_slo) = qos_components(&generated.metrics_flat);
         let qos = QOS_ALPHA * q_energy + QOS_BETA * q_slo;
         let score = transition_cost(&snapshot.topology, candidate) + qos;
