@@ -693,8 +693,8 @@ impl GonModel {
     /// rows of `ws.x` into `ws.z`, then each candidate's mean-pooled
     /// `ReLU` of them into its `pooled` row. With `reuse`, a row equal
     /// bitwise to its parent row copies the record's encoder row, and
-    /// each run of the other rows goes through the encoder in one call,
-    /// unless most rows differ and every row goes through it at once.
+    /// each run of the other rows goes through the encoder in one call
+    /// (an all-fresh chunk is one call over every row).
     fn encode(&self, ws: &mut Ascent, reuse: Option<&ParentRecord>) {
         let Ascent {
             x,
@@ -715,35 +715,26 @@ impl GonModel {
                     let bits = a.iter().zip(p).map(|(a, p)| a.to_bits() ^ p.to_bits());
                     bits.fold(0, |acc, d| acc | d) != 0
                 }));
-                let count = fresh.iter().filter(|&&f| f).count();
-                // Copying a reused row costs about as much as computing
-                // it, and the runs of fresh rows between them make
-                // short matmuls: with most rows fresh (a demotion moves
-                // every row's blast term) one whole pass is faster.
-                if 2 * count > rows {
-                    self.ms_encoder.forward_rows_into(x.data(), z.data_mut());
-                } else {
-                    let parent_z = parent.z.data().chunks_exact(hidden).cycle();
-                    // `from` starts the run of fresh rows before row `r`.
-                    let mut from = 0;
-                    for (r, (&is_fresh, parent_row)) in fresh.iter().zip(parent_z).enumerate() {
-                        if is_fresh {
-                            continue;
-                        }
-                        if from < r {
-                            self.ms_encoder.forward_rows_into(
-                                &x.data()[from * width..r * width],
-                                &mut z.data_mut()[from * hidden..r * hidden],
-                            );
-                        }
-                        z.row_mut(r).copy_from_slice(parent_row);
-                        from = r + 1;
+                let parent_z = parent.z.data().chunks_exact(hidden).cycle();
+                // `from` starts the run of fresh rows before row `r`.
+                let mut from = 0;
+                for (r, (&is_fresh, parent_row)) in fresh.iter().zip(parent_z).enumerate() {
+                    if is_fresh {
+                        continue;
                     }
-                    self.ms_encoder.forward_rows_into(
-                        &x.data()[from * width..],
-                        &mut z.data_mut()[from * hidden..],
-                    );
+                    if from < r {
+                        self.ms_encoder.forward_rows_into(
+                            &x.data()[from * width..r * width],
+                            &mut z.data_mut()[from * hidden..r * hidden],
+                        );
+                    }
+                    z.row_mut(r).copy_from_slice(parent_row);
+                    from = r + 1;
                 }
+                self.ms_encoder.forward_rows_into(
+                    &x.data()[from * width..],
+                    &mut z.data_mut()[from * hidden..],
+                );
             }
         }
         let relu = |v| ActivationKind::Relu.apply(v);

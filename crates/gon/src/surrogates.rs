@@ -17,7 +17,7 @@ use edgesim::state::{
     qos_components, SystemState, GRAPH_DIM, METRIC_DIM, QOS_ALPHA, QOS_BETA, SCHED_DIM,
 };
 use nn::init::Initializer;
-use nn::layer::{Activation, Dense, Layer, Sequential};
+use nn::layer::{Activation, Dense, Sequential};
 use nn::{Adam, GraphAttention, Matrix};
 
 /// Pools per-host rows into fixed-size statistics (mean over hosts) so the

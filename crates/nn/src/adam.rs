@@ -74,7 +74,7 @@ impl Adam {
 mod tests {
     use super::*;
     use crate::init::Initializer;
-    use crate::layer::{Dense, Layer, Sequential};
+    use crate::layer::{Dense, Sequential};
     use crate::matrix::Matrix;
 
     #[test]

@@ -411,7 +411,8 @@ impl Activation {
 
 impl Layer for Activation {
     fn forward(&mut self, input: &Matrix) -> Matrix {
-        let out = input.map(|v| self.kind.apply(v));
+        let mut out = Matrix::zeros(input.rows(), input.cols());
+        self.forward_into(input, &mut out);
         let read = if self.kind.derivative_reads_output() {
             &out
         } else {
@@ -458,12 +459,15 @@ impl Layer for Activation {
     }
 }
 
-/// A stack of layers applied in sequence.
+/// A stack of layers applied in sequence. It is not itself a [`Layer`]:
+/// it holds leaf layers, and runs their allocating passes through its
+/// own `forward` / `backward` and their workspace passes through
+/// [`Sequential::forward_with`] / [`Sequential::backward_input_with`].
 ///
 /// # Examples
 ///
 /// ```
-/// use nn::{Dense, Activation, Sequential, Layer, Matrix};
+/// use nn::{Dense, Activation, Sequential, Matrix};
 /// use nn::init::Initializer;
 /// let mut init = Initializer::new(0);
 /// let mut net = Sequential::new();
@@ -516,6 +520,40 @@ impl Sequential {
     /// True when no layers have been added.
     pub fn is_empty(&self) -> bool {
         self.layers.is_empty()
+    }
+
+    /// [`Layer::forward`] through the stack: each layer caches what its
+    /// `backward` needs.
+    pub fn forward(&mut self, input: &Matrix) -> Matrix {
+        chain(self.layers.iter_mut(), input, |l, x| l.forward(x))
+    }
+
+    /// [`Layer::backward`] through the stack, after [`Sequential::forward`].
+    pub fn backward(&mut self, grad_output: &Matrix) -> Matrix {
+        chain(self.layers.iter_mut().rev(), grad_output, |l, g| {
+            l.backward(g)
+        })
+    }
+
+    /// [`Layer::backward_batch`] through the stack, after
+    /// [`Sequential::forward`] of the stacked minibatch.
+    pub fn backward_batch(&mut self, grad_output: &Matrix, segments: &[(usize, usize)]) -> Matrix {
+        chain(self.layers.iter_mut().rev(), grad_output, |l, g| {
+            l.backward_batch(g, segments)
+        })
+    }
+
+    /// Every layer's parameters, in layer order.
+    pub fn params_mut(&mut self) -> Vec<&mut Param> {
+        self.layers
+            .iter_mut()
+            .flat_map(|l| l.params_mut())
+            .collect()
+    }
+
+    /// Total scalar parameter count.
+    pub fn param_count(&self) -> usize {
+        self.layers.iter().map(|l| l.param_count()).sum()
     }
 
     /// Zeroes gradients of all parameters.
@@ -597,59 +635,6 @@ fn chain<'a>(
             layers.fold(y, |y, layer| step(layer, &y))
         }
         None => x.clone(),
-    }
-}
-
-impl Layer for Sequential {
-    fn forward(&mut self, input: &Matrix) -> Matrix {
-        chain(self.layers.iter_mut(), input, |l, x| l.forward(x))
-    }
-
-    /// Through a fresh [`Workspace`]; [`Sequential::forward_with`]
-    /// keeps one across calls.
-    fn forward_into(&self, input: &Matrix, out: &mut Matrix) {
-        out.clone_from(self.forward_with(input, &mut Workspace::default()));
-    }
-
-    /// Re-runs the stack's forward from `input` into a fresh
-    /// [`Workspace`] for the layers' own outputs.
-    fn backward_input_into(
-        &mut self,
-        input: &Matrix,
-        _output: &Matrix,
-        grad_output: &Matrix,
-        grad_input: &mut Matrix,
-    ) {
-        let mut ws = Workspace::default();
-        self.forward_with(input, &mut ws);
-        grad_input.clone_from(self.backward_input_with(input, grad_output, &mut ws));
-    }
-
-    fn backward(&mut self, grad_output: &Matrix) -> Matrix {
-        chain(self.layers.iter_mut().rev(), grad_output, |l, g| {
-            l.backward(g)
-        })
-    }
-
-    fn backward_batch(&mut self, grad_output: &Matrix, segments: &[(usize, usize)]) -> Matrix {
-        chain(self.layers.iter_mut().rev(), grad_output, |l, g| {
-            l.backward_batch(g, segments)
-        })
-    }
-
-    fn params_mut(&mut self) -> Vec<&mut Param> {
-        self.layers
-            .iter_mut()
-            .flat_map(|l| l.params_mut())
-            .collect()
-    }
-
-    fn param_count(&self) -> usize {
-        self.layers.iter().map(|l| l.param_count()).sum()
-    }
-
-    fn clone_boxed(&self) -> Box<dyn Layer + Send + Sync> {
-        Box::new(self.clone())
     }
 }
 
