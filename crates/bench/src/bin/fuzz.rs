@@ -7,15 +7,14 @@
 //! cargo run --release -p bench --bin fuzz -- --fast       # CI smoke (55 s budget)
 //! cargo run --release -p bench --bin fuzz -- --budget 120 # explicit budget, seconds
 //! cargo run --release -p bench --bin fuzz -- --cases 16 --seed 3
-//! cargo run --release -p bench --bin fuzz -- --out FUZZ_PR.json
-//! FUZZ_JSON=FUZZ_PR.json cargo run --release -p bench --bin fuzz -- --fast
+//! cargo run --release -p bench --bin fuzz -- --fast --out FUZZ_PR.json
 //! ```
 //!
 //! The JSON report carries every shrunk cliff as a full serialised
 //! `ScenarioSpec`, so a hit can be replayed verbatim or promoted to a
 //! named `cliff-*` registry scenario.
 
-use bench::fuzz::{run_fuzz, FuzzConfig, FUZZ_JSON_ENV};
+use bench::fuzz::{run_fuzz, FuzzConfig};
 
 fn main() {
     let args = bench::cli::CommonArgs::parse();
@@ -34,7 +33,7 @@ fn main() {
     if let Some(cases) = args.flag_value("--cases") {
         config.cases = cases.parse().expect("--cases takes a count");
     }
-    let out_path = args.out_path(FUZZ_JSON_ENV);
+    let out_path = args.out_path();
 
     println!(
         "fuzz: up to {} cases, {:.0} s budget, seed {} (margin {:.0}%, drop {:.0}%)",

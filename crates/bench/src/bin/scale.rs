@@ -7,20 +7,19 @@
 //! cargo run --release -p bench --bin scale -- --fast  # CI sweep (→ 256 hosts)
 //! cargo run --release -p bench --bin scale -- --out scale.json
 //! cargo run --release -p bench --bin scale -- --scenario storm-64 --seed 3
-//! SCALE_JSON=scale.json cargo run --release -p bench --bin scale
 //! ```
 //!
 //! With `--scenario <name>` the sweep collapses to that one registry
 //! scenario (still producing the full per-cell record, repair timing
 //! included).
 
-use bench::scale::{render_table, run_cell, sweep, to_json, ScaleConfig, SCALE_JSON_ENV};
+use bench::scale::{render_table, run_cell, sweep, to_json, ScaleConfig};
 
 fn main() {
     let args = bench::cli::CommonArgs::parse();
     let fast = args.fast;
     let seed = args.seed(0);
-    let out_path = args.out_path(SCALE_JSON_ENV);
+    let out_path = args.out_path();
 
     let points = if let Some(mut spec) = args.scenario(seed) {
         if fast {

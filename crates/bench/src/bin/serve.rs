@@ -3,7 +3,7 @@
 //! ```text
 //! cargo run --release -p bench --bin serve                       # full bench: ≥100k-task replay → SERVE numbers
 //! cargo run --release -p bench --bin serve -- --fast             # CI smoke: checked-in 40-interval trace
-//! cargo run --release -p bench --bin serve -- --out SERVE.json   # also: SERVE_JSON env var
+//! cargo run --release -p bench --bin serve -- --out SERVE.json   # write the report JSON
 //! cargo run --release -p bench --bin serve -- --config spec.json # ExperimentSpec — or a JSON list of
 //!                                                                # them for a multi-federation daemon
 //! cat trace.jsonl | cargo run --release -p bench --bin serve -- --stdin
@@ -16,27 +16,28 @@
 //! decisions/sec plus p50/p99 decision latency. With them it runs as a
 //! *daemon*: events arrive over stdin or TCP, optionally paced to wall
 //! clock (`--pace <seconds-per-interval>`), with the plain-text health
-//! endpoint on `--metrics <addr>`.
+//! endpoint on `--metrics <addr>`. Every mode serves a
+//! [`carol::service::FederationSet`], and the GON fine-tunes inline,
+//! inside the interval whose confidence alarm fired it.
 //!
 //! A `--config` file holding a JSON **list** of specs serves all of them
-//! as one multi-federation daemon ([`carol::service::FederationSet`]):
-//! in bench mode every federation replays its own copy of the trace; in
-//! `--listen` mode the daemon accepts one trace connection per
-//! federation, in spec order. `--stdin` is single-federation only (one
-//! stream cannot be demultiplexed).
+//! as one multi-federation daemon: in bench mode every federation
+//! replays its own copy of the trace; in `--listen` mode the daemon
+//! accepts one trace connection per federation, in spec order.
+//! `--stdin` is single-federation only (one stream cannot be
+//! demultiplexed).
 
 use bench::serve::{
     full_spec, full_trace, run_federation_bench, run_serve_bench, smoke_spec, ServeBenchReport,
-    SERVE_JSON_ENV, SMOKE_TRACE,
+    SMOKE_TRACE,
 };
-use carol::service::{
-    serve_federation_listener, serve_stdin, ExperimentSpec, FederationSet, ServeOptions,
-};
+use carol::service::{serve_federation_listener, FederationSet, ServeOptions};
+use std::io::BufReader;
 
 fn main() {
     let args = bench::cli::CommonArgs::parse();
     let seed = args.seed(7);
-    let out_path = args.out_path(SERVE_JSON_ENV);
+    let out_path = args.out_path();
 
     let checkpoint_path =
         std::env::temp_dir().join(format!("carol-serve-{}.json", std::process::id()));
@@ -68,32 +69,31 @@ fn main() {
             .flag_value("--pace")
             .map(|s| s.parse().expect("--pace takes seconds per interval")),
         metrics_addr: args.flag_value("--metrics"),
-        background_tune: !args.has_flag("--no-background-tune"),
+        ..ServeOptions::default()
     };
 
     // Daemon modes: ingest live stream(s), report, exit.
-    if args.has_flag("--stdin") {
-        let spec = solo_spec(&set, "--stdin");
-        eprintln!("[serve] daemon: ingesting carol-trace v1 from stdin…");
-        let report = serve_stdin(&spec, &options).unwrap_or_else(|e| panic!("serve failed: {e}"));
-        finish(
-            vec![ServeBenchReport {
-                report,
-                checkpoint_restore_verified: false,
-            }],
-            out_path,
+    let served = if args.has_flag("--stdin") {
+        assert_eq!(
+            set.specs().len(),
+            1,
+            "--stdin serves a single federation; use --listen for a multi-federation config"
         );
-        return;
-    }
-    if let Some(addr) = args.flag_value("--listen") {
+        eprintln!("[serve] daemon: ingesting carol-trace v1 from stdin…");
+        Some(set.serve(vec![BufReader::new(std::io::stdin())], &options))
+    } else if let Some(addr) = args.flag_value("--listen") {
         let listener = std::net::TcpListener::bind(&addr)
             .unwrap_or_else(|e| panic!("cannot bind --listen {addr}: {e}"));
         eprintln!(
             "[serve] daemon: waiting for {} trace connection(s) on {addr}…",
             set.specs().len()
         );
-        let reports = serve_federation_listener(&set, &listener, &options)
-            .unwrap_or_else(|e| panic!("serve failed: {e}"));
+        Some(serve_federation_listener(&set, &listener, &options))
+    } else {
+        None
+    };
+    if let Some(served) = served {
+        let reports = served.unwrap_or_else(|e| panic!("serve failed: {e}"));
         finish(
             reports
                 .into_iter()
@@ -129,16 +129,6 @@ fn main() {
     };
     std::fs::remove_file(&checkpoint_path).ok();
     finish(benches, out_path);
-}
-
-/// Unwraps a single-federation set for modes that cannot multiplex.
-fn solo_spec(set: &FederationSet, mode: &str) -> ExperimentSpec {
-    assert_eq!(
-        set.specs().len(),
-        1,
-        "{mode} serves a single federation; use --listen for a multi-federation config"
-    );
-    set.specs()[0].clone()
 }
 
 fn finish(benches: Vec<ServeBenchReport>, out_path: Option<String>) {

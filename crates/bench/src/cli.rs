@@ -1,9 +1,9 @@
 //! Shared CLI plumbing for the figure binaries.
 //!
 //! Every artefact binary speaks the same dialect — `--fast`,
-//! `--scenario <name>`, `--out <path>` with a per-binary env-var
-//! fallback, plus binary-specific `--flag value` pairs — so the parsing
-//! lives here once, as [`CommonArgs`]. Scenario names resolve through
+//! `--scenario <name>`, `--out <path>`, plus binary-specific
+//! `--flag value` pairs — so the parsing lives here once, as
+//! [`CommonArgs`]. Scenario names resolve through
 //! the [`carol::scenario`] registry; an unknown name aborts with the
 //! catalogue, so `--scenario help` (or any typo) doubles as discovery.
 
@@ -18,7 +18,7 @@ use carol::scenario::ScenarioSpec;
 ///     "report.json".into(),
 /// ]);
 /// assert!(args.fast);
-/// assert_eq!(args.out_path("NO_SUCH_ENV"), Some("report.json".into()));
+/// assert_eq!(args.out_path(), Some("report.json".into()));
 /// ```
 #[derive(Debug, Clone)]
 pub struct CommonArgs {
@@ -76,17 +76,10 @@ impl CommonArgs {
         scenario_from_args(&self.args, seed)
     }
 
-    /// The JSON artifact destination: `--out <path>`, falling back to
-    /// the binary's env var (`SCALE_JSON`, `FUZZ_JSON`, `SERVE_JSON`, …)
-    /// when the flag is absent. Empty env values count as unset.
-    pub fn out_path(&self, env_var: &str) -> Option<String> {
-        self.out_path_or(std::env::var(env_var).ok())
-    }
-
-    /// [`CommonArgs::out_path`] with the env var's value passed in.
-    fn out_path_or(&self, env_value: Option<String>) -> Option<String> {
+    /// The JSON artifact destination, `--out <path>` (`None` when the
+    /// flag is absent).
+    pub fn out_path(&self) -> Option<String> {
         self.flag_value("--out")
-            .or_else(|| env_value.filter(|p| !p.is_empty()))
     }
 }
 
@@ -163,10 +156,7 @@ mod tests {
         assert!(a.has_flag("--seed"));
         assert_eq!(a.flag_value("--seed").as_deref(), Some("9"));
         assert_eq!(a.flag_value("--missing"), None);
-        assert_eq!(
-            a.out_path("BENCH_TEST_UNSET_ENV").as_deref(),
-            Some("x.json")
-        );
+        assert_eq!(a.out_path().as_deref(), Some("x.json"));
         assert_eq!(a.scenario(3).unwrap().name, "paper-16");
     }
 
@@ -180,24 +170,5 @@ mod tests {
     #[should_panic(expected = "--seed takes a u64")]
     fn malformed_seed_aborts() {
         CommonArgs::from_vec(args(&["--seed", "-3"])).seed(0);
-    }
-
-    #[test]
-    fn out_path_falls_back_to_env() {
-        // Through the env value, not `setenv`: mutating the environment
-        // while other test threads read it is undefined behaviour on glibc.
-        let a = CommonArgs::from_vec(args(&["--fast"]));
-        assert_eq!(a.out_path("BENCH_TEST_UNSET_ENV"), None);
-        assert_eq!(a.out_path_or(None), None);
-        assert_eq!(
-            a.out_path_or(Some("from-env.json".into())).as_deref(),
-            Some("from-env.json")
-        );
-        assert_eq!(a.out_path_or(Some(String::new())), None, "empty = unset");
-        let flagged = CommonArgs::from_vec(args(&["--out", "x.json"]));
-        assert_eq!(
-            flagged.out_path_or(Some("from-env.json".into())).as_deref(),
-            Some("x.json")
-        );
     }
 }

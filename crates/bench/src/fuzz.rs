@@ -42,10 +42,6 @@ use std::time::Instant;
 use workloads::trace::{generate_trace, TraceConfig};
 use workloads::{ArrivalShape, BenchmarkSuite};
 
-/// Environment variable naming the JSON report file (mirrors the
-/// criterion stub's `BENCH_JSON` and the scale sweep's `SCALE_JSON`).
-pub const FUZZ_JSON_ENV: &str = "FUZZ_JSON";
-
 /// `(n_hosts, n_brokers)` sizes the fuzzer may pick, ascending — index 0
 /// is the shrink target.
 pub const SIZES: [(usize, usize); 3] = [(16, 4), (32, 8), (64, 8)];

@@ -21,10 +21,6 @@ use edgesim::{PhaseTimings, Simulator};
 use faults::FaultInjector;
 use serde::{Deserialize, Serialize};
 
-/// Env var naming the JSON artifact destination (CI sets it to
-/// `PHASES_PR.json`); `--out` takes precedence.
-pub const PHASES_JSON_ENV: &str = "PHASES_JSON";
-
 /// Configuration of one phase-profile run.
 #[derive(Debug, Clone)]
 pub struct PhasesConfig {
@@ -131,8 +127,7 @@ pub fn profile(config: &PhasesConfig) -> Vec<PhasePoint> {
         .collect()
 }
 
-/// Serialises profile points as pretty JSON (the `PHASES_JSON`
-/// artifact).
+/// Serialises profile points as pretty JSON (the `--out` artifact).
 pub fn to_json(points: &[PhasePoint]) -> String {
     serde_json::to_string_pretty(&points.to_vec()).expect("phase points serialise")
 }

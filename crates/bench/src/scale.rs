@@ -8,10 +8,8 @@
 //! DeFog trace recorded at the same scale — so both new workload *and*
 //! new scale are exercised per size.
 //!
-//! Results serialise to the same JSON-artifact pattern as the vendored
-//! criterion stub's `BENCH_JSON`: the `scale` binary honours `--out
-//! <path>` / the `SCALE_JSON` environment variable and CI uploads the
-//! file next to `BENCH_PR.json`.
+//! Results serialise to a JSON artifact: the `scale` binary writes it to
+//! `--out <path>` and CI uploads the file next to `BENCH_PR.json`.
 
 use carol::carol::{Carol, CarolConfig};
 use carol::scenario::{run_scenario, ScenarioSpec, SchedulerKind, WorkloadSource};
@@ -22,10 +20,6 @@ use serde::{Deserialize, Serialize};
 use std::time::Instant;
 use workloads::replay::record_suite;
 use workloads::{ArrivalShape, BenchmarkSuite};
-
-/// Environment variable naming the JSON results file (mirrors the
-/// criterion stub's `BENCH_JSON`).
-pub const SCALE_JSON_ENV: &str = "SCALE_JSON";
 
 /// Configuration of one scaling sweep.
 #[derive(Debug, Clone)]
@@ -387,7 +381,7 @@ pub fn sweep(config: &ScaleConfig) -> Vec<ScalePoint> {
     points
 }
 
-/// Serialises sweep points as pretty JSON (the `SCALE_JSON` artifact).
+/// Serialises sweep points as pretty JSON (the `--out` artifact).
 pub fn to_json(points: &[ScalePoint]) -> String {
     serde_json::to_string_pretty(points).expect("scale points serialise")
 }

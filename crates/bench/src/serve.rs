@@ -29,10 +29,6 @@ use std::io::Cursor;
 use workloads::replay::{export_jsonl, record_suite};
 use workloads::BenchmarkSuite;
 
-/// Env var naming the JSON artifact destination (CI sets it to
-/// `SERVE_PR.json`); `--out` takes precedence.
-pub const SERVE_JSON_ENV: &str = "SERVE_JSON";
-
 /// The checked-in CI smoke trace: AIoTBench at federation-wide λ = 4.0,
 /// seed 7, 40 intervals (157 tasks).
 pub const SMOKE_TRACE: &str = include_str!("../data/smoke-trace.jsonl");

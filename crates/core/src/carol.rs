@@ -13,7 +13,6 @@ use par::EngineConfig;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
-use std::thread::JoinHandle;
 use workloads::trace::{generate_trace, TraceConfig};
 use workloads::BenchmarkSuite;
 
@@ -131,13 +130,6 @@ pub struct Carol {
     adam: Adam,
     rng: StdRng,
     interval: usize,
-    /// Run GON fine-tuning on a weight snapshot in a background thread
-    /// (service mode). The tuned weights install at the next surrogate
-    /// use, which the serial path never reaches before tuning completes
-    /// logically — so results stay bit-identical to inline tuning.
-    background_tune: bool,
-    /// In-flight background fine-tune job, if any.
-    pending_tune: Option<JoinHandle<(GonModel, Adam)>>,
     /// Confidence score per observed interval (the Fig. 2 series).
     pub confidence_history: Vec<f64>,
     /// POT threshold per observed interval (`None` during calibration).
@@ -187,8 +179,6 @@ impl Carol {
             last_repair_score: None,
             modeled_decision_s: 0.0,
             modeled_overhead_s: 0.0,
-            background_tune: false,
-            pending_tune: None,
             gon,
             gan,
             ff,
@@ -246,32 +236,6 @@ impl Carol {
         self.interval
     }
 
-    /// Enables or disables background fine-tuning (GON variant only;
-    /// ignored otherwise). When on, a confidence alarm spawns the
-    /// fine-tune on clones of the GON and optimizer in a worker thread;
-    /// the tuned weights are installed at the next surrogate use
-    /// ([`Carol::repair`], the next observe, or a checkpoint) — points
-    /// the inline path cannot reach mid-tune either, so every decision
-    /// stays bit-identical to inline tuning (gated in
-    /// `tests/determinism.rs`) while the daemon keeps ingesting.
-    pub fn set_background_tune(&mut self, on: bool) {
-        if !on {
-            self.install_pending_tune();
-        }
-        self.background_tune = on && matches!(self.config.variant, CarolVariant::Gon);
-    }
-
-    /// Joins and installs an in-flight background fine-tune, if any.
-    /// No-op when none is pending; called from every path that reads or
-    /// writes the GON.
-    fn install_pending_tune(&mut self) {
-        if let Some(handle) = self.pending_tune.take() {
-            let (gon, adam) = handle.join().expect("background fine-tune panicked");
-            self.gon = gon;
-            self.adam = adam;
-        }
-    }
-
     /// Transition cost of installing `candidate` over the current
     /// topology (§III-B: "the overhead corresponding to the node-shift
     /// operations … initialization of the broker management systems and
@@ -300,7 +264,6 @@ impl Carol {
     /// Building the view prepares `base`'s [`SystemState::projection`]
     /// once for every candidate it will score.
     pub fn batch_objective<'a>(&'a mut self, base: &'a SystemState) -> CarolObjective<'a> {
-        self.install_pending_tune();
         CarolObjective {
             carol: self,
             base: base.projection(),
@@ -436,11 +399,9 @@ impl Carol {
     /// [`GonCheckpoint`]), POT detector, running dataset Γ, optimizer,
     /// RNG stream position, histories, and modeled-cost accumulators —
     /// so [`Carol::restore`] continues the run bit-identically (gated in
-    /// `tests/determinism.rs`). Joins any in-flight background
-    /// fine-tune first. Only the GON variant checkpoints; the GAN /
-    /// feed-forward ablation surrogates have no serialized form.
+    /// `tests/determinism.rs`). Only the GON variant checkpoints; the
+    /// GAN / feed-forward ablation surrogates have no serialized form.
     pub fn checkpoint(&mut self) -> Result<CarolCheckpoint, CarolCheckpointError> {
-        self.install_pending_tune();
         if !matches!(self.config.variant, CarolVariant::Gon) {
             return Err(CarolCheckpointError::UnsupportedVariant(
                 self.config.variant,
@@ -466,8 +427,6 @@ impl Carol {
     /// Rebuilds the controller a [`Carol::checkpoint`] froze.
     /// `restore(checkpoint())` followed by any observe/repair sequence is
     /// bit-identical to running that sequence on the original.
-    /// Background tuning is off on the restored controller; re-enable it
-    /// with [`Carol::set_background_tune`].
     pub fn restore(ckpt: &CarolCheckpoint) -> Result<Self, CarolCheckpointError> {
         if !matches!(ckpt.config.variant, CarolVariant::Gon) {
             return Err(CarolCheckpointError::UnsupportedVariant(
@@ -492,8 +451,6 @@ impl Carol {
             last_repair_score: None,
             modeled_decision_s: ckpt.modeled_decision_s,
             modeled_overhead_s: ckpt.modeled_overhead_s,
-            background_tune: false,
-            pending_tune: None,
         })
     }
 
@@ -621,7 +578,6 @@ impl ResiliencePolicy for Carol {
     }
 
     fn repair(&mut self, sim: &Simulator, snapshot: &SystemState) -> Option<Topology> {
-        self.install_pending_tune();
         let failed: Vec<HostId> = sim.failed_brokers().to_vec();
         if failed.is_empty() {
             return None;
@@ -658,7 +614,6 @@ impl ResiliencePolicy for Carol {
         snapshot: &SystemState,
         report: &IntervalReport,
     ) -> ObserveOutcome {
-        self.install_pending_tune();
         let t = self.interval;
         self.interval += 1;
 
@@ -691,31 +646,13 @@ impl ResiliencePolicy for Carol {
                 if self.gamma.is_empty() {
                     return ObserveOutcome { fine_tuned: false };
                 }
-                if self.background_tune {
-                    // Service mode: tune clones in a worker thread. The
-                    // inputs (weights, optimizer, Γ, seed) are exactly
-                    // the serial path's, so the result installed at the
-                    // next surrogate use is bit-identical to tuning
-                    // inline here. Γ itself is left in place so the
-                    // shared bookkeeping below (overhead charge, clear)
-                    // runs unchanged.
-                    let mut gon = self.gon.clone();
-                    let mut adam = self.adam.clone();
-                    let gamma = self.gamma.clone();
-                    let config = self.config.offline.clone();
-                    self.pending_tune = Some(std::thread::spawn(move || {
-                        gon::training::fine_tune(&mut gon, &gamma, &mut adam, &config, t as u64);
-                        (gon, adam)
-                    }));
-                } else {
-                    gon::training::fine_tune(
-                        &mut self.gon,
-                        &self.gamma,
-                        &mut self.adam,
-                        &self.config.offline,
-                        t as u64,
-                    );
-                }
+                gon::training::fine_tune(
+                    &mut self.gon,
+                    &self.gamma,
+                    &mut self.adam,
+                    &self.config.offline,
+                    t as u64,
+                );
             }
             CarolVariant::Gan => {
                 if self.gamma.is_empty() {

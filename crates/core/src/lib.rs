@@ -57,6 +57,6 @@ pub use scenario::{
     SchedulerKind, WorkloadSource,
 };
 pub use service::{
-    serve_federation_listener, serve_listener, serve_stdin, serve_trace, CheckpointSpec,
-    ExperimentSpec, FederationSet, ServeOptions, ServeReport, ServiceError,
+    serve_federation_listener, serve_trace, CheckpointSpec, ExperimentSpec, FederationSet,
+    ServeOptions, ServeReport, ServiceError,
 };

@@ -25,10 +25,9 @@
 //!   rows, and because the shared channel preserves per-sender order,
 //!   every federation's served run stays bit-identical to serving it
 //!   alone (and hence to its batch replay).
-//! * **Background fine-tuning** — the GON fine-tunes on a weight
-//!   snapshot in a worker thread ([`Carol::set_background_tune`]),
-//!   installing at the next surrogate use; decisions stay bit-identical
-//!   to inline tuning.
+//! * **Fine-tuning** — inline, inside the interval's observe step, as
+//!   Algorithm 2 line 15 places it; its wall time is charged to the
+//!   interval that fired it.
 //! * **Checkpointing** — every `checkpoint.every` intervals the full
 //!   controller state freezes to a [`CarolCheckpoint`](crate::CarolCheckpoint); restore resumes
 //!   the stream as if never interrupted. A checkpoint file is written to
@@ -201,8 +200,9 @@ pub struct ServeOptions {
     /// `"127.0.0.1:0"` (`None` = no endpoint). Every accepted connection
     /// receives the current metrics block and is closed.
     pub metrics_addr: Option<String>,
-    /// Fine-tune the GON on a weight snapshot in a background thread
-    /// ([`Carol::set_background_tune`]). Bit-identical either way.
+    /// Ignored: fine-tuning always runs inline. Kept only so existing
+    /// struct literals that set it still compile.
+    #[deprecated(note = "ignored: fine-tuning always runs inline")]
     pub background_tune: bool,
 }
 
@@ -373,8 +373,8 @@ fn metrics_listener(
     }
 }
 
-/// Serves a `carol-trace` v1 stream from any buffered reader: the
-/// general entry point behind [`serve_stdin`] and [`serve_listener`].
+/// Serves one federation's `carol-trace` v1 stream from any buffered
+/// reader through a one-spec [`FederationSet`].
 ///
 /// Pretrains CAROL per `spec.carol_config()`, then drains the stream one
 /// scheduling interval at a time. Returns once the stream ends (clean
@@ -468,11 +468,7 @@ impl FederationSet {
                 readers.len()
             )));
         }
-        let mut feds: Vec<FedState> = self
-            .specs
-            .iter()
-            .map(|spec| FedState::new(spec, options.background_tune))
-            .collect();
+        let mut feds: Vec<FedState> = self.specs.iter().map(FedState::new).collect();
         let fed_metrics: Vec<FedMetrics> = feds
             .iter()
             .map(|f| FedMetrics {
@@ -592,28 +588,6 @@ pub fn serve_federation_listener(
     set.serve(readers, options)
 }
 
-/// Serves a trace streamed over stdin — `some-producer | serve --stdin`.
-pub fn serve_stdin(
-    spec: &ExperimentSpec,
-    options: &ServeOptions,
-) -> Result<ServeReport, ServiceError> {
-    serve_trace(spec, BufReader::new(std::io::stdin()), options)
-}
-
-/// Serves a trace streamed over a socket: accepts **one** connection on
-/// the (caller-bound) listener and drains it to EOF. Binding is the
-/// caller's job so the address is known before any producer connects.
-pub fn serve_listener(
-    spec: &ExperimentSpec,
-    listener: &TcpListener,
-    options: &ServeOptions,
-) -> Result<ServeReport, ServiceError> {
-    let (conn, _) = listener
-        .accept()
-        .map_err(|e| ServiceError::Io(e.to_string()))?;
-    serve_trace(spec, BufReader::new(conn), options)
-}
-
 /// What an ingest thread forwards over the shared channel.
 enum FedMessage {
     /// A decoded trace event (or the decode error that ended the
@@ -642,9 +616,8 @@ struct FedState {
 impl FedState {
     /// Pretrains the federation's controller and sets up its engine —
     /// exactly what a solo [`serve_trace`] did before serving.
-    fn new(spec: &ExperimentSpec, background_tune: bool) -> Self {
-        let mut policy = Carol::pretrained(spec.carol_config(), spec.scenario.seed);
-        policy.set_background_tune(background_tune);
+    fn new(spec: &ExperimentSpec) -> Self {
+        let policy = Carol::pretrained(spec.carol_config(), spec.scenario.seed);
         let engine = ExperimentEngine::new(&spec.scenario.experiment_config());
         let scheduler = spec.scenario.scheduler.build();
         Self {
@@ -1057,7 +1030,7 @@ mod tests {
     }
 
     #[test]
-    fn serve_listener_ingests_over_socket() {
+    fn serve_federation_listener_ingests_over_socket() {
         let (spec, trace) = small_spec(17);
         let batch = serve_trace(
             &spec,
@@ -1072,7 +1045,11 @@ mod tests {
             let mut conn = TcpStream::connect(addr).unwrap();
             conn.write_all(trace.as_bytes()).unwrap();
         });
-        let served = serve_listener(&spec, &listener, &ServeOptions::default()).unwrap();
+        let set = FederationSet::new(vec![spec]);
+        let served = serve_federation_listener(&set, &listener, &ServeOptions::default())
+            .unwrap()
+            .pop()
+            .unwrap();
         producer.join().unwrap();
 
         assert_eq!(served.intervals, batch.intervals);

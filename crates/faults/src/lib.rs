@@ -241,7 +241,6 @@ pub struct FaultInjector {
     target: TargetPolicy,
     model: FaultModel,
     rng: StdRng,
-    history: Vec<FaultEvent>,
     /// Per-rack cascade hazard (extra Poisson intensity next interval).
     hazard: Vec<f64>,
     /// First interval at which each rack is no longer partitioned.
@@ -269,7 +268,6 @@ impl FaultInjector {
             target,
             model,
             rng: StdRng::seed_from_u64(seed),
-            history: Vec::new(),
             hazard: Vec::new(),
             partitioned_until: Vec::new(),
         }
@@ -288,11 +286,6 @@ impl FaultInjector {
     /// The correlated model in use.
     pub fn model(&self) -> &FaultModel {
         &self.model
-    }
-
-    /// Everything injected so far.
-    pub fn history(&self) -> &[FaultEvent] {
-        &self.history
     }
 
     /// Draws this interval's faults and pushes their loads into `sim`.
@@ -395,7 +388,6 @@ impl FaultInjector {
                 }
             }
         }
-        self.history.extend(events.iter().copied());
         events
     }
 }
@@ -405,6 +397,18 @@ mod tests {
     use super::*;
     use edgesim::scheduler::LeastLoadScheduler;
     use edgesim::SimConfig;
+
+    /// Injects and steps an idle simulator for `intervals` intervals,
+    /// returning every injected event in order.
+    fn drive(inj: &mut FaultInjector, sim: &mut Simulator, intervals: usize) -> Vec<FaultEvent> {
+        let mut sched = LeastLoadScheduler::new();
+        let mut events = Vec::new();
+        for t in 0..intervals {
+            events.extend(inj.inject(t, sim));
+            sim.step(Vec::new(), &mut sched);
+        }
+        events
+    }
 
     #[test]
     fn every_attack_saturates_its_resource() {
@@ -419,13 +423,8 @@ mod tests {
     fn injection_rate_matches_poisson_mean() {
         let mut sim = Simulator::new(SimConfig::small(8, 2, 0));
         let mut inj = FaultInjector::new(0.5, TargetPolicy::BrokersOnly, 1);
-        let mut sched = LeastLoadScheduler::new();
         let intervals = 4000;
-        for t in 0..intervals {
-            inj.inject(t, &mut sim);
-            sim.step(Vec::new(), &mut sched);
-        }
-        let mean = inj.history().len() as f64 / intervals as f64;
+        let mean = drive(&mut inj, &mut sim, intervals).len() as f64 / intervals as f64;
         assert!((mean - 0.5).abs() < 0.05, "mean={mean}");
     }
 
@@ -433,13 +432,9 @@ mod tests {
     fn brokers_only_policy_hits_brokers() {
         let mut sim = Simulator::new(SimConfig::small(8, 2, 3));
         let mut inj = FaultInjector::new(3.0, TargetPolicy::BrokersOnly, 5);
-        let mut sched = LeastLoadScheduler::new();
-        for t in 0..50 {
-            inj.inject(t, &mut sim);
-            sim.step(Vec::new(), &mut sched);
-        }
-        assert!(!inj.history().is_empty());
-        for e in inj.history() {
+        let events = drive(&mut inj, &mut sim, 50);
+        assert!(!events.is_empty());
+        for e in events {
             // Victims were brokers at injection time; initial topology has
             // brokers 0 and 1 and never changes here.
             assert!(e.host < 2, "non-broker {} attacked", e.host);
@@ -467,12 +462,7 @@ mod tests {
         let run = |seed| {
             let mut sim = Simulator::new(SimConfig::small(8, 2, 9));
             let mut inj = FaultInjector::new(1.0, TargetPolicy::AnyHost, seed);
-            let mut sched = LeastLoadScheduler::new();
-            for t in 0..30 {
-                inj.inject(t, &mut sim);
-                sim.step(Vec::new(), &mut sched);
-            }
-            inj.history().to_vec()
+            drive(&mut inj, &mut sim, 30)
         };
         assert_eq!(run(42), run(42));
         assert_ne!(run(42), run(43));
@@ -495,13 +485,8 @@ mod tests {
         let mean_at = |n_hosts: usize| {
             let mut sim = Simulator::new(SimConfig::small(n_hosts, 2, 7));
             let mut inj = FaultInjector::new(0.8, TargetPolicy::AnyHost, 11);
-            let mut sched = LeastLoadScheduler::new();
             let intervals = 3000;
-            for t in 0..intervals {
-                inj.inject(t, &mut sim);
-                sim.step(Vec::new(), &mut sched);
-            }
-            inj.history().len() as f64 / intervals as f64
+            drive(&mut inj, &mut sim, intervals).len() as f64 / intervals as f64
         };
         let small = mean_at(8);
         let large = mean_at(32);
@@ -513,12 +498,7 @@ mod tests {
     fn iid_model_is_bit_identical_to_plain_injector() {
         let run = |mut inj: FaultInjector| {
             let mut sim = Simulator::new(SimConfig::small(8, 2, 3));
-            let mut sched = LeastLoadScheduler::new();
-            for t in 0..40 {
-                inj.inject(t, &mut sim);
-                sim.step(Vec::new(), &mut sched);
-            }
-            inj.history().to_vec()
+            drive(&mut inj, &mut sim, 40)
         };
         let plain = run(FaultInjector::new(1.0, TargetPolicy::AnyHost, 21));
         let modeled = run(FaultInjector::with_model(
@@ -539,20 +519,14 @@ mod tests {
             decay: 0.5,
         };
         let mut inj = FaultInjector::with_model(0.6, TargetPolicy::AnyHost, model, 13);
-        let mut sched = LeastLoadScheduler::new();
         let intervals = 3000;
-        for t in 0..intervals {
-            inj.inject(t, &mut sim);
-            sim.step(Vec::new(), &mut sched);
-        }
-        let base = inj
-            .history()
+        let events = drive(&mut inj, &mut sim, intervals);
+        let base = events
             .iter()
             .filter(|e| e.cause == FaultCause::Base)
             .count() as f64
             / intervals as f64;
-        let collateral = inj
-            .history()
+        let collateral = events
             .iter()
             .filter(|e| e.cause == FaultCause::Cascade)
             .count();
@@ -570,15 +544,10 @@ mod tests {
             decay: 0.6,
         };
         let mut inj = FaultInjector::with_model(1.0, TargetPolicy::AnyHost, model, 17);
-        let mut sched = LeastLoadScheduler::new();
-        for t in 0..200 {
-            inj.inject(t, &mut sim);
-            sim.step(Vec::new(), &mut sched);
-        }
         // Every collateral strike must land in a rack struck at some
         // earlier (hazard-raising) interval.
         let mut struck_racks: Vec<usize> = Vec::new();
-        for e in inj.history() {
+        for e in drive(&mut inj, &mut sim, 200) {
             if e.cause == FaultCause::Cascade {
                 assert!(
                     struck_racks.contains(&(e.host / rack_size)),
@@ -639,12 +608,7 @@ mod tests {
                 let mut sim = Simulator::new(SimConfig::small(16, 4, 9));
                 let mut inj =
                     FaultInjector::with_model(0.8, TargetPolicy::AnyHost, model.clone(), seed);
-                let mut sched = LeastLoadScheduler::new();
-                for t in 0..60 {
-                    inj.inject(t, &mut sim);
-                    sim.step(Vec::new(), &mut sched);
-                }
-                inj.history().to_vec()
+                drive(&mut inj, &mut sim, 60)
             };
             assert_eq!(run(42), run(42), "{model:?}");
             assert_ne!(run(42), run(43), "{model:?}");

@@ -487,8 +487,8 @@ fn correlated_and_heterogeneous_scenarios_are_bit_identical_across_workers() {
 
 /// The service daemon's contract: streaming a recorded trace through
 /// `serve_trace` — ingest thread, bounded channel, interval grouping,
-/// background fine-tuning, checkpoint cadence and all — is bit-identical
-/// to the equivalent batch replay through `run_experiment_full`, on one
+/// inline fine-tuning, checkpoint cadence and all — is bit-identical to
+/// the equivalent batch replay through `run_experiment_full`, on one
 /// evaluation worker and on four.
 #[test]
 fn service_stream_is_bit_identical_to_batch_replay() {
@@ -533,18 +533,11 @@ fn service_stream_is_bit_identical_to_batch_replay() {
     };
     assert!(batch.completed > 0, "replay must complete tasks");
 
-    for (label, threads, background) in [
-        ("1 worker", 1, false),
-        ("4 workers", 4, true),
-        ("1 worker+bg", 1, true),
-    ] {
+    for (label, threads) in [("1 worker", 1), ("4 workers", 4)] {
         let report = serve_trace(
             &spec_for(threads),
             Cursor::new(trace.clone().into_bytes()),
-            &ServeOptions {
-                background_tune: background,
-                ..ServeOptions::default()
-            },
+            &ServeOptions::default(),
         )
         .unwrap_or_else(|e| panic!("{label}: serve failed: {e}"));
         assert_eq!(
