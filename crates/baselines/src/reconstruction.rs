@@ -14,7 +14,7 @@ use edgesim::state::{SystemState, METRIC_DIM};
 use edgesim::{IntervalReport, Simulator, Topology};
 use gon::surrogates::GanSurrogate;
 use nn::init::Initializer;
-use nn::layer::{Activation, Dense, Layer, Sequential};
+use nn::layer::{Activation, Dense, Layer, Sequential, Workspace};
 use nn::{Adam, Matrix};
 
 /// Per-host metric window flattened for the reconstruction models.
@@ -112,19 +112,24 @@ impl ResiliencePolicy for TopoMad {
     ) -> ObserveOutcome {
         self.modeled_overhead_s += 1.6;
         let x = metric_row(snapshot);
-        let ctx = self.ctx_map.forward(&self.context.clone()).map(f64::tanh);
-        let z = self.encoder.forward(&x.hcat(&ctx));
-        let xhat = self.decoder.forward(&z);
-        let err = nn::loss::mse(&xhat, &x);
+        let mut ctx = Matrix::default();
+        self.ctx_map.forward_into(&self.context, &mut ctx);
+        let ctx = ctx.map(f64::tanh);
+        let input = x.hcat(&ctx);
+        let (mut enc_ws, mut dec_ws) = (Workspace::default(), Workspace::default());
+        let z = self.encoder.forward(&input, &mut enc_ws);
+        let xhat = self.decoder.forward(z, &mut dec_ws);
+        let err = nn::loss::mse(xhat, &x);
         self.errors.push(err);
 
         // One reconstruction-training step per interval (reactive models
         // retrain continuously; §II).
-        let grad = nn::loss::mse_grad(&xhat, &x);
+        let grad = nn::loss::mse_grad(xhat, &x);
         self.encoder.zero_grad();
         self.decoder.zero_grad();
-        let g_latent = self.decoder.backward(&grad);
-        self.encoder.backward(&g_latent);
+        let g_latent = self.decoder.backward(z, &grad, &[(0, 1)], &mut dec_ws);
+        self.encoder
+            .backward(&input, g_latent, &[(0, 1)], &mut enc_ws);
         let mut params = self.encoder.params_mut();
         params.extend(self.decoder.params_mut());
         self.adam.step(params);

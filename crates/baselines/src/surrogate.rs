@@ -12,7 +12,7 @@ use edgesim::state::{SystemState, GRAPH_DIM, METRIC_DIM, SCHED_DIM};
 use edgesim::{HostId, IntervalReport, NodeRole, Simulator, Topology};
 use gon::surrogates::pooled_input;
 use nn::init::Initializer;
-use nn::layer::{Activation, Dense, Layer, Sequential};
+use nn::layer::{Activation, Dense, Layer, Sequential, Workspace};
 use nn::{Adam, Matrix};
 
 const POOLED_DIM: usize = METRIC_DIM + SCHED_DIM + GRAPH_DIM;
@@ -127,11 +127,11 @@ impl Elbs {
     /// host's headroom, which is the O(p·|H|) loop the paper blames for
     /// ELBS's decision time.
     pub fn score(&mut self, state: &SystemState) -> f64 {
-        Self::score_with(&mut self.surrogate, state)
+        Self::score_with(&self.surrogate, &mut Workspace::default(), state)
     }
 
-    fn score_with(surrogate: &mut Sequential, state: &SystemState) -> f64 {
-        let neural = surrogate.forward(&fuzzy_input(state))[(0, 0)];
+    fn score_with(surrogate: &Sequential, ws: &mut Workspace, state: &SystemState) -> f64 {
+        let neural = surrogate.forward(&fuzzy_input(state), ws)[(0, 0)];
         let mut matchmaking = 0.0;
         for h in 0..state.n_hosts() {
             let headroom = 1.0 - state.metrics[h][0];
@@ -156,9 +156,9 @@ impl ResiliencePolicy for Elbs {
 
     fn repair(&mut self, sim: &Simulator, snapshot: &SystemState) -> Option<Topology> {
         let mut queries = 0usize;
-        let surrogate = &mut self.surrogate;
+        let mut ws = Workspace::default();
         let repaired = best_neighbor_repair(sim, snapshot, &mut queries, |s| {
-            Self::score_with(surrogate, s)
+            Self::score_with(&self.surrogate, &mut ws, s)
         });
         // Fuzzy inference + matchmaking per candidate (§II: "time-
         // consuming … match-making algorithms"): 0.15 s testbed-equivalent.
@@ -177,11 +177,11 @@ impl ResiliencePolicy for Elbs {
         let (qe, qs) = snapshot.qos_components();
         let target = 0.5 * qe + 0.5 * qs;
         let x = fuzzy_input(snapshot);
-        let y = self.surrogate.forward(&x);
-        let err = y[(0, 0)] - target;
+        let mut ws = Workspace::default();
+        let err = self.surrogate.forward(&x, &mut ws)[(0, 0)] - target;
         self.surrogate.zero_grad();
-        self.surrogate
-            .backward(&Matrix::from_vec(1, 1, vec![2.0 * err]));
+        let grad = Matrix::from_vec(1, 1, vec![2.0 * err]);
+        self.surrogate.backward(&x, &grad, &[(0, 1)], &mut ws);
         self.adam.step(self.surrogate.params_mut());
         self.fine_tunes += 1;
         ObserveOutcome { fine_tuned: true }
@@ -243,24 +243,22 @@ impl Fras {
         }
     }
 
-    /// One recurrent step *without* committing the hidden state — used
-    /// when scoring hypothetical repair candidates.
-    fn peek(&mut self, state: &SystemState) -> f64 {
-        let x = fuzzy_input(state);
-        let zx = self.wx.forward(&x);
-        let zh = self.wh.forward(&self.hidden.clone());
-        let h = (&zx + &zh).map(f64::tanh);
-        self.head.forward(&h)[(0, 0)]
+    /// One recurrent step from the committed hidden state on the fuzzy
+    /// input row `x`: the next hidden row `tanh(x·W_x + h·W_h)` and the
+    /// head's QoS prediction from it.
+    fn step(&self, x: &Matrix) -> (Matrix, f64) {
+        let (mut zx, mut zh, mut y) = (Matrix::default(), Matrix::default(), Matrix::default());
+        self.wx.forward_into(x, &mut zx);
+        self.wh.forward_into(&self.hidden, &mut zh);
+        let hidden = (&zx + &zh).map(f64::tanh);
+        self.head.forward_into(&hidden, &mut y);
+        (hidden, y[(0, 0)])
     }
 
-    /// Recurrent step that *does* advance the hidden state (end of each
-    /// real interval).
-    fn advance(&mut self, state: &SystemState) -> f64 {
-        let x = fuzzy_input(state);
-        let zx = self.wx.forward(&x);
-        let zh = self.wh.forward(&self.hidden.clone());
-        self.hidden = (&zx + &zh).map(f64::tanh);
-        self.head.forward(&self.hidden.clone())[(0, 0)]
+    /// One recurrent step *without* committing the hidden state — used
+    /// when scoring hypothetical repair candidates.
+    fn peek(&self, state: &SystemState) -> f64 {
+        self.step(&fuzzy_input(state)).1
     }
 
     /// Fine-tune counter.
@@ -291,22 +289,30 @@ impl ResiliencePolicy for Fras {
         self.modeled_overhead_s += 1.2;
         let (qe, qs) = snapshot.qos_components();
         let target = 0.5 * qe + 0.5 * qs;
-        // Truncated-BPTT(1) update: advance, then pull the head toward the
-        // observed objective through the last step only.
-        let y = self.advance(snapshot);
+        // Truncated-BPTT(1) update: advance the hidden state (end of each
+        // real interval), then pull the head toward the observed
+        // objective through the last step only, which read `x` and the
+        // previous hidden row.
+        let x = fuzzy_input(snapshot);
+        let (hidden, y) = self.step(&x);
+        let previous = std::mem::replace(&mut self.hidden, hidden);
         let err = y - target;
-        self.head.zero_grad_all();
-        let g_h = self.head.backward(&Matrix::from_vec(1, 1, vec![2.0 * err]));
+        let params = self.wx.params_mut().into_iter().chain(self.wh.params_mut());
+        for p in params.chain(self.head.params_mut()) {
+            p.zero_grad();
+        }
+        let grad = Matrix::from_vec(1, 1, vec![2.0 * err]);
+        self.head.accumulate_grads(&self.hidden, &grad, &[(0, 1)]);
+        let mut g_pre = Matrix::default();
+        self.head
+            .input_grad_into(&grad, self.hidden_dim, &mut g_pre);
         // Through tanh into the two input maps.
-        let mut g_pre = g_h;
         for i in 0..g_pre.len() {
             let h = self.hidden.data()[i];
             g_pre.data_mut()[i] *= 1.0 - h * h;
         }
-        self.wx.zero_grad_all();
-        self.wh.zero_grad_all();
-        self.wx.backward(&g_pre);
-        self.wh.backward(&g_pre);
+        self.wx.accumulate_grads(&x, &g_pre, &[(0, 1)]);
+        self.wh.accumulate_grads(&previous, &g_pre, &[(0, 1)]);
         let mut params = self.wx.params_mut();
         params.extend(self.wh.params_mut());
         params.extend(self.head.params_mut());
@@ -325,19 +331,6 @@ impl ResiliencePolicy for Fras {
 
     fn memory_gb(&self) -> f64 {
         1.5 // recurrent network + fuzzifier
-    }
-}
-
-/// Extension: zeroing helper used by FRAS's manual recurrent backward.
-trait ZeroGradAll {
-    fn zero_grad_all(&mut self);
-}
-
-impl ZeroGradAll for Dense {
-    fn zero_grad_all(&mut self) {
-        for p in self.params_mut() {
-            p.zero_grad();
-        }
     }
 }
 

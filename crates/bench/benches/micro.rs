@@ -113,8 +113,8 @@ fn bench_kernels(c: &mut Criterion) {
     let mut ws = Workspace::default();
     c.bench_function("encoder_workspace_step_2048", |bch| {
         bch.iter(|| {
-            black_box(encoder.forward_with(black_box(&a_2048x13), &mut ws));
-            black_box(encoder.backward_input_with(&a_2048x13, black_box(&g_2048x16), &mut ws));
+            black_box(encoder.forward(black_box(&a_2048x13), &mut ws));
+            black_box(encoder.backward_input(&a_2048x13, black_box(&g_2048x16), &mut ws));
         })
     });
     // The head's 1-wide output layer at the storm's 2-candidate chunk and
@@ -142,7 +142,7 @@ fn bench_kernels(c: &mut Criterion) {
     // widths over a 64-node ring — the per-step graph-branch cost the
     // shared-embedding lever amortises.
     let mut init = nn::init::Initializer::new(17);
-    let mut gat = nn::GraphAttention::new(6, 32, 16, &mut init);
+    let gat = nn::GraphAttention::new(6, 32, 16, &mut init);
     let feats = Matrix::lcg(64, 6, 18);
     let mut ring = nn::Adjacency::default();
     for i in 0..64 {
@@ -322,15 +322,14 @@ fn bench_repair(c: &mut Criterion) {
         let probe = snapshot.with_topology(&candidate);
         let (features, adjacency) = gat_inputs(&probe);
         let (base_features, base_adjacency) = gat_inputs(&snapshot.with_topology(&shifted));
-        let reference = gat.reference(&base_features, &base_adjacency);
+        let reference = gat.forward(&base_features, &base_adjacency);
         let mut delta = GraphDelta::default();
         for h in candidate.gat_changes_from(&shifted) {
             delta.push(h, &probe.graph_features[h], candidate.gat_row(h));
         }
         let deltas = [delta];
-        let mut full = gat.clone();
         c.bench_function(&format!("gat_forward_{n_hosts}"), |b| {
-            b.iter(|| black_box(full.forward(black_box(&features), black_box(&adjacency))))
+            b.iter(|| black_box(gat.forward(black_box(&features), black_box(&adjacency))))
         });
         c.bench_function(&format!("gat_delta_{n_hosts}"), |b| {
             b.iter(|| black_box(gat.forward_delta(black_box(&reference), black_box(&deltas))))

@@ -48,7 +48,7 @@ fn print_history(policy: &Carol, intervals: usize, label: &str) {
 }
 
 fn main() {
-    let args = bench::cli::CommonArgs::parse();
+    let args = bench::cli::CommonArgs::parse(&[]);
     let fast = args.fast;
     let seed = 42;
 

@@ -22,7 +22,7 @@ use workloads::trace::{generate_trace, generate_trace_from, TraceConfig};
 use workloads::BenchmarkSuite;
 
 fn main() {
-    let args = bench::cli::CommonArgs::parse();
+    let args = bench::cli::CommonArgs::parse(&[]);
     let fast = args.fast;
     let intervals = if fast { 200 } else { 1000 };
     let seed = 7;

@@ -29,7 +29,7 @@ fn rows_for(metric: &str, data: &[PolicyMetrics]) -> Vec<Row> {
 }
 
 fn main() {
-    let args = bench::cli::CommonArgs::parse();
+    let args = bench::cli::CommonArgs::parse(&[]);
     let mut config = if args.fast {
         Fig5Config::fast()
     } else {

@@ -31,7 +31,7 @@ fn print_panel(panel: &str, sweep: Sweep, points: &[SensitivityPoint]) {
 }
 
 fn main() {
-    let fast = std::env::args().any(|a| a == "--fast");
+    let fast = bench::cli::CommonArgs::parse(&[]).fast;
     let seed = 11;
     let config = if fast {
         Fig6Config::fast(seed)

@@ -14,10 +14,11 @@
 //! `ScenarioSpec`, so a hit can be replayed verbatim or promoted to a
 //! named `cliff-*` registry scenario.
 
+use bench::cli::Flag;
 use bench::fuzz::{run_fuzz, FuzzConfig};
 
 fn main() {
-    let args = bench::cli::CommonArgs::parse();
+    let args = bench::cli::CommonArgs::parse(&[Flag::Value("--budget"), Flag::Value("--cases")]);
     let seed = args.seed(0);
     let mut config = if args.fast {
         FuzzConfig::fast(seed)

@@ -15,7 +15,7 @@
 use bench::phases::{profile, render_table, to_json, PhasesConfig};
 
 fn main() {
-    let args = bench::cli::CommonArgs::parse();
+    let args = bench::cli::CommonArgs::parse(&[]);
     let seed = args.seed(7);
     let out_path = args.out_path();
 

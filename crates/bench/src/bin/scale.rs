@@ -16,7 +16,7 @@
 use bench::scale::{render_table, run_cell, sweep, to_json, ScaleConfig};
 
 fn main() {
-    let args = bench::cli::CommonArgs::parse();
+    let args = bench::cli::CommonArgs::parse(&[]);
     let fast = args.fast;
     let seed = args.seed(0);
     let out_path = args.out_path();

@@ -27,6 +27,7 @@
 //! `--stdin` is single-federation only (one stream cannot be
 //! demultiplexed).
 
+use bench::cli::Flag;
 use bench::serve::{
     full_spec, full_trace, run_federation_bench, run_serve_bench, smoke_spec, ServeBenchReport,
     SMOKE_TRACE,
@@ -35,7 +36,13 @@ use carol::service::{serve_federation_listener, FederationSet, ServeOptions};
 use std::io::BufReader;
 
 fn main() {
-    let args = bench::cli::CommonArgs::parse();
+    let args = bench::cli::CommonArgs::parse(&[
+        Flag::Value("--config"),
+        Flag::Value("--pace"),
+        Flag::Value("--metrics"),
+        Flag::Switch("--stdin"),
+        Flag::Value("--listen"),
+    ]);
     let seed = args.seed(7);
     let out_path = args.out_path();
 

@@ -1,24 +1,62 @@
 //! Shared CLI plumbing for the figure binaries.
 //!
-//! Every artefact binary speaks the same dialect — `--fast`,
-//! `--scenario <name>`, `--out <path>`, plus binary-specific
-//! `--flag value` pairs — so the parsing lives here once, as
-//! [`CommonArgs`]. Scenario names resolve through
-//! the [`carol::scenario`] registry; an unknown name aborts with the
-//! catalogue, so `--scenario help` (or any typo) doubles as discovery.
+//! Every artefact binary speaks the same dialect — the
+//! [`SHARED_FLAGS`] `--fast`, `--seed <u64>`, `--scenario <name>` and
+//! `--out <path>`, plus the flags it declares itself — so the parsing
+//! lives here once, as [`CommonArgs`]. An argument outside a binary's
+//! flags, or a value flag without its value, is a usage error: the
+//! binary exits with status 2 and prints the flags it accepts, rather
+//! than run without, say, the artifact a mistyped `--out` asked for.
+//! Scenario names resolve through the [`carol::scenario`] registry; an
+//! unknown name aborts with the catalogue, so `--scenario help` (or any
+//! typo) doubles as discovery.
 
 use carol::scenario::ScenarioSpec;
+
+/// One command-line flag a binary accepts.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Flag {
+    /// A flag that stands alone, as `--fast`.
+    Switch(&'static str),
+    /// A flag whose value is the next argument, as `--seed 3`.
+    Value(&'static str),
+}
+
+impl Flag {
+    fn name(&self) -> &'static str {
+        match *self {
+            Flag::Switch(name) | Flag::Value(name) => name,
+        }
+    }
+
+    fn usage(&self) -> String {
+        match self {
+            Flag::Switch(name) => name.to_string(),
+            Flag::Value(name) => format!("{name} <value>"),
+        }
+    }
+}
+
+/// The flags every artefact binary accepts.
+pub const SHARED_FLAGS: [Flag; 4] = [
+    Flag::Switch("--fast"),
+    Flag::Value("--seed"),
+    Flag::Value("--scenario"),
+    Flag::Value("--out"),
+];
 
 /// The flags every artefact binary shares, parsed once.
 ///
 /// ```
-/// let args = bench::cli::CommonArgs::from_vec(vec![
-///     "--fast".into(),
-///     "--out".into(),
-///     "report.json".into(),
-/// ]);
+/// use bench::cli::{CommonArgs, Flag};
+/// let args = CommonArgs::from_vec(
+///     vec!["--fast".into(), "--out".into(), "report.json".into()],
+///     &[Flag::Value("--budget")],
+/// )
+/// .unwrap();
 /// assert!(args.fast);
 /// assert_eq!(args.out_path(), Some("report.json".into()));
+/// assert!(CommonArgs::from_vec(vec!["--ouy".into(), "x".into()], &[]).is_err());
 /// ```
 #[derive(Debug, Clone)]
 pub struct CommonArgs {
@@ -30,17 +68,40 @@ pub struct CommonArgs {
 
 impl CommonArgs {
     /// Parses the process arguments (`std::env::args`, program name
-    /// skipped).
-    pub fn parse() -> Self {
-        Self::from_vec(std::env::args().skip(1).collect())
+    /// skipped) against [`SHARED_FLAGS`] and the binary's own `extra`
+    /// flags. On a usage error it prints the error and the accepted flags
+    /// and exits with status 2.
+    pub fn parse(extra: &[Flag]) -> Self {
+        Self::from_vec(std::env::args().skip(1).collect(), extra).unwrap_or_else(|e| {
+            eprintln!("{e}");
+            std::process::exit(2)
+        })
     }
 
     /// Parses an explicit argument list — the testable entry point.
-    pub fn from_vec(args: Vec<String>) -> Self {
-        Self {
+    ///
+    /// # Errors
+    ///
+    /// An argument that is none of [`SHARED_FLAGS`] and `extra`, or a
+    /// [`Flag::Value`] followed by nothing or by another `--` flag;
+    /// the message lists the accepted flags.
+    pub fn from_vec(args: Vec<String>, extra: &[Flag]) -> Result<Self, String> {
+        let accepted: Vec<Flag> = SHARED_FLAGS.iter().chain(extra).copied().collect();
+        let mut rest = args.iter();
+        while let Some(arg) = rest.next() {
+            let error = match accepted.iter().find(|f| f.name() == arg) {
+                Some(Flag::Switch(_)) => continue,
+                Some(_) if rest.next().is_some_and(|v| !v.starts_with("--")) => continue,
+                Some(_) => format!("{arg} needs a value"),
+                None => format!("unknown argument {arg:?}"),
+            };
+            let names: Vec<String> = accepted.iter().map(Flag::usage).collect();
+            return Err(format!("{error}; accepted flags: {}", names.join(", ")));
+        }
+        Ok(Self {
             fast: args.iter().any(|a| a == "--fast"),
             args,
-        }
+        })
     }
 
     /// `true` when `flag` appears anywhere in the argument list.
@@ -143,16 +204,22 @@ mod tests {
 
     #[test]
     fn common_args_parses_shared_dialect() {
-        let a = CommonArgs::from_vec(args(&[
-            "--fast",
-            "--seed",
-            "9",
-            "--out",
-            "x.json",
-            "--scenario",
-            "paper-16",
-        ]));
+        let a = CommonArgs::from_vec(
+            args(&[
+                "--fast",
+                "--seed",
+                "9",
+                "--out",
+                "x.json",
+                "--scenario",
+                "paper-16",
+                "--stdin",
+            ]),
+            &[Flag::Switch("--stdin")],
+        )
+        .unwrap();
         assert!(a.fast);
+        assert!(a.has_flag("--stdin"));
         assert!(a.has_flag("--seed"));
         assert_eq!(a.flag_value("--seed").as_deref(), Some("9"));
         assert_eq!(a.flag_value("--missing"), None);
@@ -162,13 +229,41 @@ mod tests {
 
     #[test]
     fn seed_reads_the_flag_or_falls_back_to_the_default() {
-        assert_eq!(CommonArgs::from_vec(args(&["--seed", "42"])).seed(7), 42);
-        assert_eq!(CommonArgs::from_vec(args(&["--fast"])).seed(7), 7);
+        let parse = |list: &[&str]| CommonArgs::from_vec(args(list), &[]).unwrap();
+        assert_eq!(parse(&["--seed", "42"]).seed(7), 42);
+        assert_eq!(parse(&["--fast"]).seed(7), 7);
     }
 
     #[test]
     #[should_panic(expected = "--seed takes a u64")]
     fn malformed_seed_aborts() {
-        CommonArgs::from_vec(args(&["--seed", "-3"])).seed(0);
+        CommonArgs::from_vec(args(&["--seed", "-3"]), &[])
+            .unwrap()
+            .seed(0);
+    }
+
+    /// An argument outside the binary's flags (a removed flag, a typo,
+    /// another binary's flag, a stray word), or a value flag with
+    /// nothing or another flag where its value belongs, is an error
+    /// that lists the accepted flags.
+    #[test]
+    fn undeclared_or_valueless_flags_are_rejected_with_the_accepted_list() {
+        let fuzz = [Flag::Value("--budget"), Flag::Value("--cases")];
+        for (list, error) in [
+            (
+                &["--fast", "--no-background-tune"][..],
+                "unknown argument \"--no-background-tune\"",
+            ),
+            (&["--ouy", "x.json"], "unknown argument \"--ouy\""),
+            (&["--stdin"], "unknown argument \"--stdin\""),
+            (&["--fast", "stray"], "unknown argument \"stray\""),
+            (&["--fast", "--out"], "--out needs a value"),
+            (&["--budget", "--fast"], "--budget needs a value"),
+        ] {
+            let accepted = "--fast, --seed <value>, --scenario <value>, --out <value>, \
+                            --budget <value>, --cases <value>";
+            let got = CommonArgs::from_vec(args(list), &fuzz).unwrap_err();
+            assert_eq!(got, format!("{error}; accepted flags: {accepted}"));
+        }
     }
 }

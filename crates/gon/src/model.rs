@@ -10,6 +10,7 @@ use nn::{Adjacency, GraphAttention, Matrix};
 use rand::rngs::StdRng;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
+use std::ops::Range;
 
 /// Convergence threshold of the generation loop on the per-step
 /// confidence gain, at the reference step size γ = 1e-3; the loop scales
@@ -163,6 +164,34 @@ fn pool_rows<'a>(
     kernel::scale_assign(out, 1.0 / n as f64);
 }
 
+/// Mean-pool backward, the adjoint of [`pool_rows`] per segment: each
+/// row `r` of segment `b` of `rows` becomes `f(g / n, rows[r])` for `g`
+/// the columns `cols` of row `b` of `grads` and `n` the segment's row
+/// count, with `g / n` divided once per segment into `scratch`.
+fn unpool(
+    grads: &Matrix,
+    cols: Range<usize>,
+    segments: &[(usize, usize)],
+    rows: &mut Matrix,
+    scratch: &mut Vec<f64>,
+    f: impl Fn(f64, f64) -> f64,
+) {
+    for (b, &(offset, n)) in segments.iter().enumerate() {
+        scratch.clear();
+        scratch.extend(grads.row(b)[cols.clone()].iter().map(|&g| g / n as f64));
+        for r in offset..offset + n {
+            for (v, &g) in rows.row_mut(r).iter_mut().zip(scratch.iter()) {
+                *v = f(g, *v);
+            }
+        }
+    }
+}
+
+/// The encoder's `ReLU` backward at pre-activation `z`.
+fn relu_mask(g: f64, z: f64) -> f64 {
+    g * ActivationKind::Relu.derivative(z)
+}
+
 /// Stacks the `[M | S]` rows of `states` into `x` and records each
 /// state's `(row offset, n_hosts)` in `segments`, reusing both buffers.
 fn stack_ms_into<'a>(
@@ -230,22 +259,25 @@ impl ParentRecord {
 #[derive(Clone)]
 pub struct GonModel {
     config: GonConfig,
-    /// The `[M | S]` encoder's dense layer (eq. 3 is `ReLU` of it).
+    /// The `[M | S]` encoder's dense layer (eq. 3 is `ReLU` of it, which
+    /// every pass applies to the pre-activation rows as it pools them).
     ms_encoder: Dense,
-    /// The encoder's ReLU as the training passes run it, caching its
-    /// input; the ascent applies `ReLU` to its workspace rows inline.
-    ms_relu: Activation,
     gat: GraphAttention,
     head: Sequential,
-    ascent: Ascent,
+    /// The eq.-1 ascent's buffers.
+    ascent: Pass,
+    /// The training passes' buffers: [`GonModel::score`] fills them and
+    /// [`GonModel::backward`] reads them, whatever ascent runs between.
+    train: Pass,
 }
 
-/// The buffers of [`GonModel::generate_batch`]'s eq.-1 ascent, reused
-/// for every chunk the model (each worker's replica) scores: once they
-/// have held a chunk of a shape, a step of the ascent allocates nothing.
-/// A clone starts empty, since the contents are scratch.
+/// The buffers of one stacked discriminator pass, reused from call to
+/// call: [`GonModel::generate_batch`]'s eq.-1 ascent runs in one, the
+/// training passes in another. Once they have held a chunk of a shape, a
+/// step of the ascent allocates nothing. A clone starts empty, since the
+/// contents are scratch.
 #[derive(Debug, Default)]
-struct Ascent {
+struct Pass {
     /// The stacked `[M | S]` rows. Their metric columns are the
     /// candidates' current `M`, which each step updates in place.
     x: Matrix,
@@ -268,11 +300,14 @@ struct Ascent {
     active: Vec<bool>,
     /// Whether each row of `x` differs from its parent row.
     fresh: Vec<bool>,
-    /// One candidate's pooled encoder gradient divided by its row count.
+    /// One candidate's pooled gradient divided by its row count.
     unpooled: Vec<f64>,
+    /// The GAT pass of the last [`GonModel::score`], which
+    /// [`GonModel::backward`] reads.
+    graph: Option<Reference>,
 }
 
-impl Clone for Ascent {
+impl Clone for Pass {
     fn clone(&self) -> Self {
         Self::default()
     }
@@ -311,10 +346,10 @@ impl GonModel {
         Self {
             config,
             ms_encoder,
-            ms_relu: Activation::relu(),
             gat,
             head,
-            ascent: Ascent::default(),
+            ascent: Pass::default(),
+            train: Pass::default(),
         }
     }
 
@@ -345,26 +380,26 @@ impl GonModel {
 
     /// Forward pass: `D(M, S, G; θ) ∈ [0, 1]`.
     pub fn score(&mut self, state: &SystemState) -> f64 {
-        self.forward_batch_internal(&[state]).0[(0, 0)]
+        self.discriminate(&[state])[0]
     }
 
-    /// Backward pass after [`GonModel::score`]: given `dL/dD`, accumulates
-    /// parameter gradients and returns the gradient of the loss with
-    /// respect to the *metric entries* of the input (`n_hosts ×
-    /// METRIC_DIM`) — the tensor eq. 1 ascends.
+    /// Backward pass after [`GonModel::score`] of a state of `n_hosts`
+    /// hosts: given `dL/dD`, accumulates parameter gradients and returns
+    /// the gradient of the loss with respect to the *metric entries* of
+    /// the input (`n_hosts × METRIC_DIM`) — the tensor eq. 1 ascends.
     pub fn backward(&mut self, n_hosts: usize, grad_score: f64) -> Matrix {
-        let g_head = self
-            .head
-            .backward(&Matrix::from_vec(1, 1, vec![grad_score]));
-        let (g_ms_pooled, g_g_pooled) = g_head.hsplit(self.config.hidden);
-
-        let segments = [(0, n_hosts)];
-        let g_ms = Self::unpool_segments(&g_ms_pooled, &segments);
-        let g_g = Self::unpool_segments(&g_g_pooled, &segments);
-
-        let dx = self.ms_encoder.backward(&self.ms_relu.backward(&g_ms));
-        let _dgraph = self.gat.backward(&g_g); // graph features are inputs too
-        dx.column_block(0, METRIC_DIM)
+        let mut ws = std::mem::take(&mut self.train);
+        assert_eq!(ws.segments, [(0, n_hosts)], "score one state first");
+        ws.grads.resize(1, 1);
+        ws.grads[(0, 0)] = grad_score;
+        let g_graph = self.train_backward(&mut ws);
+        let graph = ws.graph.as_ref().expect("score runs first");
+        self.gat.backward(graph, &g_graph); // graph features are inputs too
+        self.ms_encoder
+            .input_grad_into(&ws.z, METRIC_DIM, &mut ws.d_metrics);
+        let dx = ws.d_metrics.clone();
+        self.train = ws;
+        dx
     }
 
     /// Runs the generation loop of eq. 1: starting from the metrics in
@@ -400,68 +435,54 @@ impl GonModel {
     // serial sibling over the batch — `tests/properties.rs` and
     // `tests/objective_oracle.rs` gate that contract.
 
-    /// Stacks the `[M | S]` per-host rows of all states; returns them with
-    /// the `(row offset, n_hosts)` segment of each state. The graph half
-    /// is [`stacked_graph`].
-    fn stacked_ms(states: &[&SystemState]) -> (Matrix, Vec<(usize, usize)>) {
-        let (mut x, mut segments) = (Matrix::default(), Vec::new());
-        stack_ms_into(states.iter().copied(), &mut x, &mut segments);
-        (x, segments)
+    /// `D` of every state, one stacked forward in the training
+    /// workspace, which keeps the GAT pass for [`GonModel::backward`].
+    fn discriminate(&mut self, states: &[&SystemState]) -> Vec<f64> {
+        let mut ws = std::mem::take(&mut self.train);
+        stack_ms_into(states.iter().copied(), &mut ws.x, &mut ws.segments);
+        ws.pooled
+            .resize(states.len(), self.config.hidden + self.config.gat_dim);
+        ws.graph = Some(self.graph_branch(states, &ws.segments, &mut ws.pooled));
+        self.encode(&mut ws, None);
+        let scores = self.head.forward(&ws.pooled, &mut ws.head).data().to_vec();
+        self.train = ws;
+        scores
     }
 
-    /// Per-segment mean-pool: ascending-row accumulation per column, then
-    /// one multiply by the precomputed reciprocal — so each pooled row is
-    /// independent of the other segments in the batch.
-    fn pool_segments(m: &Matrix, segments: &[(usize, usize)]) -> Matrix {
-        let mut out = Matrix::zeros(segments.len(), m.cols());
-        for (b, &(offset, n)) in segments.iter().enumerate() {
-            pool_rows(
-                out.row_mut(b),
-                (offset..offset + n).map(|r| m.row(r)),
-                |v| v,
-            );
-        }
-        out
-    }
-
-    /// Mean-pool backward, the adjoint of [`GonModel::pool_segments`]:
-    /// every row of segment `b` receives `pooled` row `b` divided by the
-    /// segment's row count.
-    fn unpool_segments(pooled: &Matrix, segments: &[(usize, usize)]) -> Matrix {
-        let total: usize = segments.iter().map(|&(_, n)| n).sum();
-        let mut out = Matrix::zeros(total, pooled.cols());
-        for (b, &(offset, n)) in segments.iter().enumerate() {
-            let nf = n as f64;
-            for h in offset..offset + n {
-                for (o, &p) in out.row_mut(h).iter_mut().zip(pooled.row(b)) {
-                    *o = p / nf;
-                }
-            }
-        }
-        out
-    }
-
-    /// Batched forward over state refs; returns the `B × 1` score column
-    /// and the row segments (needed by the batched backward).
-    fn forward_batch_internal(&mut self, states: &[&SystemState]) -> (Matrix, Vec<(usize, usize)>) {
-        let (x, segments) = Self::stacked_ms(states);
-        let (gfeat, adjacency) = stacked_graph(states);
-        let e = self.ms_relu.forward(&self.ms_encoder.forward(&x)); // [Σn × hidden]
-        let e_ms = Self::pool_segments(&e, &segments); // [B × hidden]
-        let eg = self.gat.forward(&gfeat, &adjacency); // [Σn × gat_dim]
-        let e_g = Self::pool_segments(&eg, &segments);
-        let z = self.head.forward(&e_ms.hcat(&e_g)); // [B × 1]
-        (z, segments)
+    /// The training backward of the forward in `ws`: `ws.grads` (one
+    /// `dL/dD` per state) through the head, accumulating its parameter
+    /// gradients per state; the mean-pool backward of the encoder
+    /// columns fused with the `ReLU` mask, written over `ws.z`; the
+    /// encoder's parameter gradients per state. Returns the mean-pool
+    /// backward of the graph columns, one row per GAT row, for the
+    /// caller's GAT backward.
+    fn train_backward(&mut self, ws: &mut Pass) -> Matrix {
+        let (hidden, gat_dim) = (self.config.hidden, self.config.gat_dim);
+        let head_segments: Vec<(usize, usize)> = (0..ws.segments.len()).map(|i| (i, 1)).collect();
+        let g_head = self
+            .head
+            .backward(&ws.pooled, &ws.grads, &head_segments, &mut ws.head);
+        let mut g_graph = Matrix::zeros(ws.z.rows(), gat_dim);
+        let (segments, scratch) = (&ws.segments, &mut ws.unpooled);
+        unpool(g_head, 0..hidden, segments, &mut ws.z, scratch, relu_mask);
+        let graph_cols = hidden..hidden + gat_dim;
+        unpool(
+            g_head,
+            graph_cols,
+            segments,
+            &mut g_graph,
+            scratch,
+            |g, _| g,
+        );
+        self.ms_encoder.accumulate_grads(&ws.x, &ws.z, &ws.segments);
+        g_graph
     }
 
     /// Batched [`GonModel::score`]: `D(M, S, G)` for every state, one
     /// stacked forward. Bit-identical to mapping `score` over the batch.
     pub fn score_batch(&mut self, states: &[SystemState]) -> Vec<f64> {
-        if states.is_empty() {
-            return Vec::new();
-        }
         let refs: Vec<&SystemState> = states.iter().collect();
-        self.forward_batch_internal(&refs).0.into_vec()
+        self.discriminate(&refs)
     }
 
     /// Batched [`GonModel::generate`]: runs every candidate's eq.-1 ascent
@@ -488,13 +509,13 @@ impl GonModel {
     /// the snapshot (`snapshot.with_topology(parent topology)`), whose
     /// neighbours [`GonModel::generate_candidates`] then scores as deltas.
     pub fn record_parent(&mut self, parent: &SystemState) -> ParentRecord {
-        let (ms, _) = Self::stacked_ms(&[parent]);
+        let (mut ms, mut z) = (Matrix::default(), Matrix::default());
+        stack_ms_into(std::iter::once(parent), &mut ms, &mut Vec::new());
         let (gfeat, adjacency) = stacked_graph(&[parent]);
-        let mut z = Matrix::default();
         self.ms_encoder.forward_into(&ms, &mut z);
         ParentRecord {
             topology: parent.topology.clone(),
-            graph: self.gat.reference(&gfeat, &adjacency),
+            graph: self.gat.forward(&gfeat, &adjacency),
             ms,
             z,
         }
@@ -531,8 +552,7 @@ impl GonModel {
     /// Pools each candidate's graph branch against `parent` into the
     /// graph columns of its `pooled` row: the rows
     /// [`GraphAttention::forward_delta`] recomputes, the parent's rows
-    /// elsewhere, summed in row order as [`GonModel::pool_segments`]
-    /// sums.
+    /// elsewhere, summed in row order as [`GonModel::graph_branch`] sums.
     fn pool_graph_delta(&self, parent: &ParentRecord, states: &[SystemState], pooled: &mut Matrix) {
         let deltas: Vec<GraphDelta> = states
             .iter()
@@ -557,6 +577,24 @@ impl GonModel {
         }
     }
 
+    /// The GAT pass over the disjoint union of `states`' graphs, each
+    /// state's rows (its segment) mean-pooled into the graph columns of
+    /// its `pooled` row.
+    fn graph_branch(
+        &self,
+        states: &[&SystemState],
+        segments: &[(usize, usize)],
+        pooled: &mut Matrix,
+    ) -> Reference {
+        let (gfeat, adjacency) = stacked_graph(states);
+        let graph = self.gat.forward(&gfeat, &adjacency);
+        for (i, &(offset, n)) in segments.iter().enumerate() {
+            let rows = (offset..offset + n).map(|r| graph.output().row(r));
+            pool_rows(&mut pooled.row_mut(i)[self.config.hidden..], rows, |v| v);
+        }
+        graph
+    }
+
     /// The masked batched ascent of [`GonModel::generate_batch`] in the
     /// model's workspace; with a `parent`, the graph branch and the
     /// first encoder step are deltas against it
@@ -570,18 +608,6 @@ impl GonModel {
             return Vec::new();
         }
         let mut ws = std::mem::take(&mut self.ascent);
-        let outs = self.ascend(&mut ws, states, parent);
-        self.ascent = ws;
-        outs
-    }
-
-    /// [`GonModel::generate_stacked`] on the workspace `ws`.
-    fn ascend(
-        &mut self,
-        ws: &mut Ascent,
-        states: &[SystemState],
-        parent: Option<&ParentRecord>,
-    ) -> Vec<Generated> {
         let b = states.len();
         stack_ms_into(states.iter(), &mut ws.x, &mut ws.segments);
         // The pooled graph branch is constant across steps.
@@ -591,12 +617,7 @@ impl GonModel {
             Some(parent) => self.pool_graph_delta(parent, states, &mut ws.pooled),
             None => {
                 let refs: Vec<&SystemState> = states.iter().collect();
-                let (gfeat, adjacency) = stacked_graph(&refs);
-                let eg = self.gat.forward(&gfeat, &adjacency);
-                for (i, &(offset, n)) in ws.segments.iter().enumerate() {
-                    let out = &mut ws.pooled.row_mut(i)[self.config.hidden..];
-                    pool_rows(out, (offset..offset + n).map(|r| eg.row(r)), |v| v);
-                }
+                self.graph_branch(&refs, &ws.segments, &mut ws.pooled);
             }
         }
 
@@ -625,8 +646,8 @@ impl GonModel {
             // cannot perturb active rows (row independence), and one
             // rectangular matmul beats re-stacking the batch every step.
             // The first step's rows that equal the parent's are its.
-            self.encode(ws, parent.filter(|_| it == 0));
-            let scores = self.head.forward_with(&ws.pooled, &mut ws.head); // [B × 1]
+            self.encode(&mut ws, parent.filter(|_| it == 0));
+            let scores = self.head.forward(&ws.pooled, &mut ws.head); // [B × 1]
             for i in 0..b {
                 ws.grads[(i, 0)] = 0.0;
                 if !ws.active[i] {
@@ -660,7 +681,7 @@ impl GonModel {
             if n_active == 0 {
                 break; // every remaining candidate stopped this step
             }
-            self.metric_gradient(ws);
+            self.metric_gradient(&mut ws);
             for (i, &(offset, n)) in ws.segments.iter().enumerate() {
                 if !ws.active[i] {
                     continue;
@@ -678,14 +699,15 @@ impl GonModel {
         // gen_steps == 0: score the untouched warm start, as `generate`
         // does in its fallback.
         if outs.iter().any(|o| o.confidence == f64::NEG_INFINITY) {
-            self.encode(ws, None);
-            let scores = self.head.forward_with(&ws.pooled, &mut ws.head);
+            self.encode(&mut ws, None);
+            let scores = self.head.forward(&ws.pooled, &mut ws.head);
             for (i, out) in outs.iter_mut().enumerate() {
                 if out.confidence == f64::NEG_INFINITY {
                     out.confidence = scores[(i, 0)];
                 }
             }
         }
+        self.ascent = ws;
         outs
     }
 
@@ -695,8 +717,8 @@ impl GonModel {
     /// bitwise to its parent row copies the record's encoder row, and
     /// each run of the other rows goes through the encoder in one call
     /// (an all-fresh chunk is one call over every row).
-    fn encode(&self, ws: &mut Ascent, reuse: Option<&ParentRecord>) {
-        let Ascent {
+    fn encode(&self, ws: &mut Pass, reuse: Option<&ParentRecord>) {
+        let Pass {
             x,
             z,
             segments,
@@ -751,30 +773,15 @@ impl GonModel {
     /// columns of `dX` into `ws.d_metrics`. The GAT branch is skipped:
     /// graph features are a separate input, so it adds nothing to the
     /// metric gradient. Parameter gradients are untouched.
-    fn metric_gradient(&mut self, ws: &mut Ascent) {
-        let Ascent {
-            z,
-            segments,
-            pooled,
-            head,
-            grads,
-            d_metrics,
-            unpooled,
-            ..
-        } = ws;
-        let g_head = self.head.backward_input_with(pooled, grads, head);
-        for (i, &(offset, n)) in segments.iter().enumerate() {
-            // Every row of the segment gets the same `g / n`.
-            unpooled.clear();
-            let nf = n as f64;
-            unpooled.extend(g_head.row(i)[..self.config.hidden].iter().map(|&g| g / nf));
-            for r in offset..offset + n {
-                for (zv, &g) in z.row_mut(r).iter_mut().zip(unpooled.iter()) {
-                    *zv = g * ActivationKind::Relu.derivative(*zv);
-                }
-            }
-        }
-        self.ms_encoder.input_grad_into(z, METRIC_DIM, d_metrics);
+    fn metric_gradient(&mut self, ws: &mut Pass) {
+        let hidden = self.config.hidden;
+        let g_head = self
+            .head
+            .backward_input(&ws.pooled, &ws.grads, &mut ws.head);
+        let (segments, scratch) = (&ws.segments, &mut ws.unpooled);
+        unpool(g_head, 0..hidden, segments, &mut ws.z, scratch, relu_mask);
+        self.ms_encoder
+            .input_grad_into(&ws.z, METRIC_DIM, &mut ws.d_metrics);
     }
 
     /// One batched adversarial update (Algorithm 1 lines 3–6) over a
@@ -794,8 +801,8 @@ impl GonModel {
     ///    slots — so the fakes are bit-identical at any worker count.
     /// 2. **One stacked discriminator pass with a shared graph branch** —
     ///    real and fake states interleave (`[real₀, fake₀, real₁, fake₁,
-    ///    …]`) into a single forward: one blocked matmul per layer for the
-    ///    whole minibatch. Each fake is its real twin with only the
+    ///    …]`) into a single forward in the training workspace: one
+    ///    blocked matmul per layer for the whole minibatch. Each fake is its real twin with only the
     ///    metrics replaced, so graph features and adjacency — the only
     ///    GAT inputs — are identical between the halves: the GAT runs
     ///    over the `B` real components **once** and its pooled embedding
@@ -804,8 +811,8 @@ impl GonModel {
     ///    training step.
     /// 3. **One in-order gradient reduction** — the head and `[M | S]`
     ///    encoder accumulate each segment's parameter gradients in that
-    ///    interleaved order via [`nn::Layer::backward_batch`], and the
-    ///    GAT backpropagates both halves against its single shared cache
+    ///    interleaved order via [`nn::Layer::accumulate_grads`], and the
+    ///    GAT backpropagates both halves against its single shared pass
     ///    ([`GraphAttention::backward_interleaved`]) — exactly the
     ///    real/fake alternation the serial per-sample step produces.
     ///
@@ -862,62 +869,51 @@ impl GonModel {
         // graph features and adjacency — runs over the B real components
         // once; its pooled rows are bitwise equal to the fake segments'.
         // The interleaving puts real_b's rows at twice its row offset
-        // among the reals alone, which is what the GAT's cache holds.
-        let mut combined: Vec<&SystemState> = Vec::with_capacity(2 * states.len());
-        for (real, fake) in states.iter().zip(&fakes) {
-            combined.push(real);
-            combined.push(fake);
-        }
-        let (x, segments) = Self::stacked_ms(&combined);
-        let real_segments: Vec<(usize, usize)> = segments
+        // among the reals alone, which is where the GAT pass holds them.
+        let pairs = states.iter().zip(&fakes);
+        let combined: Vec<&SystemState> = pairs.flat_map(|(real, fake)| [*real, fake]).collect();
+        let mut ws = std::mem::take(&mut self.train);
+        stack_ms_into(combined.iter().copied(), &mut ws.x, &mut ws.segments);
+        let real_segments: Vec<(usize, usize)> = ws
+            .segments
             .iter()
             .step_by(2)
             .map(|&(offset, n)| (offset / 2, n))
             .collect();
-        let (gfeat, adjacency) = stacked_graph(states);
-        let eg = self.gat.forward(&gfeat, &adjacency);
-        let e_g_real = Self::pool_segments(&eg, &real_segments); // [B × gat_dim]
-        let mut e_g = Matrix::zeros(2 * states.len(), self.config.gat_dim);
-        for i in 0..states.len() {
-            e_g.row_mut(2 * i).copy_from_slice(e_g_real.row(i));
-            e_g.row_mut(2 * i + 1).copy_from_slice(e_g_real.row(i));
+        let (hidden, width) = (self.config.hidden, self.config.hidden + self.config.gat_dim);
+        ws.pooled.resize(combined.len(), width);
+        let graph = self.graph_branch(states, &real_segments, &mut ws.pooled);
+        // Real_b's pooled graph row goes to rows 2b and 2b + 1, last first.
+        for b in (0..states.len()).rev() {
+            for row in [2 * b + 1, 2 * b] {
+                let from = b * width + hidden..(b + 1) * width;
+                ws.pooled.data_mut().copy_within(from, row * width + hidden);
+            }
         }
-
-        let e = self.ms_relu.forward(&self.ms_encoder.forward(&x)); // [Σ2n × hidden]
-        let e_ms = Self::pool_segments(&e, &segments); // [2B × hidden]
-        let scores = self.head.forward(&e_ms.hcat(&e_g)); // [2B × 1]
+        self.encode(&mut ws, None);
+        let scores = self.head.forward(&ws.pooled, &mut ws.head); // [2B × 1]
 
         // Stage 3: per-segment dL/dD — ascend log D on reals, descend
         // log(1 − D) on fakes — then one in-order gradient reduction.
-        let mut grads = vec![0.0; combined.len()];
+        ws.grads.resize(combined.len(), 1);
         let mut losses = Vec::with_capacity(states.len());
         for b in 0..states.len() {
             let z_real = scores[(2 * b, 0)].clamp(EPS, 1.0 - EPS);
             let z_fake = scores[(2 * b + 1, 0)].clamp(EPS, 1.0 - EPS);
-            grads[2 * b] = -1.0 / z_real;
-            grads[2 * b + 1] = 1.0 / (1.0 - z_fake);
-            let loss_real = -z_real.ln();
-            let loss_fake = -(1.0 - z_fake).ln();
-            losses.push(loss_real + loss_fake);
+            ws.grads[(2 * b, 0)] = -1.0 / z_real;
+            ws.grads[(2 * b + 1, 0)] = 1.0 / (1.0 - z_fake);
+            losses.push(-z_real.ln() - (1.0 - z_fake).ln());
         }
 
-        // Backpropagate the head and `[M | S]` encoder per segment, in
-        // segment order; the GAT half backpropagates both grad halves
-        // against its single shared (real-only) cache.
-        let g = Matrix::from_vec(combined.len(), 1, grads);
-        let head_segments: Vec<(usize, usize)> = (0..combined.len()).map(|i| (i, 1)).collect();
-        let g_head = self.head.backward_batch(&g, &head_segments);
-        let (g_ms_pooled, g_g_pooled) = g_head.hsplit(self.config.hidden);
-
-        // Mean-pool backward over the combined segments: because the
-        // stacking interleaves per component, real_b's rows start at
-        // twice its cache offset — exactly the [real₀, fake₀, …] grad
-        // layout `backward_interleaved` expects.
-        let g_ms = Self::unpool_segments(&g_ms_pooled, &segments);
-        let g_g = Self::unpool_segments(&g_g_pooled, &segments);
-        let g_e = self.ms_relu.backward_batch(&g_ms, &segments);
-        self.ms_encoder.backward_batch(&g_e, &segments);
-        self.gat.backward_interleaved(&g_g, &real_segments);
+        // The head and `[M | S]` encoder backpropagate per segment, in
+        // segment order. Because the stacking interleaves per component,
+        // real_b's graph-gradient rows start at twice its pass offset —
+        // exactly the [real₀, fake₀, …] layout `backward_interleaved`
+        // expects against the single shared (real-only) GAT pass.
+        let g_graph = self.train_backward(&mut ws);
+        self.gat
+            .backward_interleaved(&graph, &g_graph, &real_segments);
+        self.train = ws;
         losses
     }
 }
@@ -1001,6 +997,31 @@ mod tests {
             max_abs_diff(&analytic, &numeric) < 1e-6,
             "metric gradient mismatch"
         );
+    }
+
+    /// The training passes and the ascent keep separate workspaces: a
+    /// `generate` and a `generate_candidates` between a `score` and its
+    /// `backward` change neither the metric dX the backward returns nor
+    /// any parameter gradient, bit for bit.
+    #[test]
+    fn ascent_between_score_and_backward_changes_nothing() {
+        let (real, base) = (test_state(8, 2, 0.3), test_state(12, 3, 0.4));
+        let mut moved = base.topology.clone();
+        moved.reassign(7, 0).unwrap();
+        let run = |ascend_between: bool| {
+            let mut model = GonModel::new(small_config());
+            model.score(&real);
+            if ascend_between {
+                model.generate(&test_state(6, 2, 0.7));
+                let record = model.record_parent(&base);
+                model.generate_candidates(&record, &[base.with_topology(&moved)]);
+            }
+            let dx = model.backward(real.n_hosts(), 0.7);
+            let bits = |m: &Matrix| m.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            let grads: Vec<_> = model.params_mut().iter().map(|p| bits(&p.grad)).collect();
+            (bits(&dx), grads)
+        };
+        assert_eq!(run(true), run(false), "metric dX or a parameter gradient");
     }
 
     #[test]

@@ -17,7 +17,7 @@ use edgesim::state::{
     qos_components, SystemState, GRAPH_DIM, METRIC_DIM, QOS_ALPHA, QOS_BETA, SCHED_DIM,
 };
 use nn::init::Initializer;
-use nn::layer::{Activation, Dense, Sequential};
+use nn::layer::{Activation, Dense, Sequential, Workspace};
 use nn::{Adam, GraphAttention, Matrix};
 
 /// Pools per-host rows into fixed-size statistics (mean over hosts) so the
@@ -75,7 +75,7 @@ impl FeedForwardSurrogate {
 
     /// Predicted QoS objective for a candidate state (lower = better).
     pub fn predict_qos(&mut self, state: &SystemState) -> f64 {
-        self.net.forward(&pooled_input(state))[(0, 0)]
+        self.predict_qos_batch(std::slice::from_ref(state))[0]
     }
 
     /// Batched [`FeedForwardSurrogate::predict_qos`]: pooled rows stacked
@@ -83,24 +83,23 @@ impl FeedForwardSurrogate {
     /// Bit-identical to mapping the serial call (row independence of
     /// every layer).
     pub fn predict_qos_batch(&mut self, states: &[SystemState]) -> Vec<f64> {
-        if states.is_empty() {
-            return Vec::new();
-        }
         let mut x = Matrix::zeros(states.len(), METRIC_DIM + SCHED_DIM + GRAPH_DIM);
         for (r, state) in states.iter().enumerate() {
             x.row_mut(r).copy_from_slice(pooled_input(state).data());
         }
-        let y = self.net.forward(&x);
+        let mut ws = Workspace::default();
+        let y = self.net.forward(&x, &mut ws);
         (0..states.len()).map(|r| y[(r, 0)]).collect()
     }
 
     /// One supervised regression step against the observed objective.
     pub fn train_step(&mut self, state: &SystemState, target_qos: f64) -> f64 {
         let x = pooled_input(state);
-        let y = self.net.forward(&x);
-        let err = y[(0, 0)] - target_qos;
+        let mut ws = Workspace::default();
+        let err = self.net.forward(&x, &mut ws)[(0, 0)] - target_qos;
         self.net.zero_grad();
-        self.net.backward(&Matrix::from_vec(1, 1, vec![2.0 * err]));
+        let grad = Matrix::from_vec(1, 1, vec![2.0 * err]);
+        self.net.backward(&x, &grad, &[(0, 1)], &mut ws);
         self.adam.step(self.net.params_mut());
         err * err
     }
@@ -191,63 +190,10 @@ impl GanSurrogate {
         self.n_hosts_hint
     }
 
-    /// Generates predicted per-host metrics in a single forward pass
-    /// (no input-space optimisation — the GAN's speed advantage).
-    pub fn generate(&mut self, state: &SystemState, seed: u64) -> Vec<f64> {
-        let mut init = Initializer::new(seed);
-        let n = state.n_hosts();
-        let mut out = Vec::with_capacity(n * METRIC_DIM);
-        for h in 0..n {
-            let noise = init.uniform(1, self.noise_dim, 0.0, 1.0);
-            let mut row = noise.into_vec();
-            row.extend_from_slice(&state.schedule[h]);
-            row.extend_from_slice(&state.graph_features[h]);
-            let y = self.generator.forward(&Matrix::row_vector(&row));
-            out.extend_from_slice(y.data());
-        }
-        out
-    }
-
-    /// Discriminator score over a state (pooled M/S + GAT embedding).
-    pub fn score(&mut self, state: &SystemState) -> f64 {
-        let n = state.n_hosts().max(1) as f64;
-        let mut feat = vec![0.0; METRIC_DIM + SCHED_DIM];
-        for h in 0..state.n_hosts() {
-            for (i, v) in state.metrics[h].iter().enumerate() {
-                feat[i] += v / n;
-            }
-            for (i, v) in state.schedule[h].iter().enumerate() {
-                feat[METRIC_DIM + i] += v / n;
-            }
-        }
-        let (gfeat, adjacency) = stacked_graph(&[state]);
-        let emb = self.gat.forward(&gfeat, &adjacency);
-        let pooled = emb.sum_rows().scale(1.0 / n);
-        debug_assert_eq!(pooled.cols(), self.gat_dim);
-        let mut row = feat;
-        row.extend_from_slice(pooled.data());
-        self.discriminator.forward(&Matrix::row_vector(&row))[(0, 0)]
-    }
-
-    /// Predicted QoS for a candidate state: generate `M*`, substitute it,
-    /// and read the objective columns `α·q_energy + β·q_slo` — the same
-    /// objective CAROL reads off the GON's generated `M*`, so the
-    /// surrogates are swappable.
-    pub fn predict_qos(&mut self, state: &SystemState, seed: u64) -> f64 {
-        let (qe, qs) = qos_components(&self.generate(state, seed));
-        QOS_ALPHA * qe + QOS_BETA * qs
-    }
-
-    /// Batched [`GanSurrogate::predict_qos`]: one generator forward over
-    /// the stacked per-host rows of every candidate, each candidate's
-    /// objective read off its block of the output. Each candidate draws
-    /// its noise from a fresh `Initializer::new(seed)` exactly as the
-    /// serial call does, so the result is bit-identical to mapping
-    /// `predict_qos` over the candidates.
-    pub fn predict_qos_batch(&mut self, states: &[SystemState], seed: u64) -> Vec<f64> {
-        if states.is_empty() {
-            return Vec::new();
-        }
+    /// The generator's input rows for `states`, stacked: per host, noise
+    /// drawn from a fresh `Initializer::new(seed)` per state, then the
+    /// host's schedule and graph-feature rows.
+    fn generator_input(&self, states: &[SystemState], seed: u64) -> Matrix {
         let total: usize = states.iter().map(|s| s.n_hosts()).sum();
         let width = self.noise_dim + SCHED_DIM + GRAPH_DIM;
         let mut x = Matrix::zeros(total, width);
@@ -263,7 +209,54 @@ impl GanSurrogate {
             }
             offset += state.n_hosts();
         }
-        let y = self.generator.forward(&x); // [Σn × METRIC_DIM]
+        x
+    }
+
+    /// Generates predicted per-host metrics in a single forward pass
+    /// (no input-space optimisation — the GAN's speed advantage).
+    pub fn generate(&mut self, state: &SystemState, seed: u64) -> Vec<f64> {
+        let x = self.generator_input(std::slice::from_ref(state), seed);
+        let mut ws = Workspace::default();
+        self.generator.forward(&x, &mut ws).data().to_vec()
+    }
+
+    /// Discriminator score over a state (pooled M/S + GAT embedding).
+    pub fn score(&mut self, state: &SystemState) -> f64 {
+        let row = self.discriminator_input(state);
+        self.discriminator.forward(&row, &mut Workspace::default())[(0, 0)]
+    }
+
+    /// The discriminator's input row for `state`: pooled `M` and `S`,
+    /// then the pooled GAT embedding.
+    fn discriminator_input(&self, state: &SystemState) -> Matrix {
+        let mut row = pooled_input(state).data()[..METRIC_DIM + SCHED_DIM].to_vec();
+        let (gfeat, adjacency) = stacked_graph(&[state]);
+        let emb = self.gat.forward(&gfeat, &adjacency);
+        let n = state.n_hosts().max(1) as f64;
+        let pooled = emb.output().sum_rows().scale(1.0 / n);
+        debug_assert_eq!(pooled.cols(), self.gat_dim);
+        row.extend_from_slice(pooled.data());
+        Matrix::row_vector(&row)
+    }
+
+    /// Predicted QoS for a candidate state: generate `M*`, substitute it,
+    /// and read the objective columns `α·q_energy + β·q_slo` — the same
+    /// objective CAROL reads off the GON's generated `M*`, so the
+    /// surrogates are swappable.
+    pub fn predict_qos(&mut self, state: &SystemState, seed: u64) -> f64 {
+        self.predict_qos_batch(std::slice::from_ref(state), seed)[0]
+    }
+
+    /// Batched [`GanSurrogate::predict_qos`]: one generator forward over
+    /// the stacked per-host rows of every candidate, each candidate's
+    /// objective read off its block of the output. Each candidate draws
+    /// its noise from a fresh `Initializer::new(seed)` exactly as the
+    /// serial call does, so the result is bit-identical to mapping
+    /// `predict_qos` over the candidates.
+    pub fn predict_qos_batch(&mut self, states: &[SystemState], seed: u64) -> Vec<f64> {
+        let x = self.generator_input(states, seed);
+        let mut ws = Workspace::default();
+        let y = self.generator.forward(&x, &mut ws); // [Σn × METRIC_DIM]
         let mut offset = 0;
         states
             .iter()
@@ -282,47 +275,51 @@ impl GanSurrogate {
     /// discriminator learns real-vs-fake. Returns `(d_loss, g_loss)`.
     pub fn train_step(&mut self, state: &SystemState, seed: u64) -> (f64, f64) {
         const EPS: f64 = 1e-9;
-        // --- Discriminator step.
-        let z_real = self.score(state).clamp(EPS, 1.0 - EPS);
-        let fake_m = self.generate(state, seed);
+        // The fake metrics: [`GanSurrogate::generate`]'s forward, which
+        // `gen_ws` keeps for the generator step.
+        let x = self.generator_input(std::slice::from_ref(state), seed);
+        let mut gen_ws = Workspace::default();
+        let fake_m = self.generator.forward(&x, &mut gen_ws).data().to_vec();
+        // --- Discriminator step: descend −log D on the real state, then
+        // −log(1 − D) on the fake; each backward reads the input row of
+        // the forward just before it.
         let mut fake_state = state.clone();
         fake_state.set_metrics_flat(&fake_m);
         self.discriminator.zero_grad();
         self.gat.zero_grad();
-        // Real: descend −log D.
-        let _ = self.score(state);
-        self.discriminator
-            .backward(&Matrix::from_vec(1, 1, vec![-1.0 / z_real]));
-        // Fake: descend −log(1 − D).
-        let z_fake = self.score(&fake_state).clamp(EPS, 1.0 - EPS);
-        self.discriminator
-            .backward(&Matrix::from_vec(1, 1, vec![1.0 / (1.0 - z_fake)]));
+        let (mut ws, mut z) = (Workspace::default(), [0.0; 2]);
+        let d_loss_d_z: [fn(f64) -> f64; 2] = [|z| -1.0 / z, |z| 1.0 / (1.0 - z)];
+        for (i, s) in [state, &fake_state].into_iter().enumerate() {
+            let input = self.discriminator_input(s);
+            z[i] = self.discriminator.forward(&input, &mut ws)[(0, 0)].clamp(EPS, 1.0 - EPS);
+            let g = Matrix::from_vec(1, 1, vec![d_loss_d_z[i](z[i])]);
+            self.discriminator.backward(&input, &g, &[(0, 1)], &mut ws);
+        }
         self.disc_adam.step(self.discriminator.params_mut());
-        let d_loss = -z_real.ln() - (1.0 - z_fake).ln();
+        let d_loss = -z[0].ln() - (1.0 - z[1]).ln();
 
         // --- Generator step: make fakes look real on the *metric rows*
         // via a proxy regression toward the true metrics (non-saturating
         // trick approximated by supervised pull — stable in f64 and enough
-        // for the ablation's behavioural contrast).
-        let mut g_loss = 0.0;
-        let mut init = Initializer::new(seed);
-        self.generator.zero_grad();
-        for h in 0..state.n_hosts() {
-            let noise = init.uniform(1, self.noise_dim, 0.0, 1.0);
-            let mut row = noise.into_vec();
-            row.extend_from_slice(&state.schedule[h]);
-            row.extend_from_slice(&state.graph_features[h]);
-            let y = self.generator.forward(&Matrix::row_vector(&row));
-            let target = Matrix::row_vector(&state.metrics[h]);
+        // for the ablation's behavioural contrast), one host row at a
+        // time: parameter gradients accumulate per host.
+        let n = state.n_hosts();
+        let (mut g_loss, mut grad) = (0.0, Matrix::zeros(n, METRIC_DIM));
+        let rows = fake_m.chunks_exact(METRIC_DIM).zip(&state.metrics);
+        for (h, (y, target)) in rows.enumerate() {
+            let (y, target) = (Matrix::row_vector(y), Matrix::row_vector(target));
             g_loss += nn::loss::mse(&y, &target);
-            let grad = nn::loss::mse_grad(&y, &target);
-            self.generator.backward(&grad);
+            grad.row_mut(h)
+                .copy_from_slice(nn::loss::mse_grad(&y, &target).data());
         }
+        let hosts: Vec<(usize, usize)> = (0..n).map(|h| (h, 1)).collect();
+        self.generator.zero_grad();
+        self.generator.backward(&x, &grad, &hosts, &mut gen_ws);
         for p in self.generator.params_mut() {
-            p.grad = p.grad.scale(1.0 / state.n_hosts().max(1) as f64);
+            p.grad = p.grad.scale(1.0 / n.max(1) as f64);
         }
         self.gen_adam.step(self.generator.params_mut());
-        g_loss /= state.n_hosts().max(1) as f64;
+        g_loss /= n.max(1) as f64;
 
         (d_loss, g_loss)
     }

@@ -12,11 +12,12 @@
 //! through the masked batched eq.-1 ascent (row-budget chunks fanned out
 //! over [`par`] workers that each hold one model replica), then runs
 //! **one** stacked discriminator forward and **one** in-order
-//! per-segment gradient reduction for the whole minibatch. Because each fake is its real twin
-//! with only the metrics replaced, the stacked pass computes the
-//! step-invariant GAT embedding once per component and shares it across
-//! the real/fake halves — half the GAT cost of every training step,
-//! bit-neutral by construction.
+//! per-segment gradient reduction for the whole minibatch, through the
+//! ascent's stateless passes in a model workspace of its own. Because
+//! each fake is its real twin with only the metrics replaced, the GAT
+//! embedding runs once per component and is shared across the real/fake
+//! halves — half the GAT cost of every training step, bit-neutral by
+//! construction.
 //!
 //! [`adversarial_step`] is the one-state-at-a-time reference the engine
 //! is bit-identical to (losses, gradients, RNG consumption), and results

@@ -118,8 +118,9 @@ mod tests {
         let t = [0.0, 1.0, 1.0, 0.0];
         let mut adam = Adam::new(0.05, 0.0);
         let mut final_loss = f64::INFINITY;
+        let mut ws = crate::layer::Workspace::default();
         for _ in 0..800 {
-            let y = net.forward(&x);
+            let y = net.forward(&x, &mut ws);
             // BCE gradient through sigmoid output: dL/dy = (y - t)/(y(1-y)N)
             let mut grad = Matrix::zeros(4, 1);
             let mut loss = 0.0;
@@ -130,7 +131,7 @@ mod tests {
             }
             final_loss = loss / 4.0;
             net.zero_grad();
-            net.backward(&grad);
+            net.backward(&x, &grad, &[(0, 4)], &mut ws);
             adam.step(net.params_mut());
         }
         assert!(final_loss < 0.05, "XOR not learned, loss={final_loss}");

@@ -16,6 +16,10 @@
 //! topology, which is what lets CAROL evaluate candidate graphs of
 //! different shapes during tabu search. The graph is an [`Adjacency`]:
 //! every node's neighbour row in one flat CSR array, built row by row.
+//!
+//! The layer is stateless between calls: [`GraphAttention::forward`]
+//! returns its pass as a [`Reference`], which the backward passes read
+//! and [`GraphAttention::forward_delta`] patches.
 
 use crate::init::Initializer;
 use crate::kernel;
@@ -94,8 +98,6 @@ pub struct GraphAttention {
     b: Param,
     wq: Param,
     wk: Param,
-    #[serde(skip)]
-    cache: Option<Cache>,
     /// `Wᵀ`, `W_qᵀ` and `W_kᵀ` for the backward's input-gradient
     /// products, built on first use after each
     /// [`GraphAttention::params_mut`], as `Dense` caches its `Wᵀ`.
@@ -103,10 +105,14 @@ pub struct GraphAttention {
     transposes: Option<[Matrix; 3]>,
 }
 
-/// One graph's forward pass: its inputs, the `h`, `q`, `k` rows, the
-/// attention values and the output.
+/// One graph's forward pass, as [`GraphAttention::forward`] returns it:
+/// its inputs, the `h`, `q`, `k` rows, the attention values and the
+/// output. The backward passes read it, and it lets
+/// [`GraphAttention::forward_delta`] evaluate graphs that differ from it
+/// in a few nodes by recomputing only the rows those nodes touch. Only
+/// valid with the weights that built it.
 #[derive(Debug, Clone)]
-struct Record {
+pub struct Reference {
     features: Matrix,
     adjacency: Adjacency,
     h: Matrix,
@@ -118,17 +124,9 @@ struct Record {
     exps: Vec<f64>,
     /// Each row's largest logit (−∞ for an empty row).
     max: Vec<f64>,
+    /// Softmax weights, one per edge.
+    attention: Vec<f64>,
     output: Matrix,
-}
-
-/// One graph's forward pass, recorded so that
-/// [`GraphAttention::forward_delta`] can evaluate graphs that differ
-/// from it in a few nodes by recomputing only the rows those nodes
-/// touch. Built by [`GraphAttention::reference`]; only valid with the
-/// weights that built it.
-#[derive(Debug, Clone)]
-pub struct Reference {
-    graph: Record,
     /// Row `j`: the nodes whose neighbour row holds `j`.
     incoming: Adjacency,
 }
@@ -136,12 +134,17 @@ pub struct Reference {
 impl Reference {
     /// Number of nodes in the recorded graph.
     pub fn rows(&self) -> usize {
-        self.graph.features.rows()
+        self.features.rows()
     }
 
     /// The recorded graph's node features, one row per node.
     pub fn features(&self) -> &Matrix {
-        &self.graph.features
+        &self.features
+    }
+
+    /// The pass's output embeddings, one row per node.
+    pub fn output(&self) -> &Matrix {
+        &self.output
     }
 }
 
@@ -194,17 +197,9 @@ impl Patch {
         let mut next = self.rows.iter().enumerate().peekable();
         (0..reference.rows()).map(move |r| match next.next_if(|&(_, &p)| p == r) {
             Some((k, _)) => self.output.row(k),
-            None => reference.graph.output.row(r),
+            None => reference.output.row(r),
         })
     }
-}
-
-/// What `backward` needs: the forward's record plus its softmax weights.
-#[derive(Debug, Clone)]
-struct Cache {
-    graph: Record,
-    /// Softmax weights, one per edge, aligned with `graph.adjacency`.
-    attention: Vec<f64>,
 }
 
 /// Marks "no row" in the index arrays of a delta forward.
@@ -362,7 +357,6 @@ impl GraphAttention {
             b: Param::new(Matrix::zeros(1, out_dim)),
             wq: Param::new(init.glorot(out_dim, att_dim)),
             wk: Param::new(init.glorot(out_dim, att_dim)),
-            cache: None,
             transposes: None,
         }
     }
@@ -396,7 +390,8 @@ impl GraphAttention {
     }
 
     /// Forward pass over a graph with `features` (`n × in_dim`) and one
-    /// [`Adjacency`] row per node. Include `i` in row `i` to get
+    /// [`Adjacency`] row per node, returned as its [`Reference`] (the
+    /// output is [`Reference::output`]). Include `i` in row `i` to get
     /// self-loops (CAROL does).
     ///
     /// Nodes with empty rows produce zero embeddings.
@@ -413,39 +408,70 @@ impl GraphAttention {
     ///
     /// Panics if `adjacency.rows() != features.rows()`, if
     /// `features.cols() != in_dim`, or if a neighbour index is out of range.
-    pub fn forward(&mut self, features: &Matrix, adjacency: &Adjacency) -> Matrix {
-        let (graph, attention) = self.attend(features, adjacency);
-        let output = graph.output.clone();
-        self.cache = Some(Cache { graph, attention });
-        output
-    }
-
-    /// [`GraphAttention::forward`] without the backward cache, recorded
-    /// as a [`Reference`] for [`GraphAttention::forward_delta`].
-    ///
-    /// # Panics
-    ///
-    /// As [`GraphAttention::forward`].
-    pub fn reference(&self, features: &Matrix, adjacency: &Adjacency) -> Reference {
-        let graph = self.attend(features, adjacency).0;
-        let n = graph.features.rows();
+    pub fn forward(&self, features: &Matrix, adjacency: &Adjacency) -> Reference {
+        let n = features.rows();
+        assert_eq!(adjacency.rows(), n, "one neighbour list per node required");
+        assert_eq!(features.cols(), self.in_dim(), "feature width mismatch");
+        if let Some(j) = adjacency.targets.iter().find(|&&j| j >= n) {
+            panic!("neighbour index {j} out of range for {n} nodes");
+        }
+        let [h, q, k] = self.project(features);
+        let empty = Matrix::zeros(0, 0);
+        let nodes = Nodes {
+            base: [&h, &q, &k],
+            fresh: [&empty, &empty, &empty],
+            fresh_of: &[],
+        };
+        let scale = self.scale();
+        let edges = adjacency.targets.len();
+        let (mut logits, mut exps, mut alpha) =
+            (vec![0.0; edges], vec![0.0; edges], vec![0.0; edges]);
+        let mut max = vec![f64::NEG_INFINITY; n];
+        let mut output = Matrix::zeros(n, self.out_dim());
+        let mut h_rows = Vec::new();
+        for (i, m) in max.iter_mut().enumerate() {
+            let span = adjacency.span(i);
+            *m = attend_row(
+                q.row(i),
+                adjacency.row(i),
+                &nodes,
+                scale,
+                None,
+                EdgeRow {
+                    logits: &mut logits[span.clone()],
+                    exps: &mut exps[span.clone()],
+                    alpha: &mut alpha[span],
+                    h_rows: &mut h_rows,
+                },
+                output.row_mut(i),
+            );
+        }
         let mut offsets = vec![0; n + 1];
-        for &j in &graph.adjacency.targets {
+        for &j in &adjacency.targets {
             offsets[j + 1] += 1;
         }
         for j in 0..n {
             offsets[j + 1] += offsets[j];
         }
         let mut fill = offsets.clone();
-        let mut targets = vec![0; graph.adjacency.targets.len()];
+        let mut targets = vec![0; edges];
         for i in 0..n {
-            for &j in graph.adjacency.row(i) {
+            for &j in adjacency.row(i) {
                 targets[fill[j]] = i;
                 fill[j] += 1;
             }
         }
         Reference {
-            graph,
+            features: features.clone(),
+            adjacency: adjacency.clone(),
+            h,
+            q,
+            k,
+            logits,
+            exps,
+            max,
+            attention: alpha,
+            output,
             incoming: Adjacency { offsets, targets },
         }
     }
@@ -473,7 +499,7 @@ impl GraphAttention {
     pub fn forward_delta(&self, reference: &Reference, deltas: &[GraphDelta]) -> Vec<Patch> {
         let n = reference.rows();
         let in_dim = self.in_dim();
-        let graph = &reference.graph;
+        let graph = reference;
 
         // Every delta's changed feature rows, gathered for one projection.
         let mut gathered = Vec::new();
@@ -609,16 +635,6 @@ impl GraphAttention {
         patches
     }
 
-    /// The shape and index checks every forward form makes.
-    fn check_graph(&self, features: &Matrix, adjacency: &Adjacency) {
-        let n = features.rows();
-        assert_eq!(adjacency.rows(), n, "one neighbour list per node required");
-        assert_eq!(features.cols(), self.in_dim(), "feature width mismatch");
-        if let Some(j) = adjacency.targets.iter().find(|&&j| j >= n) {
-            panic!("neighbour index {j} out of range for {n} nodes");
-        }
-    }
-
     /// `h = tanh(U·W + b)`, `q = h·W_q` and `k = h·W_k` of `features`'
     /// rows: one matmul per weight, each row independent of the others.
     fn project(&self, features: &Matrix) -> [Matrix; 3] {
@@ -636,72 +652,23 @@ impl GraphAttention {
         1.0 / (self.wq.value.cols() as f64).sqrt()
     }
 
-    /// The full forward: every row through [`attend_row`]. Returns the
-    /// record and the softmax weights.
-    fn attend(&self, features: &Matrix, adjacency: &Adjacency) -> (Record, Vec<f64>) {
-        self.check_graph(features, adjacency);
-        let n = features.rows();
-        let [h, q, k] = self.project(features);
-        let empty = Matrix::zeros(0, 0);
-        let nodes = Nodes {
-            base: [&h, &q, &k],
-            fresh: [&empty, &empty, &empty],
-            fresh_of: &[],
-        };
-        let scale = self.scale();
-        let edges = adjacency.targets.len();
-        let (mut logits, mut exps, mut alpha) =
-            (vec![0.0; edges], vec![0.0; edges], vec![0.0; edges]);
-        let mut max = vec![f64::NEG_INFINITY; n];
-        let mut output = Matrix::zeros(n, self.out_dim());
-        let mut h_rows = Vec::new();
-        for (i, m) in max.iter_mut().enumerate() {
-            let span = adjacency.span(i);
-            *m = attend_row(
-                q.row(i),
-                adjacency.row(i),
-                &nodes,
-                scale,
-                None,
-                EdgeRow {
-                    logits: &mut logits[span.clone()],
-                    exps: &mut exps[span.clone()],
-                    alpha: &mut alpha[span],
-                    h_rows: &mut h_rows,
-                },
-                output.row_mut(i),
-            );
-        }
-        let graph = Record {
-            features: features.clone(),
-            adjacency: adjacency.clone(),
-            h,
-            q,
-            k,
-            logits,
-            exps,
-            max,
-            output,
-        };
-        (graph, alpha)
-    }
-
-    /// Backward pass: accumulates parameter gradients and returns the
-    /// gradient with respect to the input features.
+    /// Backward pass of the forward `pass`: accumulates parameter
+    /// gradients and returns the gradient with respect to the input
+    /// features.
     ///
     /// # Panics
     ///
-    /// Panics if called before [`GraphAttention::forward`].
-    pub fn backward(&mut self, grad_output: &Matrix) -> Matrix {
-        let n = self.cached_rows();
-        self.backward_batch(grad_output, &[(0, n)])
+    /// Panics if `grad_output` doesn't hold one row per node of `pass`.
+    pub fn backward(&mut self, pass: &Reference, grad_output: &Matrix) -> Matrix {
+        self.backward_batch(pass, grad_output, &[(0, pass.rows())])
     }
 
-    /// Batched [`GraphAttention::backward`] over the disjoint union of
-    /// per-sample graphs (the stacked layout [`GraphAttention::forward`]
-    /// documents): accumulates parameter gradients **per `(row offset,
-    /// node count)` segment, in segment order**, bit-identical to running
-    /// `forward` + `backward` once per component graph. Attention never
+    /// Batched [`GraphAttention::backward`] of a `pass` over the disjoint
+    /// union of per-sample graphs (the stacked layout
+    /// [`GraphAttention::forward`] documents): accumulates parameter
+    /// gradients **per `(row offset, node count)` segment, in segment
+    /// order**, bit-identical to running `forward` + `backward` once per
+    /// component graph. Attention never
     /// crosses segment boundaries, so the per-node gradient flows are
     /// already block-diagonal; only the four parameter-gradient
     /// reductions (`W`, `b`, `W_q`, `W_k`) need the segment structure to
@@ -709,23 +676,27 @@ impl GraphAttention {
     ///
     /// # Panics
     ///
-    /// Panics if called before [`GraphAttention::forward`], if the
-    /// segments don't tile the cached rows, or if `grad_output` doesn't
-    /// hold one row per cached row.
-    pub fn backward_batch(&mut self, grad_output: &Matrix, segments: &[(usize, usize)]) -> Matrix {
-        let n = self.tiled_rows(segments);
+    /// Panics if the segments don't tile the pass's rows, or if
+    /// `grad_output` doesn't hold one row per node of `pass`.
+    pub fn backward_batch(
+        &mut self,
+        pass: &Reference,
+        grad_output: &Matrix,
+        segments: &[(usize, usize)],
+    ) -> Matrix {
+        let n = tiled_rows(pass, segments);
         assert_eq!(
             grad_output.shape(),
             (n, self.out_dim()),
             "grad_output shape mismatch"
         );
         let grad_segments: Vec<_> = segments.iter().map(|&(o, k)| (o, k, o)).collect();
-        let d_hpre = self.backward_segments(grad_output, &grad_segments);
+        let d_hpre = self.backward_segments(pass, grad_output, &grad_segments);
         d_hpre.matmul(&self.transposes()[0])
     }
 
     /// Backward over **interleaved real/fake gradient pairs sharing one
-    /// cached forward** — the stacked-discriminator lever: in
+    /// forward `pass`** — the stacked-discriminator lever: in
     /// `adversarial_step_batch` every fake sample is its real sample with
     /// only the metric columns replaced, and the GAT consumes graph
     /// features + adjacency only, so the fake component's forward rows
@@ -733,10 +704,10 @@ impl GraphAttention {
     /// the model run the GAT forward over the `B` real components once
     /// and still backpropagate `2B` gradient segments.
     ///
-    /// `segments` are the **cache** segments of the forward pass (one
-    /// `(row offset, node count)` per component). `grad_output` has
-    /// twice the cached rows, laid out `[real₀, fake₀, real₁, fake₁, …]`:
-    /// component `b` with cache offset `o_b` owns grad rows
+    /// `segments` are the segments of the forward pass (one `(row
+    /// offset, node count)` per component). `grad_output` has twice the
+    /// pass's rows, laid out `[real₀, fake₀, real₁, fake₁, …]`:
+    /// component `b` with pass offset `o_b` owns grad rows
     /// `[2o_b, 2o_b+n_b)` (real) and `[2o_b+n_b, 2o_b+2n_b)` (fake).
     /// Parameter gradients accumulate in grad-segment order — exactly
     /// the order `backward_batch` over a physically duplicated stacking
@@ -747,11 +718,15 @@ impl GraphAttention {
     ///
     /// # Panics
     ///
-    /// Panics if called before [`GraphAttention::forward`], if the
-    /// segments don't tile the cached rows, or if `grad_output` doesn't
-    /// hold exactly two rows per cached row.
-    pub fn backward_interleaved(&mut self, grad_output: &Matrix, segments: &[(usize, usize)]) {
-        let n = self.tiled_rows(segments);
+    /// Panics if the segments don't tile the pass's rows, or if
+    /// `grad_output` doesn't hold exactly two rows per node of `pass`.
+    pub fn backward_interleaved(
+        &mut self,
+        pass: &Reference,
+        grad_output: &Matrix,
+        segments: &[(usize, usize)],
+    ) {
+        let n = tiled_rows(pass, segments);
         assert_eq!(
             grad_output.shape(),
             (2 * n, self.out_dim()),
@@ -761,7 +736,7 @@ impl GraphAttention {
             .iter()
             .flat_map(|&(o, k)| [(o, k, 2 * o), (o, k, 2 * o + k)])
             .collect();
-        self.backward_segments(grad_output, &grad_segments);
+        self.backward_segments(pass, grad_output, &grad_segments);
     }
 
     /// `[Wᵀ, W_qᵀ, W_kᵀ]`, built if [`GraphAttention::params_mut`]
@@ -771,33 +746,14 @@ impl GraphAttention {
             .get_or_insert_with(|| [&self.w, &self.wq, &self.wk].map(|p| p.value.transpose()))
     }
 
-    fn cached_rows(&self) -> usize {
-        self.cache
-            .as_ref()
-            .expect("GraphAttention::backward called before forward")
-            .graph
-            .features
-            .rows()
-    }
-
-    /// The cached row count, checked to equal the segments' total.
-    fn tiled_rows(&self, segments: &[(usize, usize)]) -> usize {
-        let n = self.cached_rows();
-        assert_eq!(
-            segments.iter().map(|&(_, k)| k).sum::<usize>(),
-            n,
-            "segments must tile the cached node rows"
-        );
-        n
-    }
-
-    /// The backward both public forms share. Each `(cache row, node
+    /// The backward both public forms share. Each `(pass row, node
     /// count, grad row)` segment backpropagates grad rows `[grad row,
-    /// grad row + count)` through cached component `[cache row, cache row
-    /// + count)`; parameter gradients accumulate per segment, in segment
-    /// order. Returns `dL/dH_pre`, laid out like `grad_output`.
+    /// grad row + count)` through component `[pass row, pass row +
+    /// count)` of `pass`; parameter gradients accumulate per segment, in
+    /// segment order. Returns `dL/dH_pre`, laid out like `grad_output`.
     fn backward_segments(
         &mut self,
+        pass: &Reference,
         grad_output: &Matrix,
         segments: &[(usize, usize, usize)],
     ) -> Matrix {
@@ -807,13 +763,10 @@ impl GraphAttention {
         let scale = 1.0 / (d_att as f64).sqrt();
         self.transposes();
         let [_, wqt, wkt] = self.transposes.as_ref().expect("just built");
-        let cache = self
-            .cache
-            .as_ref()
-            .expect("GraphAttention::backward called before forward");
+        let graph = pass;
 
-        // Through a tanh whose outputs are the cached `y`: each grad row
-        // scales by `1 − y²` of the cache row it backs onto.
+        // Through a tanh whose outputs are the pass's `y`: each grad row
+        // scales by `1 − y²` of the pass row it backs onto.
         let through_tanh = |d: &mut Matrix, y: &Matrix| {
             for &(co, nb, go) in segments {
                 for r in 0..nb {
@@ -827,13 +780,13 @@ impl GraphAttention {
 
         // Through the output tanh, then the attention rows.
         let mut d_agg = grad_output.clone();
-        through_tanh(&mut d_agg, &cache.graph.output);
+        through_tanh(&mut d_agg, &graph.output);
         let mut d_h = Matrix::zeros(rows, d_out);
         let mut d_q = Matrix::zeros(rows, d_att);
         let mut d_k = Matrix::zeros(rows, d_att);
         for &(co, nb, go) in segments {
             attention_backward_rows(
-                cache,
+                graph,
                 scale,
                 &d_agg,
                 &mut d_h,
@@ -848,7 +801,7 @@ impl GraphAttention {
         // Through Q = H·Wq and K = H·Wk, one segment at a time so each
         // `Hᵀ·dQ` reduction chain matches the serial per-sample backward.
         for &(co, nb, go) in segments {
-            let hseg = cache.graph.h.row_block(co, nb).transpose();
+            let hseg = graph.h.row_block(co, nb).transpose();
             self.wq
                 .grad
                 .add_in_place(&hseg.matmul(&d_q.row_block(go, nb)));
@@ -861,9 +814,9 @@ impl GraphAttention {
 
         // Through H = tanh(U·W + b).
         let mut d_hpre = d_h;
-        through_tanh(&mut d_hpre, &cache.graph.h);
+        through_tanh(&mut d_hpre, &graph.h);
         for &(co, nb, go) in segments {
-            let useg = cache.graph.features.row_block(co, nb);
+            let useg = graph.features.row_block(co, nb);
             let gseg = d_hpre.row_block(go, nb);
             self.w.grad.add_in_place(&useg.transpose().matmul(&gseg));
             self.b.grad.add_in_place(&gseg.sum_rows());
@@ -872,33 +825,44 @@ impl GraphAttention {
     }
 }
 
-/// The attention/softmax backward for cache nodes `[cache_lo, cache_hi)`
-/// whose gradient rows live at `cache row + delta` — one call per
+/// The row count of `pass`, checked to equal the segments' total.
+fn tiled_rows(pass: &Reference, segments: &[(usize, usize)]) -> usize {
+    let n = pass.rows();
+    assert_eq!(
+        segments.iter().map(|&(_, k)| k).sum::<usize>(),
+        n,
+        "segments must tile the pass's node rows"
+    );
+    n
+}
+
+/// The attention/softmax backward for pass nodes `[pass_lo, pass_hi)`
+/// whose gradient rows live at `pass row + delta` — one call per
 /// segment of `GraphAttention::backward_segments`. Per neighbour: `dα = dAgg_i·h_j` (four chains as SIMD lanes),
 /// the aggregation path `d_h[j] += α·dAgg_i`, then the softmax backward
 /// `ds = α(dα − Σ α dα)` feeding `d_q`/`d_k` — every f64 chain in the
 /// same order as the original fused loop.
 #[allow(clippy::too_many_arguments)]
 fn attention_backward_rows(
-    cache: &Cache,
+    graph: &Reference,
     scale: f64,
     d_agg: &Matrix,
     d_h: &mut Matrix,
     d_q: &mut Matrix,
     d_k: &mut Matrix,
-    cache_lo: usize,
-    cache_hi: usize,
+    pass_lo: usize,
+    pass_hi: usize,
     delta: usize,
 ) {
     // dα of one row, reused across rows (every slot is written before
     // it is read).
     let mut d_alpha: Vec<f64> = Vec::new();
-    for i in cache_lo..cache_hi {
-        let nbrs = cache.graph.adjacency.row(i);
+    for i in pass_lo..pass_hi {
+        let nbrs = graph.adjacency.row(i);
         if nbrs.is_empty() {
             continue;
         }
-        let alpha = &cache.attention[cache.graph.adjacency.span(i)];
+        let alpha = &graph.attention[graph.adjacency.span(i)];
         let ig = i + delta;
         // dα_ij = dAgg_i · h_j ; and aggregation path into h_j.
         d_alpha.resize(nbrs.len(), 0.0);
@@ -906,10 +870,10 @@ fn attention_backward_rows(
         while idx + 4 <= nbrs.len() {
             let dots = kernel::dot4_rows(
                 d_agg.row(ig),
-                cache.graph.h.row(nbrs[idx]),
-                cache.graph.h.row(nbrs[idx + 1]),
-                cache.graph.h.row(nbrs[idx + 2]),
-                cache.graph.h.row(nbrs[idx + 3]),
+                graph.h.row(nbrs[idx]),
+                graph.h.row(nbrs[idx + 1]),
+                graph.h.row(nbrs[idx + 2]),
+                graph.h.row(nbrs[idx + 3]),
             );
             d_alpha[idx..idx + 4].copy_from_slice(&dots);
             for t in 0..4 {
@@ -922,7 +886,7 @@ fn attention_backward_rows(
             idx += 4;
         }
         while idx < nbrs.len() {
-            d_alpha[idx] = kernel::dot(d_agg.row(ig), cache.graph.h.row(nbrs[idx]));
+            d_alpha[idx] = kernel::dot(d_agg.row(ig), graph.h.row(nbrs[idx]));
             kernel::axpy(d_h.row_mut(nbrs[idx] + delta), alpha[idx], d_agg.row(ig));
             idx += 1;
         }
@@ -930,8 +894,8 @@ fn attention_backward_rows(
         let weighted: f64 = alpha.iter().zip(&d_alpha).map(|(a, d)| a * d).sum();
         for (idx, &j) in nbrs.iter().enumerate() {
             let ds = alpha[idx] * (d_alpha[idx] - weighted);
-            kernel::axpy_scaled(d_q.row_mut(ig), ds, cache.graph.k.row(j), scale);
-            kernel::axpy_scaled(d_k.row_mut(j + delta), ds, cache.graph.q.row(i), scale);
+            kernel::axpy_scaled(d_q.row_mut(ig), ds, graph.k.row(j), scale);
+            kernel::axpy_scaled(d_k.row_mut(j + delta), ds, graph.q.row(i), scale);
         }
     }
 }
@@ -982,24 +946,23 @@ mod tests {
     #[test]
     fn output_shape_follows_node_count() {
         let mut init = Initializer::new(1);
-        let mut gat = GraphAttention::new(4, 6, 3, &mut init);
+        let gat = GraphAttention::new(4, 6, 3, &mut init);
         for n in [2usize, 5, 9] {
             let feats = Initializer::new(n as u64).normal(n, 4, 1.0);
-            let out = gat.forward(&feats, &ring(n));
-            assert_eq!(out.shape(), (n, 6));
+            let pass = gat.forward(&feats, &ring(n));
+            assert_eq!(pass.output().shape(), (n, 6));
         }
     }
 
     #[test]
     fn attention_weights_are_a_distribution() {
         let mut init = Initializer::new(2);
-        let mut gat = GraphAttention::new(3, 4, 4, &mut init);
+        let gat = GraphAttention::new(3, 4, 4, &mut init);
         let feats = Initializer::new(3).normal(5, 3, 1.0);
-        gat.forward(&feats, &ring(5));
-        let cache = gat.cache.as_ref().unwrap();
-        assert_eq!(cache.attention.len(), 15);
+        let graph = gat.forward(&feats, &ring(5));
+        assert_eq!(graph.attention.len(), 15);
         for i in 0..5 {
-            let alpha = &cache.attention[cache.graph.adjacency.span(i)];
+            let alpha = &graph.attention[graph.adjacency.span(i)];
             let sum: f64 = alpha.iter().sum();
             assert!((sum - 1.0).abs() < 1e-12);
             assert!(alpha.iter().all(|&a| a >= 0.0));
@@ -1009,15 +972,15 @@ mod tests {
     #[test]
     fn isolated_node_gets_zero_embedding() {
         let mut init = Initializer::new(4);
-        let mut gat = GraphAttention::new(3, 4, 2, &mut init);
+        let gat = GraphAttention::new(3, 4, 2, &mut init);
         let feats = Initializer::new(9).normal(3, 3, 1.0);
         let mut adj = Adjacency::default();
         adj.push_row(0, [0, 1]);
         adj.push_row(0, [1, 0]);
         adj.push_row(0, []);
-        let out = gat.forward(&feats, &adj);
+        let pass = gat.forward(&feats, &adj);
         // tanh(0) = 0 for the isolated node's row.
-        assert!(out.row(2).iter().all(|&v| v == 0.0));
+        assert!(pass.output().row(2).iter().all(|&v| v == 0.0));
     }
 
     /// The cached transposes follow a weight change made through
@@ -1029,18 +992,17 @@ mod tests {
         let feats = Initializer::new(14).normal(4, 3, 0.8);
         let adj = ring(4);
         let grad = Initializer::new(15).normal(4, 4, 0.5);
-        gat.forward(&feats, &adj);
-        let before = gat.backward(&grad);
+        let pass = gat.forward(&feats, &adj);
+        let before = gat.backward(&pass, &grad);
         for p in gat.params_mut() {
             p.value = p.value.scale(1.5);
         }
         let mut fresh = gat.clone();
         fresh.transposes = None;
-        gat.forward(&feats, &adj);
-        fresh.forward(&feats, &adj);
-        let after = gat.backward(&grad);
+        let pass = gat.forward(&feats, &adj);
+        let after = gat.backward(&pass, &grad);
         assert_ne!(before, after, "stale transposes survived params_mut");
-        assert_eq!(after, fresh.backward(&grad));
+        assert_eq!(after, fresh.backward(&pass, &grad));
     }
 
     #[test]
@@ -1050,14 +1012,14 @@ mod tests {
         let feats = Initializer::new(13).normal(4, 3, 0.8);
         let adj = ring(4);
 
-        let loss = |g: &mut GraphAttention, x: &Matrix| -> f64 {
-            let y = g.forward(x, &adj);
-            0.5 * y.data().iter().map(|v| v * v).sum::<f64>()
+        let loss = |g: &GraphAttention, x: &Matrix| -> f64 {
+            let pass = g.forward(x, &adj);
+            0.5 * pass.output().data().iter().map(|v| v * v).sum::<f64>()
         };
 
-        let y = gat.forward(&feats, &adj);
-        let analytic = gat.backward(&y);
-        let numeric = numerical_grad(&feats, 1e-6, |probe| loss(&mut gat, probe));
+        let pass = gat.forward(&feats, &adj);
+        let analytic = gat.backward(&pass, pass.output());
+        let numeric = numerical_grad(&feats, 1e-6, |probe| loss(&gat, probe));
         assert!(
             max_abs_diff(&analytic, &numeric) < 1e-6,
             "GAT input gradient mismatch"
@@ -1071,8 +1033,8 @@ mod tests {
         let feats = Initializer::new(5).normal(3, 2, 0.7);
         let adj = ring(3);
 
-        let y = gat.forward(&feats, &adj);
-        gat.backward(&y);
+        let pass = gat.forward(&feats, &adj);
+        gat.backward(&pass, pass.output());
         let analytic: Vec<Matrix> = gat.params_mut().iter().map(|p| p.grad.clone()).collect();
 
         // Numerically perturb each parameter tensor in turn.
@@ -1086,12 +1048,12 @@ mod tests {
                     let mut params = gat.params_mut();
                     params[which].value = probe.clone();
                 }
-                let y = gat.forward(&feats, &adj);
+                let pass = gat.forward(&feats, &adj);
                 {
                     let mut params = gat.params_mut();
                     params[which].value = base.clone();
                 }
-                0.5 * y.data().iter().map(|v| v * v).sum::<f64>()
+                0.5 * pass.output().data().iter().map(|v| v * v).sum::<f64>()
             });
             assert!(
                 max_abs_diff(&analytic[which], &numeric) < 1e-6,
@@ -1106,7 +1068,7 @@ mod tests {
         // diagonal batch; every component's embedding rows must match the
         // per-graph forward bit-for-bit (the batched-candidate contract).
         let mut init = Initializer::new(31);
-        let mut gat = GraphAttention::new(3, 5, 4, &mut init);
+        let gat = GraphAttention::new(3, 5, 4, &mut init);
         let feats: Vec<Matrix> = [3usize, 4, 6]
             .iter()
             .enumerate()
@@ -1118,7 +1080,8 @@ mod tests {
         for (f, &(offset, n)) in feats.iter().zip(&segments) {
             let single = gat.forward(f, &ring(n));
             for r in 0..n {
-                for (a, b) in batched.row(offset + r).iter().zip(single.row(r)) {
+                let got = batched.output().row(offset + r);
+                for (a, b) in got.iter().zip(single.output().row(r)) {
                     assert_eq!(
                         a.to_bits(),
                         b.to_bits(),
@@ -1153,8 +1116,8 @@ mod tests {
         let mut serial = gat.clone();
         let mut serial_dx = Vec::new();
         for (f, g) in feats.iter().zip(&grads_out) {
-            serial.forward(f, &ring(f.rows()));
-            serial_dx.push(serial.backward(g));
+            let pass = serial.forward(f, &ring(f.rows()));
+            serial_dx.push(serial.backward(&pass, g));
         }
         let serial_grads: Vec<Matrix> =
             serial.params_mut().iter().map(|p| p.grad.clone()).collect();
@@ -1163,8 +1126,8 @@ mod tests {
         let (stacked, adj, segments) = stack_rings(&feats);
         let (stacked_g, _, _) = stack_rings(&grads_out);
 
-        gat.forward(&stacked, &adj);
-        let dx = gat.backward_batch(&stacked_g, &segments);
+        let pass = gat.forward(&stacked, &adj);
+        let dx = gat.backward_batch(&pass, &stacked_g, &segments);
         for (&(offset, n), want) in segments.iter().zip(&serial_dx) {
             let got = dx.row_block(offset, n);
             for (a, b) in got.data().iter().zip(want.data()) {
@@ -1178,7 +1141,7 @@ mod tests {
         }
     }
 
-    /// `backward_interleaved` over one cached forward of B components
+    /// `backward_interleaved` over one forward of B components
     /// must accumulate bit-identical parameter gradients to
     /// `backward_batch` over a physically duplicated stacking
     /// [real₀, fake₀, real₁, …] — the shared-embedding lever's contract.
@@ -1208,8 +1171,8 @@ mod tests {
         // Reference: every component physically duplicated.
         let (dup_feats, dup_adj, dup_segs) = stack_rings(feats.iter().flat_map(|f| [f, f]));
         let mut reference = gat.clone();
-        reference.forward(&dup_feats, &dup_adj);
-        reference.backward_batch(&grad_rows, &dup_segs);
+        let pass = reference.forward(&dup_feats, &dup_adj);
+        reference.backward_batch(&pass, &grad_rows, &dup_segs);
         let want: Vec<Matrix> = reference
             .params_mut()
             .iter()
@@ -1219,8 +1182,8 @@ mod tests {
         // Lever: forward each component once, backprop both halves.
         let (feats1, adj1, segs1) = stack_rings(&feats);
         let mut lever = gat.clone();
-        lever.forward(&feats1, &adj1);
-        lever.backward_interleaved(&grad_rows, &segs1);
+        let pass = lever.forward(&feats1, &adj1);
+        lever.backward_interleaved(&pass, &grad_rows, &segs1);
         for (p, want) in lever.params_mut().iter().zip(&want) {
             for (a, b) in p.grad.data().iter().zip(want.data()) {
                 assert_eq!(
@@ -1292,14 +1255,14 @@ mod tests {
         nodes: &[usize],
         case: &str,
     ) -> Vec<usize> {
-        let want = gat.clone().forward(feats, &to_adjacency(rows));
+        let want = gat.forward(feats, &to_adjacency(rows));
         let patch = gat
             .forward_delta(reference, &[delta_of(feats, rows, nodes)])
             .pop()
             .expect("one patch per delta");
         assert!(patch.rows.windows(2).all(|w| w[0] < w[1]), "{case}: rows");
         for (r, got) in patch.output_rows(reference).enumerate() {
-            for (a, b) in got.iter().zip(want.row(r)) {
+            for (a, b) in got.iter().zip(want.output().row(r)) {
                 assert_eq!(a.to_bits(), b.to_bits(), "{case}: row {r} ({a} vs {b})");
             }
         }
@@ -1313,8 +1276,8 @@ mod tests {
         for seed in 0..6u64 {
             let n = 16;
             let (feats, rows) = random_graph(n, 200 + seed);
-            let reference = gat.reference(&feats, &to_adjacency(&rows));
-            let graph = &reference.graph;
+            let reference = gat.forward(&feats, &to_adjacency(&rows));
+            let graph = &reference;
             let every: Vec<usize> = (0..n).collect();
             let check = |f: &Matrix, r: &[Vec<usize>], case: &str| {
                 let case = format!("seed {seed}: {case}");
@@ -1384,7 +1347,7 @@ mod tests {
         let gat = GraphAttention::new(3, 5, 4, &mut Initializer::new(103));
         let n = 12;
         let (feats, rows) = random_graph(n, 77);
-        let reference = gat.reference(&feats, &to_adjacency(&rows));
+        let reference = gat.forward(&feats, &to_adjacency(&rows));
         let mut deltas = Vec::new();
         for b in 0..3 {
             let (mut f, mut r) = (feats.clone(), rows.clone());
@@ -1418,7 +1381,7 @@ mod tests {
     #[should_panic(expected = "one neighbour list per node")]
     fn neighbor_list_length_checked() {
         let mut init = Initializer::new(0);
-        let mut gat = GraphAttention::new(2, 2, 2, &mut init);
+        let gat = GraphAttention::new(2, 2, 2, &mut init);
         let mut adj = Adjacency::default();
         adj.push_row(0, [0]);
         gat.forward(&Matrix::zeros(3, 2), &adj);
@@ -1428,7 +1391,7 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn neighbor_bounds_checked() {
         let mut init = Initializer::new(0);
-        let mut gat = GraphAttention::new(2, 2, 2, &mut init);
+        let gat = GraphAttention::new(2, 2, 2, &mut init);
         let mut adj = Adjacency::default();
         adj.push_row(0, [5]);
         adj.push_row(0, [0]);

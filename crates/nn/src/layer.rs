@@ -1,5 +1,10 @@
 //! Feed-forward layers with explicit forward/backward passes.
 //!
+//! Every layer is stateless between calls: a pass is handed the
+//! activations it reads. [`Sequential`] keeps a stack's outputs and
+//! gradients in a caller-held [`Workspace`], so the eq.-1 ascent and
+//! training each run the same passes over buffers of their own.
+//!
 //! The f64 hot paths underneath these layers — blocked matmuls, the
 //! `Xᵀ` products of the weight gradients, bias broadcasts and row-sum
 //! reductions — all route through [`crate::kernel`], so every layer
@@ -57,64 +62,31 @@ impl Param {
     }
 }
 
-/// A differentiable computation stage.
+/// A differentiable computation stage, stateless between calls: every
+/// pass is handed the activations it reads.
 ///
-/// `forward` caches whatever `backward` needs; `backward` consumes the
-/// gradient of the loss with respect to the layer output and returns the
-/// gradient with respect to the layer *input* (this input gradient is what
-/// the GON generation loop ascends) while accumulating parameter gradients.
+/// [`Layer::forward_into`] writes the output; [`Layer::backward_input_into`]
+/// turns the gradient of the loss with respect to that output into the
+/// gradient with respect to the layer *input* (what the GON generation
+/// loop ascends), reading the pass's input and output from the caller;
+/// [`Layer::accumulate_grads`] adds the parameter gradients of the same
+/// pass, for training.
 ///
-/// Every `forward` is batch-first: the input rows are independent samples
+/// Every pass is batch-first: the input rows are independent samples
 /// (candidate metric rows in the GON repair path), and each output row is
-/// bit-identical to running that row through a single-row `forward` — the
-/// matmul kernel accumulates every output element over ascending `k`
-/// regardless of how many rows share the call.
+/// bit-identical to running that row alone — the matmul kernel
+/// accumulates every output element over ascending `k` regardless of how
+/// many rows share the call.
 pub trait Layer {
-    /// Computes the layer output for `input` and caches activations.
-    fn forward(&mut self, input: &Matrix) -> Matrix;
-
-    /// Backpropagates `grad_output`, accumulating parameter gradients and
-    /// returning the gradient with respect to the last `forward` input.
-    ///
-    /// # Panics
-    ///
-    /// Implementations may panic if called before `forward`.
-    fn backward(&mut self, grad_output: &Matrix) -> Matrix;
-
-    /// Batched [`Layer::backward`] over a stacked minibatch whose rows are
-    /// grouped into per-sample `(row offset, row count)` segments:
-    /// accumulates parameter gradients **per segment, in segment order**,
-    /// and returns the full input gradient.
-    ///
-    /// This is the training sibling of [`Layer::backward_input_into`]:
-    /// where the generation loop skips parameter gradients entirely, adversarial
-    /// training needs them — and needs the accumulation to be
-    /// **bit-identical** to running `forward` + `backward` once per
-    /// sample. A single stacked `Xᵀ·dY` matmul would chain the f64
-    /// reduction across sample boundaries; accumulating one segment at a
-    /// time reproduces the serial per-sample chain exactly. The returned
-    /// input gradient is row-independent and needs no segmentation.
-    ///
-    /// Layers with parameters must override this; the default delegates to
-    /// `backward` and is only correct for parameter-free layers (where
-    /// the segment structure is irrelevant).
-    fn backward_batch(&mut self, grad_output: &Matrix, segments: &[(usize, usize)]) -> Matrix {
-        let _ = segments;
-        self.backward(grad_output)
-    }
-
-    /// [`Layer::forward`] into the caller's `out` (reshaped to the
-    /// output's shape, then fully overwritten), caching nothing:
-    /// [`Layer::backward_input_into`] reads this pass's input and output
-    /// from the caller instead. `forward` is this body plus the cache.
+    /// The layer's output for `input`, into the caller's `out` (reshaped
+    /// to the output's shape, then fully overwritten).
     fn forward_into(&self, input: &Matrix, out: &mut Matrix);
 
-    /// The input gradient [`Layer::backward`] returns, into the caller's
-    /// `grad_input`, for the pass [`Layer::forward_into`] ran from `input`
-    /// to `output`: reads its derivative from those two, not from a
-    /// cache, and leaves parameter gradients untouched — the GON's eq.-1
-    /// ascent ascends the input and discards them. Bit-identical to the
-    /// gradient `backward` returns.
+    /// The gradient with respect to `input`, into the caller's
+    /// `grad_input`, for the pass [`Layer::forward_into`] ran from
+    /// `input` to `output`: reads its derivative from those two and
+    /// leaves parameter gradients untouched — the GON's eq.-1 ascent
+    /// ascends the input and needs no others.
     fn backward_input_into(
         &mut self,
         input: &Matrix,
@@ -122,6 +94,26 @@ pub trait Layer {
         grad_output: &Matrix,
         grad_input: &mut Matrix,
     );
+
+    /// Accumulates the parameter gradients of the pass
+    /// [`Layer::forward_into`] ran from `input`, given `grad_output`,
+    /// over a stacked minibatch whose rows are grouped into per-sample
+    /// `(row offset, row count)` segments: **per segment, in segment
+    /// order**.
+    ///
+    /// Adversarial training needs the accumulation to be
+    /// **bit-identical** to one pass per sample. A single stacked
+    /// `Xᵀ·dY` matmul would chain the f64 reduction across sample
+    /// boundaries; accumulating one segment at a time reproduces the
+    /// per-sample chain exactly. A no-op for parameter-free layers.
+    fn accumulate_grads(
+        &mut self,
+        input: &Matrix,
+        grad_output: &Matrix,
+        segments: &[(usize, usize)],
+    ) {
+        let _ = (input, grad_output, segments);
+    }
 
     /// Mutable access to this layer's parameters (empty for activations).
     fn params_mut(&mut self) -> Vec<&mut Param> {
@@ -144,8 +136,6 @@ pub trait Layer {
 pub struct Dense {
     weight: Param,
     bias: Param,
-    #[serde(skip)]
-    cached_input: Option<Matrix>,
     /// Lazily materialised `Wᵀ` for the `dX = dY·Wᵀ` input-gradient
     /// product. Weights only change through [`Layer::params_mut`], which
     /// drops this cache, so a whole GON generation run (many backward
@@ -161,7 +151,6 @@ impl Dense {
         Self {
             weight: Param::new(init.glorot(in_dim, out_dim)),
             bias: Param::new(Matrix::zeros(1, out_dim)),
-            cached_input: None,
             cached_wt: None,
         }
     }
@@ -177,7 +166,6 @@ impl Dense {
         Self {
             weight: Param::new(weight),
             bias: Param::new(bias),
-            cached_input: None,
             cached_wt: None,
         }
     }
@@ -233,13 +221,6 @@ impl Dense {
 }
 
 impl Layer for Dense {
-    fn forward(&mut self, input: &Matrix) -> Matrix {
-        let mut out = Matrix::zeros(input.rows(), self.out_dim());
-        self.forward_into(input, &mut out);
-        refill(&mut self.cached_input, input);
-        out
-    }
-
     fn forward_into(&self, input: &Matrix, out: &mut Matrix) {
         assert_eq!(input.cols(), self.in_dim(), "Dense input width");
         out.resize(input.rows(), self.out_dim());
@@ -256,18 +237,12 @@ impl Layer for Dense {
         self.input_grad_into(grad_output, self.in_dim(), grad_input);
     }
 
-    fn backward(&mut self, grad_output: &Matrix) -> Matrix {
-        self.backward_batch(grad_output, &[(0, grad_output.rows())])
-    }
-
-    fn backward_batch(&mut self, grad_output: &Matrix, segments: &[(usize, usize)]) -> Matrix {
-        let input = self
-            .cached_input
-            .as_ref()
-            .expect("Dense::backward called before forward");
-        // Parameter gradients accumulate one sample segment at a time —
-        // the same `Xᵀ·dY` kernel and `add_in_place` chain the serial
-        // per-sample `backward` produces, in the same order.
+    fn accumulate_grads(
+        &mut self,
+        input: &Matrix,
+        grad_output: &Matrix,
+        segments: &[(usize, usize)],
+    ) {
         for &(offset, n) in segments {
             let iseg = input.row_block(offset, n);
             let gseg = grad_output.row_block(offset, n);
@@ -276,10 +251,6 @@ impl Layer for Dense {
                 .add_in_place(&iseg.transpose().matmul(&gseg));
             self.bias.grad.add_in_place(&gseg.sum_rows());
         }
-        // dX rows are sample-independent; one matmul serves all.
-        let mut dx = Matrix::default();
-        self.input_grad_into(grad_output, self.in_dim(), &mut dx);
-        dx
     }
 
     fn params_mut(&mut self) -> Vec<&mut Param> {
@@ -358,28 +329,16 @@ impl ActivationKind {
     }
 }
 
-/// Refills a layer cache with `src`, reusing its buffer once it exists.
-fn refill(cache: &mut Option<Matrix>, src: &Matrix) {
-    match cache {
-        Some(m) => m.clone_from(src),
-        None => *cache = Some(src.clone()),
-    }
-}
-
-/// Stateless activation layer.
+/// Parameter-free activation layer.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Activation {
     kind: ActivationKind,
-    /// The one tensor the derivative reads: the last input for ReLU and
-    /// LeakyReLU, the last output for tanh and sigmoid.
-    #[serde(skip)]
-    cached: Option<Matrix>,
 }
 
 impl Activation {
     /// Creates an activation layer of the given kind.
     pub fn new(kind: ActivationKind) -> Self {
-        Self { kind, cached: None }
+        Self { kind }
     }
 
     /// ReLU activation.
@@ -396,32 +355,9 @@ impl Activation {
     pub fn sigmoid() -> Self {
         Self::new(ActivationKind::Sigmoid)
     }
-
-    /// `grad_input = grad_output ⊙ f′`, with `f′` read from `read`: the
-    /// layer's input or output, as [`ActivationKind::derivative`] takes.
-    fn backward_from(&self, read: &Matrix, grad_output: &Matrix, grad_input: &mut Matrix) {
-        assert_eq!(read.shape(), grad_output.shape(), "activation grad shape");
-        grad_input.resize(read.rows(), read.cols());
-        let pairs = grad_output.data().iter().zip(read.data());
-        for (g, (&dy, &v)) in grad_input.data_mut().iter_mut().zip(pairs) {
-            *g = dy * self.kind.derivative(v);
-        }
-    }
 }
 
 impl Layer for Activation {
-    fn forward(&mut self, input: &Matrix) -> Matrix {
-        let mut out = Matrix::zeros(input.rows(), input.cols());
-        self.forward_into(input, &mut out);
-        let read = if self.kind.derivative_reads_output() {
-            &out
-        } else {
-            input
-        };
-        refill(&mut self.cached, read);
-        out
-    }
-
     fn forward_into(&self, input: &Matrix, out: &mut Matrix) {
         out.resize(input.rows(), input.cols());
         for (o, &v) in out.data_mut().iter_mut().zip(input.data()) {
@@ -429,16 +365,8 @@ impl Layer for Activation {
         }
     }
 
-    fn backward(&mut self, grad_output: &Matrix) -> Matrix {
-        let cached = self
-            .cached
-            .as_ref()
-            .expect("Activation::backward called before forward");
-        let mut grad = Matrix::default();
-        self.backward_from(cached, grad_output, &mut grad);
-        grad
-    }
-
+    /// `grad_input = grad_output ⊙ f′`, with `f′` read from the pass's
+    /// input or output, as [`ActivationKind::derivative`] takes.
     fn backward_input_into(
         &mut self,
         input: &Matrix,
@@ -451,7 +379,12 @@ impl Layer for Activation {
         } else {
             input
         };
-        self.backward_from(read, grad_output, grad_input);
+        assert_eq!(read.shape(), grad_output.shape(), "activation grad shape");
+        grad_input.resize(read.rows(), read.cols());
+        let pairs = grad_output.data().iter().zip(read.data());
+        for (g, (&dy, &v)) in grad_input.data_mut().iter_mut().zip(pairs) {
+            *g = dy * self.kind.derivative(v);
+        }
     }
 
     fn clone_boxed(&self) -> Box<dyn Layer + Send + Sync> {
@@ -459,22 +392,26 @@ impl Layer for Activation {
     }
 }
 
-/// A stack of layers applied in sequence. It is not itself a [`Layer`]:
-/// it holds leaf layers, and runs their allocating passes through its
-/// own `forward` / `backward` and their workspace passes through
-/// [`Sequential::forward_with`] / [`Sequential::backward_input_with`].
+/// A stack of layers applied in sequence, over a caller-held
+/// [`Workspace`]: [`Sequential::forward`] writes every layer's output
+/// there, and either backward reads them back —
+/// [`Sequential::backward_input`] for the input gradient alone,
+/// [`Sequential::backward`] for training, which also accumulates
+/// parameter gradients.
 ///
 /// # Examples
 ///
 /// ```
 /// use nn::{Dense, Activation, Sequential, Matrix};
 /// use nn::init::Initializer;
+/// use nn::layer::Workspace;
 /// let mut init = Initializer::new(0);
 /// let mut net = Sequential::new();
 /// net.push(Dense::new(4, 8, &mut init));
 /// net.push(Activation::relu());
 /// net.push(Dense::new(8, 1, &mut init));
-/// let y = net.forward(&Matrix::zeros(2, 4));
+/// let (x, mut ws) = (Matrix::zeros(2, 4), Workspace::default());
+/// let y = net.forward(&x, &mut ws);
 /// assert_eq!(y.shape(), (2, 1));
 /// ```
 #[derive(Default)]
@@ -522,27 +459,6 @@ impl Sequential {
         self.layers.is_empty()
     }
 
-    /// [`Layer::forward`] through the stack: each layer caches what its
-    /// `backward` needs.
-    pub fn forward(&mut self, input: &Matrix) -> Matrix {
-        chain(self.layers.iter_mut(), input, |l, x| l.forward(x))
-    }
-
-    /// [`Layer::backward`] through the stack, after [`Sequential::forward`].
-    pub fn backward(&mut self, grad_output: &Matrix) -> Matrix {
-        chain(self.layers.iter_mut().rev(), grad_output, |l, g| {
-            l.backward(g)
-        })
-    }
-
-    /// [`Layer::backward_batch`] through the stack, after
-    /// [`Sequential::forward`] of the stacked minibatch.
-    pub fn backward_batch(&mut self, grad_output: &Matrix, segments: &[(usize, usize)]) -> Matrix {
-        chain(self.layers.iter_mut().rev(), grad_output, |l, g| {
-            l.backward_batch(g, segments)
-        })
-    }
-
     /// Every layer's parameters, in layer order.
     pub fn params_mut(&mut self) -> Vec<&mut Param> {
         self.layers
@@ -567,7 +483,7 @@ impl Sequential {
     /// its output into `ws`; returns the last output (`input` itself
     /// for an empty stack). Once `ws` has held one pass of these
     /// shapes, another allocates nothing.
-    pub fn forward_with<'w>(&self, input: &'w Matrix, ws: &'w mut Workspace) -> &'w Matrix {
+    pub fn forward<'w>(&self, input: &'w Matrix, ws: &'w mut Workspace) -> &'w Matrix {
         ws.outputs.resize_with(self.layers.len(), Matrix::default);
         for (i, layer) in self.layers.iter().enumerate() {
             let (done, rest) = ws.outputs.split_at_mut(i);
@@ -577,39 +493,69 @@ impl Sequential {
     }
 
     /// [`Layer::backward_input_into`] through the stack, after
-    /// [`Sequential::forward_with`] of `input` into the same `ws`: each
-    /// layer reads its input and output from there and writes the
-    /// gradient with respect to its input into `ws`. Returns the
-    /// gradient with respect to `input`; parameter gradients are
-    /// untouched.
+    /// [`Sequential::forward`] of `input` into the same `ws`: each layer
+    /// reads its input and output from there and writes the gradient
+    /// with respect to its input into `ws`. Returns the gradient with
+    /// respect to `input`; parameter gradients are untouched.
     ///
     /// # Panics
     ///
     /// Panics if `ws` does not hold one output per layer.
-    pub fn backward_input_with<'w>(
+    pub fn backward_input<'w>(
         &mut self,
         input: &Matrix,
         grad_output: &'w Matrix,
         ws: &'w mut Workspace,
     ) -> &'w Matrix {
+        self.backward_through(input, grad_output, None, ws)
+    }
+
+    /// The training backward: [`Sequential::backward_input`] that also
+    /// runs each layer's [`Layer::accumulate_grads`] over the
+    /// per-sample `segments` of the stacked rows, so the parameter
+    /// gradients are those of one pass per sample, bit for bit.
+    ///
+    /// # Panics
+    ///
+    /// As [`Sequential::backward_input`].
+    pub fn backward<'w>(
+        &mut self,
+        input: &Matrix,
+        grad_output: &'w Matrix,
+        segments: &[(usize, usize)],
+        ws: &'w mut Workspace,
+    ) -> &'w Matrix {
+        self.backward_through(input, grad_output, Some(segments), ws)
+    }
+
+    /// Both backwards: parameter gradients accumulate only with
+    /// `segments`.
+    fn backward_through<'w>(
+        &mut self,
+        input: &Matrix,
+        grad_output: &'w Matrix,
+        segments: Option<&[(usize, usize)]>,
+        ws: &'w mut Workspace,
+    ) -> &'w Matrix {
         let n = self.layers.len();
-        assert_eq!(ws.outputs.len(), n, "forward_with must run first");
+        assert_eq!(ws.outputs.len(), n, "forward must run first");
         ws.grads.resize_with(n, Matrix::default);
         for (i, layer) in self.layers.iter_mut().enumerate().rev() {
             let (below, above) = ws.grads.split_at_mut(i + 1);
             let layer_input = if i == 0 { input } else { &ws.outputs[i - 1] };
             let grad = above.first().unwrap_or(grad_output);
+            if let Some(segments) = segments {
+                layer.accumulate_grads(layer_input, grad, segments);
+            }
             layer.backward_input_into(layer_input, &ws.outputs[i], grad, &mut below[i]);
         }
         ws.grads.first().unwrap_or(grad_output)
     }
 }
 
-/// The buffers of a [`Sequential`] pass run through
-/// [`Sequential::forward_with`] and [`Sequential::backward_input_with`]:
-/// each layer's output and the gradient with respect to each layer's
-/// input, kept between calls. A clone starts empty, since the contents
-/// are scratch.
+/// The buffers of a [`Sequential`] pass: each layer's output and the
+/// gradient with respect to each layer's input, kept between calls. A
+/// clone starts empty, since the contents are scratch.
 #[derive(Debug, Default)]
 pub struct Workspace {
     outputs: Vec<Matrix>,
@@ -622,39 +568,57 @@ impl Clone for Workspace {
     }
 }
 
-/// Runs `step` through `layers` in turn; the first layer reads `x`
-/// itself, so no copy of it is made unless there are no layers.
-fn chain<'a>(
-    mut layers: impl Iterator<Item = &'a mut Box<dyn Layer + Send + Sync>>,
-    x: &Matrix,
-    mut step: impl FnMut(&mut Box<dyn Layer + Send + Sync>, &Matrix) -> Matrix,
-) -> Matrix {
-    match layers.next() {
-        Some(first) => {
-            let y = step(first, x);
-            layers.fold(y, |y, layer| step(layer, &y))
-        }
-        None => x.clone(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::gradcheck::{max_abs_diff, numerical_grad};
 
-    fn loss_of(net: &mut Sequential, x: &Matrix) -> f64 {
+    fn loss_of(net: &Sequential, x: &Matrix) -> f64 {
         // Simple quadratic loss: 0.5 * ||f(x)||^2 so dL/dy = y.
-        let y = net.forward(x);
+        let mut ws = Workspace::default();
+        let y = net.forward(x, &mut ws);
         0.5 * y.data().iter().map(|v| v * v).sum::<f64>()
+    }
+
+    /// `layer`'s output for `x`, into a fresh matrix.
+    fn forward_of(layer: &impl Layer, x: &Matrix) -> Matrix {
+        let mut out = Matrix::default();
+        layer.forward_into(x, &mut out);
+        out
+    }
+
+    fn assert_same_bits(got: &Matrix, want: &Matrix, case: &str) {
+        assert_eq!(got.shape(), want.shape(), "{case}: shape");
+        for (a, b) in got.data().iter().zip(want.data()) {
+            assert_eq!(a.to_bits(), b.to_bits(), "{case}");
+        }
+    }
+
+    fn grads_of(net: &mut Sequential) -> Vec<Matrix> {
+        net.params_mut().iter().map(|p| p.grad.clone()).collect()
+    }
+
+    /// A stack through every activation kind.
+    fn mixed_net(seed: u64) -> Sequential {
+        let mut init = Initializer::new(seed);
+        let mut net = Sequential::new();
+        net.push(Dense::new(3, 6, &mut init));
+        net.push(Activation::relu());
+        net.push(Dense::new(6, 5, &mut init));
+        net.push(Activation::new(ActivationKind::LeakyRelu));
+        net.push(Dense::new(5, 4, &mut init));
+        net.push(Activation::tanh());
+        net.push(Dense::new(4, 2, &mut init));
+        net.push(Activation::sigmoid());
+        net
     }
 
     #[test]
     fn dense_forward_known_values() {
         let w = Matrix::from_rows(&[&[1.0, 0.0], &[0.0, 2.0]]);
         let b = Matrix::row_vector(&[1.0, -1.0]);
-        let mut d = Dense::from_parts(w, b);
-        let y = d.forward(&Matrix::from_rows(&[&[3.0, 4.0]]));
+        let d = Dense::from_parts(w, b);
+        let y = forward_of(&d, &Matrix::from_rows(&[&[3.0, 4.0]]));
         assert_eq!(y, Matrix::from_rows(&[&[4.0, 7.0]]));
     }
 
@@ -668,9 +632,10 @@ mod tests {
         net.push(Activation::sigmoid());
 
         let x = Initializer::new(7).normal(2, 3, 1.0);
-        let y = net.forward(&x);
-        let analytic = net.backward(&y); // dL/dy = y for 0.5||y||^2
-        let numeric = numerical_grad(&x, 1e-5, |probe| loss_of(&mut net, probe));
+        let mut ws = Workspace::default();
+        let y = net.forward(&x, &mut ws).clone();
+        let analytic = net.backward_input(&x, &y, &mut ws).clone(); // dL/dy = y for 0.5||y||^2
+        let numeric = numerical_grad(&x, 1e-5, |probe| loss_of(&net, probe));
         assert!(
             max_abs_diff(&analytic, &numeric) < 1e-6,
             "input gradient mismatch: {:?} vs {:?}",
@@ -685,24 +650,27 @@ mod tests {
         let mut dense = Dense::new(3, 2, &mut init);
         let x = Initializer::new(5).normal(4, 3, 1.0);
 
-        let y = dense.forward(&x);
-        dense.backward(&y);
+        let y = forward_of(&dense, &x);
+        dense.accumulate_grads(&x, &y, &[(0, 4)]);
         let analytic_w = dense.weight.grad.clone();
         let analytic_b = dense.bias.grad.clone();
 
+        let half_square = |d: &Dense| {
+            let y = forward_of(d, &x);
+            0.5 * y.data().iter().map(|v| v * v).sum::<f64>()
+        };
         let w0 = dense.weight.value.clone();
         let numeric_w = numerical_grad(&w0, 1e-5, |probe| {
-            let mut d = Dense::from_parts(probe.clone(), dense.bias.value.clone());
-            let y = d.forward(&x);
-            0.5 * y.data().iter().map(|v| v * v).sum::<f64>()
+            half_square(&Dense::from_parts(probe.clone(), dense.bias.value.clone()))
         });
         assert!(max_abs_diff(&analytic_w, &numeric_w) < 1e-6);
 
         let b0 = dense.bias.value.clone();
         let numeric_b = numerical_grad(&b0, 1e-5, |probe| {
-            let mut d = Dense::from_parts(dense.weight.value.clone(), probe.clone());
-            let y = d.forward(&x);
-            0.5 * y.data().iter().map(|v| v * v).sum::<f64>()
+            half_square(&Dense::from_parts(
+                dense.weight.value.clone(),
+                probe.clone(),
+            ))
         });
         assert!(max_abs_diff(&analytic_b, &numeric_b) < 1e-6);
     }
@@ -712,11 +680,11 @@ mod tests {
         let mut act = Activation::relu();
         // Offset inputs away from the kink at 0 for clean finite differences.
         let x = Matrix::from_rows(&[&[1.0, -2.0, 0.5], &[-0.3, 2.0, -1.0]]);
-        let y = act.forward(&x);
-        let analytic = act.backward(&y);
+        let y = forward_of(&act, &x);
+        let mut analytic = Matrix::default();
+        act.backward_input_into(&x, &y, &y, &mut analytic);
         let numeric = numerical_grad(&x, 1e-6, |probe| {
-            let mut a = Activation::relu();
-            let y = a.forward(probe);
+            let y = forward_of(&Activation::relu(), probe);
             0.5 * y.data().iter().map(|v| v * v).sum::<f64>()
         });
         assert!(max_abs_diff(&analytic, &numeric) < 1e-6);
@@ -731,41 +699,39 @@ mod tests {
         assert_eq!(ActivationKind::LeakyRelu.apply(-1.0), -0.01);
     }
 
-    /// A workspace pass — `forward_with`, then `backward_input_with` —
-    /// returns the bits of `forward` and `backward`, through each
-    /// kind of activation, on a workspace reused across batch sizes
-    /// (stale values from a larger pass must not leak into a smaller
-    /// one), and leaves parameter gradients untouched.
+    /// One `Workspace` reused across larger-then-smaller stacks gives
+    /// each pass — the forward, the input-only backward and the training
+    /// backward — the bits of a fresh workspace: no stale row of a larger
+    /// pass leaks into a smaller one. The input-only backward leaves
+    /// parameter gradients at zero.
     #[test]
-    fn workspace_pass_is_bit_identical_to_forward_and_backward() {
-        let mut init = Initializer::new(17);
-        let mut net = Sequential::new();
-        net.push(Dense::new(3, 6, &mut init));
-        net.push(Activation::relu());
-        net.push(Dense::new(6, 5, &mut init));
-        net.push(Activation::new(ActivationKind::LeakyRelu));
-        net.push(Dense::new(5, 4, &mut init));
-        net.push(Activation::tanh());
-        net.push(Dense::new(4, 2, &mut init));
-        net.push(Activation::sigmoid());
+    fn reused_workspace_leaks_no_stale_rows() {
+        let mut reused_net = mixed_net(17);
         let mut ws = Workspace::default();
         for (rows, seed) in [(15usize, 18u64), (4, 19), (15, 20), (1, 21)] {
             let x = Initializer::new(seed).normal(rows, 3, 1.0);
             let grad = Initializer::new(seed + 100).normal(rows, 2, 1.0);
-            let mut full = net.clone();
-            let want_y = full.forward(&x);
-            let want_dx = full.backward(&grad);
-            let got_y = net.forward_with(&x, &mut ws).clone();
-            let got_dx = net.backward_input_with(&x, &grad, &mut ws);
-            for (got, want) in [(&got_y, &want_y), (got_dx, &want_dx)] {
-                assert_eq!(got.shape(), want.shape(), "{rows} rows");
-                for (a, b) in got.data().iter().zip(want.data()) {
-                    assert_eq!(a.to_bits(), b.to_bits(), "{rows} rows");
-                }
+            let case = format!("{rows} rows");
+            let (mut fresh_net, mut fresh) = (mixed_net(17), Workspace::default());
+            let want_y = fresh_net.forward(&x, &mut fresh).clone();
+            let segments = [(0, rows)];
+            let want_dx = fresh_net.backward(&x, &grad, &segments, &mut fresh).clone();
+
+            reused_net.zero_grad();
+            assert_same_bits(reused_net.forward(&x, &mut ws), &want_y, &case);
+            let got_dx = reused_net.backward_input(&x, &grad, &mut ws);
+            assert_same_bits(got_dx, &want_dx, &case);
+            for p in reused_net.params_mut() {
+                assert!(p.grad.data().iter().all(|&g| g.to_bits() == 0), "{case}");
             }
-        }
-        for p in net.params_mut() {
-            assert!(p.grad.data().iter().all(|&g| g == 0.0));
+            let got_dx = reused_net.backward(&x, &grad, &segments, &mut ws);
+            assert_same_bits(got_dx, &want_dx, &case);
+            for (got, want) in grads_of(&mut reused_net)
+                .iter()
+                .zip(&grads_of(&mut fresh_net))
+            {
+                assert_same_bits(got, want, &format!("{case}: parameter gradient"));
+            }
         }
     }
 
@@ -780,21 +746,28 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "backward called before forward")]
+    #[should_panic(expected = "forward must run first")]
     fn backward_before_forward_panics() {
         let mut init = Initializer::new(0);
-        let mut d = Dense::new(2, 2, &mut init);
-        d.backward(&Matrix::zeros(1, 2));
+        let mut net = Sequential::new();
+        net.push(Dense::new(2, 2, &mut init));
+        let g = Matrix::zeros(1, 2);
+        net.backward(&g, &g, &[(0, 1)], &mut Workspace::default());
     }
 
+    /// Every Dense input gradient returns the bits of `dY·Wᵀ` through
+    /// `Matrix::matmul`, at 1, 8 and 9 rows and with signed zeros (the
+    /// kernel's skipped terms) in dY: the layer's input-only backward,
+    /// the training backward through a one-layer stack, and
+    /// `input_grad_into` of the first 4 columns, which returns those
+    /// columns of it.
     #[test]
-    fn dense_input_gradient_entry_points_agree() {
-        let mut init = Initializer::new(3);
-        // Every entry point returns the bits of `dY·Wᵀ` through
-        // `Matrix::matmul`, at 1, 8 and 9 rows and with exact zeros (the
-        // kernel's skipped terms) in dY; `input_grad_into` of the first
-        // 4 columns returns those columns of it.
-        let mut dense = Dense::new(6, 5, &mut init);
+    fn dense_input_gradient_is_the_bits_of_dy_times_wt() {
+        let dense = Dense::new(6, 5, &mut Initializer::new(3));
+        let mut net = Sequential::new();
+        net.push(dense.clone());
+        let mut dense = dense;
+        let mut ws = Workspace::default();
         for m in [1usize, 8, 9] {
             let x = Initializer::new(40 + m as u64).normal(m, 6, 0.7);
             let mut dy = Initializer::new(50 + m as u64).normal(m, 5, 0.5);
@@ -804,22 +777,15 @@ mod tests {
                 }
             }
             let want = dy.matmul(&dense.weight().transpose());
-            let y = dense.forward(&x);
+            let y = forward_of(&dense, &x);
             let mut into = Matrix::default();
             dense.backward_input_into(&x, &y, &dy, &mut into);
+            assert_same_bits(&into, &want, &format!("backward_input_into at m = {m}"));
+            net.forward(&x, &mut ws);
+            let trained = net.backward(&x, &dy, &[(0, m)], &mut ws);
+            assert_same_bits(trained, &want, &format!("Sequential::backward at m = {m}"));
             let mut four = Matrix::default();
             dense.input_grad_into(&dy, 4, &mut four);
-            let got = [
-                ("backward", dense.backward(&dy)),
-                ("backward_input_into", into),
-                ("backward_batch", dense.backward_batch(&dy, &[(0, m)])),
-            ];
-            for (name, got) in got {
-                assert_eq!(got.shape(), (m, 6));
-                for (a, b) in got.data().iter().zip(want.data()) {
-                    assert_eq!(a.to_bits(), b.to_bits(), "{name} at m = {m}");
-                }
-            }
             assert_eq!(four.shape(), (m, 4));
             for r in 0..m {
                 for (a, b) in four.row(r).iter().zip(want.row(r)) {
@@ -843,6 +809,8 @@ mod tests {
         let total: usize = sizes.iter().sum();
         let x = Initializer::new(23).normal(total, 4, 0.8);
         let gy = Initializer::new(29).normal(total, 2, 0.6);
+        // Every pass of this test runs on one reused workspace.
+        let mut ws = Workspace::default();
 
         // Serial reference: forward + backward once per sample, grads
         // accumulating across samples in order.
@@ -850,13 +818,14 @@ mod tests {
         let mut serial_dx = Vec::new();
         let mut offset = 0;
         for &n in &sizes {
-            let y = serial.forward(&x.row_block(offset, n));
+            let xs = x.row_block(offset, n);
+            let y = serial.forward(&xs, &mut ws);
             assert_eq!(y.rows(), n);
-            serial_dx.push(serial.backward(&gy.row_block(offset, n)));
+            let gs = gy.row_block(offset, n);
+            serial_dx.push(serial.backward(&xs, &gs, &[(0, n)], &mut ws).clone());
             offset += n;
         }
-        let serial_grads: Vec<Matrix> =
-            serial.params_mut().iter().map(|p| p.grad.clone()).collect();
+        let serial_grads = grads_of(&mut serial);
 
         // Batched: one stacked forward, one segment-aware backward.
         let mut segments = Vec::new();
@@ -865,18 +834,13 @@ mod tests {
             segments.push((offset, n));
             offset += n;
         }
-        let _ = net.forward(&x);
-        let dx = net.backward_batch(&gy, &segments);
+        net.forward(&x, &mut ws);
+        let dx = net.backward(&x, &gy, &segments, &mut ws).clone();
         for (&(offset, n), want) in segments.iter().zip(&serial_dx) {
-            let got = dx.row_block(offset, n);
-            for (a, b) in got.data().iter().zip(want.data()) {
-                assert_eq!(a.to_bits(), b.to_bits(), "input gradient diverged");
-            }
+            assert_same_bits(&dx.row_block(offset, n), want, "input gradient diverged");
         }
-        for (p, want) in net.params_mut().iter().zip(&serial_grads) {
-            for (a, b) in p.grad.data().iter().zip(want.data()) {
-                assert_eq!(a.to_bits(), b.to_bits(), "parameter gradient diverged");
-            }
+        for (got, want) in grads_of(&mut net).iter().zip(&serial_grads) {
+            assert_same_bits(got, want, "parameter gradient diverged");
         }
     }
 
@@ -885,7 +849,7 @@ mod tests {
         let mut init = Initializer::new(4);
         let mut dense = Dense::new(3, 2, &mut init);
         let x = Initializer::new(6).normal(10, 3, 1.0);
-        let y = dense.forward(&x);
+        let y = forward_of(&dense, &x);
         let dx = |dense: &mut Dense| {
             let mut out = Matrix::default();
             dense.input_grad_into(&y, 3, &mut out);
@@ -919,13 +883,14 @@ mod tests {
         assert_eq!(replica.param_count(), net.param_count());
 
         let x = Initializer::new(2).normal(4, 3, 1.0);
-        let a = net.forward(&x);
-        let b = replica.forward(&x);
+        let a = net.forward(&x, &mut Workspace::default()).clone();
+        let mut ws = Workspace::default();
+        let b = replica.forward(&x, &mut ws).clone();
         for (u, v) in a.data().iter().zip(b.data()) {
             assert_eq!(u.to_bits(), v.to_bits(), "clone diverged on forward");
         }
         // Training the replica must not leak into the original.
-        replica.backward(&b);
+        replica.backward(&x, &b, &[(0, 4)], &mut ws);
         for p in net.params_mut() {
             assert!(p.grad.data().iter().all(|&g| g == 0.0));
         }
@@ -937,8 +902,9 @@ mod tests {
         let mut net = Sequential::new();
         net.push(Dense::new(2, 2, &mut init));
         let x = Matrix::from_rows(&[&[1.0, 2.0]]);
-        let y = net.forward(&x);
-        net.backward(&y);
+        let mut ws = Workspace::default();
+        let y = net.forward(&x, &mut ws).clone();
+        net.backward(&x, &y, &[(0, 1)], &mut ws);
         let nonzero = net
             .params_mut()
             .iter()

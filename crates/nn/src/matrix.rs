@@ -17,29 +17,11 @@ use std::ops::{Add, Mul, Sub};
 /// let b = Matrix::identity(2);
 /// assert_eq!(a.matmul(&b), a);
 /// ```
-#[derive(Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct Matrix {
     rows: usize,
     cols: usize,
     data: Vec<f64>,
-}
-
-impl Clone for Matrix {
-    fn clone(&self) -> Self {
-        Self {
-            rows: self.rows,
-            cols: self.cols,
-            data: self.data.clone(),
-        }
-    }
-
-    /// Copies into `self`'s buffer, allocating only to grow it — how the
-    /// layers refill their caches every step.
-    fn clone_from(&mut self, source: &Self) {
-        self.rows = source.rows;
-        self.cols = source.cols;
-        self.data.clone_from(&source.data);
-    }
 }
 
 impl fmt::Debug for Matrix {
@@ -319,31 +301,6 @@ impl Matrix {
         }
     }
 
-    /// Copies columns `[offset, offset + n)` into a fresh `rows × n`
-    /// matrix — the column sibling of [`Matrix::row_block`], for a caller
-    /// that needs one side of an [`Matrix::hsplit`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `offset + n > cols()`.
-    pub fn column_block(&self, offset: usize, n: usize) -> Matrix {
-        assert!(
-            offset + n <= self.cols,
-            "column_block [{offset}, {}) out of range for {} columns",
-            offset + n,
-            self.cols
-        );
-        let mut data = Vec::with_capacity(self.rows * n);
-        for r in 0..self.rows {
-            data.extend_from_slice(&self.row(r)[offset..offset + n]);
-        }
-        Matrix {
-            rows: self.rows,
-            cols: n,
-            data,
-        }
-    }
-
     /// Elementwise map.
     pub fn map(&self, f: impl Fn(f64) -> f64) -> Matrix {
         Matrix {
@@ -429,22 +386,6 @@ impl Matrix {
             out.row_mut(r)[self.cols..].copy_from_slice(other.row(r));
         }
         out
-    }
-
-    /// Splits a matrix column-wise at `at`, inverse of [`Matrix::hcat`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `at > self.cols()`.
-    pub fn hsplit(&self, at: usize) -> (Matrix, Matrix) {
-        assert!(at <= self.cols, "split point beyond matrix width");
-        let mut left = Matrix::zeros(self.rows, at);
-        let mut right = Matrix::zeros(self.rows, self.cols - at);
-        for r in 0..self.rows {
-            left.row_mut(r).copy_from_slice(&self.row(r)[..at]);
-            right.row_mut(r).copy_from_slice(&self.row(r)[at..]);
-        }
-        (left, right)
     }
 
     /// Frobenius norm.
@@ -657,17 +598,14 @@ mod tests {
     }
 
     #[test]
-    fn hcat_hsplit_round_trip() {
+    fn hcat_joins_rows_side_by_side() {
         let a = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
         let b = Matrix::from_rows(&[&[5.0], &[6.0]]);
         let joined = a.hcat(&b);
-        assert_eq!(joined.shape(), (2, 3));
-        let (l, r) = joined.hsplit(2);
-        assert_eq!(l, a);
-        assert_eq!(r, b);
-        assert_eq!(joined.column_block(0, 2), a);
-        assert_eq!(joined.column_block(2, 1), b);
-        assert_eq!(joined.column_block(1, 0).shape(), (2, 0));
+        assert_eq!(
+            joined,
+            Matrix::from_rows(&[&[1.0, 2.0, 5.0], &[3.0, 4.0, 6.0]])
+        );
     }
 
     #[test]
