@@ -13,6 +13,7 @@ use par::EngineConfig;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
+use std::time::Instant;
 use workloads::trace::{generate_trace, TraceConfig};
 use workloads::BenchmarkSuite;
 
@@ -116,6 +117,71 @@ impl CarolConfig {
     }
 }
 
+/// Calls and wall seconds of one repair stage.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+pub struct StageTiming {
+    /// Times the stage ran.
+    #[serde(default)]
+    pub calls: u64,
+    /// Seconds it took, summed over the calls.
+    #[serde(default)]
+    pub seconds: f64,
+}
+
+impl StageTiming {
+    /// Adds one call of `seconds`.
+    fn add(&mut self, seconds: f64) {
+        self.calls += 1;
+        self.seconds += seconds;
+    }
+}
+
+/// Where [`Carol`]'s repairs spent their time, summed over every repair
+/// so far ([`Carol::repair_timings`]). Measurement only: nothing reads it
+/// back, and [`Carol::checkpoint`] leaves it out.
+///
+/// The projection and surrogate stages are timed inside the scoring
+/// workers, so with one worker the five stages partition a repair's
+/// wall time (less the glue between them); with more, those two sum the
+/// workers' time.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+pub struct RepairTimings {
+    /// Algorithm 2 line 7: the random node-shift of each failed broker.
+    #[serde(default)]
+    pub random_shift: StageTiming,
+    /// Building each tabu iteration's candidate moves.
+    #[serde(default)]
+    pub sampling: StageTiming,
+    /// Projecting the snapshot onto the candidates (and each tabu
+    /// parent), one call per scored chunk.
+    #[serde(default)]
+    pub projection: StageTiming,
+    /// The surrogate: each parent's record and each chunk's batched
+    /// eq.-1 ascent.
+    #[serde(default)]
+    pub surrogate: StageTiming,
+    /// The tabu search's own selection, move and tabu-list updates, one
+    /// call per iteration.
+    #[serde(default)]
+    pub bookkeeping: StageTiming,
+}
+
+impl RepairTimings {
+    /// Seconds summed over the five stages.
+    pub fn total_s(&self) -> f64 {
+        [
+            self.random_shift,
+            self.sampling,
+            self.projection,
+            self.surrogate,
+            self.bookkeeping,
+        ]
+        .iter()
+        .map(|s| s.seconds)
+        .sum()
+    }
+}
+
 /// The CAROL policy (Algorithm 2). Construct with [`Carol::pretrained`]
 /// (offline training per §IV-D/E) or [`Carol::from_model`] when a trained
 /// GON is already at hand.
@@ -145,6 +211,7 @@ pub struct Carol {
     pub last_repair_score: Option<f64>,
     modeled_decision_s: f64,
     modeled_overhead_s: f64,
+    timings: RepairTimings,
 }
 
 impl std::fmt::Debug for Carol {
@@ -179,6 +246,7 @@ impl Carol {
             last_repair_score: None,
             modeled_decision_s: 0.0,
             modeled_overhead_s: 0.0,
+            timings: RepairTimings::default(),
             gon,
             gan,
             ff,
@@ -234,6 +302,11 @@ impl Carol {
     /// Intervals observed so far.
     pub fn interval(&self) -> usize {
         self.interval
+    }
+
+    /// The repair stages' calls and seconds so far.
+    pub fn repair_timings(&self) -> &RepairTimings {
+        &self.timings
     }
 
     /// Transition cost of installing `candidate` over the current
@@ -313,8 +386,11 @@ impl Carol {
         let chunks: Vec<&[Topology]> = candidates
             .chunks(gon::batch_len(base.base().n_hosts()))
             .collect();
-        let probes = |chunk: &[Topology]| -> Vec<SystemState> {
-            chunk.iter().map(|t| base.with_topology(t)).collect()
+        // Each chunk's scores, with the seconds its projection and its
+        // surrogate took.
+        type Chunk = (Vec<(f64, f64)>, f64, f64);
+        let probes = |chunk: &[Topology]| -> (Vec<SystemState>, f64) {
+            timed(|| chunk.iter().map(|t| base.with_topology(t)).collect())
         };
 
         // Per-candidate (objective-without-transition, modeled decision
@@ -325,11 +401,17 @@ impl Carol {
         // ascent iteration (γ and model depth control how many/much — the
         // Fig. 6a/6b scheduling-time effects); the one-shot GAN and the
         // feed-forward surrogate pay a flat inference cost.
-        let scored: Vec<Vec<(f64, f64)>> = match self.config.variant {
+        let scored: Vec<Chunk> = match self.config.variant {
             CarolVariant::Gon => {
                 let parent: &ParentRecord = match record.take() {
                     Some(kept) if kept.topology() == parent => record.insert(kept),
-                    _ => record.insert(self.gon.record_parent(&base.with_topology(parent))),
+                    _ => {
+                        let (state, projected) = timed(|| base.with_topology(parent));
+                        let (kept, recorded) = timed(|| self.gon.record_parent(&state));
+                        self.timings.projection.add(projected);
+                        self.timings.surrogate.add(recorded);
+                        record.insert(kept)
+                    }
                 };
                 let gon = &self.gon;
                 let depth_factor = self.config.gon.head_layers.max(1) as f64 / 3.0;
@@ -338,8 +420,10 @@ impl Carol {
                     &chunks,
                     || gon.clone(),
                     |model, chunk| {
-                        model
-                            .generate_candidates(parent, &probes(chunk))
+                        let (states, projected) = probes(chunk);
+                        let (generated, generated_s) =
+                            timed(|| model.generate_candidates(parent, &states));
+                        let scores = generated
                             .iter()
                             .map(|gen| {
                                 let (qe, qs) = qos_components(&gen.metrics_flat);
@@ -350,7 +434,8 @@ impl Carol {
                                 let cost = 8.0e-5 * depth_factor * gen.iterations as f64;
                                 (QOS_ALPHA * qe + QOS_BETA * qs, cost)
                             })
-                            .collect()
+                            .collect();
+                        (scores, projected, generated_s)
                     },
                 )
             }
@@ -361,11 +446,10 @@ impl Carol {
                     &chunks,
                     || gan.clone(),
                     |model, chunk| {
-                        model
-                            .predict_qos_batch(&probes(chunk), 17)
-                            .into_iter()
-                            .map(|q| (q, 0.00045))
-                            .collect()
+                        let (states, projected) = probes(chunk);
+                        let (qos, predicted) = timed(|| model.predict_qos_batch(&states, 17));
+                        let scores = qos.into_iter().map(|q| (q, 0.00045)).collect();
+                        (scores, projected, predicted)
                     },
                 )
             }
@@ -376,18 +460,23 @@ impl Carol {
                     &chunks,
                     || ff.clone(),
                     |model, chunk| {
-                        model
-                            .predict_qos_batch(&probes(chunk))
-                            .into_iter()
-                            .map(|q| (q, 0.0002))
-                            .collect()
+                        let (states, projected) = probes(chunk);
+                        let (qos, predicted) = timed(|| model.predict_qos_batch(&states));
+                        let scores = qos.into_iter().map(|q| (q, 0.0002)).collect();
+                        (scores, projected, predicted)
                     },
                 )
             }
         };
 
+        let mut rows = Vec::with_capacity(candidates.len());
+        for (scores, projected, predicted) in scored {
+            self.timings.projection.add(projected);
+            self.timings.surrogate.add(predicted);
+            rows.extend(scores);
+        }
         let mut out = Vec::with_capacity(candidates.len());
-        for ((objective, cost), candidate) in scored.into_iter().flatten().zip(candidates) {
+        for ((objective, cost), candidate) in rows.into_iter().zip(candidates) {
             self.surrogate_queries += 1;
             self.modeled_decision_s += cost;
             out.push(Self::transition_cost(&base.base().topology, candidate) + objective);
@@ -451,6 +540,7 @@ impl Carol {
             last_repair_score: None,
             modeled_decision_s: ckpt.modeled_decision_s,
             modeled_overhead_s: ckpt.modeled_overhead_s,
+            timings: RepairTimings::default(),
         })
     }
 
@@ -468,6 +558,13 @@ impl Carol {
             CarolVariant::TraditionalSurrogate => 1.0,
         }
     }
+}
+
+/// `f`'s result and the wall seconds it took.
+fn timed<T>(f: impl FnOnce() -> T) -> (T, f64) {
+    let started = Instant::now();
+    let out = f();
+    (out, started.elapsed().as_secs_f64())
 }
 
 /// Everything [`Carol::checkpoint`] freezes: restore with
@@ -596,12 +693,20 @@ impl ResiliencePolicy for Carol {
                 continue; // already handled while repairing a peer
             }
             // Algorithm 2 line 7: random node-shift seeds the search …
-            topo = random_shift(&topo, b, &banned, &mut self.rng);
+            let (shifted, shift_s) = timed(|| random_shift(&topo, b, &banned, &mut self.rng));
+            self.timings.random_shift.add(shift_s);
             // … line 8: tabu search over Ω(G; D, S, O), each iteration
             // scoring the whole neighbourhood through the batched
             // surrogate engine.
             let tabu_cfg = self.config.tabu.clone();
-            let result = tabu::search(topo, &banned, &tabu_cfg, self.batch_objective(snapshot));
+            let result = tabu::search(shifted, &banned, &tabu_cfg, self.batch_objective(snapshot));
+            for (stage, seconds) in [
+                (&mut self.timings.sampling, result.sampling_s),
+                (&mut self.timings.bookkeeping, result.bookkeeping_s),
+            ] {
+                stage.calls += result.iterations as u64;
+                stage.seconds += seconds;
+            }
             self.last_repair_score = Some(result.best_score);
             topo = result.best;
         }
@@ -751,6 +856,52 @@ mod tests {
         assert!(
             policy.surrogate_queries > 0,
             "tabu must query the surrogate"
+        );
+    }
+
+    /// A storm-shaped repair (a sampled neighbourhood, a felled broker of
+    /// a many-broker federation, one scoring worker) times every stage,
+    /// and the stages fit inside the repair's wall time.
+    #[test]
+    fn repair_timings_cover_every_stage_within_the_repair_wall() {
+        let mut config = CarolConfig::fast_test();
+        config.eval_threads = Some(1);
+        config.tabu.neighborhood = crate::tabu::Neighborhood::Sampled {
+            max_moves: 6,
+            seed: 2,
+        };
+        let mut policy = Carol::from_model(GonModel::new(config.gon.clone()), config, 7);
+        let mut sim = Simulator::new(SimConfig::small(48, 8, 7));
+        let broker = sim.topology().brokers()[3];
+        sim.inject_fault(
+            broker,
+            FaultLoad {
+                cpu: 1.0,
+                ..Default::default()
+            },
+        );
+        let report = sim.step(Vec::new(), &mut LeastLoadScheduler::new());
+        assert!(report.failed_brokers.contains(&broker));
+        let snapshot = capture(&sim, &report.decision);
+        let started = Instant::now();
+        policy
+            .repair(&sim, &snapshot)
+            .expect("a failed broker is repaired");
+        let wall = started.elapsed().as_secs_f64();
+        let t = *policy.repair_timings();
+        for (name, stage) in [
+            ("random_shift", t.random_shift),
+            ("sampling", t.sampling),
+            ("projection", t.projection),
+            ("surrogate", t.surrogate),
+            ("bookkeeping", t.bookkeeping),
+        ] {
+            assert!(stage.calls > 0, "{name} has no calls: {t:?}");
+        }
+        assert!(
+            t.total_s() <= wall,
+            "stages {} s > repair {wall} s",
+            t.total_s()
         );
     }
 

@@ -49,6 +49,7 @@ pub mod tabu;
 
 pub use crate::carol::{
     Carol, CarolCheckpoint, CarolCheckpointError, CarolConfig, CarolVariant, FineTuneMode,
+    RepairTimings, StageTiming,
 };
 pub use policy::{ObserveOutcome, ResiliencePolicy};
 pub use pot::PotDetector;

@@ -22,6 +22,7 @@ use edgesim::{HostId, NodeRole, Topology};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::VecDeque;
+use std::time::Instant;
 
 /// An objective that scores candidate topologies in batches.
 ///
@@ -131,6 +132,13 @@ pub struct TabuResult {
     pub start_score: f64,
     /// Candidate topologies evaluated (surrogate queries issued).
     pub evaluations: usize,
+    /// Iterations the search ran.
+    pub iterations: usize,
+    /// Seconds spent building the iterations' neighbourhoods.
+    pub sampling_s: f64,
+    /// Seconds spent in the search's own bookkeeping: picking the best
+    /// admissible neighbour, moving to it and updating the tabu list.
+    pub bookkeeping_s: f64,
 }
 
 /// Minimises `objective` over topologies reachable from `start` by
@@ -158,6 +166,7 @@ pub fn search(
         "objective must score every candidate"
     );
     let start_score = start_scores[0];
+    let (mut sampling_s, mut bookkeeping_s, mut iterations) = (0.0, 0.0, 0);
     let mut best = start.clone();
     let mut best_score = start_score;
     let mut current = start;
@@ -173,6 +182,7 @@ pub fn search(
     };
 
     for _ in 0..config.max_iters {
+        let sampling = Instant::now();
         let mut neighbors = match config.neighborhood {
             Neighborhood::Full => mutations(&current, banned),
             Neighborhood::Sampled { max_moves, .. } => mutations_sampled(
@@ -182,6 +192,7 @@ pub fn search(
                 sample_rng.as_mut().expect("rng exists for sampled mode"),
             ),
         };
+        sampling_s += sampling.elapsed().as_secs_f64();
         let scores = objective.score_neighbors(&current, &neighbors);
         assert_eq!(
             scores.len(),
@@ -189,7 +200,9 @@ pub fn search(
             "objective must score every candidate"
         );
         evaluations += neighbors.len();
+        iterations += 1;
 
+        let bookkeeping = Instant::now();
         let mut chosen: Option<(usize, f64)> = None;
         for (i, (cand, &s)) in neighbors.iter().zip(&scores).enumerate() {
             // Aspiration criterion: a tabu move is allowed if it beats the
@@ -203,6 +216,7 @@ pub fn search(
             }
         }
         let Some((idx, next_score)) = chosen else {
+            bookkeeping_s += bookkeeping.elapsed().as_secs_f64();
             break; // whole neighbourhood tabu and non-aspiring
         };
         current = neighbors.swap_remove(idx);
@@ -214,6 +228,7 @@ pub fn search(
             best = current.clone();
             best_score = next_score;
         }
+        bookkeeping_s += bookkeeping.elapsed().as_secs_f64();
     }
 
     TabuResult {
@@ -221,6 +236,9 @@ pub fn search(
         best_score,
         start_score,
         evaluations,
+        iterations,
+        sampling_s,
+        bookkeeping_s,
     }
 }
 
