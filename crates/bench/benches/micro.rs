@@ -10,9 +10,9 @@
 //! dispatched (pin the scalar oracle with `CAROL_SIMD=scalar`).
 
 use carol::carol::{Carol, CarolConfig};
-use carol::nodeshift::{apply_move, enumerate_moves, mutations, neighborhood, Move};
+use carol::nodeshift::{apply_move, enumerate_moves, mutations, neighborhood, Move, Touched};
 use carol::pot::PotDetector;
-use carol::tabu::{self, TabuConfig};
+use carol::tabu::{self, BatchObjective, TabuConfig};
 use carol::ResiliencePolicy;
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use edgesim::scheduler::LeastLoadScheduler;
@@ -305,6 +305,23 @@ fn bench_repair(c: &mut Criterion) {
         })
     });
 
+    // One storm iteration's scoring: 160 moves spread evenly over the
+    // repair shift's neighbourhood (as a uniform sample mixes the move
+    // kinds), scored against the shift's record (kept after the first
+    // call). Not gated.
+    let shifted = repair_shift(&sim);
+    let all = enumerate_moves(&shifted, sim.failed_brokers());
+    let moves: Vec<Move> = all
+        .iter()
+        .copied()
+        .step_by(all.len() / 160)
+        .take(160)
+        .collect();
+    let mut objective = policy.batch_objective(&snapshot);
+    c.bench_function("score_moves_1024", |b| {
+        b.iter(|| black_box(objective.score_moves(black_box(&shifted), black_box(&moves))))
+    });
+
     // The graph branch of one storm candidate — a worker reassignment
     // from the failed broker's repair shift, as tabu's second iteration
     // scores — through the full GAT forward and through the delta
@@ -323,8 +340,10 @@ fn bench_repair(c: &mut Criterion) {
         let (features, adjacency) = gat_inputs(&probe);
         let (base_features, base_adjacency) = gat_inputs(&snapshot.with_topology(&shifted));
         let reference = gat.forward(&base_features, &base_adjacency);
+        let mut touched = Touched::default();
+        reassign.touches(&shifted, &mut touched);
         let mut delta = GraphDelta::default();
-        for h in candidate.gat_changes_from(&shifted) {
+        for &h in &touched.gat_rows {
             delta.push(h, &probe.graph_features[h], candidate.gat_row(h));
         }
         let deltas = [delta];

@@ -1,13 +1,18 @@
 //! The CAROL resilience model (Algorithm 2) and its §V-D ablations.
 
-use crate::nodeshift::random_shift;
+use crate::nodeshift::{apply_move, random_shift, Move, Touched};
 use crate::policy::{ObserveOutcome, ResiliencePolicy};
 use crate::pot::PotDetector;
 use crate::tabu::{self, TabuConfig};
-use edgesim::state::{qos_components, Projection, SystemState, QOS_ALPHA, QOS_BETA};
+use edgesim::state::{
+    qos_components, Projection, SystemState, GRAPH_DIM, METRIC_DIM, QOS_ALPHA, QOS_BETA,
+};
 use edgesim::{HostId, IntervalReport, NodeRole, SimConfig, Simulator, Topology};
 use gon::surrogates::{FeedForwardSurrogate, GanSurrogate};
-use gon::{train_offline, GonCheckpoint, GonConfig, GonModel, ParentRecord, TrainConfig};
+use gon::{
+    train_offline, CandidateRows, Generated, GonCheckpoint, GonConfig, GonModel, ParentRecord,
+    TrainConfig,
+};
 use nn::Adam;
 use par::EngineConfig;
 use rand::rngs::StdRng;
@@ -340,8 +345,58 @@ impl Carol {
         CarolObjective {
             carol: self,
             base: base.projection(),
-            record: None,
+            record: KeptRecord::default(),
+            scorers: Vec::new(),
         }
+    }
+
+    /// The record of `parent` projected from `base`: the one in `kept`
+    /// when it is `parent`'s, else a new one kept there under the next
+    /// number; and its number.
+    fn parent_record<'r>(
+        &mut self,
+        base: &Projection<'_>,
+        parent: &Topology,
+        kept: &'r mut KeptRecord,
+    ) -> (&'r ParentRecord, u64) {
+        match kept.record.take() {
+            Some(record) if record.topology() == parent => {
+                (kept.record.insert(record), kept.number)
+            }
+            _ => {
+                let (state, projected) = timed(|| base.with_topology(parent));
+                let (record, recorded) = timed(|| self.gon.record_parent(&state));
+                self.timings.projection.add(projected);
+                self.timings.surrogate.add(recorded);
+                kept.number += 1;
+                (kept.record.insert(record), kept.number)
+            }
+        }
+    }
+
+    /// The worker count of the candidate scorers.
+    fn eval_workers(&self) -> usize {
+        EngineConfig {
+            threads: self.config.eval_threads,
+        }
+        .worker_count()
+    }
+
+    /// Charges scored chunks to the bookkeeping, in candidate order, and
+    /// returns each candidate's Ω: its transition cost plus its
+    /// predicted QoS objective.
+    fn charge(&mut self, chunks: Vec<Scored>) -> Vec<f64> {
+        let mut out = Vec::new();
+        for chunk in chunks {
+            self.timings.projection.add(chunk.projection_s);
+            self.timings.surrogate.add(chunk.surrogate_s);
+            for (objective, cost, transition) in chunk.candidates {
+                self.surrogate_queries += 1;
+                self.modeled_decision_s += cost;
+                out.push(transition + objective);
+            }
+        }
+        out
     }
 
     /// Ω(G) of every candidate against the prepared snapshot `base` —
@@ -373,48 +428,49 @@ impl Carol {
         &mut self,
         base: &Projection<'_>,
         parent: &Topology,
-        record: &mut Option<ParentRecord>,
+        record: &mut KeptRecord,
         candidates: &[Topology],
     ) -> Vec<f64> {
         if candidates.is_empty() {
             return Vec::new();
         }
-        let threads = EngineConfig {
-            threads: self.config.eval_threads,
-        }
-        .worker_count();
+        let threads = self.eval_workers();
         let chunks: Vec<&[Topology]> = candidates
             .chunks(gon::batch_len(base.base().n_hosts()))
             .collect();
-        // Each chunk's scores, with the seconds its projection and its
-        // surrogate took.
-        type Chunk = (Vec<(f64, f64)>, f64, f64);
+        let snapshot = &base.base().topology;
         let probes = |chunk: &[Topology]| -> (Vec<SystemState>, f64) {
             timed(|| chunk.iter().map(|t| base.with_topology(t)).collect())
         };
+        // A chunk's (objective, modeled cost) pairs with its transition
+        // costs and timings.
+        let scored = |chunk: &[Topology], qos: Vec<(f64, f64)>, projection_s, surrogate_s| {
+            let transitions = chunk.iter().map(|t| Self::transition_cost(snapshot, t));
+            Scored {
+                candidates: qos
+                    .into_iter()
+                    .zip(transitions)
+                    .map(|((q, cost), t)| (q, cost, t))
+                    .collect(),
+                projection_s,
+                surrogate_s,
+            }
+        };
 
-        // Per-candidate (objective-without-transition, modeled decision
-        // cost), computed in parallel; bookkeeping is replayed in
-        // candidate order below, so the f64 accumulation order does not
-        // depend on the worker count. Testbed-equivalent cost per query
-        // (see `ResiliencePolicy::modeled_decision_s`): the GON pays per
-        // ascent iteration (γ and model depth control how many/much — the
-        // Fig. 6a/6b scheduling-time effects); the one-shot GAN and the
-        // feed-forward surrogate pay a flat inference cost.
-        let scored: Vec<Chunk> = match self.config.variant {
+        // Per-candidate objective-without-transition and modeled decision
+        // cost, computed in parallel; bookkeeping is replayed in
+        // candidate order by `charge`, so the f64 accumulation order does
+        // not depend on the worker count. Testbed-equivalent cost per
+        // query (see `ResiliencePolicy::modeled_decision_s`): the GON
+        // pays per ascent iteration (γ and model depth control how
+        // many/much — the Fig. 6a/6b scheduling-time effects); the
+        // one-shot GAN and the feed-forward surrogate pay a flat
+        // inference cost.
+        let scored: Vec<Scored> = match self.config.variant {
             CarolVariant::Gon => {
-                let parent: &ParentRecord = match record.take() {
-                    Some(kept) if kept.topology() == parent => record.insert(kept),
-                    _ => {
-                        let (state, projected) = timed(|| base.with_topology(parent));
-                        let (kept, recorded) = timed(|| self.gon.record_parent(&state));
-                        self.timings.projection.add(projected);
-                        self.timings.surrogate.add(recorded);
-                        record.insert(kept)
-                    }
-                };
-                let gon = &self.gon;
+                let (parent, _) = self.parent_record(base, parent, record);
                 let depth_factor = self.config.gon.head_layers.max(1) as f64 / 3.0;
+                let gon = &self.gon;
                 par::par_map_init(
                     threads,
                     &chunks,
@@ -423,19 +479,8 @@ impl Carol {
                         let (states, projected) = probes(chunk);
                         let (generated, generated_s) =
                             timed(|| model.generate_candidates(parent, &states));
-                        let scores = generated
-                            .iter()
-                            .map(|gen| {
-                                let (qe, qs) = qos_components(&gen.metrics_flat);
-                                // 0.08 ms per ascent iteration at the
-                                // reference depth of 3 layers; deeper
-                                // models pay proportionally more per pass
-                                // (the Fig. 6b scheduling-time growth).
-                                let cost = 8.0e-5 * depth_factor * gen.iterations as f64;
-                                (QOS_ALPHA * qe + QOS_BETA * qs, cost)
-                            })
-                            .collect();
-                        (scores, projected, generated_s)
+                        let qos = gon_qos(&generated, depth_factor);
+                        scored(chunk, qos, projected, generated_s)
                     },
                 )
             }
@@ -448,8 +493,8 @@ impl Carol {
                     |model, chunk| {
                         let (states, projected) = probes(chunk);
                         let (qos, predicted) = timed(|| model.predict_qos_batch(&states, 17));
-                        let scores = qos.into_iter().map(|q| (q, 0.00045)).collect();
-                        (scores, projected, predicted)
+                        let qos = qos.into_iter().map(|q| (q, 0.00045)).collect();
+                        scored(chunk, qos, projected, predicted)
                     },
                 )
             }
@@ -462,26 +507,47 @@ impl Carol {
                     |model, chunk| {
                         let (states, projected) = probes(chunk);
                         let (qos, predicted) = timed(|| model.predict_qos_batch(&states));
-                        let scores = qos.into_iter().map(|q| (q, 0.0002)).collect();
-                        (scores, projected, predicted)
+                        let qos = qos.into_iter().map(|q| (q, 0.0002)).collect();
+                        scored(chunk, qos, projected, predicted)
                     },
                 )
             }
         };
+        self.charge(scored)
+    }
 
-        let mut rows = Vec::with_capacity(candidates.len());
-        for (scores, projected, predicted) in scored {
-            self.timings.projection.add(projected);
-            self.timings.surrogate.add(predicted);
-            rows.extend(scores);
+    /// [`Carol::score_candidates`] of the topologies `moves` lead to from
+    /// `parent`, for the GON variant, without building them: each of
+    /// `scorers` (one per worker, kept across calls) holds a scratch copy
+    /// of `parent` and the reused buffers of a chunk, applies each move
+    /// to the scratch in place, projects only the rows the move touches
+    /// ([`Move::touches`]) into its chunk's [`CandidateRows`], and undoes
+    /// it; [`GonModel::generate_listed`] then scores the chunk against
+    /// the parent's record. Chunks, worker fan-out and bookkeeping are
+    /// `score_candidates`', so the scores and accumulators are the same
+    /// bits.
+    fn score_moves(
+        &mut self,
+        base: &Projection<'_>,
+        parent: &Topology,
+        record: &mut KeptRecord,
+        scorers: &mut Vec<MoveScorer>,
+        moves: &[Move],
+    ) -> Vec<f64> {
+        if moves.is_empty() {
+            return Vec::new();
         }
-        let mut out = Vec::with_capacity(candidates.len());
-        for ((objective, cost), candidate) in rows.into_iter().zip(candidates) {
-            self.surrogate_queries += 1;
-            self.modeled_decision_s += cost;
-            out.push(Self::transition_cost(&base.base().topology, candidate) + objective);
+        let chunks: Vec<&[Move]> = moves.chunks(gon::batch_len(parent.len())).collect();
+        let workers = self.eval_workers().min(chunks.len());
+        let (record, number) = self.parent_record(base, parent, record);
+        while scorers.len() < workers {
+            scorers.push(MoveScorer::new(&self.gon, parent));
         }
-        out
+        let depth_factor = self.config.gon.head_layers.max(1) as f64 / 3.0;
+        let scored = par::par_map_states(&mut scorers[..workers], &chunks, |scorer, chunk| {
+            scorer.score(base, (record, number), chunk, depth_factor)
+        });
+        self.charge(scored)
     }
 
     /// Freezes the full controller state — config, GON weights (via
@@ -567,6 +633,141 @@ fn timed<T>(f: impl FnOnce() -> T) -> (T, f64) {
     (out, started.elapsed().as_secs_f64())
 }
 
+/// The last tabu parent's [`ParentRecord`], numbered: each new record
+/// takes the next number, so a [`MoveScorer`] can tell whether its
+/// scratch copy is of this record's parent.
+#[derive(Default)]
+struct KeptRecord {
+    record: Option<ParentRecord>,
+    number: u64,
+}
+
+/// One scored chunk: each candidate's (predicted QoS objective, modeled
+/// decision cost, transition cost), and the seconds the chunk's
+/// projection and surrogate took.
+struct Scored {
+    candidates: Vec<(f64, f64, f64)>,
+    projection_s: f64,
+    surrogate_s: f64,
+}
+
+/// Each GON generation's QoS objective `α·q_energy + β·q_slo` of its
+/// converged metrics, with its modeled decision cost: 0.08 ms per ascent
+/// iteration at the reference depth of 3 layers; deeper models pay
+/// proportionally more per pass (the Fig. 6b scheduling-time growth).
+fn gon_qos(generated: &[Generated], depth_factor: f64) -> Vec<(f64, f64)> {
+    let qos = |gen: &Generated| {
+        let (qe, qs) = qos_components(&gen.metrics_flat);
+        let cost = 8.0e-5 * depth_factor * gen.iterations as f64;
+        (QOS_ALPHA * qe + QOS_BETA * qs, cost)
+    };
+    generated.iter().map(qos).collect()
+}
+
+/// One scoring worker of [`Carol::score_moves`]: a GON replica, a
+/// scratch copy of the tabu parent that each move is applied to in place
+/// and undone, and the buffers of one chunk, all kept across chunks and
+/// calls.
+struct MoveScorer {
+    gon: GonModel,
+    /// The parent, between moves.
+    topology: Topology,
+    /// The number of the [`KeptRecord`] whose parent `topology` and
+    /// `pressure` are, if any.
+    synced: Option<u64>,
+    /// The parent's per-LEI task pressure; while a move is applied, the
+    /// LEIs it changes hold theirs.
+    pressure: Vec<f64>,
+    /// The changed LEIs' parent pressure, to restore.
+    saved: Vec<f64>,
+    undo: Vec<HostId>,
+    touched: Touched,
+    metrics: Vec<[f64; METRIC_DIM]>,
+    features: Vec<[f64; GRAPH_DIM]>,
+    rows: CandidateRows,
+    transitions: Vec<f64>,
+}
+
+impl MoveScorer {
+    fn new(gon: &GonModel, parent: &Topology) -> Self {
+        Self {
+            gon: gon.clone(),
+            topology: parent.clone(),
+            synced: None,
+            pressure: Vec::new(),
+            saved: Vec::new(),
+            undo: Vec::new(),
+            touched: Touched::default(),
+            metrics: Vec::new(),
+            features: Vec::new(),
+            rows: CandidateRows::default(),
+            transitions: Vec::new(),
+        }
+    }
+
+    /// Scores `moves` from the topology of the record numbered `number`
+    /// (see [`Carol::score_moves`]).
+    fn score(
+        &mut self,
+        base: &Projection<'_>,
+        (record, number): (&ParentRecord, u64),
+        moves: &[Move],
+        depth_factor: f64,
+    ) -> Scored {
+        let projecting = Instant::now();
+        if self.synced != Some(number) {
+            let parent = record.topology();
+            self.topology.clone_from(parent);
+            base.pressure_into(parent, &mut self.pressure);
+            self.synced = Some(number);
+        }
+        let snapshot = base.base();
+        self.rows.clear();
+        self.transitions.clear();
+        for &mv in moves {
+            let t = &mut self.topology;
+            mv.touches(t, &mut self.touched);
+            mv.apply(t, &mut self.undo).expect("a scored move applies");
+            self.saved.clear();
+            for &b in &self.touched.leis {
+                self.saved.push(self.pressure[b]);
+                self.pressure[b] = base.lei_pressure(t, b);
+            }
+            let hosts = &self.touched.metric_rows;
+            self.metrics.clear();
+            self.features.clear();
+            let (metrics, features) = (&mut self.metrics, &mut self.features);
+            base.rows_into(t, &self.pressure, hosts.iter().copied(), metrics, features);
+            self.rows.push_candidate();
+            for (k, &h) in hosts.iter().enumerate() {
+                self.rows.push_row(h, &metrics[k], &snapshot.schedule[h]);
+            }
+            for &h in &self.touched.gat_rows {
+                let k = hosts.binary_search(&h).expect("GAT hosts are projected");
+                self.rows.push_graph(h, &features[k], t.gat_row(h));
+            }
+            self.transitions
+                .push(Carol::transition_cost(&snapshot.topology, t));
+            mv.undo(t, &self.undo);
+            for (&b, &p) in self.touched.leis.iter().zip(&self.saved).rev() {
+                self.pressure[b] = p;
+            }
+        }
+        let projection_s = projecting.elapsed().as_secs_f64();
+        let (generated, surrogate_s) = timed(|| self.gon.generate_listed(record, &self.rows));
+        let qos = gon_qos(&generated, depth_factor);
+        Scored {
+            candidates: qos
+                .into_iter()
+                .zip(&self.transitions)
+                .map(|((q, cost), &t)| (q, cost, t))
+                .collect(),
+            projection_s,
+            surrogate_s,
+        }
+    }
+}
+
 /// Everything [`Carol::checkpoint`] freezes: restore with
 /// [`Carol::restore`] and the controller continues the run as if never
 /// interrupted. The vendored serde round-trips every `f64` bit-exactly,
@@ -645,21 +846,41 @@ pub struct CarolObjective<'a> {
     carol: &'a mut Carol,
     base: Projection<'a>,
     /// The last parent's record (GON variant): [`tabu::search`] scores
-    /// its start, then the start's neighbours, against one parent.
-    record: Option<ParentRecord>,
+    /// each iteration's moves against one parent.
+    record: KeptRecord,
+    /// The GON variant's move scorers, one per worker, kept across calls.
+    scorers: Vec<MoveScorer>,
 }
 
 impl tabu::BatchObjective for CarolObjective<'_> {
-    /// [`tabu::BatchObjective::score_neighbors`] with the snapshot's own
-    /// topology as the parent.
+    /// Scores whole candidate topologies as deltas against the
+    /// snapshot's own topology, or a lone candidate against itself: that
+    /// record then serves the moves from it, as [`tabu::search`] scores
+    /// its start before the start's moves.
     fn score_batch(&mut self, candidates: &[Topology]) -> Vec<f64> {
-        let snapshot = self.base.base();
-        self.score_neighbors(&snapshot.topology, candidates)
-    }
-
-    fn score_neighbors(&mut self, parent: &Topology, candidates: &[Topology]) -> Vec<f64> {
+        let parent = match candidates {
+            [lone] => lone,
+            _ => &self.base.base().topology,
+        };
         self.carol
             .score_candidates(&self.base, parent, &mut self.record, candidates)
+    }
+
+    /// The GON variant scores the moves without building their
+    /// topologies: per-worker scorers apply each move to a scratch copy
+    /// of `parent`, project only the rows it touches and undo it. The
+    /// ablation surrogates score the applied moves.
+    fn score_moves(&mut self, parent: &Topology, moves: &[Move]) -> Vec<f64> {
+        let (base, record) = (&self.base, &mut self.record);
+        if matches!(self.carol.config.variant, CarolVariant::Gon) {
+            return self
+                .carol
+                .score_moves(base, parent, record, &mut self.scorers, moves);
+        }
+        let apply = |&mv: &Move| apply_move(parent, mv).expect("a scored move applies");
+        let candidates: Vec<Topology> = moves.iter().map(apply).collect();
+        self.carol
+            .score_candidates(base, parent, record, &candidates)
     }
 }
 
@@ -1011,56 +1232,77 @@ mod tests {
         }
     }
 
-    /// The tabu parent decides only how much of each candidate the GON
-    /// recomputes, never the bits: `score_neighbors` against the
-    /// snapshot's topology, a candidate, a move away from the candidates
-    /// and an unrelated topology all equal `score_batch`, on a fresh
-    /// objective and on one that keeps its last parent's record across
-    /// repeated and changing parents.
+    /// Scoring moves equals scoring the topologies they lead to: for
+    /// parents at the snapshot's topology, a move away, two moves away
+    /// and unrelated to it, each scored first alone (as `tabu::search`
+    /// scores its start), `score_moves` on one objective that keeps its
+    /// last parent's record (repeated and changing parents) and on fresh
+    /// ones equals `score_batch` of the applied moves, scores and
+    /// bookkeeping alike, on one worker and on three.
     #[test]
-    fn score_neighbors_is_bit_identical_to_score_batch_for_any_parent() {
+    fn score_moves_is_bit_identical_to_score_batch_for_any_parent() {
         for (n_hosts, n_brokers) in [(16, 4), (1024, 171)] {
-            let config = CarolConfig::fast_test();
-            let gon = GonModel::new(config.gon.clone());
-            let mut policy = Carol::from_model(gon, config, 3);
             let mut sim = Simulator::new(SimConfig::small(n_hosts, n_brokers, 3));
             let report = sim.step(Vec::new(), &mut LeastLoadScheduler::new());
             let base = capture(&sim, &report.decision);
             let mut rng = StdRng::seed_from_u64(4);
             let snapshot = sim.topology().clone();
-            let candidates = crate::nodeshift::mutations_sampled(&snapshot, &[], 5, &mut rng);
-            let further = crate::nodeshift::mutations_sampled(&candidates[0], &[], 3, &mut rng);
+            let near = crate::nodeshift::mutations_sampled(&snapshot, &[], 2, &mut rng);
+            let further = crate::nodeshift::mutations_sampled(&near[0], &[], 1, &mut rng);
             let unrelated = Topology::balanced(n_hosts, n_brokers / 2 + 1).unwrap();
-
-            let want = policy.batch_objective(&base).score_batch(&candidates);
             let parents = [
                 ("snapshot", &snapshot),
-                ("first candidate", &candidates[0]),
-                ("first candidate again", &candidates[0]),
-                ("last candidate", &candidates[4]),
+                ("a move away", &near[0]),
+                ("a move away again", &near[0]),
+                ("another move away", &near[1]),
                 ("two moves away", &further[0]),
                 ("unrelated", &unrelated),
                 ("snapshot again", &snapshot),
             ];
-            let mut kept = Vec::new();
-            {
-                let mut objective = policy.batch_objective(&base);
-                for (label, parent) in parents {
-                    kept.push((label, objective.score_neighbors(parent, &candidates)));
+            let moves: Vec<Vec<Move>> = parents
+                .iter()
+                .map(|(_, p)| crate::nodeshift::sample_moves(p, &[], 5, &mut rng))
+                .collect();
+            for threads in [1, 3] {
+                let mut config = CarolConfig::fast_test();
+                config.eval_threads = Some(threads);
+                let gon = GonModel::new(config.gon.clone());
+                let policy = || Carol::from_model(gon.clone(), config.clone(), 3);
+                let (mut want, mut kept, mut fresh) = (policy(), policy(), policy());
+                let mut objective = kept.batch_objective(&base);
+                for ((label, parent), moves) in parents.iter().zip(&moves) {
+                    let lone = std::slice::from_ref(*parent);
+                    let applied: Vec<Topology> = moves
+                        .iter()
+                        .map(|&m| apply_move(parent, m).unwrap())
+                        .collect();
+                    let mut want = want.batch_objective(&base);
+                    let want = [want.score_batch(lone), want.score_batch(&applied)].concat();
+                    let mut fresh = fresh.batch_objective(&base);
+                    let got = [
+                        [
+                            objective.score_batch(lone),
+                            objective.score_moves(parent, moves),
+                        ]
+                        .concat(),
+                        [fresh.score_batch(lone), fresh.score_moves(parent, moves)].concat(),
+                    ];
+                    for got in got {
+                        for (i, (a, b)) in want.iter().zip(&got).enumerate() {
+                            assert_eq!(
+                                a.to_bits(),
+                                b.to_bits(),
+                                "{n_hosts} hosts, {threads} workers, {label} parent: score {i}"
+                            );
+                        }
+                    }
                 }
-            }
-            for (label, parent) in parents {
-                let fresh = policy
-                    .batch_objective(&base)
-                    .score_neighbors(parent, &candidates);
-                kept.push((label, fresh));
-            }
-            for (label, got) in kept {
-                for (i, (a, b)) in want.iter().zip(&got).enumerate() {
+                drop(objective);
+                for policy in [&kept, &fresh] {
+                    assert_eq!(policy.surrogate_queries, want.surrogate_queries);
                     assert_eq!(
-                        a.to_bits(),
-                        b.to_bits(),
-                        "{n_hosts} hosts, {label} parent: candidate {i}"
+                        policy.modeled_decision_s.to_bits(),
+                        want.modeled_decision_s.to_bits()
                     );
                 }
             }

@@ -2,22 +2,31 @@
 //!
 //! The paper selects tabu search "due to its deterministic nature and
 //! empirically faster convergence" \[49\]. The search walks the generic
-//! node-shift move set ([`crate::nodeshift::mutations`]), always moving to
-//! the best non-tabu neighbour, while a FIFO tabu list of visited
-//! topologies' role vectors (size `L = 100` in the paper, Fig. 6c)
-//! prevents cycling.
+//! node-shift moves ([`crate::nodeshift::enumerate_moves`]), always moving
+//! to the best non-tabu neighbour, while a FIFO tabu list of visited
+//! topologies (size `L = 100` in the paper, Fig. 6c) prevents cycling.
 //!
-//! The search is **batch-first**: each iteration enumerates the whole
-//! neighbourhood up front and hands it to a [`BatchObjective`] in one
-//! call, so surrogate-backed objectives can stack candidates into batched
-//! network forwards and fan them out over worker threads. Candidate order
-//! is fixed (the enumeration order of [`mutations`]) and scores come back
-//! index-slotted, so selection — tie-breaking toward the earlier
-//! neighbour, aspiration against the global best — is identical to
-//! scoring one candidate at a time, and a deterministic batch objective
-//! yields bit-identical results to the serial path.
+//! One iteration:
+//!
+//! 1. lists its candidate [`Move`]s from the current topology, all of
+//!    them or a seeded sample ([`Neighborhood`]), without building a
+//!    topology;
+//! 2. hands them to a [`BatchObjective`] in one
+//!    [`BatchObjective::score_moves`] call, so surrogate-backed
+//!    objectives can stack candidates into batched network forwards and
+//!    fan them out over worker threads;
+//! 3. picks the best admissible move — ties break toward the earlier
+//!    move, and a tabu move is admitted only when it beats the global
+//!    best (aspiration) — and applies only that one to the current
+//!    topology.
+//!
+//! Tabu membership is a 64-bit hash of the role vector, updated per move
+//! from the hosts the move changes; a candidate's role vector is built
+//! and compared with a list entry's only when their hashes match. Scores
+//! come back index-slotted, so a deterministic batch objective yields
+//! bit-identical results to scoring one candidate at a time.
 
-use crate::nodeshift::{mutations, mutations_sampled};
+use crate::nodeshift::{apply_move, enumerate_moves, sample_moves, Move};
 use edgesim::{HostId, NodeRole, Topology};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -35,13 +44,20 @@ pub trait BatchObjective {
     /// Scores every candidate, in order.
     fn score_batch(&mut self, candidates: &[Topology]) -> Vec<f64>;
 
-    /// [`BatchObjective::score_batch`] of candidates that are moves from
-    /// `parent`: the same scores, which an objective may compute as
-    /// deltas against `parent`. [`search`] scores every neighbourhood
-    /// through this. The default ignores `parent`.
-    fn score_neighbors(&mut self, parent: &Topology, candidates: &[Topology]) -> Vec<f64> {
-        let _ = parent;
-        self.score_batch(candidates)
+    /// [`BatchObjective::score_batch`] of the topologies `moves` lead to
+    /// from `parent`, each move applied alone. [`search`] scores every
+    /// neighbourhood through this. The default applies each move to a
+    /// copy of `parent` and scores the copies; it is the reference an
+    /// objective that scores the moves themselves must match bit for
+    /// bit.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a move does not apply to `parent`.
+    fn score_moves(&mut self, parent: &Topology, moves: &[Move]) -> Vec<f64> {
+        let apply = |&mv: &Move| apply_move(parent, mv).expect("a scored move applies");
+        let candidates: Vec<Topology> = moves.iter().map(apply).collect();
+        self.score_batch(&candidates)
     }
 }
 
@@ -50,8 +66,8 @@ impl<T: BatchObjective + ?Sized> BatchObjective for &mut T {
         (**self).score_batch(candidates)
     }
 
-    fn score_neighbors(&mut self, parent: &Topology, candidates: &[Topology]) -> Vec<f64> {
-        (**self).score_neighbors(parent, candidates)
+    fn score_moves(&mut self, parent: &Topology, moves: &[Move]) -> Vec<f64> {
+        (**self).score_moves(parent, moves)
     }
 }
 
@@ -74,11 +90,11 @@ pub fn from_fn<F: FnMut(&Topology) -> f64>(f: F) -> FnObjective<F> {
 
 /// How each iteration builds the candidate neighbourhood.
 ///
-/// The full node-shift move set is Θ(n·brokers) topologies, so one
-/// iteration clones and scores O(n²)-ish candidates — fine to ~128 hosts,
-/// prohibitive at 1024. `Sampled` caps the per-iteration neighbourhood at
-/// `max_moves` candidates drawn uniformly without replacement from the
-/// move descriptors ([`crate::nodeshift::mutations_sampled`]). This
+/// The full node-shift move set is Θ(n·brokers) moves, so one iteration
+/// scores O(n²)-ish candidates — fine to ~128 hosts, prohibitive at 1024.
+/// `Sampled` caps the per-iteration neighbourhood at `max_moves` moves
+/// drawn uniformly without replacement ([`crate::nodeshift::sample_moves`]).
+/// This
 /// **knowingly changes search results** versus `Full` — the walk sees a
 /// random subsequence of each neighbourhood — in exchange for O(n·k)
 /// repair cost. It stays deterministic: the RNG is seeded once per
@@ -141,17 +157,95 @@ pub struct TabuResult {
     pub bookkeeping_s: f64,
 }
 
+/// The FIFO tabu list: each visited topology's role vector with its
+/// [`role_hash`]. A candidate's roles are compared with an entry's only
+/// when their hashes match.
+struct TabuList {
+    capacity: usize,
+    entries: VecDeque<(u64, Vec<NodeRole>)>,
+}
+
+impl TabuList {
+    fn new(capacity: usize) -> Self {
+        Self {
+            capacity,
+            entries: VecDeque::with_capacity(capacity + 1),
+        }
+    }
+
+    /// Appends a visited topology, dropping the oldest entry when full.
+    fn push(&mut self, hash: u64, roles: &[NodeRole]) {
+        if self.entries.len() >= self.capacity {
+            self.entries.pop_front();
+        }
+        self.entries.push_back((hash, roles.to_vec()));
+    }
+
+    /// Whether the topology `mv` leads to from `current`, whose role
+    /// hash is `hash`, is on the list. On a hash match `mv` is applied to
+    /// `current` for the compare and undone after it.
+    fn holds(&self, current: &mut Topology, hash: u64, mv: Move, undo: &mut Vec<HostId>) -> bool {
+        let moved = moved_hash(current, hash, mv);
+        let mut hits = self.entries.iter().filter(|(h, _)| *h == moved).peekable();
+        if hits.peek().is_none() {
+            return false;
+        }
+        mv.apply(current, undo).expect("a scored move applies");
+        let held = hits.any(|(_, roles)| roles[..] == *current.roles());
+        mv.undo(current, undo);
+        held
+    }
+}
+
+/// Host `h` holding `role`, hashed (a splitmix64 finalisation).
+fn role_key(h: HostId, role: NodeRole) -> u64 {
+    let code = match role {
+        NodeRole::Broker => 0,
+        NodeRole::Worker { broker } => broker as u64 + 1,
+    };
+    let mut z = (h as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ code;
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// The tabu list's hash of a role vector: the wrapping sum of its hosts'
+/// [`role_key`]s, so a move updates it from the hosts it changes alone.
+fn role_hash(roles: &[NodeRole]) -> u64 {
+    let keys = roles.iter().enumerate().map(|(h, &r)| role_key(h, r));
+    keys.fold(0, u64::wrapping_add)
+}
+
+/// The [`role_hash`] of the topology `mv` leads to from `topo`, whose
+/// hash is `hash`.
+fn moved_hash(topo: &Topology, hash: u64, mv: Move) -> u64 {
+    let swap = |hash: u64, h: HostId, to: NodeRole| {
+        hash.wrapping_sub(role_key(h, topo.role(h)))
+            .wrapping_add(role_key(h, to))
+    };
+    match mv {
+        Move::Promote { w } => swap(hash, w, NodeRole::Broker),
+        Move::Reassign { w, bkr } => swap(hash, w, NodeRole::Worker { broker: bkr }),
+        Move::Demote { bkr, target } => {
+            let to = NodeRole::Worker { broker: target };
+            let hash = swap(hash, bkr, to);
+            topo.workers_of(bkr)
+                .iter()
+                .fold(hash, |hash, &w| swap(hash, w, to))
+        }
+    }
+}
+
 /// Minimises `objective` over topologies reachable from `start` by
 /// node-shift moves, never promoting hosts in `banned`.
 ///
 /// `objective` is `Ω(G; D, S, O)` in the paper: the surrogate-predicted
-/// QoS of candidate `G`. Each iteration enumerates the full node-shift
-/// neighbourhood and scores it with **one** `score_neighbors` call, whose
-/// parent is the iteration's current topology (and `start` itself for
-/// the start score). The
-/// search is deterministic: ties break toward the earlier-enumerated
-/// neighbour, and a tabu move is only admitted when it beats the global
-/// best (aspiration criterion). Serial closures plug in via [`from_fn`].
+/// QoS of candidate `G`. The start is scored with one `score_batch` call,
+/// and each iteration's moves with one `score_moves` call whose parent is
+/// the iteration's current topology. The search is deterministic: ties
+/// break toward the earlier-listed move, and a tabu move is only admitted
+/// when it beats the global best (aspiration criterion). Serial closures
+/// plug in via [`from_fn`].
 pub fn search(
     start: Topology,
     banned: &[HostId],
@@ -159,7 +253,7 @@ pub fn search(
     mut objective: impl BatchObjective,
 ) -> TabuResult {
     let mut evaluations = 1usize;
-    let start_scores = objective.score_neighbors(&start, std::slice::from_ref(&start));
+    let start_scores = objective.score_batch(std::slice::from_ref(&start));
     assert_eq!(
         start_scores.len(),
         1,
@@ -170,9 +264,10 @@ pub fn search(
     let mut best = start.clone();
     let mut best_score = start_score;
     let mut current = start;
-
-    let mut tabu: VecDeque<Vec<NodeRole>> = VecDeque::with_capacity(config.list_size + 1);
-    tabu.push_back(current.roles().to_vec());
+    let mut hash = role_hash(current.roles());
+    let mut tabu = TabuList::new(config.list_size);
+    tabu.push(hash, current.roles());
+    let mut undo = Vec::new();
 
     // Sampling RNG lives outside the loop: one seed, one draw sequence,
     // independent of how (or on how many threads) candidates are scored.
@@ -183,9 +278,9 @@ pub fn search(
 
     for _ in 0..config.max_iters {
         let sampling = Instant::now();
-        let mut neighbors = match config.neighborhood {
-            Neighborhood::Full => mutations(&current, banned),
-            Neighborhood::Sampled { max_moves, .. } => mutations_sampled(
+        let moves = match config.neighborhood {
+            Neighborhood::Full => enumerate_moves(&current, banned),
+            Neighborhood::Sampled { max_moves, .. } => sample_moves(
                 &current,
                 banned,
                 max_moves,
@@ -193,21 +288,21 @@ pub fn search(
             ),
         };
         sampling_s += sampling.elapsed().as_secs_f64();
-        let scores = objective.score_neighbors(&current, &neighbors);
+        let scores = objective.score_moves(&current, &moves);
         assert_eq!(
             scores.len(),
-            neighbors.len(),
+            moves.len(),
             "objective must score every candidate"
         );
-        evaluations += neighbors.len();
+        evaluations += moves.len();
         iterations += 1;
 
         let bookkeeping = Instant::now();
         let mut chosen: Option<(usize, f64)> = None;
-        for (i, (cand, &s)) in neighbors.iter().zip(&scores).enumerate() {
+        for (i, (&mv, &s)) in moves.iter().zip(&scores).enumerate() {
             // Aspiration criterion: a tabu move is allowed if it beats the
             // global best.
-            if tabu.iter().any(|roles| roles == cand.roles()) && s >= best_score {
+            if s >= best_score && tabu.holds(&mut current, hash, mv, &mut undo) {
                 continue;
             }
             match chosen {
@@ -219,13 +314,13 @@ pub fn search(
             bookkeeping_s += bookkeeping.elapsed().as_secs_f64();
             break; // whole neighbourhood tabu and non-aspiring
         };
-        current = neighbors.swap_remove(idx);
-        if tabu.len() >= config.list_size {
-            tabu.pop_front();
-        }
-        tabu.push_back(current.roles().to_vec());
+        hash = moved_hash(&current, hash, moves[idx]);
+        moves[idx]
+            .apply(&mut current, &mut undo)
+            .expect("a scored move applies");
+        tabu.push(hash, current.roles());
         if next_score < best_score {
-            best = current.clone();
+            best.clone_from(&current);
             best_score = next_score;
         }
         bookkeeping_s += bookkeeping.elapsed().as_secs_f64();
@@ -245,6 +340,7 @@ pub fn search(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::nodeshift::mutations;
 
     /// Toy objective: prefer exactly `target` brokers, tie-break on worker
     /// balance across LEIs.
@@ -474,11 +570,11 @@ mod tests {
         );
     }
 
-    /// A serial closure objective that logs each call's parent and
-    /// candidates.
+    /// A serial closure objective that logs each `score_moves` call's
+    /// parent and moves.
     struct Parents<F> {
         f: F,
-        calls: Vec<(Topology, Vec<Topology>)>,
+        calls: Vec<(Topology, Vec<Move>)>,
     }
 
     impl<F: FnMut(&Topology) -> f64> BatchObjective for Parents<F> {
@@ -486,9 +582,13 @@ mod tests {
             candidates.iter().map(|t| (self.f)(t)).collect()
         }
 
-        fn score_neighbors(&mut self, parent: &Topology, candidates: &[Topology]) -> Vec<f64> {
-            self.calls.push((parent.clone(), candidates.to_vec()));
-            self.score_batch(candidates)
+        fn score_moves(&mut self, parent: &Topology, moves: &[Move]) -> Vec<f64> {
+            self.calls.push((parent.clone(), moves.to_vec()));
+            let candidates: Vec<Topology> = moves
+                .iter()
+                .map(|&m| apply_move(parent, m).unwrap())
+                .collect();
+            self.score_batch(&candidates)
         }
     }
 
@@ -506,16 +606,66 @@ mod tests {
         };
         search(start.clone(), &[], &config, &mut parents);
         let calls = parents.calls;
-        assert_eq!(calls.len(), 1 + config.max_iters);
-        assert_eq!(calls[0], (start.clone(), vec![start.clone()]));
-        assert_eq!(calls[1].0, start);
-        for (k, (parent, candidates)) in calls.iter().enumerate().skip(1) {
-            assert_eq!(*candidates, mutations(parent, &[]), "iteration {k}");
-            if k > 1 {
+        assert_eq!(calls.len(), config.max_iters);
+        assert_eq!(calls[0].0, start);
+        for (k, (parent, moves)) in calls.iter().enumerate() {
+            assert_eq!(*moves, enumerate_moves(parent, &[]), "iteration {k}");
+            if k > 0 {
                 // The parent is the move the previous iteration took.
-                assert!(calls[k - 1].1.contains(parent), "iteration {k}");
+                let (before, taken) = &calls[k - 1];
+                let reached = taken.iter().map(|&m| apply_move(before, m).unwrap());
+                assert!(reached.into_iter().any(|t| t == *parent), "iteration {k}");
             }
         }
+    }
+
+    /// The hash a move leads to is the hash of the topology it leads to,
+    /// for every move kind.
+    #[test]
+    fn moved_hash_is_the_hash_of_the_moved_topology() {
+        for (n_hosts, n_brokers) in [(8, 2), (16, 4), (54, 18)] {
+            let topo = Topology::balanced(n_hosts, n_brokers).unwrap();
+            let hash = role_hash(topo.roles());
+            for mv in enumerate_moves(&topo, &[]) {
+                let moved = apply_move(&topo, mv).unwrap();
+                assert_eq!(
+                    moved_hash(&topo, hash, mv),
+                    role_hash(moved.roles()),
+                    "{mv:?}"
+                );
+            }
+        }
+    }
+
+    /// A list entry whose hash collides with a candidate's but whose
+    /// roles differ does not make the candidate tabu; the candidate's own
+    /// roles do.
+    #[test]
+    fn a_hash_collision_the_role_compare_rejects_leaves_the_move_admissible() {
+        let mut current = Topology::balanced(12, 3).unwrap();
+        let hash = role_hash(current.roles());
+        let moves = enumerate_moves(&current, &[]);
+        let (mv, other) = (moves[0], moves[1]);
+        let (candidate, unrelated) = (
+            apply_move(&current, mv).unwrap(),
+            apply_move(&current, other).unwrap(),
+        );
+        let collision = moved_hash(&current, hash, mv);
+        let mut undo = Vec::new();
+        let mut tabu = TabuList::new(4);
+        tabu.push(collision, unrelated.roles());
+        assert!(
+            !tabu.holds(&mut current, hash, mv, &mut undo),
+            "a collision made {mv:?} tabu"
+        );
+        assert_eq!(
+            current,
+            Topology::balanced(12, 3).unwrap(),
+            "the compare undoes the move"
+        );
+        tabu.push(collision, candidate.roles());
+        assert!(tabu.holds(&mut current, hash, mv, &mut undo));
+        assert!(!tabu.holds(&mut current, hash, other, &mut undo));
     }
 
     /// Aspiration criterion: a tabu move is accepted iff it beats the

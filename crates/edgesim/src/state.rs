@@ -9,6 +9,7 @@
 //! weights serve any federation size — the property the paper gets from
 //! its graph attention network.
 
+use crate::host::HostId;
 use crate::host::{HostSpec, HostState};
 use crate::scheduler::SchedulingDecision;
 use crate::sim::{BROKER_BASE_CPU, BROKER_MGMT_RAM_MB, BROKER_PER_WORKER_CPU, BROKER_SPAN};
@@ -115,16 +116,14 @@ impl Normalizer {
     }
 }
 
-/// Σ task-pressure (metric column 7) over each broker's LEI, indexed by
-/// broker host (0 for workers). Summed broker first, then workers
-/// ascending — the `lei()` order — so the f64 chain is fixed.
-fn lei_pressure(topo: &Topology, metrics: &[[f64; METRIC_DIM]]) -> Vec<f64> {
-    let mut pressure = vec![0.0f64; topo.len()];
-    for &b in topo.brokers() {
-        pressure[b] += metrics[b][7];
-        for &w in topo.workers_of(b) {
-            pressure[b] += metrics[w][7];
-        }
+/// Σ task-pressure (metric column 7) over broker `b`'s LEI: the broker
+/// first, then its workers ascending — the `lei()` order — so the f64
+/// chain is fixed.
+fn lei_sum(topo: &Topology, metrics: &[[f64; METRIC_DIM]], b: HostId) -> f64 {
+    let mut pressure = 0.0f64;
+    pressure += metrics[b][7];
+    for &w in topo.workers_of(b) {
+        pressure += metrics[w][7];
     }
     pressure
 }
@@ -307,10 +306,14 @@ impl SystemState {
     /// the terms of [`SystemState::with_topology`] that depend on the
     /// snapshot alone are computed here, once.
     pub fn projection(&self) -> Projection<'_> {
-        Projection {
+        let mut projection = Projection {
             base: self,
-            base_pressure: lei_pressure(&self.topology, &self.metrics),
-        }
+            base_pressure: Vec::new(),
+        };
+        let mut pressure = Vec::new();
+        projection.pressure_into(&self.topology, &mut pressure);
+        projection.base_pressure = pressure;
+        projection
     }
 
     /// The per-host mean energy (normalised) and SLO-pressure columns of
@@ -322,9 +325,16 @@ impl SystemState {
 }
 
 /// A snapshot prepared for projection onto candidate topologies (see
-/// [`SystemState::projection`]); [`Projection::with_topology`] is
-/// [`SystemState::with_topology`] without recomputing the snapshot's
-/// own per-LEI task pressure.
+/// [`SystemState::projection`]).
+///
+/// Row `h` of a projection depends on the candidate only through `h`'s
+/// role and worker count, its broker's worker count and LEI task
+/// pressure, and the broker count (the `blast` term). So a caller that
+/// knows which hosts a topology change touches projects just those rows
+/// with [`Projection::rows_into`], given the candidate's per-LEI
+/// pressure ([`Projection::pressure_into`], or one LEI at a time with
+/// [`Projection::lei_pressure`]); [`Projection::with_topology`] is the
+/// same call over every host.
 #[derive(Debug, Clone)]
 pub struct Projection<'a> {
     base: &'a SystemState,
@@ -341,10 +351,64 @@ impl<'a> Projection<'a> {
     /// [`SystemState::with_topology`] of the prepared snapshot.
     pub fn with_topology(&self, topology: &Topology) -> SystemState {
         let base = self.base;
-        assert_eq!(topology.len(), base.n_hosts(), "host count mismatch");
-        let mut metrics = base.metrics.clone();
-        let mut graph_features = base.graph_features.clone();
-        let cand_pressure = lei_pressure(topology, &base.metrics);
+        let n = base.n_hosts();
+        let mut pressure = Vec::new();
+        self.pressure_into(topology, &mut pressure);
+        let mut metrics = Vec::with_capacity(n);
+        let mut graph_features = Vec::with_capacity(n);
+        self.rows_into(topology, &pressure, 0..n, &mut metrics, &mut graph_features);
+        SystemState {
+            metrics,
+            schedule: base.schedule.clone(),
+            graph_features,
+            topology: topology.clone(),
+            ram_mb: base.ram_mb.clone(),
+        }
+    }
+
+    /// The task pressure (metric column 7 of the snapshot) of broker
+    /// `broker`'s LEI under `topology`, summed in [`Topology::lei`] order.
+    pub fn lei_pressure(&self, topology: &Topology, broker: HostId) -> f64 {
+        lei_sum(topology, &self.base.metrics, broker)
+    }
+
+    /// Every LEI's [`Projection::lei_pressure`] under `topology` into
+    /// `out`, indexed by broker host (0 for workers).
+    pub fn pressure_into(&self, topology: &Topology, out: &mut Vec<f64>) {
+        out.clear();
+        out.resize(topology.len(), 0.0);
+        for &b in topology.brokers() {
+            out[b] = self.lei_pressure(topology, b);
+        }
+    }
+
+    /// Appends the projected metric row and graph-feature row of each
+    /// host in `hosts` onto `topology` to `metrics` and `graph_features`.
+    /// `pressure` holds `topology`'s LEI pressure at every broker
+    /// ([`Projection::pressure_into`]); other entries are not read.
+    ///
+    /// Graph features get the candidate's broker flag and worker share,
+    /// and the metric rows the *deterministic* role-change costs: a newly
+    /// promoted broker gains management CPU/RAM, a demoted one sheds it,
+    /// and workers in LEIs beyond the management span pick up SLO
+    /// pressure from dispatch contention, all priced with the
+    /// simulator's own broker constants ([`crate::sim::BROKER_BASE_CPU`]
+    /// and its siblings).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the host counts differ.
+    pub fn rows_into(
+        &self,
+        topology: &Topology,
+        pressure: &[f64],
+        hosts: impl IntoIterator<Item = HostId>,
+        metrics: &mut Vec<[f64; METRIC_DIM]>,
+        graph_features: &mut Vec<[f64; GRAPH_DIM]>,
+    ) {
+        let base = self.base;
+        let n = base.n_hosts();
+        assert_eq!(topology.len(), n, "host count mismatch");
         let mgmt_cpu = |topo: &Topology, h: usize| -> f64 {
             if matches!(topo.role(h), NodeRole::Broker) {
                 BROKER_BASE_CPU + BROKER_PER_WORKER_CPU * topo.workers_of(h).len() as f64
@@ -374,25 +438,27 @@ impl<'a> Projection<'a> {
             pressure[broker] / pool as f64
         };
         let blast = |topo: &Topology| STALL_RISK / topo.brokers().len().max(1) as f64;
-        for h in 0..base.n_hosts() {
+        for h in hosts {
             let is_broker = matches!(topology.role(h), NodeRole::Broker);
-            graph_features[h][4] = if is_broker { 1.0 } else { 0.0 };
-            graph_features[h][5] =
-                (topology.workers_of(h).len() as f64 / base.n_hosts() as f64).clamp(0.0, 1.0);
+            let mut features = base.graph_features[h];
+            features[4] = if is_broker { 1.0 } else { 0.0 };
+            features[5] = (topology.workers_of(h).len() as f64 / n as f64).clamp(0.0, 1.0);
+            graph_features.push(features);
 
             let d_cpu = mgmt_cpu(topology, h) - mgmt_cpu(&base.topology, h);
-            let d_ram = (matches!(topology.role(h), NodeRole::Broker) as u8 as f64
+            let d_ram = (is_broker as u8 as f64
                 - matches!(base.topology.role(h), NodeRole::Broker) as u8 as f64)
                 * BROKER_MGMT_RAM_MB
                 / base.ram_mb.get(h).copied().unwrap_or(8192.0);
             let d_slo = contention(topology, h) - contention(&base.topology, h)
                 + 0.45
-                    * (queue_share(&cand_pressure, topology, h)
+                    * (queue_share(pressure, topology, h)
                         - queue_share(&self.base_pressure, &base.topology, h))
                 + blast(topology)
                 - blast(&base.topology);
-            metrics[h][0] = (metrics[h][0] + d_cpu).clamp(0.0, 1.0);
-            metrics[h][1] = (metrics[h][1] + d_ram).clamp(0.0, 1.0);
+            let mut row = base.metrics[h];
+            row[0] = (row[0] + d_cpu).clamp(0.0, 1.0);
+            row[1] = (row[1] + d_ram).clamp(0.0, 1.0);
             // Energy tracks CPU roughly linearly on constant-frequency
             // SBCs — plus the standby premium: brokers can never drop into
             // standby, so promoting a (likely idle) worker costs the
@@ -407,15 +473,9 @@ impl<'a> Projection<'a> {
             } else {
                 0.0
             };
-            metrics[h][6] = (metrics[h][6] + 0.6 * d_cpu + d_standby).clamp(0.0, 1.0);
-            metrics[h][8] = (metrics[h][8] + d_slo).clamp(0.0, 1.0);
-        }
-        SystemState {
-            metrics,
-            schedule: base.schedule.clone(),
-            graph_features,
-            topology: topology.clone(),
-            ram_mb: base.ram_mb.clone(),
+            row[6] = (row[6] + 0.6 * d_cpu + d_standby).clamp(0.0, 1.0);
+            row[8] = (row[8] + d_slo).clamp(0.0, 1.0);
+            metrics.push(row);
         }
     }
 }

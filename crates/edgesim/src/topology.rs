@@ -83,7 +83,7 @@ impl std::error::Error for TopologyError {}
 /// assert_eq!(topo.workers_of(topo.brokers()[0]).len(), 3);
 /// topo.validate().unwrap();
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize)]
+#[derive(Debug, PartialEq, Eq, Hash, Serialize)]
 pub struct Topology {
     roles: Vec<NodeRole>,
     /// Broker hosts, ascending.
@@ -92,6 +92,25 @@ pub struct Topology {
     /// Workers of each host, ascending (empty for workers).
     #[serde(skip)]
     members: Vec<Vec<HostId>>,
+}
+
+/// `clone_from` reuses the target's buffers, member lists included, so
+/// re-syncing a scratch copy allocates nothing once it has held a
+/// topology of the same shape.
+impl Clone for Topology {
+    fn clone(&self) -> Self {
+        Self {
+            roles: self.roles.clone(),
+            brokers: self.brokers.clone(),
+            members: self.members.clone(),
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.roles.clone_from(&source.roles);
+        self.brokers.clone_from(&source.brokers);
+        self.members.clone_from(&source.members);
+    }
 }
 
 /// Goes through [`Topology::new`], so checkpoints rebuild the membership
@@ -338,6 +357,33 @@ impl Topology {
         std::iter::once(host).chain(rest.copied())
     }
 
+    /// The brokers whose attention window holds `host`'s rank among the
+    /// brokers, `host` included, once `host` is a broker: for a broker,
+    /// the brokers whose [`Topology::gat_row`] a demotion of it may
+    /// change; for a worker, those a promotion of it may change (`host`
+    /// among them). Every other broker's window keeps the same brokers
+    /// on both sides of the move. All of them when there are at most
+    /// `GAT_BROKER_DEGREE + 1` brokers (with `host`); `GAT_BROKER_DEGREE
+    /// + 1` of them otherwise, in no particular order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `host` is out of range.
+    pub fn gat_window_holders(&self, host: HostId) -> impl Iterator<Item = HostId> + '_ {
+        let inserted = !matches!(self.roles[host], NodeRole::Broker);
+        let rank = self.brokers.partition_point(|&x| x < host);
+        let n = self.brokers.len() + inserted as usize;
+        let len = (GAT_BROKER_DEGREE + 1).min(n);
+        (0..len).map(move |t| {
+            let p = (rank + n + len / 2 - t) % n;
+            match p.cmp(&rank) {
+                std::cmp::Ordering::Equal if inserted => host,
+                std::cmp::Ordering::Greater if inserted => self.brokers[p - 1],
+                _ => self.brokers[p],
+            }
+        })
+    }
+
     /// The hosts whose [`Topology::gat_row`] or role-derived GAT features
     /// (broker flag, worker share) may differ from `parent`'s, ascending:
     /// every host whose role differs, the old and new broker of each such
@@ -348,6 +394,9 @@ impl Topology {
     /// window keeps the same brokers on both sides. After any other
     /// change of the broker list they are all brokers. A superset, found
     /// without reading the unchanged hosts' rows.
+    ///
+    /// A diff of two whole role vectors: the repair path lists the hosts
+    /// of each move instead, and tests check that listing against this.
     ///
     /// # Panics
     ///

@@ -35,5 +35,5 @@ pub mod surrogates;
 pub mod training;
 
 pub use checkpoint::{CheckpointError, GonCheckpoint};
-pub use model::{batch_len, Generated, GonConfig, GonModel, ParentRecord, GEN_TOL};
+pub use model::{batch_len, CandidateRows, Generated, GonConfig, GonModel, ParentRecord, GEN_TOL};
 pub use training::{train_offline, EpochStats, TrainConfig, TRAIN_FRACTION, WEIGHT_DECAY};

@@ -233,21 +233,98 @@ impl ParentRecord {
     pub fn topology(&self) -> &Topology {
         &self.topology
     }
+}
 
-    /// Whether every host of `state` outside `listed` (ascending) has
-    /// the parent's graph features and GAT row, bit for bit: what the
-    /// graph delta takes on trust for the hosts it does not list.
-    fn matches_outside(&self, state: &SystemState, listed: &[usize]) -> bool {
-        let features = self.graph.features();
-        let mut listed = listed.iter().peekable();
-        (0..state.n_hosts()).all(|h| {
-            listed.next_if_eq(&&h).is_some()
-                || (state.graph_features[h]
-                    .iter()
-                    .zip(features.row(h))
-                    .all(|(a, b)| a.to_bits() == b.to_bits())
-                    && state.topology.gat_row(h).eq(self.topology.gat_row(h)))
-        })
+/// A chunk of candidates for [`GonModel::generate_listed`], each given
+/// by the rows in which it differs from a [`ParentRecord`]: its
+/// `[M | S]` rows and its GAT rows (graph features and neighbour row) at
+/// the hosts it lists. Every host it does not list keeps the parent's
+/// rows. Listing a host whose rows equal the parent's is allowed. The
+/// buffers are kept across [`CandidateRows::clear`], so refilling it
+/// with a chunk of the same shape allocates nothing.
+#[derive(Debug, Clone, Default)]
+pub struct CandidateRows {
+    /// Each candidate's first entry in `hosts`.
+    starts: Vec<usize>,
+    /// The listed `[M | S]` hosts, ascending per candidate.
+    hosts: Vec<usize>,
+    /// One `[M | S]` row per entry of `hosts`, flat.
+    rows: Vec<f64>,
+    /// Each candidate's GAT rows; only the first `starts.len()` are in
+    /// use.
+    graphs: Vec<GraphDelta>,
+}
+
+impl CandidateRows {
+    /// Drops every candidate, keeping the buffers.
+    pub fn clear(&mut self) {
+        self.starts.clear();
+        self.hosts.clear();
+        self.rows.clear();
+    }
+
+    /// The number of candidates.
+    pub fn len(&self) -> usize {
+        self.starts.len()
+    }
+
+    /// Whether there are no candidates.
+    pub fn is_empty(&self) -> bool {
+        self.starts.is_empty()
+    }
+
+    /// Starts the next candidate: rows pushed from here on are its.
+    pub fn push_candidate(&mut self) {
+        self.starts.push(self.hosts.len());
+        match self.graphs.get_mut(self.starts.len() - 1) {
+            Some(graph) => graph.clear(),
+            None => self.graphs.push(GraphDelta::default()),
+        }
+    }
+
+    /// Gives the current candidate host `h`'s `[M | S]` row: metrics
+    /// `m`, schedule `s`.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless a candidate was started and `h` is above every host
+    /// it has listed this way.
+    pub fn push_row(&mut self, h: usize, m: &[f64; METRIC_DIM], s: &[f64; SCHED_DIM]) {
+        let start = *self.starts.last().expect("push_candidate first");
+        assert!(
+            self.hosts[start..].last().is_none_or(|&last| last < h),
+            "listed hosts must ascend"
+        );
+        self.hosts.push(h);
+        self.rows.extend_from_slice(m);
+        self.rows.extend_from_slice(s);
+    }
+
+    /// Gives the current candidate host `h`'s graph-feature row and GAT
+    /// neighbour row ([`edgesim::Topology::gat_row`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics unless a candidate was started and `h` is above every host
+    /// it has listed this way.
+    pub fn push_graph(
+        &mut self,
+        h: usize,
+        features: &[f64; GRAPH_DIM],
+        row: impl IntoIterator<Item = usize>,
+    ) {
+        let graph = self.graphs[..self.starts.len()]
+            .last_mut()
+            .expect("push_candidate first");
+        graph.push(h, features, row);
+    }
+
+    /// Candidate `i`'s listed hosts and their `[M | S]` rows.
+    fn rows_of(&self, i: usize) -> impl Iterator<Item = (usize, &[f64])> {
+        let end = self.starts.get(i + 1).copied().unwrap_or(self.hosts.len());
+        let width = METRIC_DIM + SCHED_DIM;
+        let rows = self.rows[self.starts[i] * width..end * width].chunks_exact(width);
+        self.hosts[self.starts[i]..end].iter().copied().zip(rows)
     }
 }
 
@@ -298,7 +375,8 @@ struct Pass {
     /// Each candidate's last score, and whether it still ascends.
     prev: Vec<f64>,
     active: Vec<bool>,
-    /// Whether each row of `x` differs from its parent row.
+    /// Whether each row of `x` may differ from its parent row: the rows
+    /// the first step of [`GonModel::generate_listed`] encodes.
     fresh: Vec<bool>,
     /// One candidate's pooled gradient divided by its row count.
     unpooled: Vec<f64>,
@@ -394,7 +472,7 @@ impl GonModel {
         ws.grads[(0, 0)] = grad_score;
         let g_graph = self.train_backward(&mut ws);
         let graph = ws.graph.as_ref().expect("score runs first");
-        self.gat.backward(graph, &g_graph); // graph features are inputs too
+        self.gat.accumulate_grads(graph, &g_graph);
         self.ms_encoder
             .input_grad_into(&ws.z, METRIC_DIM, &mut ws.d_metrics);
         let dx = ws.d_metrics.clone();
@@ -418,7 +496,7 @@ impl GonModel {
         // and inherits its structural savings: the step-invariant graph
         // branch runs once per query instead of once per ascent step, and
         // the input-only backward skips the parameter-gradient work.
-        self.generate_stacked(std::slice::from_ref(state), None)
+        self.generate_stacked(std::slice::from_ref(state))
             .pop()
             .expect("one candidate in, one result out")
     }
@@ -502,7 +580,7 @@ impl GonModel {
     /// parameter gradients untouched; side-effect-free evaluation during
     /// training runs on this.
     pub fn generate_batch(&mut self, states: &[SystemState]) -> Vec<Generated> {
-        self.generate_stacked(states, None)
+        self.generate_stacked(states)
     }
 
     /// The [`ParentRecord`] of `parent`: a tabu parent projected from
@@ -521,19 +599,63 @@ impl GonModel {
         }
     }
 
-    /// [`GonModel::generate_batch`] of candidates scored as deltas
-    /// against the [`GonModel::record_parent`] of their tabu parent.
+    /// [`GonModel::generate_batch`] of candidates given by the rows in
+    /// which they differ from the [`GonModel::record_parent`] of their
+    /// tabu parent ([`CandidateRows`]).
     ///
-    /// The graph branch is [`GraphAttention::forward_delta`] over the
-    /// hosts [`Topology::gat_changes_from`] names, and each candidate
-    /// pools the parent's GAT rows with the recomputed ones in their
-    /// place. The first ascent step copies the parent's encoder rows for
-    /// every `[M | S]` row equal bitwise to the parent's and runs the
-    /// encoder only on the others; later steps move every row and run it
-    /// whole. Bit-identical to `generate_batch`, by row independence, for
-    /// any parent projected from the same snapshot as the candidates:
-    /// only the hosts `gat_changes_from` names may differ in graph
-    /// features (debug builds check every other host against the record).
+    /// The graph branch is [`GraphAttention::forward_delta`] over each
+    /// candidate's listed GAT rows, and each candidate pools the
+    /// parent's GAT rows with the recomputed ones in their place. The
+    /// first ascent step copies the parent's encoder rows for every host
+    /// the candidate does not list and runs the encoder only on the
+    /// listed ones; later steps move every row and run it whole.
+    /// Bit-identical to `generate_batch` of the whole candidate states,
+    /// by row independence, whenever the listing covers every row that
+    /// differs from the record.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a listed host is outside the parent.
+    pub fn generate_listed(
+        &mut self,
+        parent: &ParentRecord,
+        candidates: &CandidateRows,
+    ) -> Vec<Generated> {
+        let b = candidates.len();
+        if b == 0 {
+            return Vec::new();
+        }
+        let mut ws = std::mem::take(&mut self.ascent);
+        let (n, width) = (parent.ms.rows(), parent.ms.cols());
+        ws.x.resize(b * n, width);
+        ws.segments.clear();
+        ws.fresh.clear();
+        ws.fresh.resize(b * n, false);
+        for (i, block) in ws.x.data_mut().chunks_exact_mut(n * width).enumerate() {
+            ws.segments.push((i * n, n));
+            block.copy_from_slice(parent.ms.data());
+            for (h, row) in candidates.rows_of(i) {
+                block[h * width..(h + 1) * width].copy_from_slice(row);
+                ws.fresh[i * n + h] = true;
+            }
+        }
+        ws.pooled
+            .resize(b, self.config.hidden + self.config.gat_dim);
+        let graphs = &candidates.graphs[..b];
+        let patches = self.gat.forward_delta(&parent.graph, graphs);
+        for (i, patch) in patches.iter().enumerate() {
+            let out = &mut ws.pooled.row_mut(i)[self.config.hidden..];
+            pool_rows(out, patch.output_rows(&parent.graph), |v| v);
+        }
+        let outs = self.ascend(&mut ws, Some(parent));
+        self.ascent = ws;
+        outs
+    }
+
+    /// [`GonModel::generate_listed`] of whole candidate states: each
+    /// lists the hosts whose `[M | S]` row, graph features or GAT row
+    /// differ from `parent`'s, bit for bit. Bit-identical to
+    /// `generate_batch` for any record.
     ///
     /// # Panics
     ///
@@ -543,38 +665,36 @@ impl GonModel {
         parent: &ParentRecord,
         states: &[SystemState],
     ) -> Vec<Generated> {
+        let same = |a: &[f64], b: &[f64]| a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits());
+        let features = parent.graph.features();
+        let mut candidates = CandidateRows::default();
         for s in states {
             assert_eq!(s.n_hosts(), parent.ms.rows(), "host count mismatch");
-        }
-        self.generate_stacked(states, Some(parent))
-    }
-
-    /// Pools each candidate's graph branch against `parent` into the
-    /// graph columns of its `pooled` row: the rows
-    /// [`GraphAttention::forward_delta`] recomputes, the parent's rows
-    /// elsewhere, summed in row order as [`GonModel::graph_branch`] sums.
-    fn pool_graph_delta(&self, parent: &ParentRecord, states: &[SystemState], pooled: &mut Matrix) {
-        let deltas: Vec<GraphDelta> = states
-            .iter()
-            .map(|s| {
-                let listed = s.topology.gat_changes_from(&parent.topology);
-                debug_assert!(
-                    parent.matches_outside(s, &listed),
-                    "a candidate differs from its parent record outside the listed hosts \
-                     (was the record projected from another snapshot?)"
-                );
-                let mut delta = GraphDelta::default();
-                for h in listed {
-                    delta.push(h, &s.graph_features[h], s.topology.gat_row(h));
+            candidates.push_candidate();
+            for (h, (m, sched)) in s.metrics.iter().zip(&s.schedule).enumerate() {
+                let (pm, ps) = parent.ms.row(h).split_at(METRIC_DIM);
+                if !same(m, pm) || !same(sched, ps) {
+                    candidates.push_row(h, m, sched);
                 }
-                delta
-            })
-            .collect();
-        let patches = self.gat.forward_delta(&parent.graph, &deltas);
-        for (b, patch) in patches.iter().enumerate() {
-            let out = &mut pooled.row_mut(b)[self.config.hidden..];
-            pool_rows(out, patch.output_rows(&parent.graph), |v| v);
+            }
+            // Over one broker list a GAT row differs exactly where the
+            // role or the host's own worker list does.
+            let (t, p) = (&s.topology, &parent.topology);
+            let same_brokers = t.brokers() == p.brokers();
+            let row_differs = |h| {
+                if same_brokers {
+                    t.role(h) != p.role(h) || t.workers_of(h) != p.workers_of(h)
+                } else {
+                    !t.gat_row(h).eq(p.gat_row(h))
+                }
+            };
+            for (h, f) in s.graph_features.iter().enumerate() {
+                if !same(f, features.row(h)) || row_differs(h) {
+                    candidates.push_graph(h, f, t.gat_row(h));
+                }
+            }
         }
+        self.generate_listed(parent, &candidates)
     }
 
     /// The GAT pass over the disjoint union of `states`' graphs, each
@@ -595,38 +715,43 @@ impl GonModel {
         graph
     }
 
-    /// The masked batched ascent of [`GonModel::generate_batch`] in the
-    /// model's workspace; with a `parent`, the graph branch and the
-    /// first encoder step are deltas against it
-    /// ([`GonModel::generate_candidates`]).
-    fn generate_stacked(
-        &mut self,
-        states: &[SystemState],
-        parent: Option<&ParentRecord>,
-    ) -> Vec<Generated> {
+    /// [`GonModel::generate_batch`]: the stacked states' graph branch
+    /// whole, then the masked batched ascent.
+    fn generate_stacked(&mut self, states: &[SystemState]) -> Vec<Generated> {
         if states.is_empty() {
             return Vec::new();
         }
         let mut ws = std::mem::take(&mut self.ascent);
-        let b = states.len();
         stack_ms_into(states.iter(), &mut ws.x, &mut ws.segments);
-        // The pooled graph branch is constant across steps.
         ws.pooled
-            .resize(b, self.config.hidden + self.config.gat_dim);
-        match parent {
-            Some(parent) => self.pool_graph_delta(parent, states, &mut ws.pooled),
-            None => {
-                let refs: Vec<&SystemState> = states.iter().collect();
-                self.graph_branch(&refs, &ws.segments, &mut ws.pooled);
-            }
-        }
+            .resize(states.len(), self.config.hidden + self.config.gat_dim);
+        let refs: Vec<&SystemState> = states.iter().collect();
+        self.graph_branch(&refs, &ws.segments, &mut ws.pooled);
+        let outs = self.ascend(&mut ws, None);
+        self.ascent = ws;
+        outs
+    }
 
-        let mut outs: Vec<Generated> = states
+    /// The masked batched eq.-1 ascent of the candidates stacked in `ws`
+    /// (`x`, `segments`, and the graph columns of `pooled`, which are
+    /// constant across steps). With a `parent`, the first step's encoder
+    /// rows outside `ws.fresh` are the record's.
+    fn ascend(&mut self, ws: &mut Pass, parent: Option<&ParentRecord>) -> Vec<Generated> {
+        let b = ws.segments.len();
+        let width = ws.x.cols();
+        let mut outs: Vec<Generated> = ws
+            .segments
             .iter()
-            .map(|s| Generated {
-                metrics_flat: s.metrics_flat(),
-                confidence: f64::NEG_INFINITY,
-                iterations: 0,
+            .map(|&(offset, n)| {
+                let mut metrics_flat = Vec::with_capacity(n * METRIC_DIM);
+                for row in ws.x.data()[offset * width..(offset + n) * width].chunks_exact(width) {
+                    metrics_flat.extend_from_slice(&row[..METRIC_DIM]);
+                }
+                Generated {
+                    metrics_flat,
+                    confidence: f64::NEG_INFINITY,
+                    iterations: 0,
+                }
             })
             .collect();
         ws.prev.clear();
@@ -646,7 +771,7 @@ impl GonModel {
             // cannot perturb active rows (row independence), and one
             // rectangular matmul beats re-stacking the batch every step.
             // The first step's rows that equal the parent's are its.
-            self.encode(&mut ws, parent.filter(|_| it == 0));
+            self.encode(ws, parent.filter(|_| it == 0));
             let scores = self.head.forward(&ws.pooled, &mut ws.head); // [B × 1]
             for i in 0..b {
                 ws.grads[(i, 0)] = 0.0;
@@ -681,7 +806,7 @@ impl GonModel {
             if n_active == 0 {
                 break; // every remaining candidate stopped this step
             }
-            self.metric_gradient(&mut ws);
+            self.metric_gradient(ws);
             for (i, &(offset, n)) in ws.segments.iter().enumerate() {
                 if !ws.active[i] {
                     continue;
@@ -699,7 +824,7 @@ impl GonModel {
         // gen_steps == 0: score the untouched warm start, as `generate`
         // does in its fallback.
         if outs.iter().any(|o| o.confidence == f64::NEG_INFINITY) {
-            self.encode(&mut ws, None);
+            self.encode(ws, None);
             let scores = self.head.forward(&ws.pooled, &mut ws.head);
             for (i, out) in outs.iter_mut().enumerate() {
                 if out.confidence == f64::NEG_INFINITY {
@@ -707,16 +832,15 @@ impl GonModel {
                 }
             }
         }
-        self.ascent = ws;
         outs
     }
 
     /// The encoder half of an ascent step's forward: the pre-activation
     /// rows of `ws.x` into `ws.z`, then each candidate's mean-pooled
-    /// `ReLU` of them into its `pooled` row. With `reuse`, a row equal
-    /// bitwise to its parent row copies the record's encoder row, and
-    /// each run of the other rows goes through the encoder in one call
-    /// (an all-fresh chunk is one call over every row).
+    /// `ReLU` of them into its `pooled` row. With `reuse`, a row not
+    /// marked in `ws.fresh` copies the record's encoder row, and each run
+    /// of the marked rows goes through the encoder in one call (an
+    /// all-fresh chunk is one call over every row).
     fn encode(&self, ws: &mut Pass, reuse: Option<&ParentRecord>) {
         let Pass {
             x,
@@ -731,12 +855,6 @@ impl GonModel {
         match reuse {
             None => self.ms_encoder.forward_rows_into(x.data(), z.data_mut()),
             Some(parent) => {
-                let parent_ms = parent.ms.data().chunks_exact(width).cycle();
-                fresh.clear();
-                fresh.extend(x.data().chunks_exact(width).zip(parent_ms).map(|(a, p)| {
-                    let bits = a.iter().zip(p).map(|(a, p)| a.to_bits() ^ p.to_bits());
-                    bits.fold(0, |acc, d| acc | d) != 0
-                }));
                 let parent_z = parent.z.data().chunks_exact(hidden).cycle();
                 // `from` starts the run of fresh rows before row `r`.
                 let mut from = 0;
@@ -1154,15 +1272,16 @@ mod tests {
     }
 
     /// A record projected from another snapshot, with the same host
-    /// count and topology, trips the debug check instead of scoring the
-    /// candidates against the wrong graph features.
+    /// count and topology, lists every host whose rows differ from it,
+    /// so it still gives `generate_batch`'s bits.
     #[test]
-    #[cfg(debug_assertions)]
-    #[should_panic(expected = "outside the listed hosts")]
-    fn generate_candidates_rejects_a_record_of_another_snapshot() {
+    fn generate_candidates_against_another_snapshot_lists_what_differs() {
         let mut model = GonModel::new(small_config());
         let record = model.record_parent(&test_state(12, 3, 0.9));
-        model.generate_candidates(&record, &[test_state(12, 3, 0.4)]);
+        let states = [test_state(12, 3, 0.4)];
+        let want = model.generate_batch(&states);
+        let got = model.generate_candidates(&record, &states);
+        assert_same_generations(&got, &want, "another snapshot");
     }
 
     #[test]

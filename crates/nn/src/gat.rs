@@ -27,6 +27,7 @@ use crate::layer::Param;
 use crate::matrix::Matrix;
 use serde::{Deserialize, Serialize};
 use std::ops::Range;
+use std::sync::OnceLock;
 
 /// Neighbour rows of a graph in compressed sparse row form: row `i` is
 /// `targets[offsets[i]..offsets[i + 1]]`.
@@ -127,8 +128,10 @@ pub struct Reference {
     /// Softmax weights, one per edge.
     attention: Vec<f64>,
     output: Matrix,
-    /// Row `j`: the nodes whose neighbour row holds `j`.
-    incoming: Adjacency,
+    /// Row `j`: the nodes whose neighbour row holds `j`. Built by the
+    /// first [`GraphAttention::forward_delta`] against this pass, so a
+    /// pass that never becomes a delta reference (training) skips it.
+    incoming: OnceLock<Adjacency>,
 }
 
 impl Reference {
@@ -146,6 +149,31 @@ impl Reference {
     pub fn output(&self) -> &Matrix {
         &self.output
     }
+
+    /// The incoming edges: row `j` lists the nodes whose neighbour row
+    /// holds `j`, ascending.
+    fn incoming(&self) -> &Adjacency {
+        self.incoming.get_or_init(|| {
+            let n = self.rows();
+            let adjacency = &self.adjacency;
+            let mut offsets = vec![0; n + 1];
+            for &j in &adjacency.targets {
+                offsets[j + 1] += 1;
+            }
+            for j in 0..n {
+                offsets[j + 1] += offsets[j];
+            }
+            let mut fill = offsets.clone();
+            let mut targets = vec![0; adjacency.targets.len()];
+            for i in 0..n {
+                for &j in adjacency.row(i) {
+                    targets[fill[j]] = i;
+                    fill[j] += 1;
+                }
+            }
+            Adjacency { offsets, targets }
+        })
+    }
 }
 
 /// A graph over a [`Reference`]'s nodes, given as its differences from
@@ -160,6 +188,15 @@ pub struct GraphDelta {
 }
 
 impl GraphDelta {
+    /// Empties the delta (the reference graph again), keeping its
+    /// buffers.
+    pub fn clear(&mut self) {
+        self.nodes.clear();
+        self.features.clear();
+        self.adjacency.offsets.truncate(1);
+        self.adjacency.targets.clear();
+    }
+
     /// Gives `node` the feature row `features` and the neighbour row
     /// `row`.
     ///
@@ -446,21 +483,6 @@ impl GraphAttention {
                 output.row_mut(i),
             );
         }
-        let mut offsets = vec![0; n + 1];
-        for &j in &adjacency.targets {
-            offsets[j + 1] += 1;
-        }
-        for j in 0..n {
-            offsets[j + 1] += offsets[j];
-        }
-        let mut fill = offsets.clone();
-        let mut targets = vec![0; edges];
-        for i in 0..n {
-            for &j in adjacency.row(i) {
-                targets[fill[j]] = i;
-                fill[j] += 1;
-            }
-        }
         Reference {
             features: features.clone(),
             adjacency: adjacency.clone(),
@@ -472,7 +494,7 @@ impl GraphAttention {
             max,
             attention: alpha,
             output,
-            incoming: Adjacency { offsets, targets },
+            incoming: OnceLock::new(),
         }
     }
 
@@ -574,7 +596,7 @@ impl GraphAttention {
             for &g in d.nodes.iter().filter(|&&g| fresh_of[g] != NONE) {
                 rows.extend(
                     reference
-                        .incoming
+                        .incoming()
                         .row(g)
                         .iter()
                         .filter(|&&i| listed[i] == NONE),
@@ -661,6 +683,23 @@ impl GraphAttention {
     /// Panics if `grad_output` doesn't hold one row per node of `pass`.
     pub fn backward(&mut self, pass: &Reference, grad_output: &Matrix) -> Matrix {
         self.backward_batch(pass, grad_output, &[(0, pass.rows())])
+    }
+
+    /// The parameter gradients of [`GraphAttention::backward`], without
+    /// its input gradient `dH_pre·Wᵀ`: for callers whose graph features
+    /// are not trained.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `grad_output` doesn't hold one row per node of `pass`.
+    pub fn accumulate_grads(&mut self, pass: &Reference, grad_output: &Matrix) {
+        let n = pass.rows();
+        assert_eq!(
+            grad_output.shape(),
+            (n, self.out_dim()),
+            "grad_output shape mismatch"
+        );
+        self.backward_segments(pass, grad_output, &[(0, n, 0)]);
     }
 
     /// Batched [`GraphAttention::backward`] of a `pass` over the disjoint
@@ -1024,6 +1063,20 @@ mod tests {
             max_abs_diff(&analytic, &numeric) < 1e-6,
             "GAT input gradient mismatch"
         );
+    }
+
+    #[test]
+    fn accumulate_grads_matches_the_backward_parameter_gradients() {
+        let (feats, rows) = random_graph(10, 41);
+        let mut gat = GraphAttention::new(3, 5, 4, &mut Initializer::new(17));
+        let mut params_only = gat.clone();
+        let pass = gat.forward(&feats, &to_adjacency(&rows));
+        let grad = Initializer::new(18).normal(10, 5, 1.0);
+        gat.backward(&pass, &grad);
+        params_only.accumulate_grads(&pass, &grad);
+        for (a, b) in gat.params_mut().iter().zip(params_only.params_mut()) {
+            assert_eq!(a.grad, b.grad);
+        }
     }
 
     #[test]

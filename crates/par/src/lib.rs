@@ -137,16 +137,15 @@ where
 }
 
 /// [`par_map_threads`] with per-worker state: `init` builds one `S` per
-/// worker (lazily, when that worker claims its first item) and `f`
-/// receives it mutably alongside every item the worker claims. This is
-/// how the batched engines keep **one model replica per worker** instead
-/// of cloning a model per chunk.
+/// worker and `f` receives it mutably alongside every item the worker
+/// claims. This is how the batched engines keep **one model replica per
+/// worker** instead of cloning a model per chunk.
 ///
-/// `init` runs at most `min(threads, items.len())` times: once on the
-/// serial path, never for empty input. Output order is input order. For
-/// the parallel result to be bit-identical to the serial one, `f`'s
-/// output must not depend on what earlier items left in the state (a
-/// model's forward caches are overwritten, never read, by the next
+/// `init` runs `min(threads, items.len())` times (at least once unless
+/// the input is empty), on the calling thread. Output order is input
+/// order. For the parallel result to be bit-identical to the serial one,
+/// `f`'s output must not depend on what earlier items left in the state
+/// (a model's forward caches are overwritten, never read, by the next
 /// forward — that is the contract the engines rely on).
 ///
 /// # Examples
@@ -163,17 +162,40 @@ where
 pub fn par_map_init<T, S, R, I, F>(threads: usize, items: &[T], init: I, f: F) -> Vec<R>
 where
     T: Sync,
+    S: Send,
     R: Send,
-    I: Fn() -> S + Sync,
+    I: Fn() -> S,
     F: Fn(&mut S, &T) -> R + Sync,
 {
     let workers = threads.max(1).min(items.len());
+    let mut states: Vec<S> = (0..workers).map(|_| init()).collect();
+    par_map_states(&mut states, items, f)
+}
+
+/// [`par_map_init`] over states the caller keeps from call to call: one
+/// worker per state (at most one per item), each running `f` on its own
+/// state. The states carry whatever the caller's workers keep warm
+/// between calls (a model replica and its buffers, a scratch topology),
+/// under the same contract: `f`'s output must not depend on what earlier
+/// items left in a state.
+///
+/// # Panics
+///
+/// Panics if `states` is empty and `items` is not.
+pub fn par_map_states<T, S, R, F>(states: &mut [S], items: &[T], f: F) -> Vec<R>
+where
+    T: Sync,
+    S: Send,
+    R: Send,
+    F: Fn(&mut S, &T) -> R + Sync,
+{
+    let workers = states.len().min(items.len());
     if workers <= 1 {
         if items.is_empty() {
             return Vec::new();
         }
-        let mut state = init();
-        return items.iter().map(|item| f(&mut state, item)).collect();
+        let state = states.first_mut().expect("a state per worker");
+        return items.iter().map(|item| f(state, item)).collect();
     }
 
     // Single shared queue: workers race on `next` and claim whole items.
@@ -185,15 +207,13 @@ where
     let slots: Vec<Mutex<Option<R>>> = items.iter().map(|_| Mutex::new(None)).collect();
 
     std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| {
-                let mut state = None;
-                loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(item) = items.get(i) else { break };
-                    let result = f(state.get_or_insert_with(&init), item);
-                    *slots[i].lock().expect("result slot poisoned") = Some(result);
-                }
+        for state in &mut states[..workers] {
+            let (next, slots, f) = (&next, &slots, &f);
+            scope.spawn(move || loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                let Some(item) = items.get(i) else { break };
+                let result = f(state, item);
+                *slots[i].lock().expect("result slot poisoned") = Some(result);
             });
         }
     });
