@@ -3,14 +3,13 @@
 //! The paper positions CAROL as a *runtime* resilience controller — it
 //! observes, checks confidence, and repairs continuously — yet the rest
 //! of this crate runs finish-and-exit experiments. This module closes
-//! that gap with a std-only daemon (threads + channels, no async
+//! that gap with a std-only daemon (one thread per federation, no async
 //! runtime):
 //!
-//! * **Ingestion** — one reader thread per federation decodes
-//!   `carol-trace` v1 events incrementally
-//!   ([`workloads::replay::StreamingTrace`]) from stdin, a socket, or
-//!   any buffered reader, and hands them to the controller over a
-//!   shared bounded channel.
+//! * **Ingestion** — each federation decodes its own `carol-trace` v1
+//!   events incrementally ([`workloads::replay::StreamingTrace`]) from
+//!   stdin, a socket, or any buffered reader, on the thread that steps
+//!   its engine.
 //! * **Control loop** — per scheduling interval the controller runs the
 //!   full Algorithm-2 cycle through
 //!   [`ExperimentEngine`]: repair →
@@ -19,12 +18,12 @@
 //!   [`ReplayWorkload`](workloads::replay::ReplayWorkload) would deliver
 //!   them, so a served run is **bit-identical** to the equivalent batch
 //!   replay (gated in `tests/determinism.rs`).
-//! * **Multi-federation** — a [`FederationSet`] multiplexes N
-//!   independent federations over one daemon: each spec gets its own
-//!   pretrained controller, engine, checkpoint cadence and metrics
-//!   rows, and because the shared channel preserves per-sender order,
-//!   every federation's served run stays bit-identical to serving it
-//!   alone (and hence to its batch replay).
+//! * **Multi-federation** — a [`FederationSet`] serves N independent
+//!   federations concurrently from one daemon: each spec gets its own
+//!   pretrained controller, engine, checkpoint cadence, metrics rows and
+//!   thread, and because a federation shares no state with the others
+//!   and reads its events in stream order, its served run stays
+//!   bit-identical to serving it alone (and hence to its batch replay).
 //! * **Fine-tuning** — inline, inside the interval's observe step, as
 //!   Algorithm 2 line 15 places it; its wall time is charged to the
 //!   interval that fired it.
@@ -54,11 +53,10 @@ use serde::{Deserialize, Serialize};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
-use workloads::replay::{StreamingTrace, TraceError, TraceEvent};
+use workloads::replay::{StreamingTrace, TraceError};
 
 /// When and where the service freezes controller state.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -193,8 +191,9 @@ fn service_train_config() -> TrainConfig {
 /// *how* the daemon runs without changing *what* it computes.
 #[derive(Debug, Clone, Default)]
 pub struct ServeOptions {
-    /// Seconds of wall clock per scheduling interval (`None` =
-    /// accelerated: step as fast as events drain).
+    /// Seconds of wall clock per scheduling interval, applied to each
+    /// federation on its own thread (`None` = accelerated: step as fast
+    /// as events drain).
     pub pace_interval_s: Option<f64>,
     /// Bind address for the plain-text metrics/health endpoint, e.g.
     /// `"127.0.0.1:0"` (`None` = no endpoint). Every accepted connection
@@ -288,7 +287,6 @@ struct MetricsState {
 }
 
 /// One federation's metrics handle as the endpoint thread sees it.
-#[derive(Clone)]
 struct FedMetrics {
     name: String,
     state: Arc<Mutex<MetricsState>>,
@@ -327,7 +325,7 @@ fn render_metrics_body(m: &MetricsState) -> String {
 /// Renders the plain-text health block the endpoint serves: the shared
 /// header, then one counter block per federation. A single federation
 /// renders unlabelled — the historical `carol-service v1` format —
-/// while a multiplexed set labels each block `federation: <idx> <name>`.
+/// while a multi-federation set labels each block `federation: <idx> <name>`.
 fn render_metrics(feds: &[FedMetrics], uptime_s: f64) -> String {
     let mut text = format!(
         "carol-service v1\n\
@@ -387,25 +385,26 @@ pub fn serve_trace<R>(
     options: &ServeOptions,
 ) -> Result<ServeReport, ServiceError>
 where
-    R: BufRead + Send + 'static,
+    R: BufRead + Send,
 {
     let mut reports = FederationSet::new(vec![spec.clone()]).serve(vec![reader], options)?;
     Ok(reports.pop().expect("one federation yields one report"))
 }
 
-/// N independent federations multiplexed over one daemon — the
+/// N independent federations served concurrently by one daemon — the
 /// `serve --config '[spec, spec, …]'` object.
 ///
 /// Each [`ExperimentSpec`] gets its own pretrained controller,
-/// [`ExperimentEngine`], checkpoint cadence and metrics rows. One
-/// ingest thread per federation decodes its trace; all of them feed a
-/// single bounded channel whose messages are `(federation, event)`
-/// pairs, and the control loop routes each to its federation's engine.
-/// The channel preserves per-sender order, so every federation's event
-/// stream replays in trace order regardless of how the federations
-/// interleave — which is why each served federation is bit-identical to
-/// serving it alone, and hence to its batch replay (gated in
-/// `tests/determinism.rs`).
+/// [`ExperimentEngine`], checkpoint cadence and metrics rows, and
+/// [`FederationSet::serve`] gives each federation one thread that
+/// decodes its trace and steps its engine: the first federation runs on
+/// the calling thread, every other on its own scoped thread. A
+/// federation reads its events in stream order and shares no state with
+/// the others, so each served federation is bit-identical to serving it
+/// alone, and hence to its batch replay (gated in
+/// `tests/determinism.rs`). Because federations step concurrently, the
+/// evaluation workers of their specs (`engine.threads`) add up, and
+/// [`ServeOptions::pace_interval_s`] paces each federation on its own.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 #[serde(transparent)]
 pub struct FederationSet {
@@ -453,13 +452,18 @@ impl FederationSet {
     /// every stream ends, returning one [`ServeReport`] per federation
     /// in spec order. `wall_s` on every report is the shared serve-loop
     /// wall clock; `metrics_snapshot` is the shared endpoint block.
+    ///
+    /// An error ends the whole serve: the failing federation raises a
+    /// stop flag, every other federation returns at its next event, and
+    /// the error of the lowest-index federation that failed is
+    /// returned.
     pub fn serve<R>(
         &self,
         readers: Vec<R>,
         options: &ServeOptions,
     ) -> Result<Vec<ServeReport>, ServiceError>
     where
-        R: BufRead + Send + 'static,
+        R: BufRead + Send,
     {
         if readers.len() != self.specs.len() {
             return Err(ServiceError::Io(format!(
@@ -469,14 +473,6 @@ impl FederationSet {
             )));
         }
         let mut feds: Vec<FedState> = self.specs.iter().map(FedState::new).collect();
-        let fed_metrics: Vec<FedMetrics> = feds
-            .iter()
-            .map(|f| FedMetrics {
-                name: f.spec.scenario.name.clone(),
-                state: Arc::clone(&f.state),
-            })
-            .collect();
-
         let stop = Arc::new(AtomicBool::new(false));
         let started = Instant::now();
 
@@ -490,60 +486,42 @@ impl FederationSet {
                     .local_addr()
                     .map_err(|e| ServiceError::Io(e.to_string()))?,
             );
-            let (feds_view, stop) = (fed_metrics.clone(), Arc::clone(&stop));
+            let feds_view: Vec<FedMetrics> = feds
+                .iter()
+                .map(|f| FedMetrics {
+                    name: f.spec.scenario.name.clone(),
+                    state: Arc::clone(&f.state),
+                })
+                .collect();
+            let stop = Arc::clone(&stop);
             endpoint_thread = Some(thread::spawn(move || {
                 metrics_listener(listener, feds_view, stop, started);
             }));
         }
 
-        // Ingest threads: one per federation, all feeding one bounded
-        // channel. A decode error is forwarded and ends that stream
-        // (the decoder fuses itself); an explicit EOF marker lets a
-        // short stream's federation drain while the others keep
-        // serving.
-        let (tx, rx) = mpsc::sync_channel::<(usize, FedMessage)>(1024);
-        let mut ingest_threads = Vec::new();
-        for (idx, reader) in readers.into_iter().enumerate() {
-            let tx = tx.clone();
-            ingest_threads.push(thread::spawn(move || {
-                match StreamingTrace::open(reader) {
-                    Ok(stream) => {
-                        for item in stream {
-                            if tx.send((idx, FedMessage::Event(item))).is_err() {
-                                return; // controller hung up
-                            }
-                        }
-                    }
-                    Err(e) => {
-                        let _ = tx.send((idx, FedMessage::Event(Err(e))));
-                    }
-                }
-                let _ = tx.send((idx, FedMessage::Eof));
-            }));
-        }
-        drop(tx);
-
-        // Control loop: route each message to its federation's engine.
-        let mut outcome = Ok(());
-        let mut open = feds.len();
-        for (idx, message) in rx.iter() {
-            let step = match message {
-                FedMessage::Event(Ok(event)) => feds[idx].on_event(event, options),
-                FedMessage::Event(Err(e)) => Err(e.into()),
-                FedMessage::Eof => {
-                    open -= 1;
-                    feds[idx].on_eof(options)
-                }
-            };
-            if let Err(e) = step {
-                outcome = Err(e);
-                break;
-            }
-            if open == 0 {
-                break;
-            }
-        }
-        drop(rx); // unblock any ingest thread still holding events
+        // One thread per federation, each decoding its own stream and
+        // stepping its own engine. The first federation runs on the
+        // calling thread, so a one-spec set starts no thread of its own.
+        // A federation that fails raises `stop`, which ends the others.
+        let drain = |fed: &mut FedState, reader: R| {
+            fed.drain(reader, options, &stop)
+                .inspect_err(|_| stop.store(true, Ordering::SeqCst))
+        };
+        let outcome: Result<(), ServiceError> = thread::scope(|scope| {
+            let mut pairs = feds.iter_mut().zip(readers);
+            let (first, first_reader) = pairs.next().expect("a federation set is never empty");
+            let others: Vec<_> = pairs
+                .map(|(fed, reader)| scope.spawn(move || drain(fed, reader)))
+                .collect();
+            // The lowest-index federation that failed names the error.
+            std::iter::once(drain(first, first_reader))
+                .chain(
+                    others
+                        .into_iter()
+                        .map(|handle| handle.join().expect("federation thread panicked")),
+                )
+                .collect()
+        });
 
         // Snapshot the endpoint over real TCP before shutting it down,
         // so a served run exercises the full metrics path end-to-end.
@@ -552,13 +530,10 @@ impl FederationSet {
             _ => None,
         };
 
-        // Clean shutdown: stop the endpoint, join every thread.
+        // Clean shutdown: stop the endpoint and join its thread.
         stop.store(true, Ordering::SeqCst);
         if let Some(handle) = endpoint_thread {
             handle.join().expect("metrics endpoint thread panicked");
-        }
-        for handle in ingest_threads {
-            handle.join().expect("ingest thread panicked");
         }
 
         outcome?;
@@ -588,26 +563,15 @@ pub fn serve_federation_listener(
     set.serve(readers, options)
 }
 
-/// What an ingest thread forwards over the shared channel.
-enum FedMessage {
-    /// A decoded trace event (or the decode error that ended the
-    /// stream).
-    Event(Result<TraceEvent, TraceError>),
-    /// The stream reached end-of-file cleanly.
-    Eof,
-}
-
 /// One federation's controller state inside a [`FederationSet`] run:
-/// the policy and engine being driven, the interval batcher, the
-/// checkpoint ledger, and the metrics the endpoint publishes.
+/// the policy and engine being driven, the checkpoint ledger, and the
+/// metrics the endpoint publishes.
 struct FedState {
     spec: ExperimentSpec,
     policy: Carol,
     engine: ExperimentEngine,
     scheduler: Box<dyn edgesim::Scheduler>,
     state: Arc<Mutex<MetricsState>>,
-    batch: Vec<TaskSpec>,
-    saw_event: bool,
     tasks: usize,
     checkpoints: usize,
     last_checkpoint_interval: Option<usize>,
@@ -626,8 +590,6 @@ impl FedState {
             engine,
             scheduler,
             state: Arc::new(Mutex::new(MetricsState::default())),
-            batch: Vec::new(),
-            saw_event: false,
             tasks: 0,
             checkpoints: 0,
             last_checkpoint_interval: None,
@@ -673,29 +635,35 @@ impl FedState {
         Ok(())
     }
 
-    /// Feeds one streamed event, grouping by interval and running one
-    /// engine step per closed interval — intervals with no events
+    /// Decodes this federation's stream and steps its engine on the
+    /// calling thread until the stream ends, fails, or `stop` is raised
+    /// (checked once per event). Events are grouped by interval and each
+    /// closed interval runs one engine step — intervals with no events
     /// included, exactly like
     /// [`ReplayWorkload`](workloads::replay::ReplayWorkload) delivers
     /// them — so the stream horizon is `last event interval + 1`.
-    fn on_event(&mut self, event: TraceEvent, options: &ServeOptions) -> Result<(), ServiceError> {
-        self.saw_event = true;
-        while self.engine.interval() < event.interval {
-            let arrivals = std::mem::take(&mut self.batch);
-            self.run_interval(arrivals, options)?;
+    fn drain(
+        &mut self,
+        reader: impl BufRead,
+        options: &ServeOptions,
+        stop: &AtomicBool,
+    ) -> Result<(), ServiceError> {
+        // Every event carries at least one arrival, so the batch is
+        // empty at end of stream only if the stream had no events.
+        let mut batch = Vec::new();
+        for event in StreamingTrace::open(reader)? {
+            if stop.load(Ordering::SeqCst) {
+                return Ok(());
+            }
+            let event = event?;
+            while self.engine.interval() < event.interval {
+                self.run_interval(std::mem::take(&mut batch), options)?;
+            }
+            self.tasks += event.arrivals;
+            batch.extend(std::iter::repeat_n(event.to_spec(), event.arrivals));
         }
-        self.tasks += event.arrivals;
-        let spec_task = event.to_spec();
-        self.batch
-            .extend(std::iter::repeat_n(spec_task, event.arrivals));
-        Ok(())
-    }
-
-    /// End-of-stream drain: the interval of the final event(s).
-    fn on_eof(&mut self, options: &ServeOptions) -> Result<(), ServiceError> {
-        if self.saw_event {
-            let arrivals = std::mem::take(&mut self.batch);
-            self.run_interval(arrivals, options)?;
+        if !batch.is_empty() {
+            self.run_interval(batch, options)?;
         }
         Ok(())
     }
@@ -759,7 +727,7 @@ mod tests {
     use crate::scenario::WorkloadSource;
     use gon::TrainConfig;
     use std::io::Cursor;
-    use workloads::replay::{export_jsonl, record_suite};
+    use workloads::replay::{export_jsonl, load_jsonl, record_suite, TraceEvent};
     use workloads::BenchmarkSuite;
 
     /// A small, cheap spec: 8-host federation replaying a recorded
@@ -951,7 +919,7 @@ mod tests {
             assert_eq!(
                 multi.result.total_energy_wh.to_bits(),
                 solo.result.total_energy_wh.to_bits(),
-                "multiplexing must not perturb a federation's stream"
+                "serving alongside another federation must not perturb a stream"
             );
         }
         let snapshot = reports[0]
@@ -1058,6 +1026,55 @@ mod tests {
         assert_eq!(
             served.result.total_energy_wh.to_bits(),
             batch.result.total_energy_wh.to_bits()
+        );
+    }
+
+    /// A well-formed event past a trace limit fails the serve with the
+    /// typed error before its interval is stepped.
+    #[test]
+    fn serve_rejects_events_past_the_trace_limits() {
+        let (spec, trace) = small_spec(37);
+        let hostile = TraceEvent {
+            interval: 1_000_000_000_000,
+            ..load_jsonl(&trace).unwrap().remove(0)
+        };
+        let text = trace.clone() + &serde_json::to_string(&hostile).unwrap() + "\n";
+        let err = serve_trace(&spec, Cursor::new(text), &ServeOptions::default()).unwrap_err();
+        let line = trace.lines().count() + 1;
+        let limit = workloads::replay::MAX_INTERVAL_JUMP;
+        let want = TraceError::OverLimit {
+            line,
+            field: "interval",
+            limit,
+        };
+        assert_eq!(err, ServiceError::Trace(want));
+    }
+
+    /// A malformed line late in the second federation's stream fails
+    /// the whole serve with that federation's typed error.
+    #[test]
+    fn federation_set_fails_on_one_malformed_stream() {
+        let (spec_a, trace_a) = small_spec(41);
+        let (spec_b, trace_b) = small_spec(43);
+        let mut lines: Vec<&str> = trace_b.lines().collect();
+        assert!(lines.len() > 5, "the trace needs events after the bad line");
+        lines.insert(4, "not a trace event");
+        let broken_b = lines.join("\n") + "\n";
+        let err = FederationSet::new(vec![spec_a, spec_b])
+            .serve(
+                vec![
+                    Cursor::new(trace_a.into_bytes()),
+                    Cursor::new(broken_b.into_bytes()),
+                ],
+                &ServeOptions::default(),
+            )
+            .unwrap_err();
+        assert!(
+            matches!(
+                err,
+                ServiceError::Trace(TraceError::Malformed { line: 5, .. })
+            ),
+            "got {err:?}"
         );
     }
 

@@ -70,8 +70,9 @@ impl SchedulingDecision {
     }
 }
 
-/// A placement policy invoked once per scheduling interval.
-pub trait Scheduler {
+/// A placement policy invoked once per scheduling interval. `Send`, so
+/// a federation's engine and scheduler can step on their own thread.
+pub trait Scheduler: Send {
     /// Chooses hosts for every pending task. Running tasks keep their
     /// placement; implementations should only place `Pending` tasks on
     /// non-failed hosts.

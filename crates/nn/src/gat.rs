@@ -99,11 +99,11 @@ pub struct GraphAttention {
     b: Param,
     wq: Param,
     wk: Param,
-    /// `Wᵀ`, `W_qᵀ` and `W_kᵀ` for the backward's input-gradient
-    /// products, built on first use after each
-    /// [`GraphAttention::params_mut`], as `Dense` caches its `Wᵀ`.
+    /// `W_qᵀ` and `W_kᵀ` for the backward's `dH` products, built on
+    /// first use after each [`GraphAttention::params_mut`], as `Dense`
+    /// caches its `Wᵀ`.
     #[serde(skip)]
-    transposes: Option<[Matrix; 3]>,
+    transposes: Option<[Matrix; 2]>,
 }
 
 /// One graph's forward pass, as [`GraphAttention::forward`] returns it:
@@ -674,20 +674,9 @@ impl GraphAttention {
         1.0 / (self.wq.value.cols() as f64).sqrt()
     }
 
-    /// Backward pass of the forward `pass`: accumulates parameter
-    /// gradients and returns the gradient with respect to the input
-    /// features.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `grad_output` doesn't hold one row per node of `pass`.
-    pub fn backward(&mut self, pass: &Reference, grad_output: &Matrix) -> Matrix {
-        self.backward_batch(pass, grad_output, &[(0, pass.rows())])
-    }
-
-    /// The parameter gradients of [`GraphAttention::backward`], without
-    /// its input gradient `dH_pre·Wᵀ`: for callers whose graph features
-    /// are not trained.
+    /// Backward pass of the forward `pass`: accumulates the parameter
+    /// gradients. The gradient with respect to the input features is not
+    /// computed: no caller trains the graph features.
     ///
     /// # Panics
     ///
@@ -700,38 +689,6 @@ impl GraphAttention {
             "grad_output shape mismatch"
         );
         self.backward_segments(pass, grad_output, &[(0, n, 0)]);
-    }
-
-    /// Batched [`GraphAttention::backward`] of a `pass` over the disjoint
-    /// union of per-sample graphs (the stacked layout
-    /// [`GraphAttention::forward`] documents): accumulates parameter
-    /// gradients **per `(row offset, node count)` segment, in segment
-    /// order**, bit-identical to running `forward` + `backward` once per
-    /// component graph. Attention never
-    /// crosses segment boundaries, so the per-node gradient flows are
-    /// already block-diagonal; only the four parameter-gradient
-    /// reductions (`W`, `b`, `W_q`, `W_k`) need the segment structure to
-    /// keep the f64 accumulation chains per-sample.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the segments don't tile the pass's rows, or if
-    /// `grad_output` doesn't hold one row per node of `pass`.
-    pub fn backward_batch(
-        &mut self,
-        pass: &Reference,
-        grad_output: &Matrix,
-        segments: &[(usize, usize)],
-    ) -> Matrix {
-        let n = tiled_rows(pass, segments);
-        assert_eq!(
-            grad_output.shape(),
-            (n, self.out_dim()),
-            "grad_output shape mismatch"
-        );
-        let grad_segments: Vec<_> = segments.iter().map(|&(o, k)| (o, k, o)).collect();
-        let d_hpre = self.backward_segments(pass, grad_output, &grad_segments);
-        d_hpre.matmul(&self.transposes()[0])
     }
 
     /// Backward over **interleaved real/fake gradient pairs sharing one
@@ -749,11 +706,10 @@ impl GraphAttention {
     /// component `b` with pass offset `o_b` owns grad rows
     /// `[2o_b, 2o_b+n_b)` (real) and `[2o_b+n_b, 2o_b+2n_b)` (fake).
     /// Parameter gradients accumulate in grad-segment order — exactly
-    /// the order `backward_batch` over a physically duplicated stacking
-    /// would use, so the result is bit-identical to it. The gradient
-    /// with respect to the input features is **not** computed (every
-    /// adversarial caller discards it), which also skips the final
-    /// `dX = dH_pre·Wᵀ` product.
+    /// the order of one forward plus [`GraphAttention::accumulate_grads`]
+    /// per component, real then fake, so the result is bit-identical to
+    /// it. The gradient with respect to the input features is not
+    /// computed.
     ///
     /// # Panics
     ///
@@ -765,7 +721,12 @@ impl GraphAttention {
         grad_output: &Matrix,
         segments: &[(usize, usize)],
     ) {
-        let n = tiled_rows(pass, segments);
+        let n = pass.rows();
+        assert_eq!(
+            segments.iter().map(|&(_, k)| k).sum::<usize>(),
+            n,
+            "segments must tile the pass's node rows"
+        );
         assert_eq!(
             grad_output.shape(),
             (2 * n, self.out_dim()),
@@ -778,30 +739,25 @@ impl GraphAttention {
         self.backward_segments(pass, grad_output, &grad_segments);
     }
 
-    /// `[Wᵀ, W_qᵀ, W_kᵀ]`, built if [`GraphAttention::params_mut`]
-    /// dropped them.
-    fn transposes(&mut self) -> &[Matrix; 3] {
-        self.transposes
-            .get_or_insert_with(|| [&self.w, &self.wq, &self.wk].map(|p| p.value.transpose()))
-    }
-
     /// The backward both public forms share. Each `(pass row, node
     /// count, grad row)` segment backpropagates grad rows `[grad row,
     /// grad row + count)` through component `[pass row, pass row +
     /// count)` of `pass`; parameter gradients accumulate per segment, in
-    /// segment order. Returns `dL/dH_pre`, laid out like `grad_output`.
+    /// segment order.
     fn backward_segments(
         &mut self,
         pass: &Reference,
         grad_output: &Matrix,
         segments: &[(usize, usize, usize)],
-    ) -> Matrix {
+    ) {
         let rows = grad_output.rows();
         let d_out = self.out_dim();
         let d_att = self.wq.value.cols();
         let scale = 1.0 / (d_att as f64).sqrt();
-        self.transposes();
-        let [_, wqt, wkt] = self.transposes.as_ref().expect("just built");
+        let (wq, wk) = (&self.wq.value, &self.wk.value);
+        let [wqt, wkt] = self
+            .transposes
+            .get_or_insert_with(|| [wq, wk].map(Matrix::transpose));
         let graph = pass;
 
         // Through a tanh whose outputs are the pass's `y`: each grad row
@@ -860,19 +816,7 @@ impl GraphAttention {
             self.w.grad.add_in_place(&useg.transpose().matmul(&gseg));
             self.b.grad.add_in_place(&gseg.sum_rows());
         }
-        d_hpre
     }
-}
-
-/// The row count of `pass`, checked to equal the segments' total.
-fn tiled_rows(pass: &Reference, segments: &[(usize, usize)]) -> usize {
-    let n = pass.rows();
-    assert_eq!(
-        segments.iter().map(|&(_, k)| k).sum::<usize>(),
-        n,
-        "segments must tile the pass's node rows"
-    );
-    n
 }
 
 /// The attention/softmax backward for pass nodes `[pass_lo, pass_hi)`
@@ -1023,71 +967,40 @@ mod tests {
     }
 
     /// The cached transposes follow a weight change made through
-    /// `params_mut`: the input gradient after it equals a fresh layer's
-    /// with the changed weights.
+    /// `params_mut`: the parameter gradients after it equal a fresh
+    /// layer's with the changed weights.
     #[test]
     fn cached_transposes_are_invalidated_by_params_mut() {
+        let grads = |gat: &mut GraphAttention| -> Vec<Matrix> {
+            let feats = Initializer::new(14).normal(4, 3, 0.8);
+            let grad = Initializer::new(15).normal(4, 4, 0.5);
+            gat.zero_grad();
+            let pass = gat.forward(&feats, &ring(4));
+            gat.accumulate_grads(&pass, &grad);
+            gat.params_mut().iter().map(|p| p.grad.clone()).collect()
+        };
         let mut gat = GraphAttention::new(3, 4, 3, &mut Initializer::new(8));
-        let feats = Initializer::new(14).normal(4, 3, 0.8);
-        let adj = ring(4);
-        let grad = Initializer::new(15).normal(4, 4, 0.5);
-        let pass = gat.forward(&feats, &adj);
-        let before = gat.backward(&pass, &grad);
+        let before = grads(&mut gat);
         for p in gat.params_mut() {
             p.value = p.value.scale(1.5);
         }
         let mut fresh = gat.clone();
         fresh.transposes = None;
-        let pass = gat.forward(&feats, &adj);
-        let after = gat.backward(&pass, &grad);
+        let after = grads(&mut gat);
         assert_ne!(before, after, "stale transposes survived params_mut");
-        assert_eq!(after, fresh.backward(&pass, &grad));
+        assert_eq!(after, grads(&mut fresh));
     }
 
-    #[test]
-    fn input_gradient_matches_numerical() {
-        let mut init = Initializer::new(7);
-        let mut gat = GraphAttention::new(3, 4, 3, &mut init);
-        let feats = Initializer::new(13).normal(4, 3, 0.8);
-        let adj = ring(4);
-
-        let loss = |g: &GraphAttention, x: &Matrix| -> f64 {
-            let pass = g.forward(x, &adj);
-            0.5 * pass.output().data().iter().map(|v| v * v).sum::<f64>()
-        };
-
-        let pass = gat.forward(&feats, &adj);
-        let analytic = gat.backward(&pass, pass.output());
-        let numeric = numerical_grad(&feats, 1e-6, |probe| loss(&gat, probe));
-        assert!(
-            max_abs_diff(&analytic, &numeric) < 1e-6,
-            "GAT input gradient mismatch"
-        );
-    }
-
-    #[test]
-    fn accumulate_grads_matches_the_backward_parameter_gradients() {
-        let (feats, rows) = random_graph(10, 41);
-        let mut gat = GraphAttention::new(3, 5, 4, &mut Initializer::new(17));
-        let mut params_only = gat.clone();
-        let pass = gat.forward(&feats, &to_adjacency(&rows));
-        let grad = Initializer::new(18).normal(10, 5, 1.0);
-        gat.backward(&pass, &grad);
-        params_only.accumulate_grads(&pass, &grad);
-        for (a, b) in gat.params_mut().iter().zip(params_only.params_mut()) {
-            assert_eq!(a.grad, b.grad);
-        }
-    }
-
+    /// `accumulate_grads` on a random graph matches central differences
+    /// of `0.5·‖output‖²` for every parameter.
     #[test]
     fn parameter_gradients_match_numerical() {
-        let mut init = Initializer::new(21);
-        let mut gat = GraphAttention::new(2, 3, 2, &mut init);
-        let feats = Initializer::new(5).normal(3, 2, 0.7);
-        let adj = ring(3);
+        let (feats, rows) = random_graph(6, 21);
+        let adj = to_adjacency(&rows);
+        let mut gat = GraphAttention::new(3, 3, 2, &mut Initializer::new(21));
 
         let pass = gat.forward(&feats, &adj);
-        gat.backward(&pass, pass.output());
+        gat.accumulate_grads(&pass, pass.output());
         let analytic: Vec<Matrix> = gat.params_mut().iter().map(|p| p.grad.clone()).collect();
 
         // Numerically perturb each parameter tensor in turn.
@@ -1145,59 +1058,10 @@ mod tests {
         }
     }
 
-    #[test]
-    fn backward_batch_over_disjoint_union_matches_per_graph_backwards() {
-        // Stack three ring graphs block-diagonally; backward_batch with
-        // per-graph segments must accumulate exactly the parameter
-        // gradients (and input gradients) of three separate
-        // forward+backward passes, bit for bit.
-        let mut init = Initializer::new(37);
-        let mut gat = GraphAttention::new(3, 5, 4, &mut init);
-        let sizes = [2usize, 4, 3];
-        let feats: Vec<Matrix> = sizes
-            .iter()
-            .enumerate()
-            .map(|(i, &n)| Initializer::new(50 + i as u64).normal(n, 3, 0.8))
-            .collect();
-        let grads_out: Vec<Matrix> = sizes
-            .iter()
-            .enumerate()
-            .map(|(i, &n)| Initializer::new(60 + i as u64).normal(n, 5, 0.5))
-            .collect();
-
-        // Serial reference, grads accumulating across graphs in order.
-        let mut serial = gat.clone();
-        let mut serial_dx = Vec::new();
-        for (f, g) in feats.iter().zip(&grads_out) {
-            let pass = serial.forward(f, &ring(f.rows()));
-            serial_dx.push(serial.backward(&pass, g));
-        }
-        let serial_grads: Vec<Matrix> =
-            serial.params_mut().iter().map(|p| p.grad.clone()).collect();
-
-        // Stacked disjoint union.
-        let (stacked, adj, segments) = stack_rings(&feats);
-        let (stacked_g, _, _) = stack_rings(&grads_out);
-
-        let pass = gat.forward(&stacked, &adj);
-        let dx = gat.backward_batch(&pass, &stacked_g, &segments);
-        for (&(offset, n), want) in segments.iter().zip(&serial_dx) {
-            let got = dx.row_block(offset, n);
-            for (a, b) in got.data().iter().zip(want.data()) {
-                assert_eq!(a.to_bits(), b.to_bits(), "GAT input gradient diverged");
-            }
-        }
-        for (p, want) in gat.params_mut().iter().zip(&serial_grads) {
-            for (a, b) in p.grad.data().iter().zip(want.data()) {
-                assert_eq!(a.to_bits(), b.to_bits(), "GAT parameter gradient diverged");
-            }
-        }
-    }
-
-    /// `backward_interleaved` over one forward of B components
-    /// must accumulate bit-identical parameter gradients to
-    /// `backward_batch` over a physically duplicated stacking
-    /// [real₀, fake₀, real₁, …] — the shared-embedding lever's contract.
+    /// `backward_interleaved` over one forward of B components must
+    /// accumulate bit-identical parameter gradients to one forward plus
+    /// `accumulate_grads` per component, real then fake — the same add
+    /// order.
     #[test]
     fn backward_interleaved_matches_duplicated_stacking_bitwise() {
         let mut init = Initializer::new(43);
@@ -1221,11 +1085,14 @@ mod tests {
             .collect();
         let (grad_rows, _, _) = stack_rings(&grads);
 
-        // Reference: every component physically duplicated.
-        let (dup_feats, dup_adj, dup_segs) = stack_rings(feats.iter().flat_map(|f| [f, f]));
+        // Reference: every component's real, then fake gradient.
         let mut reference = gat.clone();
-        let pass = reference.forward(&dup_feats, &dup_adj);
-        reference.backward_batch(&pass, &grad_rows, &dup_segs);
+        for (f, pair) in feats.iter().zip(grads.chunks(2)) {
+            let pass = reference.forward(f, &ring(f.rows()));
+            for g in pair {
+                reference.accumulate_grads(&pass, g);
+            }
+        }
         let want: Vec<Matrix> = reference
             .params_mut()
             .iter()
@@ -1242,7 +1109,7 @@ mod tests {
                 assert_eq!(
                     a.to_bits(),
                     b.to_bits(),
-                    "interleaved backward diverged from duplicated stacking"
+                    "interleaved backward diverged from per-component passes"
                 );
             }
         }

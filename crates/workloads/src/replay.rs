@@ -30,8 +30,10 @@
 //! metrics but none of the completion-relevant accounting.
 //!
 //! The loader is strict: a malformed line, a negative or non-finite
-//! resource value, a zero-arrival event or an interval that goes
-//! backwards is a typed [`TraceError`], never a silently-skipped record.
+//! resource value, a zero-arrival event, an interval that goes
+//! backwards, or one past [`MAX_INTERVAL_JUMP`] or
+//! [`MAX_INTERVAL_ARRIVALS`] is a typed [`TraceError`], never a
+//! silently-skipped record.
 
 use crate::Workload;
 use edgesim::TaskSpec;
@@ -44,6 +46,23 @@ pub const TRACE_SCHEMA: &str = "carol-trace";
 
 /// Current trace schema version, written by [`export_jsonl`].
 pub const TRACE_VERSION: u32 = 1;
+
+/// The most intervals an event may step past the previous event (past
+/// interval 0 for the first event). A consumer steps every interval a
+/// jump skips, so one line with a huge interval would otherwise run a
+/// trillion empty intervals. A recorded trace never jumps further than
+/// its horizon, and the longest any generator in this workspace records
+/// is the `serve` bench's 14,200 intervals: `1 << 16` leaves 4.6×
+/// headroom.
+pub const MAX_INTERVAL_JUMP: usize = 1 << 16;
+
+/// The most arrivals one interval may carry, summed over that
+/// interval's events. A consumer expands every arrival into a task, so
+/// one line with a huge count would otherwise exhaust memory. No
+/// generator in this workspace samples more than 10,001 arrivals in an
+/// interval (the cap of [`crate::poisson`]): `1 << 16` leaves 6.5×
+/// headroom.
+pub const MAX_INTERVAL_ARRIVALS: usize = 1 << 16;
 
 /// CPU work units (simulator MIPS-equivalents) per millisecond of CPU
 /// time on the reference Pi 4B core set (4000 units/s). A power-of-two
@@ -168,6 +187,17 @@ pub enum TraceError {
         /// 1-based line number.
         line: usize,
     },
+    /// An event steps more than [`MAX_INTERVAL_JUMP`] intervals past the
+    /// previous event, or brings its interval past
+    /// [`MAX_INTERVAL_ARRIVALS`] arrivals.
+    OverLimit {
+        /// 1-based line number.
+        line: usize,
+        /// `"interval"` or `"arrivals"`.
+        field: &'static str,
+        /// The limit the event exceeds.
+        limit: usize,
+    },
     /// The underlying reader failed (streaming ingestion only; the
     /// in-memory [`load_jsonl`] never raises it).
     Io {
@@ -209,6 +239,12 @@ impl fmt::Display for TraceError {
             }
             TraceError::EmptyApp { line } => {
                 write!(f, "line {line}: event has an empty app name")
+            }
+            TraceError::OverLimit { line, field, limit } => {
+                write!(
+                    f,
+                    "line {line}: `{field}` exceeds the trace limit of {limit}"
+                )
             }
             TraceError::Io { line, message } => {
                 write!(f, "line {line}: read failed: {message}")
@@ -259,9 +295,9 @@ pub fn load_jsonl(text: &str) -> Result<Vec<TraceEvent>, TraceError> {
 /// [`StreamingTrace::open`] consumes and validates the header line;
 /// iteration then yields each event as it is read, applying exactly the
 /// validation [`load_jsonl`] applies (same [`TraceError`] variants, same
-/// 1-based line numbers, blank lines skipped, in-order check across
-/// events). After yielding an error the iterator is fused: subsequent
-/// calls return `None`.
+/// 1-based line numbers, blank lines skipped, in-order and size-limit
+/// checks across events). After yielding an error the iterator is
+/// fused: subsequent calls return `None`.
 ///
 /// # Examples
 ///
@@ -278,6 +314,8 @@ pub struct StreamingTrace<R> {
     /// 1-based number of lines consumed so far.
     line: usize,
     previous: Option<usize>,
+    /// Arrivals so far in the interval of `previous`.
+    previous_arrivals: usize,
     done: bool,
 }
 
@@ -317,6 +355,7 @@ impl<R: BufRead> StreamingTrace<R> {
             reader,
             line,
             previous: None,
+            previous_arrivals: 0,
             done: false,
         })
     }
@@ -372,16 +411,28 @@ impl<R: BufRead> Iterator for StreamingTrace<R> {
             if let Err(e) = event.validate(line) {
                 break Err(e);
             }
-            if let Some(prev) = self.previous {
-                if event.interval < prev {
-                    break Err(TraceError::OutOfOrder {
-                        line,
-                        interval: event.interval,
-                        previous: prev,
-                    });
-                }
+            let previous = self.previous.unwrap_or(0);
+            if event.interval < previous {
+                break Err(TraceError::OutOfOrder {
+                    line,
+                    interval: event.interval,
+                    previous,
+                });
+            }
+            let over = |field, limit| Err(TraceError::OverLimit { line, field, limit });
+            if event.interval - previous > MAX_INTERVAL_JUMP {
+                break over("interval", MAX_INTERVAL_JUMP);
+            }
+            let so_far = if self.previous == Some(event.interval) {
+                self.previous_arrivals
+            } else {
+                0
+            };
+            if event.arrivals > MAX_INTERVAL_ARRIVALS - so_far {
+                break over("arrivals", MAX_INTERVAL_ARRIVALS);
             }
             self.previous = Some(event.interval);
+            self.previous_arrivals = so_far + event.arrivals;
             break Ok(event);
         };
         if result.is_err() {
@@ -631,6 +682,40 @@ mod tests {
         event.app.clear();
         let err = load_jsonl(&export_jsonl(&[event])).unwrap_err();
         assert_eq!(err, TraceError::EmptyApp { line: 2 });
+    }
+
+    #[test]
+    fn loader_bounds_interval_jumps_and_arrivals_per_interval() {
+        let load = |events: &[(usize, usize)]| {
+            let base = sample_events()[0].clone();
+            let events: Vec<TraceEvent> = events
+                .iter()
+                .map(|&(interval, arrivals)| TraceEvent {
+                    interval,
+                    arrivals,
+                    ..base.clone()
+                })
+                .collect();
+            load_jsonl(&export_jsonl(&events))
+        };
+        let over = |line, field, limit| Err(TraceError::OverLimit { line, field, limit });
+        let (jump, most) = (MAX_INTERVAL_JUMP, MAX_INTERVAL_ARRIVALS);
+        // The first event jumps from interval 0, every later one from its
+        // predecessor.
+        assert!(load(&[(jump, 1)]).is_ok());
+        assert_eq!(load(&[(jump + 1, 1)]), over(2, "interval", jump));
+        assert_eq!(load(&[(1_000_000_000_000, 1)]), over(2, "interval", jump));
+        let far = [(5, 1), (5 + jump, 1), (6 + 2 * jump, 1)];
+        assert_eq!(load(&far), over(4, "interval", jump));
+        // Arrivals add up over one interval's events and start again at
+        // the next interval.
+        assert_eq!(load(&[(0, usize::MAX)]), over(2, "arrivals", most));
+        let half = most / 2;
+        assert_eq!(
+            load(&[(3, half), (3, half), (3, 1)]),
+            over(4, "arrivals", most)
+        );
+        assert!(load(&[(3, half), (3, half), (4, most)]).is_ok());
     }
 
     #[test]

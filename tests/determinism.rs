@@ -486,8 +486,8 @@ fn correlated_and_heterogeneous_scenarios_are_bit_identical_across_workers() {
 }
 
 /// The service daemon's contract: streaming a recorded trace through
-/// `serve_trace` — ingest thread, bounded channel, interval grouping,
-/// inline fine-tuning, checkpoint cadence and all — is bit-identical to
+/// `serve_trace` — stream decoding, interval grouping, inline
+/// fine-tuning, checkpoint cadence and all — is bit-identical to
 /// the equivalent batch replay through `run_experiment_full`, on one
 /// evaluation worker and on four.
 #[test]
@@ -550,12 +550,11 @@ fn service_stream_is_bit_identical_to_batch_replay() {
 }
 
 /// The multi-federation extension of the service contract: one daemon
-/// serving two federations concurrently — separate engines multiplexed
-/// over one bounded channel — must leave each federation bit-identical
-/// to (a) its own solo batch replay through `run_experiment_full` and
+/// serving 1, 2 and 4 federations concurrently — one engine and one
+/// thread per federation — must leave each federation bit-identical to
+/// (a) its own solo batch replay through `run_experiment_full` and
 /// (b) the same spec served alone, with per-federation worker counts
-/// (one federation on 1 evaluation worker, the other on 4) changing
-/// nothing.
+/// (1 or 4 evaluation workers) changing nothing.
 #[test]
 fn federation_set_stream_is_bit_identical_to_batch_replay_per_federation() {
     use carol::service::{
@@ -566,7 +565,7 @@ fn federation_set_stream_is_bit_identical_to_batch_replay_per_federation() {
     use workloads::replay::{export_jsonl, record_suite, ReplayWorkload};
     use workloads::BenchmarkSuite;
 
-    // Two deliberately different federations: distinct seeds, horizons
+    // Deliberately different federations: distinct seeds, horizons
     // offset by stream length, and distinct evaluation-engine widths.
     let build = |seed: u64, intervals: usize, threads: usize| {
         let events = record_suite(BenchmarkSuite::AIoTBench, 2.5, seed, intervals);
@@ -586,71 +585,74 @@ fn federation_set_stream_is_bit_identical_to_batch_replay_per_federation() {
             });
         (spec, trace, events)
     };
-    let (spec_a, trace_a, events_a) = build(33, 8, 1);
-    let (spec_b, trace_b, events_b) = build(37, 6, 4);
+    let feds = [
+        build(33, 8, 1),
+        build(37, 6, 4),
+        build(39, 7, 1),
+        build(43, 5, 4),
+    ];
 
-    // Per-federation batch references.
-    let batch = |spec: &ExperimentSpec, events: &[workloads::replay::TraceEvent]| {
-        let mut policy = Carol::pretrained(spec.carol_config(), spec.scenario.seed);
-        let mut workload = ReplayWorkload::new(events);
-        let mut scheduler = spec.scenario.scheduler.build();
-        carol::runner::run_experiment_full(
-            &mut policy,
-            &spec.scenario.experiment_config(),
-            &mut workload,
-            scheduler.as_mut(),
-        )
-    };
-    let batch_a = batch(&spec_a, &events_a);
-    let batch_b = batch(&spec_b, &events_b);
-    assert!(batch_a.completed > 0 && batch_b.completed > 0);
+    // Per-federation references: the batch replay and the solo serve.
+    let references: Vec<_> = feds
+        .iter()
+        .map(|(spec, trace, events)| {
+            let mut policy = Carol::pretrained(spec.carol_config(), spec.scenario.seed);
+            let mut workload = ReplayWorkload::new(events);
+            let mut scheduler = spec.scenario.scheduler.build();
+            let batch = carol::runner::run_experiment_full(
+                &mut policy,
+                &spec.scenario.experiment_config(),
+                &mut workload,
+                scheduler.as_mut(),
+            );
+            assert!(batch.completed > 0);
+            let solo = serve_trace(
+                spec,
+                Cursor::new(trace.clone().into_bytes()),
+                &ServeOptions::default(),
+            )
+            .expect("solo serve succeeds");
+            (batch, solo)
+        })
+        .collect();
 
-    // Per-federation solo serves.
-    let solo = |spec: &ExperimentSpec, trace: &str| {
-        serve_trace(
-            spec,
-            Cursor::new(trace.to_owned().into_bytes()),
-            &ServeOptions::default(),
-        )
-        .expect("solo serve succeeds")
-    };
-    let solo_a = solo(&spec_a, &trace_a);
-    let solo_b = solo(&spec_b, &trace_b);
-
-    // One daemon, both federations.
-    let set = FederationSet::new(vec![spec_a.clone(), spec_b.clone()]);
-    let reports = set
-        .serve(
-            vec![
-                Cursor::new(trace_a.into_bytes()),
-                Cursor::new(trace_b.into_bytes()),
-            ],
-            &ServeOptions::default(),
-        )
-        .expect("federation set serves");
-    assert_eq!(reports.len(), 2);
-
-    for (label, report, batch_ref, solo_ref, spec) in [
-        ("federation A", &reports[0], &batch_a, &solo_a, &spec_a),
-        ("federation B", &reports[1], &batch_b, &solo_b, &spec_b),
-    ] {
-        assert_eq!(
-            report.intervals, spec.scenario.intervals,
-            "{label}: stream horizon diverged from the replay horizon"
-        );
-        assert!(report.checkpoints_taken > 0, "{label}: cadence never fired");
-        assert_identical(batch_ref, &report.result);
-        assert_identical(&solo_ref.result, &report.result);
-        assert_eq!(
-            solo_ref.repairs_triggered, report.repairs_triggered,
-            "{label}: repair counts diverged from the solo serve"
-        );
+    // One daemon, the first 1, 2 and 4 federations.
+    for n in [1, 2, 4] {
+        let set = FederationSet::new(feds[..n].iter().map(|f| f.0.clone()).collect());
+        let readers = feds[..n]
+            .iter()
+            .map(|f| Cursor::new(f.1.clone().into_bytes()))
+            .collect();
+        let reports = set
+            .serve(readers, &ServeOptions::default())
+            .expect("federation set serves");
+        assert_eq!(reports.len(), n);
+        for (idx, (report, ((spec, _, _), (batch, solo)))) in
+            reports.iter().zip(feds.iter().zip(&references)).enumerate()
+        {
+            let label = format!("federation {idx} of {n}");
+            assert_eq!(
+                report.intervals, spec.scenario.intervals,
+                "{label}: stream horizon diverged from the replay horizon"
+            );
+            assert!(report.checkpoints_taken > 0, "{label}: cadence never fired");
+            assert_identical(batch, &report.result);
+            assert_identical(&solo.result, &report.result);
+            assert_eq!(
+                solo.repairs_triggered, report.repairs_triggered,
+                "{label}: repair counts diverged from the solo serve"
+            );
+        }
     }
-    // The two federations must not be clones of each other — the gate
-    // is only meaningful if the multiplexer keeps distinct streams apart.
-    assert_ne!(
-        reports[0].result.total_energy_wh.to_bits(),
-        reports[1].result.total_energy_wh.to_bits(),
+    // The federations must not be clones of each other — the gate is
+    // only meaningful if the set keeps distinct streams apart.
+    let energies: std::collections::BTreeSet<u64> = references
+        .iter()
+        .map(|(batch, _)| batch.total_energy_wh.to_bits())
+        .collect();
+    assert_eq!(
+        energies.len(),
+        feds.len(),
         "federations should differ; the gate would pass trivially"
     );
 }
