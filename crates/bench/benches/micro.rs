@@ -356,40 +356,30 @@ fn bench_repair(c: &mut Criterion) {
     }
 
     // One 2-candidate storm chunk (`gon::batch_len(1024)`) through
-    // `generate_candidates` against its parent's record, as the repair
-    // scores it: two reassignments of the repair shift, which keep the
-    // broker count and change a few rows, and two demotions of a parent
-    // at the snapshot's broker count, which raise every row's blast term
-    // (the step-0 encoder then runs whole).
-    let (sim, snapshot) = failed_broker_snapshot(1024, 171);
+    // `CarolObjective::score_moves` against its parent's record (kept
+    // after the first call), as the repair scores it: two reassignments
+    // of the repair shift, which keep the broker count and change a few
+    // rows, and two demotions of a parent at the snapshot's broker
+    // count, which raise every row's blast term (the step-0 encoder then
+    // runs whole).
     let failed = sim.failed_brokers();
-    let two_moves = |parent: &Topology, is_kind: fn(&Move) -> bool| -> Vec<Topology> {
-        enumerate_moves(parent, failed)
-            .into_iter()
-            .filter(is_kind)
-            .rev()
-            .take(2)
-            .map(|m| apply_move(parent, m).expect("the move applies"))
-            .collect()
+    let two_moves = |parent: &Topology, is_kind: fn(&Move) -> bool| -> Vec<Move> {
+        let moves = enumerate_moves(parent, failed).into_iter();
+        moves.filter(is_kind).rev().take(2).collect()
     };
     let is_reassign: fn(&Move) -> bool = |m| matches!(m, Move::Reassign { .. });
     let is_demotion: fn(&Move) -> bool = |m| matches!(m, Move::Demote { .. });
-    let shifted = repair_shift(&sim);
-    let demoted = two_moves(&shifted, is_demotion).swap_remove(0);
+    let demoted = apply_move(&shifted, two_moves(&shifted, is_demotion)[0]).expect("it applies");
     assert_eq!(demoted.brokers().len(), snapshot.topology.brokers().len());
-    let mut gon = GonModel::new(storm.gon.clone());
     for (kind, parent, is_kind) in [
         ("reassign", &shifted, is_reassign),
         ("demote", &demoted, is_demotion),
     ] {
-        let record = gon.record_parent(&snapshot.with_topology(parent));
-        let chunk: Vec<SystemState> = two_moves(parent, is_kind)
-            .iter()
-            .map(|t| snapshot.with_topology(t))
-            .collect();
+        let chunk = two_moves(parent, is_kind);
         assert_eq!(chunk.len(), gon::batch_len(1024));
+        let mut objective = policy.batch_objective(&snapshot);
         c.bench_function(&format!("storm_chunk_{kind}"), |b| {
-            b.iter(|| black_box(gon.generate_candidates(black_box(&record), black_box(&chunk))))
+            b.iter(|| black_box(objective.score_moves(black_box(parent), black_box(&chunk))))
         });
     }
 

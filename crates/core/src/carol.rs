@@ -345,32 +345,8 @@ impl Carol {
         CarolObjective {
             carol: self,
             base: base.projection(),
-            record: KeptRecord::default(),
+            record: None,
             scorers: Vec::new(),
-        }
-    }
-
-    /// The record of `parent` projected from `base`: the one in `kept`
-    /// when it is `parent`'s, else a new one kept there under the next
-    /// number; and its number.
-    fn parent_record<'r>(
-        &mut self,
-        base: &Projection<'_>,
-        parent: &Topology,
-        kept: &'r mut KeptRecord,
-    ) -> (&'r ParentRecord, u64) {
-        match kept.record.take() {
-            Some(record) if record.topology() == parent => {
-                (kept.record.insert(record), kept.number)
-            }
-            _ => {
-                let (state, projected) = timed(|| base.with_topology(parent));
-                let (record, recorded) = timed(|| self.gon.record_parent(&state));
-                self.timings.projection.add(projected);
-                self.timings.surrogate.add(recorded);
-                kept.number += 1;
-                (kept.record.insert(record), kept.number)
-            }
         }
     }
 
@@ -399,38 +375,25 @@ impl Carol {
         out
     }
 
-    /// Ω(G) of every candidate against the prepared snapshot `base` —
-    /// the engine behind every tabu iteration. `parent` is the topology
-    /// the candidates are moves from; any topology over the same hosts
-    /// gives the same bits, but one close to the candidates leaves the
-    /// GON little to recompute.
+    /// Ω(G) of every candidate against the prepared snapshot `base`.
     ///
     /// Candidates are chunked by [`gon::batch_len`] — about 2,048 stacked
     /// host rows per chunk, 16 candidates up to 128 hosts, 2 at 1,024 —
     /// so a chunk's activations stay a small working set the allocator
     /// reuses instead of returning to the kernel and faulting back in.
-    /// Each chunk runs as one stacked network forward (for the GON, one
-    /// batched eq.-1 ascent whose graph branch and first encoder step are
-    /// deltas against the parent's [`ParentRecord`], kept in `record`
-    /// and recorded anew only when the parent changes), and the chunks
-    /// fan out over [`par::par_map_init`]
-    /// workers that each clone the model once and score all their chunks
-    /// on that replica; every worker reads the one parent record. Chunk
-    /// boundaries are a pure function of the candidate list, results are
-    /// written to input-index slots, and the modeled decision-time costs
-    /// are charged in candidate order afterwards — so the returned scores
-    /// *and* every accumulator on `self` are bit-identical to scoring one
-    /// candidate at a time through the full-forward
-    /// [`GonModel::generate`], at any thread count. The differential
+    /// Each chunk is projected whole and runs as one stacked network
+    /// forward (for the GON, one batched eq.-1 ascent,
+    /// [`GonModel::generate_batch`]), and the chunks fan out over
+    /// [`par::par_map_init`] workers that each clone the model once and
+    /// score all their chunks on that replica. Chunk boundaries are a
+    /// pure function of the candidate list, results are written to
+    /// input-index slots, and the modeled decision-time costs are charged
+    /// in candidate order afterwards — so the returned scores *and* every
+    /// accumulator on `self` are bit-identical to scoring one candidate at
+    /// a time through [`GonModel::generate`], at any thread count. The differential
     /// oracle in `tests/objective_oracle.rs` checks exactly that against
     /// a plain per-candidate reference.
-    fn score_candidates(
-        &mut self,
-        base: &Projection<'_>,
-        parent: &Topology,
-        record: &mut KeptRecord,
-        candidates: &[Topology],
-    ) -> Vec<f64> {
+    fn score_candidates(&mut self, base: &Projection<'_>, candidates: &[Topology]) -> Vec<f64> {
         if candidates.is_empty() {
             return Vec::new();
         }
@@ -468,7 +431,6 @@ impl Carol {
         // inference cost.
         let scored: Vec<Scored> = match self.config.variant {
             CarolVariant::Gon => {
-                let (parent, _) = self.parent_record(base, parent, record);
                 let depth_factor = self.config.gon.head_layers.max(1) as f64 / 3.0;
                 let gon = &self.gon;
                 par::par_map_init(
@@ -477,8 +439,7 @@ impl Carol {
                     || gon.clone(),
                     |model, chunk| {
                         let (states, projected) = probes(chunk);
-                        let (generated, generated_s) =
-                            timed(|| model.generate_candidates(parent, &states));
+                        let (generated, generated_s) = timed(|| model.generate_batch(&states));
                         let qos = gon_qos(&generated, depth_factor);
                         scored(chunk, qos, projected, generated_s)
                     },
@@ -523,14 +484,15 @@ impl Carol {
     /// to the scratch in place, projects only the rows the move touches
     /// ([`Move::touches`]) into its chunk's [`CandidateRows`], and undoes
     /// it; [`GonModel::generate_listed`] then scores the chunk against
-    /// the parent's record. Chunks, worker fan-out and bookkeeping are
-    /// `score_candidates`', so the scores and accumulators are the same
-    /// bits.
+    /// `parent`'s [`ParentRecord`], kept in `record` and recorded anew
+    /// (every scorer resynced with it) only when the parent changes.
+    /// Chunks, worker fan-out and bookkeeping are `score_candidates`', so
+    /// the scores and accumulators are the same bits.
     fn score_moves(
         &mut self,
         base: &Projection<'_>,
         parent: &Topology,
-        record: &mut KeptRecord,
+        record: &mut Option<ParentRecord>,
         scorers: &mut Vec<MoveScorer>,
         moves: &[Move],
     ) -> Vec<f64> {
@@ -539,13 +501,23 @@ impl Carol {
         }
         let chunks: Vec<&[Move]> = moves.chunks(gon::batch_len(parent.len())).collect();
         let workers = self.eval_workers().min(chunks.len());
-        let (record, number) = self.parent_record(base, parent, record);
+        let record = match record {
+            Some(kept) if kept.topology() == parent => kept,
+            _ => {
+                let (state, projected) = timed(|| base.with_topology(parent));
+                let (recorded, recorded_s) = timed(|| self.gon.record_parent(&state));
+                let ((), synced) = timed(|| scorers.iter_mut().for_each(|s| s.sync(base, parent)));
+                self.timings.projection.add(projected + synced);
+                self.timings.surrogate.add(recorded_s);
+                record.insert(recorded)
+            }
+        };
         while scorers.len() < workers {
-            scorers.push(MoveScorer::new(&self.gon, parent));
+            scorers.push(MoveScorer::new(&self.gon, base, parent));
         }
         let depth_factor = self.config.gon.head_layers.max(1) as f64 / 3.0;
         let scored = par::par_map_states(&mut scorers[..workers], &chunks, |scorer, chunk| {
-            scorer.score(base, (record, number), chunk, depth_factor)
+            scorer.score(base, record, chunk, depth_factor)
         });
         self.charge(scored)
     }
@@ -633,15 +605,6 @@ fn timed<T>(f: impl FnOnce() -> T) -> (T, f64) {
     (out, started.elapsed().as_secs_f64())
 }
 
-/// The last tabu parent's [`ParentRecord`], numbered: each new record
-/// takes the next number, so a [`MoveScorer`] can tell whether its
-/// scratch copy is of this record's parent.
-#[derive(Default)]
-struct KeptRecord {
-    record: Option<ParentRecord>,
-    number: u64,
-}
-
 /// One scored chunk: each candidate's (predicted QoS objective, modeled
 /// decision cost, transition cost), and the seconds the chunk's
 /// projection and surrogate took.
@@ -665,16 +628,13 @@ fn gon_qos(generated: &[Generated], depth_factor: f64) -> Vec<(f64, f64)> {
 }
 
 /// One scoring worker of [`Carol::score_moves`]: a GON replica, a
-/// scratch copy of the tabu parent that each move is applied to in place
-/// and undone, and the buffers of one chunk, all kept across chunks and
-/// calls.
+/// scratch copy of the kept record's tabu parent that each move is
+/// applied to in place and undone, and the buffers of one chunk, all
+/// kept across chunks and calls.
 struct MoveScorer {
     gon: GonModel,
     /// The parent, between moves.
     topology: Topology,
-    /// The number of the [`KeptRecord`] whose parent `topology` and
-    /// `pressure` are, if any.
-    synced: Option<u64>,
     /// The parent's per-LEI task pressure; while a move is applied, the
     /// LEIs it changes hold theirs.
     pressure: Vec<f64>,
@@ -689,12 +649,14 @@ struct MoveScorer {
 }
 
 impl MoveScorer {
-    fn new(gon: &GonModel, parent: &Topology) -> Self {
+    /// A scorer of moves from `parent`, projected from `base`.
+    fn new(gon: &GonModel, base: &Projection<'_>, parent: &Topology) -> Self {
+        let mut pressure = Vec::new();
+        base.pressure_into(parent, &mut pressure);
         Self {
             gon: gon.clone(),
             topology: parent.clone(),
-            synced: None,
-            pressure: Vec::new(),
+            pressure,
             saved: Vec::new(),
             undo: Vec::new(),
             touched: Touched::default(),
@@ -705,22 +667,22 @@ impl MoveScorer {
         }
     }
 
-    /// Scores `moves` from the topology of the record numbered `number`
-    /// (see [`Carol::score_moves`]).
+    /// Makes `parent` the topology the scorer's moves start from.
+    fn sync(&mut self, base: &Projection<'_>, parent: &Topology) {
+        self.topology.clone_from(parent);
+        base.pressure_into(parent, &mut self.pressure);
+    }
+
+    /// Scores `moves` from the topology of `record`, which the scorer is
+    /// synced with (see [`Carol::score_moves`]).
     fn score(
         &mut self,
         base: &Projection<'_>,
-        (record, number): (&ParentRecord, u64),
+        record: &ParentRecord,
         moves: &[Move],
         depth_factor: f64,
     ) -> Scored {
         let projecting = Instant::now();
-        if self.synced != Some(number) {
-            let parent = record.topology();
-            self.topology.clone_from(parent);
-            base.pressure_into(parent, &mut self.pressure);
-            self.synced = Some(number);
-        }
         let snapshot = base.base();
         self.rows.clear();
         self.transitions.clear();
@@ -841,29 +803,23 @@ impl std::error::Error for CarolCheckpointError {}
 
 /// Borrowed view of a [`Carol`] as a batched tabu objective: candidates
 /// are scored against one snapshot, prepared once by
-/// [`Carol::batch_objective`], as deltas against their tabu parent.
+/// [`Carol::batch_objective`]; the GON variant scores moves as deltas
+/// against their tabu parent.
 pub struct CarolObjective<'a> {
     carol: &'a mut Carol,
     base: Projection<'a>,
-    /// The last parent's record (GON variant): [`tabu::search`] scores
-    /// each iteration's moves against one parent.
-    record: KeptRecord,
+    /// The last moves' parent's record (GON variant): [`tabu::search`]
+    /// scores each iteration's moves from one parent.
+    record: Option<ParentRecord>,
     /// The GON variant's move scorers, one per worker, kept across calls.
     scorers: Vec<MoveScorer>,
 }
 
 impl tabu::BatchObjective for CarolObjective<'_> {
-    /// Scores whole candidate topologies as deltas against the
-    /// snapshot's own topology, or a lone candidate against itself: that
-    /// record then serves the moves from it, as [`tabu::search`] scores
-    /// its start before the start's moves.
+    /// Scores whole candidate topologies, each projected from the
+    /// snapshot and run through the surrogate's plain batched forward.
     fn score_batch(&mut self, candidates: &[Topology]) -> Vec<f64> {
-        let parent = match candidates {
-            [lone] => lone,
-            _ => &self.base.base().topology,
-        };
-        self.carol
-            .score_candidates(&self.base, parent, &mut self.record, candidates)
+        self.carol.score_candidates(&self.base, candidates)
     }
 
     /// The GON variant scores the moves without building their
@@ -879,8 +835,7 @@ impl tabu::BatchObjective for CarolObjective<'_> {
         }
         let apply = |&mv: &Move| apply_move(parent, mv).expect("a scored move applies");
         let candidates: Vec<Topology> = moves.iter().map(apply).collect();
-        self.carol
-            .score_candidates(base, parent, record, &candidates)
+        self.carol.score_candidates(base, &candidates)
     }
 }
 
@@ -1238,12 +1193,17 @@ mod tests {
     /// scores its start), `score_moves` on one objective that keeps its
     /// last parent's record (repeated and changing parents) and on fresh
     /// ones equals `score_batch` of the applied moves, scores and
-    /// bookkeeping alike, on one worker and on three.
+    /// bookkeeping alike, on one worker and on three. The snapshot
+    /// carries tasks, so every LEI's task pressure enters the rows.
     #[test]
     fn score_moves_is_bit_identical_to_score_batch_for_any_parent() {
         for (n_hosts, n_brokers) in [(16, 4), (1024, 171)] {
             let mut sim = Simulator::new(SimConfig::small(n_hosts, n_brokers, 3));
-            let report = sim.step(Vec::new(), &mut LeastLoadScheduler::new());
+            let rate = n_hosts as f64 / 2.0;
+            let tasks =
+                workloads::BagOfTasks::new(BenchmarkSuite::AIoTBench, rate, 3).sample_interval(0);
+            assert!(!tasks.is_empty());
+            let report = sim.step(tasks, &mut LeastLoadScheduler::new());
             let base = capture(&sim, &report.decision);
             let mut rng = StdRng::seed_from_u64(4);
             let snapshot = sim.topology().clone();

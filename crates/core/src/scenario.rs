@@ -26,11 +26,11 @@ use edgesim::scheduler::{LeastLoadScheduler, RoundRobinScheduler};
 use edgesim::{FleetMix, Scheduler, SimConfig};
 use faults::{FaultModel, TargetPolicy};
 use serde::{Deserialize, Serialize};
-use workloads::replay::{record_suite, ReplayWorkload, TraceEvent};
+use workloads::replay::{check_events, record_suite, ReplayWorkload, TraceEvent};
 use workloads::{ArrivalShape, BagOfTasks, BenchmarkSuite, Workload};
 
 /// Where a scenario's arrivals come from.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub enum WorkloadSource {
     /// Sample a synthetic suite at the given Poisson rate per interval.
     Suite {
@@ -44,6 +44,40 @@ pub enum WorkloadSource {
         /// The trace to replay, interval-sorted.
         events: Vec<TraceEvent>,
     },
+}
+
+/// Checks replayed events as a trace's are checked
+/// ([`workloads::replay::check_events`]), so that no JSON spec carries an
+/// event that [`ReplayWorkload::new`] would expand without bound.
+impl Deserialize for WorkloadSource {
+    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
+        let (variant, payload) = match v {
+            serde::Value::Map(entries) if entries.len() == 1 => (&entries[0].0, &entries[0].1),
+            other => return Err(serde::Error::expected("enum WorkloadSource", other)),
+        };
+        let field = |name: &str| {
+            let missing = || {
+                serde::Error(format!(
+                    "missing field `{name}` in WorkloadSource::{variant}"
+                ))
+            };
+            payload.get(name).ok_or_else(missing)
+        };
+        match variant.as_str() {
+            "Suite" => Ok(Self::Suite {
+                suite: Deserialize::from_value(field("suite")?)?,
+                rate: Deserialize::from_value(field("rate")?)?,
+            }),
+            "Replay" => {
+                let events: Vec<TraceEvent> = Deserialize::from_value(field("events")?)?;
+                check_events(&events).map_err(|e| serde::Error(format!("replay events: {e}")))?;
+                Ok(Self::Replay { events })
+            }
+            other => Err(serde::Error(format!(
+                "unknown variant `{other}` of WorkloadSource"
+            ))),
+        }
+    }
 }
 
 /// The underlying task scheduler a scenario runs on.

@@ -833,6 +833,52 @@ mod tests {
         assert_eq!(back.specs()[1].scenario.seed, 9);
     }
 
+    /// Replay events that arrive as JSON pass the trace's checks: an
+    /// over-limit interval jump, an over-limit arrival total in one
+    /// interval and an out-of-order pair are each rejected by
+    /// `ScenarioSpec::from_json` and by `FederationSet::from_json`, alone
+    /// and in a list, with the trace's error.
+    #[test]
+    fn json_specs_reject_replay_events_a_trace_would() {
+        use workloads::replay::{check_events, MAX_INTERVAL_ARRIVALS, MAX_INTERVAL_JUMP};
+        let events = |pairs: &[(usize, usize)]| -> Vec<TraceEvent> {
+            let event = |&(interval, arrivals)| TraceEvent {
+                interval,
+                app: "yolo".into(),
+                arrivals,
+                cpu_ms: 1.0,
+                mem_mb: 1.0,
+                net_kb: 1.0,
+                deadline_ms: 1000.0,
+            };
+            pairs.iter().map(event).collect()
+        };
+        let half = MAX_INTERVAL_ARRIVALS / 2;
+        let good = ExperimentSpec::new(ScenarioSpec::replay("ok", events(&[(0, 1)]), 8, 2, 1));
+        for (case, pairs) in [
+            ("jump", &[(MAX_INTERVAL_JUMP + 1, 1)][..]),
+            ("arrivals", &[(3, half), (3, half), (3, 1)][..]),
+            ("order", &[(5, 1), (2, 1)][..]),
+        ] {
+            let events = events(pairs);
+            let want = check_events(&events).expect_err(case).to_string();
+            let spec = ExperimentSpec::new(ScenarioSpec::replay(case, events, 8, 2, 1));
+            let errors = [
+                ScenarioSpec::from_json(&spec.scenario.to_json()).err(),
+                FederationSet::from_json(&spec.to_json()).err(),
+                FederationSet::from_json(&FederationSet::new(vec![good.clone(), spec]).to_json())
+                    .err(),
+            ];
+            for err in errors {
+                let err = err
+                    .unwrap_or_else(|| panic!("{case}: accepted"))
+                    .to_string();
+                assert!(err.contains(&want), "{case}: {err}");
+            }
+        }
+        assert!(FederationSet::from_json(&good.to_json()).is_ok());
+    }
+
     #[test]
     fn federation_set_rejects_reader_count_mismatch() {
         let (spec, trace) = small_spec(31);

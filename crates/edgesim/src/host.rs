@@ -136,13 +136,6 @@ pub struct HostState {
 }
 
 impl HostState {
-    /// True when resource over-utilisation would make the node
-    /// unresponsive per the paper's byzantine fault model (§III-A): any
-    /// of CPU/RAM/disk/network pinned at saturation.
-    pub fn is_saturated(&self) -> bool {
-        self.cpu >= 0.999 || self.ram >= 0.999 || self.disk >= 0.999 || self.net >= 0.999
-    }
-
     /// Composite load signal in `[0, 1]` used by heuristic baselines.
     pub fn load_score(&self) -> f64 {
         0.4 * self.cpu + 0.3 * self.ram + 0.15 * self.disk + 0.15 * self.net
@@ -170,17 +163,6 @@ mod tests {
         assert_eq!(s.power_at(-1.0), s.power_idle_w);
         let mid = s.power_at(0.5);
         assert!((mid - (s.power_idle_w + s.power_peak_w) / 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn saturation_detection() {
-        let mut st = HostState::default();
-        assert!(!st.is_saturated());
-        st.cpu = 1.0;
-        assert!(st.is_saturated());
-        st.cpu = 0.5;
-        st.net = 0.9995;
-        assert!(st.is_saturated());
     }
 
     #[test]

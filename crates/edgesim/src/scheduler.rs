@@ -14,10 +14,9 @@ use crate::topology::Topology;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
-/// The placement decision for one interval: task → host.
-///
-/// Convertible to the `[p × |H|]` one-hot matrix of §IV-A via
-/// [`SchedulingDecision::one_hot`].
+/// The placement decision for one interval: task → host. The `S` input
+/// of the surrogates (§IV-A) aggregates it per host
+/// ([`SystemState::capture`](crate::state::SystemState::capture)).
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct SchedulingDecision {
     assignments: BTreeMap<TaskId, HostId>,
@@ -52,21 +51,6 @@ impl SchedulingDecision {
     /// Iterates `(task, host)` pairs in task-id order.
     pub fn iter(&self) -> impl Iterator<Item = (TaskId, HostId)> + '_ {
         self.assignments.iter().map(|(t, h)| (*t, *h))
-    }
-
-    /// One-hot `[p × n_hosts]` matrix in task-id order (the `S` input of
-    /// the CAROL neural network).
-    pub fn one_hot(&self, n_hosts: usize) -> Vec<Vec<f64>> {
-        self.assignments
-            .values()
-            .map(|&h| {
-                let mut row = vec![0.0; n_hosts];
-                if h < n_hosts {
-                    row[h] = 1.0;
-                }
-                row
-            })
-            .collect()
     }
 }
 
@@ -435,19 +419,5 @@ mod tests {
             a.schedule(&refs(&tasks), &topo, &specs, &states),
             b.schedule(&refs(&tasks), &topo, &specs, &states)
         );
-    }
-
-    #[test]
-    fn one_hot_rows_sum_to_one() {
-        let mut d = SchedulingDecision::new();
-        d.assign(3, 1);
-        d.assign(7, 0);
-        let m = d.one_hot(4);
-        assert_eq!(m.len(), 2);
-        for row in &m {
-            assert_eq!(row.iter().sum::<f64>(), 1.0);
-        }
-        assert_eq!(m[0][1], 1.0); // task 3 first (id order)
-        assert_eq!(m[1][0], 1.0);
     }
 }

@@ -214,8 +214,8 @@ fn stack_ms_into<'a>(
     }
 }
 
-/// A tabu parent prepared for [`GonModel::generate_candidates`], once
-/// per tabu iteration: its topology, its GAT forward, its `[M | S]` rows
+/// A tabu parent prepared for [`GonModel::generate_listed`], once per
+/// tabu iteration: its topology, its GAT forward, its `[M | S]` rows
 /// and the encoder's pre-activation rows for them. Valid for the
 /// weights that built it (and any clone's) until they next change, and
 /// only for candidates projected from the snapshot it was projected
@@ -349,10 +349,11 @@ pub struct GonModel {
 }
 
 /// The buffers of one stacked discriminator pass, reused from call to
-/// call: [`GonModel::generate_batch`]'s eq.-1 ascent runs in one, the
-/// training passes in another. Once they have held a chunk of a shape, a
-/// step of the ascent allocates nothing. A clone starts empty, since the
-/// contents are scratch.
+/// call: the eq.-1 ascent of [`GonModel::generate_batch`] and
+/// [`GonModel::generate_listed`] runs in one, the training passes in
+/// another. Once they have held a chunk of a shape, a step of the ascent
+/// allocates nothing. A clone starts empty, since the contents are
+/// scratch.
 #[derive(Debug, Default)]
 struct Pass {
     /// The stacked `[M | S]` rows. Their metric columns are the
@@ -496,7 +497,7 @@ impl GonModel {
         // and inherits its structural savings: the step-invariant graph
         // branch runs once per query instead of once per ascent step, and
         // the input-only backward skips the parameter-gradient work.
-        self.generate_stacked(std::slice::from_ref(state))
+        self.generate_batch(std::slice::from_ref(state))
             .pop()
             .expect("one candidate in, one result out")
     }
@@ -580,12 +581,23 @@ impl GonModel {
     /// parameter gradients untouched; side-effect-free evaluation during
     /// training runs on this.
     pub fn generate_batch(&mut self, states: &[SystemState]) -> Vec<Generated> {
-        self.generate_stacked(states)
+        if states.is_empty() {
+            return Vec::new();
+        }
+        let mut ws = std::mem::take(&mut self.ascent);
+        stack_ms_into(states.iter(), &mut ws.x, &mut ws.segments);
+        ws.pooled
+            .resize(states.len(), self.config.hidden + self.config.gat_dim);
+        let refs: Vec<&SystemState> = states.iter().collect();
+        self.graph_branch(&refs, &ws.segments, &mut ws.pooled);
+        let outs = self.ascend(&mut ws, None);
+        self.ascent = ws;
+        outs
     }
 
     /// The [`ParentRecord`] of `parent`: a tabu parent projected from
     /// the snapshot (`snapshot.with_topology(parent topology)`), whose
-    /// neighbours [`GonModel::generate_candidates`] then scores as deltas.
+    /// neighbours [`GonModel::generate_listed`] then scores as deltas.
     pub fn record_parent(&mut self, parent: &SystemState) -> ParentRecord {
         let (mut ms, mut z) = (Matrix::default(), Matrix::default());
         stack_ms_into(std::iter::once(parent), &mut ms, &mut Vec::new());
@@ -652,51 +664,6 @@ impl GonModel {
         outs
     }
 
-    /// [`GonModel::generate_listed`] of whole candidate states: each
-    /// lists the hosts whose `[M | S]` row, graph features or GAT row
-    /// differ from `parent`'s, bit for bit. Bit-identical to
-    /// `generate_batch` for any record.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a state's host count differs from the parent's.
-    pub fn generate_candidates(
-        &mut self,
-        parent: &ParentRecord,
-        states: &[SystemState],
-    ) -> Vec<Generated> {
-        let same = |a: &[f64], b: &[f64]| a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits());
-        let features = parent.graph.features();
-        let mut candidates = CandidateRows::default();
-        for s in states {
-            assert_eq!(s.n_hosts(), parent.ms.rows(), "host count mismatch");
-            candidates.push_candidate();
-            for (h, (m, sched)) in s.metrics.iter().zip(&s.schedule).enumerate() {
-                let (pm, ps) = parent.ms.row(h).split_at(METRIC_DIM);
-                if !same(m, pm) || !same(sched, ps) {
-                    candidates.push_row(h, m, sched);
-                }
-            }
-            // Over one broker list a GAT row differs exactly where the
-            // role or the host's own worker list does.
-            let (t, p) = (&s.topology, &parent.topology);
-            let same_brokers = t.brokers() == p.brokers();
-            let row_differs = |h| {
-                if same_brokers {
-                    t.role(h) != p.role(h) || t.workers_of(h) != p.workers_of(h)
-                } else {
-                    !t.gat_row(h).eq(p.gat_row(h))
-                }
-            };
-            for (h, f) in s.graph_features.iter().enumerate() {
-                if !same(f, features.row(h)) || row_differs(h) {
-                    candidates.push_graph(h, f, t.gat_row(h));
-                }
-            }
-        }
-        self.generate_listed(parent, &candidates)
-    }
-
     /// The GAT pass over the disjoint union of `states`' graphs, each
     /// state's rows (its segment) mean-pooled into the graph columns of
     /// its `pooled` row.
@@ -713,23 +680,6 @@ impl GonModel {
             pool_rows(&mut pooled.row_mut(i)[self.config.hidden..], rows, |v| v);
         }
         graph
-    }
-
-    /// [`GonModel::generate_batch`]: the stacked states' graph branch
-    /// whole, then the masked batched ascent.
-    fn generate_stacked(&mut self, states: &[SystemState]) -> Vec<Generated> {
-        if states.is_empty() {
-            return Vec::new();
-        }
-        let mut ws = std::mem::take(&mut self.ascent);
-        stack_ms_into(states.iter(), &mut ws.x, &mut ws.segments);
-        ws.pooled
-            .resize(states.len(), self.config.hidden + self.config.gat_dim);
-        let refs: Vec<&SystemState> = states.iter().collect();
-        self.graph_branch(&refs, &ws.segments, &mut ws.pooled);
-        let outs = self.ascend(&mut ws, None);
-        self.ascent = ws;
-        outs
     }
 
     /// The masked batched eq.-1 ascent of the candidates stacked in `ws`
@@ -1118,7 +1068,7 @@ mod tests {
     }
 
     /// The training passes and the ascent keep separate workspaces: a
-    /// `generate` and a `generate_candidates` between a `score` and its
+    /// `generate` and a `generate_listed` between a `score` and its
     /// `backward` change neither the metric dX the backward returns nor
     /// any parameter gradient, bit for bit.
     #[test]
@@ -1132,7 +1082,8 @@ mod tests {
             if ascend_between {
                 model.generate(&test_state(6, 2, 0.7));
                 let record = model.record_parent(&base);
-                model.generate_candidates(&record, &[base.with_topology(&moved)]);
+                let rows = listed(&[base.with_topology(&moved)], Some(&record));
+                model.generate_listed(&record, &rows);
             }
             let dx = model.backward(real.n_hosts(), 0.7);
             let bits = |m: &Matrix| m.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
@@ -1238,12 +1189,44 @@ mod tests {
         }
     }
 
-    /// Any parent record gives `generate_batch`'s bits: the candidates'
-    /// own topology, a promotion (another broker count) and an unrelated
-    /// topology, on chunks that reuse the parent's step-0 encoder rows
-    /// and on chunks that mostly cannot.
+    /// `states` as one [`CandidateRows`] chunk: with a `record`, listing
+    /// only the hosts whose `[M | S]` row, graph features or GAT row
+    /// differ from its, bit for bit; without, every host.
+    fn listed(states: &[SystemState], record: Option<&ParentRecord>) -> CandidateRows {
+        let same = |a: &[f64], b: &[f64]| a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits());
+        let mut rows = CandidateRows::default();
+        for s in states {
+            rows.push_candidate();
+            for (h, (m, sched)) in s.metrics.iter().zip(&s.schedule).enumerate() {
+                let differs = record.is_none_or(|p| {
+                    let (pm, ps) = p.ms.row(h).split_at(METRIC_DIM);
+                    !same(m, pm) || !same(sched, ps)
+                });
+                if differs {
+                    rows.push_row(h, m, sched);
+                }
+            }
+            let t = &s.topology;
+            for (h, f) in s.graph_features.iter().enumerate() {
+                let differs = record.is_none_or(|p| {
+                    !same(f, p.graph.features().row(h)) || !t.gat_row(h).eq(p.topology.gat_row(h))
+                });
+                if differs {
+                    rows.push_graph(h, f, t.gat_row(h));
+                }
+            }
+        }
+        rows
+    }
+
+    /// Any parent record gives `generate_batch`'s bits, whether a chunk
+    /// lists every host or only those that differ from the record: the
+    /// candidates' own topology, a promotion (another broker count), an
+    /// unrelated topology and a record of another snapshot, on chunks
+    /// that reuse the parent's step-0 encoder rows and on chunks that
+    /// mostly cannot.
     #[test]
-    fn generate_candidates_is_bit_identical_to_generate_batch() {
+    fn generate_listed_is_bit_identical_to_generate_batch() {
         let base = test_state(12, 3, 0.4);
         let topology = base.topology.clone();
         let mut promoted = topology.clone();
@@ -1259,29 +1242,33 @@ mod tests {
                 gen_steps,
                 ..small_config()
             });
-            for parent in [&topology, &promoted, &unrelated] {
-                let record = model.record_parent(&base.with_topology(parent));
+            let parents = [
+                ("own", base.with_topology(&topology)),
+                ("promoted", base.with_topology(&promoted)),
+                ("unrelated", base.with_topology(&unrelated)),
+                ("another snapshot", test_state(12, 3, 0.9)),
+            ];
+            for (label, parent) in &parents {
+                let record = model.record_parent(parent);
                 for chunk in [&candidates[..], &candidates[2..3], &candidates[..3]] {
                     let want = model.generate_batch(chunk);
-                    let got = model.generate_candidates(&record, chunk);
-                    let case = format!("{gen_steps} steps, {} candidates", chunk.len());
-                    assert_same_generations(&got, &want, &case);
+                    for (listing, rows) in [
+                        ("every host", listed(chunk, None)),
+                        ("what differs", listed(chunk, Some(&record))),
+                    ] {
+                        let got = model.generate_listed(&record, &rows);
+                        let case = format!(
+                            "{gen_steps} steps, {label} parent, {} candidates, {listing}",
+                            chunk.len()
+                        );
+                        assert_same_generations(&got, &want, &case);
+                    }
                 }
             }
+            // The candidates' own topology differs from its record nowhere.
+            let own = model.record_parent(&parents[0].1);
+            assert!(listed(&candidates[..1], Some(&own)).hosts.is_empty());
         }
-    }
-
-    /// A record projected from another snapshot, with the same host
-    /// count and topology, lists every host whose rows differ from it,
-    /// so it still gives `generate_batch`'s bits.
-    #[test]
-    fn generate_candidates_against_another_snapshot_lists_what_differs() {
-        let mut model = GonModel::new(small_config());
-        let record = model.record_parent(&test_state(12, 3, 0.9));
-        let states = [test_state(12, 3, 0.4)];
-        let want = model.generate_batch(&states);
-        let got = model.generate_candidates(&record, &states);
-        assert_same_generations(&got, &want, "another snapshot");
     }
 
     #[test]

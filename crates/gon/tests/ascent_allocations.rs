@@ -1,12 +1,12 @@
 //! The eq.-1 ascent allocates nothing per step once its workspace is
-//! warm: a second call of `generate_candidates` or `generate_batch` on
-//! the same model allocates as often at 5 ascent steps as at 1, on
+//! warm: a second call of `generate_listed` or `generate_batch` on the
+//! same model allocates as often at 5 ascent steps as at 1, on
 //! candidates that take at least 3 of the 5.
 
 use edgesim::scheduler::SchedulingDecision;
 use edgesim::state::{Normalizer, SystemState};
 use edgesim::{HostSpec, HostState, Topology};
-use gon::{GonConfig, GonModel};
+use gon::{CandidateRows, GonConfig, GonModel};
 use nn::alloc_count::CountingAlloc;
 
 #[global_allocator]
@@ -49,6 +49,17 @@ fn a_warm_ascent_allocates_per_call_not_per_step() {
     let candidates: Vec<SystemState> = [&base.topology, &promoted, &moved]
         .map(|t| base.with_topology(t))
         .to_vec();
+    // Every host listed, which the `CandidateRows` contract allows.
+    let mut rows = CandidateRows::default();
+    for s in &candidates {
+        rows.push_candidate();
+        for (h, (m, sched)) in s.metrics.iter().zip(&s.schedule).enumerate() {
+            rows.push_row(h, m, sched);
+        }
+        for (h, f) in s.graph_features.iter().enumerate() {
+            rows.push_graph(h, f, s.topology.gat_row(h));
+        }
+    }
     let mut counts = Vec::new();
     for gen_steps in [1, 5] {
         let mut model = GonModel::new(GonConfig {
@@ -61,9 +72,9 @@ fn a_warm_ascent_allocates_per_call_not_per_step() {
             seed: 3,
         });
         let record = model.record_parent(&base);
-        for name in ["generate_candidates", "generate_batch"] {
+        for name in ["generate_listed", "generate_batch"] {
             let call = |m: &mut GonModel| match name {
-                "generate_candidates" => m.generate_candidates(&record, &candidates),
+                "generate_listed" => m.generate_listed(&record, &rows),
                 _ => m.generate_batch(&candidates),
             };
             call(&mut model);
@@ -74,6 +85,6 @@ fn a_warm_ascent_allocates_per_call_not_per_step() {
             counts.push((gen_steps, name, n));
         }
     }
-    assert_eq!(counts[0].2, counts[2].2, "generate_candidates: {counts:?}");
+    assert_eq!(counts[0].2, counts[2].2, "generate_listed: {counts:?}");
     assert_eq!(counts[1].2, counts[3].2, "generate_batch: {counts:?}");
 }

@@ -310,25 +310,6 @@ impl Matrix {
         }
     }
 
-    /// Elementwise (Hadamard) product.
-    ///
-    /// # Panics
-    ///
-    /// Panics on shape mismatch.
-    pub fn hadamard(&self, other: &Matrix) -> Matrix {
-        assert_eq!(self.shape(), other.shape(), "hadamard shape mismatch");
-        Matrix {
-            rows: self.rows,
-            cols: self.cols,
-            data: self
-                .data
-                .iter()
-                .zip(&other.data)
-                .map(|(a, b)| a * b)
-                .collect(),
-        }
-    }
-
     /// Adds `row` (1×cols) to every row of `self`, in place — the bias
     /// broadcast.
     ///
@@ -405,11 +386,6 @@ impl Matrix {
         } else {
             self.sum() / self.data.len() as f64
         }
-    }
-
-    /// Flattens to a row-major vector, consuming the matrix.
-    pub fn into_vec(self) -> Vec<f64> {
-        self.data
     }
 }
 
@@ -630,7 +606,6 @@ mod tests {
         assert_eq!(&a + &b, Matrix::from_rows(&[&[4.0, 7.0]]));
         assert_eq!(&b - &a, Matrix::from_rows(&[&[2.0, 3.0]]));
         assert_eq!(&a * 2.0, Matrix::from_rows(&[&[2.0, 4.0]]));
-        assert_eq!(a.hadamard(&b), Matrix::from_rows(&[&[3.0, 10.0]]));
     }
 
     #[test]

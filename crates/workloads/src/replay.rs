@@ -288,6 +288,61 @@ pub fn load_jsonl(text: &str) -> Result<Vec<TraceEvent>, TraceError> {
     StreamingTrace::open(text.as_bytes())?.collect()
 }
 
+/// Checks `events` as the trace decoder checks a stream of them: each
+/// event's fields, intervals that never go backwards nor jump past
+/// [`MAX_INTERVAL_JUMP`], and at most [`MAX_INTERVAL_ARRIVALS`] arrivals
+/// per interval. An error names the line the event has in
+/// [`export_jsonl`]'s output (event `i` on line `i + 2`). Events that
+/// arrive by another path than a trace, such as a scenario's JSON, pass
+/// through here before anything expands them.
+pub fn check_events(events: &[TraceEvent]) -> Result<(), TraceError> {
+    let mut sequence = Sequence::default();
+    for (i, event) in events.iter().enumerate() {
+        sequence.check(event, i + 2)?;
+    }
+    Ok(())
+}
+
+/// The checks across a trace's events, in order: [`StreamingTrace`]
+/// runs them on each decoded line and [`check_events`] on a list.
+#[derive(Debug, Default)]
+struct Sequence {
+    previous: Option<usize>,
+    /// Arrivals so far in the interval of `previous`.
+    previous_arrivals: usize,
+}
+
+impl Sequence {
+    /// Checks `event`, on 1-based `line`, after the events checked so
+    /// far.
+    fn check(&mut self, event: &TraceEvent, line: usize) -> Result<(), TraceError> {
+        event.validate(line)?;
+        let previous = self.previous.unwrap_or(0);
+        if event.interval < previous {
+            return Err(TraceError::OutOfOrder {
+                line,
+                interval: event.interval,
+                previous,
+            });
+        }
+        let over = |field, limit| Err(TraceError::OverLimit { line, field, limit });
+        if event.interval - previous > MAX_INTERVAL_JUMP {
+            return over("interval", MAX_INTERVAL_JUMP);
+        }
+        let so_far = if self.previous == Some(event.interval) {
+            self.previous_arrivals
+        } else {
+            0
+        };
+        if event.arrivals > MAX_INTERVAL_ARRIVALS - so_far {
+            return over("arrivals", MAX_INTERVAL_ARRIVALS);
+        }
+        self.previous = Some(event.interval);
+        self.previous_arrivals = so_far + event.arrivals;
+        Ok(())
+    }
+}
+
 /// Incremental `carol-trace` v1 decoder over any buffered reader — the
 /// streaming twin of [`load_jsonl`], built for the service daemon's
 /// stdin/socket ingestion where the whole trace never sits in memory.
@@ -313,9 +368,7 @@ pub struct StreamingTrace<R> {
     reader: R,
     /// 1-based number of lines consumed so far.
     line: usize,
-    previous: Option<usize>,
-    /// Arrivals so far in the interval of `previous`.
-    previous_arrivals: usize,
+    sequence: Sequence,
     done: bool,
 }
 
@@ -354,8 +407,7 @@ impl<R: BufRead> StreamingTrace<R> {
         Ok(Self {
             reader,
             line,
-            previous: None,
-            previous_arrivals: 0,
+            sequence: Sequence::default(),
             done: false,
         })
     }
@@ -408,32 +460,7 @@ impl<R: BufRead> Iterator for StreamingTrace<R> {
                     })
                 }
             };
-            if let Err(e) = event.validate(line) {
-                break Err(e);
-            }
-            let previous = self.previous.unwrap_or(0);
-            if event.interval < previous {
-                break Err(TraceError::OutOfOrder {
-                    line,
-                    interval: event.interval,
-                    previous,
-                });
-            }
-            let over = |field, limit| Err(TraceError::OverLimit { line, field, limit });
-            if event.interval - previous > MAX_INTERVAL_JUMP {
-                break over("interval", MAX_INTERVAL_JUMP);
-            }
-            let so_far = if self.previous == Some(event.interval) {
-                self.previous_arrivals
-            } else {
-                0
-            };
-            if event.arrivals > MAX_INTERVAL_ARRIVALS - so_far {
-                break over("arrivals", MAX_INTERVAL_ARRIVALS);
-            }
-            self.previous = Some(event.interval);
-            self.previous_arrivals = so_far + event.arrivals;
-            break Ok(event);
+            break self.sequence.check(&event, line).map(|()| event);
         };
         if result.is_err() {
             self.done = true;
@@ -464,7 +491,10 @@ pub struct ReplayWorkload {
 }
 
 impl ReplayWorkload {
-    /// Builds the replay schedule from (interval-sorted) events.
+    /// Builds the replay schedule from (interval-sorted) events. It
+    /// allocates for every interval and arrival they name, so events
+    /// from outside the program pass [`check_events`] first (the trace
+    /// decoder and a scenario's JSON run it).
     pub fn new(events: &[TraceEvent]) -> Self {
         let len = events.iter().map(|e| e.interval + 1).max().unwrap_or(0);
         let mut intervals = vec![Vec::new(); len];
@@ -670,6 +700,7 @@ mod tests {
                 previous: 5
             }
         );
+        assert_eq!(check_events(&shuffled), Err(err));
     }
 
     #[test]
@@ -684,6 +715,8 @@ mod tests {
         assert_eq!(err, TraceError::EmptyApp { line: 2 });
     }
 
+    /// The loader and [`check_events`] agree on every case, errors and
+    /// their lines included.
     #[test]
     fn loader_bounds_interval_jumps_and_arrivals_per_interval() {
         let load = |events: &[(usize, usize)]| {
@@ -696,7 +729,9 @@ mod tests {
                     ..base.clone()
                 })
                 .collect();
-            load_jsonl(&export_jsonl(&events))
+            let loaded = load_jsonl(&export_jsonl(&events));
+            assert_eq!(check_events(&events).map(|()| events), loaded);
+            loaded
         };
         let over = |line, field, limit| Err(TraceError::OverLimit { line, field, limit });
         let (jump, most) = (MAX_INTERVAL_JUMP, MAX_INTERVAL_ARRIVALS);

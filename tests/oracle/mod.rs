@@ -210,17 +210,21 @@ fn assert_bits(case: &str, what: &str, got: &[f64], want: &[f64]) {
     }
 }
 
-/// Checks the engine against the reference, which scores `candidates`
-/// and then repairs the federation, on each worker count in `workers`:
+/// Checks the engine against the reference, which scores `candidates`,
+/// repairs the federation and scores the move candidates, on each worker
+/// count in `workers`:
 ///
-/// 1. `GonModel::generate_candidates`, chunked by `gon::batch_len` and
-///    fanned over the workers, on `candidates`, against two parent
-///    records: the snapshot's, and a repair shift's whose broker count
-///    differs. Every metric, the confidence and the iteration count;
+/// 1. `GonModel::generate_batch`, chunked by `gon::batch_len` and fanned
+///    over the workers, on `candidates`: every metric, the confidence
+///    and the iteration count;
 /// 2. `Carol::batch_objective`'s `score_batch` on `candidates`, then on
 ///    every candidate the reference search scored: scores, queries and
 ///    modeled time;
-/// 3. `Carol::repair`: topology, best score, queries and modeled time.
+/// 3. `Carol::repair`: topology, best score, queries and modeled time;
+/// 4. the objective's `score_moves` on the first and last move of each
+///    kind from two parents, in turn on one objective: the snapshot's
+///    topology, and a repair shift whose broker count differs. Scores
+///    and modeled time.
 pub fn check(
     case: &str,
     federation: &(Simulator, SystemState),
@@ -248,6 +252,17 @@ pub fn check(
         .into_iter()
         .find(|t| t.brokers().len() != brokers)
         .expect("some repair shift changes the broker count");
+    let moves: Vec<(&Topology, Vec<Move>)> = [&snapshot.topology, &shifted]
+        .into_iter()
+        .map(|parent| (parent, first_last_moves(parent, sim)))
+        .collect();
+    for (parent, moves) in &moves {
+        for &m in moves {
+            let candidate = apply_move(parent, m).expect("a listed move applies");
+            reference.objective(snapshot, &candidate);
+        }
+    }
+    let all = reference.scores.len();
 
     for &w in workers {
         let case = format!("{case} / {w} workers");
@@ -255,29 +270,21 @@ pub fn check(
         config.eval_threads = Some(w);
         let policy = || Carol::from_model(gon.clone(), config.clone(), POLICY_SEED);
 
-        // 1. The chunked, fanned-out generation, as deltas against the
-        // snapshot and against a parent with another broker count.
+        // 1. The chunked, fanned-out generation.
         let probes: Vec<SystemState> = candidates
             .iter()
             .map(|c| snapshot.with_topology(c))
             .collect();
         let chunks: Vec<&[SystemState]> =
             probes.chunks(gon::batch_len(snapshot.n_hosts())).collect();
-        for (label, parent) in [
-            ("snapshot parent", snapshot.clone()),
-            ("shifted parent", snapshot.with_topology(&shifted)),
-        ] {
-            let record = gon.clone().record_parent(&parent);
-            let generate =
-                |m: &mut GonModel, chunk: &&[SystemState]| m.generate_candidates(&record, chunk);
-            let generated = par::par_map_init(w, &chunks, || gon.clone(), generate).concat();
-            assert_eq!(generated.len(), n, "{case}: generated count");
-            for (i, (got, want)) in generated.iter().zip(&reference.generated).enumerate() {
-                let at = format!("{case}, {label}: candidate {i}");
-                assert_bits(&at, "metric", &got.metrics_flat, &want.metrics_flat);
-                assert_bits(&at, "confidence", &[got.confidence], &[want.confidence]);
-                assert_eq!(got.iterations, want.iterations, "{at}: iterations");
-            }
+        let generate = |m: &mut GonModel, chunk: &&[SystemState]| m.generate_batch(chunk);
+        let generated = par::par_map_init(w, &chunks, || gon.clone(), generate).concat();
+        assert_eq!(generated.len(), n, "{case}: generated count");
+        for (i, (got, want)) in generated.iter().zip(&reference.generated).enumerate() {
+            let at = format!("{case}: candidate {i}");
+            assert_bits(&at, "metric", &got.metrics_flat, &want.metrics_flat);
+            assert_bits(&at, "confidence", &[got.confidence], &[want.confidence]);
+            assert_eq!(got.iterations, want.iterations, "{at}: iterations");
         }
 
         // 2. The batched objective and its bookkeeping, in two batches
@@ -307,7 +314,36 @@ pub fn check(
         let got = [carol.modeled_decision_s()];
         let want = [reference.modeled_s(n..total)];
         assert_bits(&case, "repair time", &got, &want);
+
+        // 4. Moves from the snapshot's topology, then from the shifted
+        // parent, whose record replaces the first.
+        let mut carol = policy();
+        let mut objective = carol.batch_objective(snapshot);
+        let mut start = total;
+        for (parent, moves) in &moves {
+            let got = objective.score_moves(parent, moves);
+            let range = start..start + moves.len();
+            let label = format!("moves from {} brokers", parent.brokers().len());
+            assert_bits(&case, &label, &got, &reference.scores[range]);
+            start += moves.len();
+        }
+        drop(objective);
+        assert_eq!(carol.surrogate_queries, all - total, "{case}: move queries");
+        let got = [carol.modeled_decision_s()];
+        let want = [reference.modeled_s(total..all)];
+        assert_bits(&case, "move time", &got, &want);
     }
+}
+
+/// The first and last move of each kind from `parent`.
+fn first_last_moves(parent: &Topology, sim: &Simulator) -> Vec<Move> {
+    let mut ends = Vec::new();
+    for k in 0..3 {
+        let moves = moves_of_kind(parent, sim, k);
+        ends.extend(moves.first());
+        ends.extend(moves.last().filter(|_| moves.len() > 1));
+    }
+    ends
 }
 
 /// A repair of the failed broker: `pick` indexes its repair neighbourhood.
