@@ -32,21 +32,7 @@ pub use reconstruction::{StepGan, TopoMad};
 pub use rl::Lbos;
 pub use surrogate::{Elbs, Fras};
 
-use carol::policy::ResiliencePolicy;
 use edgesim::{HostId, HostState, NodeRole, Topology};
-
-/// Builds all seven baselines with one seed, in the paper's Fig. 5 order.
-pub fn all_baselines(seed: u64) -> Vec<Box<dyn ResiliencePolicy>> {
-    vec![
-        Box::new(Dyverse::new()),
-        Box::new(Eclb::new()),
-        Box::new(Lbos::new(seed)),
-        Box::new(Elbs::new(seed)),
-        Box::new(Fras::new(seed)),
-        Box::new(TopoMad::new(seed)),
-        Box::new(StepGan::new(seed)),
-    ]
-}
 
 /// Shared repair primitive: resolve each failed broker by promoting the
 /// orphan chosen by `pick` (falling back to merging the LEI into the
@@ -167,14 +153,5 @@ mod tests {
         repaired.validate().unwrap();
         assert!(matches!(repaired.role(0), NodeRole::Worker { .. }));
         assert_eq!(repaired.brokers(), [1]);
-    }
-
-    #[test]
-    fn all_baselines_have_unique_names() {
-        let baselines = all_baselines(0);
-        assert_eq!(baselines.len(), 7);
-        let names: std::collections::BTreeSet<String> =
-            baselines.iter().map(|b| b.name().to_string()).collect();
-        assert_eq!(names.len(), 7);
     }
 }

@@ -180,7 +180,7 @@ impl StepGan {
     /// Builds the detector + FRAS repair policy.
     pub fn new(seed: u64) -> Self {
         Self {
-            gan: GanSurrogate::new(48, 16, seed ^ 0x5347),
+            gan: GanSurrogate::new(48, seed ^ 0x5347),
             repair_policy: Fras::new(seed ^ 0x0053_4702),
             step: 0,
             scores: Vec::new(),

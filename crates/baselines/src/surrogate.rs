@@ -39,7 +39,8 @@ pub fn fuzzify(x: f64) -> [f64; 3] {
 
 /// Picks the candidate repair with the lowest surrogate score, resolving
 /// every failed broker via the full node-shift neighbourhood (like CAROL,
-/// but greedy single-pass — no tabu escape from local optima).
+/// but greedy single-pass — no tabu escape from local optima). Each
+/// candidate is scored once, in candidate order; ties go to the first.
 fn best_neighbor_repair(
     sim: &Simulator,
     snapshot: &SystemState,
@@ -56,24 +57,29 @@ fn best_neighbor_repair(
         .enumerate()
         .filter_map(|(h, st)| st.failed.then_some(h))
         .collect();
+    let projection = snapshot.projection();
     let mut topo = sim.topology().clone();
     for &b in failed {
         if !matches!(topo.role(b), NodeRole::Broker) {
             continue;
         }
-        let candidates = neighborhood(&topo, b, &banned);
+        let mut candidates = neighborhood(&topo, b, &banned);
         if candidates.is_empty() {
             continue;
         }
         *queries += candidates.len();
-        topo = candidates
-            .into_iter()
-            .min_by(|a, c| {
-                let sa = score(&snapshot.with_topology(a));
-                let sc = score(&snapshot.with_topology(c));
-                sa.partial_cmp(&sc).expect("surrogate scores are finite")
+        let scores: Vec<f64> = candidates
+            .iter()
+            .map(|c| score(&projection.with_topology(c)))
+            .collect();
+        let best = (0..scores.len())
+            .min_by(|&i, &j| {
+                scores[i]
+                    .partial_cmp(&scores[j])
+                    .expect("surrogate scores are finite")
             })
             .expect("candidate list is non-empty");
+        topo = candidates.swap_remove(best);
     }
     Some(topo)
 }
@@ -387,6 +393,47 @@ mod tests {
         let t2 = fras.repair(&sim, &snapshot).expect("FRAS repairs");
         t2.validate().unwrap();
         assert!(matches!(t2.role(0), NodeRole::Worker { .. }));
+    }
+
+    #[test]
+    fn best_neighbor_repair_scores_each_candidate_once() {
+        let mut sim = Simulator::new(SimConfig::small(8, 2, 1));
+        let mut sched = LeastLoadScheduler::new();
+        sim.inject_fault(
+            0,
+            FaultLoad {
+                cpu: 1.0,
+                ..Default::default()
+            },
+        );
+        sim.step(Vec::new(), &mut sched);
+        assert_eq!(sim.failed_brokers(), [0]);
+        let snapshot = capture(&sim);
+        let banned: Vec<HostId> = (0..sim.host_states().len())
+            .filter(|&h| sim.host_states()[h].failed)
+            .collect();
+        let candidates = neighborhood(sim.topology(), 0, &banned);
+        assert!(candidates.len() > 2);
+
+        // Scores by call: the second and last candidates tie at the minimum.
+        let mut calls = 0usize;
+        let mut queries = 0usize;
+        let n = candidates.len();
+        let repaired = best_neighbor_repair(&sim, &snapshot, &mut queries, |_| {
+            calls += 1;
+            if calls == 2 || calls == n {
+                0.0
+            } else {
+                1.0
+            }
+        });
+        assert_eq!(calls, n, "one surrogate call per candidate");
+        assert_eq!(queries, n);
+        assert_eq!(
+            repaired.as_ref(),
+            Some(&candidates[1]),
+            "first minimum wins"
+        );
     }
 
     #[test]

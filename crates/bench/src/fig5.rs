@@ -256,7 +256,7 @@ pub fn run(config: &Fig5Config) -> Vec<PolicyMetrics> {
         .iter()
         .flat_map(|&kind| config.seeds.iter().map(move |&seed| (kind, seed)))
         .collect();
-    let cells = par::par_map(&grid, |&(kind, seed)| {
+    let cells = par::par_map_threads(par::thread_count(), &grid, |&(kind, seed)| {
         let mut policy = kind.build(&config.carol, seed);
         let exp = ExperimentConfig {
             sim: SimConfig {
@@ -315,10 +315,12 @@ mod tests {
     #[test]
     fn all_policy_kinds_build() {
         let cfg = CarolConfig::fast_test();
-        for kind in PolicyKind::ALL {
-            let p = kind.build(&cfg, 0);
-            assert!(!p.name().is_empty());
-        }
+        let names: std::collections::BTreeSet<String> = PolicyKind::ALL
+            .iter()
+            .map(|kind| kind.build(&cfg, 0).name().to_string())
+            .collect();
+        assert!(!names.contains(""));
+        assert_eq!(names.len(), 12, "12 policies, 12 distinct names");
     }
 
     #[test]

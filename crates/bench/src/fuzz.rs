@@ -39,7 +39,6 @@ use proptest::{shrink_failure, SeedableRng, StdRng, TestCaseError};
 use serde::{Deserialize, Serialize};
 use std::ops::Range;
 use std::time::Instant;
-use workloads::trace::{generate_trace, TraceConfig};
 use workloads::{ArrivalShape, BenchmarkSuite};
 
 /// `(n_hosts, n_brokers)` sizes the fuzzer may pick, ascending — index 0
@@ -148,24 +147,17 @@ pub fn decode(genome: &Genome, seed: u64) -> ScenarioSpec {
 }
 
 /// The pre-training half of [`Carol::pretrained`] under
-/// [`sweep_carol_config`], split out so one fuzz run trains the GON once
-/// and every oracle evaluation rebuilds the policy from a clone.
+/// [`sweep_carol_config`] (the GON trained on the same
+/// [`CarolConfig::pretraining_trace`](carol::carol::CarolConfig::pretraining_trace)),
+/// split out so one fuzz run trains the GON once and every oracle
+/// evaluation rebuilds the policy from a clone.
 /// `Carol::from_model(pretrained_gon(seed), sweep_carol_config(seed),
 /// seed)` is bit-identical to `Carol::pretrained(sweep_carol_config(
 /// seed), seed)` (pinned by a test below), so reported cliffs replay
 /// through the ordinary constructor.
 pub fn pretrained_gon(seed: u64) -> GonModel {
     let config = sweep_carol_config(seed);
-    let trace = generate_trace(
-        &TraceConfig {
-            intervals: config.pretrain_intervals,
-            topology_period: 10,
-            arrival_rate: 7.2,
-            suite: BenchmarkSuite::DeFog,
-            seed,
-        },
-        config.pretrain_sim.clone(),
-    );
+    let trace = config.pretraining_trace(seed);
     let mut gon = GonModel::new(config.gon.clone());
     train_offline(&mut gon, &trace, &config.offline);
     gon

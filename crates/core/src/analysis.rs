@@ -4,46 +4,9 @@
 //! 90th percentile response time for the same application on the
 //! state-of-the-art method StepGAN". [`relative_slo_rate`] implements
 //! exactly that re-scoring, so any run can be re-evaluated against a
-//! reference method's percentile deadlines; [`ResponseSummary`] gives the
-//! percentile panel used when comparing response-time distributions.
+//! reference method's percentile deadlines.
 
 use crate::runner::ExperimentResult;
-
-/// Percentile summary of a response-time distribution.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ResponseSummary {
-    /// Median response, seconds.
-    pub p50: f64,
-    /// 90th percentile, seconds.
-    pub p90: f64,
-    /// 99th percentile, seconds.
-    pub p99: f64,
-    /// Mean, seconds.
-    pub mean: f64,
-    /// Sample count.
-    pub count: usize,
-}
-
-impl ResponseSummary {
-    /// Summarises a response-time series; `None` when empty.
-    pub fn from_times(times: &[f64]) -> Option<Self> {
-        if times.is_empty() {
-            return None;
-        }
-        Some(Self {
-            p50: metrics::quantile(times, 0.50)?,
-            p90: metrics::quantile(times, 0.90)?,
-            p99: metrics::quantile(times, 0.99)?,
-            mean: metrics::mean(times)?,
-            count: times.len(),
-        })
-    }
-
-    /// Summarises an experiment's completed-task responses.
-    pub fn from_result(result: &ExperimentResult) -> Option<Self> {
-        Self::from_times(&result.response_times_s)
-    }
-}
 
 /// The paper's relative SLO (§V-B): the deadline is the 90th percentile
 /// response time of the *reference* run; returns the fraction of the
@@ -79,17 +42,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn summary_percentiles_are_ordered() {
-        let times: Vec<f64> = (1..=100).map(|i| i as f64).collect();
-        let s = ResponseSummary::from_times(&times).unwrap();
-        assert!(s.p50 <= s.p90 && s.p90 <= s.p99);
-        assert_eq!(s.count, 100);
-        assert!((s.mean - 50.5).abs() < 1e-12);
-    }
-
-    #[test]
     fn empty_series_yield_none() {
-        assert!(ResponseSummary::from_times(&[]).is_none());
         assert!(relative_slo_rate_from_times(&[], &[1.0]).is_none());
     }
 

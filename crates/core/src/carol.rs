@@ -120,6 +120,22 @@ impl CarolConfig {
         self.eval_threads = engine.threads;
         self
     }
+
+    /// The offline-training trace of [`Carol::pretrained`]:
+    /// `pretrain_intervals` of DeFog load (λ = 7.2, the topology reshuffled
+    /// every 10 intervals) simulated on `pretrain_sim`.
+    pub fn pretraining_trace(&self, seed: u64) -> Vec<SystemState> {
+        generate_trace(
+            &TraceConfig {
+                intervals: self.pretrain_intervals,
+                topology_period: 10,
+                arrival_rate: 7.2,
+                suite: BenchmarkSuite::DeFog,
+                seed,
+            },
+            self.pretrain_sim.clone(),
+        )
+    }
 }
 
 /// Calls and wall seconds of one repair stage.
@@ -234,8 +250,8 @@ impl std::fmt::Debug for Carol {
 impl Carol {
     /// Builds CAROL around an already-trained GON.
     pub fn from_model(gon: GonModel, config: CarolConfig, seed: u64) -> Self {
-        let gan = matches!(config.variant, CarolVariant::Gan)
-            .then(|| GanSurrogate::new(64, config.pretrain_sim.specs.len(), seed ^ 0x47));
+        let gan =
+            matches!(config.variant, CarolVariant::Gan).then(|| GanSurrogate::new(64, seed ^ 0x47));
         let ff = matches!(config.variant, CarolVariant::TraditionalSurrogate)
             .then(|| FeedForwardSurrogate::new(64, seed ^ 0x46));
         Self {
@@ -262,16 +278,7 @@ impl Carol {
     /// Full offline pipeline: generate a DeFog trace (§IV-D), train the
     /// configured surrogate (§IV-E), and return the ready policy.
     pub fn pretrained(config: CarolConfig, seed: u64) -> Self {
-        let trace = generate_trace(
-            &TraceConfig {
-                intervals: config.pretrain_intervals,
-                topology_period: 10,
-                arrival_rate: 7.2,
-                suite: BenchmarkSuite::DeFog,
-                seed,
-            },
-            config.pretrain_sim.clone(),
-        );
+        let trace = config.pretraining_trace(seed);
         // The GAN and feed-forward ablations never read the GON, so only
         // the GON variant pays for its offline training.
         let mut gon = GonModel::new(config.gon.clone());

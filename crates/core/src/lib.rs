@@ -35,7 +35,6 @@
 
 #![warn(missing_docs)]
 
-pub mod ablation;
 pub mod analysis;
 pub mod carol;
 pub mod nodeshift;
@@ -54,8 +53,7 @@ pub use crate::carol::{
 pub use policy::{ObserveOutcome, ResiliencePolicy};
 pub use pot::PotDetector;
 pub use scenario::{
-    run_scenario, run_scenarios, run_scenarios_threads, ScenarioResult, ScenarioSpec,
-    SchedulerKind, WorkloadSource,
+    run_scenario, run_scenarios, ScenarioResult, ScenarioSpec, SchedulerKind, WorkloadSource,
 };
 pub use service::{
     serve_federation_listener, serve_trace, CheckpointSpec, ExperimentSpec, FederationSet,

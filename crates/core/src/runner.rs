@@ -334,24 +334,12 @@ impl ExperimentEngine {
 /// Runs `make_policy(seed)` across `seeds` and returns all results — the
 /// paper averages each metric over five seeded runs.
 ///
-/// Seeds execute **in parallel** on [`par::thread_count`] workers (the
-/// `CAROL_THREADS` environment variable overrides the count; `1` forces
-/// the serial path). Every seed owns its RNG streams and its policy
-/// instance, so the result vector is bit-identical to serial execution —
-/// same order, same bits — a guarantee enforced by
-/// `tests/determinism.rs`.
+/// Seeds execute **in parallel** on `threads` workers (`1` runs them
+/// serially; pass [`par::thread_count`] for the `CAROL_THREADS` default).
+/// Every seed owns its RNG streams and its policy instance, so the result
+/// vector is bit-identical to serial execution — same order, same bits —
+/// a guarantee enforced by `tests/determinism.rs`.
 pub fn run_seeds<P: ResiliencePolicy>(
-    make_policy: impl Fn(u64) -> P + Sync,
-    base: &ExperimentConfig,
-    seeds: &[u64],
-) -> Vec<ExperimentResult> {
-    run_seeds_threads(par::thread_count(), make_policy, base, seeds)
-}
-
-/// [`run_seeds`] with an explicit worker count, for callers (and the
-/// determinism suite) that must pin the parallelism level regardless of
-/// `CAROL_THREADS`.
-pub fn run_seeds_threads<P: ResiliencePolicy>(
     threads: usize,
     make_policy: impl Fn(u64) -> P + Sync,
     base: &ExperimentConfig,
@@ -430,6 +418,7 @@ mod tests {
             ..ExperimentConfig::small(0)
         };
         let results = run_seeds(
+            2,
             |seed| Carol::pretrained(CarolConfig::fast_test(), seed),
             &config,
             &[1, 2, 3],
@@ -446,8 +435,8 @@ mod tests {
             ..ExperimentConfig::small(0)
         };
         let make = |seed| Carol::pretrained(CarolConfig::fast_test(), seed);
-        let serial = run_seeds_threads(1, make, &config, &[1, 2]);
-        let parallel = run_seeds_threads(2, make, &config, &[1, 2]);
+        let serial = run_seeds(1, make, &config, &[1, 2]);
+        let parallel = run_seeds(2, make, &config, &[1, 2]);
         assert_eq!(serial.len(), parallel.len());
         for (s, p) in serial.iter().zip(&parallel) {
             assert_eq!(s.completed, p.completed);

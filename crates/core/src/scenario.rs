@@ -443,20 +443,12 @@ pub fn run_scenario(policy: &mut dyn ResiliencePolicy, spec: &ScenarioSpec) -> S
 }
 
 /// Runs `make_policy(spec)` across scenarios **in parallel** on
-/// [`par::thread_count`] workers (`CAROL_THREADS` overrides; `1` forces
-/// the serial path), mirroring [`crate::runner::run_seeds`]. Every
-/// scenario owns its policy and RNG streams, so the result vector is
-/// bit-identical to serial execution — same order, same bits.
+/// `threads` workers (`1` runs them serially; pass [`par::thread_count`]
+/// for the `CAROL_THREADS` default), mirroring
+/// [`crate::runner::run_seeds`]. Every scenario owns its policy and RNG
+/// streams, so the result vector is bit-identical to serial execution —
+/// same order, same bits.
 pub fn run_scenarios<P: ResiliencePolicy>(
-    make_policy: impl Fn(&ScenarioSpec) -> P + Sync,
-    specs: &[ScenarioSpec],
-) -> Vec<ScenarioResult> {
-    run_scenarios_threads(par::thread_count(), make_policy, specs)
-}
-
-/// [`run_scenarios`] with an explicit worker count, for callers (and the
-/// determinism suite) that must pin the parallelism level.
-pub fn run_scenarios_threads<P: ResiliencePolicy>(
     threads: usize,
     make_policy: impl Fn(&ScenarioSpec) -> P + Sync,
     specs: &[ScenarioSpec],
@@ -653,8 +645,8 @@ mod tests {
             })
             .collect();
         let make = |_: &ScenarioSpec| baseline();
-        let serial = run_scenarios_threads(1, make, &specs);
-        let parallel = run_scenarios_threads(2, make, &specs);
+        let serial = run_scenarios(1, make, &specs);
+        let parallel = run_scenarios(2, make, &specs);
         assert_eq!(serial.len(), parallel.len());
         for (a, b) in serial.iter().zip(&parallel) {
             assert_eq!(a.scenario, b.scenario);

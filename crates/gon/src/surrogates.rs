@@ -120,7 +120,6 @@ pub struct GanSurrogate {
     gat: GraphAttention,
     gen_adam: Adam,
     disc_adam: Adam,
-    n_hosts_hint: usize,
     noise_dim: usize,
     gat_dim: usize,
 }
@@ -132,10 +131,10 @@ impl std::fmt::Debug for GanSurrogate {
 }
 
 impl GanSurrogate {
-    /// Builds generator and discriminator for federations of about
-    /// `n_hosts_hint` hosts (the generator emits per-host rows; pooling
-    /// keeps both nets usable at other sizes, but the hint sizes buffers).
-    pub fn new(hidden: usize, n_hosts_hint: usize, seed: u64) -> Self {
+    /// Builds generator and discriminator with `hidden`-wide layers. The
+    /// generator emits per-host rows and both nets pool over hosts, so one
+    /// surrogate serves any federation size.
+    pub fn new(hidden: usize, seed: u64) -> Self {
         let mut init = Initializer::new(seed);
         let noise_dim = 16;
         let gat_dim = 16;
@@ -172,7 +171,6 @@ impl GanSurrogate {
             gat,
             gen_adam: Adam::new(1e-3, 1e-5),
             disc_adam: Adam::new(1e-3, 1e-5),
-            n_hosts_hint,
             noise_dim,
             gat_dim,
         }
@@ -183,11 +181,6 @@ impl GanSurrogate {
     /// Fig. 5(e).
     pub fn param_count(&self) -> usize {
         self.generator.param_count() + self.discriminator.param_count() + self.gat.param_count()
-    }
-
-    /// Number of hosts the generator buffers were sized for.
-    pub fn n_hosts_hint(&self) -> usize {
-        self.n_hosts_hint
     }
 
     /// The generator's input rows for `states`, stacked: per host, noise
@@ -369,7 +362,7 @@ mod tests {
 
     #[test]
     fn gan_outweighs_ff_at_equal_width() {
-        let gan = GanSurrogate::new(64, 16, 0);
+        let gan = GanSurrogate::new(64, 0);
         let ff = FeedForwardSurrogate::new(64, 0);
         assert!(
             gan.param_count() > ff.param_count(),
@@ -381,7 +374,7 @@ mod tests {
 
     #[test]
     fn gan_generates_valid_metric_rows() {
-        let mut gan = GanSurrogate::new(16, 6, 2);
+        let mut gan = GanSurrogate::new(16, 2);
         let state = test_state(0.4);
         let m = gan.generate(&state, 9);
         assert_eq!(m.len(), 6 * METRIC_DIM);
@@ -390,7 +383,7 @@ mod tests {
 
     #[test]
     fn gan_training_reduces_generator_error() {
-        let mut gan = GanSurrogate::new(24, 6, 3);
+        let mut gan = GanSurrogate::new(24, 3);
         let state = test_state(0.6);
         let mut first = None;
         let mut last = 0.0;
@@ -409,7 +402,7 @@ mod tests {
 
     #[test]
     fn gan_score_is_probability() {
-        let mut gan = GanSurrogate::new(16, 6, 4);
+        let mut gan = GanSurrogate::new(16, 4);
         let z = gan.score(&test_state(0.3));
         assert!((0.0..=1.0).contains(&z));
     }
@@ -424,7 +417,7 @@ mod tests {
     fn predict_qos_batch_matches_mapped_predict_qos() {
         let states = batch();
 
-        let mut gan = GanSurrogate::new(12, 6, 9);
+        let mut gan = GanSurrogate::new(12, 9);
         let mapped: Vec<f64> = states.iter().map(|s| gan.predict_qos(s, 17)).collect();
         let batched = gan.predict_qos_batch(&states, 17);
         assert_eq!(mapped.len(), batched.len());
@@ -445,7 +438,7 @@ mod tests {
 
     #[test]
     fn gan_qos_prediction_is_finite_and_swappable() {
-        let mut gan = GanSurrogate::new(16, 6, 5);
+        let mut gan = GanSurrogate::new(16, 5);
         let q = gan.predict_qos(&test_state(0.5), 7);
         assert!(q.is_finite());
         assert!(q >= 0.0);

@@ -7,18 +7,19 @@
 //! the only hard requirement is that parallel execution stays **bit
 //! identical** to serial execution.
 //!
-//! [`par_map`] guarantees exactly that: workers pull items off a shared
-//! atomic queue (single-queue work stealing) but every result is written
-//! back to the slot of its *input index*, so the output order — and, for
-//! pure per-item functions, every output bit — is independent of thread
-//! count and OS scheduling. [`par_map_init`] is the same engine with
+//! [`par_map_threads`] guarantees exactly that: workers pull items off a
+//! shared atomic queue (single-queue work stealing) but every result is
+//! written back to the slot of its *input index*, so the output order —
+//! and, for pure per-item functions, every output bit — is independent of
+//! thread count and OS scheduling. [`par_map_init`] is the same engine with
 //! per-worker state — the batched surrogate engines use it to keep one
 //! model replica per worker rather than cloning one per chunk.
 //!
-//! The worker count defaults to [`std::thread::available_parallelism`] and
-//! can be pinned with the `CAROL_THREADS` environment variable (`1`
-//! forces the serial in-place path; values are clamped to ≥ 1). No
-//! threads are spawned for empty or single-item inputs.
+//! Every fan-out takes its worker count (`1` is the serial in-place
+//! path; values are clamped to ≥ 1). [`thread_count`] is the default
+//! callers pass: [`std::thread::available_parallelism`], pinned by the
+//! `CAROL_THREADS` environment variable when set. No threads are spawned
+//! for empty or single-item inputs.
 //!
 //! `CAROL_THREADS` has a SIMD sibling: `CAROL_SIMD` pins the f64 kernel
 //! backend (`auto|scalar`) in `nn::kernel`, resolved once per
@@ -49,7 +50,7 @@ fn parse_threads(raw: Option<&str>) -> Option<usize> {
         .map(|n| n.max(1))
 }
 
-/// The worker count [`par_map`] will use: the `CAROL_THREADS` override if
+/// The default worker count of a fan-out: the `CAROL_THREADS` override if
 /// set and parsable, otherwise [`std::thread::available_parallelism`]
 /// (falling back to 1 when even that is unavailable).
 pub fn thread_count() -> usize {
@@ -63,9 +64,10 @@ pub fn thread_count() -> usize {
 /// Worker count of the batched engines: CAROL's surrogate evaluation
 /// (`CarolConfig`) and GON training (`TrainConfig`).
 ///
-/// One value describes how many workers a batched engine fans out over,
-/// and [`EngineConfig::worker_count`] is the **only** place the
-/// `CAROL_THREADS` environment override is resolved.
+/// One value describes how many workers a batched engine fans out over;
+/// [`EngineConfig::worker_count`] resolves an unset count through
+/// [`thread_count`], the one place the `CAROL_THREADS` environment
+/// override is read.
 ///
 /// # Examples
 ///
@@ -93,15 +95,16 @@ impl EngineConfig {
 
     /// Resolves the effective worker count: the explicit `threads`
     /// override if present, otherwise [`thread_count`] (which consults
-    /// `CAROL_THREADS`). This is the single env-resolution point for
-    /// every engine in the workspace.
+    /// `CAROL_THREADS`).
     pub fn worker_count(&self) -> usize {
         self.threads.map(|n| n.max(1)).unwrap_or_else(thread_count)
     }
 }
 
-/// Order-preserving parallel map over a slice with the default
-/// ([`thread_count`]) worker count.
+/// Order-preserving parallel map over a slice on `threads` workers
+/// (1 ⇒ serial in-place, no threads spawned). The `CAROL_THREADS`
+/// override is *not* consulted here: callers that want it pass
+/// [`thread_count`].
 ///
 /// `f` must be a pure function of the item for the parallel result to be
 /// bit-identical to the serial one; the scheduling itself never reorders
@@ -111,22 +114,9 @@ impl EngineConfig {
 /// # Examples
 ///
 /// ```
-/// let squares = par::par_map(&[1, 2, 3, 4], |&x| x * x);
+/// let squares = par::par_map_threads(par::thread_count(), &[1, 2, 3, 4], |&x| x * x);
 /// assert_eq!(squares, vec![1, 4, 9, 16]);
 /// ```
-pub fn par_map<T, R, F>(items: &[T], f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    par_map_threads(thread_count(), items, f)
-}
-
-/// [`par_map`] with an explicit worker count (1 ⇒ serial in-place, no
-/// threads spawned). The `CAROL_THREADS` override is *not* consulted;
-/// this is the entry point for code — and tests — that must pin the
-/// parallelism level.
 pub fn par_map_threads<T, R, F>(threads: usize, items: &[T], f: F) -> Vec<R>
 where
     T: Sync,

@@ -18,8 +18,8 @@ mod oracle;
 use baselines::Lbos;
 use carol::carol::{Carol, CarolConfig};
 use carol::nodeshift::mutations_sampled;
-use carol::runner::{run_experiment, run_seeds_threads, ExperimentConfig, ExperimentResult};
-use carol::scenario::{run_scenarios_threads, ScenarioSpec, WorkloadSource};
+use carol::runner::{run_experiment, run_seeds, ExperimentConfig, ExperimentResult};
+use carol::scenario::{run_scenarios, ScenarioSpec, WorkloadSource};
 use carol::tabu::Neighborhood;
 use edgesim::{Simulator, Topology};
 use oracle::{carol_config, check_row, first_last, sampled};
@@ -100,7 +100,7 @@ fn different_seeds_diverge_for_carol() {
 /// owns its RNG streams and its policy instance, so thread count and OS
 /// scheduling must never leak into the outputs.
 ///
-/// The worker counts are pinned through `run_seeds_threads` rather than
+/// The worker counts are passed to `run_seeds` rather than read from
 /// the `CAROL_THREADS` env var: mutating the environment would race
 /// with this binary's other tests (setenv/getenv from concurrent libtest
 /// threads is UB on glibc). The env-override plumbing is covered by
@@ -111,8 +111,8 @@ fn parallel_seed_fanout_is_bit_identical_to_serial() {
     let base = fast_config(0);
     let make = |seed| Carol::pretrained(CarolConfig::fast_test(), seed);
 
-    let serial = run_seeds_threads(1, make, &base, &seeds);
-    let parallel = run_seeds_threads(4, make, &base, &seeds);
+    let serial = run_seeds(1, make, &base, &seeds);
+    let parallel = run_seeds(4, make, &base, &seeds);
 
     assert_eq!(serial.len(), seeds.len());
     assert_eq!(parallel.len(), seeds.len());
@@ -144,8 +144,8 @@ fn scenario_fanout_64_hosts_is_bit_identical_to_serial() {
     }
 
     let make = |spec: &ScenarioSpec| Lbos::new(spec.seed);
-    let serial = run_scenarios_threads(1, make, &specs);
-    let parallel = run_scenarios_threads(4, make, &specs);
+    let serial = run_scenarios(1, make, &specs);
+    let parallel = run_scenarios(4, make, &specs);
 
     assert_eq!(serial.len(), specs.len());
     for ((spec, a), b) in specs.iter().zip(&serial).zip(&parallel) {
@@ -471,8 +471,8 @@ fn correlated_and_heterogeneous_scenarios_are_bit_identical_across_workers() {
     }
 
     let make = |spec: &ScenarioSpec| Lbos::new(spec.seed);
-    let serial = run_scenarios_threads(1, make, &specs);
-    let parallel = run_scenarios_threads(4, make, &specs);
+    let serial = run_scenarios(1, make, &specs);
+    let parallel = run_scenarios(4, make, &specs);
 
     assert_eq!(serial.len(), specs.len());
     for ((spec, a), b) in specs.iter().zip(&serial).zip(&parallel) {

@@ -2,7 +2,7 @@
 //! training → online resilience) and policy comparisons over the
 //! simulated federation.
 
-use carol::ablation;
+use bench::fig5::PolicyKind;
 use carol::carol::{Carol, CarolConfig};
 use carol::runner::{run_experiment, run_seeds, ExperimentConfig};
 
@@ -37,14 +37,12 @@ fn carol_full_pipeline_produces_sane_metrics() {
 
 #[test]
 fn all_policies_survive_the_same_fault_sequence() {
-    use baselines::*;
     let config = fast_experiment(13);
-    let mut results = Vec::new();
-    for mut policy in all_baselines(13) {
-        results.push(run_experiment(policy.as_mut(), &config));
-    }
-    let mut carol = Carol::pretrained(CarolConfig::fast_test(), 13);
-    results.push(run_experiment(&mut carol, &config));
+    let base = CarolConfig::fast_test();
+    let results: Vec<_> = PolicyKind::COMPARISON
+        .iter()
+        .map(|kind| run_experiment(kind.build(&base, 13).as_mut(), &config))
+        .collect();
 
     assert_eq!(results.len(), 8);
     // Identical workload/fault seeds ⇒ identical admissions; every policy
@@ -71,10 +69,11 @@ fn ablations_run_and_differ_in_overhead_behaviour() {
     let config = fast_experiment(17);
     let base = CarolConfig::fast_test();
 
-    let mut always = ablation::always_fine_tune(base.clone(), 17);
-    let mut never = ablation::never_fine_tune(base.clone(), 17);
-    let ra = run_experiment(&mut always, &config);
-    let rn = run_experiment(&mut never, &config);
+    let ra = run_experiment(
+        PolicyKind::AlwaysFineTune.build(&base, 17).as_mut(),
+        &config,
+    );
+    let rn = run_experiment(PolicyKind::NeverFineTune.build(&base, 17).as_mut(), &config);
 
     assert!(ra.fine_tune_events > 0, "always-FT must tune");
     assert_eq!(rn.fine_tune_events, 0, "never-FT must not tune");
@@ -84,6 +83,7 @@ fn ablations_run_and_differ_in_overhead_behaviour() {
 #[test]
 fn multi_seed_runner_varies_outcomes() {
     let results = run_seeds(
+        par::thread_count(),
         |seed| Carol::pretrained(CarolConfig::fast_test(), seed),
         &fast_experiment(0),
         &[1, 2, 3],

@@ -1,7 +1,7 @@
 //! Integration tests for the extension features: the proactive variant
 //! (the paper's §VI future work) and the relative-SLO analysis utilities.
 
-use carol::analysis::{relative_slo_rate, ResponseSummary};
+use carol::analysis::relative_slo_rate;
 use carol::carol::{Carol, CarolConfig};
 use carol::proactive::ProactiveCarol;
 use carol::runner::{run_experiment, ExperimentConfig};
@@ -53,8 +53,10 @@ fn response_summary_and_relative_slo_compose() {
     let mut b = baselines::Fras::new(47);
     let result_b = run_experiment(&mut b, &experiment(47, 12));
 
-    let summary = ResponseSummary::from_result(&result_a).expect("tasks completed");
-    assert!(summary.p50 <= summary.p90);
+    let times = &result_a.response_times_s;
+    let summary = metrics::LatencySummary::from_samples(times).expect("tasks completed");
+    let p90 = metrics::quantile(times, 0.9).expect("tasks completed");
+    assert!(summary.p50 <= p90);
     assert!(summary.count == result_a.completed);
 
     // Re-scoring either run against the other's p90 must give a rate in

@@ -25,6 +25,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::ops::Range;
 use std::sync::{Mutex, MutexGuard};
+use workloads::{BagOfTasks, BenchmarkSuite};
 
 /// Seed of the policy under test: its node-shift RNG stream.
 const POLICY_SEED: u64 = 11;
@@ -43,7 +44,11 @@ pub fn carol_config(gen_steps: usize, max_iters: usize, neighborhood: Neighborho
 }
 
 /// An `n_hosts`-host federation one interval after its broker
-/// `brokers()[victim]` was felled, and its snapshot.
+/// `brokers()[victim]` was felled, and its snapshot. Each of the two
+/// intervals brings about one task per host, and the first runs before
+/// the fault, so LEIs carry task pressure (metric column 7) at the
+/// snapshot, the failed broker's often too: a repair shift moves it into
+/// another LEI, which the move engine's per-LEI bookkeeping must follow.
 pub fn failed_federation(
     n_hosts: usize,
     n_brokers: usize,
@@ -55,8 +60,11 @@ pub fn failed_federation(
         cpu: 1.0,
         ..Default::default()
     };
+    let mut workload = BagOfTasks::new(BenchmarkSuite::AIoTBench, n_hosts as f64, 5);
+    let mut scheduler = LeastLoadScheduler::new();
+    sim.step(workload.sample_interval(0), &mut scheduler);
     sim.inject_fault(broker, fault);
-    let report = sim.step(Vec::new(), &mut LeastLoadScheduler::new());
+    let report = sim.step(workload.sample_interval(1), &mut scheduler);
     assert!(report.failed_brokers.contains(&broker));
     let snapshot = SystemState::capture(
         sim.topology(),
@@ -66,6 +74,8 @@ pub fn failed_federation(
         &report.decision,
         &Normalizer::for_federation(n_hosts, n_brokers),
     );
+    let pressure = snapshot.metrics.iter().any(|row| row[7] > 0.0);
+    assert!(pressure, "no task pressure");
     (sim, snapshot)
 }
 
